@@ -1,4 +1,4 @@
-//! The GLS endomorphism on G2 and the scalar decomposition it induces.
+//! The GLS endomorphism `ψ` on G2.
 //!
 //! BN curves carry an efficiently computable endomorphism on the twist:
 //! `ψ = twist ∘ π_p ∘ untwist` (untwist to `E(Fp12)`, apply the `p`-power
@@ -10,41 +10,21 @@
 //! ```
 //!
 //! and on the order-`r` subgroup it acts as multiplication by the scalar
-//! `λ = 6x² = t − 1 ≡ p (mod r)` — only ~127 bits for BN254. Splitting a
-//! 254-bit scalar as `k = k₀ + k₁·λ` (integer division, both halves
-//! ≤ 128 bits) turns one full-width G2 operation into two half-width ones
-//! sharing their doubling chain:
-//!
-//! * [`g2_mul_gls`] — half-length double-and-add for a single point;
-//! * [`g2_msm`] — a pooled Pippenger MSM over the expanded
-//!   `(Pᵢ, k₀ᵢ), (ψPᵢ, k₁ᵢ)` lists, with the window count halved via the
-//!   128-bit cap (`msm_limbs(_, 132)`).
-//!
-//! Measured on this workload the split does **not** pay for itself inside
-//! the Groth16 prover: the `B` query MSM is dominated by bucket additions
-//! (doubling-chain savings don't help Pippenger much, and the ψ expansion
-//! doubles the point list), so the prover keeps the generic G2 MSM. The
-//! routines stay exported for callers whose G2 products are
-//! double-and-add bound, where the half-width chain is a real win.
-//!
-//! The same `ψ` implements the two Frobenius correction steps of the
-//! optimal ate Miller loop (see [`mod@crate::pairing`]), so its constants are
-//! cross-checked by the pairing tests as well as the eigenvalue test here.
-//!
-//! Correctness requires the inputs to lie in the order-`r` subgroup (where
-//! `ψ` acts as `[λ]`); all G2 inputs in this codebase are produced by
-//! scalar multiples of the generator, which satisfies that by construction.
+//! `λ = 6x² = t − 1 ≡ p (mod r)`. `ψ` implements the two Frobenius
+//! correction steps of the optimal ate Miller loop (see
+//! [`mod@crate::pairing`]), so its constants are cross-checked by the
+//! pairing tests as well as the eigenvalue test here. (The GLS scalar
+//! split built on `λ` measured 15 % slower inside the Groth16 prover —
+//! Pippenger is bucket-addition bound — and was removed.)
 
 use std::sync::OnceLock;
 
 use waku_arith::biguint::BigUint;
-use waku_arith::fields::{Fq, Fr};
+use waku_arith::fields::Fq;
 use waku_arith::traits::{Field, PrimeField};
 
 use crate::fp2::Fp2;
-use crate::g2::{G2Affine, G2Projective};
-use crate::msm::msm_limbs;
-use crate::pairing::BN_X;
+use crate::g2::G2Affine;
 
 /// The ψ coordinate constants `(c_x, c_y) = (ξ^((p−1)/3), ξ^((p−1)/2))`,
 /// derived once from the tower's non-residue rather than transcribed.
@@ -70,116 +50,19 @@ pub fn psi(p: &G2Affine) -> G2Affine {
     G2Affine::new_unchecked(*cx * p.x.conjugate(), *cy * p.y.conjugate())
 }
 
-/// The eigenvalue `λ = 6x²` of ψ on the order-`r` subgroup, as an integer
-/// (fits in 128 bits for BN254).
-pub fn gls_lambda_u128() -> u128 {
-    6 * (BN_X as u128) * (BN_X as u128)
-}
-
-fn lambda_biguint() -> &'static BigUint {
-    static CELL: OnceLock<BigUint> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let l = gls_lambda_u128();
-        BigUint::from_limbs(&[l as u64, (l >> 64) as u64])
-    })
-}
-
-/// The eigenvalue `λ` as a scalar-field element.
-pub fn gls_lambda_fr() -> Fr {
-    let l = gls_lambda_u128();
-    let mut limbs = [0u64; 4];
-    limbs[0] = l as u64;
-    limbs[1] = (l >> 64) as u64;
-    Fr::from_canonical_limbs(limbs).expect("λ < r")
-}
-
-/// Splits a canonical scalar as `k = k₀ + k₁·λ` over the integers
-/// (`k₀ < λ`, `k₁ = ⌊k/λ⌋ < 2¹²⁷`); both halves are returned as 4-limb
-/// values with the top two limbs zero, ready for half-width recoding.
-pub fn gls_decompose(k: &Fr) -> ([u64; 4], [u64; 4]) {
-    let k_big = BigUint::from_limbs(&k.to_canonical_limbs());
-    let (k1, k0) = k_big.div_rem(lambda_biguint());
-    let mut l0 = [0u64; 4];
-    let mut l1 = [0u64; 4];
-    for (dst, src) in l0.iter_mut().zip(k0.to_fixed_limbs(4)) {
-        *dst = src;
-    }
-    for (dst, src) in l1.iter_mut().zip(k1.to_fixed_limbs(4)) {
-        *dst = src;
-    }
-    debug_assert_eq!((l0[2], l0[3], l1[2], l1[3]), (0, 0, 0, 0));
-    (l0, l1)
-}
-
-/// `k·P` for a subgroup point via the GLS split: a shared ~128-step
-/// doubling chain over `(P, k₀)` and `(ψP, k₁)` instead of a 254-step one.
-pub fn g2_mul_gls(p: &G2Affine, k: Fr) -> G2Projective {
-    if p.is_identity() || k.is_zero() {
-        return G2Projective::identity();
-    }
-    let (k0, k1) = gls_decompose(&k);
-    let psi_p = psi(p);
-    let mut acc = G2Projective::identity();
-    let bit = |limbs: &[u64; 4], i: usize| (limbs[i / 64] >> (i % 64)) & 1 == 1;
-    for i in (0..128).rev() {
-        acc = acc.double();
-        if bit(&k0, i) {
-            acc = acc.add_mixed(p);
-        }
-        if bit(&k1, i) {
-            acc = acc.add_mixed(&psi_p);
-        }
-    }
-    acc
-}
-
-/// `Σ kᵢ·Pᵢ` over G2 subgroup points: each term is split by GLS and the
-/// doubled-size, half-width instance runs on the pooled Pippenger core.
-///
-/// # Panics
-///
-/// Panics if `bases.len() != scalars.len()`.
-pub fn g2_msm(bases: &[G2Affine], scalars: &[Fr]) -> G2Projective {
-    assert_eq!(bases.len(), scalars.len(), "mismatched msm input lengths");
-    if bases.is_empty() {
-        return G2Projective::identity();
-    }
-    if bases.len() < 16 {
-        let mut acc = G2Projective::identity();
-        for (b, s) in bases.iter().zip(scalars.iter()) {
-            acc = acc.add(&g2_mul_gls(b, *s));
-        }
-        return acc;
-    }
-    let psi_bases: Vec<G2Affine> = bases.iter().map(psi).collect();
-    let mut limbs0 = Vec::with_capacity(scalars.len());
-    let mut limbs1 = Vec::with_capacity(scalars.len());
-    for s in scalars {
-        let (l0, l1) = gls_decompose(s);
-        limbs0.push(l0);
-        limbs1.push(l1);
-    }
-    // 132 = 128 value bits + the signed-recoding carry bit, rounded into
-    // whole windows; half the window count of the generic 256-bit path.
-    msm_limbs(&[(bases, limbs0), (&psi_bases, limbs1)], 132)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msm::naive_msm;
+    use crate::g2::G2Projective;
+    use crate::pairing::BN_X;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn random_g2(rng: &mut StdRng, n: usize) -> (Vec<G2Affine>, Vec<Fr>) {
-        let g = G2Projective::generator();
-        let bases: Vec<G2Affine> = (0..n).map(|_| g.mul(Fr::random(rng)).to_affine()).collect();
-        let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(rng)).collect();
-        (bases, scalars)
-    }
+    use waku_arith::fields::Fr;
 
     #[test]
     fn psi_lands_on_curve_and_acts_as_lambda() {
+        let x = Fr::from_u64(BN_X);
+        let lambda = Fr::from_u64(6) * x * x;
         let mut rng = StdRng::seed_from_u64(21);
         for _ in 0..4 {
             let p = G2Projective::generator()
@@ -189,75 +72,9 @@ mod tests {
             assert!(image.is_on_curve(), "ψ must map the twist to itself");
             assert_eq!(
                 image.to_projective(),
-                p.mul(gls_lambda_fr()),
+                p.mul(lambda),
                 "ψ acts as [λ] on the order-r subgroup"
             );
         }
-    }
-
-    #[test]
-    fn lambda_satisfies_characteristic_equation() {
-        // ψ² − [t]ψ + [p] = 0 restricted to the subgroup: λ² − tλ + p ≡ 0
-        // (mod r), with t − 1 = 6x² = λ.
-        let l = gls_lambda_fr();
-        let t = l + Fr::one();
-        let p_mod_r = {
-            use waku_arith::biguint::BigUint;
-            let p = BigUint::from_limbs(&<Fq as PrimeField>::MODULUS);
-            let r = BigUint::from_limbs(&<Fr as PrimeField>::MODULUS);
-            let mut limbs = [0u64; 4];
-            for (dst, src) in limbs.iter_mut().zip(p.rem(&r).to_fixed_limbs(4)) {
-                *dst = src;
-            }
-            Fr::from_canonical_limbs(limbs).unwrap()
-        };
-        assert_eq!(l * l - t * l + p_mod_r, Fr::zero());
-    }
-
-    #[test]
-    fn decomposition_reconstructs_scalar() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let lambda = gls_lambda_fr();
-        for _ in 0..8 {
-            let k = Fr::random(&mut rng);
-            let (k0, k1) = gls_decompose(&k);
-            let f0 = Fr::from_canonical_limbs(k0).unwrap();
-            let f1 = Fr::from_canonical_limbs(k1).unwrap();
-            assert_eq!(f0 + f1 * lambda, k);
-        }
-    }
-
-    #[test]
-    fn gls_mul_matches_plain_mul() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let g = G2Projective::generator();
-        for _ in 0..4 {
-            let p = g.mul(Fr::random(&mut rng)).to_affine();
-            let k = Fr::random(&mut rng);
-            assert_eq!(g2_mul_gls(&p, k), p.mul(k));
-        }
-        assert!(g2_mul_gls(&G2Affine::identity(), Fr::one()).is_identity());
-        assert!(g2_mul_gls(&G2Affine::generator(), Fr::zero()).is_identity());
-    }
-
-    #[test]
-    fn gls_msm_matches_naive_small_and_large() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let (b_small, s_small) = random_g2(&mut rng, 7);
-        assert_eq!(g2_msm(&b_small, &s_small), naive_msm(&b_small, &s_small));
-        let (b_large, s_large) = random_g2(&mut rng, 48);
-        assert_eq!(g2_msm(&b_large, &s_large), naive_msm(&b_large, &s_large));
-    }
-
-    #[test]
-    fn gls_msm_edge_cases() {
-        let mut rng = StdRng::seed_from_u64(25);
-        let (mut bases, mut scalars) = random_g2(&mut rng, 20);
-        bases[0] = G2Affine::identity();
-        scalars[1] = Fr::zero();
-        scalars[2] = gls_lambda_fr(); // k₀ = 0, k₁ = 1
-        scalars[3] = Fr::one(); // k₁ = 0
-        assert_eq!(g2_msm(&bases, &scalars), naive_msm(&bases, &scalars));
-        assert!(g2_msm(&[], &[]).is_identity());
     }
 }

@@ -33,7 +33,7 @@ pub mod msm;
 pub mod pairing;
 pub mod point;
 
-pub use endo::{g2_msm, g2_mul_gls, psi};
+pub use endo::psi;
 pub use fp12::Fp12;
 pub use fp2::Fp2;
 pub use fp6::Fp6;

@@ -305,8 +305,7 @@ pub(crate) type LimbedPart<'a, C> = (&'a [Affine<C>], Vec<[u64; 4]>);
 
 /// Pippenger over pre-limbed scalars whose values fit in `bits - 1` bits
 /// (the extra bit absorbs the signed-recoding carry). `msm_chunked` calls
-/// this with 256; the GLS G2 path (`crate::endo`) with 132, halving the
-/// window count for its ≤128-bit decomposed scalars.
+/// this with 256.
 pub(crate) fn msm_limbs<C: CurveParams>(parts: &[LimbedPart<'_, C>], bits: usize) -> Projective<C> {
     let n: usize = parts.iter().map(|(b, _)| b.len()).sum();
     if n == 0 {

@@ -48,7 +48,7 @@ pub use network::{
     plan_heals_snapshot, ConfigError, DeliveryRecord, GossipConfig, MessageAcceptor, Network,
     NetworkConfig, NetworkConfigBuilder, PeerStats, Validator,
 };
-pub use scheduler::{Lookahead, SchedulerKind};
+pub use scheduler::SchedulerKind;
 pub use scoring::{PeerScore, ScoreParams};
 pub use transport::{
     worker_peer_range, CodecError, CoordinatorOptions, DistributedScheduler, Frame, FrameDecoder,

@@ -29,7 +29,7 @@ use crate::faults::FaultPlan;
 use crate::instrument::{engine_catalogue, network_catalogue};
 use crate::message::{Message, MessageId, PeerId, SimTime, Topic, TrafficClass, Validation};
 use crate::scheduler::{
-    Lookahead, Scheduler, SchedulerKind, SerialScheduler, ShardedScheduler, WorkerScheduler,
+    Scheduler, SchedulerKind, SerialScheduler, ShardedScheduler, WorkerScheduler,
 };
 use crate::scoring::ScoreParams;
 
@@ -120,9 +120,6 @@ pub struct NetworkConfig {
     pub seed: u64,
     /// Execution engine (never affects results, only wall-clock speed).
     pub scheduler: SchedulerKind,
-    /// Round-bounding strategy for the sharded engine (never affects
-    /// results, only barrier counts and wall-clock speed).
-    pub lookahead: Lookahead,
     /// The deterministic fault plan (see [`crate::faults`]). Empty by
     /// default: without faults the simulation is byte-identical to a
     /// network built before the fault plane existed.
@@ -141,7 +138,6 @@ impl Default for NetworkConfig {
             scoring: ScoreParams::default(),
             seed: 0,
             scheduler: SchedulerKind::Auto,
-            lookahead: Lookahead::Adaptive,
             faults: FaultPlan::default(),
         }
     }
@@ -219,12 +215,6 @@ impl NetworkConfigBuilder {
     /// Sets the execution engine.
     pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.config.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the round-bounding strategy for the sharded engine.
-    pub fn lookahead(mut self, lookahead: Lookahead) -> Self {
-        self.config.lookahead = lookahead;
         self
     }
 

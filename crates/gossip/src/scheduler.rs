@@ -32,10 +32,10 @@
 //! round-trip through another shard. Shard `i` may therefore dispatch
 //! every queued event strictly below `horizon_i` in one round without a
 //! barrier — quiet neighborhoods let busy shards advance many quanta at
-//! once, and distant shards contribute multi-hop slack. The fixed-quantum
-//! engine is the degenerate bound `horizon_i = min_j T_j + w` (every
-//! `dist ≥ w`, `cyc ≥ 2w`), so the adaptive engine never barriers more
-//! often than the fixed one. Cross-shard events buffered in per-shard
+//! once, and distant shards contribute multi-hop slack. A fixed quantum
+//! `horizon_i = min_j T_j + w` is the degenerate case of this bound
+//! (every `dist ≥ w`, `cyc ≥ 2w`), so these horizons never barrier more
+//! often than one would. Cross-shard events buffered in per-shard
 //! outboxes are drained at the barrier in fixed shard order; heap pop
 //! order over unique keys is insertion-order independent, so the drain
 //! order cannot leak into results.
@@ -356,55 +356,30 @@ pub(crate) fn worker_shard_range(
     lo..hi
 }
 
-/// Computes per-shard dispatch horizons for a round starting at `start`
-/// (the global earliest pending time) into `horizons`, from the current
-/// per-shard heads. Events at exactly `t` must still run, so horizons
-/// cap at `t + 1`. Pure over its inputs: the in-process scheduler and
-/// the distributed coordinator both call this, which is what makes their
-/// rounds line up event-for-event.
-#[allow(clippy::too_many_arguments)]
+/// Computes per-shard dispatch horizons into `horizons` from the current
+/// per-shard heads: the per-shard-pair Chandy–Misra bound from the
+/// cross-shard link-latency matrix. Events at exactly `t` must still run,
+/// so horizons cap at `t + 1`. Pure over its inputs: the in-process
+/// scheduler and the distributed coordinator both call this, which is
+/// what makes their rounds line up event-for-event.
 pub(crate) fn fill_horizons(
-    lookahead: Lookahead,
-    quantum: SimTime,
     dist: &[SimTime],
     cyc: &[SimTime],
     heads: &[SimTime],
-    start: SimTime,
     t: SimTime,
     horizons: &mut [SimTime],
 ) {
     let s = heads.len();
     let cap = t.saturating_add(1);
-    match lookahead {
-        Lookahead::Fixed => {
-            let end = start.saturating_add(quantum).min(cap);
-            horizons.iter_mut().for_each(|h| *h = end);
-        }
-        Lookahead::Adaptive => {
-            for i in 0..s {
-                let mut h = heads[i].saturating_add(cyc[i]);
-                for (j, &head) in heads.iter().enumerate() {
-                    if j != i {
-                        h = h.min(head.saturating_add(dist[j * s + i]));
-                    }
-                }
-                horizons[i] = h.min(cap);
+    for i in 0..s {
+        let mut h = heads[i].saturating_add(cyc[i]);
+        for (j, &head) in heads.iter().enumerate() {
+            if j != i {
+                h = h.min(head.saturating_add(dist[j * s + i]));
             }
         }
+        horizons[i] = h.min(cap);
     }
-}
-
-/// How the sharded engine bounds each round (never affects results, only
-/// barrier counts and wall-clock speed).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Lookahead {
-    /// Per-shard-pair Chandy–Misra horizons from the cross-shard
-    /// link-latency matrix (the default).
-    #[default]
-    Adaptive,
-    /// Legacy fixed quantum: every round spans `max(1, latency_min_ms)`
-    /// from the globally earliest pending event.
-    Fixed,
 }
 
 /// Which engine executes the event queue. Results are bit-identical across
@@ -610,10 +585,6 @@ pub(crate) struct ShardedScheduler {
     queues: Vec<EventQueue>,
     /// Peers per shard (the last shard may be smaller).
     chunk: usize,
-    /// Lookahead mode (adaptive horizons vs the legacy fixed quantum).
-    lookahead: Lookahead,
-    /// `max(1, latency_min_ms)` — the fixed quantum and the matrix floor.
-    quantum: SimTime,
     /// Shard-pair shortest-path delays (row-major `[from * shards + to]`).
     dist: Vec<SimTime>,
     /// Minimum round-trip delay through another shard, per shard.
@@ -641,8 +612,6 @@ impl ShardedScheduler {
         ShardedScheduler {
             queues: (0..num_queues).map(|_| EventQueue::new()).collect(),
             chunk,
-            lookahead: config.lookahead,
-            quantum,
             dist,
             cyc,
             barriers: 0,
@@ -651,19 +620,9 @@ impl ShardedScheduler {
         }
     }
 
-    /// Computes each shard's dispatch horizon for a round starting at
-    /// `start` (the global earliest pending time), given `self.heads`.
-    fn compute_horizons(&mut self, start: SimTime, t: SimTime) {
-        fill_horizons(
-            self.lookahead,
-            self.quantum,
-            &self.dist,
-            &self.cyc,
-            &self.heads,
-            start,
-            t,
-            &mut self.horizons,
-        );
+    /// Computes each shard's dispatch horizon from `self.heads`.
+    fn compute_horizons(&mut self, t: SimTime) {
+        fill_horizons(&self.dist, &self.cyc, &self.heads, t, &mut self.horizons);
     }
 }
 
@@ -685,7 +644,7 @@ impl Scheduler for ShardedScheduler {
             if start > t {
                 break;
             }
-            self.compute_horizons(start, t);
+            self.compute_horizons(t);
             // Only shards with dispatchable work join the round; the rest
             // have nothing below their horizon and produce no output.
             let mut rounds: Vec<ShardRound> = self
@@ -1059,7 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_horizons_extend_past_the_fixed_quantum_when_quiet() {
+    fn horizons_extend_past_the_latency_floor_when_quiet() {
         let peers = 9;
         let slots = ring_slots(peers);
         let config = NetworkConfig {
@@ -1069,12 +1028,12 @@ mod tests {
         let mut s = ShardedScheduler::new(peers, 3, &config, &slots);
         // Shard 0 busy at t=100; shards 1 and 2 idle until t=1000.
         s.heads = vec![100, 1_000, 1_000];
-        s.compute_horizons(100, 5_000);
-        // Fixed quantum would stop at 120; adaptive lets shard 0 run to
+        s.compute_horizons(5_000);
+        // One latency floor past the start would be 120; shard 0 runs to
         // min(1000+20, 1000+20, 100+cyc) — bounded by its own echo.
         assert!(
             s.horizons[0] > 120,
-            "horizon {} should exceed the fixed quantum",
+            "horizon {} should exceed one latency floor",
             s.horizons[0]
         );
         assert!(

@@ -25,7 +25,7 @@
 //!
 //! `[u32 LE payload length][u8 tag][payload…]`, everything little
 //! endian, no self-describing metadata (the protocol is fixed). The
-//! codec is hand-rolled (no serde in the workspace) and total: any byte
+//! codec sits on the shared `waku-wire` cursor and is total: any byte
 //! string either decodes or returns a structured [`CodecError`] — never
 //! a panic, never a read past the buffer, never an attacker-controlled
 //! allocation (length fields are sanity-checked against the bytes
@@ -57,45 +57,14 @@ use std::time::{Duration, Instant};
 use crate::engine::{EventKey, QueuedEvent, SimEvent};
 use crate::message::{Message, MessageId, PeerId, Rpc, SimTime, Topic, TrafficClass};
 use crate::network::Network;
-use crate::scheduler::{fill_horizons, worker_shard_range, Lookahead, FAR};
+use crate::scheduler::{fill_horizons, worker_shard_range, FAR};
+use waku_wire::{put_bytes, put_len, put_u32, put_u64, Reader};
 
 /// Hard ceiling on a frame's payload length (256 MiB): a corrupted
 /// length header is rejected before any allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 28;
 
-/// Longest decoded byte-string / collection permitted inside a frame
-/// (same bound — inner lengths are additionally checked against the
-/// bytes actually remaining).
-const MAX_VEC: usize = MAX_FRAME_LEN;
-
-/// A frame (or frame payload) failed to decode.
-///
-/// Decoding is total: any input yields a frame or one of these — never a
-/// panic, never an over-read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecError {
-    /// The buffer ended before the announced structure was complete.
-    Truncated,
-    /// A frame/payload/RPC tag byte held an unknown value.
-    BadTag(u8),
-    /// A length field exceeded [`MAX_FRAME_LEN`] or the bytes present.
-    Oversized,
-    /// Bytes remained after the frame's payload was fully decoded.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Truncated => write!(f, "frame truncated"),
-            CodecError::BadTag(t) => write!(f, "unknown frame tag {t}"),
-            CodecError::Oversized => write!(f, "frame length field exceeds sanity bound"),
-            CodecError::TrailingBytes => write!(f, "trailing bytes after frame payload"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
+pub use waku_wire::CodecError;
 
 /// A distributed-run failure: I/O, codec, protocol violation, or a
 /// worker process dying mid-run.
@@ -309,28 +278,15 @@ const TAG_FINISH: u8 = 6;
 const TAG_SNAPSHOT: u8 = 7;
 const TAG_REPORT: u8 = 8;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
 fn put_times(out: &mut Vec<u8>, times: &[SimTime]) {
-    put_u32(out, times.len() as u32);
+    put_len(out, times.len());
     for &t in times {
         put_u64(out, t);
     }
 }
 
 fn put_ids(out: &mut Vec<u8>, ids: &[MessageId]) {
-    put_u32(out, ids.len() as u32);
+    put_len(out, ids.len());
     for id in ids {
         out.extend_from_slice(&id.0);
     }
@@ -407,156 +363,98 @@ fn put_event(out: &mut Vec<u8>, ev: &WireEvent) {
 }
 
 fn put_events(out: &mut Vec<u8>, events: &[WireEvent]) {
-    put_u32(out, events.len() as u32);
+    put_len(out, events.len());
     for ev in events {
         put_event(out, ev);
     }
 }
 
-/// Sequential reader over a payload slice; every `take_*` checks the
-/// remaining length first, so decoding never reads out of bounds.
-struct Reader<'a> {
-    buf: &'a [u8],
+fn read_times(r: &mut Reader) -> Result<Vec<SimTime>, CodecError> {
+    (0..r.count(8)?).map(|_| r.u64()).collect()
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() < n {
-            return Err(CodecError::Truncated);
+fn read_ids(r: &mut Reader) -> Result<Vec<MessageId>, CodecError> {
+    (0..r.count(32)?)
+        .map(|_| Ok(MessageId(r.array()?)))
+        .collect()
+}
+
+fn read_class(r: &mut Reader) -> Result<TrafficClass, CodecError> {
+    match r.u8()? {
+        0 => Ok(TrafficClass::Honest),
+        1 => Ok(TrafficClass::Spam),
+        2 => Ok(TrafficClass::Invalid),
+        t => Err(CodecError::BadTag(t)),
+    }
+}
+
+fn read_message(r: &mut Reader) -> Result<Message, CodecError> {
+    let id = MessageId(r.array()?);
+    let topic = r.u32()?;
+    let origin = r.u64()? as PeerId;
+    let seq = r.u64()?;
+    let class = read_class(r)?;
+    let published_at = r.u64()?;
+    let data: Arc<[u8]> = r.bytes()?.into();
+    Ok(Message {
+        id,
+        topic,
+        data,
+        origin,
+        seq,
+        class,
+        published_at,
+    })
+}
+
+fn read_rpc(r: &mut Reader) -> Result<Rpc, CodecError> {
+    match r.u8()? {
+        0 => Ok(Rpc::Publish(Arc::new(read_message(r)?))),
+        1 => {
+            let topic = r.u32()?;
+            Ok(Rpc::IHave(topic, read_ids(r)?.into()))
         }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
+        2 => Ok(Rpc::IWant(read_ids(r)?)),
+        3 => Ok(Rpc::Graft(r.u32()?)),
+        4 => Ok(Rpc::Prune(r.u32()?)),
+        t => Err(CodecError::BadTag(t)),
     }
+}
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
+fn read_event(r: &mut Reader) -> Result<WireEvent, CodecError> {
+    let at = r.u64()?;
+    let origin = r.u64()? as PeerId;
+    let seq = r.u64()?;
+    let target = r.u64()? as PeerId;
+    let payload = match r.u8()? {
+        0 => WirePayload::Rpc {
+            from: r.u64()? as PeerId,
+            rpc: read_rpc(r)?,
+        },
+        1 => WirePayload::Heartbeat,
+        2 => WirePayload::Publish {
+            topic: r.u32()?,
+            class: read_class(r)?,
+            data: r.bytes()?.to_vec(),
+        },
+        3 => WirePayload::Restart,
+        4 => WirePayload::ClockSkew {
+            delta_ms: r.u64()? as i64,
+        },
+        t => return Err(CodecError::BadTag(t)),
+    };
+    Ok(WireEvent {
+        at,
+        origin,
+        seq,
+        target,
+        payload,
+    })
+}
 
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Vec length guard: `count` items of at least `min_size` bytes each
-    /// must fit in what's left — a corrupted count errors out instead of
-    /// allocating gigabytes.
-    fn len(&mut self, min_size: usize) -> Result<usize, CodecError> {
-        let n = self.u32()? as usize;
-        if n > MAX_VEC || n.saturating_mul(min_size.max(1)) > self.buf.len() {
-            return Err(CodecError::Oversized);
-        }
-        Ok(n)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let n = self.len(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn times(&mut self) -> Result<Vec<SimTime>, CodecError> {
-        let n = self.len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    fn ids(&mut self) -> Result<Vec<MessageId>, CodecError> {
-        let n = self.len(32)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(MessageId(self.take(32)?.try_into().unwrap()));
-        }
-        Ok(out)
-    }
-
-    fn class(&mut self) -> Result<TrafficClass, CodecError> {
-        match self.u8()? {
-            0 => Ok(TrafficClass::Honest),
-            1 => Ok(TrafficClass::Spam),
-            2 => Ok(TrafficClass::Invalid),
-            t => Err(CodecError::BadTag(t)),
-        }
-    }
-
-    fn message(&mut self) -> Result<Message, CodecError> {
-        let id = MessageId(self.take(32)?.try_into().unwrap());
-        let topic = self.u32()?;
-        let origin = self.u64()? as PeerId;
-        let seq = self.u64()?;
-        let class = self.class()?;
-        let published_at = self.u64()?;
-        let data: Arc<[u8]> = self.bytes()?.into();
-        Ok(Message {
-            id,
-            topic,
-            data,
-            origin,
-            seq,
-            class,
-            published_at,
-        })
-    }
-
-    fn rpc(&mut self) -> Result<Rpc, CodecError> {
-        match self.u8()? {
-            0 => Ok(Rpc::Publish(Arc::new(self.message()?))),
-            1 => {
-                let topic = self.u32()?;
-                Ok(Rpc::IHave(topic, self.ids()?.into()))
-            }
-            2 => Ok(Rpc::IWant(self.ids()?)),
-            3 => Ok(Rpc::Graft(self.u32()?)),
-            4 => Ok(Rpc::Prune(self.u32()?)),
-            t => Err(CodecError::BadTag(t)),
-        }
-    }
-
-    fn event(&mut self) -> Result<WireEvent, CodecError> {
-        let at = self.u64()?;
-        let origin = self.u64()? as PeerId;
-        let seq = self.u64()?;
-        let target = self.u64()? as PeerId;
-        let payload = match self.u8()? {
-            0 => WirePayload::Rpc {
-                from: self.u64()? as PeerId,
-                rpc: self.rpc()?,
-            },
-            1 => WirePayload::Heartbeat,
-            2 => WirePayload::Publish {
-                topic: self.u32()?,
-                class: self.class()?,
-                data: self.bytes()?,
-            },
-            3 => WirePayload::Restart,
-            4 => WirePayload::ClockSkew {
-                delta_ms: self.u64()? as i64,
-            },
-            t => return Err(CodecError::BadTag(t)),
-        };
-        Ok(WireEvent {
-            at,
-            origin,
-            seq,
-            target,
-            payload,
-        })
-    }
-
-    fn events(&mut self) -> Result<Vec<WireEvent>, CodecError> {
-        // Smallest event: key + target (32 bytes) + payload tag.
-        let n = self.len(33)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.event()?);
-        }
-        Ok(out)
-    }
+fn read_events(r: &mut Reader) -> Result<Vec<WireEvent>, CodecError> {
+    // Smallest event: key + target (32 bytes) + payload tag.
+    (0..r.count(33)?).map(|_| read_event(r)).collect()
 }
 
 impl Frame {
@@ -613,35 +511,33 @@ impl Frame {
     /// Decodes the payload of one frame (the bytes *after* the length
     /// prefix). Total: every input returns a frame or a [`CodecError`].
     pub fn decode_payload(payload: &[u8]) -> Result<Frame, CodecError> {
-        let mut r = Reader { buf: payload };
+        let mut r = Reader::new(payload);
         let frame = match r.u8()? {
             TAG_HELLO => Frame::Hello {
                 worker: r.u32()?,
                 workers: r.u32()?,
             },
-            TAG_CONFIG => Frame::Config(r.bytes()?),
+            TAG_CONFIG => Frame::Config(r.bytes()?.to_vec()),
             TAG_READY => Frame::Ready {
-                dist: r.times()?,
-                cyc: r.times()?,
-                heads: r.times()?,
+                dist: read_times(&mut r)?,
+                cyc: read_times(&mut r)?,
+                heads: read_times(&mut r)?,
             },
             TAG_ROUND => Frame::Round {
-                horizons: r.times()?,
-                events: r.events()?,
+                horizons: read_times(&mut r)?,
+                events: read_events(&mut r)?,
             },
             TAG_ROUND_RESULT => Frame::RoundResult {
                 processed: r.u64()?,
-                heads: r.times()?,
-                events: r.events()?,
+                heads: read_times(&mut r)?,
+                events: read_events(&mut r)?,
             },
             TAG_FINISH => Frame::Finish,
-            TAG_SNAPSHOT => Frame::Snapshot(r.bytes()?),
-            TAG_REPORT => Frame::Report(r.bytes()?),
+            TAG_SNAPSHOT => Frame::Snapshot(r.bytes()?.to_vec()),
+            TAG_REPORT => Frame::Report(r.bytes()?.to_vec()),
             t => return Err(CodecError::BadTag(t)),
         };
-        if !r.buf.is_empty() {
-            return Err(CodecError::TrailingBytes);
-        }
+        r.finish()?;
         Ok(frame)
     }
 
@@ -650,19 +546,21 @@ impl Frame {
     /// [`CodecError::Truncated`]; a length header above
     /// [`MAX_FRAME_LEN`] is [`CodecError::Oversized`].
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), CodecError> {
-        if buf.len() < 4 {
-            return Err(CodecError::Truncated);
-        }
-        let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(CodecError::Oversized);
-        }
-        if buf.len() - 4 < len {
-            return Err(CodecError::Truncated);
-        }
-        let frame = Frame::decode_payload(&buf[4..4 + len])?;
+        let mut r = Reader::new(buf);
+        let len = frame_len(r.array()?)?;
+        let frame = Frame::decode_payload(r.take(len)?)?;
         Ok((frame, 4 + len))
     }
+}
+
+/// The payload length a 4-byte frame header announces; anything above
+/// [`MAX_FRAME_LEN`] is corruption, not "need more data".
+fn frame_len(header: [u8; 4]) -> Result<usize, CodecError> {
+    let len = u32::from_le_bytes(header) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(CodecError::Oversized);
+    }
+    Ok(len)
 }
 
 /// Incremental frame decoder for a byte stream arriving in arbitrary
@@ -694,20 +592,17 @@ impl FrameDecoder {
     /// Unlike [`Frame::decode`], an incomplete buffer is *not* an error
     /// here — only corruption inside a complete frame is.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, CodecError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+        let mut r = Reader::new(&self.buf[self.pos..]);
+        let Ok(header) = r.array() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(CodecError::Oversized);
-        }
-        if avail.len() - 4 < len {
+        };
+        let len = frame_len(header)?;
+        let Ok(payload) = r.take(len) else {
             return Ok(None);
-        }
-        let frame = Frame::decode_payload(&avail[4..4 + len])?;
+        };
+        let frame = Frame::decode_payload(payload)?;
         self.pos += 4 + len;
-        Ok(frame.into())
+        Ok(Some(frame))
     }
 }
 
@@ -717,17 +612,24 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
 }
 
 /// Reads one complete frame from the stream (blocking, honoring any
-/// read timeout set on it).
+/// read timeout set on it). The payload buffer grows with the bytes
+/// actually received — at most 64 KiB is reserved on the header's say-so
+/// — so a peer announcing [`MAX_FRAME_LEN`] and sending nothing costs
+/// nothing.
 pub fn read_frame(r: &mut impl Read, stage: &'static str) -> Result<Frame, TransportError> {
     let io = |source| TransportError::Io { stage, source };
     let mut header = [0u8; 4];
     r.read_exact(&mut header).map_err(io)?;
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(CodecError::Oversized.into());
+    let len = frame_len(header)?;
+    let mut payload = Vec::with_capacity(len.min(64 << 10));
+    let got = r
+        .by_ref()
+        .take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(io)?;
+    if got < len {
+        return Err(io(std::io::ErrorKind::UnexpectedEof.into()));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(io)?;
     Ok(Frame::decode_payload(&payload)?)
 }
 
@@ -778,10 +680,6 @@ pub struct RunParams {
     pub peers: usize,
     /// Total shard count (the in-process layout's `shard_layout` count).
     pub shards: usize,
-    /// Round-bounding strategy (must match the workers' config).
-    pub lookahead: Lookahead,
-    /// `max(1, latency_min_ms)` — quantum / matrix floor.
-    pub quantum: SimTime,
     /// Run the event loop until (at least) this network time.
     pub until: SimTime,
 }
@@ -947,16 +845,7 @@ impl DistributedScheduler {
             if start > params.until {
                 break;
             }
-            fill_horizons(
-                params.lookahead,
-                params.quantum,
-                &dist,
-                &cyc,
-                &heads,
-                start,
-                params.until,
-                &mut horizons,
-            );
+            fill_horizons(&dist, &cyc, &heads, params.until, &mut horizons);
             // Write every Round frame before reading any result: workers
             // run their shards concurrently, and neither side blocks on
             // the other mid-round (workers read one frame, then write
@@ -1439,6 +1328,38 @@ mod tests {
             Frame::decode(&bad_tag),
             Err(CodecError::BadTag(200))
         ));
+    }
+
+    #[test]
+    fn read_frame_allocates_by_bytes_received_not_by_header() {
+        /// Serves `data` then EOF, recording the largest buffer it was
+        /// ever asked to fill.
+        struct Probe {
+            data: std::io::Cursor<Vec<u8>>,
+            largest_offer: usize,
+        }
+        impl Read for Probe {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.largest_offer = self.largest_offer.max(buf.len());
+                self.data.read(buf)
+            }
+        }
+        let mut probe = Probe {
+            data: std::io::Cursor::new((MAX_FRAME_LEN as u32).to_le_bytes().to_vec()),
+            largest_offer: 0,
+        };
+        let err = read_frame(&mut probe, "probe").unwrap_err();
+        assert!(
+            matches!(&err, TransportError::Io { source, .. }
+                if source.kind() == std::io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
+        assert!(probe.largest_offer <= 64 << 10, "{}", probe.largest_offer);
+
+        // A well-formed frame still reads back through the same path.
+        let bytes = Frame::Config(vec![7; 100_000]).encode();
+        let frame = read_frame(&mut &bytes[..], "ok").expect("whole frame");
+        assert_eq!(frame.encode(), bytes);
     }
 
     #[test]

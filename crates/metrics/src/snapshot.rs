@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use crate::desc::{bucket_bound, Desc, GaugeFold, MetricKind, BUCKET_COUNT};
 use crate::layout::Layout;
+use waku_wire::{put_len, put_u16, put_u64, Reader};
 
 /// One histogram's state: per-bucket counts (non-cumulative), the total
 /// observation count, and the exact (wrapping) sum of observed values.
@@ -266,38 +267,10 @@ impl Snapshot {
     }
 }
 
-/// A snapshot's wire bytes failed to decode.
-///
-/// Decoding is total: any byte slice either yields a snapshot or one of
-/// these variants — it never panics and never reads past the slice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The slice ended before the announced structure was complete.
-    Truncated,
-    /// A kind/fold/value tag byte held an unknown value.
-    BadTag(u8),
-    /// A name or help string was not valid UTF-8.
-    BadUtf8,
-    /// A length field exceeded its sanity bound (guards allocation on
-    /// corrupted input).
-    Oversized,
-    /// Bytes remained after the final entry.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "snapshot wire bytes truncated"),
-            WireError::BadTag(t) => write!(f, "unknown snapshot wire tag {t}"),
-            WireError::BadUtf8 => write!(f, "snapshot wire string is not UTF-8"),
-            WireError::Oversized => write!(f, "snapshot wire length field exceeds sanity bound"),
-            WireError::TrailingBytes => write!(f, "trailing bytes after snapshot wire payload"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
+/// A snapshot's wire bytes failed to decode — the workspace-wide codec
+/// error (decoding is total: any byte slice either yields a snapshot or
+/// one of its variants, never a panic or a read past the slice).
+pub use waku_wire::CodecError as WireError;
 
 /// Longest name/help string accepted on decode.
 const MAX_WIRE_STR: usize = 4096;
@@ -323,39 +296,16 @@ fn intern(s: &str) -> &'static str {
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     debug_assert!(s.len() <= MAX_WIRE_STR, "metric string too long for wire");
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    put_u16(out, s.len() as u16);
     out.extend_from_slice(s.as_bytes());
 }
 
-fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
-    if bytes.len() < n {
-        return Err(WireError::Truncated);
-    }
-    let (head, rest) = bytes.split_at(n);
-    *bytes = rest;
-    Ok(head)
-}
-
-fn take_u16(bytes: &mut &[u8]) -> Result<u16, WireError> {
-    Ok(u16::from_le_bytes(take(bytes, 2)?.try_into().unwrap()))
-}
-
-fn take_u32(bytes: &mut &[u8]) -> Result<u32, WireError> {
-    Ok(u32::from_le_bytes(take(bytes, 4)?.try_into().unwrap()))
-}
-
-fn take_u64(bytes: &mut &[u8]) -> Result<u64, WireError> {
-    Ok(u64::from_le_bytes(take(bytes, 8)?.try_into().unwrap()))
-}
-
-fn take_str(bytes: &mut &[u8]) -> Result<&'static str, WireError> {
-    let len = take_u16(bytes)? as usize;
+fn read_str(r: &mut Reader) -> Result<&'static str, WireError> {
+    let len = r.u16()? as usize;
     if len > MAX_WIRE_STR {
         return Err(WireError::Oversized);
     }
-    let raw = take(bytes, len)?;
-    let s = std::str::from_utf8(raw).map_err(|_| WireError::BadUtf8)?;
-    Ok(intern(s))
+    Ok(intern(r.str(len)?))
 }
 
 impl Snapshot {
@@ -365,7 +315,7 @@ impl Snapshot {
     /// exact inverse: `from_wire(&s.to_wire()) == Ok(s)`.
     pub fn to_wire(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.entries.len() * 48);
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        put_len(&mut out, self.entries.len());
         for entry in &self.entries {
             put_str(&mut out, entry.desc.name);
             put_str(&mut out, entry.desc.help);
@@ -381,16 +331,16 @@ impl Snapshot {
             match &entry.value {
                 Value::Scalar(v) => {
                     out.push(0);
-                    out.extend_from_slice(&v.to_le_bytes());
+                    put_u64(&mut out, *v);
                 }
                 Value::Histogram(h) => {
                     out.push(1);
-                    out.extend_from_slice(&(h.buckets.len() as u32).to_le_bytes());
+                    put_len(&mut out, h.buckets.len());
                     for b in &h.buckets {
-                        out.extend_from_slice(&b.to_le_bytes());
+                        put_u64(&mut out, *b);
                     }
-                    out.extend_from_slice(&h.count.to_le_bytes());
-                    out.extend_from_slice(&h.sum.to_le_bytes());
+                    put_u64(&mut out, h.count);
+                    put_u64(&mut out, h.sum);
                 }
             }
         }
@@ -401,46 +351,33 @@ impl Snapshot {
     /// arbitrary input: corrupted or truncated bytes return a
     /// [`WireError`], never a panic or an over-read.
     pub fn from_wire(bytes: &[u8]) -> Result<Snapshot, WireError> {
-        let mut bytes = bytes;
-        let count = take_u32(&mut bytes)? as usize;
+        let mut r = Reader::new(bytes);
         // Smallest possible entry: two empty strings + 3 tag bytes + u64.
-        if count > bytes.len() / 15 {
-            return Err(WireError::Oversized);
-        }
+        let count = r.count(15)?;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let name = take_str(&mut bytes)?;
-            let help = take_str(&mut bytes)?;
-            let kind = match take(&mut bytes, 1)?[0] {
+            let name = read_str(&mut r)?;
+            let help = read_str(&mut r)?;
+            let kind = match r.u8()? {
                 0 => MetricKind::Counter,
                 1 => MetricKind::Gauge,
                 2 => MetricKind::Histogram,
                 t => return Err(WireError::BadTag(t)),
             };
-            let fold = match take(&mut bytes, 1)?[0] {
+            let fold = match r.u8()? {
                 0 => GaugeFold::Sum,
                 1 => GaugeFold::Max,
                 t => return Err(WireError::BadTag(t)),
             };
-            let value = match take(&mut bytes, 1)?[0] {
-                0 => Value::Scalar(take_u64(&mut bytes)?),
-                1 => {
-                    let n = take_u32(&mut bytes)? as usize;
-                    if n > bytes.len() / 8 {
-                        return Err(WireError::Oversized);
-                    }
-                    let mut buckets = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        buckets.push(take_u64(&mut bytes)?);
-                    }
-                    let count = take_u64(&mut bytes)?;
-                    let sum = take_u64(&mut bytes)?;
-                    Value::Histogram(HistogramValue {
-                        buckets,
-                        count,
-                        sum,
-                    })
-                }
+            let value = match r.u8()? {
+                0 => Value::Scalar(r.u64()?),
+                1 => Value::Histogram(HistogramValue {
+                    buckets: (0..r.count(8)?)
+                        .map(|_| r.u64())
+                        .collect::<Result<_, _>>()?,
+                    count: r.u64()?,
+                    sum: r.u64()?,
+                }),
                 t => return Err(WireError::BadTag(t)),
             };
             entries.push(MetricValue {
@@ -453,9 +390,7 @@ impl Snapshot {
                 value,
             });
         }
-        if !bytes.is_empty() {
-            return Err(WireError::TrailingBytes);
-        }
+        r.finish()?;
         Ok(Snapshot { entries })
     }
 }

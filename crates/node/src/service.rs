@@ -13,10 +13,10 @@
 //!
 //! | path              | contents                                   | discipline |
 //! |-------------------|--------------------------------------------|------------|
-//! | `keys.bin`        | proving-key cache (`waku_rln::keycache`)   | checksummed blob, atomic rename |
+//! | `keys.bin`        | proving-key cache (`waku_rln::keycache`)   | checksummed envelope, `atomic_write` |
 //! | `store/`          | message history ([`SegmentLog`])           | CRC per record, torn-tail truncation |
-//! | `nullifiers.snap` | rate-limit window (`waku_rln::snapshot_io`)| checksummed blob, atomic rename |
-//! | `publish.guard`   | own last-published epoch                   | magic + value + complement, atomic rename |
+//! | `nullifiers.snap` | rate-limit window (`waku_rln::snapshot_io`)| checksummed envelope, `atomic_write` |
+//! | `publish.guard`   | own last-published epoch                   | magic + value + complement, `atomic_write` |
 //!
 //! A crash at any instant leaves every file either at its previous
 //! version or its new one. On reopen the service recovers all four and
@@ -36,6 +36,7 @@ use waku_relay::{HistoryQuery, HistoryResponse, SegmentLog, StorageBackend, Waku
 use waku_rln::snapshot_io::{load_snapshot, save_snapshot};
 use waku_rln::{RlnMessageBundle, RlnProver};
 use waku_rln_relay::{BatchDecision, Outcome, WakuRlnRelayNode};
+use waku_wire::{put_u64, Reader};
 
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
@@ -432,34 +433,35 @@ impl RelayerService {
     }
 }
 
-/// Writes the publish-guard sidecar: magic ‖ epoch ‖ !epoch, through a
-/// temp file + atomic rename. The complement catches torn/garbled
-/// writes without a checksum dependency.
+/// Writes the publish-guard sidecar: magic ‖ epoch ‖ !epoch, through
+/// [`waku_wire::fs::atomic_write`]. The complement catches torn/garbled
+/// contents.
 fn save_guard(path: &std::path::Path, epoch: u64) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut blob = Vec::with_capacity(24);
-    blob.extend_from_slice(GUARD_MAGIC);
-    blob.extend_from_slice(&epoch.to_le_bytes());
-    blob.extend_from_slice(&(!epoch).to_le_bytes());
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&blob)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    waku_wire::fs::atomic_write(path, &encode_guard(epoch))
+}
+
+fn encode_guard(epoch: u64) -> Vec<u8> {
+    let mut blob = GUARD_MAGIC.to_vec();
+    put_u64(&mut blob, epoch);
+    put_u64(&mut blob, !epoch);
+    blob
 }
 
 /// Reads the publish-guard sidecar; `None` for anything malformed (the
 /// node then relies on the epoch itself having passed — failing safe
 /// costs at most one skipped publish window).
 fn load_guard(path: &std::path::Path) -> Option<u64> {
-    let bytes = std::fs::read(path).ok()?;
-    if bytes.len() != 24 || &bytes[0..8] != GUARD_MAGIC {
+    decode_guard(&std::fs::read(path).ok()?)
+}
+
+fn decode_guard(bytes: &[u8]) -> Option<u64> {
+    let mut r = Reader::new(bytes);
+    if r.array::<8>().ok()? != *GUARD_MAGIC {
         return None;
     }
-    let epoch = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
-    let check = u64::from_le_bytes(bytes[16..24].try_into().ok()?);
+    let epoch = r.u64().ok()?;
+    let check = r.u64().ok()?;
+    r.finish().ok()?;
     (check == !epoch).then_some(epoch)
 }
 
@@ -631,5 +633,24 @@ mod tests {
         std::fs::write(&path, b"short").unwrap();
         assert_eq!(load_guard(&path), None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The sidecar's row of the decoder-totality suite (see
+    /// `tests/decoders_total.rs`; same generator): golden bytes from the
+    /// parent commit, and under mutation either `None` or an epoch whose
+    /// encoding is exactly the mutated bytes.
+    #[test]
+    fn guard_codec_is_byte_stable_and_total() {
+        let sample = encode_guard(123);
+        assert_eq!(
+            sample,
+            b"WAKUGRD1\x7b\0\0\0\0\0\0\0\x84\xff\xff\xff\xff\xff\xff\xff"
+        );
+        assert_eq!(decode_guard(&sample), Some(123));
+        for mutated in waku_wire::mutations(&sample) {
+            if let Some(epoch) = decode_guard(&mutated) {
+                assert_eq!(encode_guard(epoch), mutated);
+            }
+        }
     }
 }

@@ -2,6 +2,8 @@
 //! timestamp, the unit every Waku protocol (relay, store, filter) moves
 //! around.
 
+use waku_wire::{put_bytes, put_u32, put_u64, Reader};
+
 /// A Waku application message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WakuMessage {
@@ -34,33 +36,23 @@ impl WakuMessage {
     /// Serializes (length-prefixed fields).
     pub fn to_bytes(&self) -> Vec<u8> {
         let topic = self.content_topic.as_bytes();
-        let mut out = Vec::with_capacity(16 + topic.len() + self.payload.len());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out.extend_from_slice(&(topic.len() as u32).to_le_bytes());
-        out.extend_from_slice(topic);
-        out.extend_from_slice(&self.timestamp.to_le_bytes());
-        out.extend_from_slice(&self.version.to_le_bytes());
+        let mut out = Vec::with_capacity(20 + topic.len() + self.payload.len());
+        put_bytes(&mut out, &self.payload);
+        put_bytes(&mut out, topic);
+        put_u64(&mut out, self.timestamp);
+        put_u32(&mut out, self.version);
         out
     }
 
     /// Parses; `None` on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = bytes.get(*at..*at + n)?;
-            *at += n;
-            Some(s)
-        };
-        let plen = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-        let payload = take(&mut at, plen)?.to_vec();
-        let tlen = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-        let content_topic = String::from_utf8(take(&mut at, tlen)?.to_vec()).ok()?;
-        let timestamp = u64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?);
-        let version = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?);
-        if at != bytes.len() {
-            return None;
-        }
+        let mut r = Reader::new(bytes);
+        let payload = r.bytes().ok()?.to_vec();
+        let topic_len = r.count(1).ok()?;
+        let content_topic = r.str(topic_len).ok()?.to_owned();
+        let timestamp = r.u64().ok()?;
+        let version = r.u32().ok()?;
+        r.finish().ok()?;
         Some(WakuMessage {
             payload,
             content_topic,

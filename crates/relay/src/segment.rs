@@ -34,8 +34,11 @@
 
 use std::collections::VecDeque;
 use std::fs;
-use std::io::{Read, Seek, Write};
+use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
+
+use waku_wire::checksum::crc32;
+use waku_wire::Reader;
 
 use crate::message::WakuMessage;
 use crate::storage::{StorageBackend, StorageError};
@@ -45,36 +48,6 @@ const SEGMENT_MAGIC: &[u8; 8] = b"WAKUSEG1";
 /// Hard cap on one record's payload (a defense against reading a
 /// garbage length prefix as a multi-gigabyte allocation).
 const MAX_RECORD_BYTES: u32 = 16 << 20;
-
-/// CRC-32 (IEEE, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) over `data` — the per-record integrity check.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for b in data {
-        c = CRC_TABLE[((c ^ u32::from(*b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Sizing of a [`SegmentLog`].
 ///
@@ -276,7 +249,7 @@ impl SegmentLog {
                 stop = true;
                 continue;
             }
-            let scan = scan_segment(&path)?;
+            let scan = scan_segment(&fs::read(&path)?);
             if scan.torn {
                 // Truncate the invalid tail in place; later files (if
                 // any) no longer splice and are deleted above.
@@ -376,59 +349,50 @@ struct SegmentScan {
     torn: bool,
 }
 
-/// Replays one segment file record by record, stopping at the first
-/// framing/CRC/parse failure.
-fn scan_segment(path: &Path) -> Result<SegmentScan, StorageError> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return Ok(SegmentScan {
+/// Replays one segment file's bytes record by record, stopping at the
+/// first framing/CRC/parse failure.
+fn scan_segment(bytes: &[u8]) -> SegmentScan {
+    let mut r = Reader::new(bytes);
+    if r.take(SEGMENT_MAGIC.len()).ok() != Some(SEGMENT_MAGIC) {
+        return SegmentScan {
             messages: Vec::new(),
             valid_bytes: 0,
             torn: true,
-        });
+        };
     }
     let mut messages = Vec::new();
-    let mut at = SEGMENT_MAGIC.len();
-    let mut valid = at;
-    loop {
-        if at == bytes.len() {
-            // Clean end of file.
-            return Ok(SegmentScan {
+    // Torn tail: everything before the last fully valid record stands.
+    while r.remaining() > 0 {
+        let valid_bytes = (bytes.len() - r.remaining()) as u64;
+        let Some(message) = read_record(&mut r) else {
+            return SegmentScan {
                 messages,
-                valid_bytes: valid as u64,
-                torn: false,
-            });
-        }
-        let ok = (|| -> Option<WakuMessage> {
-            let len = u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?);
-            if len == 0 || len > MAX_RECORD_BYTES {
-                return None;
-            }
-            let crc = u32::from_le_bytes(bytes.get(at + 4..at + 8)?.try_into().ok()?);
-            let payload = bytes.get(at + 8..at + 8 + len as usize)?;
-            if crc32(payload) != crc {
-                return None;
-            }
-            WakuMessage::from_bytes(payload)
-        })();
-        match ok {
-            Some(message) => {
-                let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-                at += 8 + len as usize;
-                valid = at;
-                messages.push(message);
-            }
-            None => {
-                // Torn tail: everything before `valid` stands.
-                return Ok(SegmentScan {
-                    messages,
-                    valid_bytes: valid as u64,
-                    torn: true,
-                });
-            }
-        }
+                valid_bytes,
+                torn: true,
+            };
+        };
+        messages.push(message);
     }
+    SegmentScan {
+        messages,
+        valid_bytes: bytes.len() as u64,
+        torn: false,
+    }
+}
+
+/// One `len ‖ crc32(payload) ‖ payload` record; `None` when the framing,
+/// the CRC or the message itself is bad.
+fn read_record(r: &mut Reader) -> Option<WakuMessage> {
+    let len = r.u32().ok()?;
+    if len == 0 || len > MAX_RECORD_BYTES {
+        return None;
+    }
+    let crc = r.u32().ok()?;
+    let payload = r.take(len as usize).ok()?;
+    if crc32(payload) != crc {
+        return None;
+    }
+    WakuMessage::from_bytes(payload)
 }
 
 impl StorageBackend for SegmentLog {
@@ -645,6 +609,56 @@ mod tests {
         assert_eq!(log.len(), 1, "consistent prefix = first record only");
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The segment file's row of the decoder-totality suite (see
+    /// `tests/decoders_total.rs`; same generator): golden bytes from the
+    /// parent commit, and under mutation the scan never panics and the
+    /// records it recovers re-encode to exactly the prefix it kept.
+    #[test]
+    fn segment_scan_is_byte_stable_and_total() {
+        let dir = tmpdir("total");
+        let messages = [
+            WakuMessage::new(vec![1u8; 4], "/a", 100),
+            WakuMessage::new(vec![2u8; 3], "/b", 101),
+        ];
+        let mut log = SegmentLog::open(&dir, SegmentConfig::default()).unwrap();
+        for m in &messages {
+            log.append(m.clone()).unwrap();
+        }
+        log.flush().unwrap();
+        let sample = fs::read(SegmentLog::segment_path(&dir, 0)).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let hex: String = sample.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "57414b5553454731",
+                "1a000000ad871ad90400000001010101020000002f61640000000000000000000000",
+                "190000007c1ae6c603000000020202020000002f62650000000000000000000000",
+            )
+        );
+        let scan = scan_segment(&sample);
+        assert_eq!(scan.messages, messages);
+        assert!(!scan.torn);
+
+        for mutated in waku_wire::mutations(&sample) {
+            let scan = scan_segment(&mutated);
+            let kept = &mutated[..scan.valid_bytes as usize];
+            assert!(scan.torn || kept.len() == mutated.len());
+            let mut reencoded = Vec::new();
+            for m in &scan.messages {
+                let payload = m.to_bytes();
+                reencoded.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                reencoded.extend_from_slice(&crc32(&payload).to_le_bytes());
+                reencoded.extend_from_slice(&payload);
+            }
+            if kept.is_empty() {
+                assert!(scan.messages.is_empty(), "bad magic keeps nothing");
+            } else {
+                assert_eq!([&SEGMENT_MAGIC[..], &reencoded].concat(), kept);
+            }
+        }
     }
 
     #[test]

@@ -13,17 +13,14 @@
 //!            ‖ |pk|:u32 ‖ pk ‖ fnv1a64(all previous bytes)
 //! ```
 //!
-//! The trailing [FNV-1a] checksum catches torn writes and bit rot without
-//! the cost of a cryptographic hash over a multi-megabyte blob (which
-//! would eat most of the cold-start budget the cache exists to save);
-//! integrity against an *adversary* with write access to the key file is
-//! explicitly out of scope — such an adversary could substitute a validly
-//! checksummed key from their own ceremony anyway. Parsing additionally
-//! re-validates every curve point, so a corrupted-but-checksum-colliding
-//! blob still cannot yield an off-curve key.
-//!
-//! [FNV-1a]: http://www.isthe.com/chongo/tech/comp/fnv/
-use std::io::{Read, Write};
+//! The framing (magic, version, trailing FNV-1a checksum) is the shared
+//! [`waku_wire::envelope`]; the checksum catches torn writes and bit rot,
+//! and integrity against an *adversary* with write access to the key file
+//! is explicitly out of scope — such an adversary could substitute a
+//! validly checksummed key from their own ceremony anyway. Parsing
+//! additionally re-validates every curve point, so a
+//! corrupted-but-checksum-colliding blob still cannot yield an off-curve
+//! key.
 use std::path::Path;
 
 use waku_snark::groth16::ProvingKey;
@@ -31,6 +28,7 @@ use waku_snark::serialize::{cs_shape_from_bytes, cs_shape_to_bytes, pk_from_byte
 use waku_snark::ConstraintSystem;
 #[cfg(doc)]
 use waku_snark::WitnessSolver;
+use waku_wire::{envelope, put_bytes, put_u32};
 
 /// Blob magic: identifies an RLN key-cache file.
 const MAGIC: &[u8; 8] = b"WAKURLNK";
@@ -40,42 +38,16 @@ const MAGIC: &[u8; 8] = b"WAKURLNK";
 /// and regenerated rather than migrated.
 const VERSION: u32 = 1;
 
-/// 64-bit FNV-1a over `data` — fast enough to be free next to the file
-/// read, strong enough to catch truncation and random corruption.
-/// Shared with [`crate::snapshot_io`], which wraps nullifier snapshots
-/// in the same checksummed-blob discipline.
-pub(crate) fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in data {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Serializes `(pk, template)` into a versioned, checksummed blob.
 pub fn encode_keys(depth: usize, pk: &ProvingKey, template: &ConstraintSystem) -> Vec<u8> {
     let shape = cs_shape_to_bytes(template);
     let pk_bytes = pk_to_bytes(pk);
-    let mut out = Vec::with_capacity(8 + 4 + 4 + 4 + shape.len() + 4 + pk_bytes.len() + 8);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&u32::try_from(depth).expect("depth fits u32").to_le_bytes());
-    out.extend_from_slice(
-        &u32::try_from(shape.len())
-            .expect("shape fits u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&shape);
-    out.extend_from_slice(
-        &u32::try_from(pk_bytes.len())
-            .expect("pk fits u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&pk_bytes);
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    envelope::seal(MAGIC, VERSION, |out| {
+        out.reserve(4 + 4 + shape.len() + 4 + pk_bytes.len() + 8);
+        put_u32(out, u32::try_from(depth).expect("depth fits u32"));
+        put_bytes(out, &shape);
+        put_bytes(out, &pk_bytes);
+    })
 }
 
 /// Parses a blob produced by [`encode_keys`], enforcing magic, version,
@@ -84,29 +56,15 @@ pub fn encode_keys(depth: usize, pk: &ProvingKey, template: &ConstraintSystem) -
 /// Returns `None` for anything malformed — callers fall back to a fresh
 /// keygen, so a bad cache is a slow start, never a wrong key.
 pub fn decode_keys(bytes: &[u8], expected_depth: usize) -> Option<(ProvingKey, ConstraintSystem)> {
-    if bytes.len() < 8 + 4 + 4 + 4 + 4 + 8 || &bytes[0..8] != MAGIC {
+    let mut body = envelope::open(MAGIC, VERSION, bytes).ok()?;
+    if body.u32().ok()? as usize != expected_depth {
         return None;
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a64(body) != stored {
-        return None;
-    }
-    let u32_at = |at: usize| -> Option<usize> {
-        Some(u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?) as usize)
-    };
-    if u32_at(8)? != VERSION as usize || u32_at(12)? != expected_depth {
-        return None;
-    }
-    let shape_len = u32_at(16)?;
-    let shape_end = 20usize.checked_add(shape_len)?;
-    let pk_len = u32_at(shape_end)?;
-    let pk_end = shape_end.checked_add(4)?.checked_add(pk_len)?;
-    if pk_end != body.len() {
-        return None;
-    }
-    let template = cs_shape_from_bytes(body.get(20..shape_end)?)?;
-    let pk = pk_from_bytes(body.get(shape_end + 4..pk_end)?)?;
+    let shape = body.bytes().ok()?;
+    let pk_bytes = body.bytes().ok()?;
+    body.finish().ok()?;
+    let template = cs_shape_from_bytes(shape)?;
+    let pk = pk_from_bytes(pk_bytes)?;
     // The embedded shape must be the circuit the key was generated for.
     let expected_vars = template.num_instance() + template.num_witness();
     if pk.a_query.len() != expected_vars {
@@ -115,39 +73,22 @@ pub fn decode_keys(bytes: &[u8], expected_depth: usize) -> Option<(ProvingKey, C
     Some((pk, template))
 }
 
-/// Writes the key blob to `path`, creating parent directories as needed.
-/// The write goes through a sibling temp file and an atomic rename so a
-/// crash mid-write leaves either the old cache or none — never a torn one.
+/// Writes the key blob to `path` through [`waku_wire::fs::atomic_write`]:
+/// a crash mid-write leaves either the old cache or none — never a torn
+/// one.
 pub fn save_keys(
     path: &Path,
     depth: usize,
     pk: &ProvingKey,
     template: &ConstraintSystem,
 ) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let blob = encode_keys(depth, pk, template);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&blob)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    waku_wire::fs::atomic_write(path, &encode_keys(depth, pk, template))
 }
 
 /// Reads and validates a key blob from `path`. Any I/O or format problem
 /// yields `None` (the caller regenerates).
 pub fn load_keys(path: &Path, expected_depth: usize) -> Option<(ProvingKey, ConstraintSystem)> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .ok()?
-        .read_to_end(&mut bytes)
-        .ok()?;
-    decode_keys(&bytes, expected_depth)
+    decode_keys(&std::fs::read(path).ok()?, expected_depth)
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@ use waku_arith::traits::PrimeField;
 use waku_hash::sha256;
 use waku_poseidon::{poseidon1, poseidon2};
 use waku_shamir::recover_from_two;
+use waku_snark::serialize::read_field;
+use waku_wire::{put_len, put_u64, Reader};
 
 use crate::prover::RlnMessageBundle;
 use crate::slashing::{RateCheck, SpamEvidence};
@@ -466,13 +468,13 @@ impl NullifierSnapshot {
     pub fn to_bytes(&self) -> Vec<u8> {
         let entries: usize = self.epochs.iter().map(|(_, e)| e.len()).sum();
         let mut out = Vec::with_capacity(28 + self.epochs.len() * 12 + entries * 96);
-        out.extend_from_slice(&self.max_gap.to_le_bytes());
-        out.extend_from_slice(&self.hi.to_le_bytes());
-        out.extend_from_slice(&self.epochs_pruned.to_le_bytes());
-        out.extend_from_slice(&(self.epochs.len() as u32).to_le_bytes());
+        put_u64(&mut out, self.max_gap);
+        put_u64(&mut out, self.hi);
+        put_u64(&mut out, self.epochs_pruned);
+        put_len(&mut out, self.epochs.len());
         for (epoch, entries) in &self.epochs {
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            put_u64(&mut out, *epoch);
+            put_len(&mut out, entries.len());
             for (nullifier, (x, y)) in entries {
                 out.extend_from_slice(nullifier);
                 out.extend_from_slice(&x.to_le_bytes());
@@ -487,49 +489,37 @@ impl NullifierSnapshot {
     /// epochs, out-of-range field elements, or a window the store would
     /// refuse (`max_gap` ≥ 2²⁰ epochs).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = bytes.get(*at..*at + n)?;
-            *at += n;
-            Some(s)
-        };
-        let u64_at = |at: &mut usize| -> Option<u64> {
-            Some(u64::from_le_bytes(take(at, 8)?.try_into().ok()?))
-        };
-        let u32_at = |at: &mut usize| -> Option<u32> {
-            Some(u32::from_le_bytes(take(at, 4)?.try_into().ok()?))
-        };
-        let max_gap = u64_at(&mut at)?;
-        if 2 * max_gap + 1 > MAX_WINDOW_EPOCHS {
+        let mut r = Reader::new(bytes);
+        let max_gap = r.u64().ok()?;
+        // Saturating, exactly like `NullifierStore::new`: `max_gap` is
+        // untrusted here and `2 * max_gap + 1` must not wrap into range.
+        let window = max_gap.saturating_mul(2).saturating_add(1);
+        if window > MAX_WINDOW_EPOCHS {
             return None;
         }
-        let hi = u64_at(&mut at)?;
-        let epochs_pruned = u64_at(&mut at)?;
-        let n_epochs = u32_at(&mut at)? as usize;
-        let mut epochs: Vec<(u64, SnapshotEntries)> = Vec::with_capacity(n_epochs.min(1024));
+        let hi = r.u64().ok()?;
+        let epochs_pruned = r.u64().ok()?;
+        let n_epochs = r.count(12).ok()?;
+        let mut epochs: Vec<(u64, SnapshotEntries)> = Vec::with_capacity(n_epochs);
         for _ in 0..n_epochs {
-            let epoch = u64_at(&mut at)?;
+            let epoch = r.u64().ok()?;
             if epochs.last().is_some_and(|(prev, _)| *prev >= epoch) {
                 return None;
             }
             // Every retained epoch must lie inside the snapshot's own
             // window — anything else cannot have come from `snapshot()`.
-            if epoch > hi || hi - epoch > 2 * max_gap {
+            if epoch > hi || hi - epoch >= window {
                 return None;
             }
-            let n_entries = u32_at(&mut at)? as usize;
-            let mut entries: SnapshotEntries = Vec::with_capacity(n_entries.min(4096));
+            let n_entries = r.count(96).ok()?;
+            let mut entries: SnapshotEntries = Vec::with_capacity(n_entries);
             for _ in 0..n_entries {
-                let nullifier: [u8; 32] = take(&mut at, 32)?.try_into().ok()?;
-                let x = Fr::from_le_bytes(take(&mut at, 32)?.try_into().ok()?)?;
-                let y = Fr::from_le_bytes(take(&mut at, 32)?.try_into().ok()?)?;
-                entries.push((nullifier, (x, y)));
+                let nullifier = r.array().ok()?;
+                entries.push((nullifier, (read_field(&mut r)?, read_field(&mut r)?)));
             }
             epochs.push((epoch, entries));
         }
-        if at != bytes.len() {
-            return None;
-        }
+        r.finish().ok()?;
         Some(NullifierSnapshot {
             max_gap,
             hi,

@@ -7,7 +7,9 @@ use waku_arith::fields::Fr;
 use waku_arith::traits::Field;
 use waku_merkle::MerklePath;
 use waku_snark::groth16::{prove, setup, PreparedVerifyingKey, Proof, ProvingKey};
+use waku_snark::serialize::read_field;
 use waku_snark::SnarkError;
+use waku_wire::{put_bytes, put_u64, Reader};
 
 use crate::circuit::{build, build_for_setup, RlnPublicInputs, RlnWitness};
 use crate::identity::Identity;
@@ -62,11 +64,10 @@ impl RlnMessageBundle {
     pub fn to_bytes(&self) -> Vec<u8> {
         use waku_arith::traits::PrimeField;
         let mut out = Vec::with_capacity(4 + self.size_in_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        put_bytes(&mut out, &self.payload);
         out.extend_from_slice(&self.y.to_le_bytes());
         out.extend_from_slice(&self.nullifier.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
+        put_u64(&mut out, self.epoch);
         out.extend_from_slice(&self.root.to_le_bytes());
         out.extend_from_slice(&self.proof.to_bytes());
         out
@@ -75,29 +76,14 @@ impl RlnMessageBundle {
     /// Parses a bundle from wire bytes, validating field canonicity and
     /// that proof points are on-curve. Returns `None` for malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        use waku_arith::traits::PrimeField;
-        if bytes.len() < 4 {
-            return None;
-        }
-        let plen = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-        let expect = 4 + plen + 32 + 32 + 8 + 32 + 256;
-        if bytes.len() != expect {
-            return None;
-        }
-        let payload = bytes[4..4 + plen].to_vec();
-        let mut at = 4 + plen;
-        let fr = |buf: &[u8]| -> Option<Fr> { Fr::from_le_bytes(buf.try_into().ok()?) };
-        let y = fr(&bytes[at..at + 32])?;
-        at += 32;
-        let nullifier = fr(&bytes[at..at + 32])?;
-        at += 32;
-        let epoch = u64::from_le_bytes(bytes[at..at + 8].try_into().ok()?);
-        at += 8;
-        let root = fr(&bytes[at..at + 32])?;
-        at += 32;
-        let proof = crate::prover::ProofBytes::try_from(&bytes[at..at + 256])
-            .ok()?
-            .parse()?;
+        let mut r = Reader::new(bytes);
+        let payload = r.bytes().ok()?.to_vec();
+        let y = read_field(&mut r)?;
+        let nullifier = read_field(&mut r)?;
+        let epoch = r.u64().ok()?;
+        let root = read_field(&mut r)?;
+        let proof = Proof::from_bytes(&r.array().ok()?)?;
+        r.finish().ok()?;
         Some(RlnMessageBundle {
             payload,
             y,
@@ -106,23 +92,6 @@ impl RlnMessageBundle {
             root,
             proof,
         })
-    }
-}
-
-/// Helper newtype so bundle parsing can reuse `Proof::from_bytes`.
-pub(crate) struct ProofBytes([u8; 256]);
-
-impl ProofBytes {
-    fn parse(&self) -> Option<Proof> {
-        Proof::from_bytes(&self.0)
-    }
-}
-
-impl TryFrom<&[u8]> for ProofBytes {
-    type Error = ();
-    fn try_from(v: &[u8]) -> Result<Self, ()> {
-        let arr: [u8; 256] = v.try_into().map_err(|_| ())?;
-        Ok(ProofBytes(arr))
     }
 }
 
@@ -570,7 +539,6 @@ mod tests {
         let (other, _) = RlnProver::keygen_or_load(3, &path, &mut rng);
         assert_eq!(other.depth(), 3);
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("tmp"));
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! survive a crash (§III-F: a rebooted router that forgot this epoch's
 //! nullifiers would relay a spammer's second signal as fresh), so the
 //! `waku-node` service checkpoints it alongside the message store. The
-//! blob reuses [`crate::keycache`]'s framing discipline — versioned
-//! magic, FNV-1a checksum, temp-file + atomic rename — so a crash
-//! mid-checkpoint leaves either the previous snapshot or none, never a
-//! torn one:
+//! blob is a [`waku_wire::envelope`] written through
+//! [`waku_wire::fs::atomic_write`], so a crash mid-checkpoint leaves
+//! either the previous snapshot or none, never a torn one:
 //!
 //! ```text
 //! "WAKURLNS" ‖ version:u32 ‖ |snapshot|:u32 ‖ snapshot
@@ -19,10 +18,10 @@
 //! double-signal inside the restart window goes unslashed; no honest
 //! message is ever dropped because of a bad snapshot.
 
-use std::io::{Read, Write};
 use std::path::Path;
 
-use crate::keycache::fnv1a64;
+use waku_wire::{envelope, put_bytes};
+
 use crate::nullifier::NullifierSnapshot;
 
 /// Blob magic: identifies a nullifier-snapshot file.
@@ -34,70 +33,28 @@ const VERSION: u32 = 1;
 
 /// Serializes a snapshot into a versioned, checksummed blob.
 pub fn encode_snapshot(snapshot: &NullifierSnapshot) -> Vec<u8> {
-    let body = snapshot.to_bytes();
-    let mut out = Vec::with_capacity(8 + 4 + 4 + body.len() + 8);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(
-        &u32::try_from(body.len())
-            .expect("snapshot fits u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&body);
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    envelope::seal(MAGIC, VERSION, |out| put_bytes(out, &snapshot.to_bytes()))
 }
 
 /// Parses a blob produced by [`encode_snapshot`], enforcing magic,
 /// version, framing, and the checksum. `None` for anything malformed.
 pub fn decode_snapshot(bytes: &[u8]) -> Option<NullifierSnapshot> {
-    if bytes.len() < 8 + 4 + 4 + 8 || &bytes[0..8] != MAGIC {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a64(body) != stored {
-        return None;
-    }
-    if u32::from_le_bytes(body.get(8..12)?.try_into().ok()?) != VERSION {
-        return None;
-    }
-    let len = u32::from_le_bytes(body.get(12..16)?.try_into().ok()?) as usize;
-    let payload = body.get(16..)?;
-    if payload.len() != len {
-        return None;
-    }
+    let mut body = envelope::open(MAGIC, VERSION, bytes).ok()?;
+    let payload = body.bytes().ok()?;
+    body.finish().ok()?;
     NullifierSnapshot::from_bytes(payload)
 }
 
-/// Writes the snapshot blob to `path` through a sibling temp file and an
-/// atomic rename (same discipline as [`crate::keycache::save_keys`]).
+/// Writes the snapshot blob to `path` through
+/// [`waku_wire::fs::atomic_write`].
 pub fn save_snapshot(path: &Path, snapshot: &NullifierSnapshot) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let blob = encode_snapshot(snapshot);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&blob)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    waku_wire::fs::atomic_write(path, &encode_snapshot(snapshot))
 }
 
 /// Reads and validates a snapshot blob from `path`. Any I/O or format
 /// problem yields `None` (the caller starts with an empty window).
 pub fn load_snapshot(path: &Path) -> Option<NullifierSnapshot> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .ok()?
-        .read_to_end(&mut bytes)
-        .ok()?;
-    decode_snapshot(&bytes)
+    decode_snapshot(&std::fs::read(path).ok()?)
 }
 
 #[cfg(test)]
@@ -182,5 +139,13 @@ mod tests {
         let mut patched = bytes.clone();
         patched[28..36].copy_from_slice(&1u64.to_le_bytes());
         assert!(NullifierSnapshot::from_bytes(&patched).is_none());
+        // A hostile `max_gap` must not overflow `2 * max_gap + 1`: all
+        // ones panicked debug builds, and `1 << 63` wrapped to a window
+        // of 1 in release builds, was accepted, and then tripped the
+        // assert in `NullifierStore::new` on restore.
+        assert!(NullifierSnapshot::from_bytes(&[0xFF; 28]).is_none());
+        let mut wrapping = [0u8; 28];
+        wrapping[..8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        assert!(NullifierSnapshot::from_bytes(&wrapping).is_none());
     }
 }

@@ -21,11 +21,12 @@ use std::process::{Child, Command, Stdio};
 
 use waku_gossip::{
     plan_heals_snapshot, worker_peer_range, CoordinatorOptions, CrashSpec, DistributedScheduler,
-    FaultPlan, GossipConfig, LinkFaults, Lookahead, Network, PartitionSpec, PeerStats, RunParams,
+    FaultPlan, GossipConfig, LinkFaults, Network, PartitionSpec, PeerStats, RunParams,
     SchedulerKind, SkewSpec, TransportError, WorkerOptions, WorkerSession,
 };
 use waku_metrics::{RecorderShards, Snapshot};
 use waku_node::ServiceError;
+use waku_wire::{put_f64, put_u64, CodecError, Reader};
 
 use crate::report::ScenarioReport;
 use crate::scenario::{
@@ -84,6 +85,13 @@ fn protocol_err(stage: &'static str, msg: String) -> ServiceError {
     }
 }
 
+fn codec_err(stage: &'static str) -> impl FnOnce(CodecError) -> ServiceError {
+    move |e| ServiceError::Transport {
+        stage,
+        source: Box::new(e),
+    }
+}
+
 /// Runs one scenario across `workers` worker processes with default
 /// timeouts. Drop-in for [`crate::run_scenario_with_metrics`]: a
 /// successful run returns the bit-identical report/metrics triple; any
@@ -126,8 +134,6 @@ pub fn run_scenario_distributed_with_options(
     let params = RunParams {
         peers: config.peers,
         shards,
-        lookahead: net_config.lookahead,
-        quantum: net_config.latency_min_ms.max(1),
         until,
     };
     let outcome = coordinator
@@ -138,22 +144,15 @@ pub fn run_scenario_distributed_with_options(
     // the plan-derived partition-heal fill exactly once — each worker
     // sent only the shard-local part.
     let mut metrics = Snapshot::default();
-    for (w, bytes) in outcome.snapshots.iter().enumerate() {
-        let snap = Snapshot::from_wire(bytes).map_err(|e| ServiceError::Transport {
-            stage: "decode worker snapshot",
-            source: Box::new(e),
-        })?;
-        let _ = w;
-        metrics.merge(&snap);
+    for bytes in &outcome.snapshots {
+        metrics.merge(&Snapshot::from_wire(bytes).map_err(codec_err("decode worker snapshot"))?);
     }
     metrics.merge(&plan_heals_snapshot(&net_config.faults, until));
 
     // Decode and fold the per-worker fragments in fixed worker order.
     let mut fragments = Vec::with_capacity(workers);
     for bytes in &outcome.reports {
-        fragments.push(
-            decode_fragment(bytes).map_err(|msg| protocol_err("decode worker fragment", msg))?,
-        );
+        fragments.push(decode_fragment(bytes).map_err(codec_err("decode worker fragment"))?);
     }
     let first = &fragments[0];
     for (w, frag) in fragments.iter().enumerate().skip(1) {
@@ -261,8 +260,7 @@ fn run_worker(addr: &str) -> Result<(), ServiceError> {
     };
     let (mut session, config_bytes) = WorkerSession::connect(addr, worker, workers, options)
         .map_err(transport_err("worker connect"))?;
-    let config =
-        decode_config(&config_bytes).map_err(|msg| protocol_err("decode scenario config", msg))?;
+    let config = decode_config(&config_bytes).map_err(codec_err("decode scenario config"))?;
     let shards = config.net.scheduler.resolve(config.peers);
 
     // Full deterministic replay: identities, topology, workload — then
@@ -292,9 +290,9 @@ fn run_worker(addr: &str) -> Result<(), ServiceError> {
 
     let mut metrics = store_stats.merged();
     metrics.merge(&net.metrics_snapshot_shard());
-    let fragment = encode_fragment(&wl, &net, &detections);
+    let fragment = Fragment::measure(&wl, &net, &detections);
     session
-        .send_results(&metrics.to_wire(), &fragment)
+        .send_results(&metrics.to_wire(), &fragment.encode())
         .map_err(transport_err("worker results"))
 }
 
@@ -302,69 +300,33 @@ fn run_worker(addr: &str) -> Result<(), ServiceError> {
 // Scenario-config wire codec (coordinator → worker, opaque to gossip)
 // ---------------------------------------------------------------------
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-struct Cur<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.buf.len() < n {
-            return Err("config truncated".into());
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn usize(&mut self) -> Result<usize, String> {
-        Ok(self.u64()? as usize)
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn u128(&mut self) -> Result<u128, String> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    fn count(&mut self) -> Result<usize, String> {
-        let n = self.usize()?;
-        if n > self.buf.len() {
-            return Err("config length field exceeds payload".into());
-        }
-        Ok(n)
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(format!("bad option tag {t}")),
+fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
+    match v {
+        None => out.push(0),
+        Some(v) => {
+            out.push(1);
+            put_u64(out, v);
         }
     }
+}
+
+fn read_opt_u64(r: &mut Reader) -> Result<Option<u64>, CodecError> {
+    Ok(if r.bool()? { Some(r.u64()?) } else { None })
+}
+
+fn read_usize(r: &mut Reader) -> Result<usize, CodecError> {
+    usize::try_from(r.u64()?).map_err(|_| CodecError::BadValue)
+}
+
+/// A `u64`-prefixed run of `u64`s.
+fn read_u64s(r: &mut Reader) -> Result<Vec<u64>, CodecError> {
+    let n = r.u64()?;
+    (0..r.fits(n, 8)?).map(|_| r.u64()).collect()
 }
 
 /// Serializes the full scenario + the coordinator-resolved shard count.
-/// Hand-rolled like the frame codec; every field is written explicitly so
-/// a worker can never construct a scenario that drifts from the
-/// coordinator's.
+/// Every field is written explicitly so a worker can never construct a
+/// scenario that drifts from the coordinator's.
 fn encode_config(config: &ScenarioConfig, shards: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     put_u64(&mut out, shards as u64);
@@ -395,20 +357,8 @@ fn encode_config(config: &ScenarioConfig, shards: usize) -> Vec<u8> {
     }
     put_u64(&mut out, config.seed);
     out.extend_from_slice(&config.deposit_wei.to_le_bytes());
-    match config.honest_publishers {
-        None => out.push(0),
-        Some(n) => {
-            out.push(1);
-            put_u64(&mut out, n as u64);
-        }
-    }
-    match config.publisher_churn_ms {
-        None => out.push(0),
-        Some(ms) => {
-            out.push(1);
-            put_u64(&mut out, ms);
-        }
-    }
+    put_opt_u64(&mut out, config.honest_publishers.map(|n| n as u64));
+    put_opt_u64(&mut out, config.publisher_churn_ms);
     out.push(config.unbounded_nullifiers as u8);
 
     // Transport config. Scheduler kind is deliberately NOT carried — the
@@ -446,10 +396,6 @@ fn encode_config(config: &ScenarioConfig, shards: usize) -> Vec<u8> {
     ] {
         put_f64(&mut out, v);
     }
-    out.push(match net.lookahead {
-        Lookahead::Adaptive => 0,
-        Lookahead::Fixed => 1,
-    });
     let f = &net.faults;
     put_u64(&mut out, f.seed);
     put_u64(&mut out, f.link.drop_permille as u64);
@@ -478,15 +424,15 @@ fn encode_config(config: &ScenarioConfig, shards: usize) -> Vec<u8> {
     out
 }
 
-fn decode_config(bytes: &[u8]) -> Result<ScenarioConfig, String> {
-    let mut c = Cur { buf: bytes };
-    let shards = c.usize()?;
-    let peers = c.usize()?;
-    let spammers = c.usize()?;
+fn decode_config(bytes: &[u8]) -> Result<ScenarioConfig, CodecError> {
+    let c = &mut Reader::new(bytes);
+    let shards = read_usize(c)?;
+    let peers = read_usize(c)?;
+    let spammers = read_usize(c)?;
     let duration_ms = c.u64()?;
     let honest_interval_ms = c.u64()?;
     let spam_interval_ms = c.u64()?;
-    let payload_bytes = c.usize()?;
+    let payload_bytes = read_usize(c)?;
     let defense = match c.u8()? {
         0 => Defense::None,
         1 => Defense::ScoringOnly,
@@ -499,26 +445,29 @@ fn decode_config(bytes: &[u8]) -> Result<ScenarioConfig, String> {
             epoch_secs: c.u64()?,
             thr: c.u64()?,
         },
-        t => return Err(format!("bad defense tag {t}")),
+        t => return Err(CodecError::BadTag(t)),
     };
     let seed = c.u64()?;
     let deposit_wei = c.u128()?;
-    let honest_publishers = c.opt_u64()?.map(|n| n as usize);
-    let publisher_churn_ms = c.opt_u64()?;
-    let unbounded_nullifiers = c.u8()? == 1;
+    let honest_publishers = read_opt_u64(c)?
+        .map(usize::try_from)
+        .transpose()
+        .map_err(|_| CodecError::BadValue)?;
+    let publisher_churn_ms = read_opt_u64(c)?;
+    let unbounded_nullifiers = c.bool()?;
 
-    let degree = c.usize()?;
+    let degree = read_usize(c)?;
     let latency_min_ms = c.u64()?;
     let latency_max_ms = c.u64()?;
     let clock_drift_ms = c.u64()?;
     let gossip = GossipConfig {
-        d: c.usize()?,
-        d_lo: c.usize()?,
-        d_hi: c.usize()?,
-        d_lazy: c.usize()?,
+        d: read_usize(c)?,
+        d_lo: read_usize(c)?,
+        d_hi: read_usize(c)?,
+        d_lazy: read_usize(c)?,
         heartbeat_ms: c.u64()?,
-        mcache_gossip: c.usize()?,
-        mcache_len: c.usize()?,
+        mcache_gossip: read_usize(c)?,
+        mcache_len: read_usize(c)?,
     };
     let scoring = waku_gossip::ScoreParams {
         time_in_mesh_weight: c.f64()?,
@@ -532,46 +481,43 @@ fn decode_config(bytes: &[u8]) -> Result<ScenarioConfig, String> {
         prune_threshold: c.f64()?,
         graylist_threshold: c.f64()?,
     };
-    let lookahead = match c.u8()? {
-        0 => Lookahead::Adaptive,
-        1 => Lookahead::Fixed,
-        t => return Err(format!("bad lookahead tag {t}")),
-    };
     let fseed = c.u64()?;
+    let permille = |c: &mut Reader| u16::try_from(c.u64()?).map_err(|_| CodecError::BadValue);
     let link = LinkFaults {
-        drop_permille: c.u64()? as u16,
-        duplicate_permille: c.u64()? as u16,
-        reorder_permille: c.u64()? as u16,
+        drop_permille: permille(c)?,
+        duplicate_permille: permille(c)?,
+        reorder_permille: permille(c)?,
         extra_jitter_ms: c.u64()?,
         reorder_delay_ms: c.u64()?,
     };
     let mut partitions = Vec::new();
-    for _ in 0..c.count()? {
+    let n = c.u64()?;
+    for _ in 0..c.fits(n, 24)? {
         partitions.push(PartitionSpec {
             start_ms: c.u64()?,
             end_ms: c.u64()?,
-            cut: c.usize()?,
+            cut: read_usize(c)?,
         });
     }
     let mut crashes = Vec::new();
-    for _ in 0..c.count()? {
+    let n = c.u64()?;
+    for _ in 0..c.fits(n, 24)? {
         crashes.push(CrashSpec {
-            peer: c.usize()?,
+            peer: read_usize(c)?,
             crash_ms: c.u64()?,
             restart_ms: c.u64()?,
         });
     }
     let mut skews = Vec::new();
-    for _ in 0..c.count()? {
+    let n = c.u64()?;
+    for _ in 0..c.fits(n, 24)? {
         skews.push(SkewSpec {
-            peer: c.usize()?,
+            peer: read_usize(c)?,
             at_ms: c.u64()?,
             delta_ms: c.u64()? as i64,
         });
     }
-    if !c.buf.is_empty() {
-        return Err("trailing bytes after scenario config".into());
-    }
+    c.finish()?;
     let faults = FaultPlan {
         seed: fseed,
         link,
@@ -588,10 +534,9 @@ fn decode_config(bytes: &[u8]) -> Result<ScenarioConfig, String> {
         .scoring(scoring)
         .seed(seed)
         .scheduler(SchedulerKind::Sharded { shards })
-        .lookahead(lookahead)
         .faults(faults)
         .build()
-        .map_err(|e| format!("decoded scenario config rejected: {e}"))?;
+        .map_err(|_| CodecError::BadValue)?;
     Ok(ScenarioConfig {
         peers,
         spammers,
@@ -634,57 +579,75 @@ struct Fragment {
     detections: Vec<[u8; 32]>,
 }
 
-fn encode_fragment(wl: &Workload, net: &Network, detections: &DetectionLog) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + wl.send_delays.len() * 8);
-    put_u64(&mut out, wl.honest_sent);
-    put_u64(&mut out, wl.spam_sent);
-    put_u64(&mut out, wl.post_honest_sent);
-    put_u64(&mut out, wl.post_spam_sent);
-    put_u64(&mut out, wl.post_from);
-    put_u64(&mut out, wl.send_delays.len() as u64);
-    for &d in &wl.send_delays {
-        put_u64(&mut out, d);
+impl Fragment {
+    /// This worker's share of the run's results.
+    fn measure(wl: &Workload, net: &Network, detections: &DetectionLog) -> Fragment {
+        let (post_honest_delivered, post_spam_delivered) =
+            net.deliveries_published_since(wl.post_from);
+        Fragment {
+            workload: WorkloadScalars {
+                honest_sent: wl.honest_sent,
+                spam_sent: wl.spam_sent,
+                post_honest_sent: wl.post_honest_sent,
+                post_spam_sent: wl.post_spam_sent,
+                send_delays: wl.send_delays.clone(),
+                post_from: wl.post_from,
+            },
+            totals: net.total_stats(),
+            post_honest_delivered,
+            post_spam_delivered,
+            latencies: net.delivery_latencies(),
+            detections: detections.merged().into_iter().collect(),
+        }
     }
-    let totals = net.total_stats();
-    for v in [
-        totals.honest_delivered,
-        totals.spam_delivered,
-        totals.invalid_delivered,
-        totals.rejected,
-        totals.ignored,
-        totals.bytes_received,
-        totals.bytes_sent,
-        totals.validations,
-    ] {
-        put_u64(&mut out, v);
+
+    fn encode(&self) -> Vec<u8> {
+        let wl = &self.workload;
+        let mut out = Vec::with_capacity(64 + wl.send_delays.len() * 8);
+        put_u64(&mut out, wl.honest_sent);
+        put_u64(&mut out, wl.spam_sent);
+        put_u64(&mut out, wl.post_honest_sent);
+        put_u64(&mut out, wl.post_spam_sent);
+        put_u64(&mut out, wl.post_from);
+        put_u64(&mut out, wl.send_delays.len() as u64);
+        for &d in &wl.send_delays {
+            put_u64(&mut out, d);
+        }
+        let totals = &self.totals;
+        for v in [
+            totals.honest_delivered,
+            totals.spam_delivered,
+            totals.invalid_delivered,
+            totals.rejected,
+            totals.ignored,
+            totals.bytes_received,
+            totals.bytes_sent,
+            totals.validations,
+        ] {
+            put_u64(&mut out, v);
+        }
+        put_u64(&mut out, self.post_honest_delivered);
+        put_u64(&mut out, self.post_spam_delivered);
+        put_u64(&mut out, self.latencies.len() as u64);
+        for &l in &self.latencies {
+            put_u64(&mut out, l);
+        }
+        put_u64(&mut out, self.detections.len() as u64);
+        for s in &self.detections {
+            out.extend_from_slice(s);
+        }
+        out
     }
-    let (post_honest, post_spam) = net.deliveries_published_since(wl.post_from);
-    put_u64(&mut out, post_honest);
-    put_u64(&mut out, post_spam);
-    let latencies = net.delivery_latencies();
-    put_u64(&mut out, latencies.len() as u64);
-    for &l in &latencies {
-        put_u64(&mut out, l);
-    }
-    let secrets = detections.merged();
-    put_u64(&mut out, secrets.len() as u64);
-    for s in &secrets {
-        out.extend_from_slice(s);
-    }
-    out
 }
 
-fn decode_fragment(bytes: &[u8]) -> Result<Fragment, String> {
-    let mut c = Cur { buf: bytes };
+fn decode_fragment(bytes: &[u8]) -> Result<Fragment, CodecError> {
+    let c = &mut Reader::new(bytes);
     let honest_sent = c.u64()?;
     let spam_sent = c.u64()?;
     let post_honest_sent = c.u64()?;
     let post_spam_sent = c.u64()?;
     let post_from = c.u64()?;
-    let mut send_delays = Vec::new();
-    for _ in 0..c.count()? {
-        send_delays.push(c.u64()?);
-    }
+    let send_delays = read_u64s(c)?;
     let totals = PeerStats {
         honest_delivered: c.u64()?,
         spam_delivered: c.u64()?,
@@ -697,21 +660,12 @@ fn decode_fragment(bytes: &[u8]) -> Result<Fragment, String> {
     };
     let post_honest_delivered = c.u64()?;
     let post_spam_delivered = c.u64()?;
-    let mut latencies = Vec::new();
-    for _ in 0..c.count()? {
-        latencies.push(c.u64()?);
-    }
-    let mut detections = Vec::new();
-    for _ in 0..c.count()? {
-        detections.push(
-            c.take(32)?
-                .try_into()
-                .expect("take(32) returns exactly 32 bytes"),
-        );
-    }
-    if !c.buf.is_empty() {
-        return Err("trailing bytes after worker fragment".into());
-    }
+    let latencies = read_u64s(c)?;
+    let n = c.u64()?;
+    let detections = (0..c.fits(n, 32)?)
+        .map(|_| c.array())
+        .collect::<Result<_, _>>()?;
+    c.finish()?;
     Ok(Fragment {
         workload: WorkloadScalars {
             honest_sent,
@@ -794,6 +748,54 @@ mod tests {
         // Truncations fail cleanly.
         for cut in 0..bytes.len() {
             assert!(decode_config(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        // Totality (the shared generator behind `tests/decoders_total.rs`):
+        // hostile bytes never panic, and whatever still decodes is
+        // exactly what the bytes say.
+        for m in waku_wire::mutations(&bytes) {
+            if let Ok(decoded) = decode_config(&m) {
+                let SchedulerKind::Sharded { shards } = decoded.net.scheduler else {
+                    panic!("decode_config always pins the shard count");
+                };
+                assert_eq!(encode_config(&decoded, shards), m);
+            }
+        }
+    }
+
+    #[test]
+    fn fragment_codec_round_trips_and_is_total() {
+        let fragment = Fragment {
+            workload: WorkloadScalars {
+                honest_sent: 40,
+                spam_sent: 9,
+                post_honest_sent: 30,
+                post_spam_sent: 7,
+                send_delays: vec![3, 1, 4],
+                post_from: 5_000,
+            },
+            totals: PeerStats {
+                honest_delivered: 1,
+                spam_delivered: 2,
+                invalid_delivered: 3,
+                rejected: 4,
+                ignored: 5,
+                bytes_received: 6,
+                bytes_sent: 7,
+                validations: 8,
+            },
+            post_honest_delivered: 11,
+            post_spam_delivered: 12,
+            latencies: vec![20, 45],
+            detections: vec![[0xAB; 32], [0xCD; 32]],
+        };
+        let bytes = fragment.encode();
+        let decoded = decode_fragment(&bytes).expect("round trip");
+        assert!(decoded.workload == fragment.workload);
+        assert_eq!(decoded.encode(), bytes);
+        for m in waku_wire::mutations(&bytes) {
+            if let Ok(decoded) = decode_fragment(&m) {
+                assert_eq!(decoded.encode(), m);
+            }
         }
     }
 }

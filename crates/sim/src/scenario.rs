@@ -169,16 +169,14 @@ struct DecodedRln {
 }
 
 fn decode_rln_payload(data: &[u8]) -> Option<DecodedRln> {
-    if data.len() < 73 {
-        return None;
-    }
-    let valid = data[0] == 1;
-    let epoch = u64::from_le_bytes(data[1..9].try_into().ok()?);
-    let y = Fr::from_le_bytes(data[9..41].try_into().ok()?)?;
-    let nullifier: [u8; 32] = data[41..73].try_into().ok()?;
+    let mut r = waku_wire::Reader::new(data);
+    let valid = r.u8().ok()? == 1;
+    let epoch = r.u64().ok()?;
+    let y = Fr::from_le_bytes(&r.array().ok()?)?;
+    let nullifier = r.array().ok()?;
     // The share x binds the application payload m (the filler after the
     // metadata), exactly as x = H(m) in the real protocol.
-    let x = message_hash(&data[73..]);
+    let x = message_hash(r.take(r.remaining()).ok()?);
     Some(DecodedRln {
         valid,
         epoch,

@@ -97,15 +97,12 @@ impl Proof {
     /// Serializes to 256 uncompressed bytes
     /// (`A.x ‖ A.y ‖ B.x.c0 ‖ B.x.c1 ‖ B.y.c0 ‖ B.y.c1 ‖ C.x ‖ C.y`).
     pub fn to_bytes(&self) -> [u8; 256] {
+        let (a, b, c) = (&self.a, &self.b, &self.c);
+        let coords = [&a.x, &a.y, &b.x.c0, &b.x.c1, &b.y.c0, &b.y.c1, &c.x, &c.y];
         let mut out = [0u8; 256];
-        out[0..32].copy_from_slice(&self.a.x.to_le_bytes());
-        out[32..64].copy_from_slice(&self.a.y.to_le_bytes());
-        out[64..96].copy_from_slice(&self.b.x.c0.to_le_bytes());
-        out[96..128].copy_from_slice(&self.b.x.c1.to_le_bytes());
-        out[128..160].copy_from_slice(&self.b.y.c0.to_le_bytes());
-        out[160..192].copy_from_slice(&self.b.y.c1.to_le_bytes());
-        out[192..224].copy_from_slice(&self.c.x.to_le_bytes());
-        out[224..256].copy_from_slice(&self.c.y.to_le_bytes());
+        for (chunk, coord) in out.chunks_exact_mut(32).zip(coords) {
+            chunk.copy_from_slice(&coord.to_le_bytes());
+        }
         out
     }
 
@@ -113,17 +110,15 @@ impl Proof {
     ///
     /// Returns `None` for malformed bytes or off-curve points.
     pub fn from_bytes(bytes: &[u8; 256]) -> Option<Self> {
-        use waku_arith::fields::Fq;
+        use crate::serialize::read_field;
         use waku_curve::fp2::Fp2;
-        let fq = |range: std::ops::Range<usize>| -> Option<Fq> {
-            Fq::from_le_bytes(bytes[range].try_into().ok()?)
-        };
-        let a = G1Affine::new(fq(0..32)?, fq(32..64)?)?;
+        let r = &mut waku_wire::Reader::new(bytes);
+        let a = G1Affine::new(read_field(r)?, read_field(r)?)?;
         let b = G2Affine::new(
-            Fp2::new(fq(64..96)?, fq(96..128)?),
-            Fp2::new(fq(128..160)?, fq(160..192)?),
+            Fp2::new(read_field(r)?, read_field(r)?),
+            Fp2::new(read_field(r)?, read_field(r)?),
         )?;
-        let c = G1Affine::new(fq(192..224)?, fq(224..256)?)?;
+        let c = G1Affine::new(read_field(r)?, read_field(r)?)?;
         Some(Proof { a, b, c })
     }
 }

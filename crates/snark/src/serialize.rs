@@ -7,22 +7,15 @@
 //! canonicity of every field element and curve membership of every point,
 //! so a corrupted blob yields `None` rather than an invalid key.
 
-use waku_arith::fields::{Fq, Fr};
+use waku_arith::fields::Fr;
 use waku_arith::traits::PrimeField;
 use waku_curve::fp2::Fp2;
 use waku_curve::g1::G1Affine;
 use waku_curve::g2::G2Affine;
+use waku_wire::{put_len, Reader};
 
 use crate::groth16::{ProvingKey, VerifyingKey};
 use crate::r1cs::{ConstraintSystem, LinearCombination, Variable};
-
-fn put_u32(out: &mut Vec<u8>, v: usize) {
-    out.extend_from_slice(&u32::try_from(v).expect("count fits u32").to_le_bytes());
-}
-
-fn put_fr(out: &mut Vec<u8>, v: &Fr) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 fn put_g1(out: &mut Vec<u8>, p: &G1Affine) {
     if p.is_identity() {
@@ -44,78 +37,42 @@ fn put_g2(out: &mut Vec<u8>, p: &G2Affine) {
     }
 }
 
-/// Cursor over a byte slice; every accessor returns `None` on truncation
-/// or a non-canonical value.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// The next 32 bytes as a canonical field element; `None` on truncation
+/// or a value `≥ p`. The snark-side extension of the shared cursor —
+/// every field/point decoder in the workspace goes through it.
+pub fn read_field<F: PrimeField>(r: &mut Reader) -> Option<F> {
+    F::from_le_bytes(&r.array().ok()?)
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+fn read_g1(r: &mut Reader) -> Option<G1Affine> {
+    let bytes = r.take(64).ok()?;
+    if bytes.iter().all(|b| *b == 0) {
+        return Some(G1Affine::identity());
     }
+    let mut xy = Reader::new(bytes);
+    G1Affine::new(read_field(&mut xy)?, read_field(&mut xy)?)
+}
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
+fn read_g2(r: &mut Reader) -> Option<G2Affine> {
+    let bytes = r.take(128).ok()?;
+    if bytes.iter().all(|b| *b == 0) {
+        return Some(G2Affine::identity());
     }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<usize> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?) as usize)
-    }
-
-    fn fr(&mut self) -> Option<Fr> {
-        Fr::from_le_bytes(self.take(32)?.try_into().ok()?)
-    }
-
-    fn g1(&mut self) -> Option<G1Affine> {
-        let bytes = self.take(64)?;
-        if bytes.iter().all(|b| *b == 0) {
-            return Some(G1Affine::identity());
-        }
-        let x = Fq::from_le_bytes(bytes[0..32].try_into().ok()?)?;
-        let y = Fq::from_le_bytes(bytes[32..64].try_into().ok()?)?;
-        G1Affine::new(x, y)
-    }
-
-    fn g2(&mut self) -> Option<G2Affine> {
-        let bytes = self.take(128)?;
-        if bytes.iter().all(|b| *b == 0) {
-            return Some(G2Affine::identity());
-        }
-        let fq = |r: std::ops::Range<usize>| Fq::from_le_bytes(bytes[r].try_into().ok()?);
-        let x = Fp2::new(fq(0..32)?, fq(32..64)?);
-        let y = Fp2::new(fq(64..96)?, fq(96..128)?);
-        G2Affine::new(x, y)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+    let mut xy = Reader::new(bytes);
+    let x = Fp2::new(read_field(&mut xy)?, read_field(&mut xy)?);
+    let y = Fp2::new(read_field(&mut xy)?, read_field(&mut xy)?);
+    G2Affine::new(x, y)
 }
 
 fn put_g1_vec(out: &mut Vec<u8>, points: &[G1Affine]) {
-    put_u32(out, points.len());
+    put_len(out, points.len());
     for p in points {
         put_g1(out, p);
     }
 }
 
 fn read_g1_vec(r: &mut Reader) -> Option<Vec<G1Affine>> {
-    let n = r.u32()?;
-    // Reject length prefixes the buffer cannot possibly satisfy before
-    // allocating (64 bytes per point).
-    if n > r.buf.len() / 64 + 1 {
-        return None;
-    }
-    (0..n).map(|_| r.g1()).collect()
+    (0..r.count(64).ok()?).map(|_| read_g1(r)).collect()
 }
 
 /// Serializes a verifying key.
@@ -131,10 +88,10 @@ pub fn vk_to_bytes(vk: &VerifyingKey) -> Vec<u8> {
 
 fn read_vk(r: &mut Reader) -> Option<VerifyingKey> {
     Some(VerifyingKey {
-        alpha_g1: r.g1()?,
-        beta_g2: r.g2()?,
-        gamma_g2: r.g2()?,
-        delta_g2: r.g2()?,
+        alpha_g1: read_g1(r)?,
+        beta_g2: read_g2(r)?,
+        gamma_g2: read_g2(r)?,
+        delta_g2: read_g2(r)?,
         ic: read_g1_vec(r)?,
     })
 }
@@ -147,7 +104,7 @@ pub fn pk_to_bytes(pk: &ProvingKey) -> Vec<u8> {
     put_g1(&mut out, &pk.delta_g1);
     put_g1_vec(&mut out, &pk.a_query);
     put_g1_vec(&mut out, &pk.b_g1_query);
-    put_u32(&mut out, pk.b_g2_query.len());
+    put_len(&mut out, pk.b_g2_query.len());
     for p in &pk.b_g2_query {
         put_g2(&mut out, p);
     }
@@ -163,20 +120,19 @@ pub fn pk_to_bytes(pk: &ProvingKey) -> Vec<u8> {
 pub fn pk_from_bytes(bytes: &[u8]) -> Option<ProvingKey> {
     let mut r = Reader::new(bytes);
     let pk = read_pk(&mut r)?;
-    r.done().then_some(pk)
+    r.finish().ok()?;
+    Some(pk)
 }
 
 fn read_pk(r: &mut Reader) -> Option<ProvingKey> {
     let vk = read_vk(r)?;
-    let beta_g1 = r.g1()?;
-    let delta_g1 = r.g1()?;
+    let beta_g1 = read_g1(r)?;
+    let delta_g1 = read_g1(r)?;
     let a_query = read_g1_vec(r)?;
     let b_g1_query = read_g1_vec(r)?;
-    let n_b2 = r.u32()?;
-    if n_b2 > r.buf.len() / 128 + 1 {
-        return None;
-    }
-    let b_g2_query: Vec<G2Affine> = (0..n_b2).map(|_| r.g2()).collect::<Option<_>>()?;
+    let b_g2_query = (0..r.count(128).ok()?)
+        .map(|_| read_g2(r))
+        .collect::<Option<_>>()?;
     let h_query = read_g1_vec(r)?;
     let l_query = read_g1_vec(r)?;
     Some(ProvingKey {
@@ -192,41 +148,35 @@ fn read_pk(r: &mut Reader) -> Option<ProvingKey> {
 }
 
 fn put_lc(out: &mut Vec<u8>, lc: &LinearCombination) {
-    put_u32(out, lc.0.len());
+    put_len(out, lc.0.len());
     for (var, coeff) in &lc.0 {
         match var {
             Variable::Instance(i) => {
                 out.push(0);
-                put_u32(out, *i);
+                put_len(out, *i);
             }
             Variable::Witness(i) => {
                 out.push(1);
-                put_u32(out, *i);
+                put_len(out, *i);
             }
         }
-        put_fr(out, coeff);
+        out.extend_from_slice(&coeff.to_le_bytes());
     }
 }
 
 fn read_lc(r: &mut Reader, num_instance: usize, num_witness: usize) -> Option<LinearCombination> {
-    let n = r.u32()?;
-    if n > r.buf.len() / 37 + 1 {
-        return None;
-    }
+    // Smallest term: tag + index + coefficient.
+    let n = r.count(37).ok()?;
     let mut terms = Vec::with_capacity(n);
     for _ in 0..n {
-        let var = match r.u8()? {
-            0 => {
-                let i = r.u32()?;
-                (i < num_instance).then_some(Variable::Instance(i))?
-            }
-            1 => {
-                let i = r.u32()?;
-                (i < num_witness).then_some(Variable::Witness(i))?
-            }
+        let tag = r.u8().ok()?;
+        let i = r.u32().ok()? as usize;
+        let var = match tag {
+            0 if i < num_instance => Variable::Instance(i),
+            1 if i < num_witness => Variable::Witness(i),
             _ => return None,
         };
-        terms.push((var, r.fr()?));
+        terms.push((var, read_field::<Fr>(r)?));
     }
     Some(LinearCombination(terms))
 }
@@ -235,10 +185,10 @@ fn read_lc(r: &mut Reader, num_instance: usize, num_witness: usize) -> Option<Li
 /// constraints — not the assignment, which provers rebind per proof).
 pub fn cs_shape_to_bytes(cs: &ConstraintSystem) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u32(&mut out, cs.num_instance());
-    put_u32(&mut out, cs.num_witness());
+    put_len(&mut out, cs.num_instance());
+    put_len(&mut out, cs.num_witness());
     out.push(cs.is_finalized() as u8);
-    put_u32(&mut out, cs.num_constraints());
+    put_len(&mut out, cs.num_constraints());
     for (a, b, c) in cs.constraints() {
         put_lc(&mut out, a);
         put_lc(&mut out, b);
@@ -251,20 +201,18 @@ pub fn cs_shape_to_bytes(cs: &ConstraintSystem) -> Vec<u8> {
 /// zeroed (constant one aside) for the caller to rebind.
 pub fn cs_shape_from_bytes(bytes: &[u8]) -> Option<ConstraintSystem> {
     let mut r = Reader::new(bytes);
-    let num_instance = r.u32()?;
-    let num_witness = r.u32()?;
+    let num_instance = r.u32().ok()? as usize;
+    let num_witness = r.u32().ok()? as usize;
     if num_instance == 0 {
         return None;
     }
-    let finalized = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    let n = r.u32()?;
-    if n > r.buf.len() / 3 + 1 {
-        return None;
-    }
+    // `from_shape` allocates an assignment slot per declared variable, so
+    // the counts are length prefixes too: a shape may not declare more
+    // variables than it has bytes left to mention them in.
+    r.fits((num_instance + num_witness) as u64, 1).ok()?;
+    let finalized = r.bool().ok()?;
+    // Smallest constraint: three empty linear combinations.
+    let n = r.count(12).ok()?;
     let mut constraints = Vec::with_capacity(n);
     for _ in 0..n {
         let a = read_lc(&mut r, num_instance, num_witness)?;
@@ -272,8 +220,13 @@ pub fn cs_shape_from_bytes(bytes: &[u8]) -> Option<ConstraintSystem> {
         let c = read_lc(&mut r, num_instance, num_witness)?;
         constraints.push((a, b, c));
     }
-    r.done()
-        .then(|| ConstraintSystem::from_shape(num_instance, num_witness, constraints, finalized))
+    r.finish().ok()?;
+    Some(ConstraintSystem::from_shape(
+        num_instance,
+        num_witness,
+        constraints,
+        finalized,
+    ))
 }
 
 #[cfg(test)]
@@ -344,6 +297,11 @@ mod tests {
         let lc_start = 4 + 4 + 1 + 4 + 4 + 1; // first term's index field
         bad[lc_start..lc_start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(cs_shape_from_bytes(&bad).is_none());
+        // A declared variable count the bytes cannot back (it sizes the
+        // assignment vectors) is refused before anything is allocated.
+        let mut greedy = shape.clone();
+        greedy[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(cs_shape_from_bytes(&greedy).is_none());
     }
 
     #[test]
@@ -352,8 +310,8 @@ mod tests {
         put_g1(&mut out, &G1Affine::identity());
         put_g2(&mut out, &G2Affine::identity());
         let mut r = Reader::new(&out);
-        assert!(r.g1().unwrap().is_identity());
-        assert!(r.g2().unwrap().is_identity());
-        assert!(r.done());
+        assert!(read_g1(&mut r).unwrap().is_identity());
+        assert!(read_g2(&mut r).unwrap().is_identity());
+        assert_eq!(r.finish(), Ok(()));
     }
 }

@@ -21,6 +21,8 @@
 //! * [`sim`] — scenario harness driving the evaluation (§IV).
 //! * [`metrics`] — the unified observability registry every layer above
 //!   records into (see ARCHITECTURE.md, "Metrics flow").
+//! * [`wire`] — the one wire/persistence layer under every codec and
+//!   on-disk file (see ARCHITECTURE.md, "Wire & persistence formats").
 //!
 //! ## Quickstart
 //!
@@ -65,3 +67,4 @@ pub use waku_rln_relay as rln_relay;
 pub use waku_shamir as shamir;
 pub use waku_sim as sim;
 pub use waku_snark as snark;
+pub use waku_wire as wire;

@@ -1,0 +1,353 @@
+//! Decoder totality: every publicly reachable decoder in the workspace,
+//! one table, one mutation generator (`waku_wire::mutations` — the same
+//! one the private decoders' in-crate tests use).
+//!
+//! For each `(name, valid sample, decode fn)` row:
+//!
+//! * **golden bytes** — the encoder still produces exactly the bytes it
+//!   produced before every codec moved onto `waku-wire` (literals and
+//!   fingerprints captured at the parent commit), and the decoder reads
+//!   them back to the same bytes;
+//! * **totality** — under every truncation, single-byte flip and
+//!   maxed-out 4/8-byte window the decoder never panics and never
+//!   over-reads, and returns either `None`/`Err` or a value that
+//!   re-encodes to exactly the mutated bytes (nothing is silently
+//!   truncated, wrapped or defaulted).
+//!
+//! Integer overflow behaves differently per profile, so CI runs this
+//! suite under both `cargo test` and `cargo test --release`: the
+//! `NullifierSnapshot` row used to panic in one and mis-accept in the
+//! other.
+
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use waku_suite::arith::fields::Fr;
+use waku_suite::arith::traits::PrimeField;
+use waku_suite::gossip::transport::{Frame, WireEvent, WirePayload};
+use waku_suite::gossip::{Message, Rpc, TrafficClass};
+use waku_suite::metrics::{GaugeFold, LayoutBuilder, LocalRecorder, Snapshot};
+use waku_suite::relay::WakuMessage;
+use waku_suite::rln::keycache::{decode_keys, encode_keys};
+use waku_suite::rln::snapshot_io::{decode_snapshot, encode_snapshot};
+use waku_suite::rln::{Identity, NullifierSnapshot, NullifierStore, RlnMessageBundle, RlnProver};
+use waku_suite::snark::serialize::{
+    cs_shape_from_bytes, cs_shape_to_bytes, pk_from_bytes, pk_to_bytes,
+};
+use waku_suite::snark::{prove, setup, ConstraintSystem, Proof};
+use waku_suite::wire::checksum::fnv1a64;
+use waku_suite::wire::mutations;
+
+/// What the parent commit's encoder produced for a row's sample.
+enum Golden {
+    /// The exact bytes.
+    Hex(&'static str),
+    /// Length and checksum, for encodings too long to spell out.
+    Fingerprint { len: usize, fnv1a64: u64 },
+}
+
+struct Row {
+    name: &'static str,
+    sample: Vec<u8>,
+    golden: Golden,
+    /// Decodes and re-encodes; `None` when the bytes are rejected.
+    decode: fn(&[u8]) -> Option<Vec<u8>>,
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex literal"))
+        .collect()
+}
+
+const KEY_DEPTH: usize = 3;
+
+fn toy_cs() -> ConstraintSystem {
+    let mut cs = ConstraintSystem::new();
+    let out = cs.alloc_input(Fr::from_u64(12));
+    let a = cs.alloc_witness(Fr::from_u64(3));
+    let b = cs.alloc_witness(Fr::from_u64(4));
+    cs.enforce(a, b, out);
+    cs.finalize();
+    cs
+}
+
+fn sample_frame() -> Frame {
+    let msg = Message::new(7, vec![1, 2, 3], 4, 5, TrafficClass::Spam);
+    let event = |at, origin, seq, target, payload| WireEvent {
+        at,
+        origin,
+        seq,
+        target,
+        payload,
+    };
+    Frame::RoundResult {
+        processed: 42,
+        heads: vec![6_000],
+        events: vec![
+            event(
+                12,
+                0,
+                9,
+                5,
+                WirePayload::Rpc {
+                    from: 0,
+                    rpc: Rpc::Publish(Arc::new(msg.clone())),
+                },
+            ),
+            event(
+                13,
+                1,
+                2,
+                3,
+                WirePayload::Rpc {
+                    from: 1,
+                    rpc: Rpc::IHave(7, vec![msg.id].into()),
+                },
+            ),
+            event(14, 2, 0, 2, WirePayload::ClockSkew { delta_ms: -500 }),
+        ],
+    }
+}
+
+fn sample_metrics() -> Snapshot {
+    let mut b = LayoutBuilder::new();
+    let c = b.counter("events_total", "Events.");
+    let g = b.gauge("high_water", "High water.", GaugeFold::Max);
+    let h = b.histogram("latency_ms", "Latency.");
+    let mut rec = LocalRecorder::new(b.build());
+    rec.add(c, 3);
+    rec.fold_max(g, 7);
+    rec.observe(h, 100);
+    rec.snapshot()
+}
+
+fn sample_nullifiers() -> NullifierSnapshot {
+    let mut store = NullifierStore::new(2);
+    store.advance_to(100);
+    for (epoch, k) in [(98u64, 0u64), (100, 1)] {
+        let mut n = [0u8; 32];
+        n[0] = epoch as u8;
+        n[1] = k as u8;
+        store.check_shares(
+            epoch,
+            n,
+            (Fr::from_u64(epoch * 10 + k), Fr::from_u64(k + 1)),
+        );
+    }
+    store.snapshot()
+}
+
+/// A decoded snapshot must also be *restorable*: the release-profile
+/// half of the old overflow was accepted here and only blew up in
+/// `NullifierStore::restore`.
+fn decode_nullifiers(bytes: &[u8]) -> Option<Vec<u8>> {
+    let snapshot = NullifierSnapshot::from_bytes(bytes)?;
+    assert_eq!(
+        NullifierStore::restore(&snapshot).current_epoch(),
+        snapshot.current_epoch()
+    );
+    Some(snapshot.to_bytes())
+}
+
+fn rows() -> Vec<Row> {
+    let cs = toy_cs();
+    let pk = setup(&cs, &mut StdRng::seed_from_u64(31));
+    let proof = prove(&pk, &cs, &mut StdRng::seed_from_u64(32)).expect("toy proof");
+
+    let mut rng = StdRng::seed_from_u64(41);
+    let (prover, _) = RlnProver::keygen(KEY_DEPTH, &mut rng);
+    let template = waku_suite::rln::circuit::build_for_setup(KEY_DEPTH);
+    let identity = Identity::random(&mut rng);
+    let zeros = waku_suite::merkle::zeros::zero_hashes(KEY_DEPTH);
+    let path = waku_suite::merkle::MerklePath {
+        index: 0,
+        siblings: zeros[..KEY_DEPTH].to_vec(),
+    };
+    let bundle = prover
+        .prove_message(
+            &identity,
+            &path,
+            b"golden",
+            77,
+            &mut StdRng::seed_from_u64(9),
+        )
+        .expect("bundle");
+
+    vec![
+        Row {
+            name: "gossip::transport::Frame",
+            sample: sample_frame().encode(),
+            golden: Golden::Hex(concat!(
+                "02010000052a00000000000000010000007017000000000000030000000c00000000000000000000",
+                "00000000000900000000000000050000000000000000000000000000000000e3eb953645ed0ce97c",
+                "13df32eb5659f7e90a55dbf0eae6d63eae449c7a3450d00700000004000000000000000500000000",
+                "000000010000000000000000030000000102030d0000000000000001000000000000000200000000",
+                "0000000300000000000000000100000000000000010700000001000000e3eb953645ed0ce97c13df",
+                "32eb5659f7e90a55dbf0eae6d63eae449c7a3450d00e000000000000000200000000000000000000",
+                "00000000000200000000000000040cfeffffffffffff",
+            )),
+            // `decode` stops at the frame's end: whatever trails it is
+            // not the frame's business, the consumed prefix is.
+            decode: |b| {
+                let (frame, used) = Frame::decode(b).ok()?;
+                Some([&frame.encode(), &b[used..]].concat())
+            },
+        },
+        Row {
+            name: "metrics::Snapshot wire form",
+            sample: sample_metrics().to_wire(),
+            golden: Golden::Fingerprint {
+                len: 439,
+                fnv1a64: 0xbe4a_1b34_6e1f_93b2,
+            },
+            decode: |b| Some(Snapshot::from_wire(b).ok()?.to_wire()),
+        },
+        Row {
+            name: "snark::serialize proving key",
+            sample: pk_to_bytes(&pk),
+            golden: Golden::Fingerprint {
+                len: 2072,
+                fnv1a64: 0x12ea_c591_3061_d67a,
+            },
+            decode: |b| Some(pk_to_bytes(&pk_from_bytes(b)?)),
+        },
+        Row {
+            name: "snark::serialize constraint-system shape",
+            sample: cs_shape_to_bytes(&cs),
+            golden: Golden::Hex(concat!(
+                "02000000020000000103000000010000000100000000010000000000000000000000000000000000",
+                "00000000000000000000000000000100000001010000000100000000000000000000000000000000",
+                "00000000000000000000000000000001000000000100000001000000000000000000000000000000",
+                "00000000000000000000000000000000010000000000000000010000000000000000000000000000",
+                "00000000000000000000000000000000000000000000000000010000000001000000010000000000",
+                "00000000000000000000000000000000000000000000000000000000000000000000",
+            )),
+            decode: |b| Some(cs_shape_to_bytes(&cs_shape_from_bytes(b)?)),
+        },
+        Row {
+            name: "rln::keycache blob (keys.bin)",
+            sample: encode_keys(KEY_DEPTH, prover.proving_key(), &template),
+            golden: Golden::Fingerprint {
+                len: 2089444,
+                fnv1a64: 0xd4ac_0385_c277_8131,
+            },
+            decode: |b| {
+                let (pk, template) = decode_keys(b, KEY_DEPTH)?;
+                Some(encode_keys(KEY_DEPTH, &pk, &template))
+            },
+        },
+        Row {
+            name: "rln::snapshot_io blob (nullifiers.snap)",
+            sample: encode_snapshot(&sample_nullifiers()),
+            golden: Golden::Fingerprint {
+                len: 268,
+                fnv1a64: 0x7710_a8d1_ac52_a29d,
+            },
+            decode: |b| Some(encode_snapshot(&decode_snapshot(b)?)),
+        },
+        Row {
+            name: "relay::WakuMessage",
+            sample: WakuMessage::new(b"hi".to_vec(), "/app/1/chat/proto", 1_644_810_116).to_bytes(),
+            golden: Golden::Hex(
+                "020000006869110000002f6170702f312f636861742f70726f746f84cf09620000000000000000",
+            ),
+            decode: |b| Some(WakuMessage::from_bytes(b)?.to_bytes()),
+        },
+        Row {
+            name: "rln::RlnMessageBundle",
+            sample: bundle.to_bytes(),
+            golden: Golden::Fingerprint {
+                len: 370,
+                fnv1a64: 0x8f1c_0870_f849_7beb,
+            },
+            decode: |b| Some(RlnMessageBundle::from_bytes(b)?.to_bytes()),
+        },
+        Row {
+            name: "rln::NullifierSnapshot",
+            sample: sample_nullifiers().to_bytes(),
+            golden: Golden::Hex(concat!(
+                "02000000000000006400000000000000000000000000000002000000620000000000000001000000",
+                "6200000000000000000000000000000000000000000000000000000000000000d403000000000000",
+                "00000000000000000000000000000000000000000000000001000000000000000000000000000000",
+                "00000000000000000000000000000000640000000000000001000000640100000000000000000000",
+                "0000000000000000000000000000000000000000e903000000000000000000000000000000000000",
+                "00000000000000000000000002000000000000000000000000000000000000000000000000000000",
+                "00000000",
+            )),
+            decode: decode_nullifiers,
+        },
+        Row {
+            name: "snark::Proof",
+            sample: proof.to_bytes().to_vec(),
+            golden: Golden::Hex(concat!(
+                "ff96030fb96446b56de4a351e7e3d0195d7dfd75efb1abbba2b24cc13bbe7421bf49667c4851101e",
+                "c487def513deb7fbbedcd28b25e2d8481fc1986150fa301c52c006b1393f1fdab3c56f818839f2d4",
+                "6c0268b56a874c111a993656ddc9cb20db18f30a7fb3f3baa221d2d990ff42021c7f239c62281ff5",
+                "55d418373083021487ec60dd768bc3f7c8bd91217c6a49fab2078ff52936abc80c4e836edcf25102",
+                "88e20ed5cf297b78780b67cdfb9ce0c1c24cd06f500766bdc9da976f8fab4c1757c603b6aeed9f25",
+                "628b8d423dae43fbb02b53cbdb54810d803793ae76be761fb6aa75a457c67cb56332e82381c031de",
+                "6be2dc1e54e18f49d72b7b4c2b0ced1a",
+            )),
+            decode: |b| Some(Proof::from_bytes(b.try_into().ok()?)?.to_bytes().to_vec()),
+        },
+    ]
+}
+
+#[test]
+fn encodings_are_byte_identical_to_the_parent_commit() {
+    for row in rows() {
+        match row.golden {
+            Golden::Hex(hex) => assert_eq!(row.sample, unhex(hex), "{}", row.name),
+            Golden::Fingerprint { len, fnv1a64: sum } => {
+                assert_eq!(
+                    (row.sample.len(), fnv1a64(&row.sample)),
+                    (len, sum),
+                    "{}",
+                    row.name
+                );
+            }
+        }
+        assert_eq!(
+            (row.decode)(&row.sample).as_ref(),
+            Some(&row.sample),
+            "{}: decode ∘ encode must be the identity on bytes",
+            row.name
+        );
+    }
+}
+
+#[test]
+fn every_decoder_is_total_under_mutation() {
+    for row in rows() {
+        for mutated in mutations(&row.sample) {
+            match (row.decode)(&mutated) {
+                None => {}
+                // Every format is length-delimited: no strict prefix of a
+                // valid encoding is itself valid.
+                Some(_) if mutated.len() < row.sample.len() => {
+                    panic!("{}: accepted a {}-byte prefix", row.name, mutated.len())
+                }
+                Some(reencoded) => assert_eq!(
+                    reencoded, mutated,
+                    "{}: accepted bytes must re-encode to themselves",
+                    row.name
+                ),
+            }
+        }
+    }
+}
+
+/// The two inputs that exposed `2 * max_gap + 1` on an attacker-supplied
+/// `u64`: all ones (multiply overflow, a panic in debug/test builds) and
+/// `max_gap = 1 << 63` (wraps to a window of 1 in release builds, used
+/// to be accepted and then tripped the assert in `NullifierStore::new`).
+#[test]
+fn nullifier_snapshot_rejects_overflowing_windows() {
+    assert!(decode_nullifiers(&[0xFF; 28]).is_none());
+    let mut wrapping = [0u8; 28];
+    wrapping[..8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+    assert!(decode_nullifiers(&wrapping).is_none());
+}

@@ -14,7 +14,7 @@
 
 use std::time::{Duration, Instant};
 
-use waku_suite::gossip::{CoordinatorOptions, Lookahead, NetworkConfig, SchedulerKind};
+use waku_suite::gossip::{CoordinatorOptions, NetworkConfig, SchedulerKind};
 use waku_suite::node::ServiceError;
 use waku_suite::sim::distributed::ENV_EXIT_AFTER_ROUNDS;
 use waku_suite::sim::{
@@ -44,7 +44,6 @@ fn small_config() -> ScenarioConfig {
         net: NetworkConfig::builder()
             .degree(6)
             .scheduler(SchedulerKind::Sharded { shards: 4 })
-            .lookahead(Lookahead::Adaptive)
             .build()
             .expect("valid net config"),
         seed: 7,

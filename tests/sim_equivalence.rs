@@ -2,17 +2,14 @@
 //! scenario must produce a **bit-identical** `ScenarioReport` no matter
 //! how it is executed — serial scheduler or event-sharded scheduler, any
 //! shard count, any pool size (`WAKU_POOL_THREADS ∈ {1, 2, 8}` via
-//! `with_threads`), and either round-bounding strategy (the adaptive
-//! Chandy–Misra lookahead or the legacy fixed quantum). This is the
-//! sim-layer extension of `tests/parallel_equivalence.rs` (which pins the
+//! `with_threads`). This is the sim-layer extension of `tests/parallel_equivalence.rs` (which pins the
 //! same property for the proving pipeline).
 //!
 //! The reports compare with `==` across every field, including f64 ratios
 //! and latency percentiles — not "statistically close", identical.
 
 use waku_suite::gossip::{
-    CrashSpec, FaultPlan, LinkFaults, Lookahead, NetworkConfig, PartitionSpec, SchedulerKind,
-    SkewSpec,
+    CrashSpec, FaultPlan, LinkFaults, NetworkConfig, PartitionSpec, SchedulerKind, SkewSpec,
 };
 use waku_suite::metrics::Snapshot;
 use waku_suite::pool::with_threads;
@@ -21,12 +18,7 @@ use waku_suite::sim::{
     worker_from_env, Defense, ScenarioConfig, ScenarioReport, WorkerCommand,
 };
 
-fn config_at(
-    peers: usize,
-    defense: Defense,
-    scheduler: SchedulerKind,
-    lookahead: Lookahead,
-) -> ScenarioConfig {
+fn config_at(peers: usize, defense: Defense, scheduler: SchedulerKind) -> ScenarioConfig {
     ScenarioConfig {
         peers,
         spammers: 3,
@@ -38,7 +30,6 @@ fn config_at(
         net: NetworkConfig::builder()
             .degree(8)
             .scheduler(scheduler)
-            .lookahead(lookahead)
             .build()
             .expect("valid net config"),
         seed: 31,
@@ -46,19 +37,12 @@ fn config_at(
     }
 }
 
-fn config(defense: Defense, scheduler: SchedulerKind, lookahead: Lookahead) -> ScenarioConfig {
-    config_at(200, defense, scheduler, lookahead)
+fn config(defense: Defense, scheduler: SchedulerKind) -> ScenarioConfig {
+    config_at(200, defense, scheduler)
 }
 
-fn report(
-    defense: Defense,
-    scheduler: SchedulerKind,
-    lookahead: Lookahead,
-    threads: usize,
-) -> ScenarioReport {
-    with_threads(threads, || {
-        run_scenario(&config(defense, scheduler, lookahead))
-    })
+fn report(defense: Defense, scheduler: SchedulerKind, threads: usize) -> ScenarioReport {
+    with_threads(threads, || run_scenario(&config(defense, scheduler)))
 }
 
 const RLN: Defense = Defense::RlnRelay {
@@ -68,11 +52,10 @@ const RLN: Defense = Defense::RlnRelay {
 
 /// The acceptance criterion: seeded E6 reports are identical across the
 /// serial scheduler and the sharded scheduler at every tested pool size
-/// and shard count — with the adaptive lookahead enabled (the default)
-/// and with the legacy fixed quantum.
+/// and shard count.
 #[test]
 fn rln_reports_identical_across_schedulers_shards_and_pool_sizes() {
-    let reference = report(RLN, SchedulerKind::Serial, Lookahead::Adaptive, 1);
+    let reference = report(RLN, SchedulerKind::Serial, 1);
     // Sanity: the reference run actually exercises the defense.
     assert!(reference.spam_sent > 0 && reference.honest_sent > 0);
     assert_eq!(reference.spammers_detected, 3, "all spammer keys recovered");
@@ -85,54 +68,31 @@ fn rln_reports_identical_across_schedulers_shards_and_pool_sizes() {
         // The serial scheduler must not care about the pool at all.
         assert_eq!(
             reference,
-            report(RLN, SchedulerKind::Serial, Lookahead::Adaptive, threads),
+            report(RLN, SchedulerKind::Serial, threads),
             "serial @ {threads} threads"
         );
         for shards in [2usize, 8, 25] {
-            for lookahead in [Lookahead::Adaptive, Lookahead::Fixed] {
-                assert_eq!(
-                    reference,
-                    report(RLN, SchedulerKind::Sharded { shards }, lookahead, threads),
-                    "sharded {shards} shards @ {threads} threads, {lookahead:?}"
-                );
-            }
+            assert_eq!(
+                reference,
+                report(RLN, SchedulerKind::Sharded { shards }, threads),
+                "sharded {shards} shards @ {threads} threads"
+            );
         }
     }
 }
 
-/// The adaptive lookahead must not barrier more often than the fixed
-/// quantum it replaces (it is a strictly weaker round bound), while
-/// producing the same report.
+/// The Chandy–Misra horizons must keep cutting barriers: the removed
+/// fixed-quantum mode needed 1077 rounds for this seeded config, the
+/// adaptive horizons 1074 — pinned so a regression in the horizon
+/// computation shows up as a count, while the report stays `==` serial.
 #[test]
 fn adaptive_lookahead_cuts_barriers_without_changing_results() {
-    let run = |lookahead| {
-        with_threads(2, || {
-            run_scenario_instrumented(&config(
-                RLN,
-                SchedulerKind::Sharded { shards: 8 },
-                lookahead,
-            ))
-        })
-    };
-    let (adaptive_report, adaptive) = run(Lookahead::Adaptive);
-    let (fixed_report, fixed) = run(Lookahead::Fixed);
-    assert_eq!(
-        adaptive_report, fixed_report,
-        "results must not depend on lookahead"
-    );
-    assert_eq!(adaptive.shards, 8);
-    assert!(
-        adaptive.barriers <= fixed.barriers,
-        "adaptive {} > fixed {} barriers",
-        adaptive.barriers,
-        fixed.barriers
-    );
-    assert!(
-        adaptive.barriers < fixed.barriers,
-        "adaptive horizon never extended a round (barriers {} == {})",
-        adaptive.barriers,
-        fixed.barriers
-    );
+    let (sharded, engine) = with_threads(2, || {
+        run_scenario_instrumented(&config(RLN, SchedulerKind::Sharded { shards: 8 }))
+    });
+    assert_eq!(sharded, report(RLN, SchedulerKind::Serial, 1));
+    assert_eq!(engine.shards, 8);
+    assert!(engine.barriers <= 1074, "{} barriers", engine.barriers);
 }
 
 /// The Auto heuristic is also equivalent — the knob the examples and
@@ -144,11 +104,7 @@ fn auto_scheduler_matches_serial() {
         SchedulerKind::Auto.resolve(600) > 1,
         "test must exercise the Auto → sharded path"
     );
-    let run = |scheduler| {
-        with_threads(2, || {
-            run_scenario(&config_at(600, RLN, scheduler, Lookahead::Adaptive))
-        })
-    };
+    let run = |scheduler| with_threads(2, || run_scenario(&config_at(600, RLN, scheduler)));
     assert_eq!(run(SchedulerKind::Serial), run(SchedulerKind::Auto));
 }
 
@@ -162,15 +118,9 @@ fn other_defenses_shard_identically() {
         spammer_hashrate: 50_000.0,
     };
     for defense in [Defense::None, Defense::ScoringOnly, pow] {
-        let serial = report(defense, SchedulerKind::Serial, Lookahead::Adaptive, 1);
-        for lookahead in [Lookahead::Adaptive, Lookahead::Fixed] {
-            let sharded = report(defense, SchedulerKind::Sharded { shards: 8 }, lookahead, 4);
-            assert_eq!(
-                serial, sharded,
-                "defense {:?} {lookahead:?}",
-                serial.defense
-            );
-        }
+        let serial = report(defense, SchedulerKind::Serial, 1);
+        let sharded = report(defense, SchedulerKind::Sharded { shards: 8 }, 4);
+        assert_eq!(serial, sharded, "defense {:?}", serial.defense);
     }
 }
 
@@ -189,7 +139,7 @@ fn metrics_snapshots_identical_across_schedulers() {
     };
     let run = |scheduler, threads| {
         with_threads(threads, || {
-            run_scenario_with_metrics(&config(RLN, scheduler, Lookahead::Adaptive))
+            run_scenario_with_metrics(&config(RLN, scheduler))
         })
     };
 
@@ -238,7 +188,7 @@ fn metrics_snapshots_identical_across_schedulers() {
 #[test]
 fn fault_plan_runs_identical_across_schedulers() {
     let faulted = |scheduler| {
-        let mut c = config(RLN, scheduler, Lookahead::Adaptive);
+        let mut c = config(RLN, scheduler);
         c.net.faults = FaultPlan {
             seed: 0xF417,
             link: LinkFaults {
@@ -341,18 +291,8 @@ fn fault_plan_runs_identical_across_schedulers() {
 /// property, but the one users hit first when a seed "doesn't work").
 #[test]
 fn sharded_runs_are_self_reproducible() {
-    let a = report(
-        RLN,
-        SchedulerKind::Sharded { shards: 8 },
-        Lookahead::Adaptive,
-        4,
-    );
-    let b = report(
-        RLN,
-        SchedulerKind::Sharded { shards: 8 },
-        Lookahead::Adaptive,
-        4,
-    );
+    let a = report(RLN, SchedulerKind::Sharded { shards: 8 }, 4);
+    let b = report(RLN, SchedulerKind::Sharded { shards: 8 }, 4);
     assert_eq!(a, b);
 }
 
@@ -389,12 +329,7 @@ fn dist_config(defense: Defense) -> ScenarioConfig {
     // 120 peers / 6 shards: small enough to run 4 defenses x 3 worker
     // counts in CI, large enough that every worker count in {1, 2, 4}
     // owns a different shard partition.
-    config_at(
-        120,
-        defense,
-        SchedulerKind::Sharded { shards: 6 },
-        Lookahead::Adaptive,
-    )
+    config_at(120, defense, SchedulerKind::Sharded { shards: 6 })
 }
 
 /// The tentpole acceptance test: a seeded scenario executed by one
