@@ -8,7 +8,9 @@ use waku_arith::fft::Radix2Domain;
 use waku_arith::fields::Fr;
 use waku_arith::traits::Field;
 use waku_curve::msm::msm;
-use waku_curve::pairing::{multi_pairing, pairing};
+use waku_curve::pairing::{
+    final_exponentiation, miller_loop_mixed, multi_pairing, pairing, G2Prepared,
+};
 use waku_curve::{G1Affine, G1Projective, G2Affine, G2Projective};
 use waku_hash::{keccak256, sha256};
 use waku_poseidon::{poseidon1, poseidon2};
@@ -89,6 +91,35 @@ fn bench_pairing(c: &mut Criterion) {
     let pairs: Vec<(G1Affine, G2Affine)> = vec![(p, q); 3];
     c.bench_function("pairing/triple_shared_final_exp", |b| {
         b.iter(|| multi_pairing(std::hint::black_box(&pairs)))
+    });
+
+    // The two kernels under Groth16 verification, in the verifier's own
+    // shapes: n − 2 dynamic pairs plus the prepared γ/δ lines (3 = one
+    // proof, 66 = a 64-proof RLC batch), and one final exponentiation.
+    let dynamic: Vec<(G1Affine, G2Affine)> = (0..64)
+        .map(|_| {
+            (
+                G1Projective::generator()
+                    .mul(Fr::random(&mut rng))
+                    .to_affine(),
+                G2Projective::generator()
+                    .mul(Fr::random(&mut rng))
+                    .to_affine(),
+            )
+        })
+        .collect();
+    let prepared = G2Prepared::new(&q);
+    let fixed = [(p, &prepared), (p, &prepared)];
+    for n in [3usize, 66] {
+        c.bench_with_input(
+            BenchmarkId::new("pairing/miller_loop", n),
+            &dynamic[..n - 2],
+            |b, dynamic| b.iter(|| miller_loop_mixed(std::hint::black_box(dynamic), &fixed)),
+        );
+    }
+    let ml = miller_loop_mixed(&dynamic[..1], &fixed);
+    c.bench_function("pairing/final_exp", |b| {
+        b.iter(|| final_exponentiation(std::hint::black_box(&ml)))
     });
 }
 

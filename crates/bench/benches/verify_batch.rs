@@ -1,12 +1,16 @@
 //! Batched Groth16 verification and the proving-key cold-start cache.
 //!
-//! Three kinds of records land in the baseline:
+//! Four kinds of records land in the baseline:
 //!
 //! * `verify_batch/single` — one bundle through the batch entry point
 //!   (criterion-timed), anchoring the comparison against `rln_verify/*`;
 //! * `verify_batch/{16,64}/ns_per_proof` — self-timed RLC batches,
 //!   recorded **per proof** so the speedup over `verify_batch/single`
 //!   reads directly off the table (the ISSUE's ≥5× target at N=64);
+//! * `verify_batch/64_1bad/ns_per_proof` — the same 64 bundles with one
+//!   junk proof among them, through the isolating check (full batch +
+//!   bisection): what a single poisoned message costs a relayer
+//!   (ROADMAP direction D);
 //! * `keycache/warm_load/10` — decode-and-rebuild time for a cached
 //!   proving key, the cold-start path `RlnProver::keygen_or_load` takes
 //!   on a warm cache.
@@ -52,21 +56,28 @@ fn bench_verify_batch(c: &mut Criterion) {
         b.iter(|| assert!(verifier.verify_batch(std::hint::black_box(&refs[..1]))))
     });
 
+    // Self-timed (best of 5) so the record is per proof: criterion's
+    // whole-batch numbers would need post-hoc division to compare across
+    // sizes.
+    const ROUNDS: usize = 5;
+    let best_of = |check: &dyn Fn()| {
+        (0..ROUNDS)
+            .map(|_| {
+                let started = Instant::now();
+                check();
+                started.elapsed().as_nanos()
+            })
+            .min()
+            .expect("ROUNDS > 0")
+    };
+
     for n in [16usize, 64] {
-        // Self-timed so the record is per proof: criterion's whole-batch
-        // numbers would need post-hoc division to compare across sizes.
         let batch = &refs[..n];
-        let rounds = 5usize;
-        let mut best = u128::MAX;
-        for _ in 0..rounds {
-            let started = Instant::now();
-            assert!(verifier.verify_batch(std::hint::black_box(batch)));
-            best = best.min(started.elapsed().as_nanos());
-        }
+        let best = best_of(&|| assert!(verifier.verify_batch(std::hint::black_box(batch))));
         criterion::baseline::record_value(
             format!("verify_batch/{n}/ns_per_proof"),
             best / n as u128,
-            rounds,
+            ROUNDS,
         );
         println!(
             "verify_batch/{n}: {:.2} ms per batch, {:.3} ms per proof",
@@ -74,6 +85,18 @@ fn bench_verify_batch(c: &mut Criterion) {
             best as f64 / 1e6 / n as f64
         );
     }
+
+    // One flipped payload bit: the bundle's signal hash no longer matches
+    // its proof, the batch fails and bisection has to find index 41.
+    let mut poisoned = bundles.clone();
+    poisoned[41].payload[0] ^= 1;
+    let refs: Vec<&RlnMessageBundle> = poisoned.iter().collect();
+    let best = best_of(&|| assert_eq!(verifier.isolate_invalid(std::hint::black_box(&refs)), [41]));
+    criterion::baseline::record_value("verify_batch/64_1bad/ns_per_proof", best / 64, ROUNDS);
+    println!(
+        "verify_batch/64_1bad: {:.2} ms to isolate 1 of 64",
+        best as f64 / 1e6
+    );
 }
 
 fn bench_keycache_load(c: &mut Criterion) {

@@ -87,6 +87,29 @@ impl Fp6 {
             c2: self.c2 * s,
         }
     }
+
+    /// Multiplies every coefficient by an Fq scalar (6 Fq products).
+    pub fn scale_base(&self, s: Fq) -> Self {
+        Fp6 {
+            c0: self.c0.scale(s),
+            c1: self.c1.scale(s),
+            c2: self.c2.scale(s),
+        }
+    }
+
+    /// Product with the sparse element `a + b·v` (no `v²` term): five Fp2
+    /// products instead of the six of a full multiplication —
+    /// `(c0·a + ξ·c2·b) + (c0·b + c1·a)·v + (c1·b + c2·a)·v²`, the middle
+    /// coefficient by Karatsuba.
+    pub fn mul_by_01(&self, a: Fp2, b: Fp2) -> Self {
+        let v0 = self.c0 * a;
+        let v1 = self.c1 * b;
+        Fp6 {
+            c0: v0 + (self.c2 * b).mul_by_nonresidue(),
+            c1: (self.c0 + self.c1) * (a + b) - v0 - v1,
+            c2: v1 + self.c2 * a,
+        }
+    }
 }
 
 impl Add for Fp6 {
@@ -243,6 +266,18 @@ mod tests {
         let a = Fp6::random(&mut rng);
         let v = Fp6::new(Fp2::zero(), Fp2::one(), Fp2::zero());
         assert_eq!(a.mul_by_v(), a * v);
+    }
+
+    #[test]
+    fn sparse_and_scalar_products_match_mul() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..10 {
+            let x = Fp6::random(&mut rng);
+            let (a, b) = (Fp2::random(&mut rng), Fp2::random(&mut rng));
+            assert_eq!(x.mul_by_01(a, b), x * Fp6::new(a, b, Fp2::zero()));
+            let s = Fq::random(&mut rng);
+            assert_eq!(x.scale_base(s), x * Fp6::from_fp2(Fp2::from_base(s)));
+        }
     }
 
     #[test]

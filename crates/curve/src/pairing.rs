@@ -11,38 +11,49 @@
 //! l = py − (λ'·px)·w + (λ'·x' − y')·w³,
 //! ```
 //!
-//! assembled by coefficient placement. The two Frobenius correction steps
+//! which never gets expanded: the accumulator is multiplied by it in that
+//! sparse form ([`Fp12::mul_by_line`], 36 Fq products against 54 for a
+//! dense `Fp12` product). The two Frobenius correction steps
 //! of the optimal ate formula become the GLS endomorphism `ψ` in twist
 //! coordinates (see [`crate::endo`]): `Q₁ = ψ(Q)`, `Q₂ = −ψ²(Q)`.
 //!
 //! Two batching levers sit on top:
 //!
 //! * [`G2Prepared`] — for a *fixed* G2 point the sequence of line
-//!   coefficients `(λ', x', y')` depends only on the point, so a verifier
-//!   precomputes them once and each pairing replays ~90 stored
+//!   coefficients `(λ', λ'·x' − y')` depends only on the point, so a
+//!   verifier precomputes them once and each pairing replays ~90 stored
 //!   coefficients with no G2 arithmetic and no inversions at all.
 //! * [`miller_loop_mixed`] — runs any number of dynamic and prepared pairs
 //!   under one shared `f`-squaring chain, and amortizes the dynamic pairs'
 //!   slope denominators with one Fp2 batch inversion per step. This is the
 //!   engine under batch Groth16 verification.
 //!
-//! The final exponentiation does the easy part with Frobenius/conjugation
-//! and the hard part by a straight square-and-multiply over the derived
-//! exponent `(p⁴ − p² + 1)/r`.
+//! The final exponentiation does the easy part `^(p⁶−1)(p²+1)` with
+//! Frobenius/conjugation, which lands in the cyclotomic subgroup where
+//! inversion is conjugation and squaring is the Granger–Scott
+//! [`Fp12::cyclotomic_square`]. The hard part `^(p⁴ − p² + 1)/r` then uses
+//! the *exact* BN decomposition of that exponent in base `p`
+//! (Devegili–Scott–Dahab),
+//!
+//! ```text
+//! (p⁴−p²+1)/r = p³ + (6x²+1)·p² + (−36x³−18x²−12x+1)·p + (−36x³−30x²−18x−2),
+//! ```
+//!
+//! i.e. three 63-bit exponentiations by `x`, a few Frobenius maps and the
+//! vectorial addition chain `y0·y1²·y2⁶·y3¹²·y4¹⁸·y5³⁰·y6³⁶` — not a
+//! multiple of the exponent, so the result is the same field element a
+//! plain square-and-multiply over the 762-bit exponent gives (the tests
+//! keep that ladder as their oracle).
 //!
 //! The BN parameter is `x = 4965661367192848881`; the Miller loop runs over
 //! `6x + 2 = 29793968203157093288`.
 
-use std::sync::OnceLock;
-
-use waku_arith::biguint::BigUint;
-use waku_arith::fields::{Fq, Fr};
-use waku_arith::traits::{Field, PrimeField};
+use waku_arith::fields::Fq;
+use waku_arith::traits::Field;
 
 use crate::endo::psi;
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
-use crate::fp6::Fp6;
 use crate::g1::G1Affine;
 use crate::g2::G2Affine;
 use crate::point::BatchInvert;
@@ -56,8 +67,9 @@ pub const ATE_LOOP_COUNT: u128 = 6 * (BN_X as u128) + 2;
 /// coordinates relative to the pre-step accumulator.
 #[derive(Copy, Clone, Debug)]
 enum LineCoeff {
-    /// Tangent or chord with slope `λ'` through `(x', y')`.
-    Line { lambda: Fp2, x: Fp2, y: Fp2 },
+    /// Tangent or chord with slope `λ'` through `(x', y')`, stored as
+    /// `λ'` and the intercept term `λ'·x' − y'`.
+    Line { lambda: Fp2, intercept: Fp2 },
     /// Vertical line `X − x'·w²` (the points cancelled).
     Vertical { x: Fp2 },
     /// A step touching the point at infinity: neutral factor.
@@ -100,8 +112,7 @@ fn double_step(t: &mut G2Affine, inv: &Fp2) -> LineCoeff {
     let lambda = (xx.double() + xx) * *inv;
     let coeff = LineCoeff::Line {
         lambda,
-        x: t.x,
-        y: t.y,
+        intercept: lambda * t.x - t.y,
     };
     let x3 = lambda.square() - t.x.double();
     let y3 = lambda * (t.x - x3) - t.y;
@@ -131,8 +142,7 @@ fn add_step(t: &mut G2Affine, q: &G2Affine, inv: &Fp2) -> LineCoeff {
     let lambda = (q.y - t.y) * *inv;
     let coeff = LineCoeff::Line {
         lambda,
-        x: t.x,
-        y: t.y,
+        intercept: lambda * t.x - t.y,
     };
     let x3 = lambda.square() - t.x - q.x;
     let y3 = lambda * (t.x - x3) - t.y;
@@ -140,28 +150,28 @@ fn add_step(t: &mut G2Affine, q: &G2Affine, inv: &Fp2) -> LineCoeff {
     coeff
 }
 
-/// Evaluates a recorded line at the embedded G1 point `(px, py)`,
-/// assembling the sparse Fp12 value by coefficient placement
-/// (`1 → c0.c0`, `w² = v → c0.c1`, `w → c1.c0`, `w³ = v·w → c1.c1`).
-fn eval_line(coeff: &LineCoeff, px: Fq, py: Fq) -> Fp12 {
+/// `f` times a recorded line evaluated at the embedded G1 point
+/// `(px, py)`, without expanding the line (coefficient placement:
+/// `1 → c0.c0`, `w² = v → c0.c1`, `w → c1.c0`, `w³ = v·w → c1.c1`).
+fn mul_by_line_at(f: &Fp12, coeff: &LineCoeff, px: Fq, py: Fq) -> Fp12 {
     match coeff {
-        LineCoeff::Line { lambda, x, y } => Fp12::new(
-            Fp6::new(Fp2::from_base(py), Fp2::zero(), Fp2::zero()),
-            Fp6::new(-lambda.scale(px), *lambda * *x - *y, Fp2::zero()),
-        ),
+        LineCoeff::Line { lambda, intercept } => f.mul_by_line(py, -lambda.scale(px), *intercept),
+        // px − x'·v lies in Fp6: both halves of f take the same sparse
+        // Fp6 factor.
         LineCoeff::Vertical { x } => {
-            Fp12::new(Fp6::new(Fp2::from_base(px), -*x, Fp2::zero()), Fp6::zero())
+            let (a, b) = (Fp2::from_base(px), -*x);
+            Fp12::new(f.c0.mul_by_01(a, b), f.c1.mul_by_01(a, b))
         }
-        LineCoeff::One => Fp12::one(),
+        LineCoeff::One => *f,
     }
 }
 
 /// Precomputed Miller-loop line coefficients for a fixed G2 point.
 ///
-/// Replaying the stored `(λ', x', y')` triples costs no G2 arithmetic and
-/// no field inversions, so pairings against fixed points (the `γ`/`δ`
+/// Replaying the stored `(λ', λ'·x' − y')` pairs costs no G2 arithmetic
+/// and no field inversions, so pairings against fixed points (the `γ`/`δ`
 /// elements of a Groth16 verifying key) skip the accumulator work
-/// entirely. ~90 triples ≈ 8.6 KiB per point.
+/// entirely. ~90 pairs ≈ 5.8 KiB per point.
 #[derive(Clone, Debug)]
 pub struct G2Prepared {
     coeffs: Vec<LineCoeff>,
@@ -268,10 +278,10 @@ pub fn miller_loop_mixed(
             for (d, inv) in dyns.iter_mut().zip(denoms.iter()) {
                 #[allow(clippy::redundant_closure_call)]
                 let coeff = $step(d, inv);
-                f *= eval_line(&coeff, d.px, d.py);
+                f = mul_by_line_at(&f, &coeff, d.px, d.py);
             }
             for (px, py, prep) in preps.iter() {
-                f *= eval_line(&prep.coeffs[cursor], *px, *py);
+                f = mul_by_line_at(&f, &prep.coeffs[cursor], *px, *py);
             }
             cursor += 1;
         }};
@@ -317,10 +327,10 @@ pub fn miller_loop_mixed(
         for ((d, c), inv) in dyns.iter_mut().zip(corr.iter()).zip(denoms.iter()) {
             let target = if pick == 0 { c.0 } else { c.1 };
             let coeff = add_step(&mut d.t, &target, inv);
-            f *= eval_line(&coeff, d.px, d.py);
+            f = mul_by_line_at(&f, &coeff, d.px, d.py);
         }
         for (px, py, prep) in preps.iter() {
-            f *= eval_line(&prep.coeffs[cursor], *px, *py);
+            f = mul_by_line_at(&f, &prep.coeffs[cursor], *px, *py);
         }
         cursor += 1;
     }
@@ -334,17 +344,38 @@ pub fn miller_loop(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
     miller_loop_mixed(pairs, &[])
 }
 
-/// The hard-part exponent `(p⁴ − p² + 1) / r`, derived once.
-fn hard_part_exponent() -> &'static Vec<u64> {
-    static CELL: OnceLock<Vec<u64>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let p = BigUint::from_limbs(&<Fq as PrimeField>::MODULUS);
-        let r = BigUint::from_limbs(&<Fr as PrimeField>::MODULUS);
-        let num = p.pow(4).sub(&p.pow(2)).add(&BigUint::one());
-        let (q, rem) = num.div_rem(&r);
-        assert!(rem.is_zero(), "BN identity: r | p⁴ − p² + 1");
-        q.limbs().to_vec()
-    })
+/// Easy part `f ↦ f^((p⁶−1)(p²+1))`: `conj(f)·f⁻¹`, then `^(p²+1)` by one
+/// Frobenius. The image is the cyclotomic subgroup. `None` for zero.
+fn easy_part(f: &Fp12) -> Option<Fp12> {
+    let f1 = f.conjugate() * f.inverse()?;
+    Some(f1.frobenius_map(2) * f1)
+}
+
+/// Hard part `f ↦ f^((p⁴−p²+1)/r)` for `f` in the cyclotomic subgroup, by
+/// the exact base-`p` decomposition in the module docs. Every inverse is
+/// a conjugation and every squaring a cyclotomic one.
+fn hard_part(f: &Fp12) -> Fp12 {
+    let fx = f.cyclotomic_pow(&[BN_X]);
+    let fx2 = fx.cyclotomic_pow(&[BN_X]);
+    let fx3 = fx2.cyclotomic_pow(&[BN_X]);
+    // Exponent = y0 + 2·y1 + 6·y2 + 12·y3 + 18·y4 + 30·y5 + 36·y6 with
+    //   y0 = p + p² + p³   y1 = −1        y2 = x²p²      y3 = −xp
+    //   y4 = −(x + x²p)    y5 = −x²       y6 = −(x³ + x³p).
+    let y0 = f.frobenius_map(1) * f.frobenius_map(2) * f.frobenius_map(3);
+    let y1 = f.conjugate();
+    let y2 = fx2.frobenius_map(2);
+    let y3 = fx.frobenius_map(1).conjugate();
+    let y4 = (fx * fx2.frobenius_map(1)).conjugate();
+    let y5 = fx2.conjugate();
+    let y6 = (fx3 * fx3.frobenius_map(1)).conjugate();
+    // Vectorial addition chain for (1, 2, 6, 12, 18, 30, 36).
+    let mut t0 = y6.cyclotomic_square() * y4 * y5;
+    let mut t1 = y3 * y5 * t0;
+    t0 *= y2;
+    t1 = (t1.cyclotomic_square() * t0).cyclotomic_square();
+    t0 = t1 * y1;
+    t1 *= y0;
+    t0.cyclotomic_square() * t1
 }
 
 /// Final exponentiation `f ↦ f^((p¹²−1)/r)`.
@@ -352,12 +383,7 @@ fn hard_part_exponent() -> &'static Vec<u64> {
 /// Returns `None` if `f` is zero (which a Miller loop never produces for
 /// valid points).
 pub fn final_exponentiation(f: &Fp12) -> Option<Fp12> {
-    // Easy part: f^(p⁶−1) = conj(f)·f⁻¹, then ^(p²+1).
-    let f_inv = f.inverse()?;
-    let f1 = f.conjugate() * f_inv;
-    let f2 = f1.frobenius_map(2) * f1;
-    // Hard part: ^( (p⁴−p²+1)/r ).
-    Some(f2.pow(hard_part_exponent()))
+    Some(hard_part(&easy_part(f)?))
 }
 
 /// The full optimal ate pairing `e: G1 × G2 → μ_r ⊂ Fp12`.
@@ -383,10 +409,234 @@ pub fn multi_pairing(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fp6::Fp6;
     use crate::g1::G1Projective;
     use crate::g2::G2Projective;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use waku_arith::biguint::BigUint;
+    use waku_arith::fields::Fr;
+    use waku_arith::traits::PrimeField;
+
+    /// The hard-part exponent `(p⁴ − p² + 1) / r` as limbs — the oracle
+    /// for [`hard_part`]: a plain [`Field::pow`] over these 762 bits is
+    /// what the final exponentiation used to run.
+    fn hard_part_exponent() -> Vec<u64> {
+        let p = BigUint::from_limbs(&<Fq as PrimeField>::MODULUS);
+        let r = BigUint::from_limbs(&<Fr as PrimeField>::MODULUS);
+        let num = p.pow(4).sub(&p.pow(2)).add(&BigUint::one());
+        let (q, rem) = num.div_rem(&r);
+        assert!(rem.is_zero(), "BN identity: r | p⁴ − p² + 1");
+        q.limbs().to_vec()
+    }
+
+    /// Dense expansion of a recorded line at `(px, py)` — the oracle for
+    /// [`mul_by_line_at`].
+    fn eval_line(coeff: &LineCoeff, px: Fq, py: Fq) -> Fp12 {
+        match coeff {
+            LineCoeff::Line { lambda, intercept } => Fp12::new(
+                Fp6::from_fp2(Fp2::from_base(py)),
+                Fp6::new(-lambda.scale(px), *intercept, Fp2::zero()),
+            ),
+            LineCoeff::Vertical { x } => {
+                Fp12::from_fp6(Fp6::new(Fp2::from_base(px), -*x, Fp2::zero()))
+            }
+            LineCoeff::One => Fp12::one(),
+        }
+    }
+
+    /// Reference Miller loop: one pair at a time, its own inversions (via
+    /// [`G2Prepared::new`]), every line expanded and multiplied in with
+    /// the dense `Fp12` product. Squaring is multiplicative, so the
+    /// product of separate loops equals the shared-chain loop exactly.
+    fn miller_loop_dense_reference(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
+        let loop_bits = 128 - ATE_LOOP_COUNT.leading_zeros();
+        let mut acc = Fp12::one();
+        for (p, q) in pairs {
+            if p.is_identity() || q.is_identity() {
+                continue;
+            }
+            let prep = G2Prepared::new(q);
+            let mut lines = prep.coeffs.iter().map(|c| eval_line(c, p.x, p.y));
+            let mut f = Fp12::one();
+            for i in (0..loop_bits - 1).rev() {
+                f = f.square() * lines.next().unwrap();
+                if (ATE_LOOP_COUNT >> i) & 1 == 1 {
+                    f *= lines.next().unwrap();
+                }
+            }
+            f *= lines.next().unwrap();
+            f *= lines.next().unwrap();
+            assert!(lines.next().is_none());
+            acc *= f;
+        }
+        acc
+    }
+
+    fn random_pairs(rng: &mut StdRng, n: usize) -> Vec<(G1Affine, G2Affine)> {
+        (0..n)
+            .map(|_| {
+                (
+                    G1Projective::generator().mul(Fr::random(rng)).to_affine(),
+                    G2Projective::generator().mul(Fr::random(rng)).to_affine(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hard_part_polynomial_is_the_exact_exponent() {
+        // p³ + (6x²+1)p² + (−36x³−18x²−12x+1)p + (−36x³−30x²−18x−2),
+        // positive and negative terms gathered separately.
+        let n = |v: u64| BigUint::from(v);
+        let p = BigUint::from_limbs(&<Fq as PrimeField>::MODULUS);
+        let x = n(BN_X);
+        let (x2, x3) = (x.mul(&x), x.mul(&x).mul(&x));
+        let plus = p
+            .pow(3)
+            .add(&n(6).mul(&x2).add(&n(1)).mul(&p.pow(2)))
+            .add(&p);
+        let minus = n(36)
+            .mul(&x3)
+            .add(&n(18).mul(&x2))
+            .add(&n(12).mul(&x))
+            .mul(&p)
+            .add(&n(36).mul(&x3))
+            .add(&n(30).mul(&x2))
+            .add(&n(18).mul(&x))
+            .add(&n(2));
+        assert_eq!(plus.sub(&minus).limbs(), &hard_part_exponent()[..]);
+    }
+
+    #[test]
+    fn final_exponentiation_matches_generic_ladder() {
+        let exp = hard_part_exponent();
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut inputs: Vec<Fp12> = (0..64).map(|_| Fp12::random(&mut rng)).collect();
+        // Real Miller-loop outputs, single and multi-pair.
+        let pairs = random_pairs(&mut rng, 4);
+        inputs.push(miller_loop(&pairs[..1]));
+        inputs.push(miller_loop(&pairs));
+        inputs.push(Fp12::one());
+        for f in &inputs {
+            let oracle = easy_part(f).unwrap().pow(&exp);
+            assert_eq!(final_exponentiation(f).unwrap(), oracle);
+        }
+        assert!(final_exponentiation(&Fp12::zero()).is_none());
+    }
+
+    #[test]
+    fn sparse_line_product_matches_dense() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for _ in 0..8 {
+            let f = Fp12::random(&mut rng);
+            let (px, py) = (Fq::random(&mut rng), Fq::random(&mut rng));
+            let coeffs = [
+                LineCoeff::Line {
+                    lambda: Fp2::random(&mut rng),
+                    intercept: Fp2::random(&mut rng),
+                },
+                LineCoeff::Vertical {
+                    x: Fp2::random(&mut rng),
+                },
+                LineCoeff::One,
+            ];
+            for coeff in &coeffs {
+                assert_eq!(
+                    mul_by_line_at(&f, coeff, px, py),
+                    f * eval_line(coeff, px, py),
+                    "{coeff:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_miller_loop_matches_dense_reference() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut pairs = random_pairs(&mut rng, 5);
+        // Identity on either side contributes the neutral factor.
+        pairs.insert(1, (G1Affine::identity(), pairs[0].1));
+        pairs.insert(3, (pairs[0].0, G2Affine::identity()));
+        let reference = miller_loop_dense_reference(&pairs);
+        assert_eq!(miller_loop(&pairs), reference);
+        // Any split into dynamic and prepared pairs gives the same value.
+        let prepared: Vec<G2Prepared> = pairs.iter().map(|(_, q)| G2Prepared::new(q)).collect();
+        for split in 0..=pairs.len() {
+            let preps: Vec<(G1Affine, &G2Prepared)> = pairs[split..]
+                .iter()
+                .zip(&prepared[split..])
+                .map(|((p, _), prep)| (*p, prep))
+                .collect();
+            assert_eq!(
+                miller_loop_mixed(&pairs[..split], &preps),
+                reference,
+                "split = {split}"
+            );
+        }
+        // The Groth16 verifier's shapes: 1 + 2 and 64 + 2.
+        for n in [3usize, 66] {
+            let pairs = random_pairs(&mut rng, n);
+            let (g, d) = (G2Prepared::new(&pairs[0].1), G2Prepared::new(&pairs[1].1));
+            assert_eq!(
+                miller_loop_mixed(&pairs[2..], &[(pairs[0].0, &g), (pairs[1].0, &d)]),
+                miller_loop_dense_reference(&pairs),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn values_unchanged_from_the_generic_kernels() {
+        // Canonical limbs of the first Fq coefficient, captured from the
+        // commit that still ran the 762-bit ladder and dense line
+        // products: the faster kernels are a different route to the same
+        // field elements.
+        let first = |f: &Fp12| f.c0.c0.c0.to_canonical_limbs();
+        let mut rng = StdRng::seed_from_u64(0x601D);
+        let pairs = random_pairs(&mut rng, 3);
+        let f = Fp12::random(&mut rng);
+        assert_eq!(
+            first(&pairing(&G1Affine::generator(), &G2Affine::generator())),
+            [
+                10361235729949499893,
+                2015349964605169190,
+                5840273097882097399,
+                1353066228463925364
+            ]
+        );
+        let (g, d) = (G2Prepared::new(&pairs[1].1), G2Prepared::new(&pairs[2].1));
+        assert_eq!(
+            first(&miller_loop_mixed(
+                &pairs[..1],
+                &[(pairs[1].0, &g), (pairs[2].0, &d)]
+            )),
+            [
+                10650036333378715614,
+                14773081699016022071,
+                10324488365915068872,
+                3086616691562407898
+            ]
+        );
+        assert_eq!(
+            first(&final_exponentiation(&f).unwrap()),
+            [
+                6061945086089115124,
+                4493699134196010036,
+                5337595547100123669,
+                3462652127152468585
+            ]
+        );
+        assert_eq!(
+            first(&multi_pairing(&pairs)),
+            [
+                7459419999897501307,
+                4393243761711297091,
+                18401989736459874923,
+                2885141245663325313
+            ]
+        );
+    }
 
     #[test]
     fn pairing_is_nondegenerate() {

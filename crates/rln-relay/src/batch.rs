@@ -248,12 +248,9 @@ impl BatchingValidator {
         let refs: Vec<&RlnMessageBundle> = batch.iter().map(|q| &q.bundle).collect();
 
         let started = Instant::now();
-        let all_valid = self.inner.verifier().verify_batch(&refs);
-        let invalid = if all_valid {
-            Vec::new()
-        } else {
-            self.inner.verifier().isolate_invalid(&refs)
-        };
+        // One call: the isolating check starts with the full-batch check
+        // and returns no indices when it passes.
+        let invalid = self.inner.verifier().isolate_invalid(&refs);
         let batch_ns = started.elapsed().as_nanos() as u64;
 
         let m = self.inner.handles();

@@ -326,19 +326,21 @@ impl RlnVerifier {
     /// the whole batch) instead of `n` independent pairings.
     ///
     /// Returns `true` iff *every* bundle's proof is valid — a single bad
-    /// proof fails the whole batch; use
-    /// [`RlnVerifier::isolate_invalid`] afterwards to find the culprits.
-    /// An empty batch is vacuously valid.
+    /// proof fails the whole batch; callers that need the culprits call
+    /// [`RlnVerifier::isolate_invalid`] *instead* (it starts with this
+    /// same check). An empty batch is vacuously valid.
     pub fn verify_batch(&self, bundles: &[&RlnMessageBundle]) -> bool {
         let proofs: Vec<_> = bundles.iter().map(|b| b.proof).collect();
         let inputs: Vec<_> = bundles.iter().map(|b| b.public_inputs().to_vec()).collect();
         self.pvk.verify_batch(&proofs, &inputs).unwrap_or(false)
     }
 
-    /// Bisects a failed batch down to the indices of the invalid bundles
-    /// (ascending). Cost is `O(k · log n)` sub-batch checks for `k` bad
-    /// proofs — cheap when invalid proofs are rare, which is the expected
-    /// steady state (spam is rate-limited upstream of proof checking).
+    /// Checks the whole batch and, if it fails, bisects it down to the
+    /// indices of the invalid bundles (ascending; empty = all valid).
+    /// Cost is one batch check plus `O(k · log n)` sub-batch checks for
+    /// `k` bad proofs — cheap when invalid proofs are rare, which is the
+    /// expected steady state (spam is rate-limited upstream of proof
+    /// checking).
     pub fn isolate_invalid(&self, bundles: &[&RlnMessageBundle]) -> Vec<usize> {
         let proofs: Vec<_> = bundles.iter().map(|b| b.proof).collect();
         let inputs: Vec<_> = bundles.iter().map(|b| b.public_inputs().to_vec()).collect();

@@ -320,8 +320,10 @@ impl PreparedVerifyingKey {
         if public_inputs.len() + 1 != self.vk.ic.len() {
             return Err(SnarkError::InputLengthMismatch);
         }
-        // Reject points outside the curve/subgroup (defense against
-        // malformed network input).
+        // Reject points off the curve (defense against malformed network
+        // input). That is a full membership test for A, C ∈ G1 (cofactor
+        // 1) but *not* for B: the twist has a large cofactor and B's
+        // subgroup membership is not checked — see ROADMAP direction D.
         if !proof.a.is_on_curve() || !proof.b.is_on_curve() || !proof.c.is_on_curve() {
             return Ok(false);
         }
@@ -440,13 +442,17 @@ impl PreparedVerifyingKey {
             return Ok(false);
         };
         let r_sum = r_fr.iter().fold(Fr::zero(), |acc, r| acc + *r);
-        Ok(fe * self.alpha_beta.pow(&r_sum.to_canonical_limbs()) == Fp12::one())
+        // e(α,β) is a pairing value, so the cyclotomic ladder applies.
+        let ab_r = self.alpha_beta.cyclotomic_pow(&r_sum.to_canonical_limbs());
+        Ok(fe * ab_r == Fp12::one())
     }
 
     /// Verifies a batch and, when it fails, bisects to return the indices
     /// of exactly the invalid members (sorted ascending; empty means the
     /// whole batch verified). Cost is one batch check when all-valid, plus
-    /// `O(k·log N)` sub-batch checks for `k` offenders.
+    /// `O(k·log N)` sub-batch checks for `k` offenders. A member is only
+    /// ever reported after the exact single-proof [`Self::verify`]
+    /// rejected it, never on the strength of a randomized check alone.
     ///
     /// # Errors
     ///
@@ -457,18 +463,27 @@ impl PreparedVerifyingKey {
         inputs: &[Vec<Fr>],
     ) -> Result<Vec<usize>, SnarkError> {
         let mut bad = Vec::new();
-        self.isolate(proofs, inputs, 0, &mut bad)?;
+        self.isolate(proofs, inputs, 0, false, &mut bad)?;
         Ok(bad)
     }
 
+    /// Bisection step over `proofs[..]` (global indices start at
+    /// `offset`). `known_bad` says the caller already knows this range
+    /// fails as a batch — its parent failed and its left sibling passed —
+    /// so the range's own batch check is skipped. Leaves are exempt:
+    /// `verify_batch` on one proof *is* the exact check, and it always
+    /// runs, so a sibling that passed by a 2⁻¹²⁸ fluke cannot get an
+    /// honest proof blamed.
     fn isolate(
         &self,
         proofs: &[Proof],
         inputs: &[Vec<Fr>],
         offset: usize,
+        known_bad: bool,
         bad: &mut Vec<usize>,
     ) -> Result<(), SnarkError> {
-        if proofs.is_empty() || self.verify_batch(proofs, inputs)? {
+        let skip_check = known_bad && proofs.len() > 1;
+        if proofs.is_empty() || (!skip_check && self.verify_batch(proofs, inputs)?) {
             return Ok(());
         }
         if proofs.len() == 1 {
@@ -476,8 +491,16 @@ impl PreparedVerifyingKey {
             return Ok(());
         }
         let mid = proofs.len() / 2;
-        self.isolate(&proofs[..mid], &inputs[..mid], offset, bad)?;
-        self.isolate(&proofs[mid..], &inputs[mid..], offset + mid, bad)
+        let found_before = bad.len();
+        self.isolate(&proofs[..mid], &inputs[..mid], offset, false, bad)?;
+        let left_passed = bad.len() == found_before;
+        self.isolate(
+            &proofs[mid..],
+            &inputs[mid..],
+            offset + mid,
+            left_passed,
+            bad,
+        )
     }
 
     /// Fiat–Shamir RLC scalars: a running SHA-256 transcript over a domain
@@ -709,6 +732,58 @@ mod tests {
             pvk.verify_batch_isolating(&proofs, &bad_inputs).unwrap(),
             vec![1]
         );
+    }
+
+    #[test]
+    fn isolation_matches_sequential_verify_on_all_256_patterns() {
+        // N = 8: every valid/invalid pattern, so every combination of
+        // "left half passed → right half's check skipped" is walked.
+        let mut rng = StdRng::seed_from_u64(13);
+        let cs = cubic_cs(3, 35);
+        let pk = setup(&cs, &mut rng);
+        let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+        let good: Vec<Proof> = (0..8).map(|_| prove(&pk, &cs, &mut rng).unwrap()).collect();
+        // Even slots are corrupted through the public input, odd slots
+        // through the proof itself.
+        let variant = |i: usize, corrupt: bool| -> (Proof, Vec<Fr>) {
+            match (corrupt, i % 2) {
+                (false, _) => (good[i], vec![Fr::from_u64(35)]),
+                (true, 0) => (good[i], vec![Fr::from_u64(36)]),
+                (true, _) => {
+                    let swapped = Proof {
+                        a: good[i].c,
+                        b: good[i].b,
+                        c: good[i].a,
+                    };
+                    (swapped, vec![Fr::from_u64(35)])
+                }
+            }
+        };
+        // The sequential verdict of slot i depends only on (i, corrupt).
+        let rejected = |i: usize, corrupt: bool| {
+            let (proof, input) = variant(i, corrupt);
+            !pvk.verify(&proof, &input).unwrap()
+        };
+        let verdicts: Vec<[bool; 2]> = (0..8)
+            .map(|i| [rejected(i, false), rejected(i, true)])
+            .collect();
+        for mask in 0usize..256 {
+            let corrupt = |i: usize| (mask >> i) & 1 == 1;
+            let (proofs, inputs): (Vec<Proof>, Vec<Vec<Fr>>) =
+                (0..8).map(|i| variant(i, corrupt(i))).unzip();
+            let expected: Vec<usize> = (0..8)
+                .filter(|&i| verdicts[i][corrupt(i) as usize])
+                .collect();
+            assert_eq!(
+                pvk.verify_batch_isolating(&proofs, &inputs).unwrap(),
+                expected,
+                "mask = {mask:#010b}"
+            );
+            assert_eq!(
+                pvk.verify_batch(&proofs, &inputs).unwrap(),
+                expected.is_empty()
+            );
+        }
     }
 
     #[test]
