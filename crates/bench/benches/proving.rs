@@ -19,6 +19,11 @@ fn prover_fixture(depth: usize) -> (RlnProver, waku_rln::RlnVerifier, Identity, 
     (prover, verifier, identity, path)
 }
 
+/// Steady-state publishing: one identity on an unchanged path, a new
+/// epoch per message — the prover re-multiplies only the share/nullifier
+/// half of the assignment (the warm-up loop has rolled the key forward
+/// before the first timed sample). Proving the *same* message in a loop
+/// would time the empty delta, i.e. quotient + `H` only.
 fn bench_prove(c: &mut Criterion) {
     let mut group = c.benchmark_group("rln_prove");
     group.sample_size(10);
@@ -26,9 +31,35 @@ fn bench_prove(c: &mut Criterion) {
         let (prover, _, identity, path) = prover_fixture(depth);
         group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
             let mut rng = StdRng::seed_from_u64(99);
+            let mut epoch = 1234;
             b.iter(|| {
+                epoch += 1;
                 prover
-                    .prove_message(&identity, &path, b"bench message", 1234, &mut rng)
+                    .prove_message(&identity, &path, b"bench message", epoch, &mut rng)
+                    .unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
+/// First-proof cost: two identities alternate on one key, so every wire
+/// downstream of `sk` — the whole assignment bar the path bits — moves
+/// between consecutive proofs and all four query MSMs run at full length.
+fn bench_prove_cold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rln_prove_cold");
+    group.sample_size(10);
+    for depth in [10usize, 20] {
+        let (prover, _, identity, path) = prover_fixture(depth);
+        let other = Identity::random(&mut StdRng::seed_from_u64(98));
+        group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
+            let mut rng = StdRng::seed_from_u64(99);
+            let mut epoch = 1234;
+            b.iter(|| {
+                epoch += 1;
+                let who = if epoch % 2 == 0 { &identity } else { &other };
+                prover
+                    .prove_message(who, &path, b"bench message", epoch, &mut rng)
                     .unwrap()
             })
         });
@@ -74,6 +105,6 @@ fn bench_share_derivation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_prove, bench_verify, bench_share_derivation
+    targets = bench_prove, bench_prove_cold, bench_verify, bench_share_derivation
 }
 criterion_main!(benches);

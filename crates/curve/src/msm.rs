@@ -268,8 +268,8 @@ pub fn msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr]) -> Projective<C>
 /// base/scalar lists, as one Pippenger instance.
 ///
 /// One larger MSM beats several small ones (the bucket phase is paid per
-/// window per point, so fewer, wider windows win); the Groth16 prover uses
-/// this to fuse the `L` and `H` query MSMs of the `C` element.
+/// window per point, so fewer, wider windows win). [`msm`] is the one-part
+/// case.
 ///
 /// # Panics
 ///

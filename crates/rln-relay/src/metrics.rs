@@ -32,6 +32,7 @@ pub(crate) struct MetricIds {
     pub batch_size: HistogramId,
     pub proof_verify_batch: HistogramId,
     pub published: CounterId,
+    pub prove_changed_vars: HistogramId,
     pub rate_limited_locally: CounterId,
     pub slash_commits: CounterId,
     pub slash_reveals: CounterId,
@@ -105,6 +106,13 @@ pub(crate) fn catalogue() -> &'static (Arc<Layout>, MetricIds) {
                  over the whole flush (ns).",
             ),
             published: b.counter("node_published_total", "Messages this node published."),
+            prove_changed_vars: b.histogram(
+                "rln_prove_changed_vars",
+                "Assignment entries the prover re-multiplied per publish (the \
+                 rest was reused from the previous proof): a few hundred on \
+                 an unchanged authentication path, the whole circuit on a \
+                 first proof.",
+            ),
             rate_limited_locally: b.counter(
                 "node_rate_limited_locally_total",
                 "Publishes refused locally because the epoch was already used.",
@@ -167,6 +175,7 @@ impl ValidationHandles {
 /// Hot-path handles for the node lifecycle, bound once.
 pub(crate) struct NodeHandles {
     pub published: Counter,
+    pub prove_changed_vars: Histogram,
     pub rate_limited_locally: Counter,
     pub slash_commits: Counter,
     pub slash_reveals: Counter,
@@ -178,6 +187,7 @@ impl NodeHandles {
         let ids = &catalogue().1;
         NodeHandles {
             published: registry.counter(ids.published),
+            prove_changed_vars: registry.histogram(ids.prove_changed_vars),
             rate_limited_locally: registry.counter(ids.rate_limited_locally),
             slash_commits: registry.counter(ids.slash_commits),
             slash_reveals: registry.counter(ids.slash_reveals),

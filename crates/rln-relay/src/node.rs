@@ -404,6 +404,9 @@ impl WakuRlnRelayNode {
             .map_err(NodeError::Proving)?;
         self.last_published_epoch = Some(epoch);
         self.m.published.inc();
+        if let Some(changed) = self.prover.proving_key().last_changed_vars() {
+            self.m.prove_changed_vars.observe(changed as u64);
+        }
         Ok(bundle)
     }
 
@@ -579,12 +582,22 @@ mod tests {
     }
 
     fn setup(n: usize, seed: u64) -> (Chain, Vec<WakuRlnRelayNode>) {
+        let (prover, verifier) = keys();
+        setup_with(prover, verifier, n, seed)
+    }
+
+    /// `n` registered, synced nodes sharing the given ceremony keys.
+    fn setup_with(
+        prover: &Arc<RlnProver>,
+        verifier: &RlnVerifier,
+        n: usize,
+        seed: u64,
+    ) -> (Chain, Vec<WakuRlnRelayNode>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut chain = Chain::new(ChainConfig {
             tree_depth: DEPTH,
             ..ChainConfig::default()
         });
-        let (prover, verifier) = keys();
         let mut nodes: Vec<WakuRlnRelayNode> = (0..n)
             .map(|i| {
                 let addr = Address::from_seed(&[i as u8, seed as u8]);
@@ -659,6 +672,35 @@ mod tests {
         // next epoch is fine
         assert!(nodes[0].publish(b"three", 1010, &mut rng).is_ok());
         assert_eq!(nodes[0].metrics().rate_limited_locally, 1);
+    }
+
+    #[test]
+    fn publish_records_how_much_of_the_proof_was_reused() {
+        // A prover of its own: the shared one is warmed by whichever test
+        // proved last.
+        let mut rng = StdRng::seed_from_u64(8);
+        let (prover, verifier) = RlnProver::keygen(DEPTH, &mut rng);
+        let (_chain, mut nodes) = setup_with(&Arc::new(prover), &verifier, 1, 9);
+        let node = &mut nodes[0];
+
+        let changed = |node: &WakuRlnRelayNode| {
+            let snap = node.registry().snapshot();
+            let h = snap.histogram("rln_prove_changed_vars").unwrap();
+            (h.count, h.sum)
+        };
+        node.publish(b"first", 1000, &mut rng).unwrap();
+        let (count, cold) = changed(node);
+        assert_eq!(count, 1);
+        node.publish(b"refused", 1001, &mut rng).unwrap_err();
+        assert_eq!(changed(node), (1, cold), "no proof, no observation");
+        node.publish(b"second", 1010, &mut rng).unwrap();
+        let (count, sum) = changed(node);
+        assert_eq!(count, 2);
+        assert!(
+            (sum - cold) * 4 < cold,
+            "unchanged path: {} of {cold} entries re-multiplied",
+            sum - cold
+        );
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //! additionally re-validates every curve point, so a
 //! corrupted-but-checksum-colliding blob still cannot yield an off-curve
 //! key.
+//!
+//! Only the ceremony output is written. What the prover carries inside a
+//! [`ProvingKey`] between proofs (the last proved assignment — `sk` and
+//! its hash intermediates — and its query sums) is not part of
+//! [`pk_to_bytes`], so a key file holds no identity material and a loaded
+//! key always starts cold.
 use std::path::Path;
 
 use waku_snark::groth16::ProvingKey;

@@ -100,6 +100,16 @@ impl RlnMessageBundle {
 /// once at keygen and only its assignment is recomputed per message (free
 /// witnesses `sk`, path bits, and siblings are set directly; every gadget
 /// intermediate is derived by the [`waku_snark::WitnessSolver`]).
+///
+/// Proving is incremental (see [`waku_snark::groth16`]): the key remembers
+/// the last assignment it proved, so consecutive messages of one identity
+/// on an unchanged path re-multiply only the share/nullifier wires — the
+/// membership half, 88 % of the circuit at depth 20, is reused. That
+/// carried assignment contains `sk` and its hash intermediates; it never
+/// leaves process memory ([`crate::keycache`] does not persist it), and it
+/// makes proof latency depend on public information only — whether the
+/// sender's authentication path moved since its last proof.
+/// [`ProvingKey::last_changed_vars`] reports how much a proof reused.
 pub struct RlnProver {
     depth: usize,
     pk: ProvingKey,

@@ -7,6 +7,32 @@
 //! MPC ceremony ([12–15]) — here the toxic waste is sampled from the
 //! caller's RNG and dropped, which preserves every protocol behaviour the
 //! reproduction measures.
+//!
+//! # Incremental proving
+//!
+//! The prover's sums `Σ zᵢAᵢ`, `Σ zᵢB¹ᵢ`, `Σ zᵢB²ᵢ` and `Σ_w zᵢLᵢ` are
+//! linear in the assignment `z`, and consecutive proofs on one key mostly
+//! share it (an RLN publisher's membership half — 88 % of the circuit — is
+//! a function of `(sk, auth path)` only). [`prove`] therefore keeps, inside
+//! the [`ProvingKey`], the last successfully proved assignment and its four
+//! sums, and multiplies only the entries that moved: the MSMs run over
+//! `δᵢ = zᵢ − z_prevᵢ` at the positions where `δᵢ ≠ 0` and the results are
+//! added to the stored sums. The first proof on a key is the delta against
+//! the all-zero assignment, i.e. the full MSMs. The `H` MSM, the quotient
+//! polynomial with its per-row satisfaction check, and the fresh `r, s`
+//! blinders are computed for every proof, and the group elements — hence
+//! the proof bytes for a given RNG stream — do not depend on what was
+//! proved before.
+//!
+//! The carried assignment contains witness values (for RLN: `sk` and the
+//! `H(sk)` intermediates), so it is treated as key material: it lives only
+//! in process memory, is never serialized ([`crate::serialize::pk_to_bytes`]
+//! does not see it), is not copied by `Clone` (a cloned key starts cold)
+//! and is not printed by `Debug`. What it makes observable is timing: a
+//! proof whose assignment moved little is faster. For RLN that is a
+//! function of public information only — whether the sender's
+//! authentication path moved since its last proof, which every peer sees
+//! on the membership contract — never of the message or the secret.
 
 use std::sync::{Arc, Mutex};
 
@@ -16,7 +42,7 @@ use waku_arith::traits::{Field, PrimeField};
 use waku_curve::fp12::Fp12;
 use waku_curve::g1::{G1Affine, G1Projective};
 use waku_curve::g2::{G2Affine, G2Projective};
-use waku_curve::msm::{msm, msm_chunked, WindowTable};
+use waku_curve::msm::{msm, WindowTable};
 use waku_curve::pairing::{final_exponentiation, miller_loop_mixed, pairing, G2Prepared};
 use waku_curve::point::Projective;
 
@@ -41,7 +67,10 @@ pub struct VerifyingKey {
 }
 
 /// Groth16 proving key.
-#[derive(Clone, Debug)]
+///
+/// `Clone` copies the key material only: the clone starts with an empty
+/// carry-over (see the module docs on incremental proving).
+#[derive(Clone)]
 pub struct ProvingKey {
     /// The embedded verifying key.
     pub vk: VerifyingKey,
@@ -59,6 +88,79 @@ pub struct ProvingKey {
     pub h_query: Vec<G1Affine>,
     /// `(β·Aᵢ(τ) + α·Bᵢ(τ) + Cᵢ(τ))/δ · G1` per *witness* variable.
     pub l_query: Vec<G1Affine>,
+    /// What [`prove`] carries from one proof on this key to the next.
+    pub(crate) memo: ProveMemo,
+}
+
+/// The last successfully proved assignment on a key and its four
+/// assignment-linear sums. Secret: `z` holds the witness.
+struct Rolled {
+    z: Vec<Fr>,
+    /// `Σ zᵢ·Aᵢ(τ)`.
+    a: G1Projective,
+    /// `Σ zᵢ·Bᵢ(τ)` in G1.
+    b1: G1Projective,
+    /// `Σ zᵢ·Bᵢ(τ)` in G2.
+    b2: G2Projective,
+    /// `Σ_w zᵢ·Lᵢ`.
+    l: G1Projective,
+    /// Entries of `z` that differed from the assignment proved before it.
+    changed: usize,
+}
+
+impl Rolled {
+    /// Where a key with no proof yet starts: the all-zero assignment, whose
+    /// sums are the identity.
+    fn cold(num_vars: usize) -> Self {
+        Rolled {
+            z: vec![Fr::zero(); num_vars],
+            a: G1Projective::identity(),
+            b1: G1Projective::identity(),
+            b2: G2Projective::identity(),
+            l: G1Projective::identity(),
+            changed: 0,
+        }
+    }
+}
+
+/// Interior-mutable slot for a key's [`Rolled`] state. The lock guards the
+/// pointer swap only — never an MSM — and a stored value is always a
+/// consistent `(z, sums)` pair, so concurrent provers on one key may lose
+/// each other's update (a bigger delta next time) but never corrupt it.
+#[derive(Default)]
+pub(crate) struct ProveMemo(Mutex<Option<Arc<Rolled>>>);
+
+impl Clone for ProveMemo {
+    /// A copy of a key starts cold: witness-derived state is not duplicated.
+    fn clone(&self) -> Self {
+        ProveMemo::default()
+    }
+}
+
+impl ProveMemo {
+    fn load(&self) -> Option<Arc<Rolled>> {
+        self.0.lock().expect("prove memo poisoned").clone()
+    }
+
+    fn store(&self, rolled: Rolled) {
+        *self.0.lock().expect("prove memo poisoned") = Some(Arc::new(rolled));
+    }
+}
+
+impl std::fmt::Debug for ProvingKey {
+    /// Lengths only: the carry-over holds witness values and the queries
+    /// are megabytes of points.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProvingKey")
+            .field("ic", &self.vk.ic.len())
+            .field("a_query", &self.a_query.len())
+            .field("b_g1_query", &self.b_g1_query.len())
+            .field("b_g2_query", &self.b_g2_query.len())
+            .field("h_query", &self.h_query.len())
+            .field("l_query", &self.l_query.len())
+            .field("carried_vars", &self.memo.load().map(|m| m.z.len()))
+            .finish()
+    }
 }
 
 /// A Groth16 proof: 2 G1 points + 1 G2 point (256 bytes uncompressed).
@@ -90,6 +192,15 @@ impl ProvingKey {
             + self.b_g2_query.len() * 128
             + self.h_query.len() * 64
             + self.l_query.len() * 64
+    }
+
+    /// How many assignment entries the most recent successful [`prove`] on
+    /// this key had to re-multiply (they differed from the assignment
+    /// proved before it; the first proof counts its non-zero entries).
+    /// `None` before the first proof. With several threads proving on one
+    /// key this is *a* recent proof's count, not necessarily the caller's.
+    pub fn last_changed_vars(&self) -> Option<usize> {
+        self.memo.load().map(|m| m.changed)
     }
 }
 
@@ -193,15 +304,22 @@ pub fn setup<R: Rng + ?Sized>(cs: &ConstraintSystem, rng: &mut R) -> ProvingKey 
         b_g2_query,
         h_query,
         l_query,
+        memo: ProveMemo::default(),
     }
 }
 
 /// Produces a proof for the (finalized, satisfied) constraint system.
 ///
+/// Incremental across calls on one key (module docs): only the assignment
+/// entries that differ from the last successful proof on `pk` are
+/// multiplied against the queries. The proof is the one a cold key makes
+/// from the same `rng` stream.
+///
 /// # Errors
 ///
 /// Returns [`SnarkError::Unsatisfied`] when a constraint does not hold, so
-/// callers cannot accidentally publish proofs of false statements.
+/// callers cannot accidentally publish proofs of false statements. No
+/// error path modifies what the key carries.
 pub fn prove<R: Rng + ?Sized>(
     pk: &ProvingKey,
     cs: &ConstraintSystem,
@@ -221,57 +339,92 @@ pub fn prove<R: Rng + ?Sized>(
     let s = Fr::random(rng);
 
     let delta_g1 = pk.delta_g1.to_projective();
-    let witness = &z[cs.num_instance()..];
+    let num_instance = cs.num_instance();
 
-    // The three query MSMs and the quotient-polynomial pipeline (its FFTs,
-    // satisfaction check, and the fused L+H MSM of the C element) are
-    // independent: run all four as concurrent pool tasks instead of
-    // sequentially. Each MSM further fans its Pippenger windows out on the
-    // same pool, and the satisfaction check rides on the row evaluations
-    // the quotient computes anyway.
-    let ((a_sum, b2_sum), (b1_sum, lh_sum)) = waku_pool::join(
-        || waku_pool::join(|| msm(&pk.a_query, &z), || msm(&pk.b_g2_query, &z)),
+    // The four query sums are linear in z: roll the sums of the last proof
+    // on this key forward by the entries that moved. A cold key starts
+    // from the all-zero assignment, whose sums are the identity.
+    let prev = pk
+        .memo
+        .load()
+        .unwrap_or_else(|| Arc::new(Rolled::cold(z.len())));
+    let mut delta = Vec::new();
+    let (mut a_bases, mut b1_bases, mut b2_bases) = (Vec::new(), Vec::new(), Vec::new());
+    let mut l_bases = Vec::new();
+    for (i, (new, old)) in z.iter().zip(&prev.z).enumerate() {
+        if new != old {
+            delta.push(*new - *old);
+            a_bases.push(pk.a_query[i]);
+            b1_bases.push(pk.b_g1_query[i]);
+            b2_bases.push(pk.b_g2_query[i]);
+            if i >= num_instance {
+                l_bases.push(pk.l_query[i - num_instance]);
+            }
+        }
+    }
+    // Positions ascend, so the witness deltas are the tail.
+    let l_delta = &delta[delta.len() - l_bases.len()..];
+
+    // The quotient-polynomial pipeline (its FFTs, the satisfaction check
+    // riding on the row evaluations it computes anyway, then the H MSM) is
+    // the long chain, so it runs on the calling thread; the four delta
+    // MSMs are independent pool tasks beside it. Each MSM further fans its
+    // Pippenger windows out on the same pool.
+    let ((h_sum, l_step), ((a_step, b2_step), b1_step)) = waku_pool::join(
         || {
             waku_pool::join(
-                || msm(&pk.b_g1_query, &z),
-                || {
-                    let h = qap::quotient_poly_checked(cs)?;
-                    Ok::<_, usize>(msm_chunked(&[
-                        (&pk.l_query[..], witness),
-                        (&pk.h_query[..], &h),
-                    ]))
-                },
+                || qap::quotient_poly_checked(cs).map(|h| msm(&pk.h_query, &h)),
+                || msm(&l_bases, l_delta),
+            )
+        },
+        || {
+            waku_pool::join(
+                || waku_pool::join(|| msm(&a_bases, &delta), || msm(&b2_bases, &delta)),
+                || msm(&b1_bases, &delta),
             )
         },
     );
-    let lh_sum = lh_sum.map_err(SnarkError::Unsatisfied)?;
+    // An unsatisfied assignment returns here, before the memo is touched.
+    let h_sum = h_sum.map_err(SnarkError::Unsatisfied)?;
+
+    let rolled = Rolled {
+        a: prev.a.add(&a_step),
+        b1: prev.b1.add(&b1_step),
+        b2: prev.b2.add(&b2_step),
+        l: prev.l.add(&l_step),
+        changed: delta.len(),
+        z,
+    };
 
     // A = α + Σ zᵢAᵢ(τ) + rδ
     let a = pk
         .vk
         .alpha_g1
         .to_projective()
-        .add(&a_sum)
+        .add(&rolled.a)
         .add(&delta_g1.mul(r));
     // B = β + Σ zᵢBᵢ(τ) + sδ   (in both groups)
     let b_g2 = pk
         .vk
         .beta_g2
         .to_projective()
-        .add(&b2_sum)
+        .add(&rolled.b2)
         .add(&pk.vk.delta_g2.to_projective().mul(s));
     let b_g1 = pk
         .beta_g1
         .to_projective()
-        .add(&b1_sum)
+        .add(&rolled.b1)
         .add(&delta_g1.mul(s));
 
     // C = Σ_w zᵢLᵢ + Σ hₖ·(τᵏZ(τ)/δ) + sA + rB − rsδ
-    let c = lh_sum
+    let c = rolled
+        .l
+        .add(&h_sum)
         .add(&a.mul(s))
         .add(&b_g1.mul(r))
         .add(&delta_g1.mul(r * s).neg());
 
+    pk.memo.store(rolled);
     Ok(Proof {
         a: a.to_affine(),
         b: b_g2.to_affine(),
@@ -660,6 +813,35 @@ mod tests {
         assert_ne!(p1, p2, "zero-knowledge randomization");
         assert!(verify(&pk.vk, &p1, &[Fr::from_u64(35)]).unwrap());
         assert!(verify(&pk.vk, &p2, &[Fr::from_u64(35)]).unwrap());
+    }
+
+    #[test]
+    fn warm_key_proves_what_a_cold_key_proves() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let pk = setup(&cubic_cs(3, 35), &mut rng);
+        let proof_of = |pk: &ProvingKey, x: u64, out: u64, seed: u64| {
+            prove(pk, &cubic_cs(x, out), &mut StdRng::seed_from_u64(seed))
+        };
+        assert_eq!(pk.last_changed_vars(), None);
+        proof_of(&pk, 3, 35, 1).unwrap();
+        assert_eq!(pk.last_changed_vars(), Some(5), "1, out, x, x², x³");
+        // A refused attempt leaves the carried state as it was…
+        assert!(matches!(
+            proof_of(&pk, 4, 35, 2),
+            Err(SnarkError::Unsatisfied(_))
+        ));
+        assert_eq!(pk.last_changed_vars(), Some(5));
+        // …so the next proof rolls forward from the last *good* one and
+        // still equals what a key with no history produces.
+        let warm = proof_of(&pk, 2, 15, 3).unwrap();
+        assert_eq!(pk.last_changed_vars(), Some(4), "the constant 1 stayed");
+        assert_eq!(warm, proof_of(&pk.clone(), 2, 15, 3).unwrap());
+        assert!(verify(&pk.vk, &warm, &[Fr::from_u64(15)]).unwrap());
+        // Same statement again: nothing to multiply, fresh blinders.
+        let again = proof_of(&pk, 2, 15, 4).unwrap();
+        assert_eq!(pk.last_changed_vars(), Some(0));
+        assert_ne!(again, warm);
+        assert_eq!(again, proof_of(&pk.clone(), 2, 15, 4).unwrap());
     }
 
     #[test]

@@ -96,7 +96,10 @@ fn read_vk(r: &mut Reader) -> Option<VerifyingKey> {
     })
 }
 
-/// Serializes a proving key (embedded verifying key included).
+/// Serializes a proving key (embedded verifying key included) — the key
+/// material only: the witness-derived state `prove` carries between proofs
+/// is not part of the format, so the bytes are the same before and after
+/// any number of proofs and [`pk_from_bytes`] always yields a cold key.
 pub fn pk_to_bytes(pk: &ProvingKey) -> Vec<u8> {
     let mut out = Vec::with_capacity(pk.size_in_bytes() + 32);
     out.extend_from_slice(&vk_to_bytes(&pk.vk));
@@ -144,6 +147,7 @@ fn read_pk(r: &mut Reader) -> Option<ProvingKey> {
         b_g2_query,
         h_query,
         l_query,
+        memo: Default::default(),
     })
 }
 
@@ -259,6 +263,10 @@ mod tests {
         // A proof from the restored key verifies under the original vk.
         let proof = prove(&restored, &cs, &mut rng).unwrap();
         assert!(verify(&pk.vk, &proof, &[Fr::from_u64(12)]).unwrap());
+        // What that proof left in the key is not part of the format.
+        assert!(restored.last_changed_vars().is_some());
+        assert_eq!(pk_to_bytes(&restored), bytes);
+        assert_eq!(pk_from_bytes(&bytes).unwrap().last_changed_vars(), None);
     }
 
     #[test]

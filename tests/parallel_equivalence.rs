@@ -130,16 +130,36 @@ fn seeded_rln_prove_message_is_deterministic() {
         siblings: zeros[..depth].to_vec(),
     };
 
-    let bundle_at = |threads: usize| {
+    let moved = waku_suite::merkle::MerklePath {
+        index: 0,
+        siblings: {
+            let mut siblings = path.siblings.clone();
+            siblings[1] = Fr::from_u64(5);
+            siblings
+        },
+    };
+
+    // One publisher's sequence on the shared key: a new epoch on the same
+    // path (small delta), a moved sibling (bigger delta), the same
+    // statement twice (empty delta). The first run starts on a cold key,
+    // the later ones on whatever the run before left behind — the carried
+    // sums must not leak into the proofs at any pool size.
+    let sequence_at = |threads: usize| {
         with_threads(threads, || {
             let mut rng = StdRng::seed_from_u64(9);
-            prover
-                .prove_message(&identity, &path, b"equivalence", 77, &mut rng)
-                .unwrap()
+            [(&path, 77), (&path, 78), (&moved, 79), (&moved, 79)].map(|(path, epoch)| {
+                prover
+                    .prove_message(&identity, path, b"equivalence", epoch, &mut rng)
+                    .unwrap()
+            })
         })
     };
-    let serial = bundle_at(1);
-    let pooled = bundle_at(4);
-    assert_eq!(serial.proof, pooled.proof);
-    assert!(verifier.verify_bundle(&serial));
+    let serial = sequence_at(1);
+    for threads in [2, 4, 1] {
+        let pooled = sequence_at(threads);
+        for (a, b) in serial.iter().zip(&pooled) {
+            assert_eq!(a.proof, b.proof, "pool size {threads} changed a proof");
+        }
+    }
+    assert!(serial.iter().all(|b| verifier.verify_bundle(b)));
 }
