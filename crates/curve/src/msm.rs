@@ -283,11 +283,7 @@ pub fn msm_chunked<C: CurveParams>(parts: &[(&[Affine<C>], &[Fr])]) -> Projectiv
         return Projective::identity();
     }
     if n < 32 {
-        let mut acc = Projective::identity();
-        for (bases, scalars) in parts {
-            acc = acc.add(&naive_msm(bases, scalars));
-        }
-        return acc;
+        return interleaved_ladder(parts);
     }
     let with_limbs: Vec<LimbedPart<C>> = parts
         .iter()
@@ -343,7 +339,29 @@ pub(crate) fn msm_limbs<C: CurveParams>(parts: &[LimbedPart<'_, C>], bits: usize
     total
 }
 
-/// Reference double-and-add sum, used for small inputs and as a test oracle.
+/// `Σ scalarᵢ · baseᵢ` for a handful of terms, below Pippenger's
+/// break-even: one double-and-add ladder whose doubling chain all terms
+/// share, a mixed addition per set scalar bit.
+fn interleaved_ladder<C: CurveParams>(parts: &[(&[Affine<C>], &[Fr])]) -> Projective<C> {
+    let terms: Vec<(&Affine<C>, [u64; 4])> = parts
+        .iter()
+        .flat_map(|(bases, scalars)| bases.iter().zip(scalars.iter()))
+        .map(|(base, scalar)| (base, scalar.to_canonical_limbs()))
+        .collect();
+    let mut acc = Projective::identity();
+    for bit in (0..256).rev() {
+        acc = acc.double();
+        for (base, limbs) in &terms {
+            if (limbs[bit / 64] >> (bit % 64)) & 1 == 1 {
+                acc = acc.add_mixed(base);
+            }
+        }
+    }
+    acc
+}
+
+/// Reference sum of separate double-and-add multiplications: the test
+/// oracle for [`msm`].
 pub fn naive_msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr]) -> Projective<C> {
     assert_eq!(bases.len(), scalars.len(), "mismatched msm input lengths");
     let mut acc = Projective::identity();
@@ -452,6 +470,31 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_ladder_matches_naive() {
+        // Below 32 terms `msm` is the shared-doubling ladder; the oracle
+        // multiplies every term on its own.
+        let mut rng = StdRng::seed_from_u64(12);
+        for n in [1usize, 2, 6, 31] {
+            let (mut bases, mut scalars) = random_g1(&mut rng, n);
+            assert_eq!(msm(&bases, &scalars), naive_msm(&bases, &scalars));
+            scalars[0] = Fr::zero();
+            bases[n / 2] = G1Affine::identity();
+            assert_eq!(msm(&bases, &scalars), naive_msm(&bases, &scalars));
+        }
+        // Repeated and opposite bases meet the accumulator in `add_mixed`'s
+        // doubling and cancellation branches.
+        let p = G1Affine::generator();
+        let one = Fr::one();
+        assert_eq!(msm(&[p, p], &[one, one]), p.to_projective().double());
+        assert!(msm(&[p, p.neg()], &[one, one]).is_identity());
+        let (bases, scalars) = random_g1(&mut rng, 3);
+        let bases = [bases[0], bases[1], bases[0], bases[1].neg(), bases[2]];
+        let scalars = [scalars[0], scalars[1], scalars[0], scalars[1], -scalars[2]];
+        assert_eq!(msm(&bases, &scalars), naive_msm(&bases, &scalars));
+        assert!(msm(&bases, &[Fr::zero(); 5]).is_identity());
+    }
+
+    #[test]
     fn pippenger_matches_naive_large() {
         let mut rng = StdRng::seed_from_u64(2);
         let (bases, scalars) = random_g1(&mut rng, 300);
@@ -508,7 +551,7 @@ mod tests {
         let concat_bases: Vec<G1Affine> = [&b1[..], &b2[..], &b3[..]].concat();
         let concat_scalars: Vec<Fr> = [&s1[..], &s2[..], &s3[..]].concat();
         assert_eq!(fused, msm(&concat_bases, &concat_scalars));
-        // Small total goes through the naive path.
+        // Small total goes through the interleaved ladder.
         let small = msm_chunked(&[(&b3[..], &s3[..]), (&b3[..2], &s3[..2])]);
         assert_eq!(
             small,

@@ -28,6 +28,59 @@
 //!   slope denominators with one Fp2 batch inversion per step. This is the
 //!   engine under batch Groth16 verification.
 //!
+//! # Pooling
+//!
+//! The loop is multiplicative — every step is `f ← f²·∏ lines` — so the
+//! loop over a set of pairs is the product of the loops over any partition
+//! of it, as the *same* `Fp12` element. [`miller_loop_mixed`] cuts the
+//! dynamic pairs into at most [`waku_pool::current_num_threads`] contiguous
+//! chunks, runs the lock-step loop per chunk as a pool task and multiplies
+//! the partial accumulators. The prepared replays ride on the last chunk;
+//! when there are fewer chunks than threads they form a task of their own
+//! (single verification: the dynamic pair on one core, γ/δ on the other).
+//! Each extra chunk pays one more squaring chain (64 `Fp12` squarings ≈ the
+//! line work of one pair), which is why the chunk count follows the pool
+//! size and nothing else; a pool of one runs exactly one loop.
+//!
+//! # G2 membership
+//!
+//! `E'(Fp2)` has order `r·(2p − r)`, so an on-curve point need not lie in
+//! G2, and a pairing "evaluated" outside G2 is not bilinear. The loop
+//! certifies membership of every dynamic G2 point with the state it
+//! already holds. After the two correction steps the accumulator is the
+//! true group sum
+//!
+//! ```text
+//! T = [6x+2]Q + ψ(Q) − ψ²(Q)
+//! ```
+//!
+//! (`double_step`/`add_step` follow the group law through the identity and
+//! vertical cases, so this holds for *any* `Q ∈ E'(Fp2)`). For `Q` of order
+//! `r`, `ψ` acts as `[p]` and `6x+2 + p − p² + p³ ≡ 0 (mod r)` — the
+//! relation that makes the optimal ate pairing work — so `T = −ψ³(Q)`.
+//! Conversely, let `g(X) = X³ − X² + X + (6x+2)`, so `T = −ψ³(Q)` says
+//! `g(ψ)Q = O`. On all of `E'`, `ψ` also satisfies the Frobenius
+//! characteristic polynomial `χ(X) = X² − tX + p` (`t = 6x²+1`). The
+//! resultant `Res(g, χ)` is an integer combination `u·g + v·χ` with
+//! `u, v ∈ Z[X]`, hence `[Res(g, χ)]Q = O`; and `[#E'(Fp2)]Q = O`. For
+//! BN254
+//!
+//! ```text
+//! gcd(Res(g, χ), #E'(Fp2)) = r,
+//! ```
+//!
+//! so `[r]Q = O`: the comparison `T == −ψ³(Q)` *is* the membership test,
+//! for one `ψ` application (two Fp2 products) per pair and no scalar
+//! multiplication. The same resultant computation returns `r` for the two
+//! published BN tests, `ψ(Q) = [6x²]Q` and
+//! `[x+1]Q + ψ([x]Q) + ψ²([x]Q) = ψ³([2x]Q)`; the tests compute all three
+//! gcds. On a mismatch [`miller_loop_mixed`] returns `Fp12::zero()`, which
+//! [`final_exponentiation`] maps to `None`. No loop over genuine G2 points
+//! produces that value: every factor is a tangent or chord line whose
+//! constant coefficient is `py`, and G1 has no point with `py = 0`.
+//! Prepared points come from a verifying key, not from the network, and
+//! are not tested.
+//!
 //! The final exponentiation does the easy part `^(p⁶−1)(p²+1)` with
 //! Frobenius/conjugation, which lands in the cyclotomic subgroup where
 //! inversion is conjugation and squaring is the Granger–Scott
@@ -219,6 +272,10 @@ impl From<&G2Affine> for G2Prepared {
     }
 }
 
+/// A prepared pair inside the loop: the embedded G1 coordinates and the
+/// recorded lines.
+type PreparedPair<'a> = (Fq, Fq, &'a G2Prepared);
+
 /// A dynamic pair's loop state: the embedded G1 coordinates, the original
 /// G2 point, and the running accumulator.
 struct DynPair {
@@ -229,14 +286,21 @@ struct DynPair {
 }
 
 /// Product of Miller loops over `dynamic` (fresh G2 points) and `prepared`
-/// (fixed G2 points with recorded lines) pairs, sharing one `f`-squaring
-/// chain, *without* the final exponentiation.
+/// (fixed G2 points with recorded lines) pairs, *without* the final
+/// exponentiation.
 ///
-/// All dynamic pairs advance in lock-step, so each doubling/addition phase
-/// needs a single Fp2 batch inversion across the whole batch — the
-/// marginal pairing cost of one more pair is roughly its line arithmetic.
-/// Pairs with an identity element on either side are skipped (contribute
-/// the neutral factor 1).
+/// The dynamic pairs are split into at most
+/// [`waku_pool::current_num_threads`] contiguous chunks, one pool task
+/// each (see the module docs); within a chunk all pairs advance in
+/// lock-step under one `f`-squaring chain, so each doubling/addition phase
+/// needs a single Fp2 batch inversion — the marginal pairing cost of one
+/// more pair is roughly its line arithmetic. The value does not depend on
+/// the pool size. Pairs with an identity element on either side are
+/// skipped (contribute the neutral factor 1).
+///
+/// Returns `Fp12::zero()` — which no loop over G2 points produces and
+/// [`final_exponentiation`] maps to `None` — when a dynamic G2 point lies
+/// outside the order-`r` subgroup (module docs, "G2 membership").
 pub fn miller_loop_mixed(
     dynamic: &[(G1Affine, G2Affine)],
     prepared: &[(G1Affine, &G2Prepared)],
@@ -251,14 +315,60 @@ pub fn miller_loop_mixed(
             t: *q,
         })
         .collect();
-    let preps: Vec<(Fq, Fq, &G2Prepared)> = prepared
+    let preps: Vec<PreparedPair> = prepared
         .iter()
         .filter(|(p, prep)| !p.is_identity() && !prep.infinity)
         .map(|(p, prep)| (p.x, p.y, *prep))
         .collect();
-    if dyns.is_empty() && preps.is_empty() {
-        return Fp12::one();
+
+    // One task per chunk of dynamic pairs; the replays ride on the last
+    // (shortest) chunk unless a thread would otherwise idle.
+    let threads = waku_pool::current_num_threads();
+    let chunk_len = dyns.len().div_ceil(threads).max(1);
+    let mut tasks: Vec<Chunk> = dyns
+        .chunks_mut(chunk_len)
+        .map(|dyns| Chunk { dyns, preps: &[] })
+        .collect();
+    if !preps.is_empty() {
+        if tasks.len() < threads {
+            tasks.push(Chunk {
+                dyns: &mut [],
+                preps: &preps,
+            });
+        } else {
+            tasks.last_mut().expect("threads ≥ 1").preps = &preps;
+        }
     }
+
+    // The calling thread runs the first chunk itself, like `join`.
+    let mut partials = vec![Fp12::one(); tasks.len()];
+    waku_pool::scope(|s| {
+        let mut work = tasks.iter_mut().zip(partials.iter_mut());
+        let first = work.next();
+        for (chunk, slot) in work {
+            s.spawn(move || *slot = miller_loop_chunk(chunk));
+        }
+        if let Some((chunk, slot)) = first {
+            *slot = miller_loop_chunk(chunk);
+        }
+    });
+    partials
+        .into_iter()
+        .reduce(|acc, part| acc * part)
+        .unwrap_or(Fp12::one())
+}
+
+/// One pool task's share of a mixed loop, identity pairs already removed.
+struct Chunk<'a> {
+    dyns: &'a mut [DynPair],
+    preps: &'a [PreparedPair<'a>],
+}
+
+/// One lock-step Miller loop: a shared squaring chain and one batch
+/// inversion per phase. `Fp12::zero()` if a dynamic G2 point fails the
+/// membership test.
+fn miller_loop_chunk(chunk: &mut Chunk) -> Fp12 {
+    let Chunk { dyns, preps } = chunk;
 
     let mut f = Fp12::one();
     let mut denoms: Vec<Fp2> = Vec::with_capacity(dyns.len());
@@ -334,12 +444,23 @@ pub fn miller_loop_mixed(
         }
         cursor += 1;
     }
+
+    // G2 membership (module docs): the accumulator now holds
+    // [6x+2]Q + ψ(Q) − ψ²(Q), which is −ψ³(Q) = ψ(Q₂) exactly when Q has
+    // order r.
+    if dyns
+        .iter()
+        .zip(corrections.iter())
+        .any(|(d, c)| d.t != psi(&c.1))
+    {
+        return Fp12::zero();
+    }
     f
 }
 
 /// Product of Miller loops `∏ f_{6x+2, Qᵢ}(Pᵢ) · (frobenius line steps)`,
-/// *without* the final exponentiation. Pairs with an identity element on
-/// either side are skipped (contribute the neutral factor 1).
+/// *without* the final exponentiation: [`miller_loop_mixed`] with no
+/// prepared pairs.
 pub fn miller_loop(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
     miller_loop_mixed(pairs, &[])
 }
@@ -380,13 +501,19 @@ fn hard_part(f: &Fp12) -> Fp12 {
 
 /// Final exponentiation `f ↦ f^((p¹²−1)/r)`.
 ///
-/// Returns `None` if `f` is zero (which a Miller loop never produces for
-/// valid points).
+/// Returns `None` if `f` is zero, which is how [`miller_loop_mixed`]
+/// reports a G2 point outside the subgroup.
 pub fn final_exponentiation(f: &Fp12) -> Option<Fp12> {
     Some(hard_part(&easy_part(f)?))
 }
 
 /// The full optimal ate pairing `e: G1 × G2 → μ_r ⊂ Fp12`.
+///
+/// # Panics
+///
+/// Panics if `q` is on the twist but outside G2 (the pairing is not
+/// defined there; [`miller_loop`] + [`final_exponentiation`] report it as
+/// `None` instead).
 ///
 /// # Examples
 ///
@@ -397,13 +524,18 @@ pub fn final_exponentiation(f: &Fp12) -> Option<Fp12> {
 /// assert!(!e.is_zero());
 /// ```
 pub fn pairing(p: &G1Affine, q: &G2Affine) -> Fp12 {
-    final_exponentiation(&miller_loop(&[(*p, *q)])).expect("miller loop output is nonzero")
+    multi_pairing(&[(*p, *q)])
 }
 
 /// Product of pairings `∏ e(Pᵢ, Qᵢ)` sharing a single final exponentiation
 /// (the shape Groth16 verification needs).
+///
+/// # Panics
+///
+/// Panics if a G2 point is outside the order-`r` subgroup, like
+/// [`pairing`].
 pub fn multi_pairing(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
-    final_exponentiation(&miller_loop(pairs)).expect("miller loop output is nonzero")
+    final_exponentiation(&miller_loop(pairs)).expect("every G2 point has order r")
 }
 
 #[cfg(test)]
@@ -506,6 +638,80 @@ mod tests {
             .add(&n(18).mul(&x))
             .add(&n(2));
         assert_eq!(plus.sub(&minus).limbs(), &hard_part_exponent()[..]);
+    }
+
+    /// A polynomial coefficient `(negative, magnitude)` reduced mod `m`.
+    fn coeff_mod((neg, c): &(bool, BigUint), m: &BigUint) -> BigUint {
+        let c = c.rem(m);
+        if *neg {
+            m.sub(&c).rem(m)
+        } else {
+            c
+        }
+    }
+
+    /// `g(at) mod m` for `g` given low-to-high as `(negative, |coeff|)`.
+    fn eval_mod(g: &[(bool, BigUint)], at: &BigUint, m: &BigUint) -> BigUint {
+        g.iter().rev().fold(BigUint::zero(), |acc, c| {
+            acc.mul(at).add(&coeff_mod(c, m)).rem(m)
+        })
+    }
+
+    /// `gcd(Res(g, χ), n)` for the Frobenius characteristic polynomial
+    /// `χ = X² − tX + p`, computed modulo `n` throughout: with `β` a root
+    /// of `χ`, Horner over `β² = tβ − p` gives `g(β) = a + bβ`, and the
+    /// resultant is its norm `a² + ab·t + b²·p`.
+    fn resultant_gcd(g: &[(bool, BigUint)], t: &BigUint, p: &BigUint, n: &BigUint) -> BigUint {
+        let (mut a, mut b) = (BigUint::zero(), BigUint::zero());
+        for c in g.iter().rev() {
+            let c = coeff_mod(c, n);
+            // (a + bβ)·β + c = (c − bp) + (a + bt)β
+            let bp = b.mul(p).rem(n);
+            (a, b) = (c.add(n).sub(&bp).rem(n), a.add(&b.mul(t)).rem(n));
+        }
+        let norm = a
+            .mul(&a)
+            .add(&a.mul(&b).mul(t))
+            .add(&b.mul(&b).mul(p))
+            .rem(n);
+        let (mut x, mut y) = (n.clone(), norm);
+        while !y.is_zero() {
+            (x, y) = (y.clone(), x.rem(&y));
+        }
+        x
+    }
+
+    #[test]
+    fn membership_relations_annihilate_exactly_the_r_torsion() {
+        // The derivation in the module docs ("G2 membership"), for the
+        // relation the loop tests and the two published BN tests.
+        let n = |v: u64| BigUint::from(v);
+        let p = BigUint::from_limbs(&<Fq as PrimeField>::MODULUS);
+        let r = BigUint::from_limbs(&<Fr as PrimeField>::MODULUS);
+        let x = n(BN_X);
+        let t = n(6).mul(&x).mul(&x).add(&n(1));
+        assert_eq!(p.add(&n(1)).sub(&t), r, "#E(Fp) = p + 1 − t = r");
+        let twist_order = r.mul(&p.add(&p).sub(&r));
+        let pos = |v: BigUint| (false, v);
+        let neg = |v: BigUint| (true, v);
+        let six_x_2 = n(6).mul(&x).add(&n(2));
+        // T = −ψ³(Q):  ψ³ − ψ² + ψ + (6x+2)
+        let ate = [pos(six_x_2), pos(n(1)), neg(n(1)), pos(n(1))];
+        // ψ(Q) = [6x²]Q:  ψ − 6x²
+        let eigen = [neg(n(6).mul(&x).mul(&x)), pos(n(1))];
+        // [x+1]Q + ψ([x]Q) + ψ²([x]Q) = ψ³([2x]Q)
+        let fuentes = [
+            pos(x.add(&n(1))),
+            pos(x.clone()),
+            pos(x.clone()),
+            neg(n(2).mul(&x)),
+        ];
+        for g in [&ate[..], &eigen[..], &fuentes[..]] {
+            // ψ acts as [p] on G2, so the relation must vanish there…
+            assert!(eval_mod(g, &p, &r).is_zero());
+            // …and only there.
+            assert_eq!(resultant_gcd(g, &t, &p, &twist_order), r);
+        }
     }
 
     #[test]

@@ -158,9 +158,7 @@ impl<C: CurveParams> Affine<C> {
 
     /// Checks that the point lies in the prime-order-`r` subgroup.
     pub fn is_in_subgroup(&self) -> bool {
-        self.to_projective()
-            .mul_limbs(&<Fr as PrimeField>::MODULUS)
-            .is_identity()
+        self.mul_limbs(&<Fr as PrimeField>::MODULUS).is_identity()
     }
 
     /// Converts to Jacobian coordinates.
@@ -177,9 +175,15 @@ impl<C: CurveParams> Affine<C> {
         }
     }
 
+    /// Double-and-add scalar multiplication with a little-endian limb
+    /// exponent; the base is affine, so every addition is a mixed one.
+    pub fn mul_limbs(&self, exp: &[u64]) -> Projective<C> {
+        double_and_add(exp, |acc| acc.add_mixed(self))
+    }
+
     /// Scalar multiplication by a field element of the scalar field.
     pub fn mul(&self, scalar: Fr) -> Projective<C> {
-        self.to_projective().mul(scalar)
+        self.mul_limbs(&scalar.to_canonical_limbs())
     }
 
     /// Negation (reflection over the x-axis).
@@ -191,6 +195,24 @@ impl<C: CurveParams> Affine<C> {
             _marker: PhantomData,
         }
     }
+}
+
+/// The double-and-add ladder over a little-endian limb exponent;
+/// `add_base` adds the point being multiplied.
+fn double_and_add<C: CurveParams>(
+    exp: &[u64],
+    add_base: impl Fn(&Projective<C>) -> Projective<C>,
+) -> Projective<C> {
+    let mut acc = Projective::identity();
+    for &limb in exp.iter().rev() {
+        for bit in (0..64).rev() {
+            acc = acc.double();
+            if (limb >> bit) & 1 == 1 {
+                acc = add_base(&acc);
+            }
+        }
+    }
+    acc
 }
 
 impl<C: CurveParams> Projective<C> {
@@ -319,16 +341,7 @@ impl<C: CurveParams> Projective<C> {
     /// Double-and-add scalar multiplication with a little-endian limb
     /// exponent.
     pub fn mul_limbs(&self, exp: &[u64]) -> Self {
-        let mut acc = Self::identity();
-        for &limb in exp.iter().rev() {
-            for bit in (0..64).rev() {
-                acc = acc.double();
-                if (limb >> bit) & 1 == 1 {
-                    acc = acc.add(self);
-                }
-            }
-        }
-        acc
+        double_and_add(exp, |acc| acc.add(self))
     }
 
     /// Scalar multiplication by an `Fr` element.

@@ -56,6 +56,7 @@ struct ServiceIds {
     queue_depth: GaugeId,
     recovered_messages: GaugeId,
     snapshot_restored: GaugeId,
+    pool_threads: GaugeId,
 }
 
 fn catalogue() -> &'static (Arc<Layout>, ServiceIds) {
@@ -103,6 +104,11 @@ fn catalogue() -> &'static (Arc<Layout>, ServiceIds) {
                 "1 if the nullifier window was restored at the last open.",
                 GaugeFold::Sum,
             ),
+            pool_threads: b.gauge(
+                "waku_pool_threads",
+                "Threads proof verification and proving fan out on.",
+                GaugeFold::Max,
+            ),
         };
         (b.build(), ids)
     })
@@ -119,6 +125,7 @@ struct ServiceHandles {
     queue_depth: Gauge,
     recovered_messages: Gauge,
     snapshot_restored: Gauge,
+    pool_threads: Gauge,
 }
 
 impl ServiceHandles {
@@ -135,6 +142,7 @@ impl ServiceHandles {
             queue_depth: registry.gauge(ids.queue_depth),
             recovered_messages: registry.gauge(ids.recovered_messages),
             snapshot_restored: registry.gauge(ids.snapshot_restored),
+            pool_threads: registry.gauge(ids.pool_threads),
         }
     }
 }
@@ -264,6 +272,7 @@ impl RelayerService {
         };
         h.recovered_messages.set(recovery.recovered_messages as u64);
         h.snapshot_restored.set(u64::from(snapshot_restored));
+        h.pool_threads.set(waku_pool::current_num_threads() as u64);
 
         let service = RelayerService {
             config,
@@ -599,7 +608,8 @@ mod tests {
     fn checkpoints_fire_on_schedule_and_metrics_expose_both_catalogues() {
         let dir = temp_dir("ckpt");
         let _ = std::fs::remove_dir_all(&dir);
-        let mut service = RelayerService::open(test_config(&dir)).unwrap();
+        let mut service =
+            waku_pool::with_threads(3, || RelayerService::open(test_config(&dir))).unwrap();
         // checkpoint_secs = 5: nothing is due before t = 5, the first
         // checkpoint lands on the first step at or past it, and the next
         // becomes due 5 s after that.
@@ -615,6 +625,9 @@ mod tests {
         let text = service.metrics_text();
         assert!(text.contains("rln_validation_total"));
         assert!(text.contains("node_store_disk_bytes"));
+        // The pool size the service opened under, which per-hop
+        // verification latency depends on.
+        assert!(text.contains("waku_pool_threads 3"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

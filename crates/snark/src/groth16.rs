@@ -43,7 +43,7 @@ use waku_curve::fp12::Fp12;
 use waku_curve::g1::{G1Affine, G1Projective};
 use waku_curve::g2::{G2Affine, G2Projective};
 use waku_curve::msm::{msm, WindowTable};
-use waku_curve::pairing::{final_exponentiation, miller_loop_mixed, pairing, G2Prepared};
+use waku_curve::pairing::{final_exponentiation, miller_loop_mixed, G2Prepared};
 use waku_curve::point::Projective;
 
 use crate::qap;
@@ -450,7 +450,11 @@ pub struct PreparedVerifyingKey {
 
 impl From<VerifyingKey> for PreparedVerifyingKey {
     fn from(vk: VerifyingKey) -> Self {
-        let alpha_beta = pairing(&vk.alpha_g1, &vk.beta_g2);
+        // A key whose β is outside G2 has no e(α, β); zero equals no
+        // pairing value, so such a key rejects every proof.
+        let alpha_beta =
+            final_exponentiation(&miller_loop_mixed(&[(vk.alpha_g1, vk.beta_g2)], &[]))
+                .unwrap_or(Fp12::zero());
         let gamma_prepared = G2Prepared::new(&vk.gamma_g2);
         let delta_prepared = G2Prepared::new(&vk.delta_g2);
         PreparedVerifyingKey {
@@ -475,8 +479,8 @@ impl PreparedVerifyingKey {
         }
         // Reject points off the curve (defense against malformed network
         // input). That is a full membership test for A, C ∈ G1 (cofactor
-        // 1) but *not* for B: the twist has a large cofactor and B's
-        // subgroup membership is not checked — see ROADMAP direction D.
+        // 1); the twist has a large cofactor, and B ∈ G2 is certified by
+        // the Miller loop itself, which returns zero otherwise.
         if !proof.a.is_on_curve() || !proof.b.is_on_curve() || !proof.c.is_on_curve() {
             return Ok(false);
         }
@@ -495,11 +499,10 @@ impl PreparedVerifyingKey {
 
     /// `IC₀ + Σ xⱼ·ICⱼ₊₁` for one instance vector.
     fn aggregate_ic(&self, public_inputs: &[Fr]) -> G1Affine {
-        let mut ic = self.vk.ic[0].to_projective();
-        for (input, base) in public_inputs.iter().zip(self.vk.ic[1..].iter()) {
-            ic = ic.add(&base.mul(*input));
-        }
-        ic.to_affine()
+        let coeffs: Vec<Fr> = std::iter::once(Fr::one())
+            .chain(public_inputs.iter().copied())
+            .collect();
+        msm(&self.vk.ic, &coeffs).to_affine()
     }
 
     /// Verifies `proofs[i]` against `inputs[i]` for all `i` at once via a
@@ -556,8 +559,7 @@ impl PreparedVerifyingKey {
             .zip(rs.iter())
             .map(|(p, r)| (p.a, [r.0 as u64, (r.0 >> 64) as u64]))
             .collect();
-        let scaled =
-            waku_pool::par_map(&jobs, |(a, limbs)| a.to_projective().mul_limbs(limbs).neg());
+        let scaled = waku_pool::par_map(&jobs, |(a, limbs)| a.mul_limbs(limbs).neg());
         let neg_a: Vec<G1Affine> = Projective::batch_to_affine(&scaled);
         let dynamic: Vec<(G1Affine, G2Affine)> = neg_a
             .into_iter()
@@ -949,22 +951,27 @@ mod tests {
         let verdicts: Vec<[bool; 2]> = (0..8)
             .map(|i| [rejected(i, false), rejected(i, true)])
             .collect();
-        for mask in 0usize..256 {
-            let corrupt = |i: usize| (mask >> i) & 1 == 1;
-            let (proofs, inputs): (Vec<Proof>, Vec<Vec<Fr>>) =
-                (0..8).map(|i| variant(i, corrupt(i))).unzip();
-            let expected: Vec<usize> = (0..8)
-                .filter(|&i| verdicts[i][corrupt(i) as usize])
-                .collect();
-            assert_eq!(
-                pvk.verify_batch_isolating(&proofs, &inputs).unwrap(),
-                expected,
-                "mask = {mask:#010b}"
-            );
-            assert_eq!(
-                pvk.verify_batch(&proofs, &inputs).unwrap(),
-                expected.is_empty()
-            );
+        // One Miller loop at pool size 1, two chunk loops at 2.
+        for threads in [1, 2] {
+            waku_pool::with_threads(threads, || {
+                for mask in 0usize..256 {
+                    let corrupt = |i: usize| (mask >> i) & 1 == 1;
+                    let (proofs, inputs): (Vec<Proof>, Vec<Vec<Fr>>) =
+                        (0..8).map(|i| variant(i, corrupt(i))).unzip();
+                    let expected: Vec<usize> = (0..8)
+                        .filter(|&i| verdicts[i][corrupt(i) as usize])
+                        .collect();
+                    assert_eq!(
+                        pvk.verify_batch_isolating(&proofs, &inputs).unwrap(),
+                        expected,
+                        "mask = {mask:#010b}, pool = {threads}"
+                    );
+                    assert_eq!(
+                        pvk.verify_batch(&proofs, &inputs).unwrap(),
+                        expected.is_empty()
+                    );
+                }
+            });
         }
     }
 

@@ -1,8 +1,9 @@
-//! Parallel-vs-serial equivalence of the proving pipeline.
+//! Parallel-vs-serial equivalence of the proving and verifying pipelines.
 //!
 //! Everything scheduled on the `waku-pool` work-stealing pool — Pippenger
-//! MSM windows, FFT butterfly stages, the prover's concurrent tasks — must
-//! produce *bit-identical* results at any pool size. These properties pin
+//! MSM windows, FFT butterfly stages, the prover's concurrent tasks, the
+//! verifier's Miller-loop chunks — must produce *bit-identical* results at
+//! any pool size. These properties pin
 //! that down by running the same computation under `with_threads(1)`
 //! (pure serial, what `WAKU_POOL_THREADS=1` gives) and a multi-worker
 //! pool, plus oracle checks against the naive implementations.
@@ -14,10 +15,11 @@ use waku_suite::arith::fft::{Radix2Domain, PAR_FFT_MIN};
 use waku_suite::arith::fields::Fr;
 use waku_suite::arith::traits::{Field, PrimeField};
 use waku_suite::curve::msm::{msm, naive_msm, WindowTable};
-use waku_suite::curve::{G1Affine, G1Projective};
+use waku_suite::curve::pairing::{miller_loop_mixed, G2Prepared};
+use waku_suite::curve::{G1Affine, G1Projective, G2Affine, G2Projective};
 use waku_suite::pool::with_threads;
 use waku_suite::snark::gadgets::{quintic, Wire};
-use waku_suite::snark::{prove, setup, verify, ConstraintSystem, Proof};
+use waku_suite::snark::{prove, setup, verify, ConstraintSystem, PreparedVerifyingKey, Proof};
 
 fn random_points(seed: u64, n: usize) -> (Vec<G1Affine>, Vec<Fr>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -162,4 +164,80 @@ fn seeded_rln_prove_message_is_deterministic() {
         }
     }
     assert!(serial.iter().all(|b| verifier.verify_bundle(b)));
+}
+
+#[test]
+fn miller_loop_is_the_same_element_at_any_pool_size() {
+    let mut rng = StdRng::seed_from_u64(16);
+    let g1 = |rng: &mut StdRng| G1Projective::generator().mul(Fr::random(rng)).to_affine();
+    let g2 = |rng: &mut StdRng| G2Projective::generator().mul(Fr::random(rng)).to_affine();
+    let mut pairs: Vec<(G1Affine, G2Affine)> =
+        (0..65).map(|_| (g1(&mut rng), g2(&mut rng))).collect();
+    // Identity pairs are dropped before chunking, wherever they sit.
+    pairs[1].0 = G1Affine::identity();
+    pairs[4].1 = G2Affine::identity();
+    pairs[40].0 = G1Affine::identity();
+    let lines = [g2(&mut rng), g2(&mut rng)].map(|q| G2Prepared::new(&q));
+    let replays = [(g1(&mut rng), &lines[0]), (g1(&mut rng), &lines[1])];
+
+    for dynamic in [0usize, 1, 2, 3, 5, 64, 65] {
+        for prepared in [0usize, 2] {
+            let at = |threads: usize| {
+                with_threads(threads, || {
+                    miller_loop_mixed(&pairs[..dynamic], &replays[..prepared])
+                })
+            };
+            // One thread runs the single lock-step loop; every other pool
+            // size multiplies chunk loops into the same element.
+            let serial = at(1);
+            for threads in [2, 3, 4, 7] {
+                assert_eq!(
+                    at(threads),
+                    serial,
+                    "{dynamic} dynamic + {prepared} prepared pairs, pool {threads}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn verify_verdicts_do_not_depend_on_pool_size() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let pk = setup(&quintic_cs(3), &mut rng);
+    let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+    let (mut proofs, mut inputs): (Vec<Proof>, Vec<Vec<Fr>>) = (2..11u64)
+        .map(|x| {
+            let proof = prove(&pk, &quintic_cs(x), &mut rng).unwrap();
+            (proof, vec![Fr::from_u64(x).pow(&[5])])
+        })
+        .unzip();
+    assert!(pvk.verify_batch(&proofs, &inputs).unwrap());
+    // Two offenders: a wrong public input and swapped G1 elements.
+    inputs[2][0] += Fr::one();
+    (proofs[7].a, proofs[7].c) = (proofs[7].c, proofs[7].a);
+
+    let verdicts_at = |threads: usize| {
+        with_threads(threads, || {
+            let singles: Vec<bool> = proofs
+                .iter()
+                .zip(&inputs)
+                .map(|(p, x)| pvk.verify(p, x).unwrap())
+                .collect();
+            (
+                singles,
+                pvk.verify_batch(&proofs, &inputs).unwrap(),
+                pvk.verify_batch(&proofs[3..7], &inputs[3..7]).unwrap(),
+                pvk.verify_batch_isolating(&proofs, &inputs).unwrap(),
+            )
+        })
+    };
+    let serial = verdicts_at(1);
+    let honest = |i: usize| i != 2 && i != 7;
+    assert_eq!(serial.0, (0..9).map(honest).collect::<Vec<_>>());
+    assert_eq!((serial.1, serial.2), (false, true));
+    assert_eq!(serial.3, vec![2, 7]);
+    for threads in [2, 3, 4, 7] {
+        assert_eq!(verdicts_at(threads), serial, "pool {threads}");
+    }
 }
