@@ -1,11 +1,13 @@
 //! Batched-verification throughput and prover cold-start experiment.
 //!
-//! Default mode prints two markdown tables:
+//! Default mode prints three markdown tables:
 //!
 //! * batched (RLC) verification across batch sizes, with the per-proof
 //!   amortized time and the speedup over single-proof verification —
 //!   the gain comes from collapsing N pairing stacks into one
 //!   multi-Miller-loop + one final exponentiation;
+//! * what junk proofs in a 64-flush cost the relayer, in single
+//!   verifications, next to the work count `RlnVerifier::isolate` returns;
 //! * cold-start cost at depth 32: fresh keygen vs `keygen_or_load` from
 //!   a warm on-disk cache (the ISSUE's <100 ms target).
 //!
@@ -73,6 +75,51 @@ fn batch_table() {
         "(single-proof check: 3 Miller loops + 1 final exponentiation; a batch of N \
          costs N+2 Miller loops — amortizing the final exponentiation and the fixed \
          γ/δ line replays — plus two small MSMs per proof)"
+    );
+    println!();
+
+    println!("# A poisoned 64-flush (find the junk, keep the rest)");
+    println!();
+    println!(
+        "| junk proofs | total | in single verifies | per junk proof, beyond the clean \
+         flush | checks after the batch check | pairs computed / replayed |"
+    );
+    println!("|---|---|---|---|---|---|");
+    let in_singles = |d: std::time::Duration| d.as_secs_f64() / single.as_secs_f64();
+    let mut clean = std::time::Duration::ZERO;
+    let spread: Vec<usize> = (0..8).map(|i| 3 + 8 * i).collect();
+    for junk in [&[][..], &[41], &[5, 20, 41, 60], &spread] {
+        let mut poisoned = bundles.clone();
+        for &i in junk {
+            poisoned[i].payload[0] ^= 1;
+        }
+        let refs: Vec<&RlnMessageBundle> = poisoned.iter().collect();
+        let work = verifier.isolate(&refs).work;
+        let total = best_of(5, || assert_eq!(verifier.isolate_invalid(&refs), junk));
+        let marginal = match junk.len() {
+            0 => {
+                clean = total;
+                "—".to_string()
+            }
+            k => format!("{:.1}", in_singles(total.saturating_sub(clean)) / k as f64),
+        };
+        println!(
+            "| {} | {} | {:.1} | {marginal} | {} | {} / {} |",
+            junk.len(),
+            fmt_duration(total),
+            in_singles(total),
+            work.checks,
+            work.dynamic_pairs,
+            work.replayed_pairs
+        );
+    }
+    println!();
+    println!(
+        "(bound: ⌈log₂64⌉ + 1 = 7 checks per junk proof after the batch check, each one \
+         final exponentiation + γ/δ replays + a squaring chain, and at most 64 pairs \
+         computed from scratch in total; the failed check's scalars and scaled points \
+         are reused, lines are recorded once and replayed, and a failing range checks \
+         its left half only — the right half's value is a quotient in GT)"
     );
     println!();
 }

@@ -32,15 +32,21 @@
 //!
 //! The loop is multiplicative — every step is `f ← f²·∏ lines` — so the
 //! loop over a set of pairs is the product of the loops over any partition
-//! of it, as the *same* `Fp12` element. [`miller_loop_mixed`] cuts the
-//! dynamic pairs into at most [`waku_pool::current_num_threads`] contiguous
-//! chunks, runs the lock-step loop per chunk as a pool task and multiplies
-//! the partial accumulators. The prepared replays ride on the last chunk;
-//! when there are fewer chunks than threads they form a task of their own
-//! (single verification: the dynamic pair on one core, γ/δ on the other).
-//! Each extra chunk pays one more squaring chain (64 `Fp12` squarings ≈ the
-//! line work of one pair), which is why the chunk count follows the pool
-//! size and nothing else; a pool of one runs exactly one loop.
+//! of it, as the *same* `Fp12` element. [`miller_loop_mixed`] cuts its
+//! pairs — dynamic first, then prepared — into at most
+//! [`waku_pool::current_num_threads`] contiguous chunks of near-equal cost
+//! (a replayed pair counts two thirds of a dynamic one), runs the
+//! lock-step loop per chunk as a pool task and multiplies the partial
+//! accumulators. A single verification puts its own pair on one core and
+//! the γ/δ replays on the other; a loop that is mostly replays spreads
+//! them like dynamic pairs. Each extra chunk pays one more squaring chain
+//! (64 `Fp12` squarings ≈ the line work of one pair), which is why the
+//! chunk count follows the pool size and nothing else; a pool of one runs
+//! exactly one loop. [`miller_loop_traced`] is the same loop for a caller
+//! that needs more than the product: which dynamic G2 points failed the
+//! membership test below, the lines of every dynamic pair for later
+//! replay, and a cap on the number of chunks when several loops already
+//! share the pool.
 //!
 //! # G2 membership
 //!
@@ -75,7 +81,8 @@
 //! published BN tests, `ψ(Q) = [6x²]Q` and
 //! `[x+1]Q + ψ([x]Q) + ψ²([x]Q) = ψ³([2x]Q)`; the tests compute all three
 //! gcds. On a mismatch [`miller_loop_mixed`] returns `Fp12::zero()`, which
-//! [`final_exponentiation`] maps to `None`. No loop over genuine G2 points
+//! [`final_exponentiation`] maps to `None` ([`miller_loop_traced`] names
+//! the pairs instead). No loop over genuine G2 points
 //! produces that value: every factor is a tangent or chord line whose
 //! constant coefficient is `py`, and G1 has no point with `py = 0`.
 //! Prepared points come from a verifying key, not from the network, and
@@ -115,10 +122,14 @@ use crate::point::BatchInvert;
 pub const BN_X: u64 = 4965661367192848881;
 /// Miller loop count `6x + 2` (65 bits, hence `u128`).
 pub const ATE_LOOP_COUNT: u128 = 6 * (BN_X as u128) + 2;
+/// Lines one G2 point contributes to a loop: a tangent per bit below the
+/// top one, a chord per set bit below it, and the two corrections (102).
+const LINES_PER_POINT: usize =
+    (127 - ATE_LOOP_COUNT.leading_zeros() + ATE_LOOP_COUNT.count_ones() - 1 + 2) as usize;
 
 /// One recorded (or freshly computed) Miller-loop line, in twist
 /// coordinates relative to the pre-step accumulator.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 enum LineCoeff {
     /// Tangent or chord with slope `λ'` through `(x', y')`, stored as
     /// `λ'` and the intercept term `λ'·x' − y'`.
@@ -224,7 +235,7 @@ fn mul_by_line_at(f: &Fp12, coeff: &LineCoeff, px: Fq, py: Fq) -> Fp12 {
 /// Replaying the stored `(λ', λ'·x' − y')` pairs costs no G2 arithmetic
 /// and no field inversions, so pairings against fixed points (the `γ`/`δ`
 /// elements of a Groth16 verifying key) skip the accumulator work
-/// entirely. ~90 pairs ≈ 5.8 KiB per point.
+/// entirely. 102 coefficients of two Fp2 elements each ≈ 13.5 KiB per point.
 #[derive(Clone, Debug)]
 pub struct G2Prepared {
     coeffs: Vec<LineCoeff>,
@@ -241,7 +252,7 @@ impl G2Prepared {
             };
         }
         let mut t = *q;
-        let mut coeffs = Vec::with_capacity(103);
+        let mut coeffs = Vec::with_capacity(LINES_PER_POINT);
         let loop_bits = 128 - ATE_LOOP_COUNT.leading_zeros();
         for i in (0..loop_bits - 1).rev() {
             let inv = double_denom(&t)
@@ -276,27 +287,44 @@ impl From<&G2Affine> for G2Prepared {
 /// recorded lines.
 type PreparedPair<'a> = (Fq, Fq, &'a G2Prepared);
 
-/// A dynamic pair's loop state: the embedded G1 coordinates, the original
-/// G2 point, and the running accumulator.
+/// A dynamic pair's loop state: its position in the caller's slice, the
+/// embedded G1 coordinates, the original G2 point, the running accumulator
+/// and — when the caller asked for them — the lines computed so far.
 struct DynPair {
+    index: usize,
     px: Fq,
     py: Fq,
     q: G2Affine,
     t: G2Affine,
+    lines: Option<Vec<LineCoeff>>,
+}
+
+/// What [`miller_loop_traced`] learned on the way to the product.
+#[derive(Clone, Debug)]
+pub struct LoopTrace {
+    /// The product of the loops over *every* pair — a meaningless value
+    /// when `outside_g2` is not empty (module docs, "G2 membership").
+    pub product: Fp12,
+    /// Positions in `dynamic` whose G2 point is outside the order-`r`
+    /// subgroup, ascending.
+    pub outside_g2: Vec<usize>,
+    /// When recording was asked for: the lines of `dynamic[i].1`, position
+    /// for position, ready to be replayed as a prepared pair. Empty
+    /// otherwise.
+    pub lines: Vec<G2Prepared>,
 }
 
 /// Product of Miller loops over `dynamic` (fresh G2 points) and `prepared`
 /// (fixed G2 points with recorded lines) pairs, *without* the final
 /// exponentiation.
 ///
-/// The dynamic pairs are split into at most
-/// [`waku_pool::current_num_threads`] contiguous chunks, one pool task
-/// each (see the module docs); within a chunk all pairs advance in
-/// lock-step under one `f`-squaring chain, so each doubling/addition phase
-/// needs a single Fp2 batch inversion — the marginal pairing cost of one
-/// more pair is roughly its line arithmetic. The value does not depend on
-/// the pool size. Pairs with an identity element on either side are
-/// skipped (contribute the neutral factor 1).
+/// The pairs are split into at most [`waku_pool::current_num_threads`]
+/// contiguous chunks, one pool task each (see the module docs); within a
+/// chunk all pairs advance in lock-step under one `f`-squaring chain, so
+/// each doubling/addition phase needs a single Fp2 batch inversion — the
+/// marginal pairing cost of one more pair is roughly its line arithmetic.
+/// The value does not depend on the pool size. Pairs with an identity
+/// element on either side are skipped (contribute the neutral factor 1).
 ///
 /// Returns `Fp12::zero()` — which no loop over G2 points produces and
 /// [`final_exponentiation`] maps to `None` — when a dynamic G2 point lies
@@ -305,14 +333,49 @@ pub fn miller_loop_mixed(
     dynamic: &[(G1Affine, G2Affine)],
     prepared: &[(G1Affine, &G2Prepared)],
 ) -> Fp12 {
+    let trace = miller_loop_traced(dynamic, prepared, false, waku_pool::current_num_threads());
+    if trace.outside_g2.is_empty() {
+        trace.product
+    } else {
+        Fp12::zero()
+    }
+}
+
+/// Cost of a dynamic pair relative to [`REPLAY_COST`] when the loop
+/// balances its chunks: a replayed pair does the line products only,
+/// about two thirds of a dynamic pair's work.
+const DYNAMIC_COST: usize = 3;
+/// See [`DYNAMIC_COST`].
+const REPLAY_COST: usize = 2;
+
+/// [`miller_loop_mixed`] that also says *which* dynamic G2 points failed
+/// the membership test, can hand back the lines it computed for each
+/// dynamic pair (`record`), and fans out into at most `fan_out` pool
+/// tasks (a caller that already runs several loops side by side passes
+/// its share of the pool).
+///
+/// Recording rides on the same lock-step pass: a dynamic pair's lines are
+/// pushed as they are multiplied in, so a later loop can replay the pair
+/// through `prepared` with no G2 arithmetic and no inversion. A replayed
+/// pair has no accumulator, so its membership is *not* tested again —
+/// replay only lines whose recording pass reported the point inside G2.
+pub fn miller_loop_traced(
+    dynamic: &[(G1Affine, G2Affine)],
+    prepared: &[(G1Affine, &G2Prepared)],
+    record: bool,
+    fan_out: usize,
+) -> LoopTrace {
     let mut dyns: Vec<DynPair> = dynamic
         .iter()
-        .filter(|(p, q)| !p.is_identity() && !q.is_identity())
-        .map(|(p, q)| DynPair {
+        .enumerate()
+        .filter(|(_, (p, q))| !p.is_identity() && !q.is_identity())
+        .map(|(index, (p, q))| DynPair {
+            index,
             px: p.x,
             py: p.y,
             q: *q,
             t: *q,
+            lines: record.then(|| Vec::with_capacity(LINES_PER_POINT)),
         })
         .collect();
     let preps: Vec<PreparedPair> = prepared
@@ -321,27 +384,35 @@ pub fn miller_loop_mixed(
         .map(|(p, prep)| (p.x, p.y, *prep))
         .collect();
 
-    // One task per chunk of dynamic pairs; the replays ride on the last
-    // (shortest) chunk unless a thread would otherwise idle.
-    let threads = waku_pool::current_num_threads();
-    let chunk_len = dyns.len().div_ceil(threads).max(1);
-    let mut tasks: Vec<Chunk> = dyns
-        .chunks_mut(chunk_len)
-        .map(|dyns| Chunk { dyns, preps: &[] })
-        .collect();
-    if !preps.is_empty() {
-        if tasks.len() < threads {
-            tasks.push(Chunk {
-                dyns: &mut [],
-                preps: &preps,
-            });
-        } else {
-            tasks.last_mut().expect("threads ≥ 1").preps = &preps;
+    // Cut `dyns ++ preps` into at most `fan_out` contiguous chunks of
+    // near-equal cost: a pair belongs to the chunk its cost midpoint falls
+    // in, which is monotone in the pair's position.
+    let fan_out = fan_out.max(1);
+    let total = (DYNAMIC_COST * dyns.len() + REPLAY_COST * preps.len()).max(1);
+    let mut sizes = vec![(0usize, 0usize); fan_out];
+    let mut before = 0;
+    for _ in 0..dyns.len() {
+        sizes[(2 * before + DYNAMIC_COST) * fan_out / (2 * total)].0 += 1;
+        before += DYNAMIC_COST;
+    }
+    for _ in 0..preps.len() {
+        sizes[(2 * before + REPLAY_COST) * fan_out / (2 * total)].1 += 1;
+        before += REPLAY_COST;
+    }
+    let (mut dyn_rest, mut prep_rest) = (&mut dyns[..], &preps[..]);
+    let mut tasks: Vec<Chunk> = Vec::with_capacity(fan_out);
+    for (n_dyn, n_prep) in sizes {
+        if n_dyn + n_prep == 0 {
+            continue;
         }
+        let (dyns, rest) = std::mem::take(&mut dyn_rest).split_at_mut(n_dyn);
+        let (preps, rest_preps) = prep_rest.split_at(n_prep);
+        (dyn_rest, prep_rest) = (rest, rest_preps);
+        tasks.push(Chunk { dyns, preps });
     }
 
     // The calling thread runs the first chunk itself, like `join`.
-    let mut partials = vec![Fp12::one(); tasks.len()];
+    let mut partials = vec![(Fp12::one(), Vec::new()); tasks.len()];
     waku_pool::scope(|s| {
         let mut work = tasks.iter_mut().zip(partials.iter_mut());
         let first = work.next();
@@ -352,10 +423,35 @@ pub fn miller_loop_mixed(
             *slot = miller_loop_chunk(chunk);
         }
     });
-    partials
-        .into_iter()
-        .reduce(|acc, part| acc * part)
-        .unwrap_or(Fp12::one())
+    let mut product = Fp12::one();
+    let mut outside_g2 = Vec::new();
+    for (part, outside) in partials {
+        product *= part;
+        outside_g2.extend(outside);
+    }
+
+    let lines = if record {
+        let mut recorded = dyns.into_iter().peekable();
+        dynamic
+            .iter()
+            .enumerate()
+            .map(|(i, (_, q))| match recorded.next_if(|d| d.index == i) {
+                Some(d) => G2Prepared {
+                    coeffs: d.lines.expect("recording was requested"),
+                    infinity: false,
+                },
+                // The loop skipped this pair (identity on one side).
+                None => G2Prepared::new(q),
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    LoopTrace {
+        product,
+        outside_g2,
+        lines,
+    }
 }
 
 /// One pool task's share of a mixed loop, identity pairs already removed.
@@ -365,9 +461,9 @@ struct Chunk<'a> {
 }
 
 /// One lock-step Miller loop: a shared squaring chain and one batch
-/// inversion per phase. `Fp12::zero()` if a dynamic G2 point fails the
-/// membership test.
-fn miller_loop_chunk(chunk: &mut Chunk) -> Fp12 {
+/// inversion per phase. Returns the chunk's product and the positions of
+/// the dynamic pairs whose G2 point failed the membership test.
+fn miller_loop_chunk(chunk: &mut Chunk) -> (Fp12, Vec<usize>) {
     let Chunk { dyns, preps } = chunk;
 
     let mut f = Fp12::one();
@@ -375,20 +471,24 @@ fn miller_loop_chunk(chunk: &mut Chunk) -> Fp12 {
     let mut cursor = 0usize;
 
     // One double or add phase across every pair: collect the dynamic
-    // pairs' denominators, invert them together, step + evaluate, then
-    // replay the prepared pairs' stored coefficient for this position.
+    // pairs' denominators, invert them together, step + evaluate (+
+    // record), then replay the prepared pairs' stored coefficient for this
+    // position. The closures see the pair and its position in the chunk.
     macro_rules! phase {
         ($denom:expr, $step:expr) => {{
             denoms.clear();
-            for d in dyns.iter() {
+            for (k, d) in dyns.iter().enumerate() {
                 #[allow(clippy::redundant_closure_call)]
-                denoms.push($denom(d));
+                denoms.push($denom(k, d));
             }
             Fp2::batch_invert(&mut denoms);
-            for (d, inv) in dyns.iter_mut().zip(denoms.iter()) {
+            for ((k, d), inv) in dyns.iter_mut().enumerate().zip(denoms.iter()) {
                 #[allow(clippy::redundant_closure_call)]
-                let coeff = $step(d, inv);
+                let coeff = $step(k, d, inv);
                 f = mul_by_line_at(&f, &coeff, d.px, d.py);
+                if let Some(lines) = &mut d.lines {
+                    lines.push(coeff);
+                }
             }
             for (px, py, prep) in preps.iter() {
                 f = mul_by_line_at(&f, &prep.coeffs[cursor], *px, *py);
@@ -402,13 +502,13 @@ fn miller_loop_chunk(chunk: &mut Chunk) -> Fp12 {
     for i in (0..loop_bits - 1).rev() {
         f = f.square();
         phase!(
-            |d: &DynPair| double_denom(&d.t),
-            |d: &mut DynPair, inv: &Fp2| double_step(&mut d.t, inv)
+            |_, d: &DynPair| double_denom(&d.t),
+            |_, d: &mut DynPair, inv: &Fp2| double_step(&mut d.t, inv)
         );
         if (ATE_LOOP_COUNT >> i) & 1 == 1 {
             phase!(
-                |d: &DynPair| add_denom(&d.t, &d.q),
-                |d: &mut DynPair, inv: &Fp2| {
+                |_, d: &DynPair| add_denom(&d.t, &d.q),
+                |_, d: &mut DynPair, inv: &Fp2| {
                     let q = d.q;
                     add_step(&mut d.t, &q, inv)
                 }
@@ -418,44 +518,25 @@ fn miller_loop_chunk(chunk: &mut Chunk) -> Fp12 {
 
     // Optimal-ate correction: two Frobenius addition steps, Q₁ = ψ(Q) and
     // Q₂ = −ψ²(Q) in twist coordinates.
-    let corrections: Vec<(G2Affine, G2Affine)> = dyns
-        .iter()
-        .map(|d| {
-            let q1 = psi(&d.q);
-            let q2 = psi(&q1).neg();
-            (q1, q2)
-        })
-        .collect();
-    for pick in [0usize, 1] {
-        let corr = &corrections;
-        denoms.clear();
-        for (d, c) in dyns.iter().zip(corr.iter()) {
-            let target = if pick == 0 { &c.0 } else { &c.1 };
-            denoms.push(add_denom(&d.t, target));
-        }
-        Fp2::batch_invert(&mut denoms);
-        for ((d, c), inv) in dyns.iter_mut().zip(corr.iter()).zip(denoms.iter()) {
-            let target = if pick == 0 { c.0 } else { c.1 };
-            let coeff = add_step(&mut d.t, &target, inv);
-            f = mul_by_line_at(&f, &coeff, d.px, d.py);
-        }
-        for (px, py, prep) in preps.iter() {
-            f = mul_by_line_at(&f, &prep.coeffs[cursor], *px, *py);
-        }
-        cursor += 1;
+    let q1s: Vec<G2Affine> = dyns.iter().map(|d| psi(&d.q)).collect();
+    let q2s: Vec<G2Affine> = q1s.iter().map(|q1| psi(q1).neg()).collect();
+    for targets in [&q1s, &q2s] {
+        phase!(
+            |k: usize, d: &DynPair| add_denom(&d.t, &targets[k]),
+            |k: usize, d: &mut DynPair, inv: &Fp2| add_step(&mut d.t, &targets[k], inv)
+        );
     }
 
     // G2 membership (module docs): the accumulator now holds
     // [6x+2]Q + ψ(Q) − ψ²(Q), which is −ψ³(Q) = ψ(Q₂) exactly when Q has
     // order r.
-    if dyns
+    let outside_g2 = dyns
         .iter()
-        .zip(corrections.iter())
-        .any(|(d, c)| d.t != psi(&c.1))
-    {
-        return Fp12::zero();
-    }
-    f
+        .zip(q2s.iter())
+        .filter(|(d, q2)| d.t != psi(q2))
+        .map(|(d, _)| d.index)
+        .collect();
+    (f, outside_g2)
 }
 
 /// Product of Miller loops `∏ f_{6x+2, Qᵢ}(Pᵢ) · (frobenius line steps)`,
@@ -789,6 +870,43 @@ mod tests {
                 miller_loop_dense_reference(&pairs),
                 "n = {n}"
             );
+        }
+    }
+
+    #[test]
+    fn traced_loop_records_what_prepare_records_and_replays_it() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut pairs = random_pairs(&mut rng, 7);
+        // A pair the loop skips still gets its lines.
+        pairs.insert(2, (G1Affine::identity(), pairs[0].1));
+        pairs.insert(5, (pairs[0].0, G2Affine::identity()));
+        let reference = miller_loop_dense_reference(&pairs);
+        for fan_out in [1, 2, 3, 16] {
+            let trace = miller_loop_traced(&pairs, &[], true, fan_out);
+            assert_eq!(trace.product, reference, "fan_out = {fan_out}");
+            assert!(trace.outside_g2.is_empty());
+            assert_eq!(trace.lines.len(), pairs.len());
+            for ((_, q), lines) in pairs.iter().zip(&trace.lines) {
+                let prepared = G2Prepared::new(q);
+                assert_eq!(lines.coeffs, prepared.coeffs);
+                assert_eq!(lines.infinity, prepared.infinity);
+                assert!(q.is_identity() || lines.coeffs.len() == LINES_PER_POINT);
+            }
+            // Any split into fresh and replayed pairs is the same product,
+            // with the replays spread over the tasks like the fresh pairs.
+            for split in [0, 3, pairs.len()] {
+                let replays: Vec<(G1Affine, &G2Prepared)> = pairs[split..]
+                    .iter()
+                    .zip(&trace.lines[split..])
+                    .map(|((p, _), lines)| (*p, lines))
+                    .collect();
+                let again = miller_loop_traced(&pairs[..split], &replays, false, fan_out);
+                assert_eq!(
+                    again.product, reference,
+                    "{split} fresh, fan_out = {fan_out}"
+                );
+                assert!(again.lines.is_empty(), "nothing recorded unless asked");
+            }
         }
     }
 

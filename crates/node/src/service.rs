@@ -625,6 +625,12 @@ mod tests {
         let text = service.metrics_text();
         assert!(text.contains("rln_validation_total"));
         assert!(text.contains("node_store_disk_bytes"));
+        // What junk proofs cost this relayer, zero so far.
+        assert!(
+            text.contains("rln_batch_isolation_checks_count 0"),
+            "{text}"
+        );
+        assert!(text.contains("rln_batch_invalid_proofs_total 0"), "{text}");
         // The pool size the service opened under, which per-hop
         // verification latency depends on.
         assert!(text.contains("waku_pool_threads 3"), "{text}");

@@ -30,6 +30,8 @@ pub(crate) struct MetricIds {
     pub validation_latency: HistogramId,
     pub proof_verify: HistogramId,
     pub batch_size: HistogramId,
+    pub batch_isolation_checks: HistogramId,
+    pub batch_invalid_proofs: CounterId,
     pub proof_verify_batch: HistogramId,
     pub published: CounterId,
     pub prove_changed_vars: HistogramId,
@@ -100,6 +102,17 @@ pub(crate) fn catalogue() -> &'static (Arc<Layout>, MetricIds) {
                 "rln_batch_size",
                 "Number of proofs per batched verification flush.",
             ),
+            batch_isolation_checks: b.histogram(
+                "rln_batch_isolation_checks",
+                "Pairing checks (final exponentiations) one flush ran after \
+                 its full-batch check to find its invalid proofs: 0 for a \
+                 clean flush, at most k*(ceil(log2 n)+1) for k invalid \
+                 proofs among n. The work junk proofs buy from this relayer.",
+            ),
+            batch_invalid_proofs: b.counter(
+                "rln_batch_invalid_proofs_total",
+                "Invalid proofs found by batched verification flushes.",
+            ),
             proof_verify_batch: b.histogram(
                 "rln_proof_verify_batch_ns",
                 "Wall-clock time of one batched (RLC) Groth16 verification \
@@ -147,6 +160,8 @@ pub(crate) struct ValidationHandles {
     pub validation_latency: Histogram,
     pub proof_verify: Histogram,
     pub batch_size: Histogram,
+    pub batch_isolation_checks: Histogram,
+    pub batch_invalid_proofs: Counter,
     pub proof_verify_batch: Histogram,
 }
 
@@ -167,6 +182,8 @@ impl ValidationHandles {
             validation_latency: registry.histogram(ids.validation_latency),
             proof_verify: registry.histogram(ids.proof_verify),
             batch_size: registry.histogram(ids.batch_size),
+            batch_isolation_checks: registry.histogram(ids.batch_isolation_checks),
+            batch_invalid_proofs: registry.counter(ids.batch_invalid_proofs),
             proof_verify_batch: registry.histogram(ids.proof_verify_batch),
         }
     }

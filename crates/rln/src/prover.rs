@@ -6,7 +6,9 @@ use rand::Rng;
 use waku_arith::fields::Fr;
 use waku_arith::traits::Field;
 use waku_merkle::MerklePath;
-use waku_snark::groth16::{prove, setup, PreparedVerifyingKey, Proof, ProvingKey};
+use waku_snark::groth16::{
+    prove, setup, Isolation, IsolationWork, PreparedVerifyingKey, Proof, ProvingKey,
+};
 use waku_snark::serialize::read_field;
 use waku_snark::SnarkError;
 use waku_wire::{put_bytes, put_u64, Reader};
@@ -346,20 +348,29 @@ impl RlnVerifier {
     }
 
     /// Checks the whole batch and, if it fails, bisects it down to the
-    /// indices of the invalid bundles (ascending; empty = all valid).
-    /// Cost is one batch check plus `O(k · log n)` sub-batch checks for
-    /// `k` bad proofs — cheap when invalid proofs are rare, which is the
-    /// expected steady state (spam is rate-limited upstream of proof
-    /// checking).
+    /// indices of the invalid bundles (ascending; empty = all valid):
+    /// [`RlnVerifier::isolate`] without the work count.
     pub fn isolate_invalid(&self, bundles: &[&RlnMessageBundle]) -> Vec<usize> {
+        self.isolate(bundles).invalid
+    }
+
+    /// Checks the whole batch and, if it fails, finds the invalid bundles
+    /// and reports what finding them cost beyond the one batch check
+    /// ([`PreparedVerifyingKey::isolate`]): for `k` bad proofs among `n`,
+    /// at most `k·(⌈log₂n⌉ + 1)` further final exponentiations and `n`
+    /// Miller pairs computed from scratch — the rest replays recorded
+    /// lines. A valid batch reports no work.
+    pub fn isolate(&self, bundles: &[&RlnMessageBundle]) -> Isolation {
         let proofs: Vec<_> = bundles.iter().map(|b| b.proof).collect();
         let inputs: Vec<_> = bundles.iter().map(|b| b.public_inputs().to_vec()).collect();
-        match self.pvk.verify_batch_isolating(&proofs, &inputs) {
-            Ok(bad) => bad,
-            // Structural errors (wrong input arity) cannot be attributed
-            // to one index by bisection; conservatively flag everything.
-            Err(_) => (0..bundles.len()).collect(),
-        }
+        // Structural errors (wrong input arity) cannot be attributed to
+        // one index by bisection; conservatively flag everything.
+        self.pvk
+            .isolate(&proofs, &inputs)
+            .unwrap_or_else(|_| Isolation {
+                invalid: (0..bundles.len()).collect(),
+                work: IsolationWork::default(),
+            })
     }
 }
 

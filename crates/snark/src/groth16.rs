@@ -34,7 +34,8 @@
 //! authentication path moved since its last proof, which every peer sees
 //! on the membership contract — never of the message or the secret.
 
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::Rng;
 use waku_arith::fields::Fr;
@@ -43,7 +44,9 @@ use waku_curve::fp12::Fp12;
 use waku_curve::g1::{G1Affine, G1Projective};
 use waku_curve::g2::{G2Affine, G2Projective};
 use waku_curve::msm::{msm, WindowTable};
-use waku_curve::pairing::{final_exponentiation, miller_loop_mixed, G2Prepared};
+use waku_curve::pairing::{
+    final_exponentiation, miller_loop_mixed, miller_loop_traced, G2Prepared,
+};
 use waku_curve::point::Projective;
 
 use crate::qap;
@@ -123,6 +126,39 @@ impl Rolled {
     }
 }
 
+/// Overwrites `*slot` with `blank` by a volatile store: one the optimiser
+/// may not drop as dead although the memory is about to be freed.
+fn wipe<T: Copy>(slot: &mut T, blank: T) {
+    // SAFETY: `slot` is a live exclusive reference, hence valid and aligned
+    // for a write of `T`, and `T: Copy` has no destructor the overwrite
+    // could skip.
+    unsafe { std::ptr::write_volatile(slot, blank) }
+}
+
+impl Drop for Rolled {
+    /// The assignment and the four sums are witness material (for RLN:
+    /// `sk`, the `H(sk)` intermediates, and group elements that are linear
+    /// images of them): they are overwritten before their memory goes back
+    /// to the allocator. Runs when the last holder lets go — the key being
+    /// dropped, or a later proof replacing this state in
+    /// [`ProveMemo::store`] — on whichever thread that is.
+    fn drop(&mut self) {
+        for entry in self.z.iter_mut() {
+            wipe(entry, Fr::zero());
+        }
+        wipe(&mut self.a, G1Projective::identity());
+        wipe(&mut self.b1, G1Projective::identity());
+        wipe(&mut self.b2, G2Projective::identity());
+        wipe(&mut self.l, G1Projective::identity());
+        std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
+        #[cfg(test)]
+        tests::WIPED.with(|log| {
+            let left = self.z.iter().filter(|entry| !entry.is_zero()).count();
+            log.borrow_mut().push((self.z.len(), left));
+        });
+    }
+}
+
 /// Interior-mutable slot for a key's [`Rolled`] state. The lock guards the
 /// pointer swap only — never an MSM — and a stored value is always a
 /// consistent `(z, sums)` pair, so concurrent provers on one key may lose
@@ -143,7 +179,14 @@ impl ProveMemo {
     }
 
     fn store(&self, rolled: Rolled) {
-        *self.0.lock().expect("prove memo poisoned") = Some(Arc::new(rolled));
+        let replaced = self
+            .0
+            .lock()
+            .expect("prove memo poisoned")
+            .replace(Arc::new(rolled));
+        // Let go of the previous state outside the lock: the last holder
+        // wipes it.
+        drop(replaced);
     }
 }
 
@@ -205,6 +248,13 @@ impl ProvingKey {
 }
 
 impl Proof {
+    /// Every point satisfies its curve equation. That is a full membership
+    /// test for `A, C ∈ G1` (cofactor 1); the twist has a large cofactor,
+    /// and `B ∈ G2` is certified by the Miller loop itself.
+    fn is_on_curve(&self) -> bool {
+        self.a.is_on_curve() && self.b.is_on_curve() && self.c.is_on_curve()
+    }
+
     /// Serializes to 256 uncompressed bytes
     /// (`A.x ‖ A.y ‖ B.x.c0 ‖ B.x.c1 ‖ B.y.c0 ‖ B.y.c1 ‖ C.x ‖ C.y`).
     pub fn to_bytes(&self) -> [u8; 256] {
@@ -466,6 +516,40 @@ impl From<VerifyingKey> for PreparedVerifyingKey {
     }
 }
 
+/// What an isolating batch check did *beyond* its one full-batch check: the
+/// work an attacker's junk proofs buy from a relayer. All zero for a batch
+/// that verified.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IsolationWork {
+    /// Final exponentiations after the first: sub-range checks, the repeat
+    /// of the full check without exactly rejected members, and the exact
+    /// single-proof check every suspect faces before it is reported.
+    pub checks: usize,
+    /// Proof pairs whose `B` lines a Miller loop computed after the
+    /// full-batch check — at most one per proof, the lines are recorded.
+    pub dynamic_pairs: usize,
+    /// Proof pairs replayed from recorded lines.
+    pub replayed_pairs: usize,
+}
+
+impl std::ops::AddAssign for IsolationWork {
+    fn add_assign(&mut self, rhs: Self) {
+        self.checks += rhs.checks;
+        self.dynamic_pairs += rhs.dynamic_pairs;
+        self.replayed_pairs += rhs.replayed_pairs;
+    }
+}
+
+/// Outcome of [`PreparedVerifyingKey::isolate`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Isolation {
+    /// Indices of the invalid members, ascending; empty means the whole
+    /// batch verified.
+    pub invalid: Vec<usize>,
+    /// What finding them cost after the full-batch check.
+    pub work: IsolationWork,
+}
+
 impl PreparedVerifyingKey {
     /// Verifies a proof against public inputs (excluding the constant 1).
     ///
@@ -477,24 +561,39 @@ impl PreparedVerifyingKey {
         if public_inputs.len() + 1 != self.vk.ic.len() {
             return Err(SnarkError::InputLengthMismatch);
         }
-        // Reject points off the curve (defense against malformed network
-        // input). That is a full membership test for A, C ∈ G1 (cofactor
-        // 1); the twist has a large cofactor, and B ∈ G2 is certified by
-        // the Miller loop itself, which returns zero otherwise.
-        if !proof.a.is_on_curve() || !proof.b.is_on_curve() || !proof.c.is_on_curve() {
-            return Ok(false);
-        }
+        let fan_out = waku_pool::current_num_threads();
+        Ok(proof.is_on_curve() && self.exact(proof, public_inputs, None, fan_out))
+    }
+
+    /// The exact pairing equation of one on-curve proof,
+    ///
+    /// ```text
+    /// e(A,B) = e(α,β)·e(IC,γ)·e(C,δ)
+    ///   ⟺  FE(ml(−A,B)·ml(IC,γ)·ml(C,δ)) · e(α,β) = 1,
+    /// ```
+    ///
+    /// with `B`'s lines replayed when an earlier loop recorded them (and so
+    /// already certified `B ∈ G2`), computed and membership-tested
+    /// otherwise: the Miller loop returns zero for a `B` outside G2.
+    fn exact(
+        &self,
+        proof: &Proof,
+        public_inputs: &[Fr],
+        b_lines: Option<&G2Prepared>,
+        fan_out: usize,
+    ) -> bool {
         let ic = self.aggregate_ic(public_inputs);
-        // e(A,B) = e(α,β)·e(IC,γ)·e(C,δ)
-        //  ⟺ FE(ml(−A,B)·ml(IC,γ)·ml(C,δ)) · e(α,β) = 1
-        let ml = miller_loop_mixed(
-            &[(proof.a.neg(), proof.b)],
-            &[(ic, &self.gamma_prepared), (proof.c, &self.delta_prepared)],
-        );
-        let Some(fe) = final_exponentiation(&ml) else {
-            return Ok(false);
+        let neg_a = proof.a.neg();
+        let fixed = [(ic, &self.gamma_prepared), (proof.c, &self.delta_prepared)];
+        let trace = match b_lines {
+            None => miller_loop_traced(&[(neg_a, proof.b)], &fixed, false, fan_out),
+            Some(lines) => {
+                miller_loop_traced(&[], &[(neg_a, lines), fixed[0], fixed[1]], false, fan_out)
+            }
         };
-        Ok(fe * self.alpha_beta == Fp12::one())
+        trace.outside_g2.is_empty()
+            && final_exponentiation(&trace.product)
+                .is_some_and(|fe| fe * self.alpha_beta == Fp12::one())
     }
 
     /// `IC₀ + Σ xⱼ·ICⱼ₊₁` for one instance vector.
@@ -503,6 +602,14 @@ impl PreparedVerifyingKey {
             .chain(public_inputs.iter().copied())
             .collect();
         msm(&self.vk.ic, &coeffs).to_affine()
+    }
+
+    /// The structural precondition of every batch entry point.
+    fn check_arity(&self, proofs: &[Proof], inputs: &[Vec<Fr>]) -> Result<(), SnarkError> {
+        if proofs.len() != inputs.len() || inputs.iter().any(|x| x.len() + 1 != self.vk.ic.len()) {
+            return Err(SnarkError::InputLengthMismatch);
+        }
+        Ok(())
     }
 
     /// Verifies `proofs[i]` against `inputs[i]` for all `i` at once via a
@@ -531,83 +638,27 @@ impl PreparedVerifyingKey {
     /// `inputs` differ in length or any input vector does not match the
     /// key.
     pub fn verify_batch(&self, proofs: &[Proof], inputs: &[Vec<Fr>]) -> Result<bool, SnarkError> {
-        if proofs.len() != inputs.len() {
-            return Err(SnarkError::InputLengthMismatch);
-        }
-        if inputs.iter().any(|x| x.len() + 1 != self.vk.ic.len()) {
-            return Err(SnarkError::InputLengthMismatch);
-        }
-        match proofs.len() {
-            0 => return Ok(true),
-            1 => return self.verify(&proofs[0], &inputs[0]),
-            _ => {}
-        }
-        if proofs
-            .iter()
-            .any(|p| !p.a.is_on_curve() || !p.b.is_on_curve() || !p.c.is_on_curve())
-        {
-            return Ok(false);
-        }
-
-        let rs = self.batch_scalars(proofs, inputs);
-
-        // −rᵢ·Aᵢ: half-width double-and-add per proof, fanned out on the
-        // pool (the per-proof Miller pair dominates; this keeps the RLC
-        // scaling off the critical path).
-        let jobs: Vec<(G1Affine, [u64; 2])> = proofs
-            .iter()
-            .zip(rs.iter())
-            .map(|(p, r)| (p.a, [r.0 as u64, (r.0 >> 64) as u64]))
-            .collect();
-        let scaled = waku_pool::par_map(&jobs, |(a, limbs)| a.mul_limbs(limbs).neg());
-        let neg_a: Vec<G1Affine> = Projective::batch_to_affine(&scaled);
-        let dynamic: Vec<(G1Affine, G2Affine)> = neg_a
-            .into_iter()
-            .zip(proofs.iter())
-            .map(|(a, p)| (a, p.b))
-            .collect();
-
-        let r_fr: Vec<Fr> = rs.iter().map(|r| r.1).collect();
-        // Σᵢ rᵢ·ICᵢ folded per *base*: (Σrᵢ)·IC₀ + Σⱼ (Σᵢ rᵢxᵢⱼ)·ICⱼ₊₁ —
-        // one tiny MSM over the key's IC points instead of N point adds.
-        let mut ic_coeffs = vec![Fr::zero(); self.vk.ic.len()];
-        for (r, x) in r_fr.iter().zip(inputs.iter()) {
-            ic_coeffs[0] += *r;
-            for (c, xj) in ic_coeffs[1..].iter_mut().zip(x.iter()) {
-                *c += *r * *xj;
+        self.check_arity(proofs, inputs)?;
+        Ok(match proofs {
+            [] => true,
+            [proof] => self.verify(proof, &inputs[0])?,
+            _ => {
+                proofs.iter().all(Proof::is_on_curve) && {
+                    let all: Vec<usize> = (0..proofs.len()).collect();
+                    let root = Rlc::new(self, proofs, inputs, &all).check_all(false);
+                    root.outside_g2.is_empty() && root.value == Fp12::one()
+                }
             }
-        }
-        // Σᵢ rᵢ·Cᵢ runs as a pooled Pippenger MSM alongside the IC fold.
-        let (ic_agg, c_agg) = waku_pool::join(
-            || msm(&self.vk.ic, &ic_coeffs).to_affine(),
-            || {
-                let c_points: Vec<G1Affine> = proofs.iter().map(|p| p.c).collect();
-                msm(&c_points, &r_fr).to_affine()
-            },
-        );
-
-        let ml = miller_loop_mixed(
-            &dynamic,
-            &[
-                (ic_agg, &self.gamma_prepared),
-                (c_agg, &self.delta_prepared),
-            ],
-        );
-        let Some(fe) = final_exponentiation(&ml) else {
-            return Ok(false);
-        };
-        let r_sum = r_fr.iter().fold(Fr::zero(), |acc, r| acc + *r);
-        // e(α,β) is a pairing value, so the cyclotomic ladder applies.
-        let ab_r = self.alpha_beta.cyclotomic_pow(&r_sum.to_canonical_limbs());
-        Ok(fe * ab_r == Fp12::one())
+        })
     }
 
-    /// Verifies a batch and, when it fails, bisects to return the indices
-    /// of exactly the invalid members (sorted ascending; empty means the
-    /// whole batch verified). Cost is one batch check when all-valid, plus
-    /// `O(k·log N)` sub-batch checks for `k` offenders. A member is only
-    /// ever reported after the exact single-proof [`Self::verify`]
-    /// rejected it, never on the strength of a randomized check alone.
+    /// Verifies a batch and, when it fails, returns the indices of exactly
+    /// the invalid members (sorted ascending; empty means the whole batch
+    /// verified): [`PreparedVerifyingKey::isolate`] without the work count.
+    /// That is where the algorithm, its cost — one batch check when
+    /// all-valid, at most `k·(⌈log₂N⌉ + 1)` further pairing checks for `k`
+    /// offenders — and the soundness and exact-blame arguments for
+    /// bisecting under one set of scalars are written down.
     ///
     /// # Errors
     ///
@@ -617,45 +668,101 @@ impl PreparedVerifyingKey {
         proofs: &[Proof],
         inputs: &[Vec<Fr>],
     ) -> Result<Vec<usize>, SnarkError> {
-        let mut bad = Vec::new();
-        self.isolate(proofs, inputs, 0, false, &mut bad)?;
-        Ok(bad)
+        Ok(self.isolate(proofs, inputs)?.invalid)
     }
 
-    /// Bisection step over `proofs[..]` (global indices start at
-    /// `offset`). `known_bad` says the caller already knows this range
-    /// fails as a batch — its parent failed and its left sibling passed —
-    /// so the range's own batch check is skipped. Leaves are exempt:
-    /// `verify_batch` on one proof *is* the exact check, and it always
-    /// runs, so a sibling that passed by a 2⁻¹²⁸ fluke cannot get an
-    /// honest proof blamed.
-    fn isolate(
-        &self,
-        proofs: &[Proof],
-        inputs: &[Vec<Fr>],
-        offset: usize,
-        known_bad: bool,
-        bad: &mut Vec<usize>,
-    ) -> Result<(), SnarkError> {
-        let skip_check = known_bad && proofs.len() > 1;
-        if proofs.is_empty() || (!skip_check && self.verify_batch(proofs, inputs)?) {
-            return Ok(());
+    /// Verifies a batch and, when it fails, returns the indices of exactly
+    /// the invalid members together with what finding them cost.
+    ///
+    /// A batch that verifies costs the one [`Self::verify_batch`] check and
+    /// nothing else. When that check fails, isolation keeps what it
+    /// computed — the scalars `rᵢ` and the scaled `−rᵢ·Aᵢ` — and bisects
+    /// under them, so every sub-range `S` has a value in GT,
+    ///
+    /// ```text
+    /// T_S = FE( ∏_{i∈S} ml(−rᵢAᵢ,Bᵢ) · ml(Σ_S rᵢICᵢ, γ) · ml(Σ_S rᵢCᵢ, δ) )
+    ///         · e(α,β)^(Σ_S rᵢ)   =   ∏_{i∈S} eᵢ^{rᵢ},
+    /// ```
+    ///
+    /// where `eᵢ` is proof `i`'s exact pairing-equation value (`eᵢ = 1` iff
+    /// it verifies). The reduced pairing is bilinear as an identity of
+    /// field elements, so `T_parent = T_left · T_right` *exactly*:
+    ///
+    /// * a failing node (`T ≠ 1`) computes its **left half only** and
+    ///   derives the right one as `T · conj(T_left)` (inversion in GT is
+    ///   conjugation); a half with `T = 1` is not entered;
+    /// * the first Miller loop that visits a proof after the failed root
+    ///   **records** its `Bᵢ` lines in the same lock-step pass and every
+    ///   later visit replays them (no G2 arithmetic, no inversion);
+    /// * a check with two or more pool threads to itself runs its halves
+    ///   as two loops side by side — the split the pool makes anyway —
+    ///   and keeps the left one's product, so the check of that left half
+    ///   loops over γ/δ only. The failed root is such a check: the first
+    ///   level of the bisection visits no proof pair at all;
+    /// * the failing nodes of one tree level are independent and run as
+    ///   pool tasks, each with its share of the pool;
+    /// * a member is reported only after the exact single-proof equation
+    ///   rejected it; the descent stops at a failing *pair*, whose split
+    ///   would cost as much as the two exact checks. (Under fixed scalars
+    ///   the exact check cannot disagree with the bisection: `T_{i} =
+    ///   eᵢ^{rᵢ}` with `0 < rᵢ < r`, and GT has prime order `r`, so
+    ///   `T_{i} ≠ 1 ⟹ eᵢ ≠ 1`.)
+    ///
+    /// **Exact rejections never enter a product.** A point off its curve,
+    /// or a `B` the root loop's own membership comparison found outside G2
+    /// (a replayed pair has no accumulator to test), is what
+    /// [`Self::verify`] rejects deterministically: such members are
+    /// reported by index and the full check is repeated — recording —
+    /// without them.
+    ///
+    /// **Soundness of one set of scalars.** The `rᵢ` are Fiat–Shamir over
+    /// the *whole* batch, so they are fixed only after every proof in
+    /// every sub-range is. For a fixed range with an invalid member,
+    /// `∏ eᵢ^{rᵢ} = 1` is one linear relation on the exponents and holds
+    /// for at most a 2⁻¹²⁸ share of the scalars; the tree has fewer than
+    /// `2N` ranges, so the chance that *any* range hides an invalid member
+    /// is below `2N·2⁻¹²⁸` — and a hidden member is a missed rejection,
+    /// never a wrong blame.
+    ///
+    /// **Cost** for `k` invalid members among `N`: after the root, at most
+    /// `k·(⌈log₂N⌉ + 1)` checks — left halves and exact ones, each one
+    /// final exponentiation, one γ and one δ replay and one squaring chain
+    /// — and at most `N` dynamic pairs in total, everything else replays.
+    /// The returned [`IsolationWork`] is that count, and the same at every
+    /// pool size except that a wider pool loops over fewer pairs.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PreparedVerifyingKey::verify_batch`].
+    pub fn isolate(&self, proofs: &[Proof], inputs: &[Vec<Fr>]) -> Result<Isolation, SnarkError> {
+        self.check_arity(proofs, inputs)?;
+        if let [proof] = proofs {
+            // One proof: the exact check is the batch check.
+            let invalid = if self.verify(proof, &inputs[0])? {
+                Vec::new()
+            } else {
+                vec![0]
+            };
+            return Ok(Isolation {
+                invalid,
+                work: IsolationWork::default(),
+            });
         }
-        if proofs.len() == 1 {
-            bad.push(offset);
-            return Ok(());
+        let (live, mut invalid): (Vec<usize>, Vec<usize>) =
+            (0..proofs.len()).partition(|&i| proofs[i].is_on_curve());
+        let mut work = IsolationWork::default();
+        if !live.is_empty() {
+            let mut rlc = Rlc::new(self, proofs, inputs, &live);
+            let mut root = rlc.check_all(false);
+            if !root.outside_g2.is_empty() {
+                invalid.extend(rlc.remove(&root.outside_g2));
+                root = rlc.check_all(true);
+                work += root.work;
+            }
+            invalid.extend(rlc.bisect(root, &mut work));
         }
-        let mid = proofs.len() / 2;
-        let found_before = bad.len();
-        self.isolate(&proofs[..mid], &inputs[..mid], offset, false, bad)?;
-        let left_passed = bad.len() == found_before;
-        self.isolate(
-            &proofs[mid..],
-            &inputs[mid..],
-            offset + mid,
-            left_passed,
-            bad,
-        )
+        invalid.sort_unstable();
+        Ok(Isolation { invalid, work })
     }
 
     /// Fiat–Shamir RLC scalars: a running SHA-256 transcript over a domain
@@ -700,6 +807,297 @@ impl PreparedVerifyingKey {
     }
 }
 
+/// One live proof of a batch under the batch's scalars.
+struct Term<'a> {
+    /// Position in the caller's batch.
+    index: usize,
+    proof: &'a Proof,
+    inputs: &'a [Fr],
+    r: Fr,
+    /// `−r·A`.
+    neg_ra: G1Affine,
+    /// `B`'s Miller-loop lines, set by the first loop that visits the
+    /// proof after the full-batch check failed.
+    lines: OnceLock<G2Prepared>,
+}
+
+/// A batch under its one random linear combination: what the full-batch
+/// check computes once and every sub-range check of an isolation reuses.
+/// Lives for one `verify_batch`/`isolate` call, recorded lines included.
+struct Rlc<'a> {
+    pvk: &'a PreparedVerifyingKey,
+    terms: Vec<Term<'a>>,
+}
+
+/// Where a range of terms is split: the left half is the smaller one.
+fn midpoint(range: &Range<usize>) -> usize {
+    range.start + range.len() / 2
+}
+
+/// One RLC check over a range of terms.
+struct Checked {
+    /// `T_S` (see [`PreparedVerifyingKey::isolate`]); zero for a loop that
+    /// met a `B` outside G2.
+    value: Fp12,
+    /// Term positions whose `B` the loop found outside G2.
+    outside_g2: Vec<usize>,
+    /// `∏ ml(−rᵢAᵢ,Bᵢ)` over the left half of the range alone, when the
+    /// check ran its two halves as two loops: the product the left half's
+    /// own check would otherwise loop over the same pairs for.
+    left_pairs: Option<Fp12>,
+    work: IsolationWork,
+}
+
+/// One Miller loop of a check: its product (no final exponentiation yet),
+/// the term positions whose `B` it found outside G2, and the proof pairs
+/// it visited.
+struct Looped {
+    product: Fp12,
+    outside_g2: Vec<usize>,
+    work: IsolationWork,
+}
+
+impl<'a> Rlc<'a> {
+    /// Draws the scalars over the whole batch and scales `−rᵢ·Aᵢ` for the
+    /// `live` members (ascending batch indices, every point on its curve).
+    fn new(
+        pvk: &'a PreparedVerifyingKey,
+        proofs: &'a [Proof],
+        inputs: &'a [Vec<Fr>],
+        live: &[usize],
+    ) -> Self {
+        let rs = pvk.batch_scalars(proofs, inputs);
+        // Half-width double-and-add per proof, fanned out on the pool (the
+        // per-proof Miller pair dominates; this keeps the RLC scaling off
+        // the critical path).
+        let scaled = waku_pool::par_map(live, |&i| {
+            let r = rs[i].0;
+            proofs[i].a.mul_limbs(&[r as u64, (r >> 64) as u64]).neg()
+        });
+        let terms = live
+            .iter()
+            .zip(Projective::batch_to_affine(&scaled))
+            .map(|(&index, neg_ra)| Term {
+                index,
+                proof: &proofs[index],
+                inputs: &inputs[index],
+                r: rs[index].1,
+                neg_ra,
+                lines: OnceLock::new(),
+            })
+            .collect();
+        Rlc { pvk, terms }
+    }
+
+    /// The check over every term, on the whole pool.
+    fn check_all(&self, record: bool) -> Checked {
+        let threads = waku_pool::current_num_threads();
+        self.check(0..self.terms.len(), None, record, threads)
+    }
+
+    /// `T_S` for the terms in `range` on at most `fan_out` pool tasks: the
+    /// G1 aggregation, the Miller loops and one final exponentiation.
+    ///
+    /// With a pool share of two or more the range's halves run as two
+    /// loops side by side — the split the pool would make anyway — and
+    /// the left one's product is handed back, so that a caller about to
+    /// check that half passes it in as `pairs` and loops over γ/δ only.
+    /// Terms with recorded lines replay them; with `record` the others
+    /// leave theirs behind.
+    fn check(
+        &self,
+        range: Range<usize>,
+        pairs: Option<Fp12>,
+        record: bool,
+        fan_out: usize,
+    ) -> Checked {
+        let pvk = self.pvk;
+        let terms = &self.terms[range.clone()];
+        // Σᵢ rᵢ·ICᵢ folded per *base*: (Σrᵢ)·IC₀ + Σⱼ (Σᵢ rᵢxᵢⱼ)·ICⱼ₊₁ —
+        // one tiny MSM over the key's IC points instead of N point adds.
+        let mut ic_coeffs = vec![Fr::zero(); pvk.vk.ic.len()];
+        for term in terms {
+            ic_coeffs[0] += term.r;
+            for (c, xj) in ic_coeffs[1..].iter_mut().zip(term.inputs) {
+                *c += term.r * *xj;
+            }
+        }
+        // Σᵢ rᵢ·Cᵢ runs as a (pooled, when large) MSM alongside the IC fold.
+        let (ic_agg, c_agg) = waku_pool::join(
+            || msm(&pvk.vk.ic, &ic_coeffs).to_affine(),
+            || {
+                let (c_points, rs): (Vec<G1Affine>, Vec<Fr>) =
+                    terms.iter().map(|t| (t.proof.c, t.r)).unzip();
+                msm(&c_points, &rs).to_affine()
+            },
+        );
+        let fixed = [(ic_agg, &pvk.gamma_prepared), (c_agg, &pvk.delta_prepared)];
+
+        let mut left_pairs = None;
+        let loops = match pairs {
+            Some(_) => vec![self.pair_loop(range.end..range.end, &fixed, record, 1)],
+            None if fan_out > 1 => {
+                let mid = midpoint(&range);
+                let (left, right) = waku_pool::join(
+                    || self.pair_loop(range.start..mid, &[], record, fan_out / 2),
+                    || self.pair_loop(mid..range.end, &fixed, record, fan_out - fan_out / 2),
+                );
+                left_pairs = Some(left.product);
+                vec![left, right]
+            }
+            None => vec![self.pair_loop(range, &fixed, record, 1)],
+        };
+        let mut product = pairs.unwrap_or(Fp12::one());
+        let mut outside_g2 = Vec::new();
+        let mut work = IsolationWork {
+            checks: 1,
+            ..IsolationWork::default()
+        };
+        for part in loops {
+            product *= part.product;
+            outside_g2.extend(part.outside_g2);
+            work += part.work;
+        }
+        let value = if outside_g2.is_empty() {
+            // e(α,β) is a pairing value, so the cyclotomic ladder applies.
+            let ab_r = pvk
+                .alpha_beta
+                .cyclotomic_pow(&ic_coeffs[0].to_canonical_limbs());
+            final_exponentiation(&product).map_or(Fp12::zero(), |fe| fe * ab_r)
+        } else {
+            Fp12::zero()
+        };
+        Checked {
+            value,
+            outside_g2,
+            left_pairs,
+            work,
+        }
+    }
+
+    /// One mixed Miller loop over the proof pairs of the terms in `cut`
+    /// and the `fixed` pairs.
+    fn pair_loop(
+        &self,
+        cut: Range<usize>,
+        fixed: &[(G1Affine, &G2Prepared)],
+        record: bool,
+        fan_out: usize,
+    ) -> Looped {
+        let (mut fresh, mut fresh_at) = (Vec::new(), Vec::new());
+        let mut replayed = Vec::new();
+        for at in cut {
+            let term = &self.terms[at];
+            match term.lines.get() {
+                Some(lines) => replayed.push((term.neg_ra, lines)),
+                None => {
+                    fresh.push((term.neg_ra, term.proof.b));
+                    fresh_at.push(at);
+                }
+            }
+        }
+        let work = IsolationWork {
+            checks: 0,
+            dynamic_pairs: fresh.len(),
+            replayed_pairs: replayed.len(),
+        };
+        replayed.extend_from_slice(fixed);
+        let trace = miller_loop_traced(&fresh, &replayed, record, fan_out);
+        for (&at, lines) in fresh_at.iter().zip(trace.lines) {
+            self.terms[at]
+                .lines
+                .set(lines)
+                .expect("ranges looped over side by side are disjoint");
+        }
+        Looped {
+            product: trace.product,
+            outside_g2: trace.outside_g2.iter().map(|&i| fresh_at[i]).collect(),
+            work,
+        }
+    }
+
+    /// Drops the terms at `positions` (ascending) and returns their batch
+    /// indices.
+    fn remove(&mut self, positions: &[usize]) -> Vec<usize> {
+        let mut removed = Vec::with_capacity(positions.len());
+        let mut at = 0;
+        self.terms.retain(|term| {
+            let keep = positions.binary_search(&at).is_err();
+            at += 1;
+            if !keep {
+                removed.push(term.index);
+            }
+            keep
+        });
+        removed
+    }
+
+    /// Bisection in GT below the failed check `root` over all terms (see
+    /// [`PreparedVerifyingKey::isolate`]); returns the batch indices of
+    /// the members the exact check rejected.
+    fn bisect(&self, root: Checked, work: &mut IsolationWork) -> Vec<usize> {
+        /// A failing range, its value, and its left half's pair product
+        /// if the check that found it failing kept one.
+        type Node = (Range<usize>, Fp12, Option<Fp12>);
+        let threads = waku_pool::current_num_threads();
+        // The failing ranges of one tree level, and the proofs the descent
+        // ended at. It ends at a failing *pair* already: splitting it costs
+        // one check and then the exact check of whoever is left suspect,
+        // which is no less than the exact check of both.
+        let mut level: Vec<Node> = Vec::new();
+        let mut suspects = Vec::new();
+        let mut descend = |(range, value, left_pairs): Node, level: &mut Vec<Node>| {
+            if value == Fp12::one() {
+            } else if range.len() <= 2 {
+                suspects.extend(range);
+            } else {
+                level.push((range, value, left_pairs));
+            }
+        };
+        descend(
+            (0..self.terms.len(), root.value, root.left_pairs),
+            &mut level,
+        );
+        while !level.is_empty() {
+            let fan_out = (threads / level.len()).max(1);
+            let lefts = waku_pool::par_map(&level, |(range, _, left_pairs): &Node| {
+                self.check(range.start..midpoint(range), *left_pairs, true, fan_out)
+            });
+            let mut next = Vec::new();
+            for ((range, value, _), left) in level.into_iter().zip(lefts) {
+                debug_assert!(left.outside_g2.is_empty(), "the root loop tested every B");
+                *work += left.work;
+                let mid = midpoint(&range);
+                let right = value * left.value.conjugate();
+                descend((range.start..mid, left.value, left.left_pairs), &mut next);
+                descend((mid..range.end, right, None), &mut next);
+            }
+            level = next;
+        }
+
+        let fan_out = (threads / suspects.len().max(1)).max(1);
+        let verdicts = waku_pool::par_map(&suspects, |&at| {
+            let term = &self.terms[at];
+            self.pvk
+                .exact(term.proof, term.inputs, term.lines.get(), fan_out)
+        });
+        let mut invalid = Vec::new();
+        for (at, verified) in suspects.into_iter().zip(verdicts) {
+            let term = &self.terms[at];
+            let replayed = term.lines.get().is_some() as usize;
+            *work += IsolationWork {
+                checks: 1,
+                dynamic_pairs: 1 - replayed,
+                replayed_pairs: replayed,
+            };
+            if !verified {
+                invalid.push(term.index);
+            }
+        }
+        invalid
+    }
+}
+
 /// Process-wide cache of prepared verifying keys for the free-function
 /// [`verify`] path, so repeated one-shot calls against the same key do not
 /// re-derive `e(α, β)` and the γ/δ line coefficients every time.
@@ -741,6 +1139,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    thread_local! {
+        /// What [`Rolled`]'s `Drop` left behind on this thread, per dropped
+        /// state: `(assignment length, entries still non-zero)`.
+        pub(super) static WIPED: std::cell::RefCell<Vec<(usize, usize)>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
 
     /// x³ + x + 5 = out (the classic toy circuit), x = 3, out = 35.
     fn cubic_cs(x_val: u64, out_val: u64) -> ConstraintSystem {
@@ -847,6 +1252,32 @@ mod tests {
     }
 
     #[test]
+    fn carried_state_is_wiped_when_replaced_and_when_the_key_drops() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let pk = setup(&cubic_cs(3, 35), &mut rng);
+        let wiped = || WIPED.with(|log| log.borrow().clone());
+        let before = wiped().len();
+        prove(&pk, &cubic_cs(3, 35), &mut rng).unwrap();
+        let carried = pk.memo.load().unwrap();
+        assert!(carried.z.iter().any(|entry| !entry.is_zero()));
+        drop(carried);
+        // Only the cold start state (all zero, never stored) is gone.
+        assert_eq!(wiped()[before..], [(5, 0)]);
+        // The next proof replaces the carried state; its last holder — the
+        // proof that rolled it forward — lets go when it returns.
+        prove(&pk, &cubic_cs(2, 15), &mut rng).unwrap();
+        assert_eq!(wiped()[before..], [(5, 0), (5, 0)]);
+        // A test-held reference keeps the state alive past the key…
+        let carried = pk.memo.load().unwrap();
+        drop(pk);
+        assert_eq!(wiped().len(), before + 2);
+        assert!(carried.z.iter().any(|entry| !entry.is_zero()));
+        // …and the last holder wipes all five entries.
+        drop(carried);
+        assert_eq!(wiped()[before..], [(5, 0), (5, 0), (5, 0)]);
+    }
+
+    #[test]
     fn input_length_mismatch_errors() {
         let mut rng = StdRng::seed_from_u64(6);
         let cs = cubic_cs(3, 35);
@@ -921,7 +1352,7 @@ mod tests {
     #[test]
     fn isolation_matches_sequential_verify_on_all_256_patterns() {
         // N = 8: every valid/invalid pattern, so every combination of
-        // "left half passed → right half's check skipped" is walked.
+        // "left half's value is 1 / is the parent's / is neither" is walked.
         let mut rng = StdRng::seed_from_u64(13);
         let cs = cubic_cs(3, 35);
         let pk = setup(&cs, &mut rng);
@@ -951,8 +1382,10 @@ mod tests {
         let verdicts: Vec<[bool; 2]> = (0..8)
             .map(|i| [rejected(i, false), rejected(i, true)])
             .collect();
-        // One Miller loop at pool size 1, two chunk loops at 2.
-        for threads in [1, 2] {
+        // One loop per check at pool size 1; at 2 and 4 a lone check runs
+        // its halves side by side and the checks of one level share the
+        // pool.
+        for threads in [1, 2, 4] {
             waku_pool::with_threads(threads, || {
                 for mask in 0usize..256 {
                     let corrupt = |i: usize| (mask >> i) & 1 == 1;
@@ -972,6 +1405,64 @@ mod tests {
                     );
                 }
             });
+        }
+    }
+
+    #[test]
+    fn isolation_work_stays_within_the_stated_multiple() {
+        // ROADMAP D(4), as code: for k invalid proofs among N, at most
+        // k·(⌈log₂N⌉ + 1) final exponentiations after the full-batch check
+        // and at most N Miller pairs computed from scratch; none for a
+        // batch that verifies.
+        const N: usize = 64;
+        let mut rng = StdRng::seed_from_u64(15);
+        let cs = cubic_cs(3, 35);
+        let pk = setup(&cs, &mut rng);
+        let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+        let proofs: Vec<Proof> = (0..N).map(|_| prove(&pk, &cs, &mut rng).unwrap()).collect();
+        let good = vec![vec![Fr::from_u64(35)]; N];
+        let depth = N.next_power_of_two().trailing_zeros() as usize;
+        let bad_sets: [&[usize]; 6] = [
+            &[41],
+            &[5, 41],
+            &[5, 20, 41, 60],
+            &[40, 41, 42, 43],
+            &[3, 11, 19, 27, 35, 43, 51, 59],
+            &[0, 63],
+        ];
+        let at_pool = |threads: usize| {
+            waku_pool::with_threads(threads, || {
+                assert_eq!(pvk.isolate(&proofs, &good).unwrap(), Isolation::default());
+                bad_sets.map(|bad| {
+                    let mut inputs = good.clone();
+                    for &i in bad {
+                        inputs[i] = vec![Fr::from_u64(36)];
+                    }
+                    let Isolation { invalid, work } = pvk.isolate(&proofs, &inputs).unwrap();
+                    assert_eq!(invalid, bad, "pool = {threads}");
+                    assert!(
+                        work.checks <= bad.len() * (depth + 1),
+                        "{work:?} for {bad:?}, pool = {threads}"
+                    );
+                    assert!(
+                        work.dynamic_pairs <= N,
+                        "{work:?} for {bad:?}, pool = {threads}"
+                    );
+                    work
+                })
+            })
+        };
+        let serial = at_pool(1);
+        // One offender on a path of six levels, one exact check at its end.
+        assert_eq!(serial[0].checks, 7);
+        // The tree walked — hence the number of checks — is the same at
+        // every pool size; a wider pool only loops over fewer pairs, where
+        // a check already held its left half's product.
+        for threads in [2, 4] {
+            for (pooled, serial) in at_pool(threads).iter().zip(&serial) {
+                assert_eq!(pooled.checks, serial.checks, "pool = {threads}");
+                assert!(pooled.dynamic_pairs <= serial.dynamic_pairs);
+            }
         }
     }
 

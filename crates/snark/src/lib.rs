@@ -42,7 +42,10 @@ pub mod r1cs;
 pub mod serialize;
 pub mod solver;
 
-pub use groth16::{prove, setup, verify, PreparedVerifyingKey, Proof, ProvingKey, VerifyingKey};
+pub use groth16::{
+    prove, setup, verify, Isolation, IsolationWork, PreparedVerifyingKey, Proof, ProvingKey,
+    VerifyingKey,
+};
 pub use r1cs::{ConstraintSystem, LinearCombination, Variable};
 pub use solver::WitnessSolver;
 

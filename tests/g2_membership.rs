@@ -13,12 +13,12 @@ use rand::SeedableRng;
 use waku_suite::arith::biguint::BigUint;
 use waku_suite::arith::fields::{Fq, Fr};
 use waku_suite::arith::traits::{Field, PrimeField};
-use waku_suite::curve::pairing::{final_exponentiation, miller_loop};
+use waku_suite::curve::pairing::{final_exponentiation, miller_loop, miller_loop_traced};
 use waku_suite::curve::{Fp2, G1Affine, G1Projective, G2Affine, G2Projective};
 use waku_suite::pool::with_threads;
 use waku_suite::snark::{
-    prove, setup, verify, ConstraintSystem, LinearCombination, PreparedVerifyingKey, Proof,
-    ProvingKey, Variable,
+    prove, setup, verify, ConstraintSystem, Isolation, IsolationWork, LinearCombination,
+    PreparedVerifyingKey, Proof, ProvingKey, Variable,
 };
 
 /// Square root in Fq (`p ≡ 3 mod 4`), `None` for a non-residue.
@@ -129,6 +129,9 @@ fn one_point_outside_g2_zeroes_the_whole_product() {
         for threads in [1, 2, 3, 7] {
             let f = with_threads(threads, || miller_loop(&pairs));
             assert!(f.is_zero(), "position {position}, pool {threads}");
+            // …and the loop can say which pair it was.
+            let trace = miller_loop_traced(&pairs, &[], false, threads);
+            assert_eq!(trace.outside_g2, [position], "fan-out {threads}");
         }
         pairs[position].1 = honest;
     }
@@ -154,9 +157,13 @@ fn cubic_cs(x: u64) -> (ConstraintSystem, Vec<Fr>) {
 }
 
 fn eight_proofs(rng: &mut StdRng) -> (ProvingKey, Vec<Proof>, Vec<Vec<Fr>>) {
+    some_proofs(8, rng)
+}
+
+fn some_proofs(n: u64, rng: &mut StdRng) -> (ProvingKey, Vec<Proof>, Vec<Vec<Fr>>) {
     let (cs, _) = cubic_cs(3);
     let pk = setup(&cs, rng);
-    let (proofs, inputs) = (0..8)
+    let (proofs, inputs) = (0..n)
         .map(|i| {
             let (cs, input) = cubic_cs(3 + i);
             (prove(&pk, &cs, rng).unwrap(), input)
@@ -201,6 +208,41 @@ fn forged_b_is_rejected_on_every_verify_entry_point() {
             });
         }
     }
+}
+
+#[test]
+fn forged_b_among_64_is_blamed_alone_and_buys_no_bisection() {
+    let mut rng = StdRng::seed_from_u64(0xB7);
+    let (pk, mut proofs, mut inputs) = some_proofs(64, &mut rng);
+    let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+    let small = small_order_point(&mut rng);
+    proofs[41].b = proofs[41].b.to_projective().add_mixed(&small).to_affine();
+    for threads in [1, 2, 4] {
+        with_threads(threads, || {
+            // The root loop's own comparison names slot 41; the repeat of
+            // the full check without it (63 pairs, lines recorded in case
+            // it fails) passes, and that is all the forgery costs.
+            assert_eq!(
+                pvk.isolate(&proofs, &inputs).unwrap(),
+                Isolation {
+                    invalid: vec![41],
+                    work: IsolationWork {
+                        checks: 1,
+                        dynamic_pairs: 63,
+                        replayed_pairs: 0,
+                    },
+                },
+                "pool = {threads}"
+            );
+        });
+    }
+    // Beside an ordinary invalid proof the forgery still costs its one
+    // repeat; the bisection for the other runs on replayed lines only.
+    inputs[5][0] += Fr::one();
+    let Isolation { invalid, work } = pvk.isolate(&proofs, &inputs).unwrap();
+    assert_eq!(invalid, [5, 41]);
+    assert_eq!(work.dynamic_pairs, 63);
+    assert!(work.checks <= 1 + 7, "{work:?}");
 }
 
 #[test]
