@@ -2,8 +2,7 @@
 //! peer counts, timing the event-sharded simulation engine.
 //!
 //! ```text
-//! exp_scale_sweep [--peers N[,N,...]] [--duration-ms MS] [--workers N[,N,...]]
-//!                 [--json PATH] [--prom PATH]
+//! exp_scale_sweep [--peers N[,N,...]] [--duration-ms MS] [--json PATH] [--prom PATH]
 //! ```
 //!
 //! Defaults to `--peers 100,1000` (the CI smoke run); pass
@@ -19,13 +18,6 @@
 //! reproduces the serial engine exactly — same report, slower
 //! wall-clock).
 //!
-//! `--workers N[,N,...]` adds a multi-process row per peer count × worker
-//! count: the same scenario re-run through the coordinator + N-worker
-//! distributed driver (this binary re-execs itself as the workers),
-//! cross-checked for bit-identity against the in-process point and timed
-//! for events/s. A diverging or failing distributed run exits 2 like a
-//! broken containment ratio.
-//!
 //! Containment quality must not depend on scale: the run fails (exit 2)
 //! if any point's spam-delivery ratio exceeds `MAX_SPAM_DELIVERY`, so the
 //! CI smoke run doubles as a correctness gate for the paper's §IV claim
@@ -36,10 +28,7 @@ use std::time::Instant;
 
 use waku_gossip::NetworkConfig;
 use waku_metrics::Snapshot;
-use waku_sim::{
-    peers_from_env, run_scenario_distributed, run_scenario_with_metrics, worker_from_env, Defense,
-    ScenarioConfig, WorkerCommand,
-};
+use waku_sim::{peers_from_env, run_scenario_with_metrics, Defense, ScenarioConfig};
 
 /// §IV-C: ~2 spam msgs/s against a 1 s epoch caps delivery near 1/2 plus
 /// seeded jitter; anything above this means containment broke at scale.
@@ -104,48 +93,9 @@ impl SweepPoint {
     }
 }
 
-/// One multi-process row: the same sweep point re-run through the
-/// distributed driver at a given worker count.
-struct DistPoint {
-    peers: usize,
-    workers: usize,
-    rounds: u64,
-    wall_secs: f64,
-    events_per_sec: f64,
-    reports_equal: bool,
-}
-
-impl DistPoint {
-    fn to_json(&self) -> String {
-        format!(
-            "    {{\"peers\": {}, \"workers\": {}, \"rounds\": {}, \"wall_secs\": {:.3}, \
-             \"events_per_sec\": {:.0}, \"reports_equal\": {}}}",
-            self.peers,
-            self.workers,
-            self.rounds,
-            self.wall_secs,
-            self.events_per_sec,
-            self.reports_equal
-        )
-    }
-}
-
 fn main() -> ExitCode {
-    // Worker-mode hook: a copy of this binary spawned by the distributed
-    // driver must run the worker protocol, not the sweep.
-    if let Some(result) = worker_from_env() {
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("distributed worker failed: {e}");
-                ExitCode::from(3)
-            }
-        };
-    }
-
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut peer_counts: Vec<usize> = vec![100, 1_000];
-    let mut worker_counts: Vec<usize> = Vec::new();
     let mut duration_ms = 15_000u64;
     let mut json_path: Option<String> = None;
     let mut prom_path: Option<String> = None;
@@ -178,25 +128,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--workers" => match it.next() {
-                Some(list) => {
-                    let parsed: Option<Vec<usize>> = list
-                        .split(',')
-                        .map(|v| v.trim().parse::<usize>().ok().filter(|&n| n >= 1))
-                        .collect();
-                    match parsed {
-                        Some(w) if !w.is_empty() => worker_counts = w,
-                        _ => {
-                            eprintln!("--workers needs a comma-separated list of counts ≥ 1");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                None => {
-                    eprintln!("--workers needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--json" => match it.next() {
                 Some(path) => json_path = Some(path.clone()),
                 None => {
@@ -215,7 +146,7 @@ fn main() -> ExitCode {
                 eprintln!("unknown argument {other:?}");
                 eprintln!(
                     "usage: exp_scale_sweep [--peers N[,N,...]] [--duration-ms MS] \
-                     [--workers N[,N,...]] [--json PATH] [--prom PATH]"
+                     [--json PATH] [--prom PATH]"
                 );
                 return ExitCode::FAILURE;
             }
@@ -238,50 +169,14 @@ fn main() -> ExitCode {
     println!("| peers | shards | events | barriers | wall (s) | events/s | ns/event | honest delivery | spam delivery | spammers caught |");
     println!("|---|---|---|---|---|---|---|---|---|---|");
 
-    let strip_engine = |mut snap: Snapshot| {
-        snap.retain(|desc| !desc.name.starts_with("engine_"));
-        snap
-    };
-    let worker_cmd = WorkerCommand::current_exe(Vec::new()).expect("current executable");
     let mut failed = false;
     let mut points: Vec<SweepPoint> = Vec::new();
-    let mut dist_points: Vec<DistPoint> = Vec::new();
     for &peers in &peer_counts {
         let config = sweep_config(peers, duration_ms);
         let start = Instant::now();
         let (report, engine, metrics) = run_scenario_with_metrics(&config);
         let wall = start.elapsed();
         let events = report.events_processed.max(1);
-        for &workers in &worker_counts {
-            let start = Instant::now();
-            let (dist_report, dist_engine, dist_snap) =
-                match run_scenario_distributed(&config, workers, &worker_cmd) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        eprintln!("FAIL: distributed run @ {peers} peers, {workers} workers: {e}");
-                        failed = true;
-                        continue;
-                    }
-                };
-            let dist_wall = start.elapsed().as_secs_f64();
-            let reports_equal =
-                dist_report == report && strip_engine(dist_snap) == strip_engine(metrics.clone());
-            if !reports_equal {
-                eprintln!(
-                    "FAIL: distributed run @ {peers} peers, {workers} workers \
-                     diverged from in-process"
-                );
-                failed = true;
-            }
-            dist_points.push(DistPoint {
-                peers,
-                workers,
-                rounds: dist_engine.barriers,
-                wall_secs: dist_wall,
-                events_per_sec: events as f64 / dist_wall.max(1e-9),
-                reports_equal,
-            });
-        }
         let point = SweepPoint {
             peers,
             shards: engine.shards,
@@ -332,34 +227,13 @@ fn main() -> ExitCode {
     println!("adaptive lookahead minimizes; 0 = serial); containment ratios");
     println!("must hold at every scale — the sweep exits 2 if they don't.");
 
-    if !dist_points.is_empty() {
-        println!();
-        println!("## multi-process rows (coordinator + N worker processes)");
-        println!();
-        println!("| peers | workers | rounds | wall (s) | events/s | reports equal |");
-        println!("|---|---|---|---|---|---|");
-        for p in &dist_points {
-            println!(
-                "| {} | {} | {} | {:.2} | {:.0} | {} |",
-                p.peers, p.workers, p.rounds, p.wall_secs, p.events_per_sec, p.reports_equal
-            );
-        }
-        println!();
-        println!("each row replays the identical seeded scenario through the");
-        println!("distributed driver; `reports equal` asserts bit-identity against");
-        println!("the in-process point above (report and metrics snapshot).");
-    }
-
     if let Some(path) = json_path {
         let body: Vec<String> = points.iter().map(SweepPoint::to_json).collect();
-        let dist_body: Vec<String> = dist_points.iter().map(DistPoint::to_json).collect();
         let json = format!(
-            "{{\n  \"duration_ms\": {},\n  \"pool_threads\": {},\n  \"points\": [\n{}\n  ],\n  \
-             \"distributed\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"duration_ms\": {},\n  \"pool_threads\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
             duration_ms,
             waku_pool::current_num_threads(),
-            body.join(",\n"),
-            dist_body.join(",\n")
+            body.join(",\n")
         );
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("cannot write {path}: {e}");

@@ -20,23 +20,9 @@
 
 use std::process::ExitCode;
 
-use waku_sim::{run_soak, worker_from_env, SoakConfig, SoakReport};
+use waku_sim::{run_soak, SoakConfig, SoakReport};
 
 fn main() -> ExitCode {
-    // Worker-mode hook: lets ad-hoc distributed runs (and operators
-    // poking at the driver) point the coordinator at this binary too —
-    // a spawned copy with `WAKU_DIST_COORD` set runs the worker
-    // protocol instead of the soak.
-    if let Some(result) = worker_from_env() {
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("distributed worker failed: {e}");
-                ExitCode::from(3)
-            }
-        };
-    }
-
     let mut config = SoakConfig {
         epoch_secs: 20,
         publishers: 2,

@@ -3,8 +3,8 @@
 //! Benchmarks (criterion, `cargo bench`) and experiment binaries
 //! (`cargo run --release -p waku-bench --bin exp_*`) that regenerate every
 //! row of the paper's evaluation (§IV). The experiment ↔ binary mapping is
-//! in DESIGN.md §4; measured-vs-paper numbers are recorded in
-//! EXPERIMENTS.md.
+//! in README.md ("Benches and experiments"); measured-vs-paper numbers
+//! are recorded under README.md "Performance".
 
 use std::time::{Duration, Instant};
 

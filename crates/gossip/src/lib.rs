@@ -40,17 +40,12 @@ pub mod message;
 pub mod network;
 pub mod scheduler;
 pub mod scoring;
-pub mod transport;
 
 pub use faults::{CrashSpec, FaultPlan, LinkFaults, PartitionSpec, SkewSpec};
 pub use message::{Message, MessageId, PeerId, Rpc, SimTime, Topic, TrafficClass, Validation};
 pub use network::{
-    plan_heals_snapshot, ConfigError, DeliveryRecord, GossipConfig, MessageAcceptor, Network,
-    NetworkConfig, NetworkConfigBuilder, PeerStats, Validator,
+    ConfigError, DeliveryRecord, GossipConfig, MessageAcceptor, Network, NetworkConfig,
+    NetworkConfigBuilder, PeerStats, Validator,
 };
 pub use scheduler::SchedulerKind;
 pub use scoring::{PeerScore, ScoreParams};
-pub use transport::{
-    worker_peer_range, CodecError, CoordinatorOptions, DistributedScheduler, Frame, FrameDecoder,
-    RunOutcome, RunParams, TransportError, WireEvent, WirePayload, WorkerOptions, WorkerSession,
-};

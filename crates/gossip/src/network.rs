@@ -28,9 +28,7 @@ use crate::engine::{PeerSlot, QueuedEvent, SimEvent};
 use crate::faults::FaultPlan;
 use crate::instrument::{engine_catalogue, network_catalogue};
 use crate::message::{Message, MessageId, PeerId, SimTime, Topic, TrafficClass, Validation};
-use crate::scheduler::{
-    Scheduler, SchedulerKind, SerialScheduler, ShardedScheduler, WorkerScheduler,
-};
+use crate::scheduler::{Scheduler, SchedulerKind, SerialScheduler, ShardedScheduler};
 use crate::scoring::ScoreParams;
 
 pub use crate::engine::DeliveryRecord;
@@ -321,9 +319,9 @@ pub struct PeerStats {
 pub struct Network {
     pub(crate) config: NetworkConfig,
     pub(crate) slots: Vec<PeerSlot>,
-    pub(crate) scheduler: Box<dyn Scheduler>,
-    pub(crate) now: SimTime,
-    pub(crate) events_processed: u64,
+    scheduler: Box<dyn Scheduler>,
+    now: SimTime,
+    events_processed: u64,
 }
 
 impl Network {
@@ -334,49 +332,6 @@ impl Network {
     ///
     /// Panics if `peers < 2` or `degree >= peers`.
     pub fn new(config: NetworkConfig) -> Self {
-        Network::build(config, |config, slots| {
-            let shards = config.scheduler.resolve(config.peers);
-            if shards <= 1 {
-                Box::new(SerialScheduler::new())
-            } else {
-                // Built after the topology: the adaptive lookahead derives
-                // its shard-pair latency matrix from the neighbor lists.
-                Box::new(ShardedScheduler::new(config.peers, shards, config, slots))
-            }
-        })
-    }
-
-    /// Builds the network as distributed worker `worker` of `workers`:
-    /// the full deterministic construction is replayed (drift draws,
-    /// topology, heartbeat stagger, fault timeline — so every RNG and
-    /// event-key stream is bit-identical to the in-process run), but the
-    /// scheduler only owns the worker's contiguous shard range. Events
-    /// for other workers' peers are dropped at enqueue; the owning
-    /// worker replays the same construction and enqueues its own copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Network::new`], and when `worker >= workers`.
-    pub fn new_worker(config: NetworkConfig, workers: usize, worker: usize) -> Self {
-        assert!(worker < workers, "worker index out of range");
-        Network::build(config, move |config, slots| {
-            let shards = config.scheduler.resolve(config.peers);
-            Box::new(WorkerScheduler::new(
-                config.peers,
-                shards,
-                workers,
-                worker,
-                config,
-                slots,
-            ))
-        })
-    }
-
-    /// Shared construction: everything up to the choice of scheduler.
-    fn build(
-        config: NetworkConfig,
-        make_scheduler: impl FnOnce(&NetworkConfig, &[PeerSlot]) -> Box<dyn Scheduler>,
-    ) -> Self {
         assert!(config.peers >= 2, "need at least two peers");
         assert!(config.degree < config.peers, "degree must be < peers");
         // Construction RNG: drift, topology, and heartbeat stagger are
@@ -423,7 +378,14 @@ impl Network {
             slot.neighbors.sort_unstable();
         }
 
-        let mut scheduler = make_scheduler(&config, &slots);
+        let shards = config.scheduler.resolve(config.peers);
+        let mut scheduler: Box<dyn Scheduler> = if shards <= 1 {
+            Box::new(SerialScheduler::new())
+        } else {
+            // Built after the topology: the adaptive lookahead derives its
+            // shard-pair latency matrix from the peers' neighbor lists.
+            Box::new(ShardedScheduler::new(config.peers, shards, &config, &slots))
+        };
 
         // Stagger heartbeats so the whole network doesn't thunder at once.
         for (p, slot) in slots.iter_mut().enumerate() {
@@ -644,23 +606,6 @@ impl Network {
     /// the execution strategy — filter that prefix before comparing
     /// snapshots across schedulers).
     pub fn metrics_snapshot(&self) -> waku_metrics::Snapshot {
-        let mut snapshot = self.metrics_snapshot_shard();
-        // Snapshot-time fill from the plan + the (scheduler-invariant)
-        // clock: which scheduled partitions have healed by now. Added
-        // once per *network*, not per worker — the distributed
-        // coordinator merges per-worker shard snapshots and then folds
-        // this part in exactly once (see [`plan_heals_snapshot`]).
-        snapshot.merge(&plan_heals_snapshot(&self.config.faults, self.now));
-        snapshot
-    }
-
-    /// The shard-local part of [`Network::metrics_snapshot`]: per-peer
-    /// engine recorders plus `PeerStats`-derived counters, *without* the
-    /// plan-derived `partition_heals` fill. On a distributed worker every
-    /// value here is owned-peers-only (non-owned slots never dispatch),
-    /// so merging the per-worker snapshots reproduces the in-process
-    /// totals exactly.
-    pub fn metrics_snapshot_shard(&self) -> waku_metrics::Snapshot {
         let engine_layout = &engine_catalogue().0;
         let mut peers = waku_metrics::LocalRecorder::new(std::sync::Arc::clone(engine_layout));
         for slot in &self.slots {
@@ -680,6 +625,12 @@ impl Network {
         net.add(ids.invalid_delivered, totals.invalid_delivered);
         net.add(ids.rejected, totals.rejected);
         net.add(ids.ignored, totals.ignored);
+        // Snapshot-time fill from the plan + the (scheduler-invariant)
+        // clock: which scheduled partitions have healed by now.
+        net.add(
+            ids.partition_heals,
+            self.config.faults.partitions_healed(self.now),
+        );
 
         let mut snapshot = peers.snapshot();
         snapshot.merge(&net.snapshot());
@@ -688,9 +639,7 @@ impl Network {
 
     /// Network-wide per-topic `(bytes_in, bytes_out)` for topic-bearing
     /// RPCs — the label dimension `engine_topic_bytes_{in,out}` can't
-    /// carry. Deterministic and scheduler-independent; on a distributed
-    /// worker it covers owned peers only (merge maps across workers by
-    /// summing per topic).
+    /// carry. Deterministic and scheduler-independent.
     pub fn topic_bytes(&self) -> BTreeMap<Topic, (u64, u64)> {
         let mut merged: BTreeMap<Topic, (u64, u64)> = BTreeMap::new();
         for slot in &self.slots {
@@ -702,17 +651,6 @@ impl Network {
         }
         merged
     }
-}
-
-/// The plan-derived snapshot fragment [`Network::metrics_snapshot`] adds
-/// on top of the shard part: which scheduled partitions have healed by
-/// `now`. Exposed so the distributed coordinator can fold it in exactly
-/// once after merging per-worker shard snapshots.
-pub fn plan_heals_snapshot(faults: &FaultPlan, now: SimTime) -> waku_metrics::Snapshot {
-    let (net_layout, ids) = network_catalogue();
-    let mut net = waku_metrics::LocalRecorder::new(std::sync::Arc::clone(net_layout));
-    net.add(ids.partition_heals, faults.partitions_healed(now));
-    net.snapshot()
 }
 
 #[cfg(test)]

@@ -326,61 +326,7 @@ impl EventQueue {
 /// Sentinel for "no pending event" / "no path between shards". Kept far
 /// from `SimTime::MAX` so saturating adds of latencies never wrap into
 /// plausible times.
-pub(crate) const FAR: SimTime = SimTime::MAX / 4;
-
-/// The shard layout a network of `peers` runs with at a requested shard
-/// count: `(chunk, shards)` where peers `[i * chunk, (i+1) * chunk)`
-/// belong to shard `i`. Shared by the in-process sharded scheduler and
-/// the distributed worker assignment, so both partition identically.
-pub(crate) fn shard_layout(peers: usize, shards: usize) -> (usize, usize) {
-    let shards = shards.clamp(1, peers.max(1));
-    let chunk = peers.div_ceil(shards).max(1);
-    (chunk, peers.div_ceil(chunk).max(1))
-}
-
-/// The contiguous shard range worker `worker` of `workers` owns —
-/// balanced so no worker is empty while `workers ≤ shards` (the first
-/// `shards % workers` workers take one extra shard). Deterministic: the
-/// assignment is a pure function of the three arguments.
-pub(crate) fn worker_shard_range(
-    shards: usize,
-    workers: usize,
-    worker: usize,
-) -> std::ops::Range<usize> {
-    let workers = workers.clamp(1, shards.max(1));
-    let base = shards / workers;
-    let rem = shards % workers;
-    let lo = (worker.min(workers) * base + worker.min(rem)).min(shards);
-    let extra = if worker < rem { 1 } else { 0 };
-    let hi = (lo + base + extra).min(shards);
-    lo..hi
-}
-
-/// Computes per-shard dispatch horizons into `horizons` from the current
-/// per-shard heads: the per-shard-pair Chandy–Misra bound from the
-/// cross-shard link-latency matrix. Events at exactly `t` must still run,
-/// so horizons cap at `t + 1`. Pure over its inputs: the in-process
-/// scheduler and the distributed coordinator both call this, which is
-/// what makes their rounds line up event-for-event.
-pub(crate) fn fill_horizons(
-    dist: &[SimTime],
-    cyc: &[SimTime],
-    heads: &[SimTime],
-    t: SimTime,
-    horizons: &mut [SimTime],
-) {
-    let s = heads.len();
-    let cap = t.saturating_add(1);
-    for i in 0..s {
-        let mut h = heads[i].saturating_add(cyc[i]);
-        for (j, &head) in heads.iter().enumerate() {
-            if j != i {
-                h = h.min(head.saturating_add(dist[j * s + i]));
-            }
-        }
-        horizons[i] = h.min(cap);
-    }
-}
+const FAR: SimTime = SimTime::MAX / 4;
 
 /// Which engine executes the event queue. Results are bit-identical across
 /// every variant (and every `WAKU_POOL_THREADS` value); the choice only
@@ -437,11 +383,6 @@ pub(crate) trait Scheduler: Send {
     /// Fork-join barrier rounds executed so far (0 for the serial engine).
     fn barriers(&self) -> u64 {
         0
-    }
-    /// Downcast to the distributed worker-shard engine, when this is one
-    /// (the worker session drives rounds directly instead of `run_until`).
-    fn as_worker(&mut self) -> Option<&mut WorkerScheduler> {
-        None
     }
 }
 
@@ -606,7 +547,9 @@ impl ShardedScheduler {
         config: &NetworkConfig,
         slots: &[PeerSlot],
     ) -> Self {
-        let (chunk, num_queues) = shard_layout(peers, shards);
+        let shards = shards.clamp(1, peers.max(1));
+        let chunk = peers.div_ceil(shards).max(1);
+        let num_queues = peers.div_ceil(chunk).max(1);
         let quantum = config.latency_min_ms.max(1);
         let (dist, cyc) = shard_latency_matrix(slots, chunk, num_queues, quantum);
         ShardedScheduler {
@@ -620,9 +563,22 @@ impl ShardedScheduler {
         }
     }
 
-    /// Computes each shard's dispatch horizon from `self.heads`.
+    /// Computes each shard's dispatch horizon from `self.heads`: the
+    /// per-shard-pair Chandy–Misra bound from the cross-shard link-latency
+    /// matrix. Events at exactly `t` must still run, so horizons cap at
+    /// `t + 1`.
     fn compute_horizons(&mut self, t: SimTime) {
-        fill_horizons(&self.dist, &self.cyc, &self.heads, t, &mut self.horizons);
+        let s = self.queues.len();
+        let cap = t.saturating_add(1);
+        for i in 0..s {
+            let mut h = self.heads[i].saturating_add(self.cyc[i]);
+            for (j, &head) in self.heads.iter().enumerate() {
+                if j != i {
+                    h = h.min(head.saturating_add(self.dist[j * s + i]));
+                }
+            }
+            self.horizons[i] = h.min(cap);
+        }
     }
 }
 
@@ -685,169 +641,6 @@ impl Scheduler for ShardedScheduler {
 
     fn barriers(&self) -> u64 {
         self.barriers
-    }
-}
-
-/// One distributed worker's slice of the sharded engine: the event
-/// queues of a contiguous shard range, plus the *full* shard-latency
-/// matrix (every worker replays the whole deterministic network
-/// construction, so the matrix is identical in all of them — the
-/// coordinator cross-checks that).
-///
-/// Unlike [`ShardedScheduler`] it has no driving loop: the coordinator
-/// owns head collection and horizon computation, and calls
-/// [`WorkerScheduler::round`] (through the worker session) once per
-/// global barrier. Events targeting peers outside the owned range are
-/// dropped on [`Scheduler::enqueue`] — the worker that owns them replays
-/// the same construction and enqueues its own copy — and returned from
-/// `round` as the cross-worker outbox.
-pub(crate) struct WorkerScheduler {
-    /// Event queues for owned shards only (`shard_base ..`).
-    queues: Vec<EventQueue>,
-    chunk: usize,
-    /// First owned shard index.
-    shard_base: usize,
-    dist: Vec<SimTime>,
-    cyc: Vec<SimTime>,
-    barriers: u64,
-}
-
-impl WorkerScheduler {
-    /// `slots` must have neighbor lists assigned (full replayed network).
-    pub(crate) fn new(
-        peers: usize,
-        shards: usize,
-        workers: usize,
-        worker: usize,
-        config: &NetworkConfig,
-        slots: &[PeerSlot],
-    ) -> Self {
-        let (chunk, shards_total) = shard_layout(peers, shards);
-        let range = worker_shard_range(shards_total, workers, worker);
-        let quantum = config.latency_min_ms.max(1);
-        let (dist, cyc) = shard_latency_matrix(slots, chunk, shards_total, quantum);
-        WorkerScheduler {
-            queues: range.clone().map(|_| EventQueue::new()).collect(),
-            chunk,
-            shard_base: range.start,
-            dist,
-            cyc,
-            barriers: 0,
-        }
-    }
-
-    /// Full shard-pair shortest-path matrix (row-major, `shards²`).
-    pub(crate) fn dist(&self) -> &[SimTime] {
-        &self.dist
-    }
-
-    /// Per-shard minimum round-trip delays (one per shard, all workers).
-    pub(crate) fn cyc(&self) -> &[SimTime] {
-        &self.cyc
-    }
-
-    /// Earliest pending event time per owned shard ([`FAR`] when empty),
-    /// exactly as the in-process round loop computes its heads.
-    pub(crate) fn heads(&mut self) -> Vec<SimTime> {
-        self.queues
-            .iter_mut()
-            .map(|q| q.peek_at().unwrap_or(FAR).min(FAR))
-            .collect()
-    }
-
-    /// Accepts a cross-worker event delivered by the coordinator.
-    /// `debug_assert`s ownership — the coordinator routes by shard.
-    pub(crate) fn inject(&mut self, ev: QueuedEvent) {
-        let shard = ev.target / self.chunk;
-        debug_assert!(
-            shard >= self.shard_base && shard < self.shard_base + self.queues.len(),
-            "coordinator delivered an event for shard {shard} to worker base {}",
-            self.shard_base
-        );
-        self.queues[shard - self.shard_base].push(ev);
-    }
-
-    /// Runs one barrier round: dispatches every owned shard with a head
-    /// strictly below its horizon (`horizons` is the coordinator-computed
-    /// slice for the owned range), keeps intra-worker cross-shard events
-    /// local (pushed in fixed shard order, same as the in-process
-    /// barrier drain), and returns `(processed, cross_worker_outbox)`.
-    pub(crate) fn round(
-        &mut self,
-        slots: &mut [PeerSlot],
-        config: &NetworkConfig,
-        horizons: &[SimTime],
-    ) -> (u64, Vec<QueuedEvent>) {
-        debug_assert_eq!(horizons.len(), self.queues.len());
-        let chunk = self.chunk;
-        let shard_base = self.shard_base;
-        let owned = self.queues.len();
-        let heads = self.heads();
-        let mut rounds: Vec<ShardRound> = self
-            .queues
-            .iter_mut()
-            .zip(slots.chunks_mut(chunk).skip(shard_base))
-            .enumerate()
-            .filter(|(i, _)| heads[*i] < horizons[*i])
-            .map(|(i, (queue, slots))| ShardRound {
-                queue,
-                slots,
-                base: (shard_base + i) * chunk,
-                horizon: horizons[i],
-                outbox: Vec::new(),
-                processed: 0,
-            })
-            .collect();
-        waku_pool::par_for_each_mut(&mut rounds, |_, round| round.run(config));
-        self.barriers += 1;
-        let results: Vec<(u64, Vec<QueuedEvent>)> = rounds
-            .into_iter()
-            .map(|r| (r.processed, r.outbox))
-            .collect();
-        let mut processed = 0u64;
-        let mut cross_worker = Vec::new();
-        // Barrier drain in fixed shard order — identical to in-process.
-        for (count, outbox) in results {
-            processed += count;
-            for ev in outbox {
-                let shard = ev.target / chunk;
-                if shard >= shard_base && shard < shard_base + owned {
-                    self.queues[shard - shard_base].push(ev);
-                } else {
-                    cross_worker.push(ev);
-                }
-            }
-        }
-        (processed, cross_worker)
-    }
-}
-
-impl Scheduler for WorkerScheduler {
-    fn enqueue(&mut self, ev: QueuedEvent) {
-        let shard = ev.target / self.chunk;
-        if shard >= self.shard_base && shard < self.shard_base + self.queues.len() {
-            self.queues[shard - self.shard_base].push(ev);
-        }
-        // Non-owned targets: dropped. The owning worker replays the same
-        // deterministic construction/workload and enqueues its own copy.
-    }
-
-    fn run_until(&mut self, _slots: &mut [PeerSlot], _config: &NetworkConfig, _t: SimTime) -> u64 {
-        unreachable!("worker shards are driven round-by-round by the coordinator")
-    }
-
-    fn shards(&self) -> usize {
-        // Owned count: per-worker `engine_shards` gauges sum to the total
-        // across the coordinator's snapshot merge.
-        self.queues.len()
-    }
-
-    fn barriers(&self) -> u64 {
-        self.barriers
-    }
-
-    fn as_worker(&mut self) -> Option<&mut WorkerScheduler> {
-        Some(self)
     }
 }
 
@@ -925,38 +718,6 @@ mod tests {
             .map(|e| (e.key.origin, e.key.seq))
             .collect();
         assert_eq!(order, vec![(0, 2), (0, 5), (1, 9), (2, 0)]);
-    }
-
-    #[test]
-    fn worker_ranges_partition_the_shards() {
-        for shards in 1..=9usize {
-            for workers in 1..=6usize {
-                let w = workers.clamp(1, shards);
-                let mut covered = vec![0u32; shards];
-                for i in 0..w {
-                    let range = worker_shard_range(shards, workers, i);
-                    assert!(!range.is_empty(), "shards={shards} workers={workers} i={i}");
-                    for s in range {
-                        covered[s] += 1;
-                    }
-                }
-                assert!(
-                    covered.iter().all(|&c| c == 1),
-                    "shards={shards} workers={workers}: {covered:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shard_layout_matches_scheduler_construction() {
-        for (peers, shards) in [(10, 3), (100, 7), (4, 4), (512, 2), (1, 5)] {
-            let slots = ring_slots(peers);
-            let s = ShardedScheduler::new(peers, shards, &NetworkConfig::default(), &slots);
-            let (chunk, count) = shard_layout(peers, shards);
-            assert_eq!(chunk, s.chunk);
-            assert_eq!(count, s.queues.len());
-        }
     }
 
     #[test]

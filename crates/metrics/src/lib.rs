@@ -76,4 +76,4 @@ pub use desc::{bucket_bound, bucket_index, Desc, GaugeFold, MetricKind, BUCKET_C
 pub use layout::{CounterId, GaugeId, HistogramId, Layout, LayoutBuilder};
 pub use recorder::{LocalRecorder, RecorderShards};
 pub use registry::{Counter, Gauge, Histogram, Registry};
-pub use snapshot::{HistogramValue, MetricValue, Snapshot, Value, WireError};
+pub use snapshot::{HistogramValue, MetricValue, Snapshot, Value};

@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use crate::desc::{bucket_bound, Desc, GaugeFold, MetricKind, BUCKET_COUNT};
 use crate::layout::Layout;
-use waku_wire::{put_len, put_u16, put_u64, Reader};
 
 /// One histogram's state: per-bucket counts (non-cumulative), the total
 /// observation count, and the exact (wrapping) sum of observed values.
@@ -267,134 +266,6 @@ impl Snapshot {
     }
 }
 
-/// A snapshot's wire bytes failed to decode — the workspace-wide codec
-/// error (decoding is total: any byte slice either yields a snapshot or
-/// one of its variants, never a panic or a read past the slice).
-pub use waku_wire::CodecError as WireError;
-
-/// Longest name/help string accepted on decode.
-const MAX_WIRE_STR: usize = 4096;
-
-/// Decoded descriptors need `&'static str` names; strings arriving off
-/// the wire are interned here (leaked once per distinct string, which is
-/// bounded by the static metric catalogues of the sending process).
-fn intern(s: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .expect("intern cache poisoned");
-    if let Some(hit) = cache.get(s) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    cache.insert(leaked);
-    leaked
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= MAX_WIRE_STR, "metric string too long for wire");
-    put_u16(out, s.len() as u16);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(r: &mut Reader) -> Result<&'static str, WireError> {
-    let len = r.u16()? as usize;
-    if len > MAX_WIRE_STR {
-        return Err(WireError::Oversized);
-    }
-    Ok(intern(r.str(len)?))
-}
-
-impl Snapshot {
-    /// Encodes the snapshot as a self-contained byte string for
-    /// cross-process transfer (the distributed simulation driver ships
-    /// per-worker snapshots through it). [`Snapshot::from_wire`] is the
-    /// exact inverse: `from_wire(&s.to_wire()) == Ok(s)`.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.entries.len() * 48);
-        put_len(&mut out, self.entries.len());
-        for entry in &self.entries {
-            put_str(&mut out, entry.desc.name);
-            put_str(&mut out, entry.desc.help);
-            out.push(match entry.desc.kind {
-                MetricKind::Counter => 0,
-                MetricKind::Gauge => 1,
-                MetricKind::Histogram => 2,
-            });
-            out.push(match entry.desc.fold {
-                GaugeFold::Sum => 0,
-                GaugeFold::Max => 1,
-            });
-            match &entry.value {
-                Value::Scalar(v) => {
-                    out.push(0);
-                    put_u64(&mut out, *v);
-                }
-                Value::Histogram(h) => {
-                    out.push(1);
-                    put_len(&mut out, h.buckets.len());
-                    for b in &h.buckets {
-                        put_u64(&mut out, *b);
-                    }
-                    put_u64(&mut out, h.count);
-                    put_u64(&mut out, h.sum);
-                }
-            }
-        }
-        out
-    }
-
-    /// Decodes a snapshot produced by [`Snapshot::to_wire`]. Total on
-    /// arbitrary input: corrupted or truncated bytes return a
-    /// [`WireError`], never a panic or an over-read.
-    pub fn from_wire(bytes: &[u8]) -> Result<Snapshot, WireError> {
-        let mut r = Reader::new(bytes);
-        // Smallest possible entry: two empty strings + 3 tag bytes + u64.
-        let count = r.count(15)?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = read_str(&mut r)?;
-            let help = read_str(&mut r)?;
-            let kind = match r.u8()? {
-                0 => MetricKind::Counter,
-                1 => MetricKind::Gauge,
-                2 => MetricKind::Histogram,
-                t => return Err(WireError::BadTag(t)),
-            };
-            let fold = match r.u8()? {
-                0 => GaugeFold::Sum,
-                1 => GaugeFold::Max,
-                t => return Err(WireError::BadTag(t)),
-            };
-            let value = match r.u8()? {
-                0 => Value::Scalar(r.u64()?),
-                1 => Value::Histogram(HistogramValue {
-                    buckets: (0..r.count(8)?)
-                        .map(|_| r.u64())
-                        .collect::<Result<_, _>>()?,
-                    count: r.u64()?,
-                    sum: r.u64()?,
-                }),
-                t => return Err(WireError::BadTag(t)),
-            };
-            entries.push(MetricValue {
-                desc: Desc {
-                    name,
-                    help,
-                    kind,
-                    fold,
-                },
-                value,
-            });
-        }
-        r.finish()?;
-        Ok(Snapshot { entries })
-    }
-}
-
 /// Folds two same-name entries (kind/fold agreement debug-asserted).
 fn fold_pair(a: &MetricValue, b: &MetricValue) -> MetricValue {
     debug_assert_eq!(a.desc.kind, b.desc.kind, "kind clash on {}", a.desc.name);
@@ -487,33 +358,6 @@ mod tests {
         assert!(text.contains("latency_ms_bucket{le=\"+Inf\"} 1\n"));
         assert!(text.contains("latency_ms_sum 100\n"));
         assert!(text.contains("latency_ms_count 1\n"));
-    }
-
-    #[test]
-    fn wire_round_trips_and_rejects_corruption() {
-        let (r1, _) = sample();
-        let snap = r1.snapshot();
-        let bytes = snap.to_wire();
-        let back = Snapshot::from_wire(&bytes).expect("round trip");
-        assert_eq!(back, snap);
-        // Decoded descriptors intern to content-equal &'static strs.
-        assert_eq!(back.scalar("events_total"), 3);
-
-        for cut in 0..bytes.len() {
-            assert!(
-                Snapshot::from_wire(&bytes[..cut]).is_err(),
-                "truncation at {cut} must error"
-            );
-        }
-        let mut huge = bytes.clone();
-        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(Snapshot::from_wire(&huge), Err(WireError::Oversized));
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert_eq!(
-            Snapshot::from_wire(&trailing),
-            Err(WireError::TrailingBytes)
-        );
     }
 
     #[test]

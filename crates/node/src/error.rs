@@ -32,15 +32,6 @@ pub enum ServiceError {
     Node(NodeError),
     /// Raw I/O outside the storage backend (checkpoint files, sockets).
     Io(std::io::Error),
-    /// The multi-process simulation transport failed (codec, protocol,
-    /// worker death, timeout). Boxed: the concrete error lives in a
-    /// crate this one doesn't depend on.
-    Transport {
-        /// What the driver was doing (e.g. `"coordinator run"`).
-        stage: &'static str,
-        /// The underlying transport error.
-        source: Box<dyn std::error::Error + Send + Sync>,
-    },
 }
 
 impl std::fmt::Display for ServiceError {
@@ -53,9 +44,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Storage(e) => write!(f, "persistent store failed: {e}"),
             ServiceError::Node(e) => write!(f, "node operation failed: {e}"),
             ServiceError::Io(e) => write!(f, "i/o failed: {e}"),
-            ServiceError::Transport { stage, source } => {
-                write!(f, "distributed transport failed during {stage}: {source}")
-            }
         }
     }
 }
@@ -67,7 +55,6 @@ impl std::error::Error for ServiceError {
             ServiceError::Storage(e) => Some(e),
             ServiceError::Node(e) => Some(e),
             ServiceError::Io(e) => Some(e),
-            ServiceError::Transport { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }

@@ -13,7 +13,8 @@
 //! Parameters (round constants, MDS) are derived at first use from the
 //! Grain LFSR procedure of the Poseidon reference implementation — see
 //! [`grain`] and [`params`]. We match the construction and security table,
-//! not circomlib's exact constants (documented in DESIGN.md).
+//! not circomlib's exact constants (ARCHITECTURE.md, "Layer 1", the
+//! `poseidon` entry).
 //!
 //! ## Example
 //!

@@ -10,6 +10,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use waku_chain::{Wei, GWEI};
 use waku_metrics::{
     Counter, CounterId, Gauge, GaugeFold, GaugeId, Histogram, HistogramId, Layout, LayoutBuilder,
     Registry,
@@ -38,7 +39,7 @@ pub(crate) struct MetricIds {
     pub rate_limited_locally: CounterId,
     pub slash_commits: CounterId,
     pub slash_reveals: CounterId,
-    pub rewards_wei: CounterId,
+    pub rewards_gwei: CounterId,
 }
 
 /// The RLN-relay catalogue (validation pipeline + node lifecycle), built
@@ -132,7 +133,10 @@ pub(crate) fn catalogue() -> &'static (Arc<Layout>, MetricIds) {
             ),
             slash_commits: b.counter("node_slash_commits_total", "Slashing commits submitted."),
             slash_reveals: b.counter("node_slash_reveals_total", "Slashing reveals submitted."),
-            rewards_wei: b.counter("node_rewards_wei_total", "Rewards collected (wei)."),
+            rewards_gwei: b.counter(
+                "node_rewards_gwei_total",
+                "Rewards collected (gwei, each payout rounded down).",
+            ),
         };
         (b.build(), ids)
     })
@@ -196,7 +200,7 @@ pub(crate) struct NodeHandles {
     pub rate_limited_locally: Counter,
     pub slash_commits: Counter,
     pub slash_reveals: Counter,
-    pub rewards_wei: Counter,
+    rewards_gwei: Counter,
 }
 
 impl NodeHandles {
@@ -208,8 +212,17 @@ impl NodeHandles {
             rate_limited_locally: registry.counter(ids.rate_limited_locally),
             slash_commits: registry.counter(ids.slash_commits),
             slash_reveals: registry.counter(ids.slash_reveals),
-            rewards_wei: registry.counter(ids.rewards_wei),
+            rewards_gwei: registry.counter(ids.rewards_gwei),
         }
+    }
+
+    /// Adds a slashing payout. Counter cells are `u64`, which wei
+    /// overflow at 18.4 ETH — the 19th default deposit — so the cell
+    /// counts gwei (wrapping only past 1.8·10¹⁰ ETH) and
+    /// [`NodeMetrics`] multiplies back.
+    pub(crate) fn record_reward(&self, wei: Wei) {
+        self.rewards_gwei
+            .add(u64::try_from(wei / GWEI).unwrap_or(u64::MAX));
     }
 }
 
@@ -273,8 +286,9 @@ pub struct NodeMetrics {
     pub slash_commits: u64,
     /// Slashing reveals submitted.
     pub slash_reveals: u64,
-    /// Rewards collected (wei).
-    pub rewards_wei: u128,
+    /// Rewards collected (wei; counted in whole gwei, so exact for any
+    /// payout that is a gwei multiple).
+    pub rewards_wei: Wei,
 }
 
 impl From<&Registry> for NodeMetrics {
@@ -286,7 +300,7 @@ impl From<&Registry> for NodeMetrics {
             rate_limited_locally: snap.scalar("node_rate_limited_locally_total"),
             slash_commits: snap.scalar("node_slash_commits_total"),
             slash_reveals: snap.scalar("node_slash_reveals_total"),
-            rewards_wei: snap.scalar("node_rewards_wei_total") as u128,
+            rewards_wei: snap.scalar("node_rewards_gwei_total") as Wei * GWEI,
         }
     }
 }
@@ -294,6 +308,7 @@ impl From<&Registry> for NodeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use waku_chain::ETHER;
 
     #[test]
     fn views_read_back_what_handles_record() {
@@ -305,12 +320,15 @@ mod tests {
         v.nullifier_entries.set(7);
         v.validation_latency.observe(1_000);
         n.published.inc();
-        n.rewards_wei.add(1_000_000_000_000_000_000);
+        // 20 ETH of payouts: more wei than a `u64` cell holds.
+        for _ in 0..20 {
+            n.record_reward(ETHER);
+        }
         let vm = ValidationMetrics::from(&registry);
         assert_eq!((vm.total, vm.relayed, vm.nullifier_entries), (5, 3, 7));
         let nm = NodeMetrics::from(&registry);
         assert_eq!(nm.published, 1);
-        assert_eq!(nm.rewards_wei, 1_000_000_000_000_000_000);
+        assert_eq!(nm.rewards_wei, 20 * ETHER);
         // Both views sit over one exposition pipe.
         let text = registry.render_prometheus();
         assert!(text.contains("rln_validation_total 5"));

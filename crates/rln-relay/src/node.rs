@@ -366,8 +366,7 @@ impl WakuRlnRelayNode {
     /// §III-C). Also advances the slasher's pending commit-reveal flows.
     pub fn sync(&mut self, chain: &mut Chain) {
         self.group.sync(chain);
-        let rewards = self.slasher.advance(chain);
-        self.m.rewards_wei.add(rewards as u64);
+        self.m.record_reward(self.slasher.advance(chain));
         self.m.slash_reveals.add(self.slasher.take_reveal_count());
     }
 

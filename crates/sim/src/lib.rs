@@ -5,9 +5,6 @@
 //! deterministic seeds and aggregated reports.
 //!
 //! * [`scenario`] — defense-comparison runs (experiments E6, E10),
-//! * [`distributed`] — the multi-process sharded driver: one coordinator
-//!   plus N worker processes over length-prefixed binary frames,
-//!   bit-identical to the in-process schedulers at any worker count,
 //! * [`epoch_gap`] — `Thr` sensitivity sweeps (experiment E7, ablation A4),
 //! * [`steady_state`] — long-horizon multi-epoch runs with publisher
 //!   churn (experiment E7b: the nullifier-lifecycle memory bound),
@@ -19,7 +16,6 @@
 //!   recovery,
 //! * [`report`] — metrics aggregation and markdown tables.
 
-pub mod distributed;
 pub mod epoch_gap;
 pub mod faults;
 pub mod report;
@@ -27,9 +23,6 @@ pub mod scenario;
 pub mod soak;
 pub mod steady_state;
 
-pub use distributed::{
-    run_scenario_distributed, run_scenario_distributed_with_options, worker_from_env, WorkerCommand,
-};
 pub use epoch_gap::{sweep_thr, EpochGapPoint};
 pub use faults::{
     rolling_churn, run_drop_sweep, run_fault_scenario, FaultReport, FaultScenarioConfig,

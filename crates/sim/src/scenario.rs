@@ -11,8 +11,8 @@
 //! pipeline (the proof check is a constant-time accept/reject on
 //! honest/spam traffic, which both carry *valid* proofs); proof costs are
 //! measured separately by E1/E2. Full-crypto end-to-end flows are covered
-//! by the workspace integration tests. This substitution is documented in
-//! DESIGN.md §2.
+//! by the workspace integration tests. ARCHITECTURE.md ("Layer 5 —
+//! evaluation", the `sim` entry) records the same substitution.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -145,8 +145,8 @@ pub fn peers_from_env(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-pub(crate) const TOPIC: u32 = 1;
-pub(crate) const WARMUP_MS: u64 = 3_000;
+const TOPIC: u32 = 1;
+const WARMUP_MS: u64 = 3_000;
 
 /// Wire format of the simulated RLN bundle inside gossip payloads:
 /// `valid(1) ‖ epoch(8) ‖ y(32) ‖ nullifier(32) ‖ filler…`.
@@ -192,12 +192,12 @@ fn decode_rln_payload(data: &[u8]) -> Option<DecodedRln> {
 /// is only ever taken by the peer that owns it, so the sharded scheduler
 /// runs detection without contention, and a set union is order-insensitive
 /// by construction, which keeps reports bit-identical across schedulers.
-pub(crate) struct DetectionLog {
+struct DetectionLog {
     per_peer: Vec<Mutex<BTreeSet<[u8; 32]>>>,
 }
 
 impl DetectionLog {
-    pub(crate) fn new(peers: usize) -> Arc<Self> {
+    fn new(peers: usize) -> Arc<Self> {
         Arc::new(DetectionLog {
             per_peer: (0..peers).map(|_| Mutex::new(BTreeSet::new())).collect(),
         })
@@ -208,7 +208,7 @@ impl DetectionLog {
     }
 
     /// Deterministic merge: union across peer slots in ascending order.
-    pub(crate) fn merged(&self) -> BTreeSet<[u8; 32]> {
+    fn merged(&self) -> BTreeSet<[u8; 32]> {
         let mut all = BTreeSet::new();
         for slot in &self.per_peer {
             all.extend(slot.lock().unwrap().iter().copied());
@@ -223,7 +223,7 @@ impl DetectionLog {
 /// contention). The merge is the registry's order-insensitive snapshot
 /// fold (sum for the resident/pruned gauges, max for the high-water
 /// gauge), so reports stay bit-identical across schedulers.
-pub(crate) struct StoreIds {
+struct StoreIds {
     resident: GaugeId,
     high_water: GaugeId,
     pruned: GaugeId,
@@ -233,7 +233,7 @@ pub(crate) struct StoreIds {
 /// The scenario-harness metric catalogue. The gauge names match the
 /// `waku-rln-relay` catalogue where the semantics coincide, so a sim
 /// snapshot and a node snapshot merge into one coherent exposition.
-pub(crate) fn store_catalogue() -> &'static (Arc<Layout>, StoreIds) {
+fn store_catalogue() -> &'static (Arc<Layout>, StoreIds) {
     static CELL: OnceLock<(Arc<Layout>, StoreIds)> = OnceLock::new();
     CELL.get_or_init(|| {
         let mut b = LayoutBuilder::new();
@@ -477,17 +477,35 @@ pub fn run_scenario_instrumented(config: &ScenarioConfig) -> (ScenarioReport, En
 pub fn run_scenario_with_metrics(
     config: &ScenarioConfig,
 ) -> (ScenarioReport, EngineStats, Snapshot) {
+    let (report, engine, metrics, _) = run_with_detections(config);
+    (report, engine, metrics)
+}
+
+/// [`run_scenario_with_metrics`] plus the merged set of secrets the
+/// validators recovered — what the unit tests compare byte for byte
+/// against the spammers' real keys.
+fn run_with_detections(
+    config: &ScenarioConfig,
+) -> (ScenarioReport, EngineStats, Snapshot, BTreeSet<[u8; 32]>) {
     assert!(
         config.spammers < config.peers,
         "need at least one honest peer"
     );
     let (mut rng, identities) = scenario_identities(config);
-    let mut net = Network::new(scenario_net_config(config));
+    let mut net = Network::new(
+        config
+            .net
+            .to_builder()
+            .peers(config.peers)
+            .seed(config.seed)
+            .build()
+            .expect("valid scenario net config"),
+    );
     net.subscribe_all(TOPIC);
 
     let detections = DetectionLog::new(config.peers);
     let store_stats = RecorderShards::new(&store_catalogue().0, config.peers);
-    install_validators(config, &mut net, 0..config.peers, &detections, &store_stats);
+    install_validators(config, &mut net, &detections, &store_stats);
 
     let wl = schedule_workload(config, &mut net, &identities, &mut rng);
     net.run_until(wl.end + 10_000); // drain the network
@@ -501,23 +519,14 @@ pub fn run_scenario_with_metrics(
         nullifier_high_water: metrics.scalar("rln_nullifier_high_water"),
         epochs_pruned: metrics.scalar("rln_epochs_pruned"),
     };
-    let (post_honest_delivered, post_spam_delivered) = net.deliveries_published_since(wl.post_from);
-    let measured = Measured {
-        totals: net.total_stats(),
-        post_honest_delivered,
-        post_spam_delivered,
-        latencies: net.delivery_latencies(),
-        spammers_detected: detections.merged().len(),
-        events_processed: net.events_processed(),
-    };
-    let report = assemble_report(config, &wl, measured);
-    (report, engine, metrics)
+    let recovered = detections.merged();
+    let report = assemble_report(config, wl, &net, recovered.len());
+    (report, engine, metrics, recovered)
 }
 
 /// The seeded workload RNG and per-peer RLN identities — drawn before any
-/// other scenario randomness, so every process replaying the scenario
-/// (in-process run or distributed worker) derives identical streams.
-pub(crate) fn scenario_identities(config: &ScenarioConfig) -> (StdRng, Vec<Identity>) {
+/// other scenario randomness.
+fn scenario_identities(config: &ScenarioConfig) -> (StdRng, Vec<Identity>) {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5CEA_11A5);
     // Every peer gets an RLN identity; spammers get one each (they paid one
     // deposit each — the Sybil economics live in `attack_cost_wei`).
@@ -527,25 +536,10 @@ pub(crate) fn scenario_identities(config: &ScenarioConfig) -> (StdRng, Vec<Ident
     (rng, identities)
 }
 
-/// The scenario's fully-resolved transport config (peers + seed applied).
-pub(crate) fn scenario_net_config(config: &ScenarioConfig) -> NetworkConfig {
-    config
-        .net
-        .to_builder()
-        .peers(config.peers)
-        .seed(config.seed)
-        .build()
-        .expect("valid scenario net config")
-}
-
-/// Installs the defense's validators for the peers in `range` — the full
-/// range in-process; a distributed worker installs its owned peers only
-/// (non-owned slots never dispatch, so their validators would be dead
-/// weight).
-pub(crate) fn install_validators(
+/// Installs the defense's validator on every peer.
+fn install_validators(
     config: &ScenarioConfig,
     net: &mut Network,
-    range: std::ops::Range<usize>,
     detections: &Arc<DetectionLog>,
     store_stats: &Arc<RecorderShards>,
 ) {
@@ -553,8 +547,8 @@ pub(crate) fn install_validators(
         Defense::None | Defense::ScoringOnly => {
             // No admission criterion: spam is indistinguishable.
         }
-        Defense::Pow { min_pow, .. } => {
-            for p in range {
+        Defense::Pow { .. } => {
+            for p in 0..config.peers {
                 // payload[0] carries the achieved-work flag: did the
                 // sender grind enough hashes for min_pow?
                 net.set_validator_fn(p, move |_, message, _| {
@@ -565,10 +559,9 @@ pub(crate) fn install_validators(
                     }
                 });
             }
-            let _ = min_pow;
         }
         Defense::RlnRelay { epoch_secs, thr } => {
-            for p in range {
+            for p in 0..config.peers {
                 net.set_validator(
                     p,
                     rln_validator(
@@ -586,35 +579,20 @@ pub(crate) fn install_validators(
 }
 
 /// Workload-derived scalars of one scenario run: publish counts and the
-/// PoW mining delays. Pure functions of `(config, seed)` — every process
-/// replaying the workload computes identical values (the distributed
-/// coordinator cross-checks that).
-pub(crate) struct Workload {
-    pub honest_sent: u64,
-    pub spam_sent: u64,
-    pub post_honest_sent: u64,
-    pub post_spam_sent: u64,
-    pub send_delays: Vec<u64>,
-    pub post_from: u64,
-    pub end: u64,
-}
-
-/// Network-derived measurements of one scenario run. In-process these
-/// come from the single [`Network`]; distributed, each field is summed /
-/// concatenated / unioned across the per-worker fragments (every one is
-/// owned-peers-only, so the fold reproduces the global value exactly).
-pub(crate) struct Measured {
-    pub totals: waku_gossip::PeerStats,
-    pub post_honest_delivered: u64,
-    pub post_spam_delivered: u64,
-    pub latencies: Vec<u64>,
-    pub spammers_detected: usize,
-    pub events_processed: u64,
+/// PoW mining delays. Pure functions of `(config, seed)`.
+struct Workload {
+    honest_sent: u64,
+    spam_sent: u64,
+    post_honest_sent: u64,
+    post_spam_sent: u64,
+    send_delays: Vec<u64>,
+    post_from: u64,
+    end: u64,
 }
 
 /// Schedules the full publish workload into `net` and returns the
 /// workload scalars.
-pub(crate) fn schedule_workload(
+fn schedule_workload(
     config: &ScenarioConfig,
     net: &mut Network,
     identities: &[Identity],
@@ -767,37 +745,39 @@ pub(crate) fn schedule_workload(
     }
 }
 
-/// Builds the [`ScenarioReport`] from workload scalars and network
-/// measurements — the single formula path the in-process and distributed
-/// drivers share, so bit-identical inputs give bit-identical reports.
-pub(crate) fn assemble_report(
+/// Builds the [`ScenarioReport`] from the workload scalars and what the
+/// drained network measured.
+fn assemble_report(
     config: &ScenarioConfig,
-    wl: &Workload,
-    m: Measured,
+    wl: Workload,
+    net: &Network,
+    spammers_detected: usize,
 ) -> ScenarioReport {
+    let totals = net.total_stats();
+    let (post_honest_delivered, post_spam_delivered) = net.deliveries_published_since(wl.post_from);
     let receivers = (config.peers - 1) as f64;
-    let mut honest_latencies = m.latencies;
-    let mut send_delays = wl.send_delays.clone();
+    let mut honest_latencies = net.delivery_latencies();
+    let mut send_delays = wl.send_delays;
     ScenarioReport {
         defense: config.defense.label().to_string(),
         honest_sent: wl.honest_sent,
         spam_sent: wl.spam_sent,
-        honest_delivered: m.totals.honest_delivered,
-        spam_delivered: m.totals.spam_delivered,
+        honest_delivered: totals.honest_delivered,
+        spam_delivered: totals.spam_delivered,
         honest_delivery_ratio: if wl.honest_sent == 0 {
             0.0
         } else {
-            m.totals.honest_delivered as f64 / (wl.honest_sent as f64 * receivers)
+            totals.honest_delivered as f64 / (wl.honest_sent as f64 * receivers)
         },
         spam_delivery_ratio: if wl.spam_sent == 0 {
             0.0
         } else {
-            m.totals.spam_delivered as f64 / (wl.spam_sent as f64 * receivers)
+            totals.spam_delivered as f64 / (wl.spam_sent as f64 * receivers)
         },
-        validations: m.totals.validations,
-        bytes_sent: m.totals.bytes_sent,
-        events_processed: m.events_processed,
-        spammers_detected: m.spammers_detected,
+        validations: totals.validations,
+        bytes_sent: totals.bytes_sent,
+        events_processed: net.events_processed(),
+        spammers_detected,
         honest_latency_p50_ms: percentile(&mut honest_latencies, 50.0),
         honest_latency_p95_ms: percentile(&mut honest_latencies, 95.0),
         honest_send_delay_p50_ms: percentile(&mut send_delays, 50.0),
@@ -805,12 +785,12 @@ pub(crate) fn assemble_report(
         post_window_from_ms: wl.post_from,
         post_honest_sent: wl.post_honest_sent,
         post_spam_sent: wl.post_spam_sent,
-        post_honest_delivered: m.post_honest_delivered,
-        post_spam_delivered: m.post_spam_delivered,
+        post_honest_delivered,
+        post_spam_delivered,
         post_honest_delivery_ratio: if wl.post_honest_sent == 0 {
             0.0
         } else {
-            m.post_honest_delivered as f64 / (wl.post_honest_sent as f64 * receivers)
+            post_honest_delivered as f64 / (wl.post_honest_sent as f64 * receivers)
         },
     }
 }
@@ -880,16 +860,14 @@ mod tests {
             epoch_secs: 1,
             thr: 1,
         });
-        let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed ^ 0x5CEA_11A5);
-        let _net_rng_consumed = ();
-        let identities: Vec<Identity> = (0..config.peers)
-            .map(|_| Identity::random(&mut rng))
+        let (_, identities) = scenario_identities(&config);
+        let (report, _, _, recovered) = run_with_detections(&config);
+        assert_eq!(report.spammers_detected, 2);
+        let spammer_keys: BTreeSet<[u8; 32]> = identities[..config.spammers]
+            .iter()
+            .map(Identity::secret_bytes)
             .collect();
-        let r = run_scenario(&config);
-        assert_eq!(r.spammers_detected, 2);
-        let _ = identities; // identity derivation shown; recovery equality is
-                            // asserted in the validator unit tests with real
-                            // shares (waku-rln slashing tests).
+        assert_eq!(recovered, spammer_keys);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
     /// A little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.array()?))
@@ -112,16 +107,6 @@ impl<'a> Reader<'a> {
     /// A little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// A little-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, CodecError> {
-        Ok(u128::from_le_bytes(self.array()?))
-    }
-
-    /// An `f64` from its little-endian bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Admits an already-read item count `n` only if `n` items of at
@@ -162,11 +147,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Appends a little-endian `u16`.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a little-endian `u32`.
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -175,11 +155,6 @@ pub fn put_u32(out: &mut Vec<u8>, v: u32) {
 /// Appends a little-endian `u64`.
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an `f64` as its little-endian bit pattern.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
 }
 
 /// Appends a length or count as the `u32` that [`Reader::count`] reads.
@@ -234,21 +209,15 @@ mod tests {
     #[test]
     fn writers_and_reader_round_trip() {
         let mut out = vec![7u8, 1];
-        put_u16(&mut out, 0xBEEF);
         put_u32(&mut out, 0xDEAD_BEEF);
         put_u64(&mut out, u64::MAX - 1);
-        out.extend_from_slice(&(1u128 << 100).to_le_bytes());
-        put_f64(&mut out, -0.5);
         put_bytes(&mut out, b"abc");
         out.extend_from_slice("é".as_bytes());
         let mut r = Reader::new(&out);
         assert_eq!(r.u8(), Ok(7));
         assert_eq!(r.bool(), Ok(true));
-        assert_eq!(r.u16(), Ok(0xBEEF));
         assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
         assert_eq!(r.u64(), Ok(u64::MAX - 1));
-        assert_eq!(r.u128(), Ok(1 << 100));
-        assert_eq!(r.f64(), Ok(-0.5));
         assert_eq!(r.bytes(), Ok(&b"abc"[..]));
         assert_eq!(r.finish(), Err(CodecError::TrailingBytes));
         assert_eq!(r.str(2), Ok("é"));

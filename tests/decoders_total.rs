@@ -1,6 +1,8 @@
-//! Decoder totality: every publicly reachable decoder in the workspace,
-//! one table, one mutation generator (`waku_wire::mutations` — the same
-//! one the private decoders' in-crate tests use).
+//! Decoder totality: all 8 publicly reachable decoders in the workspace,
+//! one table, one mutation generator (`waku_wire::mutations`). The two
+//! private decoders — `node::service::decode_guard` and
+//! `relay::segment::scan_segment` — run the same loop over the same
+//! generator in their in-crate tests.
 //!
 //! For each `(name, valid sample, decode fn)` row:
 //!
@@ -19,15 +21,10 @@
 //! `NullifierSnapshot` row used to panic in one and mis-accept in the
 //! other.
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use waku_suite::arith::fields::Fr;
 use waku_suite::arith::traits::PrimeField;
-use waku_suite::gossip::transport::{Frame, WireEvent, WirePayload};
-use waku_suite::gossip::{Message, Rpc, TrafficClass};
-use waku_suite::metrics::{GaugeFold, LayoutBuilder, LocalRecorder, Snapshot};
 use waku_suite::relay::WakuMessage;
 use waku_suite::rln::keycache::{decode_keys, encode_keys};
 use waku_suite::rln::snapshot_io::{decode_snapshot, encode_snapshot};
@@ -74,56 +71,6 @@ fn toy_cs() -> ConstraintSystem {
     cs
 }
 
-fn sample_frame() -> Frame {
-    let msg = Message::new(7, vec![1, 2, 3], 4, 5, TrafficClass::Spam);
-    let event = |at, origin, seq, target, payload| WireEvent {
-        at,
-        origin,
-        seq,
-        target,
-        payload,
-    };
-    Frame::RoundResult {
-        processed: 42,
-        heads: vec![6_000],
-        events: vec![
-            event(
-                12,
-                0,
-                9,
-                5,
-                WirePayload::Rpc {
-                    from: 0,
-                    rpc: Rpc::Publish(Arc::new(msg.clone())),
-                },
-            ),
-            event(
-                13,
-                1,
-                2,
-                3,
-                WirePayload::Rpc {
-                    from: 1,
-                    rpc: Rpc::IHave(7, vec![msg.id].into()),
-                },
-            ),
-            event(14, 2, 0, 2, WirePayload::ClockSkew { delta_ms: -500 }),
-        ],
-    }
-}
-
-fn sample_metrics() -> Snapshot {
-    let mut b = LayoutBuilder::new();
-    let c = b.counter("events_total", "Events.");
-    let g = b.gauge("high_water", "High water.", GaugeFold::Max);
-    let h = b.histogram("latency_ms", "Latency.");
-    let mut rec = LocalRecorder::new(b.build());
-    rec.add(c, 3);
-    rec.fold_max(g, 7);
-    rec.observe(h, 100);
-    rec.snapshot()
-}
-
 fn sample_nullifiers() -> NullifierSnapshot {
     let mut store = NullifierStore::new(2);
     store.advance_to(100);
@@ -152,6 +99,7 @@ fn decode_nullifiers(bytes: &[u8]) -> Option<Vec<u8>> {
     Some(snapshot.to_bytes())
 }
 
+/// The table: one row per public decoder, 8 in all.
 fn rows() -> Vec<Row> {
     let cs = toy_cs();
     let pk = setup(&cs, &mut StdRng::seed_from_u64(31));
@@ -177,34 +125,6 @@ fn rows() -> Vec<Row> {
         .expect("bundle");
 
     vec![
-        Row {
-            name: "gossip::transport::Frame",
-            sample: sample_frame().encode(),
-            golden: Golden::Hex(concat!(
-                "02010000052a00000000000000010000007017000000000000030000000c00000000000000000000",
-                "00000000000900000000000000050000000000000000000000000000000000e3eb953645ed0ce97c",
-                "13df32eb5659f7e90a55dbf0eae6d63eae449c7a3450d00700000004000000000000000500000000",
-                "000000010000000000000000030000000102030d0000000000000001000000000000000200000000",
-                "0000000300000000000000000100000000000000010700000001000000e3eb953645ed0ce97c13df",
-                "32eb5659f7e90a55dbf0eae6d63eae449c7a3450d00e000000000000000200000000000000000000",
-                "00000000000200000000000000040cfeffffffffffff",
-            )),
-            // `decode` stops at the frame's end: whatever trails it is
-            // not the frame's business, the consumed prefix is.
-            decode: |b| {
-                let (frame, used) = Frame::decode(b).ok()?;
-                Some([&frame.encode(), &b[used..]].concat())
-            },
-        },
-        Row {
-            name: "metrics::Snapshot wire form",
-            sample: sample_metrics().to_wire(),
-            golden: Golden::Fingerprint {
-                len: 439,
-                fnv1a64: 0xbe4a_1b34_6e1f_93b2,
-            },
-            decode: |b| Some(Snapshot::from_wire(b).ok()?.to_wire()),
-        },
         Row {
             name: "snark::serialize proving key",
             sample: pk_to_bytes(&pk),

@@ -14,8 +14,8 @@ use waku_suite::gossip::{
 use waku_suite::metrics::Snapshot;
 use waku_suite::pool::with_threads;
 use waku_suite::sim::{
-    run_scenario, run_scenario_distributed, run_scenario_instrumented, run_scenario_with_metrics,
-    worker_from_env, Defense, ScenarioConfig, ScenarioReport, WorkerCommand,
+    run_scenario, run_scenario_instrumented, run_scenario_with_metrics, Defense, ScenarioConfig,
+    ScenarioReport,
 };
 
 fn config_at(peers: usize, defense: Defense, scheduler: SchedulerKind) -> ScenarioConfig {
@@ -266,6 +266,7 @@ fn fault_plan_runs_identical_across_schedulers() {
             reference_dropped,
             "serial @ {threads} threads"
         );
+        assert_eq!(serial_snap.scalar("partition_heals"), 1);
         assert_eq!(reference, strip_engine(serial_snap));
         for shards in [2usize, 8, 25] {
             let (report, _, snap) = run(SchedulerKind::Sharded { shards }, threads);
@@ -277,6 +278,11 @@ fn fault_plan_runs_identical_across_schedulers() {
                 snap.scalar("engine_msgs_dropped_fault"),
                 reference_dropped,
                 "fault injection count depends on scheduling: {shards} shards @ {threads} threads"
+            );
+            assert_eq!(
+                snap.scalar("partition_heals"),
+                1,
+                "plan-derived heal count added exactly once: {shards} shards @ {threads} threads"
             );
             assert_eq!(
                 strip_engine(snap),
@@ -294,154 +300,4 @@ fn sharded_runs_are_self_reproducible() {
     let a = report(RLN, SchedulerKind::Sharded { shards: 8 }, 4);
     let b = report(RLN, SchedulerKind::Sharded { shards: 8 }, 4);
     assert_eq!(a, b);
-}
-
-// ---------------------------------------------------------------------
-// Multi-process driver equivalence (the distributed oracle suite)
-// ---------------------------------------------------------------------
-
-/// Worker-mode entry point for the re-exec'd test binary. In a normal
-/// test run `worker_from_env()` returns `None` and this test is a no-op
-/// pass. When the coordinator spawns this same binary with the
-/// `WAKU_DIST_*` environment plus a libtest filter selecting exactly
-/// this test, the process connects back, replays the scenario over its
-/// owned shard range, and exits through libtest (a worker error panics
-/// here, so the child exits non-zero and the coordinator reports
-/// `WorkerExited` instead of hanging).
-#[test]
-fn distributed_worker_entry() {
-    if let Some(result) = worker_from_env() {
-        result.expect("distributed worker failed");
-    }
-}
-
-fn worker_cmd() -> WorkerCommand {
-    WorkerCommand::current_exe(vec![
-        "distributed_worker_entry".into(),
-        "--exact".into(),
-        "--test-threads=1".into(),
-        "--quiet".into(),
-    ])
-    .expect("current test binary")
-}
-
-fn dist_config(defense: Defense) -> ScenarioConfig {
-    // 120 peers / 6 shards: small enough to run 4 defenses x 3 worker
-    // counts in CI, large enough that every worker count in {1, 2, 4}
-    // owns a different shard partition.
-    config_at(120, defense, SchedulerKind::Sharded { shards: 6 })
-}
-
-/// The tentpole acceptance test: a seeded scenario executed by one
-/// coordinator plus N worker *processes* produces a bit-identical
-/// `ScenarioReport` and (engine-stripped) metrics snapshot to the
-/// in-process scheduler, at every worker count in {1, 2, 4}, under all
-/// four defense configurations.
-#[test]
-fn distributed_runs_identical_to_in_process() {
-    let strip_engine = |mut snap: Snapshot| {
-        snap.retain(|desc| !desc.name.starts_with("engine_"));
-        snap
-    };
-    let cmd = worker_cmd();
-    let pow = Defense::Pow {
-        min_pow: 2.0,
-        honest_hashrate: 50.0,
-        spammer_hashrate: 50_000.0,
-    };
-    for defense in [Defense::None, Defense::ScoringOnly, pow, RLN] {
-        let config = dist_config(defense);
-        let (reference_report, reference_engine, reference_snap) =
-            run_scenario_with_metrics(&config);
-        let reference_snap = strip_engine(reference_snap);
-        for workers in [1usize, 2, 4] {
-            let (report, engine, snap) = run_scenario_distributed(&config, workers, &cmd)
-                .unwrap_or_else(|e| panic!("{defense:?} @ {workers} workers: {e}"));
-            assert_eq!(report, reference_report, "{defense:?} @ {workers} workers");
-            assert_eq!(
-                strip_engine(snap),
-                reference_snap,
-                "{defense:?} @ {workers} workers"
-            );
-            // The merged engine gauge must still see all six shards, and
-            // the coordinator's round count is the barrier count.
-            assert_eq!(engine.shards, reference_engine.shards);
-            assert!(engine.barriers > 0);
-        }
-    }
-}
-
-/// One fault-plan-active case: the full deterministic fault plane (lossy
-/// links, a healing partition, crash/restart, clock skew) rides through
-/// the multi-process driver bit-identically too — fault draws are
-/// event-keyed, so worker-local replay injects exactly the same faults.
-#[test]
-fn distributed_run_matches_under_fault_plan() {
-    let strip_engine = |mut snap: Snapshot| {
-        snap.retain(|desc| !desc.name.starts_with("engine_"));
-        snap
-    };
-    let mut config = dist_config(RLN);
-    config.net.faults = FaultPlan {
-        seed: 0xF417,
-        link: LinkFaults {
-            drop_permille: 50,
-            duplicate_permille: 30,
-            reorder_permille: 40,
-            extra_jitter_ms: 30,
-            reorder_delay_ms: 25,
-        },
-        partitions: vec![PartitionSpec {
-            start_ms: 5_000,
-            end_ms: 9_000,
-            cut: 40,
-        }],
-        crashes: vec![
-            CrashSpec {
-                peer: 70,
-                crash_ms: 4_000,
-                restart_ms: 8_000,
-            },
-            CrashSpec {
-                peer: 71,
-                crash_ms: 6_000,
-                restart_ms: u64::MAX,
-            },
-        ],
-        skews: vec![
-            SkewSpec {
-                peer: 80,
-                at_ms: 3_500,
-                delta_ms: 700,
-            },
-            SkewSpec {
-                peer: 81,
-                at_ms: 6_000,
-                delta_ms: -1_500,
-            },
-        ],
-    };
-    let (reference_report, _, reference_snap) = run_scenario_with_metrics(&config);
-    assert_eq!(
-        reference_snap.scalar("partition_heals"),
-        1,
-        "fault plan must actually be active"
-    );
-    let reference_snap = strip_engine(reference_snap);
-    let cmd = worker_cmd();
-    for workers in [2usize, 4] {
-        let (report, _, snap) = run_scenario_distributed(&config, workers, &cmd)
-            .unwrap_or_else(|e| panic!("faulted @ {workers} workers: {e}"));
-        assert_eq!(report, reference_report, "faulted @ {workers} workers");
-        assert_eq!(
-            snap.scalar("partition_heals"),
-            1,
-            "plan-derived heal count added exactly once @ {workers} workers"
-        );
-        assert_eq!(
-            strip_engine(snap),
-            reference_snap,
-            "faulted @ {workers} workers"
-        );
-    }
 }
