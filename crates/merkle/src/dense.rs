@@ -1,10 +1,21 @@
-//! The full ("dense") identity-commitment tree: every node materialized.
+//! The full ("dense") identity-commitment tree, stored as populated prefixes.
 //!
 //! This is what the paper's §III-C prescribes for ordinary peers — each peer
 //! "needs to build the tree locally and listen to the contract's events" —
 //! and what §IV measures: a depth-20 tree occupies ≈67 MB (2²¹−1 nodes of
 //! 32 bytes). The storage-optimized alternative from reference \[18\] lives in
 //! [`crate::frontier`].
+//!
+//! Logically every one of the `2^(d+1) − 1` nodes exists and is addressable,
+//! which is why the type keeps its name. Physically each level holds only the
+//! nodes up to the highest leaf ever written; everything to the right of that
+//! is an all-zero subtree whose hash is [`zero_hashes`]`[level]`, so it is
+//! read from the table instead of from memory. The membership contract hands
+//! out `index = members.len()` and never reuses a slot (removal zeroes a leaf
+//! *inside* the prefix), so a group of `n` members costs ≈ `64·n` bytes at
+//! any depth and an empty depth-32 tree costs nothing. Writing a far index
+//! out of order still works; it grows the prefix up to that index and costs
+//! at most what materializing the whole tree would.
 
 use waku_arith::fields::Fr;
 use waku_arith::traits::Field;
@@ -13,7 +24,8 @@ use waku_poseidon::poseidon2;
 use crate::path::MerklePath;
 use crate::zeros::zero_hashes;
 
-/// A fixed-depth Merkle tree with all `2^(d+1) − 1` nodes stored.
+/// A fixed-depth Merkle tree over `2^d` leaves, every node readable, only
+/// the populated prefix of each level held in memory.
 ///
 /// Leaves default to `Fr::zero()`; internal defaults are the cascaded
 /// zero-subtree hashes, so an empty tree has a well-defined root.
@@ -32,25 +44,27 @@ use crate::zeros::zero_hashes;
 #[derive(Clone, Debug)]
 pub struct DenseTree {
     depth: usize,
-    /// `levels[0]` = leaves (2^d), …, `levels[d]` = root (1).
+    /// `levels[0]` = leaves, …, `levels[d]` = root. `levels[l]` holds the
+    /// first `⌈n / 2^l⌉` nodes, `n` = one past the highest leaf ever
+    /// written; every node past the end is `zeros[l]`.
     levels: Vec<Vec<Fr>>,
+    /// `zero_hashes(depth)`: the hash of an all-zero subtree, per level.
+    zeros: &'static [Fr],
 }
 
 impl DenseTree {
-    /// Allocates the full tree of the given depth with zero leaves.
+    /// An empty tree of the given depth. Allocates no node storage.
     ///
     /// # Panics
     ///
     /// Panics if `depth` is 0 or exceeds 32.
     pub fn new(depth: usize) -> Self {
         assert!((1..=32).contains(&depth), "depth must be 1..=32");
-        let zeros = zero_hashes(depth);
-        let mut levels = Vec::with_capacity(depth + 1);
-        for (level, &zero) in zeros.iter().enumerate() {
-            let len = 1usize << (depth - level);
-            levels.push(vec![zero; len]);
+        DenseTree {
+            depth,
+            levels: vec![Vec::new(); depth + 1],
+            zeros: zero_hashes(depth),
         }
-        DenseTree { depth, levels }
     }
 
     /// Tree depth.
@@ -63,9 +77,17 @@ impl DenseTree {
         1u64 << self.depth
     }
 
+    /// Node `idx` of `level`, stored or implied.
+    fn node(&self, level: usize, idx: usize) -> Fr {
+        match self.levels[level].get(idx) {
+            Some(&node) => node,
+            None => self.zeros[level],
+        }
+    }
+
     /// Current root.
     pub fn root(&self) -> Fr {
-        self.levels[self.depth][0]
+        self.node(self.depth, 0)
     }
 
     /// Reads a leaf.
@@ -74,7 +96,8 @@ impl DenseTree {
     ///
     /// Panics if `index >= capacity`.
     pub fn leaf(&self, index: u64) -> Fr {
-        self.levels[0][index as usize]
+        assert!(index < self.capacity(), "leaf index out of range");
+        self.node(0, index as usize)
     }
 
     /// Writes a leaf and updates the path to the root (depth hashes).
@@ -84,19 +107,12 @@ impl DenseTree {
     /// Panics if `index >= capacity`.
     pub fn set(&mut self, index: u64, leaf: Fr) {
         assert!(index < self.capacity(), "leaf index out of range");
-        let mut idx = index as usize;
-        self.levels[0][idx] = leaf;
-        for level in 0..self.depth {
-            let parent = idx / 2;
-            let left = self.levels[level][parent * 2];
-            let right = self.levels[level][parent * 2 + 1];
-            self.levels[level + 1][parent] = poseidon2(left, right);
-            idx = parent;
-        }
+        self.set_batch(index, &[leaf]);
     }
 
     /// Resets a leaf to zero (the paper's member *deletion* — slashing
-    /// removes the spammer's commitment, §III-A).
+    /// removes the spammer's commitment, §III-A). The slot stays inside the
+    /// stored prefix: removal never gives memory back.
     pub fn remove(&mut self, index: u64) {
         self.set(index, Fr::zero());
     }
@@ -117,15 +133,28 @@ impl DenseTree {
             return;
         }
         let (mut lo, mut hi) = (start as usize, start as usize + leaves.len() - 1);
+        self.grow_to(hi + 1);
         self.levels[0][lo..=hi].copy_from_slice(leaves);
         for level in 0..self.depth {
             lo /= 2;
             hi /= 2;
             for parent in lo..=hi {
-                let left = self.levels[level][parent * 2];
-                let right = self.levels[level][parent * 2 + 1];
+                let left = self.node(level, parent * 2);
+                let right = self.node(level, parent * 2 + 1);
                 self.levels[level + 1][parent] = poseidon2(left, right);
             }
+        }
+    }
+
+    /// Extends every level's stored prefix to cover the first `leaves`
+    /// leaves, filling with that level's zero hash.
+    fn grow_to(&mut self, leaves: usize) {
+        if leaves <= self.levels[0].len() {
+            return;
+        }
+        for (nodes, (level, &zero)) in self.levels.iter_mut().zip(self.zeros.iter().enumerate()) {
+            let len = (leaves as u64).div_ceil(1u64 << level);
+            nodes.resize(len as usize, zero);
         }
     }
 
@@ -139,17 +168,24 @@ impl DenseTree {
         let mut siblings = Vec::with_capacity(self.depth);
         let mut idx = index as usize;
         for level in 0..self.depth {
-            siblings.push(self.levels[level][idx ^ 1]);
+            siblings.push(self.node(level, idx ^ 1));
             idx /= 2;
         }
         MerklePath { index, siblings }
     }
 
-    /// Bytes of node storage this tree occupies (32 B per node) — the
-    /// quantity §IV reports as 67 MB for depth 20.
+    /// Bytes of node storage the *whole* tree stands for (32 B per node) —
+    /// the quantity §IV reports as 67 MB for depth 20. Analytic; what this
+    /// instance actually holds is [`Self::resident_bytes`].
     pub fn storage_bytes(&self) -> u64 {
         let nodes: u64 = (0..=self.depth).map(|l| 1u64 << (self.depth - l)).sum();
         nodes * 32
+    }
+
+    /// Bytes of node storage actually held: 32 B per node of each level's
+    /// populated prefix, ≈ 64 B per leaf slot ever handed out.
+    pub fn resident_bytes(&self) -> u64 {
+        self.levels.iter().map(|l| l.len() as u64 * 32).sum()
     }
 }
 

@@ -2,16 +2,105 @@
 //! storage strategies must agree on roots under arbitrary operation
 //! sequences, and proofs must verify exactly for the leaf they were
 //! issued for.
+//!
+//! `DenseTree` is the reference the frontier and the partial view are
+//! checked against, so it is itself checked against [`NaiveTree`]: all
+//! `2^d` leaves in a plain `Vec`, every node recomputed bottom-up per
+//! query, no stored prefix and no zero-hash table to share a bug with.
 
 use proptest::prelude::*;
 use waku_arith::fields::Fr;
 use waku_arith::traits::{Field, PrimeField};
+use waku_merkle::zeros::zero_hashes;
 use waku_merkle::{DenseTree, FrontierTree, PartialViewTree, TreeUpdate};
+use waku_poseidon::poseidon2;
 
 const DEPTH: usize = 6;
 
 fn arb_fr() -> impl Strategy<Value = Fr> {
     any::<u64>().prop_map(Fr::from_u64)
+}
+
+/// The model: every leaf materialized, nothing cached.
+struct NaiveTree {
+    leaves: Vec<Fr>,
+}
+
+impl NaiveTree {
+    fn new(depth: usize) -> Self {
+        NaiveTree {
+            leaves: vec![Fr::zero(); 1 << depth],
+        }
+    }
+
+    /// Every level of the tree, leaves first, rebuilt from the leaves.
+    fn levels(&self) -> Vec<Vec<Fr>> {
+        let mut levels = vec![self.leaves.clone()];
+        while levels[levels.len() - 1].len() > 1 {
+            let below = &levels[levels.len() - 1];
+            let above = below.chunks(2).map(|p| poseidon2(p[0], p[1])).collect();
+            levels.push(above);
+        }
+        levels
+    }
+}
+
+/// Root, every leaf and every authentication path of `tree` — populated or
+/// not — equal the model's.
+fn assert_matches_model(
+    tree: &DenseTree,
+    model: &NaiveTree,
+) -> Result<(), proptest::TestCaseError> {
+    let levels = model.levels();
+    let depth = tree.depth();
+    prop_assert_eq!(tree.root(), levels[depth][0]);
+    for i in 0..model.leaves.len() {
+        prop_assert_eq!((i, tree.leaf(i as u64)), (i, model.leaves[i]));
+        let proof = tree.proof(i as u64);
+        let expected: Vec<Fr> = (0..depth).map(|l| levels[l][(i >> l) ^ 1]).collect();
+        prop_assert_eq!(proof.index, i as u64);
+        prop_assert_eq!((i, &proof.siblings), (i, &expected));
+    }
+    Ok(())
+}
+
+#[test]
+fn depth_32_tree_constructs_and_holds_nothing() {
+    let tree = DenseTree::new(32);
+    assert_eq!(tree.capacity(), 1 << 32);
+    assert_eq!(tree.resident_bytes(), 0);
+    assert_eq!(tree.storage_bytes(), ((1u64 << 33) - 1) * 32);
+    assert_eq!(tree.root(), zero_hashes(32)[32]);
+}
+
+#[test]
+fn last_leaf_of_an_empty_depth_32_tree_has_the_zero_ladder_as_its_path() {
+    let tree = DenseTree::new(32);
+    let last = (1u64 << 32) - 1;
+    let proof = tree.proof(last);
+    assert_eq!(proof.index, last);
+    assert_eq!(proof.siblings, zero_hashes(32)[..32]);
+    assert!(proof.verify(Fr::zero(), tree.root()));
+    assert!(tree.leaf(last).is_zero());
+}
+
+#[test]
+fn resident_bytes_follow_the_prefix_and_never_shrink_on_remove() {
+    let mut tree = DenseTree::new(20);
+    for i in 0..1_000u64 {
+        tree.set(i, Fr::from_u64(i + 1));
+    }
+    let held = tree.resident_bytes();
+    assert!(held <= 1_000 * 64 + 32 * 21, "{held} B for 1000 members");
+    for i in (0..1_000u64).rev() {
+        tree.remove(i);
+        assert_eq!(tree.resident_bytes(), held, "remove({i}) gave memory back");
+    }
+    assert_eq!(tree.root(), DenseTree::new(20).root());
+    // One far write costs exactly what materializing everything costs.
+    tree.set((1 << 20) - 1, Fr::one());
+    assert_eq!(tree.resident_bytes(), tree.storage_bytes());
+    assert_eq!(tree.storage_bytes(), 67_108_832);
 }
 
 proptest! {
@@ -105,5 +194,56 @@ proptest! {
         with_transient.set(transient_index, transient);
         with_transient.remove(transient_index);
         prop_assert_eq!(with_transient.root(), without.root());
+    }
+
+    #[test]
+    fn dense_tree_equals_the_naive_model_under_any_interleaving(
+        depth in 1usize..=8,
+        ops in proptest::collection::vec(
+            (0u8..8, any::<u16>(), proptest::collection::vec(arb_fr(), 0..12)),
+            1..14,
+        )
+    ) {
+        let capacity = 1u64 << depth;
+        let mut tree = DenseTree::new(depth);
+        let mut model = NaiveTree::new(depth);
+        let mut removed: Vec<u64> = Vec::new();
+        assert_matches_model(&tree, &model)?;
+        for (kind, raw, leaves) in ops {
+            let index = raw as u64 % capacity;
+            let leaf = leaves.first().copied().unwrap_or(Fr::from_u64(raw as u64 + 1));
+            match kind {
+                // a set anywhere, including far past the stored prefix
+                0 | 1 => {
+                    tree.set(index, leaf);
+                    model.leaves[index as usize] = leaf;
+                }
+                // the last leaf
+                2 => {
+                    tree.set(capacity - 1, leaf);
+                    model.leaves[capacity as usize - 1] = leaf;
+                }
+                3 | 4 => {
+                    tree.remove(index);
+                    model.leaves[index as usize] = Fr::zero();
+                    removed.push(index);
+                }
+                // re-set a leaf that was removed earlier
+                5 => {
+                    if let Some(&again) = removed.get(raw as usize % removed.len().max(1)) {
+                        tree.set(again, leaf);
+                        model.leaves[again as usize] = leaf;
+                    }
+                }
+                // a batch (possibly empty), clipped to fit
+                _ => {
+                    let len = leaves.len().min((capacity - index) as usize);
+                    tree.set_batch(index, &leaves[..len]);
+                    model.leaves[index as usize..index as usize + len]
+                        .copy_from_slice(&leaves[..len]);
+                }
+            }
+            assert_matches_model(&tree, &model)?;
+        }
     }
 }

@@ -53,24 +53,59 @@ impl GroupManager {
 
     /// Pulls and applies all contract events newer than the last sync.
     /// Returns how many events were applied.
+    ///
+    /// Every event changes the root, but only the last [`ROOT_WINDOW`] of
+    /// them can leave one in the acceptance window — those are applied one
+    /// by one. Everything before only has to leave the tree right, so each
+    /// run of consecutive registrations there is one batch insertion (§IV-A:
+    /// every touched internal node hashed once, not once per member). The
+    /// resulting state is the one event-at-a-time application produces.
     pub fn sync(&mut self, chain: &Chain) -> usize {
         let from = self.last_synced_block + 1;
         let to = chain.height();
         if from > to {
             return 0;
         }
-        let events = chain.events_in_range(from, to);
-        let mut applied = 0;
-        for (_, event) in &events {
+        let events: Vec<ContractEvent> = chain
+            .events_in_range(from, to)
+            .into_iter()
+            .map(|(_, event)| event)
+            .filter(|event| {
+                matches!(
+                    event,
+                    ContractEvent::MemberRegistered { .. } | ContractEvent::MemberRemoved { .. }
+                )
+            })
+            .collect();
+        let (head, tail) = events.split_at(events.len().saturating_sub(ROOT_WINDOW));
+        for run in head.chunk_by(|a, b| match (a, b) {
+            (
+                ContractEvent::MemberRegistered { index: a, .. },
+                ContractEvent::MemberRegistered { index: b, .. },
+            ) => a + 1 == *b,
+            _ => false,
+        }) {
+            self.apply(run);
+        }
+        for event in tail {
+            self.apply(std::slice::from_ref(event));
+            self.push_root();
+        }
+        self.last_synced_block = to;
+        events.len()
+    }
+
+    /// Applies one removal, or a run of registrations at consecutive indices.
+    fn apply(&mut self, run: &[ContractEvent]) {
+        let mut leaves = Vec::with_capacity(run.len());
+        for event in run {
             match event {
                 ContractEvent::MemberRegistered { index, commitment } => {
-                    self.tree.set(*index, *commitment);
+                    leaves.push(*commitment);
                     self.members += 1;
                     if Some(*commitment) == self.own_commitment {
                         self.own_index = Some(*index);
                     }
-                    applied += 1;
-                    self.push_root();
                 }
                 ContractEvent::MemberRemoved { index, .. } => {
                     self.tree.remove(*index);
@@ -78,14 +113,13 @@ impl GroupManager {
                     if self.own_index == Some(*index) {
                         self.own_index = None; // we were slashed/withdrawn
                     }
-                    applied += 1;
-                    self.push_root();
                 }
                 _ => {}
             }
         }
-        self.last_synced_block = to;
-        applied
+        if let Some(ContractEvent::MemberRegistered { index, .. }) = run.first() {
+            self.tree.set_batch(*index, &leaves);
+        }
     }
 
     fn push_root(&mut self) {
