@@ -14,9 +14,8 @@
 //! 2. **Two recording backends, one snapshot.** A [`Registry`] holds
 //!    atomic cells for concurrent recording through cloneable
 //!    [`Counter`]/[`Gauge`]/[`Histogram`] handles; a [`LocalRecorder`] is
-//!    the plain (non-atomic) variant for single-owner fork-join shards,
-//!    grouped per peer in [`RecorderShards`]. Both produce the same
-//!    [`Snapshot`].
+//!    the plain (non-atomic) variant for single-owner fork-join shards
+//!    (one per gossip peer). Both produce the same [`Snapshot`].
 //! 3. **Order-insensitive merge.** [`Snapshot::merge`] folds metrics with
 //!    commutative, associative operations only (sum for counters and
 //!    histogram buckets, sum-or-max for gauges per [`GaugeFold`]), so the
@@ -53,15 +52,19 @@
 //! Fork-join shards merge order-insensitively:
 //!
 //! ```
-//! use waku_metrics::{LayoutBuilder, RecorderShards};
+//! use waku_metrics::{LayoutBuilder, LocalRecorder};
 //!
 //! let mut b = LayoutBuilder::new();
 //! let events = b.counter("events_total", "Events dispatched.");
-//! let shards = RecorderShards::new(&b.build(), 4);
-//! for shard in 0..4 {
-//!     shards.record(shard, |r| r.add(events, 10));
+//! let mut shards = vec![LocalRecorder::new(b.build()); 4];
+//! for shard in &mut shards {
+//!     shard.add(events, 10);
 //! }
-//! assert_eq!(shards.merged().scalar("events_total"), 40);
+//! let mut merged = shards[0].clone();
+//! for shard in &shards[1..] {
+//!     merged.merge_from(shard);
+//! }
+//! assert_eq!(merged.snapshot().scalar("events_total"), 40);
 //! ```
 
 #![warn(missing_docs)]
@@ -74,6 +77,6 @@ mod snapshot;
 
 pub use desc::{bucket_bound, bucket_index, Desc, GaugeFold, MetricKind, BUCKET_COUNT};
 pub use layout::{CounterId, GaugeId, HistogramId, Layout, LayoutBuilder};
-pub use recorder::{LocalRecorder, RecorderShards};
+pub use recorder::LocalRecorder;
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use snapshot::{HistogramValue, MetricValue, Snapshot, Value};

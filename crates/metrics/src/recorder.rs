@@ -1,12 +1,9 @@
 //! The single-owner recording backend: plain (non-atomic) cells for
 //! fork-join shards. One [`LocalRecorder`] per peer keeps the hot path to
-//! a bare `u64` add; [`RecorderShards`] groups them one-slot-per-peer —
-//! each slot's mutex is only ever taken by the owning peer's dispatch, so
-//! sharded execution records without contention (the same pattern the
-//! sim's detection log uses) — and merges them order-insensitively when
-//! the run ends.
+//! a bare `u64` add; the owner of the peers folds them order-insensitively
+//! ([`LocalRecorder::merge_from`]) when the run ends.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::desc::bucket_index;
 use crate::layout::{CounterId, GaugeId, HistogramId, Layout};
@@ -120,59 +117,6 @@ impl LocalRecorder {
     }
 }
 
-/// One [`LocalRecorder`] per shard (peer), each behind its own mutex.
-///
-/// The contract mirrors the sim's sharded logs: shard `i`'s slot is only
-/// ever locked from code running *as* shard `i`, so there is never
-/// contention — the mutex exists to make the container `Sync` for the
-/// fork-join scheduler, not to arbitrate. [`RecorderShards::merged`]
-/// folds all shards with order-insensitive operations, so the merged
-/// snapshot is identical under any scheduler.
-#[derive(Debug)]
-pub struct RecorderShards {
-    shards: Vec<Mutex<LocalRecorder>>,
-    layout: Arc<Layout>,
-}
-
-impl RecorderShards {
-    /// `shards` zeroed recorders over the layout.
-    pub fn new(layout: &Arc<Layout>, shards: usize) -> Arc<Self> {
-        Arc::new(RecorderShards {
-            shards: (0..shards)
-                .map(|_| Mutex::new(LocalRecorder::new(Arc::clone(layout))))
-                .collect(),
-            layout: Arc::clone(layout),
-        })
-    }
-
-    /// Number of shard slots.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when there are no shard slots.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Records into shard `i`'s slot (must only be called from the code
-    /// path that owns shard `i` — see the struct docs).
-    #[inline]
-    pub fn record(&self, shard: usize, f: impl FnOnce(&mut LocalRecorder)) {
-        f(&mut self.shards[shard].lock().unwrap());
-    }
-
-    /// Merges every shard into one snapshot (ascending slot order, but
-    /// the folds are order-insensitive so the order is irrelevant).
-    pub fn merged(&self) -> Snapshot {
-        let mut total = LocalRecorder::new(Arc::clone(&self.layout));
-        for shard in &self.shards {
-            total.merge_from(&shard.lock().unwrap());
-        }
-        total.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,18 +130,19 @@ mod tests {
         let g = b.gauge("hw", "", GaugeFold::Max);
         let h = b.histogram("v_ms", "");
         let layout = b.build();
-        let shards = RecorderShards::new(&layout, 3);
+        let mut shards = vec![LocalRecorder::new(Arc::clone(&layout)); 3];
         let mut oracle = LocalRecorder::new(Arc::clone(&layout));
         for (i, v) in [(0usize, 5u64), (2, 9), (1, 3), (0, 9), (2, 1)] {
-            shards.record(i, |r| {
+            for r in [&mut shards[i], &mut oracle] {
                 r.inc(c);
                 r.fold_max(g, v);
                 r.observe(h, v);
-            });
-            oracle.inc(c);
-            oracle.fold_max(g, v);
-            oracle.observe(h, v);
+            }
         }
-        assert_eq!(shards.merged(), oracle.snapshot());
+        let mut merged = LocalRecorder::new(layout);
+        for shard in &shards {
+            merged.merge_from(shard);
+        }
+        assert_eq!(merged.snapshot(), oracle.snapshot());
     }
 }

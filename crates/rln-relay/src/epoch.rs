@@ -84,13 +84,15 @@ impl EpochManager {
     ///   epochs away; accepted.
     /// * `offset == Thr · T + ε` — the stamp can land `Thr + 1` epochs
     ///   away near an epoch boundary; those messages bounce with
-    ///   [`crate::validation::Outcome::EpochOutOfRange`] (and, past the
-    ///   store window, the `rln_out_of_window_total` counter).
+    ///   [`crate::validation::Outcome::EpochOutOfRange`], counted on
+    ///   `rln_validation_epoch_dropped_total` whichever way the clock
+    ///   is off (`rln_out_of_window_total` does not move: the gap check
+    ///   and the store window share one monotone epoch).
     /// * `offset ≥ (Thr + 1) · T` — the *minimum* gap `⌊x / T⌋` already
     ///   exceeds `Thr`: every message bounces, not just boundary ones.
     ///
-    /// The E9 skew scenarios in `waku-sim` drive validators on both
-    /// sides of this line.
+    /// The E9 skew scenarios in `waku-sim` drive this crate's validator
+    /// on both sides of this line.
     pub fn max_tolerated_skew_secs(&self, thr: u64) -> u64 {
         thr * self.epoch_length_secs
     }

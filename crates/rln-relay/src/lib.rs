@@ -64,4 +64,4 @@ pub use group::GroupManager;
 pub use metrics::{NodeMetrics, ValidationMetrics};
 pub use node::{NodeConfig, NodeConfigBuilder, NodeError, WakuRlnRelayNode};
 pub use slasher::Slasher;
-pub use validation::{MessageValidator, Outcome};
+pub use validation::{Claims, MessageValidator, Outcome};

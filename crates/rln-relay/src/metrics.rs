@@ -27,6 +27,7 @@ pub(crate) struct MetricIds {
     pub spam_detected: CounterId,
     pub out_of_window: CounterId,
     pub nullifier_entries: GaugeId,
+    pub nullifier_high_water: GaugeId,
     pub epochs_pruned: GaugeId,
     pub validation_latency: HistogramId,
     pub proof_verify: HistogramId,
@@ -82,6 +83,11 @@ pub(crate) fn catalogue() -> &'static (Arc<Layout>, MetricIds) {
                 "rln_nullifier_entries",
                 "Shares resident in the windowed nullifier store.",
                 GaugeFold::Sum,
+            ),
+            nullifier_high_water: b.gauge(
+                "rln_nullifier_high_water",
+                "Largest share count the nullifier store held at once.",
+                GaugeFold::Max,
             ),
             epochs_pruned: b.gauge(
                 "rln_epochs_pruned",
@@ -160,6 +166,7 @@ pub(crate) struct ValidationHandles {
     pub spam_detected: Counter,
     pub out_of_window: Counter,
     pub nullifier_entries: Gauge,
+    pub nullifier_high_water: Gauge,
     pub epochs_pruned: Gauge,
     pub validation_latency: Histogram,
     pub proof_verify: Histogram,
@@ -182,6 +189,7 @@ impl ValidationHandles {
             spam_detected: registry.counter(ids.spam_detected),
             out_of_window: registry.counter(ids.out_of_window),
             nullifier_entries: registry.gauge(ids.nullifier_entries),
+            nullifier_high_water: registry.gauge(ids.nullifier_high_water),
             epochs_pruned: registry.gauge(ids.epochs_pruned),
             validation_latency: registry.histogram(ids.validation_latency),
             proof_verify: registry.histogram(ids.proof_verify),

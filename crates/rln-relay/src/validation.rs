@@ -6,9 +6,25 @@
 //! 3. **proof verification** — the Groth16 check (≈30 ms, constant);
 //! 4. **rate check** — the nullifier map classifies the message as fresh /
 //!    duplicate / spam, recovering the spammer's key in the last case.
+//!
+//! That order is written down once, in
+//! [`MessageValidator::validate_claims`]. The type parameter `V` is the
+//! proof step of whoever drives it: [`RlnVerifier`] (the default) for a
+//! node, whose [`MessageValidator::validate`] is `validate_claims` with
+//! `verify_bundle` and two wall-clock histograms around it; the
+//! simulator's tagged step for network-scale runs, which therefore route
+//! through this very pipeline rather than a model of it.
+//!
+//! `validate_claims` takes a message's [`Claims`] and an answer to "is
+//! the proof good?" instead of an [`RlnMessageBundle`] because decoding
+//! the 492-byte wire form costs 810 ns (637 ns of it the proof's curve
+//! checks) — as much again as a whole simulated validation — so a proof
+//! step that does not read the proof must not have to parse one.
 
 use std::time::Instant;
 
+use waku_arith::fields::Fr;
+use waku_arith::traits::PrimeField;
 use waku_metrics::Registry;
 use waku_rln::{
     NullifierSnapshot, NullifierStore, RateCheck, RlnMessageBundle, RlnVerifier, SpamEvidence,
@@ -35,14 +51,49 @@ pub enum Outcome {
     Spam(SpamEvidence),
 }
 
-/// Stateful validator a routing peer runs for one topic.
+/// What a message says about itself — the public inputs its proof is
+/// bound to — as the pipeline reads them. A trait rather than a struct so
+/// that the two the rate check alone needs are only computed for messages
+/// that get that far (`x = H(m)` is 0.95 µs of SHA-256; a stale-epoch drop
+/// costs a tenth of that).
+pub trait Claims {
+    /// The epoch the message was published in.
+    fn epoch(&self) -> u64;
+    /// The membership root the proof was made against.
+    fn root(&self) -> Fr;
+    /// The internal nullifier `φ`, as the store's key.
+    fn nullifier(&self) -> [u8; 32];
+    /// The Shamir share `(x, y)` the message reveals.
+    fn share(&self) -> (Fr, Fr);
+}
+
+impl Claims for RlnMessageBundle {
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn root(&self) -> Fr {
+        self.root
+    }
+
+    fn nullifier(&self) -> [u8; 32] {
+        self.nullifier.to_le_bytes()
+    }
+
+    fn share(&self) -> (Fr, Fr) {
+        RlnMessageBundle::share(self)
+    }
+}
+
+/// Stateful validator a routing peer runs for one topic; `V` is its
+/// proof step (see the module docs).
 ///
 /// Nullifier state lives in an epoch-windowed [`NullifierStore`]: only
 /// the `2·Thr + 1` epochs that can still pass the gap check are
 /// retained, so the validator's resident memory is O(window), not
 /// O(uptime) — see the "Epochs and memory bounds" section of the README.
-pub struct MessageValidator {
-    verifier: RlnVerifier,
+pub struct MessageValidator<V = RlnVerifier> {
+    verifier: V,
     epochs: EpochManager,
     max_gap: u64,
     nullifiers: NullifierStore,
@@ -50,7 +101,7 @@ pub struct MessageValidator {
     m: ValidationHandles,
 }
 
-impl std::fmt::Debug for MessageValidator {
+impl<V> std::fmt::Debug for MessageValidator<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -62,8 +113,35 @@ impl std::fmt::Debug for MessageValidator {
 }
 
 impl MessageValidator {
+    /// Runs the §III-F pipeline on a bundle received at local Unix time
+    /// `now_secs` (drifted clock — the paper's ClockAsynchrony applies).
+    pub fn validate(
+        &mut self,
+        bundle: &RlnMessageBundle,
+        group: &GroupManager,
+        now_secs: u64,
+    ) -> Outcome {
+        let started = Instant::now();
+        let mut verify_ns = None;
+        let outcome = self.validate_claims(bundle, group, now_secs, |verifier| {
+            let verify_started = Instant::now();
+            let proof_ok = verifier.verify_bundle(bundle);
+            verify_ns = Some(verify_started.elapsed().as_nanos() as u64);
+            proof_ok
+        });
+        if let Some(ns) = verify_ns {
+            self.m.proof_verify.observe(ns);
+        }
+        self.m
+            .validation_latency
+            .observe(started.elapsed().as_nanos() as u64);
+        outcome
+    }
+}
+
+impl<V> MessageValidator<V> {
     /// Builds a validator recording into a private registry.
-    pub fn new(verifier: RlnVerifier, epochs: EpochManager, max_gap: u64) -> Self {
+    pub fn new(verifier: V, epochs: EpochManager, max_gap: u64) -> Self {
         Self::with_registry(verifier, epochs, max_gap, crate::metrics::registry())
     }
 
@@ -71,7 +149,7 @@ impl MessageValidator {
     /// shares one registry between its validator and its own lifecycle
     /// counters so a single exposition covers both.
     pub fn with_registry(
-        verifier: RlnVerifier,
+        verifier: V,
         epochs: EpochManager,
         max_gap: u64,
         registry: Registry,
@@ -102,56 +180,40 @@ impl MessageValidator {
         &self.registry
     }
 
-    /// Runs the §III-F pipeline on a bundle received at local Unix time
-    /// `now_secs` (drifted clock — the paper's ClockAsynchrony applies).
-    pub fn validate(
+    /// The §III-F pipeline, in its one order: prechecks, then the proof
+    /// step — `proof_ok` is handed the validator's `V` and asked only for
+    /// messages that survived the prechecks — then the rate check.
+    /// Records counters and gauges and never reads a wall clock, so a
+    /// seeded caller's registry is a pure function of its seed.
+    pub fn validate_claims(
         &mut self,
-        bundle: &RlnMessageBundle,
+        claims: &impl Claims,
         group: &GroupManager,
         now_secs: u64,
+        proof_ok: impl FnOnce(&V) -> bool,
     ) -> Outcome {
-        let started = Instant::now();
-        let outcome = self.validate_inner(bundle, group, now_secs);
-        self.m
-            .validation_latency
-            .observe(started.elapsed().as_nanos() as u64);
-        outcome
-    }
-
-    fn validate_inner(
-        &mut self,
-        bundle: &RlnMessageBundle,
-        group: &GroupManager,
-        now_secs: u64,
-    ) -> Outcome {
-        if let Some(drop) = self.precheck(bundle, group, now_secs) {
+        if let Some(drop) = self.precheck(claims, group, now_secs) {
             return drop;
         }
 
         // 3. zero-knowledge proof
-        let verify_started = Instant::now();
-        let proof_ok = self.verifier.verify_bundle(bundle);
-        self.m
-            .proof_verify
-            .observe(verify_started.elapsed().as_nanos() as u64);
-        if !proof_ok {
+        if !proof_ok(&self.verifier) {
             self.m.proof_rejected.inc();
             return Outcome::InvalidProof;
         }
 
-        self.rate_check(bundle)
+        self.rate_check(claims)
     }
 
     /// Pipeline steps 0–2 (epoch rollover, gap check, root recency):
     /// everything that precedes proof verification and costs microseconds,
-    /// not milliseconds. Returns `Some(drop)` when the bundle is rejected
-    /// before its proof is ever looked at. Shared verbatim between the
-    /// sequential path ([`MessageValidator::validate`]) and the batching
-    /// queue ([`crate::batch::BatchingValidator`]), which runs it at
-    /// enqueue time so only proof-worthy bundles occupy queue slots.
+    /// not milliseconds. Returns `Some(drop)` when the message is rejected
+    /// before its proof is ever looked at. The batching queue
+    /// ([`crate::batch::BatchingValidator`]) runs it at enqueue time so
+    /// only proof-worthy bundles occupy queue slots.
     pub(crate) fn precheck(
         &mut self,
-        bundle: &RlnMessageBundle,
+        claims: &impl Claims,
         group: &GroupManager,
         now_secs: u64,
     ) -> Option<Outcome> {
@@ -160,26 +222,22 @@ impl MessageValidator {
         // 0. epoch rollover: slide the nullifier window to the local
         // clock, recycling any epoch that fell behind it (O(1) per
         // expired epoch — no scans over resident entries). The router's
-        // epoch is *monotone* — the max of every clock sample seen — so
+        // epoch is *monotone* — the highest any clock sample reached — so
         // a wall clock stepped backwards (NTP) cannot make the gap check
         // disagree with the already-advanced store window: both always
         // judge against the same, highest-observed epoch.
-        let current_epoch = self
-            .epochs
-            .epoch_at(now_secs)
-            .max(self.nullifiers.current_epoch());
-        self.nullifiers.advance_to(current_epoch);
-        self.m.epochs_pruned.set(self.nullifiers.epochs_pruned());
+        self.tick(now_secs);
+        let current_epoch = self.nullifiers.current_epoch();
 
         // 1. epoch gap
-        let gap = EpochManager::gap(current_epoch, bundle.epoch);
+        let gap = EpochManager::gap(current_epoch, claims.epoch());
         if gap > self.max_gap {
             self.m.epoch_dropped.inc();
             return Some(Outcome::EpochOutOfRange(gap));
         }
 
         // 2. root recency
-        if !group.is_known_root(bundle.root) {
+        if !group.is_known_root(claims.root()) {
             self.m.root_dropped.inc();
             return Some(Outcome::UnknownRoot);
         }
@@ -187,10 +245,14 @@ impl MessageValidator {
     }
 
     /// Pipeline step 4: the rate limit via the windowed nullifier store,
-    /// for a bundle whose proof has already been established as valid.
-    pub(crate) fn rate_check(&mut self, bundle: &RlnMessageBundle) -> Outcome {
-        let gap = EpochManager::gap(self.nullifiers.current_epoch(), bundle.epoch);
-        let outcome = match self.nullifiers.check_bundle(bundle) {
+    /// for a message whose proof has already been established as valid.
+    pub(crate) fn rate_check(&mut self, claims: &impl Claims) -> Outcome {
+        let epoch = claims.epoch();
+        let gap = EpochManager::gap(self.nullifiers.current_epoch(), epoch);
+        let outcome = match self
+            .nullifiers
+            .check_shares(epoch, claims.nullifier(), claims.share())
+        {
             RateCheck::Fresh => {
                 self.m.relayed.inc();
                 Outcome::Relay
@@ -217,8 +279,16 @@ impl MessageValidator {
                 Outcome::EpochOutOfRange(gap)
             }
         };
-        self.m.nullifier_entries.set(self.nullifiers.len() as u64);
+        self.publish_window_gauges();
         outcome
+    }
+
+    /// Points the three window gauges at the store as it now stands.
+    fn publish_window_gauges(&self) {
+        let resident = self.nullifiers.len() as u64;
+        self.m.epochs_pruned.set(self.nullifiers.epochs_pruned());
+        self.m.nullifier_entries.set(resident);
+        self.m.nullifier_high_water.fold_max(resident);
     }
 
     /// Observes the local clock without a message: slides the nullifier
@@ -226,9 +296,11 @@ impl MessageValidator {
     /// while the topic is idle. Routing layers call this once per
     /// heartbeat (see `waku_gossip::MessageAcceptor::on_heartbeat`).
     pub fn tick(&mut self, now_secs: u64) {
-        self.nullifiers.advance_to(self.epochs.epoch_at(now_secs));
-        self.m.epochs_pruned.set(self.nullifiers.epochs_pruned());
-        self.m.nullifier_entries.set(self.nullifiers.len() as u64);
+        let clock_epoch = self.epochs.epoch_at(now_secs);
+        if clock_epoch > self.nullifiers.current_epoch() {
+            self.nullifiers.advance_to(clock_epoch);
+            self.publish_window_gauges();
+        }
     }
 
     /// Replaces the windowed nullifier store with one restored from a
@@ -253,8 +325,7 @@ impl MessageValidator {
             ));
         }
         self.nullifiers = NullifierStore::restore(snapshot);
-        self.m.epochs_pruned.set(self.nullifiers.epochs_pruned());
-        self.m.nullifier_entries.set(self.nullifiers.len() as u64);
+        self.publish_window_gauges();
         Ok(())
     }
 
@@ -264,8 +335,8 @@ impl MessageValidator {
         &self.m
     }
 
-    /// The verifier (the batching queue needs its batch entry points).
-    pub(crate) fn verifier(&self) -> &RlnVerifier {
+    /// The proof step (the batching queue needs its batch entry points).
+    pub(crate) fn verifier(&self) -> &V {
         &self.verifier
     }
 
@@ -510,6 +581,74 @@ mod tests {
             f.validator.validate(&b97, &f.group, 970),
             Outcome::EpochOutOfRange(3)
         );
+    }
+
+    /// The node's proof step and a caller-supplied answer (what the
+    /// simulator's tagged step is) drive one pipeline: same verdicts, same
+    /// counters, same window gauges — and only the former reads a clock.
+    #[test]
+    fn constant_proof_answer_matches_real_verification() {
+        let mut f = fixture(14);
+        let mut unknown_root = prove(&f, b"rootless", 101, 63);
+        unknown_root.root += Fr::one();
+        let mut tampered = prove(&f, b"original", 101, 64);
+        tampered.payload = b"swapped".to_vec();
+        let fresh = prove(&f, b"fresh", 100, 60);
+        // (bundle, local clock, is its proof good?)
+        let corpus = [
+            (fresh.clone(), 1000, true),
+            (fresh, 1000, true),                         // exact duplicate
+            (prove(&f, b"second", 100, 61), 1000, true), // double-signal
+            (prove(&f, b"stale", 95, 62), 1000, true),   // 5 epochs stale
+            (prove(&f, b"early", 104, 62), 1000, true),  // 4 epochs ahead
+            (unknown_root, 1000, true),
+            (tampered, 1000, false),
+            // The backwards-clock sequence: reach epoch 102, step back 3.
+            (prove(&f, b"at 102", 102, 65), 1020, true),
+            (prove(&f, b"at 101", 101, 66), 990, true),
+            (prove(&f, b"at 99", 99, 67), 990, true),
+        ];
+
+        let mut tagged = MessageValidator::new((), EpochManager::new(T), 1);
+        let mut real_outcomes = Vec::new();
+        let mut tagged_outcomes = Vec::new();
+        for (bundle, now, proof_good) in &corpus {
+            real_outcomes.push(f.validator.validate(bundle, &f.group, *now));
+            tagged_outcomes.push(tagged.validate_claims(bundle, &f.group, *now, |()| *proof_good));
+        }
+
+        assert_eq!(real_outcomes, tagged_outcomes);
+        assert_eq!(real_outcomes[0], Outcome::Relay);
+        assert_eq!(real_outcomes[1], Outcome::Duplicate);
+        assert!(
+            matches!(&real_outcomes[2], Outcome::Spam(ev) if ev.recovered_secret == f.identity.secret())
+        );
+        assert_eq!(real_outcomes[3], Outcome::EpochOutOfRange(5));
+        assert_eq!(real_outcomes[4], Outcome::EpochOutOfRange(4));
+        assert_eq!(real_outcomes[5], Outcome::UnknownRoot);
+        assert_eq!(real_outcomes[6], Outcome::InvalidProof);
+        assert_eq!(real_outcomes[7..9], [Outcome::Relay, Outcome::Relay]);
+        assert_eq!(real_outcomes[9], Outcome::EpochOutOfRange(3));
+
+        // Every `rln_validation_*` counter and the window gauges agree.
+        assert_eq!(tagged.metrics(), f.validator.metrics());
+        assert_eq!(tagged.metrics().total, corpus.len() as u64);
+        let real = f.validator.registry().snapshot();
+        let constant = tagged.registry().snapshot();
+        assert_eq!(
+            constant.scalar("rln_nullifier_high_water"),
+            real.scalar("rln_nullifier_high_water")
+        );
+        assert!(real.scalar("rln_nullifier_high_water") >= 2);
+        // No wall-clock sample can enter a seeded caller's registry.
+        for name in ["rln_validation_latency_ns", "rln_proof_verify_ns"] {
+            assert_eq!(constant.histogram(name).unwrap().count, 0, "{name}");
+        }
+        assert_eq!(
+            real.histogram("rln_validation_latency_ns").unwrap().count,
+            corpus.len() as u64
+        );
+        assert_eq!(real.histogram("rln_proof_verify_ns").unwrap().count, 6);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! run — the same counters the Prometheus exposition carries — and every
 //! run is seeded: a fault scenario is bit-identical across the serial
 //! and sharded schedulers (asserted in `tests/sim_equivalence.rs`).
+//!
+//! The skew gate's counter is `rln_validation_epoch_dropped_total`:
+//! routers run the production validator, whose epoch is monotone, so
+//! skew past `Thr·T` in either direction — a backward step included — is
+//! an epoch-gap drop, and `rln_out_of_window_total` stays at zero.
 
 use waku_gossip::{CrashSpec, FaultPlan, NetworkConfig, PeerId};
 use waku_metrics::Snapshot;
@@ -99,8 +104,13 @@ pub struct FaultReport {
     pub peer_restarts: u64,
     /// Partitions healed by run end: `partition_heals`.
     pub partition_heals: u64,
-    /// Rate checks that hit the nullifier window edge under clock skew:
-    /// `rln_out_of_window_total`.
+    /// Rate checks refused at the nullifier window's edge:
+    /// `rln_out_of_window_total`. Zero in every run — the gap check and
+    /// the store window judge against the same monotone epoch, so skew
+    /// past the tolerance bound, backward steps included, is dropped by
+    /// the gap check and counted on `rln_validation_epoch_dropped_total`
+    /// (in [`FaultReport::metrics`]). Non-zero would mean the two bounds
+    /// came apart.
     pub out_of_window: u64,
 }
 
@@ -377,13 +387,14 @@ mod tests {
         assert_eq!(beyond.scenario.spammers_detected, 2);
     }
 
-    /// Backward skew exercises the store's window edge for real: a
-    /// publisher and a router both stepped back past the window leave
-    /// the router's monotone store ahead of its clock, so the gap check
-    /// admits epochs the store no longer retains —
-    /// `rln_out_of_window_total` moves.
+    /// Backward skew under the shared pipeline: a publisher and a router
+    /// both stepped back three epochs. The router's epoch is monotone —
+    /// the highest its clock ever reached — so it goes on judging the
+    /// gap against that, exactly as its store's window does: the
+    /// publisher's old stamps are epoch-gap drops, and the window edge is
+    /// never reached.
     #[test]
-    fn backward_skew_reaches_the_out_of_window_arm() {
+    fn backward_skew_is_an_epoch_gap_drop() {
         let report = run_fault_scenario(&FaultScenarioConfig {
             honest_publishers: Some(1),
             plan: FaultPlan {
@@ -394,7 +405,7 @@ mod tests {
                         delta_ms: -3_000,
                     },
                     SkewSpec {
-                        peer: 3, // a router: gap check follows its clock
+                        peer: 3, // a router: its clock steps back too
                         at_ms: 10_000,
                         delta_ms: -3_000,
                     },
@@ -403,11 +414,13 @@ mod tests {
             },
             ..FaultScenarioConfig::default()
         });
+        let epoch_dropped =
+            |r: &FaultReport| r.metrics.scalar("rln_validation_epoch_dropped_total");
         assert!(
-            report.out_of_window > 0,
-            "the window edge must be reached: {report:?}"
+            epoch_dropped(&report) > epoch_dropped(&fault_free()),
+            "the stale stamps must bounce off the gap check: {report:?}"
         );
-        // No skew at all ⇒ the counter stays at zero.
-        assert_eq!(fault_free().out_of_window, 0);
+        assert_eq!(report.out_of_window, 0, "gap and window never disagree");
+        assert_eq!(report.scenario.spammers_detected, 2);
     }
 }

@@ -5,6 +5,8 @@
 //! deterministic seeds and aggregated reports.
 //!
 //! * [`scenario`] — defense-comparison runs (experiments E6, E10),
+//! * [`acceptor`] — the production §III-F validator behind the gossip
+//!   validation hook, with a tagged or a real proof step,
 //! * [`epoch_gap`] — `Thr` sensitivity sweeps (experiment E7, ablation A4),
 //! * [`steady_state`] — long-horizon multi-epoch runs with publisher
 //!   churn (experiment E7b: the nullifier-lifecycle memory bound),
@@ -16,6 +18,7 @@
 //!   recovery,
 //! * [`report`] — metrics aggregation and markdown tables.
 
+pub mod acceptor;
 pub mod epoch_gap;
 pub mod faults;
 pub mod report;
@@ -23,6 +26,7 @@ pub mod scenario;
 pub mod soak;
 pub mod steady_state;
 
+pub use acceptor::{DetectionLog, ProofStep, RlnAcceptor, TaggedProof};
 pub use epoch_gap::{sweep_thr, EpochGapPoint};
 pub use faults::{
     rolling_churn, run_drop_sweep, run_fault_scenario, FaultReport, FaultScenarioConfig,

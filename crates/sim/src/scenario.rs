@@ -4,36 +4,33 @@
 //!
 //! ## Crypto mode
 //!
-//! Network-scale sweeps run the RLN *data path* in full — real Poseidon
-//! shares, nullifier collisions, and Shamir key recovery — but tag proofs
-//! instead of running Groth16 per message, so a 100-peer × minutes sweep
-//! stays laptop-fast. The routing decisions are identical to the full
-//! pipeline (the proof check is a constant-time accept/reject on
-//! honest/spam traffic, which both carry *valid* proofs); proof costs are
-//! measured separately by E1/E2. Full-crypto end-to-end flows are covered
-//! by the workspace integration tests. ARCHITECTURE.md ("Layer 5 —
+//! Every RLN router in a scenario runs the production
+//! `waku_rln_relay::MessageValidator` (behind [`crate::acceptor::RlnAcceptor`])
+//! — its gap check, root window, nullifier store and Shamir recovery, over
+//! real Poseidon shares — with one step substituted: proofs are *tagged*
+//! instead of Groth16-verified per message, so a 10 000-peer sweep stays
+//! laptop-fast. Honest and spam traffic both carry *valid* proofs, so the
+//! routing decisions are the full pipeline's; proof costs are measured
+//! separately by E1/E2, and `tests/e2e_flow.rs` runs E6 once through the
+//! same acceptor with actual proofs on the wire. The `rln_*` series of a
+//! run's snapshot are the `waku-rln-relay` catalogue, one registry per
+//! validator, merged in ascending peer order. ARCHITECTURE.md ("Layer 5 —
 //! evaluation", the `sim` entry) records the same substitution.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use waku_arith::fields::Fr;
-use waku_arith::traits::PrimeField;
 use waku_baselines::pow::expected_iterations;
 use waku_baselines::SybilCostModel;
-use waku_gossip::{
-    Message, MessageAcceptor, Network, NetworkConfig, PeerId, SimTime, TrafficClass, Validation,
-};
-use waku_metrics::{
-    CounterId, GaugeFold, GaugeId, Layout, LayoutBuilder, RecorderShards, Snapshot,
-};
-use waku_rln::{
-    derive, external_nullifier, message_hash, Identity, NullifierMap, NullifierStore, RateCheck,
-};
+use waku_gossip::{Network, NetworkConfig, TrafficClass, Validation};
+use waku_metrics::{Registry, Snapshot};
+use waku_rln::{derive, external_nullifier, message_hash, Identity};
+use waku_rln_relay::{EpochManager, GroupManager, MessageValidator};
 
+use crate::acceptor::{DetectionLog, RlnAcceptor, TaggedBundle, TaggedProof};
 use crate::report::{percentile, ScenarioReport};
 
 /// Which defense the scenario runs.
@@ -108,11 +105,6 @@ pub struct ScenarioConfig {
     /// exercise the nullifier window with ever-new identities instead of
     /// a fixed cast. `None` keeps the publisher set fixed for the run.
     pub publisher_churn_ms: Option<u64>,
-    /// RLN only: keep nullifier state in the *unbounded* reference map
-    /// instead of the epoch-windowed store. This is the memory-hungry
-    /// oracle the E7 steady-state tests A/B against — detections inside
-    /// the `Thr` window must be bit-identical either way.
-    pub unbounded_nullifiers: bool,
 }
 
 impl Default for ScenarioConfig {
@@ -130,7 +122,6 @@ impl Default for ScenarioConfig {
             deposit_wei: 1_000_000_000_000_000_000,
             honest_publishers: None,
             publisher_churn_ms: None,
-            unbounded_nullifiers: false,
         }
     }
 }
@@ -147,287 +138,8 @@ pub fn peers_from_env(default: usize) -> usize {
 
 const TOPIC: u32 = 1;
 const WARMUP_MS: u64 = 3_000;
-
-/// Wire format of the simulated RLN bundle inside gossip payloads:
-/// `valid(1) ‖ epoch(8) ‖ y(32) ‖ nullifier(32) ‖ filler…`.
-fn encode_rln_payload(valid: bool, epoch: u64, y: Fr, nullifier: Fr, filler: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(73 + filler.len());
-    out.push(valid as u8);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&y.to_le_bytes());
-    out.extend_from_slice(&nullifier.to_le_bytes());
-    out.extend_from_slice(filler);
-    out
-}
-
-struct DecodedRln {
-    valid: bool,
-    epoch: u64,
-    y: Fr,
-    nullifier: [u8; 32],
-    x: Fr,
-}
-
-fn decode_rln_payload(data: &[u8]) -> Option<DecodedRln> {
-    let mut r = waku_wire::Reader::new(data);
-    let valid = r.u8().ok()? == 1;
-    let epoch = r.u64().ok()?;
-    let y = Fr::from_le_bytes(&r.array().ok()?)?;
-    let nullifier = r.array().ok()?;
-    // The share x binds the application payload m (the filler after the
-    // metadata), exactly as x = H(m) in the real protocol.
-    let x = message_hash(r.take(r.remaining()).ok()?);
-    Some(DecodedRln {
-        valid,
-        epoch,
-        y,
-        nullifier,
-        x,
-    })
-}
-
-/// Sharded spam-detection log: one slot of unique recovered secrets per
-/// peer (the finest shard granularity), merged deterministically — union
-/// in ascending peer order — when the report is built. Each slot's mutex
-/// is only ever taken by the peer that owns it, so the sharded scheduler
-/// runs detection without contention, and a set union is order-insensitive
-/// by construction, which keeps reports bit-identical across schedulers.
-struct DetectionLog {
-    per_peer: Vec<Mutex<BTreeSet<[u8; 32]>>>,
-}
-
-impl DetectionLog {
-    fn new(peers: usize) -> Arc<Self> {
-        Arc::new(DetectionLog {
-            per_peer: (0..peers).map(|_| Mutex::new(BTreeSet::new())).collect(),
-        })
-    }
-
-    fn record(&self, peer: usize, secret: [u8; 32]) {
-        self.per_peer[peer].lock().unwrap().insert(secret);
-    }
-
-    /// Deterministic merge: union across peer slots in ascending order.
-    fn merged(&self) -> BTreeSet<[u8; 32]> {
-        let mut all = BTreeSet::new();
-        for slot in &self.per_peer {
-            all.extend(slot.lock().unwrap().iter().copied());
-        }
-        all
-    }
-}
-
-/// Nullifier-store gauges recorded into `waku-metrics` shard recorders —
-/// one shard per peer like [`DetectionLog`] (each shard only ever touched
-/// by its owning peer, so the sharded scheduler records without
-/// contention). The merge is the registry's order-insensitive snapshot
-/// fold (sum for the resident/pruned gauges, max for the high-water
-/// gauge), so reports stay bit-identical across schedulers.
-struct StoreIds {
-    resident: GaugeId,
-    high_water: GaugeId,
-    pruned: GaugeId,
-    out_of_window: CounterId,
-}
-
-/// The scenario-harness metric catalogue. The gauge names match the
-/// `waku-rln-relay` catalogue where the semantics coincide, so a sim
-/// snapshot and a node snapshot merge into one coherent exposition.
-fn store_catalogue() -> &'static (Arc<Layout>, StoreIds) {
-    static CELL: OnceLock<(Arc<Layout>, StoreIds)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let mut b = LayoutBuilder::new();
-        let ids = StoreIds {
-            resident: b.gauge(
-                "rln_nullifier_entries",
-                "Shares resident across every validator's nullifier store.",
-                GaugeFold::Sum,
-            ),
-            high_water: b.gauge(
-                "rln_nullifier_high_water",
-                "Largest share count any single validator's store held at once.",
-                GaugeFold::Max,
-            ),
-            pruned: b.gauge(
-                "rln_epochs_pruned",
-                "Expired epochs recycled across all validators.",
-                GaugeFold::Sum,
-            ),
-            out_of_window: b.counter(
-                "rln_out_of_window_total",
-                "Rate checks refused because the epoch left the nullifier \
-                 window — reached when a validator's clock skews backward \
-                 past the monotone store (the skew-tolerance bound).",
-            ),
-        };
-        (b.build(), ids)
-    })
-}
-
-/// Nullifier retention strategy for the simulated RLN validator: the
-/// production epoch-windowed store, or the unbounded reference map (the
-/// behavioral oracle for E7's A/B assertion — and a live demonstration
-/// of the memory leak the window fixes).
-enum Retention {
-    Windowed(NullifierStore),
-    Unbounded(NullifierMap),
-}
-
-impl Retention {
-    fn check(
-        &mut self,
-        current_epoch: u64,
-        epoch: u64,
-        key: [u8; 32],
-        share: (Fr, Fr),
-    ) -> RateCheck {
-        match self {
-            Retention::Windowed(store) => {
-                store.advance_to(current_epoch);
-                store.check_shares(epoch, key, share)
-            }
-            Retention::Unbounded(map) => map.check_shares(epoch, key, share),
-        }
-    }
-
-    fn resident(&self) -> u64 {
-        match self {
-            Retention::Windowed(store) => store.len() as u64,
-            Retention::Unbounded(map) => map.len() as u64,
-        }
-    }
-
-    fn pruned(&self) -> u64 {
-        match self {
-            Retention::Windowed(store) => store.epochs_pruned(),
-            Retention::Unbounded(_) => 0,
-        }
-    }
-}
-
-/// The simulated §III-F validation pipeline one routing peer runs:
-/// epoch-gap check on the local drifted clock, tagged proof check (real
-/// Groth16 is measured in E1/E2 — see the module docs), and the
-/// nullifier rate check with Shamir key recovery on double-signals.
-struct RlnValidator {
-    epoch_secs: u64,
-    thr: u64,
-    peer: usize,
-    nullifiers: Retention,
-    detections: Arc<DetectionLog>,
-    stats: Arc<RecorderShards>,
-}
-
-impl RlnValidator {
-    fn current_epoch(&self, local_ms: SimTime) -> u64 {
-        (local_ms / 1000) / self.epoch_secs
-    }
-
-    fn publish_stats(&self) {
-        let ids = &store_catalogue().1;
-        let resident = self.nullifiers.resident();
-        let pruned = self.nullifiers.pruned();
-        self.stats.record(self.peer, |r| {
-            r.set(ids.resident, resident);
-            r.fold_max(ids.high_water, resident);
-            r.set(ids.pruned, pruned);
-        });
-    }
-}
-
-impl MessageAcceptor for RlnValidator {
-    fn validate(&mut self, _from: PeerId, message: &Message, local_ms: SimTime) -> Validation {
-        let Some(decoded) = decode_rln_payload(&message.data) else {
-            return Validation::Reject;
-        };
-        // 1. epoch gap (local drifted clock)
-        let current_epoch = self.current_epoch(local_ms);
-        if current_epoch.abs_diff(decoded.epoch) > self.thr {
-            return Validation::Ignore;
-        }
-        // 2./3. proof check (tagged; real Groth16 measured in E1/E2)
-        if !decoded.valid {
-            return Validation::Reject;
-        }
-        // 4. nullifier rate check (windowed store advances to the local
-        // clock first, so epoch expiry tracks this peer's drifted time)
-        let share = (decoded.x, decoded.y);
-        let check = self
-            .nullifiers
-            .check(current_epoch, decoded.epoch, decoded.nullifier, share);
-        self.publish_stats();
-        match check {
-            RateCheck::Fresh => Validation::Accept,
-            RateCheck::Duplicate => Validation::Ignore,
-            RateCheck::Spam(evidence) => {
-                self.detections
-                    .record(self.peer, evidence.recovered_secret.to_le_bytes());
-                Validation::Reject
-            }
-            // Reachable under clock skew: the store's window is monotone
-            // (pinned to the highest epoch this validator ever observed),
-            // so after a backward skew step the gap check — which follows
-            // the *current* drifted clock — admits epochs the store no
-            // longer retains. Count and ignore; the E9 skew scenarios
-            // assert this counter moves exactly when skew exceeds the
-            // tolerance bound.
-            RateCheck::OutOfWindow => {
-                let ids = &store_catalogue().1;
-                self.stats.record(self.peer, |r| r.inc(ids.out_of_window));
-                Validation::Ignore
-            }
-        }
-    }
-
-    fn on_heartbeat(&mut self, local_ms: SimTime) {
-        // Epoch rollover observed from the scenario clock: expired
-        // epochs are recycled even when the topic carries no traffic.
-        let current_epoch = self.current_epoch(local_ms);
-        if let Retention::Windowed(store) = &mut self.nullifiers {
-            store.advance_to(current_epoch);
-        }
-        self.publish_stats();
-    }
-
-    fn on_restart(&mut self, local_ms: SimTime) {
-        // A crashed peer rejoins cold: gossip state (seen set, mcache,
-        // mesh) was dropped by the engine, but rate-limit state is
-        // durable — a router that forgot this epoch's nullifiers would
-        // relay a spammer's second signal as fresh. Round-trip the store
-        // through its crash-survival snapshot (the path a real node's
-        // disk persistence takes), then catch the window up to the local
-        // clock so epochs that expired during the outage are recycled.
-        let current_epoch = self.current_epoch(local_ms);
-        if let Retention::Windowed(store) = &mut self.nullifiers {
-            let snapshot = store.snapshot();
-            *store = NullifierStore::restore(&snapshot);
-            store.advance_to(current_epoch);
-        }
-        self.publish_stats();
-    }
-}
-
-fn rln_validator(
-    epoch_secs: u64,
-    thr: u64,
-    peer: usize,
-    unbounded: bool,
-    detections: Arc<DetectionLog>,
-    stats: Arc<RecorderShards>,
-) -> waku_gossip::Validator {
-    Box::new(RlnValidator {
-        epoch_secs,
-        thr,
-        peer,
-        nullifiers: if unbounded {
-            Retention::Unbounded(NullifierMap::new())
-        } else {
-            Retention::Windowed(NullifierStore::new(thr))
-        },
-        detections,
-        stats,
-    })
-}
+/// Depth of the (empty) membership tree the simulated routers share.
+const GROUP_DEPTH: usize = 20;
 
 /// Execution-engine cost counters for one scenario run. Deliberately
 /// separate from [`ScenarioReport`]: the scheduler counters depend on
@@ -468,7 +180,7 @@ pub fn run_scenario_instrumented(config: &ScenarioConfig) -> (ScenarioReport, En
 }
 
 /// [`run_scenario_instrumented`] plus the full metrics [`Snapshot`]: the
-/// per-peer shard recorders (nullifier gauges), the gossip engine's
+/// RLN validators' registries (the `rln_*` series), the gossip engine's
 /// per-peer recorders (event counters, dwell histogram), and the
 /// network-level delivery counters, merged order-insensitively. Metrics
 /// that depend on the execution strategy carry the `engine_` name prefix;
@@ -504,13 +216,19 @@ fn run_with_detections(
     net.subscribe_all(TOPIC);
 
     let detections = DetectionLog::new(config.peers);
-    let store_stats = RecorderShards::new(&store_catalogue().0, config.peers);
-    install_validators(config, &mut net, &detections, &store_stats);
+    let registries = install_validators(config, &mut net, &detections);
 
     let wl = schedule_workload(config, &mut net, &identities, &mut rng);
     net.run_until(wl.end + 10_000); // drain the network
 
-    let mut metrics = store_stats.merged();
+    let mut metrics = Snapshot::default();
+    for registry in &registries {
+        metrics.merge(&registry.snapshot());
+    }
+    // The catalogue's node-lifecycle half belongs to a node, not to a
+    // validator on its own: all zeros here, and `node_published_total 0`
+    // beside `gossip_publishes_total` would only mislead.
+    metrics.retain(|desc| !desc.name.starts_with("node_"));
     metrics.merge(&net.metrics_snapshot());
     let engine = EngineStats {
         shards: net.shards(),
@@ -536,16 +254,17 @@ fn scenario_identities(config: &ScenarioConfig) -> (StdRng, Vec<Identity>) {
     (rng, identities)
 }
 
-/// Installs the defense's validator on every peer.
+/// Installs the defense's validator on every peer and returns the RLN
+/// validators' registries, in peer order (empty for the other defenses).
 fn install_validators(
     config: &ScenarioConfig,
     net: &mut Network,
     detections: &Arc<DetectionLog>,
-    store_stats: &Arc<RecorderShards>,
-) {
+) -> Vec<Registry> {
     match config.defense {
         Defense::None | Defense::ScoringOnly => {
             // No admission criterion: spam is indistinguishable.
+            Vec::new()
         }
         Defense::Pow { .. } => {
             for p in 0..config.peers {
@@ -559,21 +278,29 @@ fn install_validators(
                     }
                 });
             }
+            Vec::new()
         }
         Defense::RlnRelay { epoch_secs, thr } => {
-            for p in 0..config.peers {
-                net.set_validator(
-                    p,
-                    rln_validator(
-                        epoch_secs,
-                        thr,
+            // One membership view for the whole run: the workload has no
+            // registrations in flight, so every peer holds the same tree.
+            let group = Arc::new(GroupManager::new(GROUP_DEPTH));
+            (0..config.peers)
+                .map(|p| {
+                    let validator =
+                        MessageValidator::new(TaggedProof, EpochManager::new(epoch_secs), thr);
+                    let registry = validator.registry().clone();
+                    net.set_validator(
                         p,
-                        config.unbounded_nullifiers,
-                        Arc::clone(detections),
-                        Arc::clone(store_stats),
-                    ),
-                );
-            }
+                        Box::new(RlnAcceptor::new(
+                            validator,
+                            Arc::clone(&group),
+                            p,
+                            Arc::clone(detections),
+                        )),
+                    );
+                    registry
+                })
+                .collect()
         }
     }
 }
@@ -718,7 +445,7 @@ fn schedule_workload(
                     last_epoch = Some(epoch);
                     let x = message_hash(&filler); // x = H(m)
                     let (_, phi, y) = derive(identity.secret(), external_nullifier(epoch), x);
-                    (encode_rln_payload(true, epoch, y, phi, &filler), t)
+                    (TaggedBundle::encode(true, epoch, y, phi, &filler), t)
                 }
             };
             if is_spammer {

@@ -13,10 +13,15 @@
 //! 1. **bounded memory** — the largest nullifier-store population any
 //!    validator ever reaches is O(window), flat in the number of epochs
 //!    simulated;
-//! 2. **undiminished detection** — every double-signal inside the
-//!    `Thr` window is caught exactly as the unbounded reference map
-//!    would catch it (asserted by running the identical seeded scenario
-//!    in both retention modes and comparing whole reports).
+//! 2. **undiminished detection** — both spammers are still caught and
+//!    spam still contained at the horizon.
+//!
+//! That a windowed store answers every in-window query exactly as a
+//! never-pruning map would is a property of the store, pinned where the
+//! store lives: `crates/rln`'s `store_bundle_api_matches_unbounded_map`
+//! and `crates/rln/tests/proptest_store.rs::store_equals_btreemap_oracle`.
+//! A run here reports what such a map *would* hold from
+//! `rln_validation_relayed_total` — one entry per `Fresh` verdict.
 
 use crate::report::ScenarioReport;
 use crate::scenario::{run_scenario_with_metrics, Defense, EngineStats, ScenarioConfig};
@@ -42,9 +47,6 @@ pub struct SteadyStateConfig {
     pub churn_epochs: u64,
     /// Determinism seed.
     pub seed: u64,
-    /// Use the unbounded reference map instead of the windowed store
-    /// (the A/B oracle; see the module docs).
-    pub unbounded_nullifiers: bool,
 }
 
 impl Default for SteadyStateConfig {
@@ -58,7 +60,6 @@ impl Default for SteadyStateConfig {
             active_publishers: 5,
             churn_epochs: 10,
             seed: 42,
-            unbounded_nullifiers: false,
         }
     }
 }
@@ -133,7 +134,6 @@ pub fn scenario_config(config: &SteadyStateConfig) -> ScenarioConfig {
         seed: config.seed,
         honest_publishers: Some(config.active_publishers),
         publisher_churn_ms: Some(config.churn_epochs.max(1) * epoch_ms),
-        unbounded_nullifiers: config.unbounded_nullifiers,
         net: NetworkConfig::default(),
         ..ScenarioConfig::default()
     }
@@ -194,31 +194,20 @@ mod tests {
         assert!(report.scenario.spam_delivery_ratio < 0.45, "{report:?}");
     }
 
-    /// The E7b tentpole claim, part 2: inside the `Thr` window the
-    /// windowed store's behavior is **bit-identical** to the unbounded
-    /// map's — same report, same detections, same routing decisions —
-    /// while its memory stays flat and the map's grows with the horizon.
+    /// The E7b tentpole claim, part 2: the window is what keeps memory
+    /// flat — the shares a never-pruning map would have accumulated over
+    /// the same run dwarf the windowed high-water.
     #[test]
-    fn windowed_store_matches_unbounded_oracle_bit_for_bit() {
-        let windowed = run_steady_state(&SteadyStateConfig::default());
-        let unbounded = run_steady_state(&SteadyStateConfig {
-            unbounded_nullifiers: true,
-            ..SteadyStateConfig::default()
-        });
-        // Whole-report equality: every delivery count, every latency
-        // percentile, every detection — not a sampled subset.
-        assert_eq!(windowed.scenario, unbounded.scenario);
-        // And the windowed run is the only one whose memory is flat: the
-        // oracle's final population ≈ horizon × signals-per-epoch dwarfs
-        // the windowed high-water.
+    fn windowed_store_stays_flat_where_a_map_would_grow() {
+        let report = run_steady_state(&SteadyStateConfig::default());
+        let unpruned = report.metrics.scalar("rln_validation_relayed_total");
         assert!(
-            unbounded.engine.nullifier_entries > 4 * windowed.engine.nullifier_high_water,
-            "oracle resident {} vs windowed high-water {}",
-            unbounded.engine.nullifier_entries,
-            windowed.engine.nullifier_high_water,
+            unpruned > 4 * report.engine.nullifier_high_water,
+            "a map would hold {unpruned} vs windowed high-water {}",
+            report.engine.nullifier_high_water,
         );
-        assert_eq!(unbounded.engine.epochs_pruned, 0, "the oracle never prunes");
-        assert!(windowed.engine.epochs_pruned > 0);
+        assert!(report.engine.epochs_pruned > 0);
+        assert!(report.memory_bounded(), "{report:?}");
     }
 
     /// Publisher churn really rotates the author set: with 25 honest

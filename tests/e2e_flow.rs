@@ -5,13 +5,16 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 use waku_suite::chain::{Address, Chain, ChainConfig, ETHER};
-use waku_suite::gossip::{Network, NetworkConfig, TrafficClass, Validation};
+use waku_suite::gossip::{Network, NetworkConfig, TrafficClass};
+use waku_suite::metrics::Registry;
 use waku_suite::rln::{RlnMessageBundle, RlnProver, RlnVerifier};
 use waku_suite::rln_relay::node::{NodeConfig, WakuRlnRelayNode};
-use waku_suite::rln_relay::Outcome;
+use waku_suite::rln_relay::{EpochManager, MessageValidator, Outcome};
+use waku_suite::sim::{DetectionLog, RlnAcceptor};
 
 const DEPTH: usize = 8;
 const TOPIC: u32 = 1;
@@ -64,49 +67,58 @@ fn build_network(n: usize, seed: u64) -> (Chain, Vec<WakuRlnRelayNode>) {
     (chain, nodes)
 }
 
-#[test]
-fn honest_bundle_propagates_through_gossip_with_real_proofs() {
-    let (_chain, nodes) = build_network(5, 1);
-    let mut rng = StdRng::seed_from_u64(2);
-    let verifier = keys().1.clone();
-
-    // Gossip transport with a full RLN validator at each peer.
+/// A warmed-up gossip network of `nodes.len()` peers, peer `p` routing
+/// with the production §III-F validator — real Groth16 verification of
+/// the wire bytes — over node `p`'s view of the group. Returns each
+/// validator's registry and the shared detection log.
+fn build_gossip(
+    nodes: &[WakuRlnRelayNode],
+    seed: u64,
+) -> (Network, Vec<Registry>, Arc<DetectionLog>) {
     let mut net = Network::new(
         NetworkConfig::builder()
-            .peers(5)
+            .peers(nodes.len())
             .degree(3)
-            .seed(3)
+            .seed(seed)
             .build()
             .expect("valid net config"),
     );
     net.subscribe_all(TOPIC);
-    let groups: Vec<_> = nodes.iter().map(|n| n.group().clone()).collect();
-    for (p, group) in groups.iter().enumerate() {
-        let verifier = verifier.clone();
-        let group = group.clone();
-        net.set_validator_fn(p, move |_, message, local_ms| {
-            let Some(bundle) = RlnMessageBundle::from_bytes(&message.data) else {
-                return Validation::Reject;
-            };
-            // epoch gap
-            let epoch = (local_ms / 1000) / EPOCH_SECS;
-            if epoch.abs_diff(bundle.epoch) > 1 {
-                return Validation::Ignore;
-            }
-            // root + REAL Groth16 verification on the wire bytes
-            if bundle.root != group.root() || !verifier.verify_bundle(&bundle) {
-                return Validation::Reject;
-            }
-            Validation::Accept
-        });
-    }
+    let detections = DetectionLog::new(nodes.len());
+    let registries = nodes
+        .iter()
+        .enumerate()
+        .map(|(p, node)| {
+            let validator =
+                MessageValidator::new(keys().1.clone(), EpochManager::new(EPOCH_SECS), 1);
+            let registry = validator.registry().clone();
+            net.set_validator(
+                p,
+                Box::new(RlnAcceptor::new(
+                    validator,
+                    Arc::new(node.group().clone()),
+                    p,
+                    Arc::clone(&detections),
+                )),
+            );
+            registry
+        })
+        .collect();
+    net.run_until(4_000);
+    (net, registries, detections)
+}
+
+#[test]
+fn honest_bundle_propagates_through_gossip_with_real_proofs() {
+    let (_chain, nodes) = build_network(5, 1);
+    let mut rng = StdRng::seed_from_u64(2);
+    let (mut net, _, _) = build_gossip(&nodes, 3);
 
     // Node 0 publishes at wall time aligned with sim time 5000 ms.
     let mut publisher = nodes.into_iter().next().unwrap();
     let bundle = publisher
         .publish(b"hello with a real proof", 5, &mut rng)
         .unwrap();
-    net.run_until(4_000);
     net.publish_at(5_000, 0, TOPIC, bundle.to_bytes(), TrafficClass::Honest);
     net.run_until(30_000);
 
@@ -122,38 +134,13 @@ fn honest_bundle_propagates_through_gossip_with_real_proofs() {
 fn tampered_bundle_is_rejected_at_first_hop() {
     let (_chain, nodes) = build_network(5, 4);
     let mut rng = StdRng::seed_from_u64(5);
-    let verifier = keys().1.clone();
-
-    let mut net = Network::new(
-        NetworkConfig::builder()
-            .peers(5)
-            .degree(3)
-            .seed(6)
-            .build()
-            .expect("valid net config"),
-    );
-    net.subscribe_all(TOPIC);
-    let groups: Vec<_> = nodes.iter().map(|n| n.group().clone()).collect();
-    for (p, group) in groups.iter().enumerate() {
-        let verifier = verifier.clone();
-        let group = group.clone();
-        net.set_validator_fn(p, move |_, message, _| {
-            let Some(bundle) = RlnMessageBundle::from_bytes(&message.data) else {
-                return Validation::Reject;
-            };
-            if bundle.root != group.root() || !verifier.verify_bundle(&bundle) {
-                return Validation::Reject;
-            }
-            Validation::Accept
-        });
-    }
+    let (mut net, _, _) = build_gossip(&nodes, 6);
 
     let mut publisher = nodes.into_iter().next().unwrap();
     let bundle = publisher.publish(b"will be tampered", 5, &mut rng).unwrap();
     let mut tampered = bundle.clone();
     tampered.payload = b"swapped payload!".to_vec(); // proof no longer binds
 
-    net.run_until(4_000);
     net.publish_at(5_000, 0, TOPIC, tampered.to_bytes(), TrafficClass::Invalid);
     net.run_until(30_000);
 
@@ -165,6 +152,84 @@ fn tampered_bundle_is_rejected_at_first_hop() {
         "the paper: effect limited to direct connections, got {}",
         stats.validations
     );
+}
+
+/// E6 once with actual Groth16, through gossip: three honest publishers
+/// over three epochs and one registered member who signals twice in one,
+/// every hop parsing and verifying the 492-byte wire bundle.
+#[test]
+fn double_signal_is_contained_and_attributed_across_a_real_proof_network() {
+    const PEERS: usize = 12;
+    const SPAMMER: usize = PEERS - 1;
+    let (_chain, mut nodes) = build_network(PEERS, 9);
+    let mut rng = StdRng::seed_from_u64(10);
+    let (mut net, registries, detections) = build_gossip(&nodes, 11);
+
+    // One honest message per publisher per epoch, mid-epoch, 200 ms apart.
+    let mut honest_sent = 0;
+    for epoch in 0..3u64 {
+        for (k, node) in nodes[..3].iter_mut().enumerate() {
+            let at_ms = (epoch * EPOCH_SECS + 5) * 1000 + k as u64 * 200;
+            let payload = format!("honest {k} in epoch {epoch}");
+            let bundle = node
+                .publish(payload.as_bytes(), at_ms / 1000, &mut rng)
+                .unwrap();
+            net.publish_at(at_ms, k, TOPIC, bundle.to_bytes(), TrafficClass::Honest);
+            honest_sent += 1;
+        }
+    }
+    // Two different payloads inside epoch 1, far enough apart that the
+    // first has reached everyone before the second leaves.
+    const SECOND_AT_MS: u64 = 17_000;
+    for (payload, at_ms) in [(&b"spam alpha"[..], 13_000), (b"spam beta", SECOND_AT_MS)] {
+        let bundle = nodes[SPAMMER]
+            .publish_unchecked(payload, at_ms / 1000, &mut rng)
+            .unwrap();
+        net.publish_at(at_ms, SPAMMER, TOPIC, bundle.to_bytes(), TrafficClass::Spam);
+    }
+    net.run_until(40_000);
+
+    let others = PEERS as u64 - 1;
+    let stats = net.total_stats();
+    assert_eq!(stats.honest_delivered, honest_sent * others);
+    assert_eq!(
+        stats.spam_delivered, others,
+        "the first signal is within the rate"
+    );
+    assert_eq!(
+        net.deliveries_published_since(SECOND_AT_MS).1,
+        0,
+        "the second signal is accepted by no router"
+    );
+
+    let spammer_key = BTreeSet::from([nodes[SPAMMER].identity().secret_bytes()]);
+    let mut caught_by = 0;
+    for (p, registry) in registries.iter().enumerate().filter(|(p, _)| *p != SPAMMER) {
+        let counters = registry.snapshot();
+        let detected = counters.scalar("rln_validation_spam_detected_total");
+        let log = detections.recovered_by(p);
+        // A router examines each message it did not publish once: the
+        // honest ones and the first signal relay, and whatever else it
+        // saw is the second signal — which it must have attributed.
+        let relayed = honest_sent + 1 - if p < 3 { 3 } else { 0 };
+        assert_eq!(
+            counters.scalar("rln_validation_relayed_total"),
+            relayed,
+            "router {p}"
+        );
+        assert_eq!(
+            counters.scalar("rln_validation_total"),
+            relayed + detected,
+            "router {p}"
+        );
+        assert_eq!(detected, log.len() as u64, "router {p}");
+        if detected > 0 {
+            assert_eq!(log, spammer_key, "router {p} recovered someone else's key");
+            caught_by += 1;
+        }
+    }
+    assert!(caught_by > 0, "the spammer's neighbours saw both shares");
+    assert_eq!(detections.merged(), spammer_key);
 }
 
 #[test]

@@ -160,6 +160,14 @@ fn metrics_snapshots_identical_across_schedulers() {
         .histogram("gossip_event_dwell_ms")
         .expect("dwell histogram registered");
     assert!(dwell.count > 0, "dwell histogram observed events");
+    // The `rln_*` series are the production validators' own registries:
+    // every validator call reached one (no payload of a seeded scenario
+    // is undecodable), and spam was caught by the counter, not beside it.
+    assert_eq!(
+        reference.scalar("rln_validation_total"),
+        reference_report.validations
+    );
+    assert!(reference.scalar("rln_validation_spam_detected_total") > 0);
 
     for threads in [2usize, 8] {
         for shards in [2usize, 25] {
