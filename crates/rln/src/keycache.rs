@@ -13,6 +13,13 @@
 //!            ‖ |pk|:u32 ‖ pk ‖ fnv1a64(all previous bytes)
 //! ```
 //!
+//! `shape` is [`cs_shape_to_bytes`]: the template's sparse-row arrays and
+//! its 748-entry coefficient table as they sit in memory, 8 B a term —
+//! 1.3 MB beside a 2.3 MB key at depth 20, 2.0 beside 3.8 MB at depth 32
+//! (`exp_key_sizes` prints both). Version 1 spelled every term out as
+//! `tag ‖ index ‖ coefficient` (37 B) and its files were 8.0 and 12.8 MB;
+//! one is a cache miss here, regenerated like any other stale blob.
+//!
 //! The framing (magic, version, trailing FNV-1a checksum) is the shared
 //! [`waku_wire::envelope`]; the checksum catches torn writes and bit rot,
 //! and integrity against an *adversary* with write access to the key file
@@ -42,7 +49,7 @@ const MAGIC: &[u8; 8] = b"WAKURLNK";
 /// Bumped whenever the serialized layout (or the circuit itself, which
 /// the shape encodes) changes incompatibly; stale versions are ignored
 /// and regenerated rather than migrated.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Serializes `(pk, template)` into a versioned, checksummed blob.
 pub fn encode_keys(depth: usize, pk: &ProvingKey, template: &ConstraintSystem) -> Vec<u8> {
@@ -117,7 +124,7 @@ mod tests {
         assert_eq!(pk.b_g2_query, prover.proving_key().b_g2_query);
         assert_eq!(pk.h_query, prover.proving_key().h_query);
         assert_eq!(pk.l_query, prover.proving_key().l_query);
-        assert_eq!(cs.constraints(), template.constraints());
+        assert_eq!(cs_shape_to_bytes(&cs), cs_shape_to_bytes(&template));
 
         assert!(decode_keys(&blob, 4).is_none(), "depth mismatch");
         assert!(
@@ -130,5 +137,30 @@ mod tests {
         let mut wrong_magic = blob.clone();
         wrong_magic[0] = b'X';
         assert!(decode_keys(&wrong_magic, 3).is_none());
+    }
+
+    /// An intact envelope-version-1 file (from before the shape became
+    /// sparse rows) is a cache miss: it is regenerated in place, never
+    /// parsed as the new layout and never migrated.
+    #[test]
+    fn version_1_file_is_a_miss_and_gets_overwritten() {
+        let path =
+            std::env::temp_dir().join(format!("waku-rln-keycache-v1-{}.bin", std::process::id()));
+        let mut rng = StdRng::seed_from_u64(42);
+        let (prover, _) = RlnProver::keygen(3, &mut rng);
+        let current = encode_keys(3, prover.proving_key(), &crate::circuit::build_for_setup(3));
+        // The same body under a valid version-1 header and checksum.
+        let stale = envelope::seal(MAGIC, 1, |out| {
+            out.extend_from_slice(&current[MAGIC.len() + 4..current.len() - 8])
+        });
+        assert!(decode_keys(&stale, 3).is_none());
+        std::fs::write(&path, &stale).unwrap();
+        assert!(load_keys(&path, 3).is_none());
+
+        let (regenerated, _) = RlnProver::keygen_or_load(3, &path, &mut rng);
+        assert_ne!(regenerated.proving_key().vk, prover.proving_key().vk);
+        let (pk, _) = load_keys(&path, 3).expect("overwritten with the current version");
+        assert_eq!(pk.vk, regenerated.proving_key().vk);
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -71,16 +71,12 @@ pub fn evaluate_at(cs: &ConstraintSystem, tau: Fr) -> QapEvaluations {
     let mut a = vec![Fr::zero(); num_vars];
     let mut b = vec![Fr::zero(); num_vars];
     let mut c = vec![Fr::zero(); num_vars];
-    for (j, (la, lb, lc)) in cs.constraints().iter().enumerate() {
-        let lj = lag[j];
-        for (var, coeff) in &la.0 {
-            a[cs.flat_index(*var)] += *coeff * lj;
-        }
-        for (var, coeff) in &lb.0 {
-            b[cs.flat_index(*var)] += *coeff * lj;
-        }
-        for (var, coeff) in &lc.0 {
-            c[cs.flat_index(*var)] += *coeff * lj;
+    let shape = cs.shape();
+    for (matrix, out) in [(&shape.a, &mut a), (&shape.b, &mut b), (&shape.c, &mut c)] {
+        for (j, lj) in lag.iter().enumerate().take(m) {
+            for &(col, id) in matrix.row(j) {
+                out[col as usize] += shape.coeffs[id as usize] * *lj;
+            }
         }
     }
 
@@ -122,30 +118,25 @@ pub fn quotient_poly_checked(cs: &ConstraintSystem) -> Result<Vec<Fr>, usize> {
     let domain = Radix2Domain::<Fr>::new(m).expect("domain fits Fr 2-adicity");
     let n = domain.size();
 
-    // Row evaluations ⟨A_j, z⟩ etc. are just the constraint LCs evaluated
-    // against the assignment, chunked across the pool.
+    // Row evaluations ⟨A_j, z⟩ etc. are the sparse rows evaluated against
+    // the assignment, chunked across the pool.
     let mut a_evals = vec![Fr::zero(); n];
     let mut b_evals = vec![Fr::zero(); n];
     let mut c_evals = vec![Fr::zero(); n];
-    let constraints = cs.constraints();
+    let shape = cs.shape();
     let chunk = waku_pool::chunk_size_for(m, 64);
     waku_pool::scope(|s| {
-        for (((ea, eb), ec), rows) in a_evals[..m]
+        for (i, ((ea, eb), ec)) in a_evals[..m]
             .chunks_mut(chunk)
             .zip(b_evals[..m].chunks_mut(chunk))
             .zip(c_evals[..m].chunks_mut(chunk))
-            .zip(constraints.chunks(chunk))
+            .enumerate()
         {
             s.spawn(move || {
-                for (((a, b), c), (la, lb, lc)) in ea
-                    .iter_mut()
-                    .zip(eb.iter_mut())
-                    .zip(ec.iter_mut())
-                    .zip(rows)
-                {
-                    *a = cs.eval_lc(la);
-                    *b = cs.eval_lc(lb);
-                    *c = cs.eval_lc(lc);
+                for (j, ((a, b), c)) in (i * chunk..).zip(ea.iter_mut().zip(eb).zip(ec)) {
+                    *a = cs.eval_row(shape.a.row(j));
+                    *b = cs.eval_row(shape.b.row(j));
+                    *c = cs.eval_row(shape.c.row(j));
                 }
             });
         }

@@ -3,7 +3,20 @@
 //!
 //! A constraint is `⟨A, z⟩ · ⟨B, z⟩ = ⟨C, z⟩` over the assignment vector
 //! `z = (1, instance…, witness…)`.
+//!
+//! [`LinearCombination`] is the gadgets' transient value type: what a
+//! wire carries until it is handed to [`ConstraintSystem::enforce`]. The
+//! system itself stores no combinations. `enforce` appends each of the
+//! three straight into its matrix, held as compressed sparse rows — a
+//! `u32` row-end array and `(u32 flat column, u32 coefficient id)`
+//! terms — over one deduplicated coefficient table. The RLN circuit is 23
+//! Poseidon instances of one structure, so its 158 126 terms at depth 20
+//! carry 748 distinct coefficients: 1.3 MB of rows and table where a
+//! `Vec<(Variable, Fr)>` per combination took 8.6 MB. Everything
+//! downstream — the QAP reduction, the witness solver, the satisfaction
+//! check, the shape codec in [`crate::serialize`] — reads those rows.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use waku_arith::fields::Fr;
@@ -64,7 +77,6 @@ impl LinearCombination {
     /// after simplification the term count is bounded by the number of
     /// distinct variables referenced.
     pub fn simplify(mut self) -> Self {
-        use std::collections::HashMap;
         let mut acc: HashMap<Variable, Fr> = HashMap::with_capacity(self.0.len());
         for (v, c) in self.0.drain(..) {
             *acc.entry(v).or_insert_with(Fr::zero) += c;
@@ -120,6 +132,45 @@ impl From<Fr> for LinearCombination {
     }
 }
 
+/// One R1CS matrix as compressed sparse rows: row `j`'s terms are
+/// `terms[row_end[j − 1]..row_end[j]]` (from 0 for the first row), each a
+/// `(flat column, coefficient id)` pair — the column indexes
+/// `z = (1, instance…, witness…)`, the id indexes [`Shape::coeffs`]. 8 B a
+/// term, against 48 B for a `(Variable, Fr)` in a heap `Vec` per
+/// combination.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SparseMatrix {
+    pub(crate) row_end: Vec<u32>,
+    pub(crate) terms: Vec<(u32, u32)>,
+}
+
+impl SparseMatrix {
+    /// The terms of row `j`.
+    pub(crate) fn row(&self, j: usize) -> &[(u32, u32)] {
+        let start = j.checked_sub(1).map_or(0, |i| self.row_end[i]);
+        &self.terms[start as usize..self.row_end[j] as usize]
+    }
+
+    fn push_row(&mut self, terms: impl Iterator<Item = (u32, u32)>) {
+        self.terms.extend(terms);
+        self.row_end
+            .push(u32::try_from(self.terms.len()).expect("fewer than 2³² terms"));
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.row_end.capacity() * 4 + self.terms.capacity() * 8
+    }
+}
+
+/// The three matrices plus the one table their coefficient ids index.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Shape {
+    pub(crate) a: SparseMatrix,
+    pub(crate) b: SparseMatrix,
+    pub(crate) c: SparseMatrix,
+    pub(crate) coeffs: Vec<Fr>,
+}
+
 /// A rank-1 constraint system carrying both shape and assignment.
 ///
 /// The same type serves circuit construction (with real witness values),
@@ -129,8 +180,12 @@ pub struct ConstraintSystem {
     instance: Vec<Fr>,
     witness: Vec<Fr>,
     /// Shared so cloning a finalized template (the per-proof rebind path
-    /// in `waku-rln`) is O(1) instead of a deep copy of every combination.
-    constraints: Arc<Vec<(LinearCombination, LinearCombination, LinearCombination)>>,
+    /// in `waku-rln`) is O(assignment) instead of a copy of every row.
+    shape: Arc<Shape>,
+    /// Coefficient value → id in `shape.coeffs`. Construction-time only:
+    /// `finalize` drops it, and `enforce` rebuilds it from the table when
+    /// it is missing (a deserialized shape that is still being extended).
+    interner: HashMap<Fr, u32>,
     finalized: bool,
 }
 
@@ -139,9 +194,7 @@ impl ConstraintSystem {
     pub fn new() -> Self {
         ConstraintSystem {
             instance: vec![Fr::one()],
-            witness: Vec::new(),
-            constraints: Arc::new(Vec::new()),
-            finalized: false,
+            ..Default::default()
         }
     }
 
@@ -152,6 +205,18 @@ impl ConstraintSystem {
     /// Panics if called after [`ConstraintSystem::finalize`].
     pub fn alloc_input(&mut self, value: Fr) -> Variable {
         assert!(!self.finalized, "cannot allocate after finalize");
+        // Columns are flat (instance first), so witness columns that an
+        // earlier `enforce` wrote move up by one. Circuits allocate their
+        // inputs first; this is the slow path for the ones that do not.
+        let first_witness = self.instance.len() as u32;
+        if self.num_terms() > 0 {
+            let shape = Arc::make_mut(&mut self.shape);
+            for m in [&mut shape.a, &mut shape.b, &mut shape.c] {
+                for (col, _) in m.terms.iter_mut().filter(|t| t.0 >= first_witness) {
+                    *col += 1;
+                }
+            }
+        }
         self.instance.push(value);
         Variable::Instance(self.instance.len() - 1)
     }
@@ -162,14 +227,33 @@ impl ConstraintSystem {
         Variable::Witness(self.witness.len() - 1)
     }
 
-    /// Adds the constraint `a · b = c`.
+    /// Adds the constraint `a · b = c`: each combination is appended to
+    /// its matrix as one sparse row, terms in the order given.
     pub fn enforce(
         &mut self,
         a: impl Into<LinearCombination>,
         b: impl Into<LinearCombination>,
         c: impl Into<LinearCombination>,
     ) {
-        Arc::make_mut(&mut self.constraints).push((a.into(), b.into(), c.into()));
+        let rows: [LinearCombination; 3] = [a.into(), b.into(), c.into()];
+        let num_instance = self.instance.len();
+        let Shape { a, b, c, coeffs } = Arc::make_mut(&mut self.shape);
+        if self.interner.len() < coeffs.len() {
+            self.interner = (0u32..).zip(&*coeffs).map(|(k, c)| (*c, k)).collect();
+        }
+        for (matrix, lc) in [a, b, c].into_iter().zip(rows) {
+            matrix.push_row(lc.0.into_iter().map(|(var, coeff)| {
+                let col = match var {
+                    Variable::Instance(i) => i,
+                    Variable::Witness(i) => num_instance + i,
+                };
+                let id = *self.interner.entry(coeff).or_insert_with(|| {
+                    coeffs.push(coeff);
+                    (coeffs.len() - 1) as u32
+                });
+                (u32::try_from(col).expect("fewer than 2³² variables"), id)
+            }));
+        }
     }
 
     /// Number of instance variables (including the constant 1).
@@ -184,12 +268,33 @@ impl ConstraintSystem {
 
     /// Number of constraints currently in the system.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.shape.a.row_end.len()
     }
 
-    /// The constraints (for the QAP reduction).
-    pub fn constraints(&self) -> &[(LinearCombination, LinearCombination, LinearCombination)] {
-        &self.constraints
+    /// Number of terms over all three matrices.
+    pub fn num_terms(&self) -> usize {
+        self.shape.a.terms.len() + self.shape.b.terms.len() + self.shape.c.terms.len()
+    }
+
+    /// Number of distinct coefficient values the terms refer to.
+    pub fn num_coefficients(&self) -> usize {
+        self.shape.coeffs.len()
+    }
+
+    /// Heap bytes this system holds: the assignment, the three matrices
+    /// (4 B a row end, 8 B a term) and the coefficient table (32 B an
+    /// entry). Clones of one template share everything but the assignment.
+    pub fn resident_bytes(&self) -> usize {
+        let shape = &*self.shape;
+        (self.instance.capacity() + self.witness.capacity() + shape.coeffs.capacity()) * 32
+            + shape.a.heap_bytes()
+            + shape.b.heap_bytes()
+            + shape.c.heap_bytes()
+    }
+
+    /// The matrices (for the QAP reduction, the solver and the codec).
+    pub(crate) fn shape(&self) -> &Shape {
+        &self.shape
     }
 
     /// Current value of the `k`-th witness variable.
@@ -230,6 +335,19 @@ impl ConstraintSystem {
             .fold(Fr::zero(), |a, b| a + b)
     }
 
+    /// `⟨row, z⟩` for one sparse row of this system's matrices.
+    pub(crate) fn eval_row(&self, row: &[(u32, u32)]) -> Fr {
+        let num_instance = self.instance.len();
+        row.iter().fold(Fr::zero(), |acc, &(col, id)| {
+            let col = col as usize;
+            let z = match col.checked_sub(num_instance) {
+                None => self.instance[col],
+                Some(k) => self.witness[k],
+            };
+            acc + z * self.shape.coeffs[id as usize]
+        })
+    }
+
     /// The public inputs (excluding the constant 1).
     pub fn public_inputs(&self) -> &[Fr] {
         &self.instance[1..]
@@ -252,18 +370,29 @@ impl ConstraintSystem {
 
     /// Appends the per-instance-variable consistency constraints
     /// (`xᵢ · 0 = 0`) that make the instance QAP polynomials linearly
-    /// independent — required for Groth16's knowledge soundness. Idempotent.
+    /// independent — required for Groth16's knowledge soundness — and
+    /// gives the construction-time slack (vector growth, the coefficient
+    /// interner) back. Idempotent.
     pub fn finalize(&mut self) {
         if self.finalized {
             return;
         }
         for i in 0..self.instance.len() {
-            Arc::make_mut(&mut self.constraints).push((
-                LinearCombination::from_var(Variable::Instance(i)),
+            self.enforce(
+                Variable::Instance(i),
                 LinearCombination::zero(),
                 LinearCombination::zero(),
-            ));
+            );
         }
+        let shape = Arc::make_mut(&mut self.shape);
+        for m in [&mut shape.a, &mut shape.b, &mut shape.c] {
+            m.row_end.shrink_to_fit();
+            m.terms.shrink_to_fit();
+        }
+        shape.coeffs.shrink_to_fit();
+        self.instance.shrink_to_fit();
+        self.witness.shrink_to_fit();
+        self.interner = HashMap::new();
         self.finalized = true;
     }
 
@@ -273,13 +402,13 @@ impl ConstraintSystem {
     }
 
     /// Rebuilds a system from a deserialized *shape* (see
-    /// [`crate::serialize`]): the assignment is zeroed except for the
-    /// constant-one instance variable, exactly like a template whose
-    /// values have not been bound yet.
-    pub fn from_shape(
+    /// [`crate::serialize`], which has validated every index in it): the
+    /// assignment is zeroed except for the constant-one instance variable,
+    /// exactly like a template whose values have not been bound yet.
+    pub(crate) fn from_shape(
         num_instance: usize,
         num_witness: usize,
-        constraints: Vec<(LinearCombination, LinearCombination, LinearCombination)>,
+        shape: Shape,
         finalized: bool,
     ) -> Self {
         assert!(num_instance >= 1, "instance 0 is the constant one");
@@ -288,7 +417,8 @@ impl ConstraintSystem {
         ConstraintSystem {
             instance,
             witness: vec![Fr::zero(); num_witness],
-            constraints: Arc::new(constraints),
+            shape: Arc::new(shape),
+            interner: HashMap::new(),
             finalized,
         }
     }
@@ -299,12 +429,10 @@ impl ConstraintSystem {
     ///
     /// Returns the index of the first violated constraint.
     pub fn check_satisfied(&self) -> Result<(), usize> {
-        for (i, (a, b, c)) in self.constraints.iter().enumerate() {
-            if self.eval_lc(a) * self.eval_lc(b) != self.eval_lc(c) {
-                return Err(i);
-            }
-        }
-        Ok(())
+        let Shape { a, b, c, .. } = &*self.shape;
+        (0..self.num_constraints())
+            .find(|&j| self.eval_row(a.row(j)) * self.eval_row(b.row(j)) != self.eval_row(c.row(j)))
+            .map_or(Ok(()), Err)
     }
 }
 
@@ -379,5 +507,230 @@ mod tests {
         assert_eq!(cs.flat_index(Variable::ONE), 0);
         assert_eq!(cs.flat_index(x), 1);
         assert_eq!(cs.flat_index(w), 2);
+    }
+
+    #[test]
+    fn late_input_allocation_keeps_witness_columns_aligned() {
+        // enforce first, allocate the input afterwards: the witness
+        // columns already written move up with the instance block.
+        let mut cs = ConstraintSystem::new();
+        let a = cs.alloc_witness(Fr::from_u64(3));
+        let b = cs.alloc_witness(Fr::from_u64(4));
+        cs.enforce(a, b, LinearCombination::from_const(Fr::from_u64(12)));
+        let c = cs.alloc_input(Fr::from_u64(12));
+        cs.enforce(a, b, c);
+        assert_eq!(cs.shape().a.row(0), cs.shape().a.row(1));
+        assert_eq!(cs.shape().a.row(0)[0].0 as usize, cs.flat_index(a));
+        cs.finalize();
+        assert!(cs.check_satisfied().is_ok());
+    }
+
+    #[test]
+    fn template_clone_shares_the_matrices() {
+        let mut cs = ConstraintSystem::new();
+        let x = cs.alloc_witness(Fr::from_u64(3));
+        cs.enforce(x, x, LinearCombination::from_const(Fr::from_u64(9)));
+        cs.finalize();
+        let held = cs.resident_bytes();
+        let mut copy = cs.clone();
+        // Rebinding the assignment — all a proof does to its copy — must
+        // not detach the shape: a deep copy here is 1.3 MB per proof.
+        copy.set_witness_value(0, Fr::from_u64(4));
+        assert!(Arc::ptr_eq(&cs.shape, &copy.shape));
+        assert!(copy.interner.is_empty(), "finalize drops the interner");
+        assert_eq!(cs.resident_bytes(), held);
+        // Two variables and two coefficients (1 and 9), two row ends per
+        // matrix, four terms (x, x, 9 and the finalize row's ONE).
+        assert_eq!(held, 4 * 32 + 6 * 4 + 4 * 8);
+    }
+}
+
+/// The sparse-row form against the representation it replaced: random
+/// gadget circuits are built while the test keeps, per constraint, the
+/// three [`LinearCombination`]s the gadget handed to `enforce`, and a
+/// solver written over those combinations (the pre-sparse algorithm).
+#[cfg(test)]
+mod equivalence {
+    use super::*;
+    use crate::gadgets::{alloc_bit, cond_swap, enforce_equal, mul, quintic, Wire};
+    use crate::serialize::{cs_shape_from_bytes, cs_shape_to_bytes};
+    use crate::solver::WitnessSolver;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use waku_arith::traits::PrimeField;
+
+    type Source = [LinearCombination; 3];
+
+    /// Builds the circuit `ops` describes and, beside it, what each
+    /// constraint was built from.
+    fn build(ops: &[(u8, usize, usize, u64)]) -> (ConstraintSystem, Vec<Source>) {
+        let mut cs = ConstraintSystem::new();
+        let mut source: Vec<Source> = Vec::new();
+        let w0 = cs.alloc_witness(Fr::from_u64(2));
+        let mut wires = vec![Wire::one(), Wire::from_var(&cs, w0)];
+        let witness = |k: usize| LinearCombination::from_var(Variable::Witness(k));
+        for &(op, i, j, k) in ops {
+            let (a, b) = (
+                wires[i % wires.len()].clone(),
+                wires[j % wires.len()].clone(),
+            );
+            let n = cs.num_witness();
+            match op {
+                0 => {
+                    let out = mul(&mut cs, &a, &b);
+                    source.push([a.lc, b.lc, out.lc.clone()]);
+                    wires.push(out);
+                }
+                1 => {
+                    wires.push(quintic(&mut cs, &a));
+                    source.push([a.lc.clone(), a.lc.clone(), witness(n)]);
+                    source.push([witness(n), witness(n), witness(n + 1)]);
+                    source.push([witness(n + 1), a.lc, witness(n + 2)]);
+                }
+                2 => {
+                    let bit = alloc_bit(&mut cs, k & 1 == 1);
+                    source.push([
+                        bit.lc.clone(),
+                        Wire::one().sub(&bit).lc,
+                        LinearCombination::zero(),
+                    ]);
+                    let (l, r) = cond_swap(&mut cs, &bit, &a, &b);
+                    source.push([bit.lc, b.sub(&a).lc, witness(n + 1)]);
+                    wires.extend([l, r]);
+                }
+                3 => {
+                    enforce_equal(&mut cs, &a, &b);
+                    source.push([
+                        a.lc - b.lc,
+                        LinearCombination::from_var(Variable::ONE),
+                        LinearCombination::zero(),
+                    ]);
+                }
+                // Linear ops only: duplicate variables, zero and negative
+                // coefficients reach later rows unsimplified.
+                4 => wires.push(a.add(&b).add(&a).scale(Fr::from_u64(k % 3))),
+                5 => wires.push(a.sub(&b).add_const(Fr::from_u64(k))),
+                // An input allocated after rows exist (the column shift).
+                6 => {
+                    let var = cs.alloc_input(Fr::from_u64(k));
+                    wires.push(Wire::from_var(&cs, var));
+                }
+                _ => {
+                    let var = cs.alloc_witness(Fr::from_u64(k));
+                    wires.push(Wire::from_var(&cs, var));
+                }
+            }
+        }
+        cs.finalize();
+        for i in 0..cs.num_instance() {
+            source.push([
+                LinearCombination::from_var(Variable::Instance(i)),
+                LinearCombination::zero(),
+                LinearCombination::zero(),
+            ]);
+        }
+        (cs, source)
+    }
+
+    /// `WitnessSolver::analyze` as it read nested combinations:
+    /// `(free, derived)`.
+    fn analyze_source(source: &[Source], num_witness: usize) -> (Vec<usize>, Vec<(usize, usize)>) {
+        let mut defined = vec![false; num_witness];
+        let (mut free, mut derived) = (Vec::new(), Vec::new());
+        let mark_used = |lc: &LinearCombination, defined: &mut Vec<bool>, free: &mut Vec<usize>| {
+            for (v, _) in &lc.0 {
+                if let Variable::Witness(k) = v {
+                    if !defined[*k] {
+                        defined[*k] = true;
+                        free.push(*k);
+                    }
+                }
+            }
+        };
+        for (j, [a, b, c]) in source.iter().enumerate() {
+            let defines = match &c.0[..] {
+                [(Variable::Witness(k), coeff)] if *coeff == Fr::one() && !defined[*k] => Some(*k),
+                _ => None,
+            };
+            mark_used(a, &mut defined, &mut free);
+            mark_used(b, &mut defined, &mut free);
+            match defines {
+                Some(k) => {
+                    defined[k] = true;
+                    derived.push((j, k));
+                }
+                None => mark_used(c, &mut defined, &mut free),
+            }
+        }
+        free.extend((0..num_witness).filter(|&k| !defined[k]));
+        free.sort_unstable();
+        (free, derived)
+    }
+
+    proptest! {
+        #[test]
+        fn sparse_rows_equal_their_source_combinations(
+            ops in proptest::collection::vec(
+                (0u8..8, any::<usize>(), any::<usize>(), any::<u64>()),
+                1..24,
+            ),
+            seed in any::<u64>(),
+        ) {
+            let (mut cs, source) = build(&ops);
+            prop_assert_eq!(cs.num_constraints(), source.len());
+            prop_assert_eq!(cs.num_terms(), source.iter().flatten().map(|lc| lc.len()).sum::<usize>());
+
+            // Every row is its combination, term for term, and so evaluates
+            // to the same value under an assignment the build never saw.
+            let mut rng = StdRng::seed_from_u64(seed);
+            for k in 1..cs.num_instance() {
+                cs.set_instance_value(k, Fr::random(&mut rng));
+            }
+            for k in 0..cs.num_witness() {
+                cs.set_witness_value(k, Fr::random(&mut rng));
+            }
+            let shape = cs.shape();
+            for (j, lcs) in source.iter().enumerate() {
+                for (matrix, lc) in [&shape.a, &shape.b, &shape.c].into_iter().zip(lcs) {
+                    let row = matrix.row(j);
+                    let terms: Vec<(usize, Fr)> =
+                        row.iter().map(|&(col, id)| (col as usize, shape.coeffs[id as usize])).collect();
+                    let expected: Vec<(usize, Fr)> =
+                        lc.0.iter().map(|(v, c)| (cs.flat_index(*v), *c)).collect();
+                    prop_assert!(terms == expected, "row {j}: {terms:?} vs {expected:?}");
+                    prop_assert!(cs.eval_row(row) == cs.eval_lc(lc), "row {j} evaluates differently");
+                }
+            }
+            let mut distinct = shape.coeffs.clone();
+            distinct.sort_unstable_by_key(|c| c.to_le_bytes());
+            distinct.dedup();
+            // The table holds each value once.
+            prop_assert_eq!(distinct.len(), shape.coeffs.len());
+
+            // Same free/derived classification, same solved assignment.
+            let solver = WitnessSolver::analyze(&cs);
+            let (free, derived) = analyze_source(&source, cs.num_witness());
+            prop_assert_eq!(solver.free_indices(), &free[..]);
+            prop_assert_eq!(solver.num_derived(), derived.len());
+            let free_values: Vec<Fr> = free.iter().map(|&k| cs.witness_value(k)).collect();
+            let mut reference = cs.clone();
+            for &(j, k) in &derived {
+                let v = reference.eval_lc(&source[j][0]) * reference.eval_lc(&source[j][1]);
+                reference.set_witness_value(k, v);
+            }
+            let mut solved = cs.clone();
+            for k in 0..solved.num_witness() {
+                solved.set_witness_value(k, Fr::random(&mut rng));
+            }
+            solver.solve(&mut solved, &free_values);
+            prop_assert_eq!(solved.full_assignment(), reference.full_assignment());
+
+            // The shape is its own serialization.
+            let bytes = cs_shape_to_bytes(&cs);
+            let restored = cs_shape_from_bytes(&bytes).expect("round trip");
+            prop_assert_eq!(restored.shape(), cs.shape());
+            prop_assert_eq!(cs_shape_to_bytes(&restored), bytes);
+        }
     }
 }

@@ -1,7 +1,9 @@
 //! Flat binary serialization for proving keys and constraint-system
 //! shapes — the payload format under `waku-rln`'s on-disk keygen cache.
 //!
-//! Everything is little-endian and length-prefixed; group points are
+//! Everything is little-endian and length-prefixed; a shape is the
+//! constraint system's sparse-row arrays and coefficient table, written
+//! as held ([`cs_shape_to_bytes`]); group points are
 //! uncompressed affine coordinates with `(0, 0)` (not on either curve, as
 //! `b ≠ 0`) denoting the point at infinity. Deserialization re-checks
 //! canonicity of every field element and curve membership of every point,
@@ -12,10 +14,10 @@ use waku_arith::traits::PrimeField;
 use waku_curve::fp2::Fp2;
 use waku_curve::g1::G1Affine;
 use waku_curve::g2::G2Affine;
-use waku_wire::{put_len, Reader};
+use waku_wire::{put_len, put_u32, Reader};
 
 use crate::groth16::{ProvingKey, VerifyingKey};
-use crate::r1cs::{ConstraintSystem, LinearCombination, Variable};
+use crate::r1cs::{ConstraintSystem, Shape, SparseMatrix};
 
 fn put_g1(out: &mut Vec<u8>, p: &G1Affine) {
     if p.is_identity() {
@@ -151,58 +153,79 @@ fn read_pk(r: &mut Reader) -> Option<ProvingKey> {
     })
 }
 
-fn put_lc(out: &mut Vec<u8>, lc: &LinearCombination) {
-    put_len(out, lc.0.len());
-    for (var, coeff) in &lc.0 {
-        match var {
-            Variable::Instance(i) => {
-                out.push(0);
-                put_len(out, *i);
-            }
-            Variable::Witness(i) => {
-                out.push(1);
-                put_len(out, *i);
-            }
-        }
-        out.extend_from_slice(&coeff.to_le_bytes());
+fn put_matrix(out: &mut Vec<u8>, m: &SparseMatrix) {
+    for end in &m.row_end {
+        put_u32(out, *end);
+    }
+    for (col, id) in &m.terms {
+        put_u32(out, *col);
+        put_u32(out, *id);
     }
 }
 
-fn read_lc(r: &mut Reader, num_instance: usize, num_witness: usize) -> Option<LinearCombination> {
-    // Smallest term: tag + index + coefficient.
-    let n = r.count(37).ok()?;
+fn read_matrix(
+    r: &mut Reader,
+    rows: usize,
+    num_vars: usize,
+    num_coeffs: usize,
+) -> Option<SparseMatrix> {
+    let mut row_end = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let end = r.u32().ok()?;
+        if row_end.last().is_some_and(|prev| end < *prev) {
+            return None;
+        }
+        row_end.push(end);
+    }
+    // The last row end is the term count.
+    let n = r
+        .fits(row_end.last().copied().unwrap_or(0).into(), 8)
+        .ok()?;
     let mut terms = Vec::with_capacity(n);
     for _ in 0..n {
-        let tag = r.u8().ok()?;
-        let i = r.u32().ok()? as usize;
-        let var = match tag {
-            0 if i < num_instance => Variable::Instance(i),
-            1 if i < num_witness => Variable::Witness(i),
-            _ => return None,
-        };
-        terms.push((var, read_field::<Fr>(r)?));
+        let (col, id) = (r.u32().ok()?, r.u32().ok()?);
+        if col as usize >= num_vars || id as usize >= num_coeffs {
+            return None;
+        }
+        terms.push((col, id));
     }
-    Some(LinearCombination(terms))
+    Some(SparseMatrix { row_end, terms })
 }
 
-/// Serializes a constraint system's *shape* (variable counts and
-/// constraints — not the assignment, which provers rebind per proof).
+/// Serializes a constraint system's *shape* (variable counts and the
+/// three sparse matrices — not the assignment, which provers rebind per
+/// proof). The matrices are written as the arrays they are held in:
+///
+/// ```text
+/// num_instance:u32 ‖ num_witness:u32 ‖ finalized:u8
+///   ‖ |table|:u32 ‖ table (32 B each) ‖ rows:u32
+///   ‖ for A, B, C: row_end (rows × u32) ‖ terms (col:u32 ‖ id:u32 each)
+/// ```
 pub fn cs_shape_to_bytes(cs: &ConstraintSystem) -> Vec<u8> {
-    let mut out = Vec::new();
+    let shape = cs.shape();
+    let mut out = Vec::with_capacity(
+        17 + shape.coeffs.len() * 32 + cs.num_constraints() * 12 + cs.num_terms() * 8,
+    );
     put_len(&mut out, cs.num_instance());
     put_len(&mut out, cs.num_witness());
     out.push(cs.is_finalized() as u8);
+    put_len(&mut out, shape.coeffs.len());
+    for coeff in &shape.coeffs {
+        out.extend_from_slice(&coeff.to_le_bytes());
+    }
     put_len(&mut out, cs.num_constraints());
-    for (a, b, c) in cs.constraints() {
-        put_lc(&mut out, a);
-        put_lc(&mut out, b);
-        put_lc(&mut out, c);
+    for m in [&shape.a, &shape.b, &shape.c] {
+        put_matrix(&mut out, m);
     }
     out
 }
 
 /// Deserializes a constraint-system shape; the assignment comes back
 /// zeroed (constant one aside) for the caller to rebind.
+///
+/// Returns `None` on truncation, trailing bytes, a declared count the
+/// remaining bytes cannot back, a non-canonical coefficient, decreasing
+/// row ends, or a term whose column or coefficient id is out of range.
 pub fn cs_shape_from_bytes(bytes: &[u8]) -> Option<ConstraintSystem> {
     let mut r = Reader::new(bytes);
     let num_instance = r.u32().ok()? as usize;
@@ -213,22 +236,20 @@ pub fn cs_shape_from_bytes(bytes: &[u8]) -> Option<ConstraintSystem> {
     // `from_shape` allocates an assignment slot per declared variable, so
     // the counts are length prefixes too: a shape may not declare more
     // variables than it has bytes left to mention them in.
-    r.fits((num_instance + num_witness) as u64, 1).ok()?;
+    let num_vars = r.fits(num_instance as u64 + num_witness as u64, 1).ok()?;
     let finalized = r.bool().ok()?;
-    // Smallest constraint: three empty linear combinations.
-    let n = r.count(12).ok()?;
-    let mut constraints = Vec::with_capacity(n);
-    for _ in 0..n {
-        let a = read_lc(&mut r, num_instance, num_witness)?;
-        let b = read_lc(&mut r, num_instance, num_witness)?;
-        let c = read_lc(&mut r, num_instance, num_witness)?;
-        constraints.push((a, b, c));
-    }
+    let coeffs = (0..r.count(32).ok()?)
+        .map(|_| read_field::<Fr>(&mut r))
+        .collect::<Option<Vec<_>>>()?;
+    // Smallest constraint: one row end in each matrix.
+    let rows = r.count(12).ok()?;
+    let mut matrix = || read_matrix(&mut r, rows, num_vars, coeffs.len());
+    let (a, b, c) = (matrix()?, matrix()?, matrix()?);
     r.finish().ok()?;
     Some(ConstraintSystem::from_shape(
         num_instance,
         num_witness,
-        constraints,
+        Shape { a, b, c, coeffs },
         finalized,
     ))
 }
@@ -277,7 +298,8 @@ mod tests {
         assert_eq!(restored.num_instance(), cs.num_instance());
         assert_eq!(restored.num_witness(), cs.num_witness());
         assert_eq!(restored.is_finalized(), cs.is_finalized());
-        assert_eq!(restored.constraints(), cs.constraints());
+        assert_eq!(restored.shape(), cs.shape());
+        assert_eq!(cs_shape_to_bytes(&restored), bytes);
     }
 
     #[test]
@@ -297,19 +319,51 @@ mod tests {
         let coord_start = bytes.len() - 64; // inside the last l_query point
         flipped[coord_start] ^= 1;
         assert!(pk_from_bytes(&flipped).is_none());
+    }
 
-        let shape = cs_shape_to_bytes(&cs);
+    /// Every way a hostile shape blob can lie is `None` before anything
+    /// is sized from it. The toy shape is 125 bytes:
+    ///
+    /// ```text
+    ///   0 num_instance=2   4 num_witness=2   8 finalized=1
+    ///   9 |table|=1       13 table[0]=1     45 rows=3
+    ///  49 A: row_end 1,2,3   61 terms (2,0) (0,0) (1,0)
+    ///  85 B: row_end 1,1,1   97 terms (3,0)
+    /// 105 C: row_end 1,1,1  117 terms (1,0)
+    /// ```
+    #[test]
+    fn hostile_shape_bytes_rejected() {
+        let shape = cs_shape_to_bytes(&toy_cs());
+        assert_eq!(shape.len(), 125);
+        assert!(cs_shape_from_bytes(&shape).is_some());
+        let with_u32 = |at: usize, v: u32| {
+            let mut bad = shape.clone();
+            bad[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            cs_shape_from_bytes(&bad)
+        };
         assert!(cs_shape_from_bytes(&shape[..shape.len() - 1]).is_none());
-        // Out-of-range variable index.
+        // Column ≥ variable count (there are four variables).
+        assert!(with_u32(61, 4).is_none());
+        assert!(with_u32(117, u32::MAX).is_none());
+        // Coefficient id ≥ table length.
+        assert!(with_u32(65, 1).is_none());
+        // Row ends that decrease, or that lie past the bytes left.
+        assert!(with_u32(53, 0).is_none());
+        assert!(with_u32(57, u32::MAX).is_none());
+        assert!(with_u32(113, 2).is_none());
+        // No constant-one variable.
+        assert!(with_u32(0, 0).is_none());
+        // Declared counts the bytes cannot back — variables (they size the
+        // assignment vectors), table entries, rows — are refused before
+        // anything is allocated.
+        assert!(with_u32(0, u32::MAX).is_none());
+        assert!(with_u32(4, u32::MAX).is_none());
+        assert!(with_u32(9, u32::MAX).is_none());
+        assert!(with_u32(45, u32::MAX).is_none());
+        // A table entry ≥ the field modulus.
         let mut bad = shape.clone();
-        let lc_start = 4 + 4 + 1 + 4 + 4 + 1; // first term's index field
-        bad[lc_start..lc_start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        bad[13..45].fill(0xFF);
         assert!(cs_shape_from_bytes(&bad).is_none());
-        // A declared variable count the bytes cannot back (it sizes the
-        // assignment vectors) is refused before anything is allocated.
-        let mut greedy = shape.clone();
-        greedy[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(cs_shape_from_bytes(&greedy).is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use waku_arith::fields::Fr;
 use waku_arith::traits::Field;
 
-use crate::r1cs::{ConstraintSystem, LinearCombination, Variable};
+use crate::r1cs::ConstraintSystem;
 
 /// A solve plan extracted from a finalized template system.
 #[derive(Clone, Debug)]
@@ -31,38 +31,40 @@ impl WitnessSolver {
     /// Analyzes the template's constraints and classifies every witness
     /// variable as free or derived.
     pub fn analyze(cs: &ConstraintSystem) -> Self {
-        let num_witness = cs.num_witness();
-        let mut defined = vec![false; num_witness];
+        let num_instance = cs.num_instance();
+        let mut defined = vec![false; cs.num_witness()];
         let mut free = Vec::new();
         let mut derived = Vec::new();
+        let shape = cs.shape();
+        // Columns are flat; the witness ones start after the instance.
+        let witness_of = |col: u32| (col as usize).checked_sub(num_instance);
 
         // Any witness referenced before a constraint defines it must be an
         // input; record it (once) as free and consider it defined.
-        let mark_used = |lc: &LinearCombination, defined: &mut Vec<bool>, free: &mut Vec<usize>| {
-            for (v, _) in &lc.0 {
-                if let Variable::Witness(k) = v {
-                    if !defined[*k] {
-                        defined[*k] = true;
-                        free.push(*k);
-                    }
+        let mark_used = |row: &[(u32, u32)], defined: &mut Vec<bool>, free: &mut Vec<usize>| {
+            for k in row.iter().filter_map(|&(col, _)| witness_of(col)) {
+                if !defined[k] {
+                    defined[k] = true;
+                    free.push(k);
                 }
             }
         };
 
-        for (j, (a, b, c)) in cs.constraints().iter().enumerate() {
+        for j in 0..cs.num_constraints() {
+            let (a, b, c) = (shape.a.row(j), shape.b.row(j), shape.c.row(j));
             // Defining shape: C = 1·w for a yet-undefined witness w.
-            let defines = match &c.0[..] {
-                [(Variable::Witness(k), coeff)] if *coeff == Fr::one() && !defined[*k] => Some(*k),
+            let defines = match *c {
+                [(col, id)] if shape.coeffs[id as usize] == Fr::one() => {
+                    witness_of(col).filter(|&k| !defined[k])
+                }
                 _ => None,
             };
+            mark_used(a, &mut defined, &mut free);
+            mark_used(b, &mut defined, &mut free);
             if let Some(k) = defines {
-                mark_used(a, &mut defined, &mut free);
-                mark_used(b, &mut defined, &mut free);
                 defined[k] = true;
                 derived.push((j as u32, k as u32));
             } else {
-                mark_used(a, &mut defined, &mut free);
-                mark_used(b, &mut defined, &mut free);
                 mark_used(c, &mut defined, &mut free);
             }
         }
@@ -106,8 +108,8 @@ impl WitnessSolver {
             cs.set_witness_value(k, v);
         }
         for &(j, k) in &self.derived {
-            let (a, b, _) = &cs.constraints()[j as usize];
-            let v = cs.eval_lc(a) * cs.eval_lc(b);
+            let shape = cs.shape();
+            let v = cs.eval_row(shape.a.row(j as usize)) * cs.eval_row(shape.b.row(j as usize));
             cs.set_witness_value(k as usize, v);
         }
     }

@@ -8,8 +8,10 @@
 //!
 //! * **golden bytes** — the encoder still produces exactly the bytes it
 //!   produced before every codec moved onto `waku-wire` (literals and
-//!   fingerprints captured at the parent commit), and the decoder reads
-//!   them back to the same bytes;
+//!   fingerprints captured at the parent commit — except the two rows
+//!   whose format PR 23 changed on purpose, the constraint-system shape
+//!   and the `keys.bin` that embeds it), and the decoder reads them back
+//!   to the same bytes;
 //! * **totality** — under every truncation, single-byte flip and
 //!   maxed-out 4/8-byte window the decoder never panics and never
 //!   over-reads, and returns either `None`/`Err` or a value that
@@ -99,7 +101,8 @@ fn decode_nullifiers(bytes: &[u8]) -> Option<Vec<u8>> {
     Some(snapshot.to_bytes())
 }
 
-/// The table: one row per public decoder, 8 in all.
+/// The table: one row per public decoder, 8 in all (the shape decoder
+/// has a second, larger sample).
 fn rows() -> Vec<Row> {
     let cs = toy_cs();
     let pk = setup(&cs, &mut StdRng::seed_from_u64(31));
@@ -137,22 +140,37 @@ fn rows() -> Vec<Row> {
         Row {
             name: "snark::serialize constraint-system shape",
             sample: cs_shape_to_bytes(&cs),
+            // Shape layout 2 (counts, coefficient table, then each matrix's
+            // row ends and (column, coefficient id) terms), spelled out
+            // from the layout rather than captured from the encoder.
             golden: Golden::Hex(concat!(
-                "02000000020000000103000000010000000100000000010000000000000000000000000000000000",
-                "00000000000000000000000000000100000001010000000100000000000000000000000000000000",
-                "00000000000000000000000000000001000000000100000001000000000000000000000000000000",
-                "00000000000000000000000000000000010000000000000000010000000000000000000000000000",
-                "00000000000000000000000000000000000000000000000000010000000001000000010000000000",
-                "00000000000000000000000000000000000000000000000000000000000000000000",
+                "02000000020000000101000000010000000000000000000000000000000000000000000000000000",
+                "00000000000300000001000000020000000300000002000000000000000000000000000000010000",
+                "00000000000100000001000000010000000300000000000000010000000100000001000000010000",
+                "0000000000",
             )),
+            decode: |b| Some(cs_shape_to_bytes(&cs_shape_from_bytes(b)?)),
+        },
+        // The same decoder over a real template: 748 table entries and
+        // ≈ 10⁴ row ends for the mutations to land in, where the toy
+        // shape above has one and nine.
+        Row {
+            name: "snark::serialize RLN template shape",
+            sample: cs_shape_to_bytes(&template),
+            golden: Golden::Fingerprint {
+                len: 362297,
+                fnv1a64: 0xb534_cb1d_28fe_b352,
+            },
             decode: |b| Some(cs_shape_to_bytes(&cs_shape_from_bytes(b)?)),
         },
         Row {
             name: "rln::keycache blob (keys.bin)",
             sample: encode_keys(KEY_DEPTH, prover.proving_key(), &template),
+            // Envelope version 2 (the embedded shape is layout 2): this
+            // fingerprint is this commit's; version 1 was 2 089 444 bytes.
             golden: Golden::Fingerprint {
-                len: 2089444,
-                fnv1a64: 0xd4ac_0385_c277_8131,
+                len: 948657,
+                fnv1a64: 0xd5f6_2272_2489_68f2,
             },
             decode: |b| {
                 let (pk, template) = decode_keys(b, KEY_DEPTH)?;
@@ -270,4 +288,42 @@ fn nullifier_snapshot_rejects_overflowing_windows() {
     let mut wrapping = [0u8; 28];
     wrapping[..8].copy_from_slice(&(1u64 << 63).to_le_bytes());
     assert!(decode_nullifiers(&wrapping).is_none());
+}
+
+/// The circuit a depth-6 ceremony is run over and the proof a seeded
+/// publisher makes with it, pinned from the commit before the constraint
+/// system moved to sparse rows: constraint order, variable numbering and
+/// coefficient values all feed the key, so any drift in the frozen form
+/// shows here as different bytes.
+#[test]
+fn seeded_ceremony_and_proof_match_the_nested_vec_representation() {
+    const DEPTH: usize = 6;
+    let mut rng = StdRng::seed_from_u64(23);
+    let (prover, verifier) = RlnProver::keygen(DEPTH, &mut rng);
+    assert_eq!(
+        waku_suite::hash::sha256(&pk_to_bytes(prover.proving_key())).to_vec(),
+        unhex("7e8a40fc67163527c480d82f03fc81e92caddf3d73d6b4dd8a1ce9a2d9c17eb3")
+    );
+
+    let identity = Identity::random(&mut rng);
+    let path = waku_suite::merkle::MerklePath {
+        index: 0,
+        siblings: waku_suite::merkle::zeros::zero_hashes(DEPTH)[..DEPTH].to_vec(),
+    };
+    let bundle = prover
+        .prove_message(&identity, &path, b"golden", 77, &mut rng)
+        .expect("bundle");
+    assert!(verifier.verify_bundle(&bundle));
+    assert_eq!(
+        bundle.proof.to_bytes().to_vec(),
+        unhex(concat!(
+            "fece02caa51c88fb2b429d7e77cad8284ca577ab96a64bca3f36bd51b786161d0ab113f09f789850",
+            "094eab9943db582fe81488ca1382f11ed8af4dc2358ab6242c8aecf55812ba5f804a4a032b48a256",
+            "62bbb8e9c0bf4b76683bb88d9d68082116fcbbd87ee22e24d7f447981fc986237c4b3d20b03bce96",
+            "05dd95944196e4138bcde8a3238a45f6e6ac759ee49c3b3eadf5733434914bc331e435cea27d4820",
+            "df98f5408ab1de2378128476c316ef7ec6517a4d633a64187e6b25cdff1c051b9f9726b0a90cd5a9",
+            "94cf1b52f5e0dad32366fc47061861c8d4043f380b3e801ced11924963c8a16a5e93de05d0c3cde3",
+            "23619e298e0a596cd4a082612402db2c",
+        ))
+    );
 }
