@@ -12,7 +12,7 @@ use std::process::ExitCode;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use waku_bench::{fmt_bytes, sparse_single_member_path};
+use waku_bench::{check_exit, fmt_bytes, sparse_single_member_path};
 use waku_rln::circuit::build_for_setup;
 use waku_rln::keycache::encode_keys;
 use waku_rln::{Identity, RlnProver};
@@ -122,18 +122,5 @@ fn main() -> ExitCode {
         }
     }
 
-    if !std::env::args().any(|a| a == "--check") {
-        return ExitCode::SUCCESS;
-    }
-    println!();
-    let mut ok = true;
-    for (what, holds) in checks {
-        println!("check: {what}: {}", if holds { "ok" } else { "FAILED" });
-        ok &= holds;
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    }
+    check_exit(checks)
 }

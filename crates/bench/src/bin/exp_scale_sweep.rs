@@ -13,10 +13,9 @@
 //! CI uploads it as an artifact so regressions are diagnosable from the
 //! run page. `--prom PATH` writes each point's metrics in Prometheus
 //! text exposition, one section per point under a `# sweep point` comment
-//! header. `WAKU_SIM_PEERS` adds one more peer count, `WAKU_SIM_SHARDS`
-//! forces the shard count, and `WAKU_POOL_THREADS` pins the pool (1
-//! reproduces the serial engine exactly — same report, slower
-//! wall-clock).
+//! header. `WAKU_SIM_SHARDS` forces the shard count and
+//! `WAKU_POOL_THREADS` pins the pool (1 reproduces the serial engine
+//! exactly — same report, slower wall-clock).
 //!
 //! Containment quality must not depend on scale: the run fails (exit 2)
 //! if any point's spam-delivery ratio exceeds `MAX_SPAM_DELIVERY`, so the
@@ -28,7 +27,7 @@ use std::time::Instant;
 
 use waku_gossip::NetworkConfig;
 use waku_metrics::Snapshot;
-use waku_sim::{peers_from_env, run_scenario_with_metrics, Defense, ScenarioConfig};
+use waku_sim::{run_scenario_with_metrics, Defense, ScenarioConfig};
 
 /// §IV-C: ~2 spam msgs/s against a 1 s epoch caps delivery near 1/2 plus
 /// seeded jitter; anything above this means containment broke at scale.
@@ -151,13 +150,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-    // The env knob appends a point rather than replacing the sweep, so
-    // `WAKU_SIM_PEERS=10000 exp_scale_sweep` still shows the small points
-    // for comparison.
-    let env_peers = peers_from_env(0);
-    if env_peers >= 2 && !peer_counts.contains(&env_peers) {
-        peer_counts.push(env_peers);
     }
 
     println!(

@@ -1,11 +1,14 @@
 //! # waku-bench
 //!
-//! Benchmarks (criterion, `cargo bench`) and experiment binaries
-//! (`cargo run --release -p waku-bench --bin exp_*`) that regenerate every
-//! row of the paper's evaluation (§IV). The experiment ↔ binary mapping is
-//! in README.md ("Benches and experiments"); measured-vs-paper numbers
-//! are recorded under README.md "Performance".
+//! Experiment binaries (`cargo run --release -p waku-bench --bin exp_*`)
+//! that regenerate every row of the paper's evaluation (§IV). The
+//! experiment ↔ binary mapping is in README.md ("Experiments");
+//! measured-vs-paper numbers are recorded under README.md "Performance".
+//! Performance itself is measured by `perf/` (`waku-perf`) under the
+//! names `BENCHMARK.json` declares, not here.
 
+use std::fmt::Display;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 /// Times a closure over `n` runs and returns the mean duration.
@@ -24,8 +27,10 @@ pub fn fmt_duration(d: Duration) -> String {
         format!("{:.2} s", d.as_secs_f64())
     } else if d.as_millis() >= 1 {
         format!("{:.1} ms", d.as_secs_f64() * 1e3)
-    } else {
+    } else if d.as_micros() >= 1 {
         format!("{:.1} µs", d.as_secs_f64() * 1e6)
+    } else {
+        format!("{} ns", d.as_nanos())
     }
 }
 
@@ -38,6 +43,26 @@ pub fn fmt_bytes(b: u64) -> String {
         format!("{:.2} KB", b as f64 / 1e3)
     } else {
         format!("{b} B")
+    }
+}
+
+/// The tail of every `--check` binary: without `--check` on the command
+/// line the cells were only printed; with it, one line per pinned cell and
+/// exit code 2 if any of them moved.
+pub fn check_exit<S: Display>(checks: impl IntoIterator<Item = (S, bool)>) -> ExitCode {
+    if !std::env::args().any(|a| a == "--check") {
+        return ExitCode::SUCCESS;
+    }
+    println!();
+    let mut ok = true;
+    for (what, holds) in checks {
+        println!("check: {what}: {}", if holds { "ok" } else { "FAILED" });
+        ok &= holds;
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(2)
     }
 }
 
@@ -60,6 +85,7 @@ mod tests {
     fn fmt_helpers() {
         assert!(fmt_duration(Duration::from_millis(30)).contains("ms"));
         assert!(fmt_duration(Duration::from_secs(2)).contains("s"));
+        assert_eq!(fmt_duration(Duration::from_nanos(140)), "140 ns");
         assert_eq!(fmt_bytes(512), "512 B");
         assert!(fmt_bytes(4_000_000).contains("MB"));
     }

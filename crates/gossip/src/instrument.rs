@@ -14,7 +14,7 @@
 //!
 //! Recording costs on the hot path: two counter increments per event and
 //! one `leading_zeros` bucket index per scheduled event — noise against
-//! the ~µs dispatch budget the E6 bench gates.
+//! the ~µs dispatch budget (`gossip.ns_per_event` in `BENCHMARK.json`).
 
 use std::sync::{Arc, OnceLock};
 

@@ -55,4 +55,4 @@ pub use nullifier::{
     NullifierSnapshot, NullifierStore,
 };
 pub use prover::{RlnMessageBundle, RlnProver, RlnVerifier};
-pub use slashing::{NullifierMap, RateCheck, SpamEvidence};
+pub use slashing::{RateCheck, SpamEvidence};

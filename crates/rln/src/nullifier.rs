@@ -226,8 +226,8 @@ impl NullifierStore {
     /// # Panics
     ///
     /// Panics if the window would exceed 2²⁰ epochs — a gap that large
-    /// means the epoch-gap check is effectively disabled and an
-    /// unbounded map ([`crate::NullifierMap`]) is the honest choice.
+    /// means the epoch-gap check is effectively disabled and nothing
+    /// would ever expire.
     pub fn new(max_gap: u64) -> Self {
         let window = max_gap.saturating_mul(2).saturating_add(1);
         assert!(

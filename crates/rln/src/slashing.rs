@@ -5,13 +5,8 @@
 //! is either a duplicate (same share — discard) or a spam signal (different
 //! share — reconstruct `sk` and slash).
 
-use std::collections::HashMap;
-
 use waku_arith::fields::Fr;
 use waku_poseidon::poseidon1;
-use waku_shamir::recover_from_two;
-
-use crate::prover::RlnMessageBundle;
 
 /// Outcome of checking a (proof-valid) bundle against the nullifier map.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,13 +51,15 @@ impl SpamEvidence {
 /// it has ever seen unless [`NullifierMap::prune`] is called, and pruning
 /// scans every retained epoch. Production paths use the epoch-windowed
 /// [`crate::NullifierStore`] instead, whose expiry is O(1) arena
-/// recycling; the map remains as the behavioral oracle the store is
-/// property-tested and benchmarked against.
+/// recycling; the map is compiled for tests only, as the behavioral
+/// oracle the store is checked against.
+#[cfg(test)]
 #[derive(Clone, Debug, Default)]
-pub struct NullifierMap {
-    epochs: HashMap<u64, HashMap<[u8; 32], (Fr, Fr)>>,
+pub(crate) struct NullifierMap {
+    epochs: std::collections::HashMap<u64, std::collections::HashMap<[u8; 32], (Fr, Fr)>>,
 }
 
+#[cfg(test)]
 impl NullifierMap {
     /// Creates an empty map.
     pub fn new() -> Self {
@@ -85,14 +82,13 @@ impl NullifierMap {
     }
 
     /// Checks a bundle (assumed proof-valid) and records its share.
-    pub fn check_and_insert(&mut self, bundle: &RlnMessageBundle) -> RateCheck {
+    pub fn check_and_insert(&mut self, bundle: &crate::RlnMessageBundle) -> RateCheck {
         use waku_arith::traits::PrimeField;
         self.check_shares(bundle.epoch, bundle.nullifier.to_le_bytes(), bundle.share())
     }
 
-    /// [`NullifierMap::check_and_insert`] on raw parts — for callers
-    /// (simulation validators, oracle tests) that carry the nullifier and
-    /// share outside an [`RlnMessageBundle`].
+    /// [`NullifierMap::check_and_insert`] on raw parts — for oracle tests
+    /// that carry the nullifier and share outside a bundle.
     pub fn check_shares(&mut self, epoch: u64, nullifier: [u8; 32], share: (Fr, Fr)) -> RateCheck {
         let epoch_map = self.epochs.entry(epoch).or_default();
         match epoch_map.get(&nullifier) {
@@ -101,7 +97,7 @@ impl NullifierMap {
                 RateCheck::Fresh
             }
             Some(&prev) if prev == share => RateCheck::Duplicate,
-            Some(&prev) => match recover_from_two(prev, share) {
+            Some(&prev) => match waku_shamir::recover_from_two(prev, share) {
                 Ok(recovered) => RateCheck::Spam(SpamEvidence {
                     epoch,
                     share_a: prev,
@@ -135,10 +131,12 @@ mod tests {
     use super::*;
     use crate::identity::Identity;
     use crate::nullifier::{derive, external_nullifier, message_hash};
+    use crate::prover::RlnMessageBundle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use waku_arith::traits::Field;
     use waku_curve::{G1Affine, G2Affine};
+    use waku_shamir::recover_from_two;
     use waku_snark::groth16::Proof;
 
     /// Builds a structurally-complete bundle without a real proof (the

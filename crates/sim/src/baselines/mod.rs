@@ -1,5 +1,3 @@
-//! # waku-baselines
-//!
 //! The two state-of-the-art p2p spam defenses the paper compares against
 //! (§I):
 //!
@@ -10,7 +8,7 @@
 //!   statistics that a Sybil attacker resets for free by rotating
 //!   identities, plus the censorship concern of score-based exclusion.
 //!
-//! `waku-sim` plugs both into the same network scenarios as
+//! [`crate::scenario`] plugs both into the same network scenarios as
 //! WAKU-RLN-RELAY so the containment comparison (experiment E6/E10) is
 //! apples-to-apples.
 

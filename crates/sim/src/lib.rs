@@ -5,6 +5,8 @@
 //! deterministic seeds and aggregated reports.
 //!
 //! * [`scenario`] — defense-comparison runs (experiments E6, E10),
+//! * [`baselines`] — the two defenses the paper compares against (§I):
+//!   Whisper PoW and GossipSub peer scoring alone,
 //! * [`acceptor`] — the production §III-F validator behind the gossip
 //!   validation hook, with a tagged or a real proof step,
 //! * [`epoch_gap`] — `Thr` sensitivity sweeps (experiment E7, ablation A4),
@@ -19,6 +21,7 @@
 //! * [`report`] — metrics aggregation and markdown tables.
 
 pub mod acceptor;
+pub mod baselines;
 pub mod epoch_gap;
 pub mod faults;
 pub mod report;
@@ -35,8 +38,8 @@ pub use faults::{
 };
 pub use report::{percentile, ScenarioReport};
 pub use scenario::{
-    peers_from_env, run_scenario, run_scenario_instrumented, run_scenario_with_metrics, Defense,
-    EngineStats, ScenarioConfig,
+    run_scenario, run_scenario_instrumented, run_scenario_with_metrics, Defense, EngineStats,
+    ScenarioConfig,
 };
 pub use soak::{run_soak, SoakConfig, SoakReport, SoakRestart, SoakSample};
 pub use steady_state::{run_steady_state, SteadyStateConfig, SteadyStateReport};

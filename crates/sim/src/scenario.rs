@@ -23,14 +23,14 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use waku_baselines::pow::expected_iterations;
-use waku_baselines::SybilCostModel;
 use waku_gossip::{Network, NetworkConfig, TrafficClass, Validation};
 use waku_metrics::{Registry, Snapshot};
 use waku_rln::{derive, external_nullifier, message_hash, Identity};
 use waku_rln_relay::{EpochManager, GroupManager, MessageValidator};
 
 use crate::acceptor::{DetectionLog, RlnAcceptor, TaggedBundle, TaggedProof};
+use crate::baselines::pow::expected_iterations;
+use crate::baselines::SybilCostModel;
 use crate::report::{percentile, ScenarioReport};
 
 /// Which defense the scenario runs.
@@ -124,16 +124,6 @@ impl Default for ScenarioConfig {
             publisher_churn_ms: None,
         }
     }
-}
-
-/// Peer-count override for examples and benches: `WAKU_SIM_PEERS` when set
-/// (≥ 2), otherwise the given default.
-pub fn peers_from_env(default: usize) -> usize {
-    std::env::var("WAKU_SIM_PEERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.max(2))
-        .unwrap_or(default)
 }
 
 const TOPIC: u32 = 1;

@@ -4,20 +4,19 @@
 //!
 //! Run with: `cargo run --release --example spam_attack_sim [PEERS]`
 //!
-//! Scale it up with the positional arg or `WAKU_SIM_PEERS` (e.g. 10000 —
-//! the sharded engine kicks in automatically above ~512 peers). Above
+//! Scale it up with the positional arg (e.g. 10000 — the sharded engine
+//! kicks in automatically above ~512 peers). Above
 //! 1 000 peers the honest publisher set is capped at 200 so the workload
 //! grows with the network instead of quadratically.
 
 use waku_gossip::NetworkConfig;
-use waku_sim::{peers_from_env, run_scenario, Defense, ScenarioConfig, ScenarioReport};
+use waku_sim::{run_scenario, Defense, ScenarioConfig, ScenarioReport};
 
 fn main() {
     let peers = std::env::args()
         .nth(1)
         .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(5))
-        .unwrap_or_else(|| peers_from_env(60).max(5));
+        .map_or(60, |n| n.max(5));
     let honest_publishers = if peers > 1_000 { Some(200) } else { None };
     // Keep the mesh degree valid for tiny networks (degree must be < peers).
     let degree = 8.min(peers - 1);

@@ -6,20 +6,19 @@
 //!
 //! Run with: `cargo run --release --example validator_network [PEERS]`
 //!
-//! The peer count defaults to 40; override with the positional arg or
-//! `WAKU_SIM_PEERS` to watch the trade-off at network scale (above 1 000
-//! peers the publisher set is capped at 200 to keep the workload linear).
+//! The peer count defaults to 40; override with the positional arg to
+//! watch the trade-off at network scale (above 1 000 peers the publisher
+//! set is capped at 200 to keep the workload linear).
 
 use waku_gossip::NetworkConfig;
 use waku_rln_relay::EpochManager;
-use waku_sim::{peers_from_env, run_scenario, Defense, ScenarioConfig};
+use waku_sim::{run_scenario, Defense, ScenarioConfig};
 
 fn main() {
     let peers = std::env::args()
         .nth(1)
         .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(4))
-        .unwrap_or_else(|| peers_from_env(40).max(4));
+        .map_or(40, |n| n.max(4));
     let honest_publishers = if peers > 1_000 { Some(200) } else { None };
     // Keep the mesh degree valid for tiny networks (degree must be < peers).
     let degree = 8.min(peers - 1);

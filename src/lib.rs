@@ -51,7 +51,6 @@
 //! route → slash walkthrough of the paper's Figures 1–3.
 
 pub use waku_arith as arith;
-pub use waku_baselines as baselines;
 pub use waku_chain as chain;
 pub use waku_curve as curve;
 pub use waku_gossip as gossip;
@@ -66,5 +65,6 @@ pub use waku_rln as rln;
 pub use waku_rln_relay as rln_relay;
 pub use waku_shamir as shamir;
 pub use waku_sim as sim;
+pub use waku_sim::baselines;
 pub use waku_snark as snark;
 pub use waku_wire as wire;
