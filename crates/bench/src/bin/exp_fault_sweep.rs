@@ -10,7 +10,7 @@
 //! Defaults to `--peers 1000` (the CI smoke run). The matrix is fixed:
 //! the drop-rate curve {0, 5, 10, 20}% plus one mid-run partition
 //! scenario and one rolling-churn scenario, all seeded — every point is
-//! bit-identical across schedulers and re-runs. `--json PATH` writes the
+//! bit-identical across shard counts and re-runs. `--json PATH` writes the
 //! per-point records (ratios, fault counters, and each run's full
 //! metrics snapshot); `--prom PATH` writes each point's metrics in
 //! Prometheus text exposition.

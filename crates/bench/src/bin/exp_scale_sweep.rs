@@ -13,9 +13,9 @@
 //! CI uploads it as an artifact so regressions are diagnosable from the
 //! run page. `--prom PATH` writes each point's metrics in Prometheus
 //! text exposition, one section per point under a `# sweep point` comment
-//! header. `WAKU_SIM_SHARDS` forces the shard count and
-//! `WAKU_POOL_THREADS` pins the pool (1 reproduces the serial engine
-//! exactly — same report, slower wall-clock).
+//! header. The shard count is the default rule (1 below 512 peers, 2 at
+//! 1 000); `WAKU_POOL_THREADS` pins the pool (any size gives the same
+//! report, only the wall clock moves).
 //!
 //! Containment quality must not depend on scale: the run fails (exit 2)
 //! if any point's spam-delivery ratio exceeds `MAX_SPAM_DELIVERY`, so the
@@ -214,10 +214,11 @@ fn main() -> ExitCode {
 
     println!();
     println!("reading the table: events/s and ns/event are simulated-event");
-    println!("throughput (the engine metric tracked in the bench baseline);");
-    println!("barriers counts the sharded engine's fork-join rounds (what the");
-    println!("adaptive lookahead minimizes; 0 = serial); containment ratios");
-    println!("must hold at every scale — the sweep exits 2 if they don't.");
+    println!("throughput (BENCHMARK.json tracks it as gossip.ns_per_event);");
+    println!("barriers counts the scheduler's rounds (what the adaptive");
+    println!("lookahead minimizes; one shard runs one per run_until);");
+    println!("containment ratios must hold at every scale — the sweep exits 2");
+    println!("if they don't.");
 
     if let Some(path) = json_path {
         let body: Vec<String> = points.iter().map(SweepPoint::to_json).collect();

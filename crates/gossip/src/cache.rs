@@ -23,7 +23,7 @@
 //!
 //! Both structures are strictly per-peer (the engine's share-nothing
 //! rule), and every operation is a pure function of the peer's event
-//! history, so serial and sharded execution stay bit-identical.
+//! history, so runs stay bit-identical at any shard count.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;

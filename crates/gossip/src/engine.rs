@@ -1,10 +1,10 @@
-//! Event-processing core shared by every `Scheduler` (see
+//! Event-processing core the scheduler's shards dispatch into (see
 //! [`crate::scheduler`]):
 //! one `PeerSlot` per peer bundles the GossipSub protocol state with a
 //! **private RNG stream** and a **private event-sequence counter**.
 //!
-//! Determinism contract (what makes serial and sharded execution
-//! bit-identical):
+//! Determinism contract (what makes every shard count bit-identical to
+//! the one-shard serial reference):
 //!
 //! * a peer's state is mutated *only* while dispatching events targeted at
 //!   that peer — handlers never touch another peer's slot;
@@ -12,11 +12,11 @@
 //!   RNG, seeded from `(network seed, peer id)` — no draw order is shared
 //!   across peers;
 //! * every event carries a globally unique, totally ordered `EventKey`
-//!   `(fire time, origin peer, per-origin sequence)`. Schedulers may
+//!   `(fire time, origin peer, per-origin sequence)`. Shards may
 //!   interleave *different* peers' events however they like, but must
-//!   deliver each peer's events in ascending key order — which both the
-//!   serial global heap and the sharded per-shard heaps do, because heap
-//!   pop order over unique keys is insertion-order independent.
+//!   deliver each peer's events in ascending key order — which every
+//!   per-shard queue does at any shard count, because pop order over
+//!   unique keys is insertion-order independent.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -162,7 +162,7 @@ pub(crate) struct PeerSlot {
     pub(crate) event_seq: u64,
     /// This peer's metrics recorder (engine catalogue: event counts and
     /// dwell times). Records only deterministic sim-domain values, so
-    /// merged snapshots stay bit-identical across schedulers.
+    /// merged snapshots stay bit-identical across shard counts.
     pub(crate) recorder: LocalRecorder,
     /// Reusable buffer for forward-target lists — the accept path runs
     /// allocation-free in steady state.
@@ -247,7 +247,7 @@ impl PeerSlot {
 
     /// Samples a one-way link latency from this peer's stream. Clamped to
     /// ≥ 1 ms so cross-peer events always land at least one quantum ahead
-    /// (the sharded scheduler's correctness hinges on this floor).
+    /// (the scheduler's lookahead correctness hinges on this floor).
     fn link_latency(&mut self, config: &NetworkConfig) -> SimTime {
         self.rng
             .gen_range(config.latency_min_ms..=config.latency_max_ms)
@@ -594,7 +594,7 @@ impl PeerSlot {
         // 0. let the validator observe the local clock: epoch-windowed
         // defense state (the RLN nullifier window) advances on rollover
         // even when no message arrives. Runs inside this peer's own
-        // dispatch, so determinism across schedulers is preserved.
+        // dispatch, so determinism across shard counts is preserved.
         let local = self.local_time(now);
         if let Some(v) = self.validator.as_mut() {
             v.on_heartbeat(local);

@@ -22,11 +22,11 @@
 //! `(fault seed, link, event sequence)` — the sequence number of the key
 //! the transmission mints — via the same SplitMix64 finalizer that
 //! decorrelates the per-peer RNG streams (`fault_word`). Per-peer event
-//! sequences evolve identically under every scheduler (a peer dispatches
+//! sequences evolve identically at every shard count (a peer dispatches
 //! its own events in key order, and only its own dispatch mutates its
 //! slot), so fault streams are **event-keyed, never scheduler-ordered**:
-//! a seeded faulty run is bit-identical across the serial and sharded
-//! schedulers at any shard/thread count. A dropped transmission still
+//! a seeded faulty run is bit-identical at any shard/thread count, one
+//! shard (the serial reference) included. A dropped transmission still
 //! consumes its sequence slot, so later sends on the same link draw fresh
 //! fault words instead of replaying the drop forever.
 //!

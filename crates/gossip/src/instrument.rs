@@ -5,11 +5,11 @@
 //! * the **per-peer** catalogue ([`engine_catalogue`]) is recorded by each
 //!   [`crate::engine::PeerSlot`]'s own `LocalRecorder` during dispatch —
 //!   deterministic values only (event counts, sim-time dwell), so merged
-//!   snapshots are bit-identical across schedulers;
+//!   snapshots are bit-identical at any shard count;
 //! * the **network-level** catalogue ([`network_catalogue`]) is filled at
 //!   snapshot time from `PeerStats` and the scheduler. The scheduler
-//!   gauges carry the `engine_` prefix because they depend on the
-//!   execution strategy (serial runs have 0 barriers) — equivalence tests
+//!   gauges carry the `engine_` prefix because they depend on the shard
+//!   count (shards, and barriers: one per round) — equivalence tests
 //!   filter that prefix before comparing snapshots.
 //!
 //! Recording costs on the hot path: two counter increments per event and
@@ -87,10 +87,10 @@ pub(crate) fn engine_catalogue() -> &'static (Arc<Layout>, EngineIds) {
 
 /// Typed ids into the network-level catalogue (snapshot-time fill).
 pub(crate) struct NetworkIds {
-    /// Peer shards the scheduler resolved to (`engine_` prefix: depends
-    /// on the execution strategy).
+    /// Peer shards the scheduler resolved to (`engine_` prefix: a
+    /// setting, not a result).
     pub shards: GaugeId,
-    /// Fork-join barrier rounds (`engine_` prefix: strategy-dependent).
+    /// Barrier rounds (`engine_` prefix: depends on the shard count).
     pub barriers: CounterId,
     /// Bytes sent across all peers.
     pub bytes_sent: CounterId,
@@ -120,12 +120,12 @@ pub(crate) fn network_catalogue() -> &'static (Arc<Layout>, NetworkIds) {
         let ids = NetworkIds {
             shards: b.gauge(
                 "engine_shards",
-                "Peer shards the scheduler resolved to (1 = serial).",
+                "Peer shards the scheduler resolved to (1 = the serial reference).",
                 GaugeFold::Sum,
             ),
             barriers: b.counter(
                 "engine_barriers_total",
-                "Fork-join barrier rounds executed (0 = serial).",
+                "Scheduler rounds executed, one barrier each (one shard: one per run_until with work).",
             ),
             bytes_sent: b.counter("gossip_bytes_sent_total", "Bytes sent, all RPCs."),
             bytes_received: b.counter("gossip_bytes_received_total", "Bytes received, all RPCs."),

@@ -10,27 +10,27 @@
 //! * [`engine`] — per-peer event-processing core: each peer owns its
 //!   protocol state, a private RNG stream, and a private event-sequence
 //!   counter, so no mutable state is shared across peers.
-//! * [`scheduler`] — execution strategies behind one trait: a serial
-//!   global-heap scheduler and an event-sharded engine that runs each
-//!   round as a fork-join on `waku-pool`, bounded by adaptive per-shard
-//!   Chandy–Misra lookahead horizons, exchanging cross-shard RPCs
-//!   through outboxes drained at round barriers.
+//! * [`scheduler`] — the one event scheduler: an event-sharded engine
+//!   that runs each round as a fork-join on `waku-pool`, bounded by
+//!   adaptive per-shard Chandy–Misra lookahead horizons, exchanging
+//!   cross-shard RPCs through outboxes drained at round barriers. At one
+//!   shard it is the serial reference (`NetworkConfig::shards`).
 //! * [`cache`] — compact generational message caches: the open-addressed
 //!   duplicate-suppression set and the per-topic mcache rings behind the
 //!   10⁴-peer hot path.
 //! * [`faults`] — the deterministic fault-injection plane: seeded link
 //!   drop/duplicate/jitter/reorder, scheduled partitions with healing,
 //!   peer crash/restart timelines, and clock-skew steps, all drawn from
-//!   event-keyed streams so faulty runs stay bit-identical across
-//!   schedulers.
+//!   event-keyed streams so faulty runs stay bit-identical across shard
+//!   counts.
 //! * [`scoring`] — the peer-scoring defense (gossipsub v1.1, reference \[2\])
 //!   that the paper both compares against and composes with.
 //! * [`message`] — message/RPC types and the `Validator` verdicts that the
 //!   RLN validation pipeline plugs into (§III-F).
 //!
-//! Every run is seeded and reproducible — **bit-identical across
-//! schedulers, shard counts, and pool sizes**; experiment binaries in
-//! `waku-bench` and the equivalence tests rely on that.
+//! Every run is seeded and reproducible — **bit-identical across shard
+//! counts and pool sizes**; experiment binaries in `waku-bench` and the
+//! equivalence tests rely on that.
 
 pub mod cache;
 pub mod engine;
@@ -47,5 +47,4 @@ pub use network::{
     ConfigError, DeliveryRecord, GossipConfig, MessageAcceptor, Network, NetworkConfig,
     NetworkConfigBuilder, PeerStats, Validator,
 };
-pub use scheduler::SchedulerKind;
 pub use scoring::{PeerScore, ScoreParams};

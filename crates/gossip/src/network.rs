@@ -14,9 +14,9 @@
 //!   claims become measurable.
 //!
 //! This module is the facade; the event-processing core lives in
-//! [`crate::engine`] and execution strategies in [`crate::scheduler`]. A
-//! seeded run produces bit-identical results under the serial and the
-//! event-sharded scheduler, at any shard count and any
+//! [`crate::engine`] and the event-sharded scheduler in
+//! [`crate::scheduler`]. A seeded run produces bit-identical results at
+//! any shard count (one shard is the serial reference) and any
 //! `WAKU_POOL_THREADS` — determinism is a tested invariant, not luck.
 
 use std::collections::{BTreeMap, HashSet};
@@ -28,7 +28,7 @@ use crate::engine::{PeerSlot, QueuedEvent, SimEvent};
 use crate::faults::FaultPlan;
 use crate::instrument::{engine_catalogue, network_catalogue};
 use crate::message::{Message, MessageId, PeerId, SimTime, Topic, TrafficClass, Validation};
-use crate::scheduler::{Scheduler, SchedulerKind, SerialScheduler, ShardedScheduler};
+use crate::scheduler::Scheduler;
 use crate::scoring::ScoreParams;
 
 pub use crate::engine::DeliveryRecord;
@@ -103,8 +103,8 @@ pub struct NetworkConfig {
     pub peers: usize,
     /// Connections per peer (the gossip mesh is a subset of these).
     pub degree: usize,
-    /// Minimum one-way link latency (ms). Also the sharded scheduler's
-    /// time quantum (clamped to ≥ 1 ms).
+    /// Minimum one-way link latency (ms). Also the scheduler's time
+    /// quantum (clamped to ≥ 1 ms).
     pub latency_min_ms: u64,
     /// Maximum one-way link latency (ms).
     pub latency_max_ms: u64,
@@ -116,8 +116,11 @@ pub struct NetworkConfig {
     pub scoring: ScoreParams,
     /// Determinism seed.
     pub seed: u64,
-    /// Execution engine (never affects results, only wall-clock speed).
-    pub scheduler: SchedulerKind,
+    /// Peer shards of the event scheduler, clamped to `1..=peers` (never
+    /// affects results, only wall-clock speed). `Some(1)` is the serial
+    /// reference; `None` runs 1 shard below 512 peers and
+    /// `(peers / 512).clamp(2, 64)` above.
+    pub shards: Option<usize>,
     /// The deterministic fault plan (see [`crate::faults`]). Empty by
     /// default: without faults the simulation is byte-identical to a
     /// network built before the fault plane existed.
@@ -135,7 +138,7 @@ impl Default for NetworkConfig {
             gossip: GossipConfig::default(),
             scoring: ScoreParams::default(),
             seed: 0,
-            scheduler: SchedulerKind::Auto,
+            shards: None,
             faults: FaultPlan::default(),
         }
     }
@@ -178,7 +181,7 @@ impl NetworkConfigBuilder {
     }
 
     /// Sets the one-way link latency range `[min, max]` in milliseconds
-    /// (`min ≤ max`; the sharded scheduler clamps its quantum to ≥ 1 ms
+    /// (`min ≤ max`; the scheduler clamps its quantum to ≥ 1 ms
     /// internally, so `min = 0` is allowed).
     pub fn latency_ms(mut self, min: u64, max: u64) -> Self {
         self.config.latency_min_ms = min;
@@ -210,9 +213,9 @@ impl NetworkConfigBuilder {
         self
     }
 
-    /// Sets the execution engine.
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.config.scheduler = scheduler;
+    /// Sets the scheduler's shard count (see [`NetworkConfig::shards`]).
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.config.shards = Some(shards);
         self
     }
 
@@ -253,7 +256,7 @@ impl NetworkConfigBuilder {
 
 /// Per-peer admission logic with a view of the peer's clock.
 ///
-/// Implementors are `Send` because the sharded scheduler migrates peers
+/// Implementors are `Send` because the scheduler migrates peers
 /// across pool workers between quantum rounds; shared defense state
 /// (e.g. a detection log) must be `Send + Sync` and order-insensitive
 /// (set unions, counters). Every closure of the legacy
@@ -319,7 +322,7 @@ pub struct PeerStats {
 pub struct Network {
     pub(crate) config: NetworkConfig,
     pub(crate) slots: Vec<PeerSlot>,
-    scheduler: Box<dyn Scheduler>,
+    scheduler: Scheduler,
     now: SimTime,
     events_processed: u64,
 }
@@ -335,7 +338,7 @@ impl Network {
         assert!(config.peers >= 2, "need at least two peers");
         assert!(config.degree < config.peers, "degree must be < peers");
         // Construction RNG: drift, topology, and heartbeat stagger are
-        // drawn once here, identically for every scheduler; runtime draws
+        // drawn once here, identically at every shard count; runtime draws
         // come from the per-peer streams instead.
         let mut rng = StdRng::seed_from_u64(config.seed);
         // Seen-ids must outlive every path a message can still travel:
@@ -378,14 +381,9 @@ impl Network {
             slot.neighbors.sort_unstable();
         }
 
-        let shards = config.scheduler.resolve(config.peers);
-        let mut scheduler: Box<dyn Scheduler> = if shards <= 1 {
-            Box::new(SerialScheduler::new())
-        } else {
-            // Built after the topology: the adaptive lookahead derives its
-            // shard-pair latency matrix from the peers' neighbor lists.
-            Box::new(ShardedScheduler::new(config.peers, shards, &config, &slots))
-        };
+        // Built after the topology: the adaptive lookahead derives its
+        // shard-pair latency matrix from the peers' neighbor lists.
+        let mut scheduler = Scheduler::new(&config, &slots);
 
         // Stagger heartbeats so the whole network doesn't thunder at once.
         for (p, slot) in slots.iter_mut().enumerate() {
@@ -403,7 +401,7 @@ impl Network {
         // dispatch — no RNG draws), and the restart / clock-skew events
         // are minted from the target peer's own key stream, exactly like
         // the heartbeat stagger above, so the timeline is
-        // scheduler-invariant by the same argument.
+        // shard-count-invariant by the same argument.
         config.faults.validate(config.peers);
         for crash in &config.faults.crashes {
             let slot = &mut slots[crash.peer];
@@ -457,15 +455,15 @@ impl Network {
         &self.slots[peer].neighbors
     }
 
-    /// Number of peer shards the active scheduler runs (1 = serial).
+    /// Number of peer shards the scheduler runs (1 = the serial reference).
     pub fn shards(&self) -> usize {
         self.scheduler.shards()
     }
 
-    /// Fork-join barrier rounds the sharded engine has executed so far
-    /// (0 under the serial scheduler) — the cost metric the adaptive
-    /// lookahead minimizes. Deliberately *not* part of any scenario
-    /// report: it depends on the execution strategy, results do not.
+    /// Barrier rounds the scheduler has executed so far (at one shard,
+    /// one per `run_until` that found work) — the cost metric the
+    /// adaptive lookahead minimizes. Deliberately *not* part of any
+    /// scenario report: it depends on the shard count, results do not.
     pub fn barriers(&self) -> u64 {
         self.scheduler.barriers()
     }
@@ -600,11 +598,11 @@ impl Network {
 
     /// One merged metrics snapshot for the whole network: the per-peer
     /// engine recorders (event counts, dwell histogram — deterministic,
-    /// bit-identical across schedulers) folded together, plus the
+    /// bit-identical at any shard count) folded together, plus the
     /// network-level counters derived from [`PeerStats`] and the
     /// scheduler's `engine_`-prefixed cost gauges (which *do* depend on
-    /// the execution strategy — filter that prefix before comparing
-    /// snapshots across schedulers).
+    /// the shard count — filter that prefix before comparing snapshots
+    /// across shard counts).
     pub fn metrics_snapshot(&self) -> waku_metrics::Snapshot {
         let engine_layout = &engine_catalogue().0;
         let mut peers = waku_metrics::LocalRecorder::new(std::sync::Arc::clone(engine_layout));
@@ -625,7 +623,7 @@ impl Network {
         net.add(ids.invalid_delivered, totals.invalid_delivered);
         net.add(ids.rejected, totals.rejected);
         net.add(ids.ignored, totals.ignored);
-        // Snapshot-time fill from the plan + the (scheduler-invariant)
+        // Snapshot-time fill from the plan + the (shard-count-invariant)
         // clock: which scheduled partitions have healed by now.
         net.add(
             ids.partition_heals,
@@ -639,7 +637,7 @@ impl Network {
 
     /// Network-wide per-topic `(bytes_in, bytes_out)` for topic-bearing
     /// RPCs — the label dimension `engine_topic_bytes_{in,out}` can't
-    /// carry. Deterministic and scheduler-independent.
+    /// carry. Deterministic and shard-count-independent.
     pub fn topic_bytes(&self) -> BTreeMap<Topic, (u64, u64)> {
         let mut merged: BTreeMap<Topic, (u64, u64)> = BTreeMap::new();
         for slot in &self.slots {
@@ -660,15 +658,15 @@ mod tests {
     const TOPIC: Topic = 1;
 
     fn small_net(seed: u64) -> Network {
-        small_net_with(seed, SchedulerKind::Auto)
+        small_net_with(seed, None)
     }
 
-    fn small_net_with(seed: u64, scheduler: SchedulerKind) -> Network {
+    fn small_net_with(seed: u64, shards: Option<usize>) -> Network {
         let mut net = Network::new(NetworkConfig {
             peers: 30,
             degree: 6,
             seed,
-            scheduler,
+            shards,
             ..NetworkConfig::default()
         });
         net.subscribe_all(TOPIC);
@@ -826,11 +824,11 @@ mod tests {
     /// The metrics snapshot is a faithful view: event counts equal the
     /// scheduler's own tally, the PeerStats-derived counters match
     /// `total_stats()`, and the deterministic (non-`engine_`) metrics are
-    /// identical across schedulers.
+    /// identical across shard counts.
     #[test]
     fn metrics_snapshot_is_consistent_and_scheduler_independent() {
-        let run = |scheduler: SchedulerKind| {
-            let mut net = small_net_with(11, scheduler);
+        let run = |shards: usize| {
+            let mut net = small_net_with(11, Some(shards));
             net.run_until(3_000);
             net.publish_at(3_000, 0, TOPIC, b"m".to_vec(), TrafficClass::Honest);
             net.run_until(20_000);
@@ -859,9 +857,8 @@ mod tests {
             assert!(map_in <= net.total_stats().bytes_received);
             (snap, net.shards(), by_topic)
         };
-        let (mut serial, serial_shards, serial_topics) = run(SchedulerKind::Serial);
-        let (mut sharded, sharded_shards, sharded_topics) =
-            run(SchedulerKind::Sharded { shards: 5 });
+        let (mut serial, serial_shards, serial_topics) = run(1);
+        let (mut sharded, sharded_shards, sharded_topics) = run(5);
         assert_eq!((serial_shards, sharded_shards), (1, 5));
         // The topic-bandwidth counters carry the `engine_` prefix (ISSUE
         // naming) but are deterministic — assert their cross-scheduler
@@ -882,15 +879,15 @@ mod tests {
     }
 
     /// Link drops thin delivery but the seeded outcome is identical
-    /// across schedulers, and every drop is counted.
+    /// across shard counts, and every drop is counted.
     #[test]
     fn link_faults_are_deterministic_across_schedulers() {
-        let run = |scheduler: SchedulerKind| {
+        let run = |shards: usize| {
             let mut net = Network::new(NetworkConfig {
                 peers: 30,
                 degree: 6,
                 seed: 21,
-                scheduler,
+                shards: Some(shards),
                 faults: crate::faults::FaultPlan {
                     seed: 77,
                     link: crate::faults::LinkFaults {
@@ -925,10 +922,10 @@ mod tests {
                 snap.scalar("engine_msgs_dropped_fault"),
             )
         };
-        let serial = run(SchedulerKind::Serial);
+        let serial = run(1);
         assert!(serial.3 > 0, "faults actually fired: {serial:?}");
         for shards in [2, 7, 30] {
-            assert_eq!(serial, run(SchedulerKind::Sharded { shards }), "{shards}");
+            assert_eq!(serial, run(shards), "{shards}");
         }
     }
 
@@ -1037,12 +1034,13 @@ mod tests {
         assert_eq!(net.drift_ms(3), -1_500, "backwards step accumulated");
     }
 
-    /// The tentpole invariant, at transport level: serial and sharded
-    /// schedulers produce bit-identical stats, scores, and latencies.
+    /// The tentpole invariant, at transport level: every shard count
+    /// produces the stats, scores, and latencies of the one-shard (serial)
+    /// reference, bit for bit.
     #[test]
     fn sharded_scheduler_matches_serial_bit_for_bit() {
-        let digest = |scheduler: SchedulerKind| {
-            let mut net = small_net_with(9, scheduler);
+        let digest = |shards: usize| {
+            let mut net = small_net_with(9, Some(shards));
             for p in 1..30 {
                 // A stateful validator: every 5th message is rejected, so
                 // validator-internal state must also replay identically.
@@ -1079,13 +1077,9 @@ mod tests {
                 lats,
             )
         };
-        let serial = digest(SchedulerKind::Serial);
+        let serial = digest(1);
         for shards in [2, 3, 7, 30] {
-            assert_eq!(
-                serial,
-                digest(SchedulerKind::Sharded { shards }),
-                "shards={shards}"
-            );
+            assert_eq!(serial, digest(shards), "shards={shards}");
         }
     }
 }

@@ -1,15 +1,23 @@
-//! Event schedulers: the serial reference implementation and the
-//! event-sharded, pool-parallel engine with adaptive per-shard lookahead.
+//! The event scheduler: an event-sharded, pool-parallel engine with
+//! adaptive per-shard lookahead. At one shard it is the serial reference.
 //!
-//! ## Why the two agree bit-for-bit
+//! ## One shard is the serial engine
+//!
+//! With one shard there is no other shard to hear from (`cyc = FAR`), so
+//! the horizon is `t + 1`: one round drains every event with `at ≤ t`
+//! from a single `EventQueue` in `(at, origin, seq)` order, on the
+//! calling thread. That is the reference the equivalence tests compare
+//! every other shard count against (`NetworkConfig::shards = Some(1)`);
+//! partitioning, horizons and outbox draining only run at N > 1 shards.
+//!
+//! ## Why every shard count agrees bit-for-bit
 //!
 //! Peers never share mutable state (see [`crate::engine`]), so a run is
 //! fully determined by the per-peer sequence of dispatched events, and
-//! event keys `(at, origin, seq)` are unique and totally ordered. The
-//! serial scheduler pops one global heap in key order; the sharded
-//! scheduler pops per-shard heaps in key order. Both therefore dispatch
-//! each peer's events in ascending key order — the only order that can
-//! influence state — so the final network state is identical.
+//! event keys `(at, origin, seq)` are unique and totally ordered. Each
+//! shard pops its own queue in key order, so every peer's events are
+//! dispatched in ascending key order at any shard count — the only order
+//! that can influence state — and the final network state is identical.
 //!
 //! ## The lookahead invariant (Chandy–Misra null-message bound)
 //!
@@ -328,102 +336,16 @@ impl EventQueue {
 /// plausible times.
 const FAR: SimTime = SimTime::MAX / 4;
 
-/// Which engine executes the event queue. Results are bit-identical across
-/// every variant (and every `WAKU_POOL_THREADS` value); the choice only
-/// affects wall-clock speed.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Pick automatically: serial for small networks, sharded for large
-    /// ones. `WAKU_SIM_SHARDS` (≥ 1; 1 = serial) overrides the heuristic.
-    Auto,
-    /// Single global event heap on the calling thread.
-    Serial,
-    /// Event-sharded quantum-stepped engine on `waku-pool`.
-    Sharded {
-        /// Number of peer shards (clamped to `1..=peers`).
-        shards: usize,
-    },
-}
-
-impl SchedulerKind {
-    /// Resolves to the concrete shard count a network of `peers` would run
-    /// with (1 ⇒ the serial scheduler).
-    pub fn resolve(self, peers: usize) -> usize {
-        let clamp = |s: usize| s.clamp(1, peers.max(1));
-        match self {
-            SchedulerKind::Serial => 1,
-            SchedulerKind::Sharded { shards } => clamp(shards),
-            SchedulerKind::Auto => {
-                if let Some(s) = std::env::var("WAKU_SIM_SHARDS")
-                    .ok()
-                    .and_then(|v| v.trim().parse::<usize>().ok())
-                {
-                    return clamp(s.max(1));
-                }
-                if peers < 512 {
-                    1
-                } else {
-                    // ~512 peers per shard, capped so tiny pools aren't
-                    // drowned in barrier overhead.
-                    clamp((peers / 512).clamp(2, 64))
-                }
-            }
-        }
-    }
-}
-
-/// Executes queued events against the peer slots up to a target time.
-pub(crate) trait Scheduler: Send {
-    /// Adds an externally injected event (initial heartbeats, `publish_at`).
-    fn enqueue(&mut self, ev: QueuedEvent);
-    /// Dispatches every event with `at ≤ t`; returns how many ran.
-    fn run_until(&mut self, slots: &mut [PeerSlot], config: &NetworkConfig, t: SimTime) -> u64;
-    /// Shard count (1 for the serial engine) — for diagnostics.
-    fn shards(&self) -> usize;
-    /// Fork-join barrier rounds executed so far (0 for the serial engine).
-    fn barriers(&self) -> u64 {
-        0
-    }
-}
-
-/// Reference implementation: one global min-heap, popped in key order.
-pub(crate) struct SerialScheduler {
-    queue: EventQueue,
-}
-
-impl SerialScheduler {
-    pub(crate) fn new() -> Self {
-        SerialScheduler {
-            queue: EventQueue::new(),
-        }
-    }
-}
-
-impl Scheduler for SerialScheduler {
-    fn enqueue(&mut self, ev: QueuedEvent) {
-        self.queue.push(ev);
-    }
-
-    fn run_until(&mut self, slots: &mut [PeerSlot], config: &NetworkConfig, t: SimTime) -> u64 {
-        let mut processed = 0u64;
-        let mut out = Vec::new();
-        while let Some(at) = self.queue.peek_at() {
-            if at > t {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked");
-            processed += 1;
-            slots[ev.target].dispatch(ev.target, ev.key.at, ev.event, config, &mut out);
-            for e in out.drain(..) {
-                self.queue.push(e);
-            }
-        }
-        processed
-    }
-
-    fn shards(&self) -> usize {
-        1
-    }
+/// The shard count a network of `peers` runs with: `requested` clamped to
+/// `1..=peers`, or — unset — 1 below 512 peers and ~512 peers per shard
+/// above, capped so tiny pools aren't drowned in barrier overhead.
+fn shard_count(requested: Option<usize>, peers: usize) -> usize {
+    let shards = match requested {
+        Some(shards) => shards,
+        None if peers < 512 => 1,
+        None => (peers / 512).clamp(2, 64),
+    };
+    shards.clamp(1, peers.max(1))
 }
 
 /// One shard's work for one round: drain the shard-local heap up to the
@@ -442,23 +364,28 @@ struct ShardRound<'a> {
 
 impl ShardRound<'_> {
     fn run(&mut self, config: &NetworkConfig) {
+        // Locals, not `self.` loads, inside the per-event loop.
+        let (queue, slots, outbox) = (&mut *self.queue, &mut *self.slots, &mut self.outbox);
+        let (base, horizon) = (self.base, self.horizon);
+        let owned = base..base + slots.len();
+        let mut processed = 0u64;
         let mut out = Vec::new();
-        while let Some(at) = self.queue.peek_at() {
-            if at >= self.horizon {
+        while let Some(at) = queue.peek_at() {
+            if at >= horizon {
                 break;
             }
-            let ev = self.queue.pop().expect("peeked");
-            self.processed += 1;
-            self.slots[ev.target - self.base]
-                .dispatch(ev.target, ev.key.at, ev.event, config, &mut out);
+            let ev = queue.pop().expect("peeked");
+            processed += 1;
+            slots[ev.target - base].dispatch(ev.target, ev.key.at, ev.event, config, &mut out);
             for e in out.drain(..) {
-                if e.target >= self.base && e.target < self.base + self.slots.len() {
-                    self.queue.push(e);
+                if owned.contains(&e.target) {
+                    queue.push(e);
                 } else {
-                    self.outbox.push(e);
+                    outbox.push(e);
                 }
             }
         }
+        self.processed = processed;
     }
 }
 
@@ -519,10 +446,11 @@ fn shard_latency_matrix(
 }
 
 /// Event-sharded engine: peers are partitioned into contiguous shards,
-/// each with its own event heap; every round runs as one fork-join on
-/// `waku-pool`, bounded per shard by the adaptive lookahead horizon (see
-/// module docs for the correctness argument).
-pub(crate) struct ShardedScheduler {
+/// each with its own event queue; every round runs as one fork-join on
+/// `waku-pool` (on the calling thread when one shard has work), bounded
+/// per shard by the adaptive lookahead horizon (see module docs for the
+/// correctness argument).
+pub(crate) struct Scheduler {
     queues: Vec<EventQueue>,
     /// Peers per shard (the last shard may be smaller).
     chunk: usize,
@@ -530,7 +458,7 @@ pub(crate) struct ShardedScheduler {
     dist: Vec<SimTime>,
     /// Minimum round-trip delay through another shard, per shard.
     cyc: Vec<SimTime>,
-    /// Fork-join rounds executed (the barriers-per-run metric).
+    /// Rounds executed (the barriers-per-run metric).
     barriers: u64,
     /// Scratch: earliest pending event per shard.
     heads: Vec<SimTime>,
@@ -538,21 +466,18 @@ pub(crate) struct ShardedScheduler {
     horizons: Vec<SimTime>,
 }
 
-impl ShardedScheduler {
-    /// `slots` must already have their neighbor lists assigned — the
-    /// adaptive horizons are derived from the cross-shard topology.
-    pub(crate) fn new(
-        peers: usize,
-        shards: usize,
-        config: &NetworkConfig,
-        slots: &[PeerSlot],
-    ) -> Self {
-        let shards = shards.clamp(1, peers.max(1));
+impl Scheduler {
+    /// Runs `shard_count(config.shards, slots.len())` shards. `slots`
+    /// must already have their neighbor lists assigned — the adaptive
+    /// horizons are derived from the cross-shard topology.
+    pub(crate) fn new(config: &NetworkConfig, slots: &[PeerSlot]) -> Self {
+        let peers = slots.len();
+        let shards = shard_count(config.shards, peers);
         let chunk = peers.div_ceil(shards).max(1);
         let num_queues = peers.div_ceil(chunk).max(1);
         let quantum = config.latency_min_ms.max(1);
         let (dist, cyc) = shard_latency_matrix(slots, chunk, num_queues, quantum);
-        ShardedScheduler {
+        Scheduler {
             queues: (0..num_queues).map(|_| EventQueue::new()).collect(),
             chunk,
             dist,
@@ -580,14 +505,19 @@ impl ShardedScheduler {
             self.horizons[i] = h.min(cap);
         }
     }
-}
 
-impl Scheduler for ShardedScheduler {
-    fn enqueue(&mut self, ev: QueuedEvent) {
+    /// Adds an externally injected event (initial heartbeats, `publish_at`).
+    pub(crate) fn enqueue(&mut self, ev: QueuedEvent) {
         self.queues[ev.target / self.chunk].push(ev);
     }
 
-    fn run_until(&mut self, slots: &mut [PeerSlot], config: &NetworkConfig, t: SimTime) -> u64 {
+    /// Dispatches every event with `at ≤ t`; returns how many ran.
+    pub(crate) fn run_until(
+        &mut self,
+        slots: &mut [PeerSlot],
+        config: &NetworkConfig,
+        t: SimTime,
+    ) -> u64 {
         let chunk = self.chunk;
         let mut processed = 0u64;
         loop {
@@ -618,7 +548,13 @@ impl Scheduler for ShardedScheduler {
                     processed: 0,
                 })
                 .collect();
-            waku_pool::par_for_each_mut(&mut rounds, |_, round| round.run(config));
+            if let [round] = rounds.as_mut_slice() {
+                // One shard with work — always so at one shard: no
+                // fork-join to pay for. Still a round, so still a barrier.
+                round.run(config);
+            } else {
+                waku_pool::par_for_each_mut(&mut rounds, |_, round| round.run(config));
+            }
             self.barriers += 1;
             let results: Vec<(u64, Vec<QueuedEvent>)> = rounds
                 .into_iter()
@@ -635,11 +571,13 @@ impl Scheduler for ShardedScheduler {
         processed
     }
 
-    fn shards(&self) -> usize {
+    /// Shard count (1 = the serial reference) — for diagnostics.
+    pub(crate) fn shards(&self) -> usize {
         self.queues.len()
     }
 
-    fn barriers(&self) -> u64 {
+    /// Rounds executed so far, one barrier each.
+    pub(crate) fn barriers(&self) -> u64 {
         self.barriers
     }
 }
@@ -722,12 +660,13 @@ mod tests {
 
     #[test]
     fn kind_resolution() {
-        assert_eq!(SchedulerKind::Serial.resolve(10_000), 1);
-        assert_eq!(SchedulerKind::Sharded { shards: 8 }.resolve(100), 8);
-        // Sharded never exceeds the peer count.
-        assert_eq!(SchedulerKind::Sharded { shards: 64 }.resolve(10), 10);
-        assert_eq!(SchedulerKind::Auto.resolve(100), 1);
-        assert!(SchedulerKind::Auto.resolve(10_000) >= 2);
+        assert_eq!(shard_count(Some(1), 10_000), 1);
+        assert_eq!(shard_count(Some(8), 100), 8);
+        // A requested count never exceeds the peer count, nor drops to 0.
+        assert_eq!(shard_count(Some(64), 10), 10);
+        assert_eq!(shard_count(Some(0), 10), 1);
+        assert_eq!(shard_count(None, 100), 1);
+        assert!(shard_count(None, 10_000) >= 2);
     }
 
     fn ring_slots(peers: usize) -> Vec<PeerSlot> {
@@ -740,12 +679,46 @@ mod tests {
             .collect()
     }
 
+    fn with_shards(shards: usize, latency_min_ms: u64) -> NetworkConfig {
+        NetworkConfig {
+            shards: Some(shards),
+            latency_min_ms,
+            ..NetworkConfig::default()
+        }
+    }
+
+    /// One shard is the serial engine: nothing to hear from elsewhere, so
+    /// the horizon is `t + 1` for any head `≤ t`, and one `run_until(t)`
+    /// is one round that leaves nothing with `at ≤ t` queued — including
+    /// events the round itself scheduled (a heartbeat re-armed at `t`).
+    /// With `event_queue_pops_in_key_order` this pins the serial semantics.
+    #[test]
+    fn one_shard_is_the_serial_engine() {
+        let peers = 6;
+        let mut slots = ring_slots(peers);
+        let config = with_shards(1, 20);
+        let mut s = Scheduler::new(&config, &slots);
+        assert_eq!(s.shards(), 1);
+        for head in [0, 17, 999, 1_000] {
+            s.heads = vec![head];
+            s.compute_horizons(1_000);
+            assert_eq!(s.horizons, vec![1_001], "head {head}");
+        }
+        // Heartbeats at 0, 300, …, 1 500; the one at 0 re-arms at 1 000.
+        for p in 0..peers {
+            s.enqueue(qe(p as SimTime * 300, p, 0, p));
+        }
+        let ran = s.run_until(&mut slots, &config, 1_000);
+        assert_eq!(s.barriers(), 1, "one round");
+        assert_eq!(ran, 5, "four staggered heartbeats + the re-armed one");
+        assert!(s.queues[0].peek_at().is_none_or(|at| at > 1_000));
+    }
+
     #[test]
     fn sharded_partition_covers_all_peers() {
-        let config = NetworkConfig::default();
         for (peers, shards) in [(10, 3), (100, 7), (4, 4), (512, 2)] {
             let slots = ring_slots(peers);
-            let s = ShardedScheduler::new(peers, shards, &config, &slots);
+            let s = Scheduler::new(&with_shards(shards, 20), &slots);
             // Every peer maps to a valid queue.
             for p in 0..peers {
                 assert!(
@@ -766,11 +739,7 @@ mod tests {
         // Break the ring into a line: 0 and 8 are no longer neighbors.
         slots[0].neighbors = vec![1];
         slots[8].neighbors = vec![7];
-        let config = NetworkConfig {
-            latency_min_ms: 20,
-            ..NetworkConfig::default()
-        };
-        let s = ShardedScheduler::new(peers, 3, &config, &slots);
+        let s = Scheduler::new(&with_shards(3, 20), &slots);
         let n = s.queues.len();
         assert_eq!(n, 3);
         assert_eq!(s.dist[1], 20, "adjacent shards: one hop"); // 0 → 1
@@ -782,11 +751,7 @@ mod tests {
     fn horizons_extend_past_the_latency_floor_when_quiet() {
         let peers = 9;
         let slots = ring_slots(peers);
-        let config = NetworkConfig {
-            latency_min_ms: 20,
-            ..NetworkConfig::default()
-        };
-        let mut s = ShardedScheduler::new(peers, 3, &config, &slots);
+        let mut s = Scheduler::new(&with_shards(3, 20), &slots);
         // Shard 0 busy at t=100; shards 1 and 2 idle until t=1000.
         s.heads = vec![100, 1_000, 1_000];
         s.compute_horizons(5_000);

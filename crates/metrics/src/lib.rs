@@ -20,7 +20,7 @@
 //!    commutative, associative operations only (sum for counters and
 //!    histogram buckets, sum-or-max for gauges per [`GaugeFold`]), so the
 //!    merged result cannot depend on shard interleaving — the property
-//!    that keeps seeded simulation runs bit-identical across schedulers.
+//!    that keeps seeded simulation runs bit-identical across shard counts.
 //!
 //! Histograms use a fixed power-of-two bucket grid (see
 //! [`bucket_index`]): bucket `i` covers values `(2^(i-1), 2^i]`, which

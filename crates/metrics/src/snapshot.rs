@@ -140,7 +140,7 @@ impl Snapshot {
 
     /// Keeps only the metrics whose descriptor satisfies the predicate —
     /// the equivalence tests use this to drop execution-strategy metrics
-    /// (barrier counts) before comparing snapshots across schedulers.
+    /// (barrier counts) before comparing snapshots across shard counts.
     pub fn retain(&mut self, keep: impl FnMut(&Desc) -> bool) {
         let mut keep = keep;
         self.entries.retain(|e| keep(&e.desc));

@@ -12,7 +12,8 @@ use crate::error::ServiceError;
 
 /// Everything the long-running relayer service needs to open: where its
 /// state lives, how its node validates, how its store persists, and how
-/// often it heartbeats and checkpoints.
+/// often it checkpoints. How often it heartbeats is the caller's loop:
+/// [`RelayerService::step`](crate::RelayerService::step) takes the time.
 ///
 /// Construct via [`ServiceConfig::builder`].
 #[non_exhaustive]
@@ -26,8 +27,6 @@ pub struct ServiceConfig {
     pub node: NodeConfig,
     /// The segment-log shape for the durable message store.
     pub segment: SegmentConfig,
-    /// Seconds between heartbeats (window slide + queue deadline check).
-    pub heartbeat_secs: u64,
     /// Seconds between durable checkpoints (store flush + nullifier
     /// snapshot + publish guard). Bounds how much rate-limit memory a
     /// crash can lose.
@@ -45,7 +44,6 @@ impl ServiceConfig {
             data_dir: data_dir.into(),
             node: NodeConfig::default(),
             segment: SegmentConfig::default(),
-            heartbeat: Duration::from_secs(1),
             checkpoint: Duration::from_secs(30),
             content_topic: "/waku-node/1/relayed/proto".to_string(),
             seed: 1,
@@ -59,7 +57,6 @@ pub struct ServiceConfigBuilder {
     data_dir: PathBuf,
     node: NodeConfig,
     segment: SegmentConfig,
-    heartbeat: Duration,
     checkpoint: Duration,
     content_topic: String,
     seed: u64,
@@ -75,12 +72,6 @@ impl ServiceConfigBuilder {
     /// Sets the segment-log shape for the message store.
     pub fn segment(mut self, segment: SegmentConfig) -> Self {
         self.segment = segment;
-        self
-    }
-
-    /// Sets the heartbeat interval (whole seconds, ≥ 1).
-    pub fn heartbeat(mut self, interval: Duration) -> Self {
-        self.heartbeat = interval;
         self
     }
 
@@ -106,8 +97,9 @@ impl ServiceConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::InvalidConfig`] when `data_dir` is empty, an
-    /// interval is zero or sub-second, or the content topic is empty.
+    /// [`ServiceError::InvalidConfig`] when `data_dir` is empty, the
+    /// checkpoint interval is zero or sub-second, or the content topic is
+    /// empty.
     pub fn build(self) -> Result<ServiceConfig, ServiceError> {
         if self.data_dir.as_os_str().is_empty() {
             return Err(ServiceError::InvalidConfig {
@@ -115,17 +107,13 @@ impl ServiceConfigBuilder {
                 reason: "must not be empty",
             });
         }
-        let whole_secs = |d: Duration, field: &'static str| -> Result<u64, ServiceError> {
-            if d.as_secs() == 0 || d.subsec_nanos() != 0 {
-                return Err(ServiceError::InvalidConfig {
-                    field,
-                    reason: "must be a whole number of seconds ≥ 1",
-                });
-            }
-            Ok(d.as_secs())
-        };
-        let heartbeat_secs = whole_secs(self.heartbeat, "heartbeat")?;
-        let checkpoint_secs = whole_secs(self.checkpoint, "checkpoint")?;
+        if self.checkpoint.as_secs() == 0 || self.checkpoint.subsec_nanos() != 0 {
+            return Err(ServiceError::InvalidConfig {
+                field: "checkpoint",
+                reason: "must be a whole number of seconds ≥ 1",
+            });
+        }
+        let checkpoint_secs = self.checkpoint.as_secs();
         if self.content_topic.is_empty() {
             return Err(ServiceError::InvalidConfig {
                 field: "content_topic",
@@ -136,7 +124,6 @@ impl ServiceConfigBuilder {
             data_dir: self.data_dir,
             node: self.node,
             segment: self.segment,
-            heartbeat_secs,
             checkpoint_secs,
             content_topic: self.content_topic,
             seed: self.seed,
@@ -158,14 +145,6 @@ mod tests {
         assert_eq!(
             field(
                 ServiceConfig::builder("/tmp/x")
-                    .heartbeat(Duration::from_millis(500))
-                    .build()
-            ),
-            "heartbeat"
-        );
-        assert_eq!(
-            field(
-                ServiceConfig::builder("/tmp/x")
                     .checkpoint(Duration::ZERO)
                     .build()
             ),
@@ -176,7 +155,6 @@ mod tests {
             "content_topic"
         );
         let ok = ServiceConfig::builder("/tmp/x").build().unwrap();
-        assert_eq!(ok.heartbeat_secs, 1);
         assert_eq!(ok.checkpoint_secs, 30);
     }
 }

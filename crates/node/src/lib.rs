@@ -7,7 +7,7 @@
 //! Prometheus exposition endpoint.
 //!
 //! * [`ServiceConfig`] — builder-validated configuration (where state
-//!   lives, heartbeat/checkpoint cadence, the node's own
+//!   lives, checkpoint cadence, the node's own
 //!   [`NodeConfig`](waku_rln_relay::NodeConfig)).
 //! * [`RelayerService`] — the service itself: `open` recovers every
 //!   piece of durable state (key cache, message segments, nullifier

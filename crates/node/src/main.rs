@@ -117,7 +117,10 @@ fn parse_cli() -> Result<Cli, String> {
             "--max-gap" => cli.max_gap = num(&value("--max-gap")?, "--max-gap")?,
             "--batch" => cli.batch = num(&value("--batch")?, "--batch")? as usize,
             "--heartbeat-secs" => {
-                cli.heartbeat_secs = num(&value("--heartbeat-secs")?, "--heartbeat-secs")?
+                cli.heartbeat_secs = num(&value("--heartbeat-secs")?, "--heartbeat-secs")?;
+                if cli.heartbeat_secs == 0 {
+                    return Err("--heartbeat-secs must be at least 1".to_string());
+                }
             }
             "--checkpoint-secs" => {
                 cli.checkpoint_secs = num(&value("--checkpoint-secs")?, "--checkpoint-secs")?
@@ -175,7 +178,6 @@ fn run(cli: Cli) -> Result<(), ServiceError> {
     }
     let config = ServiceConfig::builder(&cli.data_dir)
         .node(node.build()?)
-        .heartbeat(Duration::from_secs(cli.heartbeat_secs))
         .checkpoint(Duration::from_secs(cli.checkpoint_secs))
         .seed(cli.seed)
         .build()?;
@@ -219,7 +221,7 @@ fn run(cli: Cli) -> Result<(), ServiceError> {
 
         if now >= next_heartbeat {
             service.step(now)?;
-            next_heartbeat = now + cli.heartbeat_secs.max(1);
+            next_heartbeat = now + cli.heartbeat_secs;
 
             if cli.publish_interval_secs > 0
                 && last_publish.is_none_or(|t| now - t >= cli.publish_interval_secs)

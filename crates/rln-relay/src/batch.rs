@@ -342,17 +342,10 @@ impl BatchingValidator {
     }
 
     /// Mutable access to the wrapped validator — the node's sequential
-    /// entry points (`handle_incoming`, `tick`) and restore hooks go
+    /// entry point (`handle_incoming`) and its nullifier restore go
     /// through here, bypassing the queue on purpose.
     pub(crate) fn inner_mut(&mut self) -> &mut MessageValidator {
         &mut self.inner
-    }
-
-    /// Consumes the front end, returning the wrapped validator. Queued
-    /// bundles are discarded undecided; call
-    /// [`BatchingValidator::flush`] first if they matter.
-    pub fn into_inner(self) -> MessageValidator {
-        self.inner
     }
 }
 

@@ -444,14 +444,6 @@ impl WakuRlnRelayNode {
         outcome
     }
 
-    /// Validates without side effects on the chain (for pure routing
-    /// decisions in network simulations).
-    pub fn validate_only(&mut self, bundle: &RlnMessageBundle, now_secs: u64) -> Outcome {
-        self.ingest
-            .inner_mut()
-            .validate(bundle, &self.group, now_secs)
-    }
-
     /// Queue-based ingest for the long-running service path: runs the
     /// cheap prechecks now, defers the proof to the next micro-batch
     /// flush (per [`NodeConfig::batch`]), and reacts to every decision
@@ -468,10 +460,11 @@ impl WakuRlnRelayNode {
         decisions
     }
 
-    /// Service heartbeat: slides the epoch window like
-    /// [`WakuRlnRelayNode::tick`] *and* flushes the ingest queue if the
-    /// oldest queued bundle's deadline has passed, reacting to whatever
-    /// completed.
+    /// Service heartbeat: slides the validator's epoch window to the
+    /// local clock — so nullifier state for expired epochs is released
+    /// even when the node receives no traffic — *and* flushes the ingest
+    /// queue if the oldest queued bundle's deadline has passed, reacting
+    /// to whatever completed.
     pub fn heartbeat(&mut self, now_secs: u64, chain: &mut Chain) -> Vec<BatchDecision> {
         let decisions = self.ingest.tick(now_secs);
         self.react(&decisions, chain);
@@ -498,14 +491,6 @@ impl WakuRlnRelayNode {
                 self.slasher.start(evidence.recovered_secret, chain);
             }
         }
-    }
-
-    /// Advances the validator's epoch window to the local clock without
-    /// processing a message — call periodically (e.g. from a heartbeat)
-    /// so nullifier state for expired epochs is released even when the
-    /// node receives no traffic.
-    pub fn tick(&mut self, now_secs: u64) {
-        self.ingest.inner_mut().tick(now_secs);
     }
 
     /// Shares currently resident in the validator's windowed nullifier

@@ -24,9 +24,9 @@ use waku_rln_relay::{Claims, GroupManager, MessageValidator, Outcome};
 /// Sharded spam-detection log: one slot of unique recovered secrets per
 /// peer (the finest shard granularity), merged deterministically — union
 /// in ascending peer order — when the report is built. Each slot's mutex
-/// is only ever taken by the peer that owns it, so the sharded scheduler
-/// runs detection without contention, and a set union is order-insensitive
-/// by construction, which keeps reports bit-identical across schedulers.
+/// is only ever taken by the peer that owns it, so the scheduler's shards
+/// run detection without contention, and a set union is order-insensitive
+/// by construction, which keeps reports bit-identical across shard counts.
 pub struct DetectionLog {
     per_peer: Vec<Mutex<BTreeSet<[u8; 32]>>>,
 }

@@ -10,8 +10,8 @@
 //! heal / final peer rejoin) delivery re-converges to near fault-free.
 //! Every gate in this module reads the `waku-metrics` snapshot of the
 //! run — the same counters the Prometheus exposition carries — and every
-//! run is seeded: a fault scenario is bit-identical across the serial
-//! and sharded schedulers (asserted in `tests/sim_equivalence.rs`).
+//! run is seeded: a fault scenario is bit-identical at every shard count
+//! (asserted in `tests/sim_equivalence.rs`).
 //!
 //! The skew gate's counter is `rln_validation_epoch_dropped_total`:
 //! routers run the production validator, whose epoch is monotone, so

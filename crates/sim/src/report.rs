@@ -3,7 +3,7 @@
 /// Outcome of one network scenario run.
 ///
 /// Derives `PartialEq`: a seeded scenario must produce a **bit-identical**
-/// report under the serial and sharded schedulers at any pool size — the
+/// report at any shard count and any pool size — the
 /// equivalence tests compare whole reports with `==`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScenarioReport {

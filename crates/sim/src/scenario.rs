@@ -133,17 +133,17 @@ const GROUP_DEPTH: usize = 20;
 
 /// Execution-engine cost counters for one scenario run. Deliberately
 /// separate from [`ScenarioReport`]: the scheduler counters depend on
-/// the execution strategy (serial runs have 0 barriers), while reports
-/// are bit-identical across strategies — folding them together would
-/// break the equivalence tests' whole-report `==`. The nullifier gauges
-/// *are* strategy-independent, but they are resource instrumentation,
-/// not protocol results, so they live here with the other cost metrics.
+/// the shard count, while reports are bit-identical at every shard
+/// count — folding them together would break the equivalence tests'
+/// whole-report `==`. The nullifier gauges *are* shard-count-independent,
+/// but they are resource instrumentation, not protocol results, so they
+/// live here with the other cost metrics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
-    /// Peer shards the engine resolved to (1 = serial scheduler).
+    /// Peer shards the engine resolved to (1 = the serial reference).
     pub shards: usize,
-    /// Fork-join barrier rounds executed (the cost the adaptive lookahead
-    /// minimizes; 0 = serial scheduler).
+    /// Scheduler rounds executed, one barrier each (the cost the adaptive
+    /// lookahead minimizes; at one shard, one per `run_until` with work).
     pub barriers: u64,
     /// Shares resident across every validator's nullifier store when the
     /// run ended (RLN defense only; 0 otherwise).
@@ -173,9 +173,9 @@ pub fn run_scenario_instrumented(config: &ScenarioConfig) -> (ScenarioReport, En
 /// RLN validators' registries (the `rln_*` series), the gossip engine's
 /// per-peer recorders (event counters, dwell histogram), and the
 /// network-level delivery counters, merged order-insensitively. Metrics
-/// that depend on the execution strategy carry the `engine_` name prefix;
-/// everything else is bit-identical across schedulers (the equivalence
-/// tests assert exactly that).
+/// that depend on the shard count carry the `engine_` name prefix;
+/// everything else is bit-identical at every shard count (the
+/// equivalence tests assert exactly that).
 pub fn run_scenario_with_metrics(
     config: &ScenarioConfig,
 ) -> (ScenarioReport, EngineStats, Snapshot) {

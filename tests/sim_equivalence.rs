@@ -1,15 +1,18 @@
 //! Scheduler equivalence for the §IV evaluation harness: a seeded
 //! scenario must produce a **bit-identical** `ScenarioReport` no matter
-//! how it is executed — serial scheduler or event-sharded scheduler, any
-//! shard count, any pool size (`WAKU_POOL_THREADS ∈ {1, 2, 8}` via
-//! `with_threads`). This is the sim-layer extension of `tests/parallel_equivalence.rs` (which pins the
-//! same property for the proving pipeline).
+//! how it is executed — any shard count, any pool size
+//! (`WAKU_POOL_THREADS ∈ {1, 2, 8}` via `with_threads`). The reference is
+//! one shard (`shards: Some(1)`): one event queue drained in key order on
+//! the calling thread, i.e. the serial engine; partitioning, horizons and
+//! outbox draining only run at more shards, and those are what it checks.
+//! This is the sim-layer extension of `tests/parallel_equivalence.rs`
+//! (which pins the same property for the proving pipeline).
 //!
 //! The reports compare with `==` across every field, including f64 ratios
 //! and latency percentiles — not "statistically close", identical.
 
 use waku_suite::gossip::{
-    CrashSpec, FaultPlan, LinkFaults, NetworkConfig, PartitionSpec, SchedulerKind, SkewSpec,
+    CrashSpec, FaultPlan, LinkFaults, NetworkConfig, PartitionSpec, SkewSpec,
 };
 use waku_suite::metrics::Snapshot;
 use waku_suite::pool::with_threads;
@@ -18,7 +21,13 @@ use waku_suite::sim::{
     ScenarioReport,
 };
 
-fn config_at(peers: usize, defense: Defense, scheduler: SchedulerKind) -> ScenarioConfig {
+/// `shards: None` is the default rule (1 shard below 512 peers).
+fn config_at(peers: usize, defense: Defense, shards: Option<usize>) -> ScenarioConfig {
+    let mut net = NetworkConfig::builder()
+        .degree(8)
+        .build()
+        .expect("valid net config");
+    net.shards = shards;
     ScenarioConfig {
         peers,
         spammers: 3,
@@ -27,22 +36,18 @@ fn config_at(peers: usize, defense: Defense, scheduler: SchedulerKind) -> Scenar
         spam_interval_ms: 400,
         honest_publishers: Some(60),
         defense,
-        net: NetworkConfig::builder()
-            .degree(8)
-            .scheduler(scheduler)
-            .build()
-            .expect("valid net config"),
+        net,
         seed: 31,
         ..ScenarioConfig::default()
     }
 }
 
-fn config(defense: Defense, scheduler: SchedulerKind) -> ScenarioConfig {
-    config_at(200, defense, scheduler)
+fn config(defense: Defense, shards: Option<usize>) -> ScenarioConfig {
+    config_at(200, defense, shards)
 }
 
-fn report(defense: Defense, scheduler: SchedulerKind, threads: usize) -> ScenarioReport {
-    with_threads(threads, || run_scenario(&config(defense, scheduler)))
+fn report(defense: Defense, shards: Option<usize>, threads: usize) -> ScenarioReport {
+    with_threads(threads, || run_scenario(&config(defense, shards)))
 }
 
 const RLN: Defense = Defense::RlnRelay {
@@ -50,12 +55,11 @@ const RLN: Defense = Defense::RlnRelay {
     thr: 1,
 };
 
-/// The acceptance criterion: seeded E6 reports are identical across the
-/// serial scheduler and the sharded scheduler at every tested pool size
-/// and shard count.
+/// The acceptance criterion: seeded E6 reports are identical to the
+/// one-shard (serial) reference at every tested pool size and shard count.
 #[test]
 fn rln_reports_identical_across_schedulers_shards_and_pool_sizes() {
-    let reference = report(RLN, SchedulerKind::Serial, 1);
+    let reference = report(RLN, Some(1), 1);
     // Sanity: the reference run actually exercises the defense.
     assert!(reference.spam_sent > 0 && reference.honest_sent > 0);
     assert_eq!(reference.spammers_detected, 3, "all spammer keys recovered");
@@ -65,16 +69,16 @@ fn rln_reports_identical_across_schedulers_shards_and_pool_sizes() {
     );
 
     for threads in [1usize, 2, 8] {
-        // The serial scheduler must not care about the pool at all.
+        // One shard must not care about the pool at all.
         assert_eq!(
             reference,
-            report(RLN, SchedulerKind::Serial, threads),
+            report(RLN, Some(1), threads),
             "serial @ {threads} threads"
         );
         for shards in [2usize, 8, 25] {
             assert_eq!(
                 reference,
-                report(RLN, SchedulerKind::Sharded { shards }, threads),
+                report(RLN, Some(shards), threads),
                 "sharded {shards} shards @ {threads} threads"
             );
         }
@@ -87,25 +91,29 @@ fn rln_reports_identical_across_schedulers_shards_and_pool_sizes() {
 /// computation shows up as a count, while the report stays `==` serial.
 #[test]
 fn adaptive_lookahead_cuts_barriers_without_changing_results() {
-    let (sharded, engine) = with_threads(2, || {
-        run_scenario_instrumented(&config(RLN, SchedulerKind::Sharded { shards: 8 }))
-    });
-    assert_eq!(sharded, report(RLN, SchedulerKind::Serial, 1));
+    let (sharded, engine) = with_threads(2, || run_scenario_instrumented(&config(RLN, Some(8))));
+    assert_eq!(sharded, report(RLN, Some(1), 1));
     assert_eq!(engine.shards, 8);
     assert!(engine.barriers <= 1074, "{} barriers", engine.barriers);
 }
 
-/// The Auto heuristic is also equivalent — the knob the examples and
-/// benches actually use. 600 peers so Auto genuinely resolves to the
-/// sharded engine (it stays serial below 512); asserted, not assumed.
+/// The default shard rule (`shards: None`) is also equivalent — the
+/// setting the examples and benches actually use. 600 peers so it
+/// genuinely resolves to several shards (it stays at one below 512);
+/// asserted on the run itself, not assumed.
 #[test]
 fn auto_scheduler_matches_serial() {
+    let run = |shards| {
+        with_threads(2, || {
+            run_scenario_instrumented(&config_at(600, RLN, shards))
+        })
+    };
+    let (auto, engine) = run(None);
     assert!(
-        SchedulerKind::Auto.resolve(600) > 1,
-        "test must exercise the Auto → sharded path"
+        engine.shards > 1,
+        "test must exercise the default → sharded path"
     );
-    let run = |scheduler| with_threads(2, || run_scenario(&config_at(600, RLN, scheduler)));
-    assert_eq!(run(SchedulerKind::Serial), run(SchedulerKind::Auto));
+    assert_eq!(run(Some(1)).0, auto);
 }
 
 /// PoW uses publish-time delays instead of validator state; scoring-only
@@ -118,17 +126,17 @@ fn other_defenses_shard_identically() {
         spammer_hashrate: 50_000.0,
     };
     for defense in [Defense::None, Defense::ScoringOnly, pow] {
-        let serial = report(defense, SchedulerKind::Serial, 1);
-        let sharded = report(defense, SchedulerKind::Sharded { shards: 8 }, 4);
+        let serial = report(defense, Some(1), 1);
+        let sharded = report(defense, Some(8), 4);
         assert_eq!(serial, sharded, "defense {:?}", serial.defense);
     }
 }
 
 /// The metrics snapshot shares the report's bit-identity: after dropping
-/// the scheduler-dependent counters (the `engine_` name prefix — shards
-/// and barriers genuinely differ between execution strategies), the
-/// merged snapshot of a seeded run is identical across the serial and
-/// sharded schedulers at every shard count and pool size. This is the
+/// the shard-count-dependent counters (the `engine_` name prefix — shards
+/// and barriers genuinely differ between shard counts), the merged
+/// snapshot of a seeded run is identical to the one-shard reference at
+/// every shard count and pool size. This is the
 /// order-insensitive-merge guarantee of the fork-join shard recorders,
 /// asserted end-to-end rather than on the recorder alone.
 #[test]
@@ -137,13 +145,10 @@ fn metrics_snapshots_identical_across_schedulers() {
         snap.retain(|desc| !desc.name.starts_with("engine_"));
         snap
     };
-    let run = |scheduler, threads| {
-        with_threads(threads, || {
-            run_scenario_with_metrics(&config(RLN, scheduler))
-        })
-    };
+    let run =
+        |shards, threads| with_threads(threads, || run_scenario_with_metrics(&config(RLN, shards)));
 
-    let (reference_report, _, snap) = run(SchedulerKind::Serial, 1);
+    let (reference_report, _, snap) = run(Some(1), 1);
     let reference = strip_engine(snap);
     // The snapshot is live and agrees with the report on the shared
     // counters (no double bookkeeping drifting apart).
@@ -171,7 +176,7 @@ fn metrics_snapshots_identical_across_schedulers() {
 
     for threads in [2usize, 8] {
         for shards in [2usize, 25] {
-            let (report, _, snap) = run(SchedulerKind::Sharded { shards }, threads);
+            let (report, _, snap) = run(Some(shards), threads);
             assert_eq!(report, reference_report);
             assert_eq!(
                 strip_engine(snap),
@@ -183,20 +188,20 @@ fn metrics_snapshots_identical_across_schedulers() {
 }
 
 /// The fault plane's determinism invariant, end-to-end: faults are drawn
-/// from event-keyed hash streams (not scheduler order), so a seeded run
+/// from event-keyed hash streams (not dispatch order), so a seeded run
 /// under a non-trivial `FaultPlan` — lossy/duplicating/reordering links,
 /// a mid-run partition that heals, one peer that crashes and rejoins
 /// cold, one that never comes back, and clock skew in both directions —
-/// produces a bit-identical `ScenarioReport` AND metrics snapshot across
-/// the serial and sharded schedulers at every tested shard count and
-/// pool size. The fault counters themselves ride in the per-peer engine
+/// produces a bit-identical `ScenarioReport` AND metrics snapshot at
+/// every tested shard count and pool size, one shard the reference. The
+/// fault counters themselves ride in the per-peer engine
 /// catalogue (stripped below as `engine_`-prefixed), so they are
 /// asserted equal explicitly: the *number of faults injected* must not
 /// depend on how the simulation was scheduled either.
 #[test]
 fn fault_plan_runs_identical_across_schedulers() {
-    let faulted = |scheduler| {
-        let mut c = config(RLN, scheduler);
+    let faulted = |shards| {
+        let mut c = config(RLN, shards);
         c.net.faults = FaultPlan {
             seed: 0xF417,
             link: LinkFaults {
@@ -242,11 +247,11 @@ fn fault_plan_runs_identical_across_schedulers() {
         snap.retain(|desc| !desc.name.starts_with("engine_"));
         snap
     };
-    let run = |scheduler, threads: usize| {
-        with_threads(threads, || run_scenario_with_metrics(&faulted(scheduler)))
+    let run = |shards, threads: usize| {
+        with_threads(threads, || run_scenario_with_metrics(&faulted(shards)))
     };
 
-    let (reference_report, _, reference_snap) = run(SchedulerKind::Serial, 1);
+    let (reference_report, _, reference_snap) = run(Some(1), 1);
     // Sanity: every fault class actually fired in the reference run.
     let reference_dropped = reference_snap.scalar("engine_msgs_dropped_fault");
     assert!(reference_dropped > 0, "link faults never bit");
@@ -264,7 +269,7 @@ fn fault_plan_runs_identical_across_schedulers() {
     let reference = strip_engine(reference_snap);
 
     for threads in [1usize, 2, 8] {
-        let (serial_report, _, serial_snap) = run(SchedulerKind::Serial, threads);
+        let (serial_report, _, serial_snap) = run(Some(1), threads);
         assert_eq!(
             reference_report, serial_report,
             "serial @ {threads} threads"
@@ -277,7 +282,7 @@ fn fault_plan_runs_identical_across_schedulers() {
         assert_eq!(serial_snap.scalar("partition_heals"), 1);
         assert_eq!(reference, strip_engine(serial_snap));
         for shards in [2usize, 8, 25] {
-            let (report, _, snap) = run(SchedulerKind::Sharded { shards }, threads);
+            let (report, _, snap) = run(Some(shards), threads);
             assert_eq!(
                 reference_report, report,
                 "sharded {shards} shards @ {threads} threads"
@@ -305,7 +310,7 @@ fn fault_plan_runs_identical_across_schedulers() {
 /// property, but the one users hit first when a seed "doesn't work").
 #[test]
 fn sharded_runs_are_self_reproducible() {
-    let a = report(RLN, SchedulerKind::Sharded { shards: 8 }, 4);
-    let b = report(RLN, SchedulerKind::Sharded { shards: 8 }, 4);
+    let a = report(RLN, Some(8), 4);
+    let b = report(RLN, Some(8), 4);
     assert_eq!(a, b);
 }
