@@ -9,16 +9,22 @@
 use crate::traits::Field;
 
 /// Inverts every element of `values` in place; zero entries are left as
-/// zero (they do not poison the batch).
+/// zero (they do not poison the batch). A slice with no nonzero entry —
+/// an empty one included — costs no inversion.
 pub fn batch_inverse_in_place<F: Field>(values: &mut [F]) {
     // Forward pass: prods[i] = product of all nonzero values before i.
     let mut prods = Vec::with_capacity(values.len());
     let mut acc = F::one();
+    let mut any_nonzero = false;
     for v in values.iter() {
         prods.push(acc);
         if !v.is_zero() {
             acc *= *v;
+            any_nonzero = true;
         }
+    }
+    if !any_nonzero {
+        return;
     }
     let mut inv = acc.inverse().expect("product of nonzero elements");
     // Backward pass: peel one factor per element.

@@ -460,9 +460,12 @@ impl<P: FpParams> Field for Fp<P> {
         Fp(Self::mont_sqr(&self.0), PhantomData)
     }
 
-    /// Binary extended Euclid on the Montgomery limbs — about four times
-    /// faster than the Fermat ladder `a^(p−2)` it replaced (kept as the
-    /// test oracle), and the same canonical result.
+    /// Binary extended Euclid on the Montgomery limbs — about twice as
+    /// fast as the Fermat ladder `a^(p−2)` it replaced (kept as the test
+    /// oracle), and the same canonical result. On random Fq inputs (2-vCPU
+    /// VM) it takes ≈ 6.3 µs against ≈ 12 µs. Timing one repeated input
+    /// reads ≈ 2.6 µs instead: its branches are data-dependent, and a
+    /// repeated input trains the branch predictor.
     ///
     /// With `a = ā·R` the stored limbs, the loop keeps `x1 ≡ u·R²/a` and
     /// `x2 ≡ v·R²/a (mod p)` while it reduces `(u, v)` from `(a, p)` to

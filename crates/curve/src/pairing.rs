@@ -17,16 +17,33 @@
 //! of the optimal ate formula become the GLS endomorphism `ψ` in twist
 //! coordinates (see [`crate::endo`]): `Q₁ = ψ(Q)`, `Q₂ = −ψ²(Q)`.
 //!
-//! Two batching levers sit on top:
+//! Three levers sit on top:
 //!
 //! * [`G2Prepared`] — for a *fixed* G2 point the sequence of line
 //!   coefficients `(λ', λ'·x' − y')` depends only on the point, so a
-//!   verifier precomputes them once and each pairing replays ~90 stored
+//!   verifier precomputes them once and each pairing replays 102 stored
 //!   coefficients with no G2 arithmetic and no inversions at all.
 //! * [`miller_loop_mixed`] — runs any number of dynamic and prepared pairs
 //!   under one shared `f`-squaring chain, and amortizes the dynamic pairs'
 //!   slope denominators with one Fp2 batch inversion per step. This is the
 //!   engine under batch Groth16 verification.
+//! * **Projective steps for small chunks.** One batch inversion per step
+//!   costs as much for one pair as for 32, so a chunk with a handful of
+//!   dynamic pairs (a single proof's `(−A, B)`) steps its accumulators in
+//!   homogeneous coordinates instead (Costello–Lange–Naehrig, `a = 0`,
+//!   D-twist) and pays no inversion per step. Each such line is the affine
+//!   line times an Fp2 scale — `−2YZ` for a tangent, `λ = X − qx·Z` for a
+//!   chord, `Z` for a vertical, 1 for the neutral factor — so the chunk's
+//!   `f` is the affine chunk's times `S`, the product of the scales under
+//!   the same squaring chain (`S ← S²` wherever `f ← f²`, then `S ← S·s`
+//!   per line). The chunk tracks `S` and returns `f·S⁻¹`: one inversion,
+//!   and **the same `Fp12` element** the affine chunk returns, off the
+//!   subgroup too, since the exceptional cases follow the group law the
+//!   way the affine steps do. The tangent's `w³` coefficient uses the curve
+//!   equation, so the chunk takes this path only when every dynamic `Q` is
+//!   on the twist — which every `waku-snark` entry point has checked before
+//!   the loop — and runs affine steps otherwise, as it does when it
+//!   records lines.
 //!
 //! # Pooling
 //!
@@ -77,7 +94,8 @@
 //!
 //! so `[r]Q = O`: the comparison `T == −ψ³(Q)` *is* the membership test,
 //! for one `ψ` application (two Fp2 products) per pair and no scalar
-//! multiplication. The same resultant computation returns `r` for the two
+//! multiplication (projective `T = (X:Y:Z)`: `Z ≠ 0`, `X = x·Z`,
+//! `Y = y·Z`). The same resultant computation returns `r` for the two
 //! published BN tests, `ψ(Q) = [6x²]Q` and
 //! `[x+1]Q + ψ([x]Q) + ψ²([x]Q) = ψ³([2x]Q)`; the tests compute all three
 //! gcds. On a mismatch [`miller_loop_mixed`] returns `Fp12::zero()`, which
@@ -115,8 +133,8 @@ use crate::endo::psi;
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
 use crate::g1::G1Affine;
-use crate::g2::G2Affine;
-use crate::point::BatchInvert;
+use crate::g2::{G2Affine, G2Params};
+use crate::point::{BatchInvert, CurveParams};
 
 /// The BN curve parameter `x`.
 pub const BN_X: u64 = 4965661367192848881;
@@ -126,6 +144,36 @@ pub const ATE_LOOP_COUNT: u128 = 6 * (BN_X as u128) + 2;
 /// top one, a chord per set bit below it, and the two corrections (102).
 const LINES_PER_POINT: usize =
     (127 - ATE_LOOP_COUNT.leading_zeros() + ATE_LOOP_COUNT.count_ones() - 1 + 2) as usize;
+
+/// One step of the loop's schedule: a tangent, or a chord through
+/// `addends(Q)[i]`.
+#[derive(Copy, Clone)]
+enum Phase {
+    Tangent,
+    Chord(usize),
+}
+
+/// The optimal-ate schedule, MSB of `6x+2` (skipped) downward: a tangent
+/// per bit, each after `f` is squared, a chord through `Q` per set bit,
+/// then the two Frobenius corrections.
+fn schedule() -> impl Iterator<Item = Phase> {
+    let loop_bits = 128 - ATE_LOOP_COUNT.leading_zeros();
+    (0..loop_bits - 1)
+        .rev()
+        .flat_map(|i| {
+            let chord = (ATE_LOOP_COUNT >> i) & 1 == 1;
+            std::iter::once(Phase::Tangent).chain(chord.then_some(Phase::Chord(0)))
+        })
+        .chain([Phase::Chord(1), Phase::Chord(2)])
+}
+
+/// The chord addends `[Q, Q₁, Q₂] = [Q, ψ(Q), −ψ²(Q)]` in twist
+/// coordinates.
+fn addends(q: &G2Affine) -> [G2Affine; 3] {
+    let q1 = psi(q);
+    let q2 = psi(&q1).neg();
+    [*q, q1, q2]
+}
 
 /// One recorded (or freshly computed) Miller-loop line, in twist
 /// coordinates relative to the pre-step accumulator.
@@ -230,6 +278,152 @@ fn mul_by_line_at(f: &Fp12, coeff: &LineCoeff, px: Fq, py: Fq) -> Fp12 {
     }
 }
 
+/// A twist point in homogeneous projective coordinates: `(x, y) = (X/Z,
+/// Y/Z)`, and `Z = 0` is the point at infinity.
+#[derive(Copy, Clone, Debug)]
+struct Homogeneous {
+    x: Fp2,
+    y: Fp2,
+    z: Fp2,
+}
+
+/// The line of a [`Homogeneous`] step: the [`LineCoeff`] the affine step
+/// returns, times a nonzero scale `s` — the coefficient the affine line
+/// has as 1.
+#[derive(Copy, Clone, Debug)]
+enum ScaledLine {
+    /// `s·py + a·px·w + b·w³`, a tangent or chord.
+    Line { s: Fp2, a: Fp2, b: Fp2 },
+    /// `s·px − x·v`, the vertical line.
+    Vertical { s: Fp2, x: Fp2 },
+    /// The neutral factor, scale 1.
+    One,
+}
+
+impl ScaledLine {
+    /// The factor between this line and the affine one.
+    fn scale(&self) -> Fp2 {
+        match self {
+            ScaledLine::Line { s, .. } | ScaledLine::Vertical { s, .. } => *s,
+            ScaledLine::One => Fp2::one(),
+        }
+    }
+}
+
+impl Homogeneous {
+    fn from_affine(q: &G2Affine) -> Self {
+        if q.is_identity() {
+            Homogeneous::identity()
+        } else {
+            Homogeneous {
+                x: q.x,
+                y: q.y,
+                z: Fp2::one(),
+            }
+        }
+    }
+
+    fn identity() -> Self {
+        Homogeneous {
+            x: Fp2::zero(),
+            y: Fp2::one(),
+            z: Fp2::zero(),
+        }
+    }
+
+    /// The same point as `q`.
+    fn equals(&self, q: &G2Affine) -> bool {
+        if q.is_identity() {
+            return self.z.is_zero();
+        }
+        !self.z.is_zero() && self.x == q.x * self.z && self.y == q.y * self.z
+    }
+
+    /// Tangent step `T ← 2T` (Costello–Lange–Naehrig, `a = 0`): with
+    /// `H = 2YZ` and `E = 3b'Z²` the line is [`double_step`]'s times
+    /// `−2YZ`. Its `w³` coefficient `E − Y²` uses `Y²Z = X³ + b'Z³`, so
+    /// `T` must lie on the twist.
+    fn double_step(&mut self) -> ScaledLine {
+        if self.z.is_zero() {
+            return ScaledLine::One;
+        }
+        let Homogeneous { x, y, z } = *self;
+        let yy = y.square();
+        let zz = z.square();
+        let e = (zz.double() + zz) * G2Params::b();
+        let f = e.double() + e;
+        let h = (y + z).square() - yy - zz;
+        let xx = x.square();
+        let line = ScaledLine::Line {
+            s: -h,
+            a: xx.double() + xx,
+            b: e - yy,
+        };
+        // The CLN point formulas times 4, which spares the halvings.
+        let ee = e.square();
+        self.x = (x * y).double() * (yy - f);
+        self.y = (yy + f).square() - (ee.double() + ee).double().double();
+        self.z = (yy * h).double().double();
+        line
+    }
+
+    /// Chord step `T ← T + q`, `q` affine and not at infinity: with
+    /// `θ = Y − qy·Z` and `λ = X − qx·Z` the line is [`add_step`]'s times
+    /// `λ`. The identity, doubling and cancellation cases follow the group
+    /// law as [`add_step`] does, the vertical line scaled by `Z`.
+    fn add_step(&mut self, q: &G2Affine) -> ScaledLine {
+        if self.z.is_zero() {
+            *self = Homogeneous::from_affine(q);
+            return ScaledLine::One;
+        }
+        let theta = self.y - q.y * self.z;
+        let lambda = self.x - q.x * self.z;
+        if lambda.is_zero() {
+            if theta.is_zero() {
+                return self.double_step();
+            }
+            let line = ScaledLine::Vertical {
+                s: self.z,
+                x: self.x,
+            };
+            *self = Homogeneous::identity();
+            return line;
+        }
+        let line = ScaledLine::Line {
+            s: lambda,
+            a: -theta,
+            b: theta * q.x - lambda * q.y,
+        };
+        let ll = lambda.square();
+        let lll = lambda * ll;
+        let g = self.x * ll;
+        let h = lll + self.z * theta.square() - g.double();
+        self.y = theta * (g - h) - lll * self.y;
+        self.x = lambda * h;
+        self.z *= lll;
+        line
+    }
+}
+
+/// `f` times a [`ScaledLine`] evaluated at `(px, py)`:
+/// [`Fp12::mul_by_line`]'s Karatsuba with the constant coefficient in Fp2.
+fn mul_by_scaled_line_at(f: &Fp12, line: &ScaledLine, px: Fq, py: Fq) -> Fp12 {
+    match line {
+        ScaledLine::Line { s, a, b } => {
+            let (c, a) = (s.scale(py), a.scale(px));
+            let v0 = f.c0.scale(c);
+            let v1 = f.c1.mul_by_01(a, *b);
+            let sum = (f.c0 + f.c1).mul_by_01(a + c, *b);
+            Fp12::new(v0 + v1.mul_by_v(), sum - v0 - v1)
+        }
+        ScaledLine::Vertical { s, x } => {
+            let (a, b) = (s.scale(px), -*x);
+            Fp12::new(f.c0.mul_by_01(a, b), f.c1.mul_by_01(a, b))
+        }
+        ScaledLine::One => *f,
+    }
+}
+
 /// Precomputed Miller-loop line coefficients for a fixed G2 point.
 ///
 /// Replaying the stored `(λ', λ'·x' − y')` pairs costs no G2 arithmetic
@@ -252,24 +446,23 @@ impl G2Prepared {
             };
         }
         let mut t = *q;
-        let mut coeffs = Vec::with_capacity(LINES_PER_POINT);
-        let loop_bits = 128 - ATE_LOOP_COUNT.leading_zeros();
-        for i in (0..loop_bits - 1).rev() {
-            let inv = double_denom(&t)
-                .inverse()
-                .expect("no 2-torsion on the twist");
-            coeffs.push(double_step(&mut t, &inv));
-            if (ATE_LOOP_COUNT >> i) & 1 == 1 {
-                let inv = add_denom(&t, q).inverse().expect("placeholder is 1");
-                coeffs.push(add_step(&mut t, q, &inv));
-            }
-        }
-        let q1 = psi(q);
-        let q2 = psi(&q1).neg();
-        for corr in [&q1, &q2] {
-            let inv = add_denom(&t, corr).inverse().expect("placeholder is 1");
-            coeffs.push(add_step(&mut t, corr, &inv));
-        }
+        let targets = addends(q);
+        let coeffs = schedule()
+            .map(|phase| match phase {
+                Phase::Tangent => {
+                    let inv = double_denom(&t)
+                        .inverse()
+                        .expect("no 2-torsion on the twist");
+                    double_step(&mut t, &inv)
+                }
+                Phase::Chord(i) => {
+                    let inv = add_denom(&t, &targets[i])
+                        .inverse()
+                        .expect("placeholder is 1");
+                    add_step(&mut t, &targets[i], &inv)
+                }
+            })
+            .collect();
         G2Prepared {
             coeffs,
             infinity: false,
@@ -322,7 +515,9 @@ pub struct LoopTrace {
 /// contiguous chunks, one pool task each (see the module docs); within a
 /// chunk all pairs advance in lock-step under one `f`-squaring chain, so
 /// each doubling/addition phase needs a single Fp2 batch inversion — the
-/// marginal pairing cost of one more pair is roughly its line arithmetic.
+/// marginal pairing cost of one more pair is roughly its line arithmetic
+/// (a chunk of a few pairs steps projectively and inverts once, module
+/// docs).
 /// The value does not depend on the pool size. Pairs with an identity
 /// element on either side are skipped (contribute the neutral factor 1).
 ///
@@ -347,6 +542,14 @@ pub fn miller_loop_mixed(
 const DYNAMIC_COST: usize = 3;
 /// See [`DYNAMIC_COST`].
 const REPLAY_COST: usize = 2;
+/// A chunk with fewer dynamic pairs than this that records no lines runs
+/// [`Homogeneous`] steps instead of batch-inverting affine slopes: the
+/// batch inversion costs the same for one pair as for 32, the projective
+/// steps' extra products grow with the pairs. Measured projective ÷
+/// affine time of one chunk beside 2 replays (2-vCPU VM, best of 9):
+/// 1 pair 0.61×, 2 0.71×, 4 0.88×, 6 0.99×, 8 1.04×, 12 1.12×, 32 1.21×;
+/// a lone pair with no replays, a single verification's, 0.41×.
+const PROJECTIVE_BELOW: usize = 7;
 
 /// [`miller_loop_mixed`] that also says *which* dynamic G2 points failed
 /// the membership test, can hand back the lines it computed for each
@@ -460,83 +663,108 @@ struct Chunk<'a> {
     preps: &'a [PreparedPair<'a>],
 }
 
-/// One lock-step Miller loop: a shared squaring chain and one batch
-/// inversion per phase. Returns the chunk's product and the positions of
-/// the dynamic pairs whose G2 point failed the membership test.
+/// One lock-step Miller loop under a shared squaring chain. Returns the
+/// chunk's product and the positions of the dynamic pairs whose G2 point
+/// failed the membership test.
 fn miller_loop_chunk(chunk: &mut Chunk) -> (Fp12, Vec<usize>) {
     let Chunk { dyns, preps } = chunk;
+    // The projective tangent uses the curve equation, so every Q must be
+    // on the twist: every snark entry point has checked that already, the
+    // repeat costs ≈ 3 Fp2 operations per pair.
+    if (1..PROJECTIVE_BELOW).contains(&dyns.len())
+        && dyns.iter().all(|d| d.lines.is_none() && d.q.is_on_curve())
+    {
+        projective_chunk(dyns, preps)
+    } else {
+        affine_chunk(dyns, preps)
+    }
+}
 
+/// `f` times the prepared pairs' lines at schedule position `cursor`.
+fn replay(f: Fp12, preps: &[PreparedPair], cursor: usize) -> Fp12 {
+    preps.iter().fold(f, |f, (px, py, prep)| {
+        mul_by_line_at(&f, &prep.coeffs[cursor], *px, *py)
+    })
+}
+
+/// Affine steps: one batch inversion of every dynamic pair's slope
+/// denominator per phase; records lines when asked.
+fn affine_chunk(dyns: &mut [DynPair], preps: &[PreparedPair]) -> (Fp12, Vec<usize>) {
+    let targets: Vec<[G2Affine; 3]> = dyns.iter().map(|d| addends(&d.q)).collect();
     let mut f = Fp12::one();
     let mut denoms: Vec<Fp2> = Vec::with_capacity(dyns.len());
-    let mut cursor = 0usize;
-
-    // One double or add phase across every pair: collect the dynamic
-    // pairs' denominators, invert them together, step + evaluate (+
-    // record), then replay the prepared pairs' stored coefficient for this
-    // position. The closures see the pair and its position in the chunk.
-    macro_rules! phase {
-        ($denom:expr, $step:expr) => {{
-            denoms.clear();
-            for (k, d) in dyns.iter().enumerate() {
-                #[allow(clippy::redundant_closure_call)]
-                denoms.push($denom(k, d));
-            }
-            Fp2::batch_invert(&mut denoms);
-            for ((k, d), inv) in dyns.iter_mut().enumerate().zip(denoms.iter()) {
-                #[allow(clippy::redundant_closure_call)]
-                let coeff = $step(k, d, inv);
-                f = mul_by_line_at(&f, &coeff, d.px, d.py);
-                if let Some(lines) = &mut d.lines {
-                    lines.push(coeff);
-                }
-            }
-            for (px, py, prep) in preps.iter() {
-                f = mul_by_line_at(&f, &prep.coeffs[cursor], *px, *py);
-            }
-            cursor += 1;
-        }};
-    }
-
-    let loop_bits = 128 - ATE_LOOP_COUNT.leading_zeros();
-    // Standard double-and-add over the bits of 6x+2, MSB (skipped) downward.
-    for i in (0..loop_bits - 1).rev() {
-        f = f.square();
-        phase!(
-            |_, d: &DynPair| double_denom(&d.t),
-            |_, d: &mut DynPair, inv: &Fp2| double_step(&mut d.t, inv)
-        );
-        if (ATE_LOOP_COUNT >> i) & 1 == 1 {
-            phase!(
-                |_, d: &DynPair| add_denom(&d.t, &d.q),
-                |_, d: &mut DynPair, inv: &Fp2| {
-                    let q = d.q;
-                    add_step(&mut d.t, &q, inv)
-                }
-            );
+    for (cursor, phase) in schedule().enumerate() {
+        if let Phase::Tangent = phase {
+            f = f.square();
         }
+        denoms.clear();
+        denoms.extend(dyns.iter().zip(&targets).map(|(d, qs)| match phase {
+            Phase::Tangent => double_denom(&d.t),
+            Phase::Chord(i) => add_denom(&d.t, &qs[i]),
+        }));
+        Fp2::batch_invert(&mut denoms);
+        for ((d, qs), inv) in dyns.iter_mut().zip(&targets).zip(&denoms) {
+            let coeff = match phase {
+                Phase::Tangent => double_step(&mut d.t, inv),
+                Phase::Chord(i) => add_step(&mut d.t, &qs[i], inv),
+            };
+            f = mul_by_line_at(&f, &coeff, d.px, d.py);
+            if let Some(lines) = &mut d.lines {
+                lines.push(coeff);
+            }
+        }
+        f = replay(f, preps, cursor);
     }
-
-    // Optimal-ate correction: two Frobenius addition steps, Q₁ = ψ(Q) and
-    // Q₂ = −ψ²(Q) in twist coordinates.
-    let q1s: Vec<G2Affine> = dyns.iter().map(|d| psi(&d.q)).collect();
-    let q2s: Vec<G2Affine> = q1s.iter().map(|q1| psi(q1).neg()).collect();
-    for targets in [&q1s, &q2s] {
-        phase!(
-            |k: usize, d: &DynPair| add_denom(&d.t, &targets[k]),
-            |k: usize, d: &mut DynPair, inv: &Fp2| add_step(&mut d.t, &targets[k], inv)
-        );
-    }
-
-    // G2 membership (module docs): the accumulator now holds
-    // [6x+2]Q + ψ(Q) − ψ²(Q), which is −ψ³(Q) = ψ(Q₂) exactly when Q has
-    // order r.
+    // G2 membership (module docs): T now holds [6x+2]Q + ψ(Q) − ψ²(Q),
+    // which is −ψ³(Q) = ψ(Q₂) exactly when Q has order r.
     let outside_g2 = dyns
         .iter()
-        .zip(q2s.iter())
-        .filter(|(d, q2)| d.t != psi(q2))
+        .zip(&targets)
+        .filter(|(d, qs)| d.t != psi(&qs[2]))
         .map(|(d, _)| d.index)
         .collect();
     (f, outside_g2)
+}
+
+/// [`Homogeneous`] steps, no inversion until the end. Every line is the
+/// affine one times its scale, so `f` runs ahead of the affine loop's by
+/// the product `S` of the scales under the same squaring chain; one Fp2
+/// inversion at the end returns the affine loop's element.
+fn projective_chunk(dyns: &[DynPair], preps: &[PreparedPair]) -> (Fp12, Vec<usize>) {
+    let targets: Vec<[G2Affine; 3]> = dyns.iter().map(|d| addends(&d.q)).collect();
+    let mut ts: Vec<Homogeneous> = dyns
+        .iter()
+        .map(|d| Homogeneous::from_affine(&d.q))
+        .collect();
+    let (mut f, mut scale) = (Fp12::one(), Fp2::one());
+    for (cursor, phase) in schedule().enumerate() {
+        if let Phase::Tangent = phase {
+            f = f.square();
+            scale = scale.square();
+        }
+        for ((t, d), qs) in ts.iter_mut().zip(dyns).zip(&targets) {
+            let line = match phase {
+                Phase::Tangent => t.double_step(),
+                Phase::Chord(i) => t.add_step(&qs[i]),
+            };
+            scale *= line.scale();
+            f = mul_by_scaled_line_at(&f, &line, d.px, d.py);
+        }
+        f = replay(f, preps, cursor);
+    }
+    // The affine chunk's membership comparison, X = x·Z and Y = y·Z.
+    let outside_g2 = dyns
+        .iter()
+        .zip(&ts)
+        .zip(&targets)
+        .filter(|((_, t), qs)| !t.equals(&psi(&qs[2])))
+        .map(|((d, _), _)| d.index)
+        .collect();
+    // On the twist no scale is zero: `Y = 0` is 2-torsion, which it lacks.
+    let inv = scale
+        .inverse()
+        .expect("line scales are nonzero on the twist");
+    (Fp12::new(f.c0.scale(inv), f.c1.scale(inv)), outside_g2)
 }
 
 /// Product of Miller loops `∏ f_{6x+2, Qᵢ}(Pᵢ) · (frobenius line steps)`,
@@ -1128,5 +1356,163 @@ mod tests {
             separate *= miller_loop(std::slice::from_ref(pair));
         }
         assert_eq!(batched, separate);
+    }
+
+    /// Dense expansion of a [`ScaledLine`] at `(px, py)`.
+    fn eval_scaled_line(line: &ScaledLine, px: Fq, py: Fq) -> Fp12 {
+        match line {
+            ScaledLine::Line { s, a, b } => Fp12::new(
+                Fp6::from_fp2(s.scale(py)),
+                Fp6::new(a.scale(px), *b, Fp2::zero()),
+            ),
+            ScaledLine::Vertical { s, x } => {
+                Fp12::from_fp6(Fp6::new(s.scale(px), -*x, Fp2::zero()))
+            }
+            ScaledLine::One => Fp12::one(),
+        }
+    }
+
+    #[test]
+    fn projective_steps_are_the_affine_steps_times_their_scale() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let pairs = random_pairs(&mut rng, 2);
+        let (q, generic) = (pairs[0].1, pairs[1].1);
+        let (px, py) = (Fq::random(&mut rng), Fq::random(&mut rng));
+        let f = Fp12::random(&mut rng);
+        // A T reached by a projective step has Z ≠ 1.
+        let mut reached = Homogeneous::from_affine(&generic);
+        reached.double_step();
+        let reached_affine = generic.to_projective().double().to_affine();
+        assert!(reached.equals(&reached_affine) && reached.z != Fp2::one());
+        // ±Q as (cx : cy : c).
+        let c = Fp2::random(&mut rng);
+        let rescaled = |p: &G2Affine| Homogeneous {
+            x: p.x * c,
+            y: p.y * c,
+            z: c,
+        };
+        let cases = [
+            ("T = O", Homogeneous::identity(), G2Affine::identity()),
+            ("T = Q", rescaled(&q), q),
+            ("T = −Q", rescaled(&q.neg()), q.neg()),
+            ("generic T", Homogeneous::from_affine(&generic), generic),
+            ("Z ≠ 1", reached, reached_affine),
+        ];
+        for (case, t, t_affine) in cases {
+            let (mut tangent, mut tangent_affine) = (t, t_affine);
+            let inv = double_denom(&tangent_affine).inverse().unwrap();
+            let steps = [
+                (
+                    "tangent",
+                    tangent.double_step(),
+                    double_step(&mut tangent_affine, &inv),
+                    tangent,
+                    tangent_affine,
+                ),
+                {
+                    let (mut chord, mut chord_affine) = (t, t_affine);
+                    let inv = add_denom(&chord_affine, &q).inverse().unwrap();
+                    let coeff = add_step(&mut chord_affine, &q, &inv);
+                    ("chord", chord.add_step(&q), coeff, chord, chord_affine)
+                },
+            ];
+            for (step, line, coeff, next, next_affine) in steps {
+                assert!(next.equals(&next_affine), "{step}, {case}");
+                let scaled =
+                    eval_line(&coeff, px, py) * Fp12::from_fp6(Fp6::from_fp2(line.scale()));
+                assert_eq!(eval_scaled_line(&line, px, py), scaled, "{step}, {case}");
+                assert!(!line.scale().is_zero(), "{step}, {case}");
+                assert_eq!(
+                    mul_by_scaled_line_at(&f, &line, px, py),
+                    f * scaled,
+                    "{step}, {case}"
+                );
+            }
+        }
+    }
+
+    /// Square root in Fp2 for `p ≡ 3 (mod 4)` (Adj–Rodríguez-Henríquez,
+    /// Algorithm 9); `None` for a non-square.
+    fn fp2_sqrt(a: Fp2) -> Option<Fp2> {
+        let p = BigUint::from_limbs(&<Fq as PrimeField>::MODULUS);
+        let a1 = a.pow(p.sub(&BigUint::from(3u64)).shr(2).limbs());
+        let alpha = a1.square() * a;
+        let root = if alpha == -Fp2::one() {
+            Fp2::new(Fq::zero(), Fq::one()) * a1 * a
+        } else {
+            (alpha + Fp2::one()).pow(p.sub(&BigUint::one()).shr(1).limbs()) * a1 * a
+        };
+        (root.square() == a).then_some(root)
+    }
+
+    /// A random point of the twist: outside G2 but for a `1/(2p − r)`
+    /// chance.
+    fn random_twist_point(rng: &mut StdRng) -> G2Affine {
+        loop {
+            let x = Fp2::random(rng);
+            if let Some(y) = fp2_sqrt(x.square() * x + G2Params::b()) {
+                return G2Affine::new(x, y).expect("built from the curve equation");
+            }
+        }
+    }
+
+    /// A twist point of order 10069, the smallest prime factor of the
+    /// cofactor `2p − r` (`tests/g2_membership.rs` builds the same).
+    fn small_order_point(rng: &mut StdRng) -> G2Affine {
+        let p = BigUint::from_limbs(&<Fq as PrimeField>::MODULUS);
+        let r = BigUint::from_limbs(&<Fr as PrimeField>::MODULUS);
+        let (rest, rem) = p.add(&p).sub(&r).div_rem(&BigUint::from(10069u64));
+        assert!(rem.is_zero());
+        loop {
+            let s = random_twist_point(rng).mul_limbs(r.mul(&rest).limbs());
+            if !s.is_identity() {
+                assert!(s.mul_limbs(&[10069]).is_identity());
+                return s.to_affine();
+            }
+        }
+    }
+
+    #[test]
+    fn small_chunks_match_the_dense_reference_inside_and_outside_g2() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let outside = random_twist_point(&mut rng);
+        let small = small_order_point(&mut rng);
+        let fixed = random_pairs(&mut rng, 2);
+        let (g, d) = (G2Prepared::new(&fixed[0].1), G2Prepared::new(&fixed[1].1));
+        let replays = [(fixed[0].0, &g), (fixed[1].0, &d)];
+        for n in 1..=8 {
+            let honest = random_pairs(&mut rng, n);
+            let mut forged = honest.clone();
+            forged[n - 1].1 = small;
+            forged[0].1 = outside;
+            let mut bad = vec![0, n - 1];
+            bad.dedup();
+            for (pairs, bad) in [(honest, vec![]), (forged, bad)] {
+                let slow: Vec<usize> = (0..n).filter(|&i| !pairs[i].1.is_in_subgroup()).collect();
+                assert_eq!(slow, bad, "the [r]Q = O test agrees");
+                for prepared in [0, 2] {
+                    let all: Vec<(G1Affine, G2Affine)> =
+                        pairs.iter().chain(&fixed[..prepared]).copied().collect();
+                    let reference = miller_loop_dense_reference(&all);
+                    for fan_out in [1, 2, 3] {
+                        let at =
+                            format!("{n} + {prepared} pairs, {bad:?} outside, fan-out {fan_out}");
+                        let trace =
+                            miller_loop_traced(&pairs, &replays[..prepared], false, fan_out);
+                        assert_eq!(trace.product, reference, "{at}");
+                        assert_eq!(trace.outside_g2, bad, "{at}");
+                        let mixed = waku_pool::with_threads(fan_out, || {
+                            miller_loop_mixed(&pairs, &replays[..prepared])
+                        });
+                        let expected = if bad.is_empty() {
+                            reference
+                        } else {
+                            Fp12::zero()
+                        };
+                        assert_eq!(mixed, expected, "{at}");
+                    }
+                }
+            }
+        }
     }
 }
