@@ -6,30 +6,6 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use crate::biguint::BigUint;
 
-/// Square-and-multiply `base^exp` (`exp` as little-endian 64-bit limbs)
-/// with the squaring supplied by the caller, so a subgroup with a cheaper
-/// squaring than [`Field::square`] can reuse the ladder. Starts at the
-/// highest *set* bit of `exp`: leading zero bits and zero limbs cost
-/// nothing.
-pub fn pow_with<F: Field>(base: &F, exp: &[u64], square: impl Fn(&F) -> F) -> F {
-    let mut bits = exp
-        .iter()
-        .rev()
-        .flat_map(|&limb| (0..64).rev().map(move |bit| (limb >> bit) & 1 == 1))
-        .skip_while(|&bit| !bit);
-    if bits.next().is_none() {
-        return F::one();
-    }
-    let mut res = *base;
-    for bit in bits {
-        res = square(&res);
-        if bit {
-            res *= *base;
-        }
-    }
-    res
-}
-
 /// A finite field element.
 ///
 /// Implemented by the BN254 prime fields in this crate and by the extension
@@ -74,9 +50,26 @@ pub trait Field:
     /// Multiplicative inverse, or `None` for zero.
     fn inverse(&self) -> Option<Self>;
 
-    /// `self^exp` with `exp` given as little-endian 64-bit limbs.
+    /// `self^exp` with `exp` given as little-endian 64-bit limbs, by
+    /// square-and-multiply from the highest *set* bit of `exp`: leading
+    /// zero bits and zero limbs cost nothing.
     fn pow(&self, exp: &[u64]) -> Self {
-        pow_with(self, exp, Self::square)
+        let mut bits = exp
+            .iter()
+            .rev()
+            .flat_map(|&limb| (0..64).rev().map(move |bit| (limb >> bit) & 1 == 1))
+            .skip_while(|&bit| !bit);
+        if bits.next().is_none() {
+            return Self::one();
+        }
+        let mut res = *self;
+        for bit in bits {
+            res = res.square();
+            if bit {
+                res *= *self;
+            }
+        }
+        res
     }
 
     /// Samples a uniformly random element.

@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use waku_arith::biguint::BigUint;
 use waku_arith::fields::Fq;
-use waku_arith::traits::{pow_with, Field, PrimeField};
+use waku_arith::traits::{Field, PrimeField};
 
 use crate::fp2::Fp2;
 use crate::fp6::Fp6;
@@ -36,6 +36,32 @@ fn frobenius_coeffs() -> &'static [Fp2; 4] {
         }
         out
     })
+}
+
+/// The non-adjacent form of `exp` (little-endian limbs): digits in
+/// `{−1, 0, 1}`, least significant first, with `Σ dᵢ·2ⁱ = exp` and no two
+/// adjacent digits nonzero. One digit more than `exp` has bits.
+fn naf(exp: &[u64]) -> Vec<i8> {
+    let bit = |i: usize| exp.get(i / 64).map_or(0, |limb| (limb >> (i % 64)) & 1);
+    let mut carry = 0;
+    (0..=64 * exp.len())
+        .map(|i| match bit(i) + carry {
+            // An odd remainder ≡ 3 (mod 4) takes −1 and carries into the
+            // next bit, ≡ 1 takes +1; either way the next digit is 0.
+            1 if bit(i + 1) == 1 => {
+                carry = 1;
+                -1
+            }
+            1 => {
+                carry = 0;
+                1
+            }
+            v => {
+                carry = v / 2;
+                0
+            }
+        })
+        .collect()
 }
 
 impl Fp12 {
@@ -127,10 +153,29 @@ impl Fp12 {
 
     /// `self^exp` for `self` in the cyclotomic subgroup (see
     /// [`Fp12::cyclotomic_square`] for the precondition), `exp` as
-    /// little-endian limbs: the [`Field::pow`] ladder on the cheaper
-    /// squaring, same result.
+    /// little-endian limbs: a square-and-multiply ladder over the signed
+    /// (NAF) digits of `exp` on the cheaper squaring, same result as
+    /// [`Field::pow`]. In the subgroup the inverse is the conjugate, so a
+    /// −1 digit costs one product like a +1 digit, and a NAF has about a
+    /// third of its digits nonzero against half the bits of a random
+    /// binary exponent (BN's `x`: 24 against 28).
     pub fn cyclotomic_pow(&self, exp: &[u64]) -> Self {
-        pow_with(self, exp, Fp12::cyclotomic_square)
+        let inverse = self.conjugate();
+        let mut digits = naf(exp).into_iter().rev().skip_while(|&d| d == 0);
+        // The top nonzero digit of a NAF is +1.
+        if digits.next().is_none() {
+            return Fp12::one();
+        }
+        let mut res = *self;
+        for digit in digits {
+            res = res.cyclotomic_square();
+            match digit {
+                1 => res *= *self,
+                -1 => res *= inverse,
+                _ => {}
+            }
+        }
+        res
     }
 
     /// Product with the sparse element `c + (a + b·v)·w`, `c ∈ Fq` — the
@@ -273,7 +318,7 @@ impl Field for Fp12 {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn w_squared_is_v() {
@@ -328,17 +373,64 @@ mod tests {
     fn cyclotomic_pow_matches_pow() {
         let mut rng = StdRng::seed_from_u64(8);
         let g = random_cyclotomic(&mut rng);
-        let exps: [&[u64]; 6] = [
+        let exps: [&[u64]; 12] = [
             &[],
             &[0],
             &[1],
+            &[3],
             &[0, 0, 1],
-            &[4965661367192848881],
+            &[crate::pairing::BN_X],
+            &[u64::MAX],
+            &[0x5555_5555_5555_5555],
+            &[u64::MAX, u64::MAX, 0x7F],
             &[0x0123_4567_89AB_CDEF, 0xFEDC_BA98_7654_3210, 0x7F],
+            &[0xAAAA_AAAA_AAAA_AAAA, 0, u64::MAX],
+            // A batch check's Σrᵢ: 64 scalars of 128 bits, 135 bits.
+            &[0x9E37_79B9_7F4A_7C15, 0xF39C_C060_5CED_C834, 0x4B],
         ];
         for exp in exps {
             assert_eq!(g.cyclotomic_pow(exp), g.pow(exp), "exp = {exp:?}");
         }
+        // Zero is outside the subgroup but keeps the ladder's value (its
+        // conjugate is zero too): a verifying key with no e(α, β) stores it.
+        assert_eq!(Fp12::zero().cyclotomic_pow(&[u64::MAX]), Fp12::zero());
+    }
+
+    #[test]
+    fn naf_reconstructs_its_exponent_without_adjacent_digits() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut exps: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![0],
+            vec![1],
+            vec![u64::MAX],
+            vec![0x5555_5555_5555_5555],
+            vec![u64::MAX, u64::MAX, 0x7F],
+            vec![crate::pairing::BN_X],
+        ];
+        exps.extend((1..=4).map(|len| (0..len).map(|_| rng.next_u64()).collect()));
+        for exp in &exps {
+            let digits = naf(exp);
+            assert_eq!(digits.len(), 64 * exp.len() + 1);
+            let (mut plus, mut minus) = (BigUint::zero(), BigUint::zero());
+            for (i, &d) in digits.iter().enumerate() {
+                let term = BigUint::one().shl(i);
+                match d {
+                    1 => plus = plus.add(&term),
+                    -1 => minus = minus.add(&term),
+                    0 => {}
+                    _ => panic!("digit {d} out of range"),
+                }
+            }
+            assert_eq!(plus.sub(&minus), BigUint::from_limbs(exp), "exp = {exp:?}");
+            assert!(
+                digits.windows(2).all(|w| w[0] == 0 || w[1] == 0),
+                "adjacent nonzero digits for {exp:?}"
+            );
+        }
+        let weight = |digits: Vec<i8>| digits.iter().filter(|&&d| d != 0).count();
+        assert_eq!(crate::pairing::BN_X.count_ones(), 28);
+        assert_eq!(weight(naf(&[crate::pairing::BN_X])), 24);
     }
 
     #[test]

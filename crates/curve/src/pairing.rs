@@ -117,11 +117,15 @@
 //! (p⁴−p²+1)/r = p³ + (6x²+1)·p² + (−36x³−18x²−12x+1)·p + (−36x³−30x²−18x−2),
 //! ```
 //!
-//! i.e. three 63-bit exponentiations by `x`, a few Frobenius maps and the
-//! vectorial addition chain `y0·y1²·y2⁶·y3¹²·y4¹⁸·y5³⁰·y6³⁶` — not a
+//! i.e. three exponentiations by the 63-bit `x`, a few Frobenius maps and
+//! the vectorial addition chain `y0·y1²·y2⁶·y3¹²·y4¹⁸·y5³⁰·y6³⁶` — not a
 //! multiple of the exponent, so the result is the same field element a
 //! plain square-and-multiply over the 762-bit exponent gives (the tests
-//! keep that ladder as their oracle).
+//! keep that ladder as their oracle). Each `x`-exponentiation is a
+//! signed-digit chain ([`Fp12::cyclotomic_pow`]): 62 cyclotomic squarings
+//! and a product per nonzero NAF digit of `x` below the top one, 23
+//! where the binary ladder takes 27, because an inverse in the subgroup
+//! is a conjugation.
 //!
 //! The BN parameter is `x = 4965661367192848881`; the Miller loop runs over
 //! `6x + 2 = 29793968203157093288`.

@@ -41,7 +41,7 @@ use rand::Rng;
 use waku_arith::fields::Fr;
 use waku_arith::traits::{Field, PrimeField};
 use waku_curve::fp12::Fp12;
-use waku_curve::g1::{G1Affine, G1Projective};
+use waku_curve::g1::{G1Affine, G1Params, G1Projective};
 use waku_curve::g2::{G2Affine, G2Projective};
 use waku_curve::msm::{msm, WindowTable};
 use waku_curve::pairing::{
@@ -482,13 +482,20 @@ pub fn prove<R: Rng + ?Sized>(
     })
 }
 
-/// A verifying key with the `e(α, β)` pairing *and* the Miller-loop line
-/// coefficients of the fixed G2 elements (γ, δ) precomputed.
+/// Window width of the fixed-base tables behind the `IC` sum: 64 rows of
+/// 15 affine points per `IC` point (≈ 70 KB). A full-width coefficient
+/// then costs at most 64 mixed additions and no doublings.
+const IC_WINDOW_BITS: usize = 4;
+
+/// A verifying key with the `e(α, β)` pairing, the Miller-loop line
+/// coefficients of the fixed G2 elements (γ, δ) and fixed-base tables of
+/// the `IC` points precomputed.
 ///
-/// Single verification then costs one dynamic Miller pair plus two
-/// prepared-line replays and a final exponentiation; batches of proofs
-/// share the replays, the squaring chain, and the final exponentiation
-/// through [`PreparedVerifyingKey::verify_batch`].
+/// Single verification then costs table lookups for the `IC` sum, one
+/// dynamic Miller pair plus two prepared-line replays and a final
+/// exponentiation; batches of proofs share the replays, the squaring
+/// chain, and the final exponentiation through
+/// [`PreparedVerifyingKey::verify_batch`].
 #[derive(Clone, Debug)]
 pub struct PreparedVerifyingKey {
     /// The underlying verifying key.
@@ -496,6 +503,8 @@ pub struct PreparedVerifyingKey {
     alpha_beta: Fp12,
     gamma_prepared: G2Prepared,
     delta_prepared: G2Prepared,
+    /// One table per `vk.ic` point, shared by clones.
+    ic_tables: Arc<[WindowTable<G1Params>]>,
 }
 
 impl From<VerifyingKey> for PreparedVerifyingKey {
@@ -507,11 +516,17 @@ impl From<VerifyingKey> for PreparedVerifyingKey {
                 .unwrap_or(Fp12::zero());
         let gamma_prepared = G2Prepared::new(&vk.gamma_g2);
         let delta_prepared = G2Prepared::new(&vk.delta_g2);
+        let ic_tables = vk
+            .ic
+            .iter()
+            .map(|p| WindowTable::new(p.to_projective(), IC_WINDOW_BITS))
+            .collect();
         PreparedVerifyingKey {
             vk,
             alpha_beta,
             gamma_prepared,
             delta_prepared,
+            ic_tables,
         }
     }
 }
@@ -601,7 +616,19 @@ impl PreparedVerifyingKey {
         let coeffs: Vec<Fr> = std::iter::once(Fr::one())
             .chain(public_inputs.iter().copied())
             .collect();
-        msm(&self.vk.ic, &coeffs).to_affine()
+        self.ic_sum(&coeffs).to_affine()
+    }
+
+    /// `Σ cⱼ·ICⱼ` from the fixed-base tables: `msm(&vk.ic, coeffs)`
+    /// without the doubling chain. `coeffs` has one entry per `IC` point.
+    fn ic_sum(&self, coeffs: &[Fr]) -> G1Projective {
+        debug_assert_eq!(coeffs.len(), self.ic_tables.len());
+        self.ic_tables
+            .iter()
+            .zip(coeffs)
+            .fold(G1Projective::identity(), |sum, (table, c)| {
+                sum.add(&table.mul(*c))
+            })
     }
 
     /// The structural precondition of every batch entry point.
@@ -914,7 +941,8 @@ impl<'a> Rlc<'a> {
         let pvk = self.pvk;
         let terms = &self.terms[range.clone()];
         // Σᵢ rᵢ·ICᵢ folded per *base*: (Σrᵢ)·IC₀ + Σⱼ (Σᵢ rᵢxᵢⱼ)·ICⱼ₊₁ —
-        // one tiny MSM over the key's IC points instead of N point adds.
+        // one table-driven sum over the key's IC points instead of N
+        // point adds.
         let mut ic_coeffs = vec![Fr::zero(); pvk.vk.ic.len()];
         for term in terms {
             ic_coeffs[0] += term.r;
@@ -924,7 +952,7 @@ impl<'a> Rlc<'a> {
         }
         // Σᵢ rᵢ·Cᵢ runs as a (pooled, when large) MSM alongside the IC fold.
         let (ic_agg, c_agg) = waku_pool::join(
-            || msm(&pvk.vk.ic, &ic_coeffs).to_affine(),
+            || pvk.ic_sum(&ic_coeffs).to_affine(),
             || {
                 let (c_points, rs): (Vec<G1Affine>, Vec<Fr>) =
                     terms.iter().map(|t| (t.proof.c, t.r)).unzip();
@@ -1138,7 +1166,7 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof, public_inputs: &[Fr]) -> Result<
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     thread_local! {
         /// What [`Rolled`]'s `Drop` left behind on this thread, per dropped
@@ -1312,6 +1340,69 @@ mod tests {
         let proof = prove(&pk, &cs, &mut rng).unwrap();
         let pvk = PreparedVerifyingKey::from(pk.vk.clone());
         assert!(pvk.verify(&proof, &[Fr::from_u64(35)]).unwrap());
+    }
+
+    #[test]
+    fn ic_tables_sum_what_the_msm_sums() {
+        // Six IC points, the RLN key's shape, and coefficients at the
+        // tables' edges: every digit zero, every digit maximal, the
+        // verifier's leading 1, a batch check's Σrᵢ (≈ 135 bits) and a
+        // zero public input between nonzero ones.
+        let mut rng = StdRng::seed_from_u64(17);
+        let g1 = G1Projective::generator();
+        let g2 = G2Projective::generator();
+        let vk = VerifyingKey {
+            alpha_g1: g1.mul(Fr::random(&mut rng)).to_affine(),
+            beta_g2: g2.mul(Fr::random(&mut rng)).to_affine(),
+            gamma_g2: g2.mul(Fr::random(&mut rng)).to_affine(),
+            delta_g2: g2.mul(Fr::random(&mut rng)).to_affine(),
+            ic: (0..6)
+                .map(|_| g1.mul(Fr::random(&mut rng)).to_affine())
+                .collect(),
+        };
+        let pvk = PreparedVerifyingKey::from(vk.clone());
+        let random = |rng: &mut StdRng| -> Vec<Fr> { (0..6).map(|_| Fr::random(rng)).collect() };
+        let sum_135 = Fr::from_canonical_limbs([rng.next_u64(), rng.next_u64(), 0x4B, 0]).unwrap();
+        let mut leading_one = random(&mut rng);
+        leading_one[0] = Fr::one();
+        let mut batch = random(&mut rng);
+        batch[0] = sum_135;
+        let mut zero_input = leading_one.clone();
+        zero_input[3] = Fr::zero();
+        let cases = [
+            vec![Fr::zero(); 6],
+            leading_one,
+            vec![-Fr::one(); 6],
+            batch,
+            zero_input,
+            random(&mut rng),
+        ];
+        for coeffs in &cases {
+            assert_eq!(pvk.ic_sum(coeffs), msm(&vk.ic, coeffs), "{coeffs:?}");
+        }
+        assert_eq!(
+            pvk.aggregate_ic(&cases[1][1..]),
+            msm(&vk.ic, &cases[1]).to_affine()
+        );
+    }
+
+    #[test]
+    fn proof_with_a_zero_public_input_verifies() {
+        // x · x = out with x = 0: the public input is 0, so its IC point
+        // contributes nothing and the table lookup finds no digit.
+        let mut cs = ConstraintSystem::new();
+        let out = cs.alloc_input(Fr::zero());
+        let x = cs.alloc_witness(Fr::zero());
+        cs.enforce(x, x, out);
+        cs.finalize();
+        let mut rng = StdRng::seed_from_u64(18);
+        let pk = setup(&cs, &mut rng);
+        let proof = prove(&pk, &cs, &mut rng).unwrap();
+        let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+        assert!(pvk.verify(&proof, &[Fr::zero()]).unwrap());
+        assert!(!pvk.verify(&proof, &[Fr::one()]).unwrap());
+        let (proofs, inputs) = (vec![proof; 3], vec![vec![Fr::zero()]; 3]);
+        assert!(pvk.verify_batch(&proofs, &inputs).unwrap());
     }
 
     #[test]
