@@ -259,10 +259,7 @@ impl NetworkConfigBuilder {
 /// Implementors are `Send` because the scheduler migrates peers
 /// across pool workers between quantum rounds; shared defense state
 /// (e.g. a detection log) must be `Send + Sync` and order-insensitive
-/// (set unions, counters). Every closure of the legacy
-/// `FnMut(PeerId, &Message, SimTime) -> Validation` shape implements
-/// this trait via the blanket impl — install one with
-/// [`Network::set_validator_fn`].
+/// (set unions, counters). Install one with [`Network::set_validator`].
 pub trait MessageAcceptor: Send {
     /// Judges an incoming message. `local_ms` already includes the
     /// peer's clock drift, so epoch checks observe asynchrony exactly
@@ -285,12 +282,6 @@ pub trait MessageAcceptor: Send {
     /// path; purely in-memory validator state should be dropped. The
     /// default does nothing (stateless validators).
     fn on_restart(&mut self, _local_ms: SimTime) {}
-}
-
-impl<F: FnMut(PeerId, &Message, SimTime) -> Validation + Send> MessageAcceptor for F {
-    fn validate(&mut self, from: PeerId, message: &Message, local_ms: SimTime) -> Validation {
-        self(from, message, local_ms)
-    }
 }
 
 /// A boxed, installable [`MessageAcceptor`] (see [`Network::set_validator`]).
@@ -487,24 +478,9 @@ impl Network {
         }
     }
 
-    /// Installs a message validator for a peer. Stateful defenses (the
-    /// RLN pipeline) implement [`MessageAcceptor`] directly so they also
-    /// observe heartbeats; plain closures go through
-    /// [`Network::set_validator_fn`].
+    /// Installs a peer's message validator: any [`MessageAcceptor`].
     pub fn set_validator(&mut self, peer: PeerId, validator: Validator) {
         self.slots[peer].validator = Some(validator);
-    }
-
-    /// Installs a closure validator for a peer. Sugar over
-    /// [`Network::set_validator`] that lets the compiler infer the
-    /// closure's higher-ranked signature (a bare
-    /// `Box::new(|from, msg, now| …)` often fails inference once the
-    /// boxed type is a trait object).
-    pub fn set_validator_fn<F>(&mut self, peer: PeerId, validator: F)
-    where
-        F: FnMut(PeerId, &Message, SimTime) -> Validation + Send + 'static,
-    {
-        self.set_validator(peer, Box::new(validator));
     }
 
     /// Schedules a publish at an absolute network time.
@@ -657,6 +633,30 @@ mod tests {
 
     const TOPIC: Topic = 1;
 
+    /// Gives every message the same verdict.
+    struct Always(Validation);
+
+    impl MessageAcceptor for Always {
+        fn validate(&mut self, _: PeerId, _: &Message, _: SimTime) -> Validation {
+            self.0
+        }
+    }
+
+    /// Rejects every 5th message it sees and accepts the rest.
+    #[derive(Default)]
+    struct EveryFifthRejected(u64);
+
+    impl MessageAcceptor for EveryFifthRejected {
+        fn validate(&mut self, _: PeerId, _: &Message, _: SimTime) -> Validation {
+            self.0 += 1;
+            if self.0.is_multiple_of(5) {
+                Validation::Reject
+            } else {
+                Validation::Accept
+            }
+        }
+    }
+
     fn small_net(seed: u64) -> Network {
         small_net_with(seed, None)
     }
@@ -701,7 +701,7 @@ mod tests {
         let mut net = small_net(3);
         // every peer rejects everything
         for p in 0..30 {
-            net.set_validator_fn(p, |_, _, _| Validation::Reject);
+            net.set_validator(p, Box::new(Always(Validation::Reject)));
         }
         net.run_until(3_000);
         net.publish_at(3_000, 0, TOPIC, b"bad".to_vec(), TrafficClass::Invalid);
@@ -718,7 +718,7 @@ mod tests {
     fn repeated_invalid_senders_get_graylisted() {
         let mut net = small_net(4);
         for p in 1..30 {
-            net.set_validator_fn(p, |_, _, _| Validation::Reject);
+            net.set_validator(p, Box::new(Always(Validation::Reject)));
         }
         net.run_until(3_000);
         // peer 0 floods garbage
@@ -806,7 +806,7 @@ mod tests {
     fn ignore_verdict_stops_propagation_without_penalty() {
         let mut net = small_net(8);
         for p in 1..30 {
-            net.set_validator_fn(p, |_, _, _| Validation::Ignore);
+            net.set_validator(p, Box::new(Always(Validation::Ignore)));
         }
         net.run_until(3_000);
         net.publish_at(3_000, 0, TOPIC, b"dup".to_vec(), TrafficClass::Spam);
@@ -1042,17 +1042,9 @@ mod tests {
         let digest = |shards: usize| {
             let mut net = small_net_with(9, Some(shards));
             for p in 1..30 {
-                // A stateful validator: every 5th message is rejected, so
-                // validator-internal state must also replay identically.
-                let mut count = 0u64;
-                net.set_validator_fn(p, move |_, _, _| {
-                    count += 1;
-                    if count.is_multiple_of(5) {
-                        Validation::Reject
-                    } else {
-                        Validation::Accept
-                    }
-                });
+                // A stateful validator: validator-internal state must also
+                // replay identically.
+                net.set_validator(p, Box::<EveryFifthRejected>::default());
             }
             net.run_until(3_000);
             for i in 0..10u64 {

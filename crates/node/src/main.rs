@@ -169,15 +169,15 @@ fn report(e: &dyn std::error::Error) {
 }
 
 fn run(cli: Cli) -> Result<(), ServiceError> {
-    let mut node = NodeConfig::builder()
+    // `--batch 1` is pass-through: a one-slot queue flushes on every push.
+    let node = NodeConfig::builder()
         .tree_depth(cli.depth)
         .epoch_length(Duration::from_secs(cli.epoch_secs))
-        .max_epoch_gap(cli.max_gap);
-    if cli.batch > 1 {
-        node = node.batching(BatchConfig::builder().max_batch(cli.batch).build()?);
-    }
+        .max_epoch_gap(cli.max_gap)
+        .batching(BatchConfig::builder().max_batch(cli.batch).build()?)
+        .build()?;
     let config = ServiceConfig::builder(&cli.data_dir)
-        .node(node.build()?)
+        .node(node)
         .checkpoint(Duration::from_secs(cli.checkpoint_secs))
         .seed(cli.seed)
         .build()?;

@@ -301,7 +301,7 @@ impl RelayerService {
         now_secs: u64,
     ) -> Result<Vec<BatchDecision>, ServiceError> {
         self.h.ingested.inc();
-        let decisions = self.node.ingest_queued(bundle, now_secs, &mut self.chain);
+        let decisions = self.node.ingest(bundle, now_secs, &mut self.chain);
         self.absorb(&decisions)?;
         self.refresh_gauges();
         Ok(decisions)

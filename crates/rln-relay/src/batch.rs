@@ -341,9 +341,8 @@ impl BatchingValidator {
         &self.inner
     }
 
-    /// Mutable access to the wrapped validator — the node's sequential
-    /// entry point (`handle_incoming`) and its nullifier restore go
-    /// through here, bypassing the queue on purpose.
+    /// Mutable access to the wrapped validator, for the node's nullifier
+    /// restore.
     pub(crate) fn inner_mut(&mut self) -> &mut MessageValidator {
         &mut self.inner
     }
@@ -461,61 +460,80 @@ mod tests {
             .map(|b| seq.validate(b, &f.group, now))
             .collect();
 
-        let mut batched = BatchingValidator::new(
-            validator(),
-            BatchConfig {
-                max_batch: 4,
-                max_delay_secs: 1,
-            },
-        );
-        let mut decisions = Vec::new();
-        for b in &bundles {
-            decisions.extend(batched.enqueue(b.clone(), &f.group, now));
-        }
-        decisions.extend(batched.flush());
-        assert_eq!(decisions.len(), bundles.len());
+        // 1 is the node's pass-through default; 4 batches for real.
+        for max_batch in [1, 4] {
+            let mut batched = BatchingValidator::new(
+                validator(),
+                BatchConfig {
+                    max_batch,
+                    max_delay_secs: 1,
+                },
+            );
+            let mut decisions = Vec::new();
+            for b in &bundles {
+                let done = batched.enqueue(b.clone(), &f.group, now);
+                if max_batch == 1 {
+                    // Pass-through: each arrival returns its own decision,
+                    // so decisions come back in arrival order.
+                    assert_eq!(done.len(), 1);
+                    assert_eq!(done[0].bundle, *b);
+                }
+                decisions.extend(done);
+            }
+            decisions.extend(batched.flush());
+            assert_eq!(decisions.len(), bundles.len());
 
-        // Decisions complete out of arrival order (precheck drops finish
-        // first) but each bundle's verdict must match the sequential
-        // pipeline's verdict for the same arrival order. Greedy first-fit
-        // matching is sound because identical bundles (the duplicate
-        // pair) are decided in FIFO order on both paths.
-        let mut used = vec![false; bundles.len()];
-        for d in &decisions {
-            let idx = (0..bundles.len())
-                .find(|&i| !used[i] && bundles[i] == d.bundle)
-                .expect("every decision maps to a bundle");
-            used[idx] = true;
-            assert_eq!(d.outcome, sequential[idx], "bundle {idx}");
-        }
+            // Batched decisions complete out of arrival order (precheck
+            // drops finish first) but each bundle's verdict must match the
+            // sequential pipeline's verdict for the same arrival order.
+            // Greedy first-fit matching is sound because identical bundles
+            // (the duplicate pair) are decided in FIFO order on both paths.
+            let mut used = vec![false; bundles.len()];
+            for d in &decisions {
+                let idx = (0..bundles.len())
+                    .find(|&i| !used[i] && bundles[i] == d.bundle)
+                    .expect("every decision maps to a bundle");
+                used[idx] = true;
+                assert_eq!(
+                    d.outcome, sequential[idx],
+                    "bundle {idx}, batch {max_batch}"
+                );
+            }
 
-        // All counter/gauge metrics agree with the sequential pipeline.
-        assert_eq!(
-            ValidationMetrics::from(batched.inner().registry()),
-            ValidationMetrics::from(seq.registry()),
-        );
-        // The batched path recorded its own series too: 10 bundles, 2
-        // precheck drops, max_batch 4 → two full flushes of 4.
-        let snap = batched.inner().registry().snapshot();
-        let sizes = snap.histogram("rln_batch_size").unwrap();
-        assert_eq!((sizes.count, sizes.sum), (2, 8));
-        // The first flush (fresh a, fresh b, spam first, spam second) is
-        // clean: no check after its batch check. The second (dup, dup,
-        // tampered, fresh c) has one invalid proof at position 2 of 4: the
-        // left half's check passes, so the failing pair on the right goes
-        // to the exact check, member by member — k·(⌈log₂n⌉ + 1).
-        let checks = snap.histogram("rln_batch_isolation_checks").unwrap();
-        assert_eq!((checks.count, checks.sum), (2, 3));
-        assert_eq!(snap.scalar("rln_batch_invalid_proofs_total"), 1);
-        assert_eq!(
-            snap.histogram("rln_proof_verify_batch_ns").unwrap().count,
-            2
-        );
-        assert_eq!(
-            snap.histogram("rln_proof_verify_ns").unwrap().count,
-            8,
-            "amortized per-proof series has one sample per verified proof"
-        );
+            // All counter/gauge metrics agree with the sequential pipeline.
+            assert_eq!(
+                ValidationMetrics::from(batched.inner().registry()),
+                ValidationMetrics::from(seq.registry()),
+                "batch {max_batch}"
+            );
+            // The batched path recorded its own series too: 10 bundles, 2
+            // precheck drops, so 8 proof-worthy ones — one flush each at
+            // max_batch 1, two full flushes of 4 at max_batch 4.
+            //
+            // Isolation: a flush of one is its own exact check, so nothing
+            // follows it. At 4 the first flush (fresh a, fresh b, spam
+            // first, spam second) is clean: no check after its batch check.
+            // The second (dup, dup, tampered, fresh c) has one invalid proof
+            // at position 2 of 4: the left half's check passes, so the
+            // failing pair on the right goes to the exact check, member by
+            // member — k·(⌈log₂n⌉ + 1).
+            let (flushes, isolation_checks) = if max_batch == 1 { (8, 0) } else { (2, 3) };
+            let snap = batched.inner().registry().snapshot();
+            let sizes = snap.histogram("rln_batch_size").unwrap();
+            assert_eq!((sizes.count, sizes.sum), (flushes, 8));
+            let checks = snap.histogram("rln_batch_isolation_checks").unwrap();
+            assert_eq!((checks.count, checks.sum), (flushes, isolation_checks));
+            assert_eq!(snap.scalar("rln_batch_invalid_proofs_total"), 1);
+            assert_eq!(
+                snap.histogram("rln_proof_verify_batch_ns").unwrap().count,
+                flushes
+            );
+            assert_eq!(
+                snap.histogram("rln_proof_verify_ns").unwrap().count,
+                8,
+                "amortized per-proof series has one sample per verified proof"
+            );
+        }
     }
 
     #[test]

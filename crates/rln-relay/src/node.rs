@@ -36,12 +36,11 @@ pub struct NodeConfig {
     pub gas_price_gwei: u64,
     /// Use commit-reveal (true, §III-F recommendation) or plain slashing.
     pub commit_reveal: bool,
-    /// Flush policy for the queued-ingest path
-    /// ([`WakuRlnRelayNode::ingest_queued`]). `None` keeps the queue in
-    /// pass-through mode (batch of 1, no delay), so the sequential and
-    /// queued entry points behave identically unless batching is asked
-    /// for explicitly.
-    pub batch: Option<BatchConfig>,
+    /// Flush policy of the ingest queue ([`WakuRlnRelayNode::ingest`]).
+    /// The default, a batch of 1 with no delay, is pass-through: a
+    /// one-slot queue flushes on every push, so each bundle is decided on
+    /// arrival.
+    pub batch: BatchConfig,
 }
 
 impl NodeConfig {
@@ -59,7 +58,10 @@ impl Default for NodeConfig {
             max_epoch_gap: 1,
             gas_price_gwei: 100,
             commit_reveal: true,
-            batch: None,
+            batch: BatchConfig {
+                max_batch: 1,
+                max_delay_secs: 0,
+            },
         }
     }
 }
@@ -72,7 +74,7 @@ pub struct NodeConfigBuilder {
     max_epoch_gap: u64,
     gas_price_gwei: u64,
     commit_reveal: bool,
-    batch: Option<BatchConfig>,
+    batch: BatchConfig,
 }
 
 impl Default for NodeConfigBuilder {
@@ -123,10 +125,10 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Enables micro-batched proof verification on the queued-ingest
-    /// path with the given flush policy.
+    /// Sets the ingest queue's flush policy; a `max_batch` above 1 turns
+    /// on micro-batched proof verification.
     pub fn batching(mut self, config: BatchConfig) -> Self {
-        self.batch = Some(config);
+        self.batch = config;
         self
     }
 
@@ -231,11 +233,10 @@ pub struct WakuRlnRelayNode {
     address: Address,
     group: GroupManager,
     epochs: EpochManager,
-    // The validator always sits behind the batching queue; without an
-    // explicit `NodeConfig::batch` the queue runs in pass-through mode
-    // (batch of 1, no delay) and the sequential entry points bypass it
-    // entirely, so batching is strictly opt-in.
-    ingest: BatchingValidator,
+    // The validator sits behind the batching queue and every incoming
+    // bundle goes through it. The default `NodeConfig::batch` (batch of
+    // 1, no delay) decides each bundle on arrival, so batching is opt-in.
+    queue: BatchingValidator,
     slasher: Slasher,
     prover: std::sync::Arc<RlnProver>,
     last_published_epoch: Option<u64>,
@@ -280,13 +281,7 @@ impl WakuRlnRelayNode {
             config.max_epoch_gap,
             registry.clone(),
         );
-        let ingest = BatchingValidator::new(
-            validator,
-            config.batch.unwrap_or(BatchConfig {
-                max_batch: 1,
-                max_delay_secs: 0,
-            }),
-        );
+        let queue = BatchingValidator::new(validator, config.batch);
         let slasher = Slasher::new(address, config.gas_price_gwei, config.commit_reveal);
         let m = NodeHandles::bind(&registry);
         WakuRlnRelayNode {
@@ -295,7 +290,7 @@ impl WakuRlnRelayNode {
             address,
             group,
             epochs,
-            ingest,
+            queue,
             slasher,
             prover,
             last_published_epoch: None,
@@ -331,7 +326,7 @@ impl WakuRlnRelayNode {
 
     /// Validator metrics (same registry, validation-pipeline view).
     pub fn validation_metrics(&self) -> crate::metrics::ValidationMetrics {
-        self.ingest.inner().metrics()
+        self.queue.inner().metrics()
     }
 
     /// The registry behind both metric views — hand it to an exposition
@@ -425,37 +420,18 @@ impl WakuRlnRelayNode {
     }
 
     /// Handles an incoming bundle at local Unix time `now_secs`
-    /// (Figure 3, right). On spam detection the slashing flow starts
-    /// automatically (commit or plain reveal per configuration).
-    pub fn handle_incoming(
-        &mut self,
-        bundle: &RlnMessageBundle,
-        now_secs: u64,
-        chain: &mut Chain,
-    ) -> Outcome {
-        let outcome = self
-            .ingest
-            .inner_mut()
-            .validate(bundle, &self.group, now_secs);
-        if let Outcome::Spam(evidence) = &outcome {
-            self.m.slash_commits.inc();
-            self.slasher.start(evidence.recovered_secret, chain);
-        }
-        outcome
-    }
-
-    /// Queue-based ingest for the long-running service path: runs the
-    /// cheap prechecks now, defers the proof to the next micro-batch
-    /// flush (per [`NodeConfig::batch`]), and reacts to every decision
-    /// that completed — spam verdicts start the slashing flow exactly as
-    /// [`WakuRlnRelayNode::handle_incoming`] would.
-    pub fn ingest_queued(
+    /// (Figure 3, right): runs the cheap prechecks now, verifies the
+    /// proof at the ingest queue's next flush (per [`NodeConfig::batch`];
+    /// the pass-through default flushes on arrival), and returns every
+    /// decision that completed. A spam verdict starts the slashing flow
+    /// (commit or plain reveal per configuration).
+    pub fn ingest(
         &mut self,
         bundle: RlnMessageBundle,
         now_secs: u64,
         chain: &mut Chain,
     ) -> Vec<BatchDecision> {
-        let decisions = self.ingest.enqueue(bundle, &self.group, now_secs);
+        let decisions = self.queue.enqueue(bundle, &self.group, now_secs);
         self.react(&decisions, chain);
         decisions
     }
@@ -466,7 +442,7 @@ impl WakuRlnRelayNode {
     /// queue if the oldest queued bundle's deadline has passed, reacting
     /// to whatever completed.
     pub fn heartbeat(&mut self, now_secs: u64, chain: &mut Chain) -> Vec<BatchDecision> {
-        let decisions = self.ingest.tick(now_secs);
+        let decisions = self.queue.tick(now_secs);
         self.react(&decisions, chain);
         decisions
     }
@@ -474,14 +450,14 @@ impl WakuRlnRelayNode {
     /// Forces every queued bundle through verification (shutdown: no
     /// message may be left undecided in a queue that is about to drop).
     pub fn flush_ingest(&mut self, chain: &mut Chain) -> Vec<BatchDecision> {
-        let decisions = self.ingest.flush();
+        let decisions = self.queue.flush();
         self.react(&decisions, chain);
         decisions
     }
 
     /// Bundles waiting in the ingest queue for their batch to flush.
     pub fn queued_ingest(&self) -> usize {
-        self.ingest.queued()
+        self.queue.queued()
     }
 
     fn react(&mut self, decisions: &[BatchDecision], chain: &mut Chain) {
@@ -498,13 +474,13 @@ impl WakuRlnRelayNode {
     /// of uptime — the long-horizon memory guarantee of the epoch
     /// lifecycle subsystem.
     pub fn resident_nullifiers(&self) -> usize {
-        self.ingest.inner().nullifiers().len()
+        self.queue.inner().nullifiers().len()
     }
 
     /// Snapshot of the windowed nullifier store, for the service's
     /// periodic checkpoints (persist with `waku_rln::snapshot_io`).
     pub fn nullifier_snapshot(&self) -> waku_rln::NullifierSnapshot {
-        self.ingest.inner().nullifiers().snapshot()
+        self.queue.inner().nullifiers().snapshot()
     }
 
     /// Restores the nullifier window from a persisted snapshot — the
@@ -518,7 +494,7 @@ impl WakuRlnRelayNode {
         &mut self,
         snapshot: &waku_rln::NullifierSnapshot,
     ) -> Result<(), NodeError> {
-        self.ingest
+        self.queue
             .inner_mut()
             .restore_nullifiers(snapshot)
             .map_err(NodeError::from)
@@ -605,13 +581,27 @@ mod tests {
         (chain, nodes)
     }
 
+    /// Ingests `bundle` into a pass-through node and returns the one
+    /// decision that must come back: the bundle's own.
+    fn decide(
+        node: &mut WakuRlnRelayNode,
+        bundle: &RlnMessageBundle,
+        now: u64,
+        chain: &mut Chain,
+    ) -> Outcome {
+        match &node.ingest(bundle.clone(), now, chain)[..] {
+            [d] if d.bundle == *bundle => d.outcome.clone(),
+            other => panic!("expected this bundle's decision alone, got {other:?}"),
+        }
+    }
+
     #[test]
     fn register_publish_validate_roundtrip() {
         let (mut chain, mut nodes) = setup(2, 1);
         let mut rng = StdRng::seed_from_u64(2);
         assert!(nodes[0].is_registered());
         let bundle = nodes[0].publish(b"hello network", 1000, &mut rng).unwrap();
-        let outcome = nodes[1].handle_incoming(&bundle, 1000, &mut chain);
+        let outcome = decide(&mut nodes[1], &bundle, 1000, &mut chain);
         assert_eq!(outcome, Outcome::Relay);
     }
 
@@ -704,11 +694,8 @@ mod tests {
             .unwrap();
 
         // Router (node 1) sees both: first relays, second is spam.
-        assert_eq!(
-            nodes[1].handle_incoming(&b1, 1000, &mut chain),
-            Outcome::Relay
-        );
-        let outcome = nodes[1].handle_incoming(&b2, 1000, &mut chain);
+        assert_eq!(decide(&mut nodes[1], &b1, 1000, &mut chain), Outcome::Relay);
+        let outcome = decide(&mut nodes[1], &b2, 1000, &mut chain);
         match &outcome {
             Outcome::Spam(ev) => {
                 assert_eq!(ev.recovered_commitment(), spammer_commitment);
@@ -738,8 +725,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let b1 = nodes[0].publish_unchecked(b"a", 1000, &mut rng).unwrap();
         let b2 = nodes[0].publish_unchecked(b"b", 1000, &mut rng).unwrap();
-        nodes[1].handle_incoming(&b1, 1000, &mut chain);
-        nodes[1].handle_incoming(&b2, 1000, &mut chain);
+        decide(&mut nodes[1], &b1, 1000, &mut chain);
+        decide(&mut nodes[1], &b2, 1000, &mut chain);
         chain.mine_block();
         nodes[1].sync(&mut chain);
         chain.mine_block();
@@ -785,7 +772,12 @@ mod tests {
         let defaults = NodeConfig::default();
         assert_eq!(built.epoch_length_secs, defaults.epoch_length_secs);
         assert_eq!(built.tree_depth, defaults.tree_depth);
-        assert!(built.batch.is_none());
+        assert_eq!(built.batch, defaults.batch);
+        assert_eq!(
+            (built.batch.max_batch, built.batch.max_delay_secs),
+            (1, 0),
+            "pass-through"
+        );
     }
 
     #[test]
@@ -833,12 +825,12 @@ mod tests {
             .unwrap();
         let spammer = nodes.remove(0);
         let router = &mut nodes[0];
-        assert!(router.ingest_queued(b1, 1000, &mut chain).is_empty());
-        assert!(router.ingest_queued(b2, 1000, &mut chain).is_empty());
+        assert!(router.ingest(b1, 1000, &mut chain).is_empty());
+        assert!(router.ingest(b2, 1000, &mut chain).is_empty());
         assert_eq!(router.queued_ingest(), 2);
 
         // Flush (shutdown path): both decide, spam starts the slashing
-        // flow exactly like the sequential entry point would.
+        // flow exactly like a pass-through node's arrival would.
         let decisions = router.flush_ingest(&mut chain);
         assert_eq!(decisions.len(), 2);
         assert_eq!(decisions[0].outcome, Outcome::Relay);
@@ -862,10 +854,7 @@ mod tests {
         let b2 = nodes[0]
             .publish_unchecked(b"post-crash", 1000, &mut rng)
             .unwrap();
-        assert_eq!(
-            nodes[1].handle_incoming(&b1, 1000, &mut chain),
-            Outcome::Relay
-        );
+        assert_eq!(decide(&mut nodes[1], &b1, 1000, &mut chain), Outcome::Relay);
         let snap = nodes[1].nullifier_snapshot();
 
         // "Restart" the router: fresh node, same keys, restored window.
@@ -884,7 +873,7 @@ mod tests {
         // The second share of the pre-crash epoch is still recognized as
         // spam — the property a forgetful reboot would lose.
         assert!(matches!(
-            reborn.handle_incoming(&b2, 1000, &mut chain),
+            decide(&mut reborn, &b2, 1000, &mut chain),
             Outcome::Spam(_)
         ));
 
@@ -936,7 +925,7 @@ mod tests {
         }
         let bundle = nodes[0].publish(b"still works", 5000, &mut rng).unwrap();
         assert_eq!(
-            nodes[1].handle_incoming(&bundle, 5000, &mut chain),
+            decide(&mut nodes[1], &bundle, 5000, &mut chain),
             Outcome::Relay
         );
     }

@@ -23,7 +23,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use waku_gossip::{Network, NetworkConfig, TrafficClass, Validation};
+use waku_gossip::{
+    Message, MessageAcceptor, Network, NetworkConfig, PeerId, SimTime, TrafficClass, Validation,
+};
 use waku_metrics::{Registry, Snapshot};
 use waku_rln::{derive, external_nullifier, message_hash, Identity};
 use waku_rln_relay::{EpochManager, GroupManager, MessageValidator};
@@ -258,15 +260,7 @@ fn install_validators(
         }
         Defense::Pow { .. } => {
             for p in 0..config.peers {
-                // payload[0] carries the achieved-work flag: did the
-                // sender grind enough hashes for min_pow?
-                net.set_validator_fn(p, move |_, message, _| {
-                    if message.data.first() == Some(&1) {
-                        Validation::Accept
-                    } else {
-                        Validation::Reject
-                    }
-                });
+                net.set_validator(p, Box::new(PowAcceptor));
             }
             Vec::new()
         }
@@ -291,6 +285,21 @@ fn install_validators(
                     registry
                 })
                 .collect()
+        }
+    }
+}
+
+/// The Whisper-PoW router: `data[0]` carries the achieved-work flag (did
+/// the sender grind enough hashes for `min_pow`?), so a message is
+/// accepted iff it is 1.
+struct PowAcceptor;
+
+impl MessageAcceptor for PowAcceptor {
+    fn validate(&mut self, _: PeerId, message: &Message, _: SimTime) -> Validation {
+        if message.data.first() == Some(&1) {
+            Validation::Accept
+        } else {
+            Validation::Reject
         }
     }
 }

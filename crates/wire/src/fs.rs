@@ -11,11 +11,13 @@ use std::path::Path;
 /// `sync_all` it → `rename` over `path` → fsync the parent directory
 /// (without which a power loss can undo the rename itself; for
 /// `publish.guard` that would let the node publish twice in one epoch).
+/// When the write, the `sync_all` or the `rename` fails, the `.tmp`
+/// sibling is removed (best effort) and that error is returned.
 ///
 /// What is unit-tested here is what needs no fault injection (no temp
-/// file left behind, in-place replacement, parent creation); killing the
-/// process at each write/rename/fsync boundary is a later issue's
-/// crash-point injector.
+/// file left behind on success or on a failed rename, in-place
+/// replacement, parent creation); killing the process at each
+/// write/rename/fsync boundary needs a crash-point injector.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
@@ -23,12 +25,19 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     };
     std::fs::create_dir_all(parent)?;
     let tmp = path.with_extension("tmp");
-    let mut file = File::create(&tmp)?;
+    if let Err(e) = write_and_rename(&tmp, path, bytes) {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    File::open(parent)?.sync_all()
+}
+
+fn write_and_rename(tmp: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut file = File::create(tmp)?;
     file.write_all(bytes)?;
     file.sync_all()?;
     drop(file);
-    std::fs::rename(&tmp, path)?;
-    File::open(parent)?.sync_all()
+    std::fs::rename(tmp, path)
 }
 
 #[cfg(test)]
@@ -50,6 +59,23 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(names, ["state.bin"], "only the target remains");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn failed_rename_leaves_no_temp() {
+        let root = std::env::temp_dir().join(format!("waku-wire-fs-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        // A non-empty directory at the target path: the rename fails after
+        // the temp file was written and synced.
+        let path = root.join("state");
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        assert!(atomic_write(&path, b"never lands").is_err());
+        let names: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["state"], "no .tmp sibling left behind");
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

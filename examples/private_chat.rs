@@ -75,10 +75,10 @@ fn main() {
             .expect("one message per second is within the rate");
         // the other peer routes + validates it
         let other = 1 - who;
-        let outcome = nodes[other].handle_incoming(&bundle, at, &mut chain);
-        assert_eq!(outcome, Outcome::Relay);
+        let decision = nodes[other].ingest(bundle, at, &mut chain).remove(0);
+        assert_eq!(decision.outcome, Outcome::Relay);
         // the store node archives what was relayed
-        store.insert(WakuMessage::from_bytes(&bundle.payload).unwrap());
+        store.insert(WakuMessage::from_bytes(&decision.bundle.payload).unwrap());
         println!("   [{}] {}: {}", at, names[who], text);
     }
 

@@ -90,9 +90,11 @@ fn main() {
         bundle.epoch,
         bundle.size_in_bytes()
     );
-    let outcome = nodes[1].handle_incoming(&bundle, now, &mut chain);
+    // A node ingests pass-through by default: each bundle is decided on
+    // arrival, so one decision comes back.
+    let outcome = &nodes[1].ingest(bundle, now, &mut chain)[0].outcome;
     println!("   bob validates: {outcome:?} — relays it onward");
-    assert_eq!(outcome, Outcome::Relay);
+    assert_eq!(*outcome, Outcome::Relay);
 
     println!("== 5. carol spams: two messages, one epoch ==");
     let spam1 = nodes[2]
@@ -104,8 +106,11 @@ fn main() {
     let carol_commitment = nodes[2].commitment();
 
     let bob = &mut nodes[1];
-    assert_eq!(bob.handle_incoming(&spam1, now, &mut chain), Outcome::Relay);
-    match bob.handle_incoming(&spam2, now, &mut chain) {
+    assert_eq!(
+        bob.ingest(spam1, now, &mut chain)[0].outcome,
+        Outcome::Relay
+    );
+    match &bob.ingest(spam2, now, &mut chain)[0].outcome {
         Outcome::Spam(evidence) => {
             println!(
                 "   bob detected double-signaling; recovered key commits to carol: {}",

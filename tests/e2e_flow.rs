@@ -3,69 +3,26 @@
 //! serialized into gossip messages, validated by every routing peer,
 //! spam detected mid-network, and the spammer slashed on-chain.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use waku_suite::chain::{Address, Chain, ChainConfig, ETHER};
+use waku_suite::chain::ETHER;
 use waku_suite::gossip::{Network, NetworkConfig, TrafficClass};
 use waku_suite::metrics::Registry;
-use waku_suite::rln::{RlnMessageBundle, RlnProver, RlnVerifier};
-use waku_suite::rln_relay::node::{NodeConfig, WakuRlnRelayNode};
+use waku_suite::rln::RlnMessageBundle;
+use waku_suite::rln_relay::node::WakuRlnRelayNode;
 use waku_suite::rln_relay::{EpochManager, MessageValidator, Outcome};
 use waku_suite::sim::{DetectionLog, RlnAcceptor};
+
+use common::decide;
 
 const DEPTH: usize = 8;
 const TOPIC: u32 = 1;
 const EPOCH_SECS: u64 = 10;
-
-fn keys() -> &'static (Arc<RlnProver>, RlnVerifier) {
-    static CELL: OnceLock<(Arc<RlnProver>, RlnVerifier)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let mut rng = StdRng::seed_from_u64(0xE2E);
-        let (p, v) = RlnProver::keygen(DEPTH, &mut rng);
-        (Arc::new(p), v)
-    })
-}
-
-fn node_config() -> NodeConfig {
-    NodeConfig::builder()
-        .tree_depth(DEPTH)
-        .epoch_length(std::time::Duration::from_secs(EPOCH_SECS))
-        .build()
-        .expect("valid node config")
-}
-
-/// Builds `n` registered-and-synced nodes plus the chain.
-fn build_network(n: usize, seed: u64) -> (Chain, Vec<WakuRlnRelayNode>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (prover, verifier) = keys();
-    let mut chain = Chain::new(ChainConfig {
-        tree_depth: DEPTH,
-        ..ChainConfig::default()
-    });
-    let mut nodes: Vec<WakuRlnRelayNode> = (0..n)
-        .map(|i| {
-            let addr = Address::from_seed(&[0xE2, i as u8, seed as u8]);
-            chain.fund(addr, 10 * ETHER);
-            let mut node = WakuRlnRelayNode::new(
-                node_config(),
-                addr,
-                Arc::clone(prover),
-                verifier.clone(),
-                &mut rng,
-            );
-            node.register(&mut chain);
-            node
-        })
-        .collect();
-    chain.mine_block();
-    for node in nodes.iter_mut() {
-        node.sync(&mut chain);
-    }
-    (chain, nodes)
-}
 
 /// A warmed-up gossip network of `nodes.len()` peers, peer `p` routing
 /// with the production §III-F validator — real Groth16 verification of
@@ -90,7 +47,7 @@ fn build_gossip(
         .enumerate()
         .map(|(p, node)| {
             let validator =
-                MessageValidator::new(keys().1.clone(), EpochManager::new(EPOCH_SECS), 1);
+                MessageValidator::new(common::keys(DEPTH).1, EpochManager::new(EPOCH_SECS), 1);
             let registry = validator.registry().clone();
             net.set_validator(
                 p,
@@ -110,7 +67,7 @@ fn build_gossip(
 
 #[test]
 fn honest_bundle_propagates_through_gossip_with_real_proofs() {
-    let (_chain, nodes) = build_network(5, 1);
+    let (_chain, nodes) = common::nodes(5, DEPTH, EPOCH_SECS, 1);
     let mut rng = StdRng::seed_from_u64(2);
     let (mut net, _, _) = build_gossip(&nodes, 3);
 
@@ -132,7 +89,7 @@ fn honest_bundle_propagates_through_gossip_with_real_proofs() {
 
 #[test]
 fn tampered_bundle_is_rejected_at_first_hop() {
-    let (_chain, nodes) = build_network(5, 4);
+    let (_chain, nodes) = common::nodes(5, DEPTH, EPOCH_SECS, 4);
     let mut rng = StdRng::seed_from_u64(5);
     let (mut net, _, _) = build_gossip(&nodes, 6);
 
@@ -161,7 +118,7 @@ fn tampered_bundle_is_rejected_at_first_hop() {
 fn double_signal_is_contained_and_attributed_across_a_real_proof_network() {
     const PEERS: usize = 12;
     const SPAMMER: usize = PEERS - 1;
-    let (_chain, mut nodes) = build_network(PEERS, 9);
+    let (_chain, mut nodes) = common::nodes(PEERS, DEPTH, EPOCH_SECS, 9);
     let mut rng = StdRng::seed_from_u64(10);
     let (mut net, registries, detections) = build_gossip(&nodes, 11);
 
@@ -234,7 +191,7 @@ fn double_signal_is_contained_and_attributed_across_a_real_proof_network() {
 
 #[test]
 fn network_detects_and_slashes_spammer_with_real_proofs() {
-    let (mut chain, mut nodes) = build_network(4, 7);
+    let (mut chain, mut nodes) = common::nodes(4, DEPTH, EPOCH_SECS, 7);
     let mut rng = StdRng::seed_from_u64(8);
 
     // Spammer = node 3; router = node 1. Two real proofs, same epoch.
@@ -251,10 +208,10 @@ fn network_detects_and_slashes_spammer_with_real_proofs() {
     let spam2 = RlnMessageBundle::from_bytes(&spam2.to_bytes()).unwrap();
 
     assert_eq!(
-        nodes[1].handle_incoming(&spam1, 100, &mut chain),
+        decide(&mut nodes[1], &spam1, 100, &mut chain),
         Outcome::Relay
     );
-    match nodes[1].handle_incoming(&spam2, 100, &mut chain) {
+    match decide(&mut nodes[1], &spam2, 100, &mut chain) {
         Outcome::Spam(ev) => assert_eq!(ev.recovered_commitment(), spammer_commitment),
         other => panic!("expected spam, got {other:?}"),
     }
@@ -272,7 +229,7 @@ fn network_detects_and_slashes_spammer_with_real_proofs() {
     // And honest traffic still flows among the remaining members.
     let bundle = nodes[0].publish(b"life goes on", 200, &mut rng).unwrap();
     assert_eq!(
-        nodes[2].handle_incoming(&bundle, 200, &mut chain),
+        decide(&mut nodes[2], &bundle, 200, &mut chain),
         Outcome::Relay
     );
 }

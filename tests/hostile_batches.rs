@@ -10,60 +10,20 @@
 //! rate, and the search must stay inside its stated work bound. This is
 //! the seed of ROADMAP E12 (defender cost under an invalid-proof flood).
 
-use std::path::{Path, PathBuf};
-use std::time::Duration;
+mod common;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use waku_suite::chain::{Address, TxKind, ETHER};
-use waku_suite::node::{RelayerService, ServiceConfig};
 use waku_suite::rln::{Identity, RlnMessageBundle, RlnProver, RlnVerifier};
-use waku_suite::rln_relay::{
-    BatchConfig, EpochManager, GroupManager, MessageValidator, NodeConfig, Outcome,
-};
+use waku_suite::rln_relay::{EpochManager, GroupManager, MessageValidator, Outcome};
+
+use common::{open_service, temp_dir};
 
 /// 64 publishers and the service's own membership need 65 leaves.
 const DEPTH: usize = 7;
-const T: u64 = 10;
+const T: u64 = common::SERVICE_EPOCH_SECS;
 const BATCH: usize = 64;
 const NOW: u64 = 1_000;
-
-/// A service with a warm key cache, batching by 64, and the publishers
-/// registered at leaves `1..=64` (registration replay is deterministic, so
-/// every service opened here has the same tree).
-fn open_service(dir: &Path, publishers: &[Identity]) -> RelayerService {
-    let batch = BatchConfig::builder()
-        .max_batch(BATCH)
-        .max_delay_secs(1)
-        .build()
-        .unwrap();
-    let node = NodeConfig::builder()
-        .tree_depth(DEPTH)
-        .epoch_length(Duration::from_secs(T))
-        .max_epoch_gap(1)
-        .batching(batch)
-        .build()
-        .unwrap();
-    let config = ServiceConfig::builder(dir)
-        .node(node)
-        .seed(7)
-        .build()
-        .unwrap();
-    let mut service = RelayerService::open(config).unwrap();
-    for (i, identity) in publishers.iter().enumerate() {
-        let address = Address::from_seed(&(i as u64).to_le_bytes());
-        service.chain_mut().fund(address, 10 * ETHER);
-        service.chain_mut().submit(
-            address,
-            TxKind::Register {
-                commitment: identity.commitment(),
-            },
-            100,
-        );
-    }
-    service.step(0).unwrap(); // mines and syncs
-    service
-}
 
 /// One epoch of traffic in arrival order: 62 first signals, one stale
 /// replay (rejected before the queue), one exact duplicate and one
@@ -95,19 +55,15 @@ fn arrivals(
     bundles
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("waku-hostile-{tag}-{}", std::process::id()))
-}
-
 #[test]
 fn batched_relayer_decides_like_the_sequential_validator_at_every_poison_rate() {
     let mut rng = StdRng::seed_from_u64(0xE120);
     let publishers: Vec<Identity> = (0..BATCH).map(|_| Identity::random(&mut rng)).collect();
 
     // The first open runs the key ceremony; every later one loads it.
-    let keys_dir = temp_dir("keys");
+    let keys_dir = temp_dir("hostile-keys");
     let _ = std::fs::remove_dir_all(&keys_dir);
-    let first = open_service(&keys_dir, &publishers);
+    let first = open_service(&keys_dir, DEPTH, BATCH, &publishers);
     let (prover, verifier): (RlnProver, RlnVerifier) =
         RlnProver::keygen_or_load(DEPTH, &keys_dir.join("keys.bin"), &mut rng);
     let mut group = GroupManager::new(DEPTH);
@@ -137,11 +93,11 @@ fn batched_relayer_decides_like_the_sequential_validator_at_every_poison_rate() 
             .count();
         assert!(invalid >= junk.min(1) && invalid <= junk, "{junk} junk");
 
-        let dir = temp_dir(&format!("rate-{junk}"));
+        let dir = temp_dir(&format!("hostile-rate-{junk}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::copy(keys_dir.join("keys.bin"), dir.join("keys.bin")).unwrap();
-        let mut service = open_service(&dir, &publishers);
+        let mut service = open_service(&dir, DEPTH, BATCH, &publishers);
         let mut decisions = Vec::new();
         for bundle in &traffic {
             decisions.extend(service.ingest(bundle.clone(), NOW).unwrap());

@@ -7,62 +7,28 @@
 //!    stake before the slashing transaction lands, burning only the
 //!    registration fee.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, OnceLock};
 
-use waku_suite::chain::{Address, Chain, ChainConfig, ContractError, TxKind, ETHER};
-use waku_suite::rln::{RlnProver, RlnVerifier};
-use waku_suite::rln_relay::node::{NodeConfig, WakuRlnRelayNode};
+use waku_suite::chain::{ContractError, TxKind, ETHER};
 use waku_suite::rln_relay::Outcome;
 
+use common::decide;
+
 const DEPTH: usize = 8;
-
-fn keys() -> &'static (Arc<RlnProver>, RlnVerifier) {
-    static CELL: OnceLock<(Arc<RlnProver>, RlnVerifier)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let mut rng = StdRng::seed_from_u64(0x09E7);
-        let (p, v) = RlnProver::keygen(DEPTH, &mut rng);
-        (Arc::new(p), v)
-    })
-}
-
-fn config() -> NodeConfig {
-    NodeConfig::builder()
-        .tree_depth(DEPTH)
-        .epoch_length(std::time::Duration::from_secs(10))
-        .build()
-        .expect("valid node config")
-}
-
-fn make_node(chain: &mut Chain, tag: &[u8], rng: &mut StdRng) -> WakuRlnRelayNode {
-    let (prover, verifier) = keys();
-    let addr = Address::from_seed(tag);
-    chain.fund(addr, 10 * ETHER);
-    let mut node = WakuRlnRelayNode::new(config(), addr, Arc::clone(prover), verifier.clone(), rng);
-    node.register(chain);
-    node
-}
+const EPOCH_SECS: u64 = 10;
 
 #[test]
 fn open_problem_1_multiple_registrations_buy_aggregate_rate() {
     // "An attacker pays for multiple e.g., k registrations, and uses its
     //  aggregate quota for messaging i.e., k messages per epoch."
     let mut rng = StdRng::seed_from_u64(1);
-    let mut chain = Chain::new(ChainConfig {
-        tree_depth: DEPTH,
-        ..ChainConfig::default()
-    });
-    // The attacker runs k = 3 node identities (funded from one pocket).
+    // The attacker runs k = 3 node identities; the last node routes.
     let k = 3;
-    let mut sybils: Vec<WakuRlnRelayNode> = (0..k)
-        .map(|i| make_node(&mut chain, &[0xA7, i as u8], &mut rng))
-        .collect();
-    let mut router = make_node(&mut chain, b"router", &mut rng);
-    chain.mine_block();
-    for n in sybils.iter_mut().chain(std::iter::once(&mut router)) {
-        n.sync(&mut chain);
-    }
+    let (mut chain, mut sybils) = common::nodes(k + 1, DEPTH, EPOCH_SECS, 11);
+    let mut router = sybils.pop().unwrap();
     let escrow_before = chain.contract().escrow();
     assert_eq!(escrow_before, (k as u128 + 1) * ETHER, "k deposits staked");
 
@@ -74,7 +40,7 @@ fn open_problem_1_multiple_registrations_buy_aggregate_rate() {
             .publish(format!("sybil burst {i}").as_bytes(), now, &mut rng)
             .unwrap();
         assert_eq!(
-            router.handle_incoming(&bundle, now, &mut chain),
+            decide(&mut router, &bundle, now, &mut chain),
             Outcome::Relay,
             "identity {i}: within its own rate, undetectable"
         );
@@ -90,7 +56,7 @@ fn open_problem_1_multiple_registrations_buy_aggregate_rate() {
         .publish_unchecked(b"one too many", now, &mut rng)
         .unwrap();
     assert!(matches!(
-        router.handle_incoming(&extra, now, &mut chain),
+        decide(&mut router, &extra, now, &mut chain),
         Outcome::Spam(_)
     ));
 }
@@ -100,15 +66,8 @@ fn open_problem_2_early_withdrawal_escapes_the_slash() {
     // "A spammer can escape from getting slashed by withdrawing its fund
     //  from the contract before its spam activity gets caught."
     let mut rng = StdRng::seed_from_u64(2);
-    let mut chain = Chain::new(ChainConfig {
-        tree_depth: DEPTH,
-        ..ChainConfig::default()
-    });
-    let mut spammer = make_node(&mut chain, b"escaper", &mut rng);
-    let mut router = make_node(&mut chain, b"watcher", &mut rng);
-    chain.mine_block();
-    spammer.sync(&mut chain);
-    router.sync(&mut chain);
+    let (mut chain, mut nodes) = common::nodes(2, DEPTH, EPOCH_SECS, 12);
+    let [spammer, router]: &mut [_; 2] = nodes.as_mut_slice().try_into().unwrap();
     let spammer_addr = spammer.address();
     let spammer_index = spammer.group().own_index().unwrap();
     let balance_before_spam = chain.balance(spammer_addr);
@@ -130,9 +89,9 @@ fn open_problem_2_early_withdrawal_escapes_the_slash() {
 
     // The router detects and starts commit-reveal — but the commit shares
     // a block with (and is ordered after) the withdrawal.
-    assert_eq!(router.handle_incoming(&b1, now, &mut chain), Outcome::Relay);
+    assert_eq!(decide(router, &b1, now, &mut chain), Outcome::Relay);
     assert!(matches!(
-        router.handle_incoming(&b2, now, &mut chain),
+        decide(router, &b2, now, &mut chain),
         Outcome::Spam(_)
     ));
     chain.mine_block(); // withdrawal executes first (gas price order)
@@ -163,13 +122,8 @@ fn open_problem_2_early_withdrawal_escapes_the_slash() {
 fn double_registration_of_same_commitment_is_rejected() {
     // Supporting invariant for the Sybil economics: an attacker cannot
     // stretch one deposit across two slots.
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut chain = Chain::new(ChainConfig {
-        tree_depth: DEPTH,
-        ..ChainConfig::default()
-    });
-    let node = make_node(&mut chain, b"dup", &mut rng);
-    chain.mine_block();
+    let (mut chain, nodes) = common::nodes(1, DEPTH, EPOCH_SECS, 13);
+    let node = &nodes[0];
     let tx = chain.submit(
         node.address(),
         TxKind::Register {

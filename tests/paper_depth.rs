@@ -8,67 +8,33 @@
 //! caught and slashed on chain, and a restart that keeps every guarantee.
 //! One trusted-setup ceremony (the first open) serves the whole file.
 
-use std::path::{Path, PathBuf};
-use std::time::Duration;
+mod common;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use waku_suite::arith::traits::Field;
-use waku_suite::chain::{Address, TxKind, ETHER};
-use waku_suite::node::{RelayerService, ServiceConfig, ServiceError};
+use waku_suite::node::ServiceError;
 use waku_suite::rln::{Identity, RlnMessageBundle, RlnProver};
-use waku_suite::rln_relay::{GroupManager, NodeConfig, NodeError, Outcome};
+use waku_suite::rln_relay::{GroupManager, NodeError, Outcome};
+
+use common::{open_service, temp_dir};
 
 const DEPTH: usize = 32;
-const T: u64 = 10;
+const T: u64 = common::SERVICE_EPOCH_SECS;
 const NOW: u64 = 1_000;
-
-/// A depth-32 service with the three external members registered at
-/// leaves `1..=3`. Registration replay is deterministic, so every service
-/// opened here (same seed, same members) has the same tree.
-fn open_service(dir: &Path, members: &[Identity]) -> RelayerService {
-    let node = NodeConfig::builder()
-        .tree_depth(DEPTH)
-        .epoch_length(Duration::from_secs(T))
-        .build()
-        .unwrap();
-    let config = ServiceConfig::builder(dir)
-        .node(node)
-        .seed(7)
-        .build()
-        .unwrap();
-    let mut service = RelayerService::open(config).unwrap();
-    for (i, identity) in members.iter().enumerate() {
-        let address = Address::from_seed(&(i as u64).to_le_bytes());
-        service.chain_mut().fund(address, 10 * ETHER);
-        service.chain_mut().submit(
-            address,
-            TxKind::Register {
-                commitment: identity.commitment(),
-            },
-            100,
-        );
-    }
-    service.step(0).unwrap(); // mines and syncs
-    service
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("waku-depth32-{tag}-{}", std::process::id()))
-}
 
 #[test]
 fn depth_32_service_publishes_relays_slashes_and_restarts() {
     let mut rng = StdRng::seed_from_u64(0xD32);
     let members: Vec<Identity> = (0..3).map(|_| Identity::random(&mut rng)).collect();
-    let dir = temp_dir("first");
-    let second_dir = temp_dir("second");
+    let dir = temp_dir("depth32-first");
+    let second_dir = temp_dir("depth32-second");
     for d in [&dir, &second_dir] {
         let _ = std::fs::remove_dir_all(d);
     }
 
     // ---- open cold: the ceremony, then a tree that costs its members ----
-    let mut service = open_service(&dir, &members);
+    let mut service = open_service(&dir, DEPTH, 1, &members);
     assert!(service.recovery().cold_keygen);
     let group = service.node().group();
     assert_eq!(group.member_count(), 4);
@@ -99,7 +65,7 @@ fn depth_32_service_publishes_relays_slashes_and_restarts() {
     assert!(verifier.verify_bundle(&own));
     std::fs::create_dir_all(&second_dir).unwrap();
     std::fs::copy(dir.join("keys.bin"), second_dir.join("keys.bin")).unwrap();
-    let mut second = open_service(&second_dir, &members);
+    let mut second = open_service(&second_dir, DEPTH, 1, &members);
     assert!(!second.recovery().cold_keygen, "shared ceremony");
     let decisions = second.ingest(own, NOW).unwrap();
     assert_eq!(decisions.len(), 1);
@@ -136,7 +102,7 @@ fn depth_32_service_publishes_relays_slashes_and_restarts() {
     service.shutdown(NOW + 2).unwrap();
 
     // ---- drop and reopen the data dir ----------------------------------
-    let mut reborn = open_service(&dir, &members);
+    let mut reborn = open_service(&dir, DEPTH, 1, &members);
     let recovery = reborn.recovery();
     assert!(!recovery.cold_keygen, "keys: cache");
     assert!(recovery.snapshot_restored);

@@ -1,65 +1,27 @@
 //! F3 (paper Figure 3): every branch of the §III-F routing decision tree,
 //! exercised through the public node API with real proofs.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, OnceLock};
 
 use waku_suite::arith::traits::Field;
-use waku_suite::chain::{Address, Chain, ChainConfig, TxKind, ETHER};
-use waku_suite::rln::{RlnProver, RlnVerifier};
-use waku_suite::rln_relay::node::{NodeConfig, WakuRlnRelayNode};
+use waku_suite::chain::{Address, TxKind, ETHER};
 use waku_suite::rln_relay::Outcome;
 
+use common::decide;
+
 const DEPTH: usize = 8;
-
-fn keys() -> &'static (Arc<RlnProver>, RlnVerifier) {
-    static CELL: OnceLock<(Arc<RlnProver>, RlnVerifier)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let mut rng = StdRng::seed_from_u64(0xF16);
-        let (p, v) = RlnProver::keygen(DEPTH, &mut rng);
-        (Arc::new(p), v)
-    })
-}
-
-fn two_nodes(seed: u64) -> (Chain, WakuRlnRelayNode, WakuRlnRelayNode) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (prover, verifier) = keys();
-    let config = NodeConfig::builder()
-        .tree_depth(DEPTH)
-        .epoch_length(std::time::Duration::from_secs(10))
-        .build()
-        .expect("valid node config");
-    let mut chain = Chain::new(ChainConfig {
-        tree_depth: DEPTH,
-        ..ChainConfig::default()
-    });
-    let mut make = |tag: u8, rng: &mut StdRng| {
-        let addr = Address::from_seed(&[0xF1, tag, seed as u8]);
-        chain.fund(addr, 10 * ETHER);
-        let mut n = WakuRlnRelayNode::new(config, addr, Arc::clone(prover), verifier.clone(), rng);
-        n.register(&mut chain);
-        n
-    };
-    let a = make(0, &mut rng);
-    let b = make(1, &mut rng);
-    chain.mine_block();
-    let mut a = a;
-    let mut b = b;
-    a.sync(&mut chain);
-    b.sync(&mut chain);
-    (chain, a, b)
-}
+const EPOCH_SECS: u64 = 10;
 
 #[test]
 fn branch_relay() {
-    let (mut chain, mut alice, mut bob) = two_nodes(1);
+    let (mut chain, mut nodes) = common::nodes(2, DEPTH, EPOCH_SECS, 1);
+    let [alice, bob]: &mut [_; 2] = nodes.as_mut_slice().try_into().unwrap();
     let mut rng = StdRng::seed_from_u64(2);
     let bundle = alice.publish(b"valid", 1000, &mut rng).unwrap();
-    assert_eq!(
-        bob.handle_incoming(&bundle, 1000, &mut chain),
-        Outcome::Relay
-    );
+    assert_eq!(decide(bob, &bundle, 1000, &mut chain), Outcome::Relay);
     assert_eq!(bob.validation_metrics().relayed, 1);
 }
 
@@ -67,11 +29,12 @@ fn branch_relay() {
 fn branch_epoch_gap_drop() {
     // "If the epoch value attached to the message has more than Thr gap
     //  with the routing peer's current epoch, the message is dropped."
-    let (mut chain, mut alice, mut bob) = two_nodes(3);
+    let (mut chain, mut nodes) = common::nodes(2, DEPTH, EPOCH_SECS, 3);
+    let [alice, bob]: &mut [_; 2] = nodes.as_mut_slice().try_into().unwrap();
     let mut rng = StdRng::seed_from_u64(4);
     let bundle = alice.publish(b"ancient", 1000, &mut rng).unwrap();
     // Receiver's clock is 10 epochs later.
-    let outcome = bob.handle_incoming(&bundle, 2000, &mut chain);
+    let outcome = decide(bob, &bundle, 2000, &mut chain);
     assert!(matches!(outcome, Outcome::EpochOutOfRange(gap) if gap == 100));
     assert_eq!(bob.validation_metrics().epoch_dropped, 1);
 }
@@ -79,12 +42,13 @@ fn branch_epoch_gap_drop() {
 #[test]
 fn branch_invalid_proof_drop() {
     // "In case of invalid proof, the message is dropped."
-    let (mut chain, mut alice, mut bob) = two_nodes(5);
+    let (mut chain, mut nodes) = common::nodes(2, DEPTH, EPOCH_SECS, 5);
+    let [alice, bob]: &mut [_; 2] = nodes.as_mut_slice().try_into().unwrap();
     let mut rng = StdRng::seed_from_u64(6);
     let mut bundle = alice.publish(b"will tamper", 1000, &mut rng).unwrap();
     bundle.y += waku_suite::arith::Fr::one(); // share no longer matches proof
     assert_eq!(
-        bob.handle_incoming(&bundle, 1000, &mut chain),
+        decide(bob, &bundle, 1000, &mut chain),
         Outcome::InvalidProof
     );
     assert_eq!(bob.validation_metrics().proof_rejected, 1);
@@ -94,17 +58,12 @@ fn branch_invalid_proof_drop() {
 fn branch_duplicate_discard() {
     // "If (x,y) = (x',y'), then the message is a duplicate and should be
     //  discarded."
-    let (mut chain, mut alice, mut bob) = two_nodes(7);
+    let (mut chain, mut nodes) = common::nodes(2, DEPTH, EPOCH_SECS, 7);
+    let [alice, bob]: &mut [_; 2] = nodes.as_mut_slice().try_into().unwrap();
     let mut rng = StdRng::seed_from_u64(8);
     let bundle = alice.publish(b"same twice", 1000, &mut rng).unwrap();
-    assert_eq!(
-        bob.handle_incoming(&bundle, 1000, &mut chain),
-        Outcome::Relay
-    );
-    assert_eq!(
-        bob.handle_incoming(&bundle, 1001, &mut chain),
-        Outcome::Duplicate
-    );
+    assert_eq!(decide(bob, &bundle, 1000, &mut chain), Outcome::Relay);
+    assert_eq!(decide(bob, &bundle, 1001, &mut chain), Outcome::Duplicate);
     assert_eq!(bob.validation_metrics().duplicates, 1);
 }
 
@@ -112,13 +71,14 @@ fn branch_duplicate_discard() {
 fn branch_slash_on_distinct_shares() {
     // "If the identity share of the older message is different …
     //  then slashing takes place."
-    let (mut chain, mut alice, mut bob) = two_nodes(9);
+    let (mut chain, mut nodes) = common::nodes(2, DEPTH, EPOCH_SECS, 9);
+    let [alice, bob]: &mut [_; 2] = nodes.as_mut_slice().try_into().unwrap();
     let mut rng = StdRng::seed_from_u64(10);
     let b1 = alice.publish_unchecked(b"one", 1000, &mut rng).unwrap();
     let b2 = alice.publish_unchecked(b"two", 1005, &mut rng).unwrap();
     assert_eq!(b1.epoch, b2.epoch, "same epoch (T = 10 s)");
-    assert_eq!(bob.handle_incoming(&b1, 1000, &mut chain), Outcome::Relay);
-    match bob.handle_incoming(&b2, 1005, &mut chain) {
+    assert_eq!(decide(bob, &b1, 1000, &mut chain), Outcome::Relay);
+    match decide(bob, &b2, 1005, &mut chain) {
         Outcome::Spam(ev) => {
             assert_eq!(ev.recovered_secret, alice.identity().secret());
         }
@@ -131,14 +91,12 @@ fn branch_slash_on_distinct_shares() {
 fn branch_unknown_root_drop() {
     // A proof bound to a root this network never had (e.g. forged
     // membership or a fork) is dropped before proof verification.
-    let (mut chain, mut alice, mut bob) = two_nodes(11);
+    let (mut chain, mut nodes) = common::nodes(2, DEPTH, EPOCH_SECS, 11);
+    let [alice, bob]: &mut [_; 2] = nodes.as_mut_slice().try_into().unwrap();
     let mut rng = StdRng::seed_from_u64(12);
     let mut bundle = alice.publish(b"wrong root", 1000, &mut rng).unwrap();
     bundle.root += waku_suite::arith::Fr::one();
-    assert_eq!(
-        bob.handle_incoming(&bundle, 1000, &mut chain),
-        Outcome::UnknownRoot
-    );
+    assert_eq!(decide(bob, &bundle, 1000, &mut chain), Outcome::UnknownRoot);
     assert_eq!(bob.validation_metrics().root_dropped, 1);
 }
 
@@ -146,7 +104,8 @@ fn branch_unknown_root_drop() {
 fn stale_root_window_tolerates_one_registration() {
     // §III-C: peers must stay synced; the recent-root window keeps
     // in-flight messages valid across a single membership update.
-    let (mut chain, mut alice, mut bob) = two_nodes(13);
+    let (mut chain, mut nodes) = common::nodes(2, DEPTH, EPOCH_SECS, 13);
+    let [alice, bob]: &mut [_; 2] = nodes.as_mut_slice().try_into().unwrap();
     let mut rng = StdRng::seed_from_u64(14);
     let bundle = alice.publish(b"pre-churn", 1000, &mut rng).unwrap();
 
@@ -163,10 +122,7 @@ fn stale_root_window_tolerates_one_registration() {
     chain.mine_block();
     bob.sync(&mut chain);
 
-    assert_eq!(
-        bob.handle_incoming(&bundle, 1000, &mut chain),
-        Outcome::Relay
-    );
+    assert_eq!(decide(bob, &bundle, 1000, &mut chain), Outcome::Relay);
 }
 
 // Local helper: keep PrimeField usage explicit in the test.

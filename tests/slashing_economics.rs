@@ -3,66 +3,30 @@
 //! concurrent detection by multiple routers resolves to exactly one
 //! payout.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, OnceLock};
 
-use waku_suite::chain::{Address, Chain, ChainConfig, ETHER};
-use waku_suite::rln::{RlnProver, RlnVerifier};
-use waku_suite::rln_relay::node::{NodeConfig, WakuRlnRelayNode};
+use waku_suite::chain::ETHER;
 use waku_suite::rln_relay::Outcome;
 
+use common::decide;
+
 const DEPTH: usize = 8;
-
-fn keys() -> &'static (Arc<RlnProver>, RlnVerifier) {
-    static CELL: OnceLock<(Arc<RlnProver>, RlnVerifier)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let mut rng = StdRng::seed_from_u64(0xEC0);
-        let (p, v) = RlnProver::keygen(DEPTH, &mut rng);
-        (Arc::new(p), v)
-    })
-}
-
-fn setup(n: usize, seed: u64) -> (Chain, Vec<WakuRlnRelayNode>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (prover, verifier) = keys();
-    let mut chain = Chain::new(ChainConfig {
-        tree_depth: DEPTH,
-        ..ChainConfig::default()
-    });
-    let config = NodeConfig::builder()
-        .tree_depth(DEPTH)
-        .epoch_length(std::time::Duration::from_secs(10))
-        .build()
-        .expect("valid node config");
-    let mut nodes: Vec<WakuRlnRelayNode> = (0..n)
-        .map(|i| {
-            let addr = Address::from_seed(&[0xEC, i as u8, seed as u8]);
-            chain.fund(addr, 10 * ETHER);
-            let mut node =
-                WakuRlnRelayNode::new(config, addr, Arc::clone(prover), verifier.clone(), &mut rng);
-            node.register(&mut chain);
-            node
-        })
-        .collect();
-    chain.mine_block();
-    for node in nodes.iter_mut() {
-        node.sync(&mut chain);
-    }
-    (chain, nodes)
-}
+const EPOCH_SECS: u64 = 10;
 
 #[test]
 fn escrow_is_conserved_through_slashing() {
-    let (mut chain, mut nodes) = setup(3, 1);
+    let (mut chain, mut nodes) = common::nodes(3, DEPTH, EPOCH_SECS, 1);
     let mut rng = StdRng::seed_from_u64(2);
     let total_deposits = 3 * ETHER;
     assert_eq!(chain.contract().escrow(), total_deposits);
 
     let b1 = nodes[0].publish_unchecked(b"a", 100, &mut rng).unwrap();
     let b2 = nodes[0].publish_unchecked(b"b", 100, &mut rng).unwrap();
-    nodes[1].handle_incoming(&b1, 100, &mut chain);
-    nodes[1].handle_incoming(&b2, 100, &mut chain);
+    decide(&mut nodes[1], &b1, 100, &mut chain);
+    decide(&mut nodes[1], &b2, 100, &mut chain);
     chain.mine_block();
     nodes[1].sync(&mut chain);
     chain.mine_block();
@@ -79,18 +43,18 @@ fn escrow_is_conserved_through_slashing() {
 fn concurrent_detectors_yield_exactly_one_payout() {
     // Both routers see the double-signal and both run commit-reveal; only
     // the first reveal finds the membership — the contract pays once.
-    let (mut chain, mut nodes) = setup(4, 3);
+    let (mut chain, mut nodes) = common::nodes(4, DEPTH, EPOCH_SECS, 3);
     let mut rng = StdRng::seed_from_u64(4);
     let b1 = nodes[0].publish_unchecked(b"x", 100, &mut rng).unwrap();
     let b2 = nodes[0].publish_unchecked(b"y", 100, &mut rng).unwrap();
     for router in 1..=2usize {
         assert_eq!(
-            nodes[router].handle_incoming(&b1, 100, &mut chain),
+            decide(&mut nodes[router], &b1, 100, &mut chain),
             Outcome::Relay,
             "each router keeps its own nullifier map"
         );
         assert!(matches!(
-            nodes[router].handle_incoming(&b2, 100, &mut chain),
+            decide(&mut nodes[router], &b2, 100, &mut chain),
             Outcome::Spam(_)
         ));
     }
@@ -114,7 +78,7 @@ fn concurrent_detectors_yield_exactly_one_payout() {
 // Publisher/router pairs are cross-indexed mutably; index loops required.
 #[allow(clippy::needless_range_loop)]
 fn honest_members_never_lose_their_stake() {
-    let (mut chain, mut nodes) = setup(3, 5);
+    let (mut chain, mut nodes) = common::nodes(3, DEPTH, EPOCH_SECS, 5);
     let mut rng = StdRng::seed_from_u64(6);
     // Heavy honest traffic: one message per epoch for 5 epochs each.
     for k in 0..5u64 {
@@ -125,7 +89,7 @@ fn honest_members_never_lose_their_stake() {
                 .unwrap();
             for j in 0..3usize {
                 if i != j {
-                    let outcome = nodes[j].handle_incoming(&bundle, now, &mut chain);
+                    let outcome = decide(&mut nodes[j], &bundle, now, &mut chain);
                     assert!(
                         matches!(outcome, Outcome::Relay | Outcome::Duplicate),
                         "honest traffic must never be flagged: {outcome:?}"

@@ -2,69 +2,33 @@
 //! 13/WAKU2-STORE persistence/pagination of validated messages and
 //! 12/WAKU2-FILTER light-client push filtering (paper §I).
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, OnceLock};
 
-use waku_suite::chain::{Address, Chain, ChainConfig, ETHER};
 use waku_suite::relay::{
     Direction, FilterService, HistoryQuery, MessageStore, TopicRegistry, WakuMessage,
     DEFAULT_PUBSUB_TOPIC,
 };
-use waku_suite::rln::{RlnProver, RlnVerifier};
-use waku_suite::rln_relay::node::{NodeConfig, WakuRlnRelayNode};
 use waku_suite::rln_relay::Outcome;
 
-const DEPTH: usize = 8;
+use common::decide;
 
-fn keys() -> &'static (Arc<RlnProver>, RlnVerifier) {
-    static CELL: OnceLock<(Arc<RlnProver>, RlnVerifier)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let mut rng = StdRng::seed_from_u64(0x5707E);
-        let (p, v) = RlnProver::keygen(DEPTH, &mut rng);
-        (Arc::new(p), v)
-    })
-}
+const DEPTH: usize = 8;
 
 #[test]
 fn store_archives_only_validated_traffic() {
     let mut rng = StdRng::seed_from_u64(1);
-    let (prover, verifier) = keys();
-    let mut chain = Chain::new(ChainConfig {
-        tree_depth: DEPTH,
-        ..ChainConfig::default()
-    });
-    let config = NodeConfig::builder()
-        .tree_depth(DEPTH)
-        .epoch_length(std::time::Duration::from_secs(1))
-        .build()
-        .expect("valid node config");
-    let mut publisher = {
-        let addr = Address::from_seed(b"pub");
-        chain.fund(addr, 10 * ETHER);
-        let mut n =
-            WakuRlnRelayNode::new(config, addr, Arc::clone(prover), verifier.clone(), &mut rng);
-        n.register(&mut chain);
-        n
-    };
-    let mut router = {
-        let addr = Address::from_seed(b"router");
-        chain.fund(addr, 10 * ETHER);
-        let mut n =
-            WakuRlnRelayNode::new(config, addr, Arc::clone(prover), verifier.clone(), &mut rng);
-        n.register(&mut chain);
-        n
-    };
-    chain.mine_block();
-    publisher.sync(&mut chain);
-    router.sync(&mut chain);
+    let (mut chain, mut nodes) = common::nodes(2, DEPTH, 1, 1);
+    let [publisher, router]: &mut [_; 2] = nodes.as_mut_slice().try_into().unwrap();
 
     let mut store = MessageStore::new(100);
     for (i, at) in (100u64..104).enumerate() {
         let wm = WakuMessage::new(format!("note {i}").into_bytes(), "/app/1/notes/proto", at);
         let bundle = publisher.publish(&wm.to_bytes(), at, &mut rng).unwrap();
         // The store node only persists what validation relays.
-        if router.handle_incoming(&bundle, at, &mut chain) == Outcome::Relay {
+        if decide(router, &bundle, at, &mut chain) == Outcome::Relay {
             store.insert(WakuMessage::from_bytes(&bundle.payload).unwrap());
         }
     }
@@ -72,7 +36,7 @@ fn store_archives_only_validated_traffic() {
     let spam = publisher
         .publish_unchecked(b"same epoch again", 103, &mut rng)
         .unwrap();
-    let outcome = router.handle_incoming(&spam, 103, &mut chain);
+    let outcome = decide(router, &spam, 103, &mut chain);
     assert!(matches!(outcome, Outcome::Spam(_)));
 
     assert_eq!(store.len(), 4);
