@@ -24,11 +24,15 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use waku_bench::{json_report, prom_sections, run_cli, Cli, Fatal};
 use waku_gossip::{FaultPlan, PartitionSpec};
 use waku_sim::faults::{
-    rolling_churn, run_fault_scenario, FaultReport, FaultScenarioConfig, DROP_SWEEP_PERMILLE,
-    HONEST_FLOOR_AT_MAX_DROP, SPAM_CONTAINMENT_SLACK,
+    drop_sweep, reconverged, rolling_churn, spam_contained, HONEST_FLOOR_AT_MAX_DROP,
+    SPAM_CONTAINMENT_SLACK,
 };
+use waku_sim::{run_scenario, Defense, ScenarioConfig, ScenarioRun};
+
+const USAGE: &str = "exp_fault_sweep [--peers N] [--duration-ms MS] [--json PATH] [--prom PATH]";
 
 /// One matrix point, as printed and as serialized into the JSON report.
 struct MatrixPoint {
@@ -36,19 +40,48 @@ struct MatrixPoint {
     /// Does this point's plan end (heal / rejoin) before the run does —
     /// i.e. is the re-convergence gate meaningful?
     gate_reconvergence: bool,
-    report: FaultReport,
+    run: ScenarioRun,
     wall_secs: f64,
 }
 
 impl MatrixPoint {
+    /// The fault-plane counters: transmissions dropped (link drops,
+    /// partition cuts, crashed receivers), peers that rejoined, partitions
+    /// healed, and rate checks refused at the nullifier window's edge —
+    /// always 0, since the gap check and the store window judge against
+    /// the same monotone epoch.
+    fn fault_counters(&self) -> [u64; 4] {
+        [
+            "engine_msgs_dropped_fault",
+            "peer_restarts",
+            "partition_heals",
+            "rln_out_of_window_total",
+        ]
+        .map(|name| self.run.metrics.scalar(name))
+    }
+
+    fn table_row(&self) -> String {
+        let s = &self.run.report;
+        let [dropped, restarts, heals, out_of_window] = self.fault_counters();
+        format!(
+            "| {} | {:.3} | {:.3} | {:.3} | {} | {dropped} | {restarts} | {heals} | {out_of_window} |",
+            self.label,
+            s.honest_delivery_ratio,
+            s.spam_delivery_ratio,
+            s.post_honest_delivery_ratio,
+            s.spammers_detected,
+        )
+    }
+
     fn to_json(&self) -> String {
-        let s = &self.report.scenario;
+        let s = &self.run.report;
+        let [dropped, restarts, heals, out_of_window] = self.fault_counters();
         format!(
             "    {{\"label\": \"{}\", \"wall_secs\": {:.3}, \
              \"honest_delivery\": {:.4}, \"spam_delivery\": {:.4}, \
              \"post_honest_delivery\": {:.4}, \"spammers_detected\": {}, \
-             \"msgs_dropped_fault\": {}, \"peer_restarts\": {}, \
-             \"partition_heals\": {}, \"out_of_window\": {}, \
+             \"msgs_dropped_fault\": {dropped}, \"peer_restarts\": {restarts}, \
+             \"partition_heals\": {heals}, \"out_of_window\": {out_of_window}, \
              \"metrics\": {}}}",
             self.label,
             self.wall_secs,
@@ -56,111 +89,70 @@ impl MatrixPoint {
             s.spam_delivery_ratio,
             s.post_honest_delivery_ratio,
             s.spammers_detected,
-            self.report.msgs_dropped_fault,
-            self.report.peer_restarts,
-            self.report.partition_heals,
-            self.report.out_of_window,
-            self.report.metrics.to_json()
+            self.run.metrics.to_json()
         )
     }
 }
 
-fn base_config(peers: usize, duration_ms: u64) -> FaultScenarioConfig {
-    FaultScenarioConfig {
+fn base_config(peers: usize, duration_ms: u64) -> ScenarioConfig {
+    ScenarioConfig {
         peers,
         spammers: 5.min(peers / 10).max(1),
         duration_ms,
         honest_interval_ms: 5_000,
         spam_interval_ms: 500,
         honest_publishers: Some(100.min(peers)),
+        defense: Defense::RlnRelay {
+            epoch_secs: 1,
+            thr: 1,
+        },
         seed: 2024,
-        ..FaultScenarioConfig::default()
+        ..ScenarioConfig::default()
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut peers = 1_000usize;
-    let mut duration_ms = 15_000u64;
-    let mut json_path: Option<String> = None;
-    let mut prom_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--peers" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 20 => peers = n,
-                _ => {
-                    eprintln!("--peers needs a count ≥ 20");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--duration-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) => duration_ms = ms,
-                None => {
-                    eprintln!("--duration-ms needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--json" => match it.next() {
-                Some(path) => json_path = Some(path.clone()),
-                None => {
-                    eprintln!("--json needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--prom" => match it.next() {
-                Some(path) => prom_path = Some(path.clone()),
-                None => {
-                    eprintln!("--prom needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: exp_fault_sweep [--peers N] [--duration-ms MS] \
-                     [--json PATH] [--prom PATH]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    run_cli(USAGE, sweep)
+}
+
+fn sweep(cli: &Cli) -> Result<ExitCode, Fatal> {
+    let peers = cli
+        .value("--peers", "a count ≥ 20", |&n: &usize| n >= 20)?
+        .unwrap_or(1_000);
+    let duration_ms = cli
+        .value("--duration-ms", "a number", |_: &u64| true)?
+        .unwrap_or(15_000);
 
     // The matrix: the drop curve, one bisection that heals mid-run, and
     // rolling churn whose last rejoin lands mid-run too (so both leave a
     // post-disruption window to measure re-convergence in).
     let base = base_config(peers, duration_ms);
     let warmup_end = 3_000 + duration_ms; // scenario time of run end
-    let mut matrix: Vec<(String, bool, FaultScenarioConfig)> = DROP_SWEEP_PERMILLE
-        .iter()
-        .map(|&permille| {
-            let mut config = base.clone();
-            config.plan = FaultPlan {
-                seed: 0xE9,
-                ..FaultPlan::default()
-            };
-            config.plan.link.drop_permille = permille;
-            (format!("drop {}%", permille / 10), false, config)
-        })
+    let with_plan = |plan: FaultPlan| {
+        let mut config = base.clone();
+        config.net.faults = plan;
+        config
+    };
+    let mut matrix: Vec<(String, bool, ScenarioConfig)> = drop_sweep(&base)
+        .into_iter()
+        .map(|(permille, config)| (format!("drop {}%", permille / 10), false, config))
         .collect();
-    let mut partitioned = base.clone();
-    partitioned.plan = FaultPlan {
+    let partitioned = with_plan(FaultPlan {
         partitions: vec![PartitionSpec {
             start_ms: warmup_end / 4,
             end_ms: warmup_end * 3 / 4,
             cut: peers / 2,
         }],
         ..FaultPlan::default()
-    };
+    });
     matrix.push(("partition (½ run)".to_string(), true, partitioned));
-    let mut churned = base.clone();
     // Eight routers outside the publisher set crash back-to-back, each
     // down for an eighth of the run; the last rejoins at ~5/8 of the run.
     let down = (duration_ms / 8).max(1_000);
-    churned.plan = FaultPlan {
+    let churned = with_plan(FaultPlan {
         crashes: rolling_churn(peers - 9, 8, 3_000 + duration_ms / 8, down, down / 2),
         ..FaultPlan::default()
-    };
+    });
     matrix.push(("churn (8 restarts)".to_string(), true, churned));
 
     println!(
@@ -169,37 +161,38 @@ fn main() -> ExitCode {
         waku_pool::current_num_threads()
     );
     println!();
-    println!("{}", FaultReport::table_header());
+    println!("| fault | honest delivery | spam delivery | post-disruption honest | spammers caught | faulted msgs | restarts | heals | out-of-window |");
+    println!("|---|---|---|---|---|---|---|---|---|");
 
     let mut failed = false;
     let mut points: Vec<MatrixPoint> = Vec::new();
     for (label, gate_reconvergence, config) in matrix {
         let start = Instant::now();
-        let report = run_fault_scenario(&config);
+        let run = run_scenario(&config);
         let point = MatrixPoint {
             label,
             gate_reconvergence,
-            report,
+            run,
             wall_secs: start.elapsed().as_secs_f64(),
         };
-        println!("{}", point.report.table_row(&point.label));
+        println!("{}", point.table_row());
         points.push(point);
     }
 
-    let baseline_spam = points[0].report.scenario.spam_delivery_ratio;
-    if points[0].report.scenario.honest_delivery_ratio < 0.8 {
+    let baseline = &points[0].run.report;
+    if baseline.honest_delivery_ratio < 0.8 {
         eprintln!(
             "FAIL: fault-free baseline honest delivery {:.3} < 0.8",
-            points[0].report.scenario.honest_delivery_ratio
+            baseline.honest_delivery_ratio
         );
         failed = true;
     }
     for point in &points {
-        let s = &point.report.scenario;
-        if s.spam_delivery_ratio > baseline_spam + SPAM_CONTAINMENT_SLACK {
+        let s = &point.run.report;
+        if !spam_contained(s, baseline) {
             eprintln!(
                 "FAIL [{}]: spam delivery {:.3} > baseline {:.3} + slack {SPAM_CONTAINMENT_SLACK}",
-                point.label, s.spam_delivery_ratio, baseline_spam
+                point.label, s.spam_delivery_ratio, baseline.spam_delivery_ratio
             );
             failed = true;
         }
@@ -210,7 +203,7 @@ fn main() -> ExitCode {
             );
             failed = true;
         }
-        if point.gate_reconvergence && !point.report.reconverged() {
+        if point.gate_reconvergence && !reconverged(s) {
             eprintln!(
                 "FAIL [{}]: post-disruption honest delivery {:.3} did not re-converge",
                 point.label, s.post_honest_delivery_ratio
@@ -233,39 +226,28 @@ fn main() -> ExitCode {
     println!("must be graceful: containment within {SPAM_CONTAINMENT_SLACK} of the fault-free");
     println!("baseline, key recovery intact, exit 2 otherwise.");
 
-    if let Some(path) = json_path {
-        let body: Vec<String> = points.iter().map(MatrixPoint::to_json).collect();
-        let json = format!(
-            "{{\n  \"peers\": {},\n  \"duration_ms\": {},\n  \"pool_threads\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
-            peers,
-            duration_ms,
-            waku_pool::current_num_threads(),
-            body.join(",\n")
-        );
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("fault-sweep report written to {path}");
-    }
+    cli.write_reports(
+        || {
+            let points: Vec<String> = points.iter().map(MatrixPoint::to_json).collect();
+            let fields = [
+                ("peers", peers.to_string()),
+                ("duration_ms", duration_ms.to_string()),
+                ("pool_threads", waku_pool::current_num_threads().to_string()),
+            ];
+            json_report(&fields, "points", &points)
+        },
+        || {
+            prom_sections(
+                points
+                    .iter()
+                    .map(|p| (format!("sweep point: {}", p.label), &p.run.metrics)),
+            )
+        },
+    )?;
 
-    if let Some(path) = prom_path {
-        let mut text = String::new();
-        for point in &points {
-            text.push_str(&format!("# sweep point: {}\n", point.label));
-            text.push_str(&point.report.metrics.render_prometheus());
-            text.push('\n');
-        }
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("prometheus exposition written to {path}");
-    }
-
-    if failed {
+    Ok(if failed {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }

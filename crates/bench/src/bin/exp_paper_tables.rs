@@ -435,7 +435,7 @@ fn spam_containment(checks: &mut Checks) {
             seed: 2022,
             ..ScenarioConfig::default()
         };
-        let report = run_scenario(&config);
+        let report = run_scenario(&config).report;
         println!("{}", report.table_row());
 
         let name = &report.defense;

@@ -25,9 +25,13 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use waku_bench::{json_report, prom_sections, run_cli, Cli, Fatal};
 use waku_gossip::NetworkConfig;
 use waku_metrics::Snapshot;
-use waku_sim::{run_scenario_with_metrics, Defense, ScenarioConfig};
+use waku_sim::{run_scenario, Defense, ScenarioConfig};
+
+const USAGE: &str =
+    "exp_scale_sweep [--peers N[,N,...]] [--duration-ms MS] [--json PATH] [--prom PATH]";
 
 /// §IV-C: ~2 spam msgs/s against a 1 s epoch caps delivery near 1/2 plus
 /// seeded jitter; anything above this means containment broke at scale.
@@ -93,64 +97,22 @@ impl SweepPoint {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut peer_counts: Vec<usize> = vec![100, 1_000];
-    let mut duration_ms = 15_000u64;
-    let mut json_path: Option<String> = None;
-    let mut prom_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--peers" => match it.next() {
-                Some(list) => {
-                    let parsed: Option<Vec<usize>> = list
-                        .split(',')
-                        .map(|v| v.trim().parse::<usize>().ok().filter(|&n| n >= 2))
-                        .collect();
-                    match parsed {
-                        Some(p) if !p.is_empty() => peer_counts = p,
-                        _ => {
-                            eprintln!("--peers needs a comma-separated list of counts ≥ 2");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                None => {
-                    eprintln!("--peers needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--duration-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) => duration_ms = ms,
-                None => {
-                    eprintln!("--duration-ms needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--json" => match it.next() {
-                Some(path) => json_path = Some(path.clone()),
-                None => {
-                    eprintln!("--json needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--prom" => match it.next() {
-                Some(path) => prom_path = Some(path.clone()),
-                None => {
-                    eprintln!("--prom needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: exp_scale_sweep [--peers N[,N,...]] [--duration-ms MS] \
-                     [--json PATH] [--prom PATH]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    run_cli(USAGE, sweep)
+}
+
+fn sweep(cli: &Cli) -> Result<ExitCode, Fatal> {
+    let peer_counts: Vec<usize> = match cli.raw("--peers") {
+        None => vec![100, 1_000],
+        Some(list) => list
+            .split(',')
+            .map(|v| v.trim().parse::<usize>().ok().filter(|&n| n >= 2))
+            .collect::<Option<Vec<usize>>>()
+            .filter(|p| !p.is_empty())
+            .ok_or_else(|| cli.error("--peers needs a comma-separated list of counts ≥ 2"))?,
+    };
+    let duration_ms = cli
+        .value("--duration-ms", "a number", |_: &u64| true)?
+        .unwrap_or(15_000);
 
     println!(
         "# E6 scale sweep — RLN containment, {duration_ms} ms simulated, \
@@ -166,21 +128,22 @@ fn main() -> ExitCode {
     for &peers in &peer_counts {
         let config = sweep_config(peers, duration_ms);
         let start = Instant::now();
-        let (report, engine, metrics) = run_scenario_with_metrics(&config);
+        let run = run_scenario(&config);
         let wall = start.elapsed();
+        let report = run.report;
         let events = report.events_processed.max(1);
         let point = SweepPoint {
             peers,
-            shards: engine.shards,
+            shards: run.engine.shards,
             events: report.events_processed,
-            barriers: engine.barriers,
+            barriers: run.engine.barriers,
             wall_secs: wall.as_secs_f64(),
             events_per_sec: events as f64 / wall.as_secs_f64().max(1e-9),
             ns_per_event: (wall.as_nanos() / events as u128).max(1),
             honest_delivery: report.honest_delivery_ratio,
             spam_delivery: report.spam_delivery_ratio,
             spammers_detected: report.spammers_detected,
-            metrics,
+            metrics: run.metrics,
         };
         println!(
             "| {} | {} | {} | {} | {:.2} | {:.0} | {} | {:.3} | {:.3} | {} |",
@@ -220,38 +183,27 @@ fn main() -> ExitCode {
     println!("containment ratios must hold at every scale — the sweep exits 2");
     println!("if they don't.");
 
-    if let Some(path) = json_path {
-        let body: Vec<String> = points.iter().map(SweepPoint::to_json).collect();
-        let json = format!(
-            "{{\n  \"duration_ms\": {},\n  \"pool_threads\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
-            duration_ms,
-            waku_pool::current_num_threads(),
-            body.join(",\n")
-        );
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("sweep report written to {path}");
-    }
+    cli.write_reports(
+        || {
+            let points: Vec<String> = points.iter().map(SweepPoint::to_json).collect();
+            let fields = [
+                ("duration_ms", duration_ms.to_string()),
+                ("pool_threads", waku_pool::current_num_threads().to_string()),
+            ];
+            json_report(&fields, "points", &points)
+        },
+        || {
+            prom_sections(
+                points
+                    .iter()
+                    .map(|p| (format!("sweep point: {} peers", p.peers), &p.metrics)),
+            )
+        },
+    )?;
 
-    if let Some(path) = prom_path {
-        let mut text = String::new();
-        for point in &points {
-            text.push_str(&format!("# sweep point: {} peers\n", point.peers));
-            text.push_str(&point.metrics.render_prometheus());
-            text.push('\n');
-        }
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("prometheus exposition written to {path}");
-    }
-
-    if failed {
+    Ok(if failed {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }

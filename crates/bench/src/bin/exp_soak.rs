@@ -20,58 +20,38 @@
 
 use std::process::ExitCode;
 
+use waku_bench::{run_cli, Cli, Fatal};
 use waku_sim::{run_soak, SoakConfig, SoakReport};
 
+const USAGE: &str = "exp_soak [--sim-hours N] [--epoch-secs N] [--publishers N] \
+                     [--no-restart] [--seed N] [--json PATH] [--prom PATH]";
+
 fn main() -> ExitCode {
+    run_cli(USAGE, soak)
+}
+
+fn soak(cli: &Cli) -> Result<ExitCode, Fatal> {
+    let positive = "a number > 0";
     let mut config = SoakConfig {
         epoch_secs: 20,
         publishers: 2,
         spam_every_epochs: 10,
         store_capacity: 32,
         sample_every_secs: 120,
+        restart_mid_soak: !cli.switch("--no-restart"),
         ..SoakConfig::default()
     };
-    let mut json_path: Option<String> = None;
-    let mut prom_path: Option<String> = None;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Option<&String> {
-            let v = it.next();
-            if v.is_none() {
-                eprintln!("{flag} needs a value");
-            }
-            v
-        };
-        match arg.as_str() {
-            "--sim-hours" => match value("--sim-hours").and_then(|v| v.parse::<u64>().ok()) {
-                Some(h) if h > 0 => config.sim_secs = h * 3600,
-                _ => return usage(),
-            },
-            "--epoch-secs" => match value("--epoch-secs").and_then(|v| v.parse::<u64>().ok()) {
-                Some(t) if t > 0 => config.epoch_secs = t,
-                _ => return usage(),
-            },
-            "--publishers" => match value("--publishers").and_then(|v| v.parse::<usize>().ok()) {
-                Some(p) if p > 0 => config.publishers = p,
-                _ => return usage(),
-            },
-            "--seed" => match value("--seed").and_then(|v| v.parse::<u64>().ok()) {
-                Some(s) => config.seed = s,
-                None => return usage(),
-            },
-            "--no-restart" => config.restart_mid_soak = false,
-            "--json" => match value("--json") {
-                Some(path) => json_path = Some(path.clone()),
-                None => return usage(),
-            },
-            "--prom" => match value("--prom") {
-                Some(path) => prom_path = Some(path.clone()),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
+    if let Some(hours) = cli.value("--sim-hours", positive, |&h: &u64| h > 0)? {
+        config.sim_secs = hours * 3600;
+    }
+    if let Some(t) = cli.value("--epoch-secs", positive, |&t: &u64| t > 0)? {
+        config.epoch_secs = t;
+    }
+    if let Some(p) = cli.value("--publishers", positive, |&p: &usize| p > 0)? {
+        config.publishers = p;
+    }
+    if let Some(seed) = cli.value("--seed", "a number", |_: &u64| true)? {
+        config.seed = seed;
     }
 
     eprintln!(
@@ -82,18 +62,15 @@ fn main() -> ExitCode {
         config.publishers,
         config.restart_mid_soak,
     );
-    let report = match run_soak(&config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("soak failed to run: {e}");
-            let mut cause = std::error::Error::source(&e);
-            while let Some(c) = cause {
-                eprintln!("  caused by: {c}");
-                cause = c.source();
-            }
-            return ExitCode::FAILURE;
+    let report = run_soak(&config).map_err(|e| {
+        let mut message = format!("soak failed to run: {e}");
+        let mut cause = std::error::Error::source(&e);
+        while let Some(c) = cause {
+            message.push_str(&format!("\n  caused by: {c}"));
+            cause = c.source();
         }
-    };
+        Fatal(message)
+    })?;
 
     println!("# soak — the real waku-node service on a simulated clock\n");
     println!("{}", SoakReport::table_header());
@@ -136,26 +113,13 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, report.to_json() + "\n") {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("soak report written to {path}");
-    }
-    if let Some(path) = prom_path {
-        if let Err(e) = std::fs::write(&path, &report.exposition) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("prometheus exposition written to {path}");
-    }
+    cli.write_reports(|| report.to_json() + "\n", || report.exposition.clone())?;
 
     if !(flat && detection && recovered) {
         eprintln!("\nFAIL: soak gate violated");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn verdict(ok: bool) -> &'static str {
@@ -164,11 +128,4 @@ fn verdict(ok: bool) -> &'static str {
     } else {
         "FAIL"
     }
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: exp_soak [--sim-hours N] [--epoch-secs N] [--publishers N] [--no-restart] [--seed N] [--json PATH] [--prom PATH]"
-    );
-    ExitCode::FAILURE
 }

@@ -16,52 +16,28 @@
 
 use std::process::ExitCode;
 
-use waku_sim::{run_steady_state, SteadyStateConfig, SteadyStateReport};
+use waku_bench::{json_report, prom_sections, run_cli, Cli, Fatal};
+use waku_sim::{run_scenario, ScenarioRun, SteadyStateConfig};
 
-fn run_horizon(epochs: u64) -> SteadyStateReport {
-    run_steady_state(&SteadyStateConfig {
-        epochs,
-        ..SteadyStateConfig::default()
-    })
-}
+const USAGE: &str = "exp_steady_state [epochs ...] [--json PATH] [--prom PATH]";
 
-/// What a never-pruning nullifier map would hold across all validators.
-fn unpruned_entries(report: &SteadyStateReport) -> u64 {
-    report.metrics.scalar("rln_validation_relayed_total")
+/// A run's windowed store high-water, what a never-pruning nullifier map
+/// would hold across all validators by then, and the epochs pruned.
+fn nullifier_figures(run: &ScenarioRun) -> [u64; 3] {
+    [
+        "rln_nullifier_high_water",
+        "rln_validation_relayed_total",
+        "rln_epochs_pruned",
+    ]
+    .map(|name| run.metrics.scalar(name))
 }
 
 fn main() -> ExitCode {
-    let mut horizons: Vec<u64> = Vec::new();
-    let mut json_path: Option<String> = None;
-    let mut prom_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => match it.next() {
-                Some(path) => json_path = Some(path.clone()),
-                None => {
-                    eprintln!("--json needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--prom" => match it.next() {
-                Some(path) => prom_path = Some(path.clone()),
-                None => {
-                    eprintln!("--prom needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => match other.parse::<u64>() {
-                Ok(epochs) if epochs > 0 => horizons.push(epochs),
-                _ => {
-                    eprintln!("unknown argument {other:?}");
-                    eprintln!("usage: exp_steady_state [epochs ...] [--json PATH] [--prom PATH]");
-                    return ExitCode::FAILURE;
-                }
-            },
-        }
-    }
+    run_cli(USAGE, steady_state)
+}
+
+fn steady_state(cli: &Cli) -> Result<ExitCode, Fatal> {
+    let mut horizons: Vec<u64> = cli.positional(|&epochs| epochs > 0)?;
     if horizons.is_empty() {
         horizons = vec![50, 100, 200];
     }
@@ -73,20 +49,21 @@ fn main() -> ExitCode {
     println!("|---|---|---|---|---|---|");
 
     let mut failed = false;
-    let mut runs: Vec<(u64, SteadyStateReport)> = Vec::new();
+    let mut runs: Vec<(u64, u64, ScenarioRun)> = Vec::new();
     for &epochs in &horizons {
-        let report = run_horizon(epochs);
-        failed |= !report.memory_bounded();
-        println!(
-            "| {} | {} | {} | {} | {} | {} |",
+        let config = SteadyStateConfig {
             epochs,
-            report.engine.nullifier_high_water,
-            report.resident_bound,
-            unpruned_entries(&report),
-            report.engine.epochs_pruned,
-            report.scenario.spammers_detected,
+            ..SteadyStateConfig::default()
+        };
+        let run = run_scenario(&config.scenario());
+        let bound = config.resident_bound();
+        let [high_water, unpruned, pruned] = nullifier_figures(&run);
+        failed |= high_water > bound;
+        println!(
+            "| {epochs} | {high_water} | {bound} | {unpruned} | {pruned} | {} |",
+            run.report.spammers_detected,
         );
-        runs.push((epochs, report));
+        runs.push((epochs, bound, run));
     }
 
     println!(
@@ -96,50 +73,37 @@ fn main() -> ExitCode {
          validators) grow with it."
     );
 
-    if let Some(path) = json_path {
-        let body: Vec<String> = runs
-            .iter()
-            .map(|(epochs, report)| {
-                format!(
-                    "    {{\"epochs\": {}, \"windowed_high_water\": {}, \
-                     \"resident_bound\": {}, \"unpruned_entries\": {}, \
-                     \"epochs_pruned\": {}, \"spammers_detected\": {}, \
-                     \"metrics\": {}}}",
-                    epochs,
-                    report.engine.nullifier_high_water,
-                    report.resident_bound,
-                    unpruned_entries(report),
-                    report.engine.epochs_pruned,
-                    report.scenario.spammers_detected,
-                    report.metrics.to_json()
+    cli.write_reports(
+        || {
+            let items: Vec<String> = runs
+                .iter()
+                .map(|(epochs, bound, run)| {
+                    let [high_water, unpruned, pruned] = nullifier_figures(run);
+                    format!(
+                        "    {{\"epochs\": {epochs}, \"windowed_high_water\": {high_water}, \
+                         \"resident_bound\": {bound}, \"unpruned_entries\": {unpruned}, \
+                         \"epochs_pruned\": {pruned}, \"spammers_detected\": {}, \
+                         \"metrics\": {}}}",
+                        run.report.spammers_detected,
+                        run.metrics.to_json()
+                    )
+                })
+                .collect();
+            json_report(&[], "horizons", &items)
+        },
+        || {
+            prom_sections(runs.iter().map(|(epochs, _, run)| {
+                (
+                    format!("steady-state horizon: {epochs} epochs"),
+                    &run.metrics,
                 )
-            })
-            .collect();
-        let json = format!("{{\n  \"horizons\": [\n{}\n  ]\n}}\n", body.join(",\n"));
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("steady-state report written to {path}");
-    }
-
-    if let Some(path) = prom_path {
-        let mut text = String::new();
-        for (epochs, report) in &runs {
-            text.push_str(&format!("# steady-state horizon: {epochs} epochs\n"));
-            text.push_str(&report.metrics.render_prometheus());
-            text.push('\n');
-        }
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("prometheus exposition written to {path}");
-    }
+            }))
+        },
+    )?;
 
     if failed {
         eprintln!("\nFAIL: memory bound violated");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -18,8 +18,8 @@ use std::time::Duration;
 const MAX_REQUEST_BYTES: usize = 4096;
 
 /// A polled metrics endpoint. Construct with [`MetricsServer::bind`],
-/// call [`MetricsServer::poll`] from the event loop with the current
-/// exposition text.
+/// call [`MetricsServer::poll`] from the event loop with a closure that
+/// renders the current exposition text.
 #[derive(Debug)]
 pub struct MetricsServer {
     listener: TcpListener,
@@ -40,16 +40,17 @@ impl MetricsServer {
     }
 
     /// Serves every connection currently pending, answering each with
-    /// `body` (for `/metrics`) or a 404. Returns how many requests were
-    /// answered. Never blocks beyond a short per-connection read
-    /// timeout; per-connection errors are swallowed (a half-open scraper
-    /// must not take the relayer down).
-    pub fn poll(&self, body: &str) -> std::io::Result<usize> {
+    /// the text `render` returns (for `/metrics`) or a 404. `render` runs
+    /// once per accepted connection and never on an idle poll. Returns
+    /// how many requests were answered. Never blocks beyond a short
+    /// per-connection read timeout; per-connection errors are swallowed
+    /// (a half-open scraper must not take the relayer down).
+    pub fn poll(&self, mut render: impl FnMut() -> String) -> std::io::Result<usize> {
         let mut served = 0;
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if serve_one(stream, body).is_ok() {
+                    if serve_one(stream, &render()).is_ok() {
                         served += 1;
                     }
                 }
@@ -119,7 +120,7 @@ mod tests {
         client.flush().unwrap();
         // Give the kernel a beat to surface the connection, then poll.
         for _ in 0..100 {
-            if server.poll(body).unwrap() > 0 {
+            if server.poll(|| body.to_string()).unwrap() > 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -142,7 +143,14 @@ mod tests {
         let missing = request(addr, &server, "waku_up 1\n", "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
 
-        // An idle poll serves nothing and does not block.
-        assert_eq!(server.poll("x").unwrap(), 0);
+        // An idle poll serves nothing, does not block, and renders
+        // nothing.
+        let mut renders = 0;
+        let render = || {
+            renders += 1;
+            String::new()
+        };
+        assert_eq!(server.poll(render).unwrap(), 0);
+        assert_eq!(renders, 0, "no connection, no exposition rendered");
     }
 }

@@ -245,7 +245,7 @@ fn run(cli: Cli) -> Result<(), ServiceError> {
         }
 
         if let Some(server) = &server {
-            server.poll(&service.metrics_text())?;
+            server.poll(|| service.metrics_text())?;
         }
         std::thread::sleep(Duration::from_millis(50));
     }

@@ -231,10 +231,15 @@ impl RelayerService {
         let mut key_rng = StdRng::seed_from_u64(config.seed ^ 0x6B65_7973);
         let mut id_rng = StdRng::seed_from_u64(config.seed);
 
+        // Cold means the cache did not load, not that it was absent: a
+        // corrupt `keys.bin`, or one written at another depth, also runs
+        // a fresh ceremony.
         let keys_path = config.data_dir.join("keys.bin");
-        let cold_keygen = !keys_path.exists();
+        let depth = config.node.tree_depth;
+        let cached = RlnProver::load_cached(depth, &keys_path);
+        let cold_keygen = cached.is_none();
         let (prover, verifier) =
-            RlnProver::keygen_or_load(config.node.tree_depth, &keys_path, &mut key_rng);
+            cached.unwrap_or_else(|| RlnProver::keygen_or_load(depth, &keys_path, &mut key_rng));
 
         let mut chain = Chain::new(ChainConfig {
             tree_depth: config.node.tree_depth,
@@ -601,6 +606,25 @@ mod tests {
         assert_eq!(resp.messages.len(), 1);
         assert_eq!(resp.messages[0].payload, b"before crash");
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `keys.bin` that exists but does not load is a cold start: the
+    /// report says what ran, not what was on disk.
+    #[test]
+    fn unloadable_key_cache_reports_a_fresh_ceremony() {
+        let dir = temp_dir("badkeys");
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = RelayerService::open(test_config(&dir)).unwrap();
+        service.shutdown(0).unwrap();
+        std::fs::write(dir.join("keys.bin"), b"not a key cache").unwrap();
+
+        let reopened = RelayerService::open(test_config(&dir)).unwrap();
+        assert!(reopened.recovery().cold_keygen, "garbage keys.bin");
+        reopened.shutdown(0).unwrap();
+        // The fresh ceremony rewrote the cache, so the next open is warm.
+        let warm = RelayerService::open(test_config(&dir)).unwrap();
+        assert!(!warm.recovery().cold_keygen);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

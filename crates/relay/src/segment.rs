@@ -165,6 +165,9 @@ pub struct SegmentLog {
     writer: Option<std::io::BufWriter<fs::File>>,
     /// Appends since the last [`SegmentLog::flush`].
     unflushed: usize,
+    /// A segment file was created since the last [`SegmentLog::flush`]:
+    /// its directory entry is not durable until the directory is synced.
+    created_unsynced: bool,
     /// Messages recovered from disk by [`SegmentLog::open`] (restart
     /// observability; 0 for a fresh store).
     recovered: usize,
@@ -190,6 +193,7 @@ impl SegmentLog {
             segments: VecDeque::new(),
             writer: None,
             unflushed: 0,
+            created_unsynced: false,
             recovered: 0,
         };
         log.recover()?;
@@ -314,6 +318,7 @@ impl SegmentLog {
                 .write(true)
                 .open(&path)?;
             file.write_all(SEGMENT_MAGIC)?;
+            self.created_unsynced = true;
             self.segments.push_back(SegmentMeta {
                 first_seq: self.next_seq,
                 records: 0,
@@ -459,6 +464,13 @@ impl StorageBackend for SegmentLog {
 
     fn flush(&mut self) -> Result<(), StorageError> {
         self.sync_writer()?;
+        // Without this a power loss can drop a whole new segment whose
+        // records were synced, and recovery then deletes every later
+        // segment as a sequence gap.
+        if self.created_unsynced {
+            fs::File::open(&self.dir)?.sync_all()?;
+            self.created_unsynced = false;
+        }
         self.unflushed = 0;
         Ok(())
     }

@@ -195,26 +195,36 @@ impl RlnProver {
         cache_path: &std::path::Path,
         rng: &mut R,
     ) -> (RlnProver, RlnVerifier) {
-        if let Some((pk, template)) = crate::keycache::load_keys(cache_path, depth) {
-            let verifier = RlnVerifier {
+        Self::load_cached(depth, cache_path).unwrap_or_else(|| {
+            let pair = Self::keygen(depth, rng);
+            let _ = crate::keycache::save_keys(cache_path, depth, &pair.0.pk, &pair.0.template);
+            pair
+        })
+    }
+
+    /// The load half of [`RlnProver::keygen_or_load`]: the keys cached at
+    /// `cache_path` for this `depth`, or `None` on a miss — missing file,
+    /// corruption, version or depth mismatch.
+    pub fn load_cached(
+        depth: usize,
+        cache_path: &std::path::Path,
+    ) -> Option<(RlnProver, RlnVerifier)> {
+        let (pk, template) = crate::keycache::load_keys(cache_path, depth)?;
+        let verifier = RlnVerifier {
+            depth,
+            pvk: PreparedVerifyingKey::from(pk.vk.clone()),
+        };
+        let solver = waku_snark::WitnessSolver::analyze(&template);
+        debug_assert_eq!(solver.free_indices().len(), 1 + 2 * depth);
+        Some((
+            RlnProver {
                 depth,
-                pvk: PreparedVerifyingKey::from(pk.vk.clone()),
-            };
-            let solver = waku_snark::WitnessSolver::analyze(&template);
-            debug_assert_eq!(solver.free_indices().len(), 1 + 2 * depth);
-            return (
-                RlnProver {
-                    depth,
-                    pk,
-                    template,
-                    solver,
-                },
-                verifier,
-            );
-        }
-        let pair = Self::keygen(depth, rng);
-        let _ = crate::keycache::save_keys(cache_path, depth, &pair.0.pk, &pair.0.template);
-        pair
+                pk,
+                template,
+                solver,
+            },
+            verifier,
+        ))
     }
 
     /// Tree depth this prover is bound to.

@@ -6,6 +6,7 @@
 //! the paper's formula `Thr = ⌈(NetworkDelay + ClockAsynchrony)/T⌉` should
 //! sit right at the knee.
 
+use crate::report::ScenarioReport;
 use crate::scenario::{run_scenario, Defense, ScenarioConfig};
 use waku_gossip::NetworkConfig;
 
@@ -35,7 +36,7 @@ pub fn sweep_thr(
     // Estimate NetworkDelay empirically from a calibration run with a huge
     // threshold (no drops), then apply the paper's formula.
     let calibration = run_point(epoch_secs, clock_drift_ms, latency_max_ms, 1_000, seed);
-    let network_delay_secs = calibration.latency_p95_ms as f64 / 1000.0;
+    let network_delay_secs = calibration.honest_latency_p95_ms as f64 / 1000.0;
     let clock_asynchrony_secs = 2.0 * clock_drift_ms as f64 / 1000.0;
     let thr_formula = ((network_delay_secs + clock_asynchrony_secs) / epoch_secs as f64)
         .ceil()
@@ -49,16 +50,10 @@ pub fn sweep_thr(
                 thr,
                 thr_formula,
                 honest_delivery_ratio: p.honest_delivery_ratio,
-                latency_p50_ms: p.latency_p50_ms,
+                latency_p50_ms: p.honest_latency_p50_ms,
             }
         })
         .collect()
-}
-
-struct PointStats {
-    honest_delivery_ratio: f64,
-    latency_p50_ms: u64,
-    latency_p95_ms: u64,
 }
 
 fn run_point(
@@ -67,7 +62,7 @@ fn run_point(
     latency_max_ms: u64,
     thr: u64,
     seed: u64,
-) -> PointStats {
+) -> ScenarioReport {
     let config = ScenarioConfig {
         peers: 40,
         spammers: 0,
@@ -82,12 +77,7 @@ fn run_point(
         seed,
         ..ScenarioConfig::default()
     };
-    let r = run_scenario(&config);
-    PointStats {
-        honest_delivery_ratio: r.honest_delivery_ratio,
-        latency_p50_ms: r.honest_latency_p50_ms,
-        latency_p95_ms: r.honest_latency_p95_ms,
-    }
+    run_scenario(&config).report
 }
 
 #[cfg(test)]

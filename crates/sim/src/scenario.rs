@@ -137,9 +137,7 @@ const GROUP_DEPTH: usize = 20;
 /// separate from [`ScenarioReport`]: the scheduler counters depend on
 /// the shard count, while reports are bit-identical at every shard
 /// count — folding them together would break the equivalence tests'
-/// whole-report `==`. The nullifier gauges *are* shard-count-independent,
-/// but they are resource instrumentation, not protocol results, so they
-/// live here with the other cost metrics.
+/// whole-report `==`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
     /// Peer shards the engine resolved to (1 = the serial reference).
@@ -147,50 +145,43 @@ pub struct EngineStats {
     /// Scheduler rounds executed, one barrier each (the cost the adaptive
     /// lookahead minimizes; at one shard, one per `run_until` with work).
     pub barriers: u64,
-    /// Shares resident across every validator's nullifier store when the
-    /// run ended (RLN defense only; 0 otherwise).
-    pub nullifier_entries: u64,
-    /// Largest share count any single validator's store held at once
-    /// during the run — the gauge the E7 steady-state tests pin to
-    /// O(window): it must stay flat no matter how many epochs elapse.
-    pub nullifier_high_water: u64,
-    /// Expired epochs recycled across all validators (lifetime counter;
-    /// grows with simulated time while the high-water gauge stays flat).
-    pub epochs_pruned: u64,
 }
 
-/// Runs one scenario and aggregates the report.
-pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
-    run_scenario_instrumented(config).0
+/// Everything one scenario run produced.
+#[derive(Clone, Debug)]
+pub struct ScenarioRun {
+    /// The protocol results, bit-identical at every shard count.
+    pub report: ScenarioReport,
+    /// The shard-count-dependent engine costs.
+    pub engine: EngineStats,
+    /// The full metrics snapshot: the RLN validators' registries (the
+    /// `rln_*` series), the gossip engine's per-peer recorders (event
+    /// counters, fault-plane counters, dwell histogram) and the
+    /// network-level delivery counters, merged order-insensitively.
+    /// Metrics that depend on the shard count carry the `engine_` name
+    /// prefix; everything else is bit-identical at every shard count
+    /// (the equivalence tests assert exactly that).
+    pub metrics: Snapshot,
 }
 
-/// [`run_scenario`] plus the engine-cost counters the scale sweeps report
-/// (barriers-per-run, shard count).
+/// Runs one scenario: the one way every experiment, example and test
+/// drives the simulator.
+pub fn run_scenario(config: &ScenarioConfig) -> ScenarioRun {
+    run_with_detections(config).0
+}
+
+/// [`run_scenario`]'s report and engine counters, nothing else: the
+/// projection the `waku-perf` benchmark harness imports. New code reads
+/// [`ScenarioRun`] instead.
 pub fn run_scenario_instrumented(config: &ScenarioConfig) -> (ScenarioReport, EngineStats) {
-    let (report, engine, _) = run_scenario_with_metrics(config);
-    (report, engine)
+    let run = run_scenario(config);
+    (run.report, run.engine)
 }
 
-/// [`run_scenario_instrumented`] plus the full metrics [`Snapshot`]: the
-/// RLN validators' registries (the `rln_*` series), the gossip engine's
-/// per-peer recorders (event counters, dwell histogram), and the
-/// network-level delivery counters, merged order-insensitively. Metrics
-/// that depend on the shard count carry the `engine_` name prefix;
-/// everything else is bit-identical at every shard count (the
-/// equivalence tests assert exactly that).
-pub fn run_scenario_with_metrics(
-    config: &ScenarioConfig,
-) -> (ScenarioReport, EngineStats, Snapshot) {
-    let (report, engine, metrics, _) = run_with_detections(config);
-    (report, engine, metrics)
-}
-
-/// [`run_scenario_with_metrics`] plus the merged set of secrets the
-/// validators recovered — what the unit tests compare byte for byte
-/// against the spammers' real keys.
-fn run_with_detections(
-    config: &ScenarioConfig,
-) -> (ScenarioReport, EngineStats, Snapshot, BTreeSet<[u8; 32]>) {
+/// [`run_scenario`] plus the merged set of secrets the validators
+/// recovered — what the unit tests compare byte for byte against the
+/// spammers' real keys.
+fn run_with_detections(config: &ScenarioConfig) -> (ScenarioRun, BTreeSet<[u8; 32]>) {
     assert!(
         config.spammers < config.peers,
         "need at least one honest peer"
@@ -225,13 +216,15 @@ fn run_with_detections(
     let engine = EngineStats {
         shards: net.shards(),
         barriers: net.barriers(),
-        nullifier_entries: metrics.scalar("rln_nullifier_entries"),
-        nullifier_high_water: metrics.scalar("rln_nullifier_high_water"),
-        epochs_pruned: metrics.scalar("rln_epochs_pruned"),
     };
     let recovered = detections.merged();
     let report = assemble_report(config, wl, &net, recovered.len());
-    (report, engine, metrics, recovered)
+    let run = ScenarioRun {
+        report,
+        engine,
+        metrics,
+    };
+    (run, recovered)
 }
 
 /// The seeded workload RNG and per-peer RLN identities — drawn before any
@@ -540,6 +533,10 @@ fn attack_cost(config: &ScenarioConfig) -> u128 {
 mod tests {
     use super::*;
 
+    fn report(defense: Defense) -> ScenarioReport {
+        run_scenario(&base_config(defense)).report
+    }
+
     fn base_config(defense: Defense) -> ScenarioConfig {
         ScenarioConfig {
             peers: 30,
@@ -555,17 +552,17 @@ mod tests {
 
     #[test]
     fn no_defense_spam_floods() {
-        let r = run_scenario(&base_config(Defense::None));
+        let r = report(Defense::None);
         assert!(r.spam_delivery_ratio > 0.8, "spam flows freely: {r:?}");
         assert!(r.honest_delivery_ratio > 0.8);
     }
 
     #[test]
     fn rln_contains_spam() {
-        let r = run_scenario(&base_config(Defense::RlnRelay {
+        let r = report(Defense::RlnRelay {
             epoch_secs: 1,
             thr: 1,
-        }));
+        });
         // One message per epoch still flows; the flood does not. §IV-C: at
         // ~2.5 spam msgs/s against a 1 s epoch, containment caps delivery
         // near 1/2.5 = 0.4 (the exact value shifts with the seeded jitter).
@@ -587,8 +584,8 @@ mod tests {
             thr: 1,
         });
         let (_, identities) = scenario_identities(&config);
-        let (report, _, _, recovered) = run_with_detections(&config);
-        assert_eq!(report.spammers_detected, 2);
+        let (run, recovered) = run_with_detections(&config);
+        assert_eq!(run.report.spammers_detected, 2);
         let spammer_keys: BTreeSet<[u8; 32]> = identities[..config.spammers]
             .iter()
             .map(Identity::secret_bytes)
@@ -598,7 +595,7 @@ mod tests {
 
     #[test]
     fn scoring_only_lets_spam_through() {
-        let r = run_scenario(&base_config(Defense::ScoringOnly));
+        let r = report(Defense::ScoringOnly);
         assert!(
             r.spam_delivery_ratio > 0.8,
             "scoring alone cannot tell spam apart"
@@ -608,11 +605,11 @@ mod tests {
 
     #[test]
     fn pow_slows_honest_devices_but_admits_spam() {
-        let r = run_scenario(&base_config(Defense::Pow {
+        let r = report(Defense::Pow {
             min_pow: 2.0,
             honest_hashrate: 50.0,      // phone: 50 kH/s
             spammer_hashrate: 50_000.0, // GPU rig
-        }));
+        });
         assert!(
             r.spam_delivery_ratio > 0.8,
             "funded spammer mines right through"
@@ -625,14 +622,14 @@ mod tests {
 
     #[test]
     fn deterministic_reports() {
-        let a = run_scenario(&base_config(Defense::RlnRelay {
+        let a = report(Defense::RlnRelay {
             epoch_secs: 1,
             thr: 1,
-        }));
-        let b = run_scenario(&base_config(Defense::RlnRelay {
+        });
+        let b = report(Defense::RlnRelay {
             epoch_secs: 1,
             thr: 1,
-        }));
+        });
         assert_eq!(a.spam_delivered, b.spam_delivered);
         assert_eq!(a.honest_delivered, b.honest_delivered);
         assert_eq!(a.spammers_detected, b.spammers_detected);

@@ -23,10 +23,7 @@
 //! A run here reports what such a map *would* hold from
 //! `rln_validation_relayed_total` — one entry per `Fresh` verdict.
 
-use crate::report::ScenarioReport;
-use crate::scenario::{run_scenario_with_metrics, Defense, EngineStats, ScenarioConfig};
-use waku_gossip::NetworkConfig;
-use waku_metrics::Snapshot;
+use crate::scenario::{Defense, ScenarioConfig};
 
 /// Parameters of one steady-state run.
 #[derive(Clone, Debug)]
@@ -64,105 +61,61 @@ impl Default for SteadyStateConfig {
     }
 }
 
-/// Outcome of a steady-state run: the underlying scenario report plus
-/// the lifecycle gauges and the bound they are checked against.
-#[derive(Clone, Debug)]
-pub struct SteadyStateReport {
-    /// The defense-comparison report of the underlying run.
-    pub scenario: ScenarioReport,
-    /// Engine instrumentation (shards, barriers, nullifier gauges).
-    pub engine: EngineStats,
-    /// Full metrics snapshot of the run (nullifier gauges, gossip
-    /// counters, dwell histogram) — render with
-    /// [`Snapshot::render_prometheus`] or [`Snapshot::to_json`].
-    pub metrics: Snapshot,
-    /// Epochs the run simulated.
-    pub epochs_simulated: u64,
-    /// Epochs a validator's store retains (`2·Thr + 1`).
-    pub window_epochs: u64,
+impl SteadyStateConfig {
+    /// The scenario these parameters describe (one honest message per
+    /// active publisher per epoch; spam at 2.5× the rate limit) — run it
+    /// with [`crate::run_scenario`].
+    pub fn scenario(&self) -> ScenarioConfig {
+        let epoch_ms = self.epoch_secs * 1000;
+        ScenarioConfig {
+            peers: self.peers,
+            spammers: self.spammers,
+            duration_ms: self.epochs * epoch_ms,
+            // One publish attempt per epoch per active honest publisher.
+            honest_interval_ms: epoch_ms,
+            // A sustained rate violation: ~2.5 signals per epoch.
+            spam_interval_ms: (epoch_ms / 5).max(1) * 2,
+            defense: Defense::RlnRelay {
+                epoch_secs: self.epoch_secs,
+                thr: self.thr,
+            },
+            seed: self.seed,
+            honest_publishers: Some(self.active_publishers),
+            publisher_churn_ms: Some(self.churn_epochs.max(1) * epoch_ms),
+            ..ScenarioConfig::default()
+        }
+    }
+
     /// The O(window) ceiling on any single validator's resident share
-    /// count: one share per publisher (active honest set + spammers) per
-    /// retained epoch, plus one epoch of slack for in-flight messages
-    /// straddling a rollover.
-    pub resident_bound: u64,
-}
-
-impl SteadyStateReport {
-    /// Does the run satisfy the bounded-memory claim? True iff no
-    /// validator's store ever exceeded [`SteadyStateReport::resident_bound`].
-    pub fn memory_bounded(&self) -> bool {
-        self.engine.nullifier_high_water <= self.resident_bound
-    }
-
-    /// One markdown row: epochs, high-water, bound, pruned, detections.
-    pub fn table_row(&self) -> String {
-        format!(
-            "| {} | {} | {} | {} | {} | {} | {:.3} |",
-            self.epochs_simulated,
-            self.engine.nullifier_high_water,
-            self.resident_bound,
-            self.engine.epochs_pruned,
-            self.scenario.spammers_detected,
-            self.scenario.spam_delivered,
-            self.scenario.honest_delivery_ratio,
-        )
-    }
-
-    /// Header matching [`SteadyStateReport::table_row`].
-    pub fn table_header() -> String {
-        "| epochs | store high-water | O(window) bound | epochs pruned | spammers caught | spam delivered | honest delivery |\n|---|---|---|---|---|---|---|".to_string()
-    }
-}
-
-/// Translates the steady-state parameters into a [`ScenarioConfig`] (one
-/// honest message per active publisher per epoch; spam at 2.5× the rate
-/// limit) — public so experiment binaries can tweak it further.
-pub fn scenario_config(config: &SteadyStateConfig) -> ScenarioConfig {
-    let epoch_ms = config.epoch_secs * 1000;
-    ScenarioConfig {
-        peers: config.peers,
-        spammers: config.spammers,
-        duration_ms: config.epochs * epoch_ms,
-        // One publish attempt per epoch per active honest publisher.
-        honest_interval_ms: epoch_ms,
-        // A sustained rate violation: ~2.5 signals per epoch.
-        spam_interval_ms: (epoch_ms / 5).max(1) * 2,
-        defense: Defense::RlnRelay {
-            epoch_secs: config.epoch_secs,
-            thr: config.thr,
-        },
-        seed: config.seed,
-        honest_publishers: Some(config.active_publishers),
-        publisher_churn_ms: Some(config.churn_epochs.max(1) * epoch_ms),
-        net: NetworkConfig::default(),
-        ..ScenarioConfig::default()
-    }
-}
-
-/// Runs one steady-state scenario and derives the lifecycle bound.
-pub fn run_steady_state(config: &SteadyStateConfig) -> SteadyStateReport {
-    let (scenario, engine, metrics) = run_scenario_with_metrics(&scenario_config(config));
-    let window_epochs = 2 * config.thr + 1;
-    // Per retained epoch a validator stores at most one share per honest
-    // publisher active in it plus one per spammer. Churn can hand an
-    // epoch two successive active sets (rotation mid-epoch), and one
-    // extra epoch of slack covers in-flight messages straddling a
-    // rollover under clock drift.
-    let signals_per_epoch = (2 * config.active_publishers + config.spammers) as u64;
-    let resident_bound = (window_epochs + 1) * signals_per_epoch;
-    SteadyStateReport {
-        scenario,
-        engine,
-        metrics,
-        epochs_simulated: config.epochs,
-        window_epochs,
-        resident_bound,
+    /// count — what a run's `rln_nullifier_high_water` must stay under.
+    /// A store retains `2·Thr + 1` epochs; per retained epoch a validator
+    /// stores at most one share per honest publisher active in it plus
+    /// one per spammer. Churn can hand an epoch two successive active
+    /// sets (rotation mid-epoch), and one extra epoch of slack covers
+    /// in-flight messages straddling a rollover under clock drift.
+    pub fn resident_bound(&self) -> u64 {
+        let window_epochs = 2 * self.thr + 1;
+        let signals_per_epoch = (2 * self.active_publishers + self.spammers) as u64;
+        (window_epochs + 1) * signals_per_epoch
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{run_scenario, ScenarioRun};
+
+    fn run(config: &SteadyStateConfig) -> ScenarioRun {
+        run_scenario(&config.scenario())
+    }
+
+    fn high_water(run: &ScenarioRun) -> u64 {
+        run.metrics.scalar("rln_nullifier_high_water")
+    }
+
+    fn epochs_pruned(run: &ScenarioRun) -> u64 {
+        run.metrics.scalar("rln_epochs_pruned")
+    }
 
     /// The E7b tentpole claim, part 1: across ≥ 100 simulated epochs the
     /// resident nullifier population stays O(window) — flat, not linear
@@ -170,28 +123,30 @@ mod tests {
     /// working.
     #[test]
     fn hundred_epochs_bounded_memory_and_detection() {
-        let report = run_steady_state(&SteadyStateConfig::default());
-        assert_eq!(report.epochs_simulated, 100);
+        let config = SteadyStateConfig::default();
+        assert_eq!(config.scenario().duration_ms, 100 * 1_000, "100 epochs");
+        let run = run(&config);
+        let bound = config.resident_bound();
         assert!(
-            report.memory_bounded(),
-            "store high-water {} exceeded the O(window) bound {}",
-            report.engine.nullifier_high_water,
-            report.resident_bound,
+            high_water(&run) <= bound,
+            "store high-water {} exceeded the O(window) bound {bound}",
+            high_water(&run),
         );
         // The bound is window-shaped, not horizon-shaped: two orders of
         // magnitude under the ~100-epoch unbounded trajectory.
-        assert!(report.resident_bound < 100, "{report:?}");
+        assert!(bound < 100, "{bound}");
         // Rollover really recycled state all run long: every routing
         // peer prunes nearly every epoch (~peers × epochs total).
         assert!(
-            report.engine.epochs_pruned > 1_000,
-            "expected sustained pruning: {report:?}"
+            epochs_pruned(&run) > 1_000,
+            "expected sustained pruning: {:?}",
+            run.report
         );
         // The defense still works at the horizon: both spammers caught,
         // honest traffic near-unimpeded, spam contained.
-        assert_eq!(report.scenario.spammers_detected, 2);
-        assert!(report.scenario.honest_delivery_ratio > 0.8, "{report:?}");
-        assert!(report.scenario.spam_delivery_ratio < 0.45, "{report:?}");
+        assert_eq!(run.report.spammers_detected, 2);
+        assert!(run.report.honest_delivery_ratio > 0.8, "{:?}", run.report);
+        assert!(run.report.spam_delivery_ratio < 0.45, "{:?}", run.report);
     }
 
     /// The E7b tentpole claim, part 2: the window is what keeps memory
@@ -199,15 +154,16 @@ mod tests {
     /// the same run dwarf the windowed high-water.
     #[test]
     fn windowed_store_stays_flat_where_a_map_would_grow() {
-        let report = run_steady_state(&SteadyStateConfig::default());
-        let unpruned = report.metrics.scalar("rln_validation_relayed_total");
+        let config = SteadyStateConfig::default();
+        let run = run(&config);
+        let unpruned = run.metrics.scalar("rln_validation_relayed_total");
         assert!(
-            unpruned > 4 * report.engine.nullifier_high_water,
+            unpruned > 4 * high_water(&run),
             "a map would hold {unpruned} vs windowed high-water {}",
-            report.engine.nullifier_high_water,
+            high_water(&run),
         );
-        assert!(report.engine.epochs_pruned > 0);
-        assert!(report.memory_bounded(), "{report:?}");
+        assert!(epochs_pruned(&run) > 0);
+        assert!(high_water(&run) <= config.resident_bound());
     }
 
     /// Publisher churn really rotates the author set: with 25 honest
@@ -215,40 +171,50 @@ mod tests {
     /// than 5 distinct honest peers publish over the run.
     #[test]
     fn churn_rotates_the_publisher_set() {
-        let fixed = run_steady_state(&SteadyStateConfig {
+        let fixed_config = SteadyStateConfig {
             epochs: 60,
             churn_epochs: 1_000_000, // effectively no rotation
             ..SteadyStateConfig::default()
-        });
-        let churned = run_steady_state(&SteadyStateConfig {
+        };
+        let churned_config = SteadyStateConfig {
             epochs: 60,
             churn_epochs: 10,
             ..SteadyStateConfig::default()
-        });
+        };
+        let fixed = run(&fixed_config);
+        let churned = run(&churned_config);
         // Same active-set size, same horizon: comparable honest volume.
-        let lo = fixed.scenario.honest_sent / 2;
+        let lo = fixed.report.honest_sent / 2;
         assert!(
-            churned.scenario.honest_sent > lo,
-            "churned publishers still publish: {churned:?}"
+            churned.report.honest_sent > lo,
+            "churned publishers still publish: {:?}",
+            churned.report
         );
         // Both stay within the same O(window) bound — churn does not
         // inflate resident state, because expired identities' shares
         // leave with their epochs.
-        assert!(fixed.memory_bounded(), "{fixed:?}");
-        assert!(churned.memory_bounded(), "{churned:?}");
+        assert!(high_water(&fixed) <= fixed_config.resident_bound());
+        assert!(high_water(&churned) <= churned_config.resident_bound());
     }
 
     /// A wider gap widens the window bound but the memory stays flat
     /// relative to the horizon.
     #[test]
     fn wider_gap_still_bounded() {
-        let report = run_steady_state(&SteadyStateConfig {
+        let config = SteadyStateConfig {
             epochs: 120,
             thr: 3,
             ..SteadyStateConfig::default()
-        });
-        assert_eq!(report.window_epochs, 7);
-        assert!(report.memory_bounded(), "{report:?}");
-        assert_eq!(report.scenario.spammers_detected, 2, "{report:?}");
+        };
+        // A 7-epoch window (2·Thr + 1) plus one of slack, 2·5 + 2 signals
+        // an epoch.
+        assert_eq!(config.resident_bound(), 8 * 12);
+        let run = run(&config);
+        assert!(
+            high_water(&run) <= config.resident_bound(),
+            "{:?}",
+            run.report
+        );
+        assert_eq!(run.report.spammers_detected, 2, "{:?}", run.report);
     }
 }

@@ -50,7 +50,8 @@ fn main() {
                 .expect("valid net config"),
             seed: 99,
             ..ScenarioConfig::default()
-        });
+        })
+        .report;
         println!("{}", report.table_row());
     }
 

@@ -46,7 +46,8 @@ fn main() {
                 .expect("valid net config"),
             seed: 4242,
             ..ScenarioConfig::default()
-        });
+        })
+        .report;
         println!(
             "| {epoch_secs} s | {thr} | {} | {:.3} | {:.3} |",
             report.honest_sent, report.honest_delivery_ratio, report.spam_delivery_ratio

@@ -16,10 +16,7 @@ use waku_suite::gossip::{
 };
 use waku_suite::metrics::Snapshot;
 use waku_suite::pool::with_threads;
-use waku_suite::sim::{
-    run_scenario, run_scenario_instrumented, run_scenario_with_metrics, Defense, ScenarioConfig,
-    ScenarioReport,
-};
+use waku_suite::sim::{run_scenario, Defense, ScenarioConfig, ScenarioReport};
 
 /// `shards: None` is the default rule (1 shard below 512 peers).
 fn config_at(peers: usize, defense: Defense, shards: Option<usize>) -> ScenarioConfig {
@@ -47,7 +44,7 @@ fn config(defense: Defense, shards: Option<usize>) -> ScenarioConfig {
 }
 
 fn report(defense: Defense, shards: Option<usize>, threads: usize) -> ScenarioReport {
-    with_threads(threads, || run_scenario(&config(defense, shards)))
+    with_threads(threads, || run_scenario(&config(defense, shards)).report)
 }
 
 const RLN: Defense = Defense::RlnRelay {
@@ -91,7 +88,8 @@ fn rln_reports_identical_across_schedulers_shards_and_pool_sizes() {
 /// computation shows up as a count, while the report stays `==` serial.
 #[test]
 fn adaptive_lookahead_cuts_barriers_without_changing_results() {
-    let (sharded, engine) = with_threads(2, || run_scenario_instrumented(&config(RLN, Some(8))));
+    let run = with_threads(2, || run_scenario(&config(RLN, Some(8))));
+    let (sharded, engine) = (run.report, run.engine);
     assert_eq!(sharded, report(RLN, Some(1), 1));
     assert_eq!(engine.shards, 8);
     assert!(engine.barriers <= 1074, "{} barriers", engine.barriers);
@@ -104,9 +102,8 @@ fn adaptive_lookahead_cuts_barriers_without_changing_results() {
 #[test]
 fn auto_scheduler_matches_serial() {
     let run = |shards| {
-        with_threads(2, || {
-            run_scenario_instrumented(&config_at(600, RLN, shards))
-        })
+        let run = with_threads(2, || run_scenario(&config_at(600, RLN, shards)));
+        (run.report, run.engine)
     };
     let (auto, engine) = run(None);
     assert!(
@@ -145,8 +142,10 @@ fn metrics_snapshots_identical_across_schedulers() {
         snap.retain(|desc| !desc.name.starts_with("engine_"));
         snap
     };
-    let run =
-        |shards, threads| with_threads(threads, || run_scenario_with_metrics(&config(RLN, shards)));
+    let run = |shards, threads| {
+        let run = with_threads(threads, || run_scenario(&config(RLN, shards)));
+        (run.report, run.engine, run.metrics)
+    };
 
     let (reference_report, _, snap) = run(Some(1), 1);
     let reference = strip_engine(snap);
@@ -248,7 +247,8 @@ fn fault_plan_runs_identical_across_schedulers() {
         snap
     };
     let run = |shards, threads: usize| {
-        with_threads(threads, || run_scenario_with_metrics(&faulted(shards)))
+        let run = with_threads(threads, || run_scenario(&faulted(shards)));
+        (run.report, run.engine, run.metrics)
     };
 
     let (reference_report, _, reference_snap) = run(Some(1), 1);
