@@ -16,7 +16,8 @@ use waku_arith::fields::Fr;
 use waku_arith::traits::{Field, PrimeField};
 use waku_bench::{check_exit, fmt_duration, time_mean};
 use waku_chain::{
-    gas_to_usd, slash_commitment_hash, Address, Chain, ChainConfig, ContractKind, TxKind, ETHER,
+    gas_to_usd, slash_commitment_hash, Address, Chain, ChainConfig, ContractKind, TxKind, DEPOSIT,
+    ETHER,
 };
 use waku_gossip::NetworkConfig;
 use waku_merkle::{DenseTree, FrontierTree, PartialViewTree, TreeUpdate};
@@ -42,7 +43,6 @@ fn gas_of_last(kind: ContractKind, txs: Vec<TxKind>) -> u64 {
     let mut chain = Chain::new(ChainConfig {
         contract: kind,
         tree_depth: 20,
-        ..ChainConfig::default()
     });
     let user = Address::from_seed(b"gas-user");
     chain.fund(user, 10_000 * ETHER);
@@ -293,7 +293,7 @@ fn baseline_costs(checks: &mut Checks) {
     println!("| spam rate (msgs/epoch) | peer scoring | RLN (1 ETH deposit) |");
     println!("|---|---|---|");
     let scoring = SybilCostModel::scoring_only();
-    let rln = SybilCostModel::rln(ETHER);
+    let rln = SybilCostModel::rln(DEPOSIT);
     for rate in [1u64, 10, 100, 1000] {
         let (free, staked) = (scoring.cost_for_rate(rate), rln.cost_for_rate(rate));
         println!(

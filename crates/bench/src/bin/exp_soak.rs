@@ -35,9 +35,6 @@ fn soak(cli: &Cli) -> Result<ExitCode, Fatal> {
     let mut config = SoakConfig {
         epoch_secs: 20,
         publishers: 2,
-        spam_every_epochs: 10,
-        store_capacity: 32,
-        sample_every_secs: 120,
         restart_mid_soak: !cli.switch("--no-restart"),
         ..SoakConfig::default()
     };

@@ -103,7 +103,7 @@ fn batch_table() {
         }
         let refs: Vec<&RlnMessageBundle> = poisoned.iter().collect();
         let work = verifier.isolate(&refs).work;
-        let total = best_of(5, || assert_eq!(verifier.isolate_invalid(&refs), junk));
+        let total = best_of(5, || assert_eq!(verifier.isolate(&refs).invalid, junk));
         let marginal = match junk.len() {
             0 => {
                 clean = total;

@@ -1,5 +1,5 @@
 //! A minimal simulated Ethereum: accounts, a gas-price-ordered mempool,
-//! blocks mined on a configurable cadence, receipts, and the membership
+//! blocks mined on a fixed 12 s cadence, receipts, and the membership
 //! contract deployed at genesis.
 //!
 //! Fidelity targets (what the paper's protocol actually observes, §III-B,
@@ -16,15 +16,17 @@ use waku_arith::fields::Fr;
 use waku_hash::keccak256;
 
 use crate::membership::{ContractError, ContractEvent, ContractKind, MembershipContract};
-use crate::types::{Address, TxHash, Wei, GWEI};
+use crate::types::{Address, TxHash, Wei, ETHER, GWEI};
+
+/// Seconds between blocks (mainnet ≈ 12–14 s).
+const BLOCK_TIME_SECS: u64 = 12;
+
+/// Registration deposit `v`.
+pub const DEPOSIT: Wei = ETHER;
 
 /// Chain construction parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ChainConfig {
-    /// Seconds between blocks (mainnet ≈ 12–14 s).
-    pub block_time: u64,
-    /// Registration deposit `v`.
-    pub deposit: Wei,
     /// Membership contract storage design.
     pub contract: ContractKind,
     /// Identity tree depth (paper evaluates depth 20).
@@ -34,8 +36,6 @@ pub struct ChainConfig {
 impl Default for ChainConfig {
     fn default() -> Self {
         ChainConfig {
-            block_time: 12,
-            deposit: crate::types::ETHER,
             contract: ContractKind::FlatList,
             tree_depth: 20,
         }
@@ -120,7 +120,7 @@ pub struct Receipt {
 pub struct Block {
     /// Height (genesis = 0, empty).
     pub number: u64,
-    /// Unix-style timestamp (starts at 0, advances by `block_time`).
+    /// Unix-style timestamp (starts at 0, advances 12 s per block).
     pub timestamp: u64,
     /// Receipts in execution order.
     pub receipts: Vec<Receipt>,
@@ -141,7 +141,7 @@ pub struct Chain {
 impl Chain {
     /// Creates a chain with the membership contract deployed at genesis.
     pub fn new(config: ChainConfig) -> Self {
-        let contract = MembershipContract::new(config.contract, config.deposit, config.tree_depth);
+        let contract = MembershipContract::new(config.contract, DEPOSIT, config.tree_depth);
         Chain {
             config,
             balances: HashMap::new(),
@@ -226,7 +226,7 @@ impl Chain {
                 .then(a.seq.cmp(&b.seq))
         });
         let number = self.height() + 1;
-        let timestamp = self.timestamp() + self.config.block_time;
+        let timestamp = self.timestamp() + BLOCK_TIME_SECS;
         let mut receipts = Vec::with_capacity(txs.len());
         for tx in txs {
             receipts.push(self.execute(tx, number));
@@ -248,10 +248,9 @@ impl Chain {
 
     fn execute(&mut self, tx: PendingTx, block: u64) -> Receipt {
         const TX_BASE: u64 = 21_000;
-        let deposit = self.config.deposit;
         let result: Result<(u64, Vec<ContractEvent>), ContractError> = match &tx.kind {
             TxKind::Register { commitment } => {
-                let needed = deposit;
+                let needed = DEPOSIT;
                 if self.balance(tx.from) < needed {
                     Err(ContractError::WrongDeposit)
                 } else {
@@ -264,7 +263,7 @@ impl Chain {
                 }
             }
             TxKind::RegisterBatch { commitments } => {
-                let needed = deposit * commitments.len() as Wei;
+                let needed = DEPOSIT * commitments.len() as Wei;
                 if self.balance(tx.from) < needed {
                     Err(ContractError::WrongDeposit)
                 } else {
@@ -629,6 +628,6 @@ mod tests {
         let (mut chain, _) = funded_chain();
         chain.mine_blocks(5);
         assert_eq!(chain.height(), 5);
-        assert_eq!(chain.timestamp(), 5 * chain.config().block_time);
+        assert_eq!(chain.timestamp(), 5 * BLOCK_TIME_SECS);
     }
 }

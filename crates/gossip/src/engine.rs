@@ -32,7 +32,29 @@ use crate::faults::fault_word;
 use crate::instrument::engine_catalogue;
 use crate::message::{Message, MessageId, PeerId, Rpc, SimTime, Topic, TrafficClass, Validation};
 use crate::network::{NetworkConfig, PeerStats, Validator};
-use crate::scoring::ScoreTable;
+use crate::scoring::{ScoreTable, GRAYLIST_THRESHOLD, PRUNE_THRESHOLD};
+
+// GossipSub mesh parameters: the libp2p defaults.
+
+/// Target mesh degree.
+const D: usize = 6;
+/// Mesh low watermark.
+const D_LO: usize = 4;
+/// Mesh high watermark.
+pub(crate) const D_HI: usize = 12;
+/// Gossip fan-out (IHAVE targets per heartbeat).
+const D_LAZY: usize = 6;
+/// Heartbeat interval (ms).
+pub(crate) const HEARTBEAT_MS: u64 = 1_000;
+/// Number of heartbeat windows a message stays gossip-able.
+const MCACHE_GOSSIP: usize = 3;
+/// Number of heartbeat windows a message stays retrievable.
+const MCACHE_LEN: usize = 5;
+/// Heartbeat rotations a seen-id survives. Seen-ids must outlive every
+/// path a message can still travel: mcache retention + the gossip window
+/// it can be IHAVE'd from, plus slack for in-flight IWANT round-trips and
+/// clock stagger.
+const SEEN_WINDOW: u32 = (MCACHE_LEN + MCACHE_GOSSIP + 2) as u32;
 
 /// Globally unique, totally ordered event identity. The derived `Ord`
 /// compares `(at, origin, seq)` lexicographically; `(origin, seq)` pairs
@@ -148,9 +170,6 @@ pub(crate) struct PeerSlot {
     /// (set at network construction; empty without faults). While down,
     /// every event addressed to this peer except `ClockSkew` is dropped.
     pub(crate) downtime: Vec<(SimTime, SimTime)>,
-    /// Seen-set retention in heartbeat rotations — kept so a cold restart
-    /// can rebuild the set with the window the network sized it with.
-    seen_window: u32,
     /// First deliveries observed by this peer (merged across peers in
     /// peer-id order for network-wide latency stats).
     pub deliveries: Vec<(MessageId, DeliveryRecord)>,
@@ -170,16 +189,12 @@ pub(crate) struct PeerSlot {
 }
 
 impl PeerSlot {
-    /// `seen_window` is how many heartbeat rotations a seen-id survives —
-    /// sized by the network from the gossip config so it outlives any
-    /// path a message could still travel (mcache retention + gossip range
-    /// + in-flight slack).
-    pub(crate) fn new(seed: u64, peer: PeerId, drift_ms: i64, seen_window: u32) -> Self {
+    pub(crate) fn new(seed: u64, peer: PeerId, drift_ms: i64) -> Self {
         PeerSlot {
             neighbors: Vec::new(),
             subscriptions: BTreeSet::new(),
             mesh: BTreeMap::new(),
-            seen: SeenSet::new(seen_window),
+            seen: SeenSet::new(SEEN_WINDOW),
             cache: TopicCaches::new(),
             scores: ScoreTable::default(),
             validator: None,
@@ -187,7 +202,6 @@ impl PeerSlot {
             stats: PeerStats::default(),
             next_seq: 0,
             downtime: Vec::new(),
-            seen_window,
             deliveries: Vec::new(),
             topic_bytes: BTreeMap::new(),
             rng: StdRng::seed_from_u64(peer_stream_seed(seed, peer)),
@@ -197,11 +211,8 @@ impl PeerSlot {
         }
     }
 
-    pub(crate) fn score_of(&self, peer: PeerId, params: &crate::scoring::ScoreParams) -> f64 {
-        self.scores
-            .get(peer)
-            .map(|s| s.score(params))
-            .unwrap_or(0.0)
+    pub(crate) fn score_of(&self, peer: PeerId) -> f64 {
+        self.scores.get(peer).map(|s| s.score()).unwrap_or(0.0)
     }
 
     pub(crate) fn local_time(&self, now: SimTime) -> SimTime {
@@ -382,7 +393,7 @@ impl PeerSlot {
     /// existing IHAVE → IWANT machinery back-fills messages still inside
     /// neighbors' gossip windows.
     fn handle_restart(&mut self, me: PeerId, now: SimTime, out: &mut Vec<QueuedEvent>) {
-        self.seen = SeenSet::new(self.seen_window);
+        self.seen = SeenSet::new(SEEN_WINDOW);
         self.cache = TopicCaches::new();
         for members in self.mesh.values_mut() {
             members.clear();
@@ -415,7 +426,7 @@ impl PeerSlot {
         self.seen.insert(&message.id);
         self.cache.insert(Arc::clone(&message));
         let mut targets = std::mem::take(&mut self.targets_scratch);
-        self.mesh_targets(me, topic, None, config, &mut targets);
+        self.mesh_targets(me, topic, None, &mut targets);
         for &t in &targets {
             self.send_rpc(me, now, t, Rpc::Publish(Arc::clone(&message)), config, out);
         }
@@ -430,7 +441,6 @@ impl PeerSlot {
         me: PeerId,
         topic: Topic,
         exclude: Option<PeerId>,
-        config: &NetworkConfig,
         targets: &mut Vec<PeerId>,
     ) {
         targets.clear();
@@ -440,7 +450,7 @@ impl PeerSlot {
         if targets.is_empty() {
             targets.extend_from_slice(&self.neighbors);
             targets.shuffle(&mut self.rng);
-            targets.truncate(config.gossip.d);
+            targets.truncate(D);
         }
         targets.retain(|t| Some(*t) != exclude && *t != me);
     }
@@ -471,8 +481,8 @@ impl PeerSlot {
             }
         }
         // Graylisted peers are ignored outright (scoring defense).
-        let score = self.score_of(from, &config.scoring);
-        if score < config.scoring.graylist_threshold {
+        let score = self.score_of(from);
+        if score < GRAYLIST_THRESHOLD {
             return;
         }
         match rpc {
@@ -501,7 +511,7 @@ impl PeerSlot {
             }
             Rpc::Graft(topic) => {
                 let subscribed = self.subscriptions.contains(&topic);
-                let acceptable = score >= config.scoring.prune_threshold;
+                let acceptable = score >= PRUNE_THRESHOLD;
                 if subscribed && acceptable {
                     self.mesh.entry(topic).or_default().insert(from);
                 } else {
@@ -563,7 +573,7 @@ impl PeerSlot {
                     },
                 ));
                 let mut targets = std::mem::take(&mut self.targets_scratch);
-                self.mesh_targets(me, message.topic, Some(from), config, &mut targets);
+                self.mesh_targets(me, message.topic, Some(from), &mut targets);
                 for &t in &targets {
                     if t != message.origin {
                         self.send_rpc(me, now, t, Rpc::Publish(message.clone()), config, out);
@@ -600,15 +610,6 @@ impl PeerSlot {
             v.on_heartbeat(local);
         }
 
-        let heartbeat_ms = config.gossip.heartbeat_ms;
-        let scoring = config.scoring;
-        let (d, d_lo, d_hi, d_lazy) = (
-            config.gossip.d,
-            config.gossip.d_lo,
-            config.gossip.d_hi,
-            config.gossip.d_lazy,
-        );
-
         let topics: Vec<Topic> = self.subscriptions.iter().copied().collect();
         for topic in topics {
             // 1. prune negative-score mesh members
@@ -619,7 +620,7 @@ impl PeerSlot {
                 .unwrap_or_default();
             let mut to_prune = Vec::new();
             for m in &mesh {
-                if self.score_of(*m, &scoring) < scoring.prune_threshold {
+                if self.score_of(*m) < PRUNE_THRESHOLD {
                     to_prune.push(*m);
                 }
             }
@@ -630,25 +631,22 @@ impl PeerSlot {
 
             // 2. degree maintenance
             let current: BTreeSet<PeerId> = self.mesh.get(&topic).cloned().unwrap_or_default();
-            if current.len() < d_lo {
+            if current.len() < D_LO {
                 let mut candidates: Vec<PeerId> = self
                     .neighbors
                     .iter()
                     .copied()
-                    .filter(|n| {
-                        !current.contains(n)
-                            && self.score_of(*n, &scoring) >= scoring.prune_threshold
-                    })
+                    .filter(|n| !current.contains(n) && self.score_of(*n) >= PRUNE_THRESHOLD)
                     .collect();
                 candidates.shuffle(&mut self.rng);
-                for c in candidates.into_iter().take(d - current.len()) {
+                for c in candidates.into_iter().take(D - current.len()) {
                     self.mesh.entry(topic).or_default().insert(c);
                     self.send_rpc(me, now, c, Rpc::Graft(topic), config, out);
                 }
-            } else if current.len() > d_hi {
+            } else if current.len() > D_HI {
                 let mut members: Vec<PeerId> = current.iter().copied().collect();
                 members.shuffle(&mut self.rng);
-                for m in members.into_iter().take(current.len() - d) {
+                for m in members.into_iter().take(current.len() - D) {
                     self.mesh.get_mut(&topic).expect("mesh exists").remove(&m);
                     self.send_rpc(me, now, m, Rpc::Prune(topic), config, out);
                 }
@@ -656,7 +654,7 @@ impl PeerSlot {
 
             // 3. IHAVE gossip to non-mesh subscribed neighbors: one id
             // list per topic per heartbeat, refcount-shared across sends.
-            if let Some(gossip_ids) = self.cache.gossip_ids(topic, config.gossip.mcache_gossip) {
+            if let Some(gossip_ids) = self.cache.gossip_ids(topic, MCACHE_GOSSIP) {
                 let mesh_now: BTreeSet<PeerId> = self.mesh.get(&topic).cloned().unwrap_or_default();
                 let mut lazy: Vec<PeerId> = self
                     .neighbors
@@ -665,7 +663,7 @@ impl PeerSlot {
                     .filter(|n| !mesh_now.contains(n))
                     .collect();
                 lazy.shuffle(&mut self.rng);
-                for l in lazy.into_iter().take(d_lazy) {
+                for l in lazy.into_iter().take(D_LAZY) {
                     self.send_rpc(
                         me,
                         now,
@@ -684,17 +682,17 @@ impl PeerSlot {
         for m in mesh_members {
             self.scores
                 .entry_or_default(m)
-                .on_mesh_time(heartbeat_ms as f64 / 1000.0);
+                .on_mesh_time(HEARTBEAT_MS as f64 / 1000.0);
         }
         for s in self.scores.values_mut() {
-            s.decay(&scoring);
+            s.decay();
         }
 
         // 5. rotate the mcache windows and the seen-set generation
-        self.cache.rotate(config.gossip.mcache_len);
+        self.cache.rotate(MCACHE_LEN);
         self.seen.rotate();
 
-        self.schedule(me, now, heartbeat_ms, me, SimEvent::Heartbeat, out);
+        self.schedule(me, now, HEARTBEAT_MS, me, SimEvent::Heartbeat, out);
     }
 }
 
@@ -721,7 +719,7 @@ mod tests {
 
     #[test]
     fn key_stream_is_per_peer_monotone() {
-        let mut slot = PeerSlot::new(1, 3, 0, 10);
+        let mut slot = PeerSlot::new(1, 3, 0);
         let k1 = slot.next_key(3, 100);
         let k2 = slot.next_key(3, 100);
         assert!(k1 < k2);

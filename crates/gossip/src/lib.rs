@@ -44,7 +44,7 @@ pub mod scoring;
 pub use faults::{CrashSpec, FaultPlan, LinkFaults, PartitionSpec, SkewSpec};
 pub use message::{Message, MessageId, PeerId, Rpc, SimTime, Topic, TrafficClass, Validation};
 pub use network::{
-    ConfigError, DeliveryRecord, GossipConfig, MessageAcceptor, Network, NetworkConfig,
-    NetworkConfigBuilder, PeerStats, Validator,
+    ConfigError, DeliveryRecord, MessageAcceptor, Network, NetworkConfig, NetworkConfigBuilder,
+    PeerStats, Validator,
 };
-pub use scoring::{PeerScore, ScoreParams};
+pub use scoring::PeerScore;

@@ -24,47 +24,13 @@ use std::collections::{BTreeMap, HashSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{PeerSlot, QueuedEvent, SimEvent};
+use crate::engine::{PeerSlot, QueuedEvent, SimEvent, HEARTBEAT_MS};
 use crate::faults::FaultPlan;
 use crate::instrument::{engine_catalogue, network_catalogue};
 use crate::message::{Message, MessageId, PeerId, SimTime, Topic, TrafficClass, Validation};
 use crate::scheduler::Scheduler;
-use crate::scoring::ScoreParams;
 
 pub use crate::engine::DeliveryRecord;
-
-/// GossipSub protocol parameters (libp2p defaults).
-#[derive(Clone, Copy, Debug)]
-pub struct GossipConfig {
-    /// Target mesh degree.
-    pub d: usize,
-    /// Mesh low watermark.
-    pub d_lo: usize,
-    /// Mesh high watermark.
-    pub d_hi: usize,
-    /// Gossip fan-out (IHAVE targets per heartbeat).
-    pub d_lazy: usize,
-    /// Heartbeat interval (ms).
-    pub heartbeat_ms: u64,
-    /// Number of heartbeat windows a message stays gossip-able.
-    pub mcache_gossip: usize,
-    /// Number of heartbeat windows a message stays retrievable.
-    pub mcache_len: usize,
-}
-
-impl Default for GossipConfig {
-    fn default() -> Self {
-        GossipConfig {
-            d: 6,
-            d_lo: 4,
-            d_hi: 12,
-            d_lazy: 6,
-            heartbeat_ms: 1_000,
-            mcache_gossip: 3,
-            mcache_len: 5,
-        }
-    }
-}
 
 /// A network-configuration invariant rejected at
 /// [`NetworkConfigBuilder::build`] time.
@@ -110,10 +76,6 @@ pub struct NetworkConfig {
     pub latency_max_ms: u64,
     /// Clock drift is sampled uniformly from ±this (ms).
     pub clock_drift_ms: u64,
-    /// GossipSub parameters.
-    pub gossip: GossipConfig,
-    /// Scoring parameters.
-    pub scoring: ScoreParams,
     /// Determinism seed.
     pub seed: u64,
     /// Peer shards of the event scheduler, clamped to `1..=peers` (never
@@ -135,8 +97,6 @@ impl Default for NetworkConfig {
             latency_min_ms: 20,
             latency_max_ms: 120,
             clock_drift_ms: 100,
-            gossip: GossipConfig::default(),
-            scoring: ScoreParams::default(),
             seed: 0,
             shards: None,
             faults: FaultPlan::default(),
@@ -192,18 +152,6 @@ impl NetworkConfigBuilder {
     /// Sets the clock-drift half-width in milliseconds.
     pub fn clock_drift_ms(mut self, drift: u64) -> Self {
         self.config.clock_drift_ms = drift;
-        self
-    }
-
-    /// Sets the GossipSub parameters.
-    pub fn gossip(mut self, gossip: GossipConfig) -> Self {
-        self.config.gossip = gossip;
-        self
-    }
-
-    /// Sets the peer-scoring parameters.
-    pub fn scoring(mut self, scoring: ScoreParams) -> Self {
-        self.config.scoring = scoring;
         self
     }
 
@@ -332,15 +280,11 @@ impl Network {
         // drawn once here, identically at every shard count; runtime draws
         // come from the per-peer streams instead.
         let mut rng = StdRng::seed_from_u64(config.seed);
-        // Seen-ids must outlive every path a message can still travel:
-        // mcache retention + the gossip window it can be IHAVE'd from,
-        // plus slack for in-flight IWANT round-trips and clock stagger.
-        let seen_window = (config.gossip.mcache_len + config.gossip.mcache_gossip + 2) as u32;
         let mut slots: Vec<PeerSlot> = (0..config.peers)
             .map(|p| {
                 let drift =
                     rng.gen_range(-(config.clock_drift_ms as i64)..=config.clock_drift_ms as i64);
-                PeerSlot::new(config.seed, p, drift, seen_window)
+                PeerSlot::new(config.seed, p, drift)
             })
             .collect();
 
@@ -378,7 +322,7 @@ impl Network {
 
         // Stagger heartbeats so the whole network doesn't thunder at once.
         for (p, slot) in slots.iter_mut().enumerate() {
-            let offset = rng.gen_range(0..config.gossip.heartbeat_ms);
+            let offset = rng.gen_range(0..HEARTBEAT_MS);
             let key = slot.next_key(p, offset);
             scheduler.enqueue(QueuedEvent {
                 key,
@@ -569,7 +513,7 @@ impl Network {
 
     /// Score neighbor `of` currently assigns to `subject`.
     pub fn score(&self, of: PeerId, subject: PeerId) -> f64 {
-        self.slots[of].score_of(subject, &self.config.scoring)
+        self.slots[of].score_of(subject)
     }
 
     /// One merged metrics snapshot for the whole network: the per-peer
@@ -630,6 +574,8 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::D_HI;
+    use crate::scoring::GRAYLIST_THRESHOLD;
 
     const TOPIC: Topic = 1;
 
@@ -737,7 +683,7 @@ mod tests {
         let neighbors: Vec<PeerId> = net.neighbors(0).to_vec();
         let graylisted = neighbors
             .iter()
-            .filter(|n| net.score(**n, 0) < net.config.scoring.graylist_threshold)
+            .filter(|n| net.score(**n, 0) < GRAYLIST_THRESHOLD)
             .count();
         assert!(
             graylisted >= 1,
@@ -762,7 +708,7 @@ mod tests {
         for p in 0..30 {
             let mesh_size = net.slots[p].mesh.get(&TOPIC).map(|m| m.len()).unwrap_or(0);
             assert!(
-                mesh_size >= 1 && mesh_size <= net.config.gossip.d_hi + net.config.degree,
+                mesh_size >= 1 && mesh_size <= D_HI + net.config.degree,
                 "peer {p} mesh size {mesh_size}"
             );
         }

@@ -672,7 +672,7 @@ mod tests {
     fn ring_slots(peers: usize) -> Vec<PeerSlot> {
         (0..peers)
             .map(|p| {
-                let mut slot = PeerSlot::new(1, p, 0, 8);
+                let mut slot = PeerSlot::new(1, p, 0);
                 slot.neighbors = vec![(p + peers - 1) % peers, (p + 1) % peers];
                 slot
             })

@@ -13,47 +13,28 @@
 //! pruned from meshes; below the graylist threshold their RPCs are ignored
 //! entirely.
 
-/// Scoring weights and thresholds.
-#[derive(Clone, Copy, Debug)]
-pub struct ScoreParams {
-    /// P1 weight per second of mesh membership.
-    pub time_in_mesh_weight: f64,
-    /// P1 cap.
-    pub time_in_mesh_cap: f64,
-    /// P2 weight per first delivery.
-    pub first_message_weight: f64,
-    /// P2 cap.
-    pub first_message_cap: f64,
-    /// P4 weight (must be negative); applied to the *square* of the count.
-    pub invalid_message_weight: f64,
-    /// Behavioural penalty weight (negative, squared).
-    pub behaviour_penalty_weight: f64,
-    /// Multiplicative decay applied every heartbeat to P2/P4/behaviour.
-    pub decay: f64,
-    /// Counters below this are zeroed after decay.
-    pub decay_to_zero: f64,
-    /// Mesh membership requires score ≥ this.
-    pub prune_threshold: f64,
-    /// RPCs from peers below this are dropped entirely.
-    pub graylist_threshold: f64,
-}
+// Scoring weights and thresholds: fixed GossipSub v1.1 values.
 
-impl Default for ScoreParams {
-    fn default() -> Self {
-        ScoreParams {
-            time_in_mesh_weight: 0.01,
-            time_in_mesh_cap: 300.0,
-            first_message_weight: 1.0,
-            first_message_cap: 100.0,
-            invalid_message_weight: -10.0,
-            behaviour_penalty_weight: -5.0,
-            decay: 0.9,
-            decay_to_zero: 0.01,
-            prune_threshold: 0.0,
-            graylist_threshold: -100.0,
-        }
-    }
-}
+/// P1 weight per second of mesh membership.
+const TIME_IN_MESH_WEIGHT: f64 = 0.01;
+/// P1 cap.
+const TIME_IN_MESH_CAP: f64 = 300.0;
+/// P2 weight per first delivery.
+const FIRST_MESSAGE_WEIGHT: f64 = 1.0;
+/// P2 cap.
+const FIRST_MESSAGE_CAP: f64 = 100.0;
+/// P4 weight (negative); applied to the *square* of the count.
+const INVALID_MESSAGE_WEIGHT: f64 = -10.0;
+/// Behavioural penalty weight (negative, squared).
+const BEHAVIOUR_PENALTY_WEIGHT: f64 = -5.0;
+/// Multiplicative decay applied every heartbeat to P2/P4/behaviour.
+const DECAY: f64 = 0.9;
+/// Counters below this are zeroed after decay.
+const DECAY_TO_ZERO: f64 = 0.01;
+/// Mesh membership requires score ≥ this.
+pub(crate) const PRUNE_THRESHOLD: f64 = 0.0;
+/// RPCs from peers below this are dropped entirely.
+pub(crate) const GRAYLIST_THRESHOLD: f64 = -100.0;
 
 /// Per-neighbor score state.
 #[derive(Clone, Debug, Default)]
@@ -70,11 +51,11 @@ pub struct PeerScore {
 
 impl PeerScore {
     /// Computes the current score.
-    pub fn score(&self, p: &ScoreParams) -> f64 {
-        let p1 = self.time_in_mesh_secs.min(p.time_in_mesh_cap) * p.time_in_mesh_weight;
-        let p2 = self.first_deliveries.min(p.first_message_cap) * p.first_message_weight;
-        let p4 = self.invalid_messages * self.invalid_messages * p.invalid_message_weight;
-        let pb = self.behaviour_penalty * self.behaviour_penalty * p.behaviour_penalty_weight;
+    pub fn score(&self) -> f64 {
+        let p1 = self.time_in_mesh_secs.min(TIME_IN_MESH_CAP) * TIME_IN_MESH_WEIGHT;
+        let p2 = self.first_deliveries.min(FIRST_MESSAGE_CAP) * FIRST_MESSAGE_WEIGHT;
+        let p4 = self.invalid_messages * self.invalid_messages * INVALID_MESSAGE_WEIGHT;
+        let pb = self.behaviour_penalty * self.behaviour_penalty * BEHAVIOUR_PENALTY_WEIGHT;
         p1 + p2 + p4 + pb
     }
 
@@ -99,14 +80,14 @@ impl PeerScore {
     }
 
     /// Applies the per-heartbeat decay.
-    pub fn decay(&mut self, p: &ScoreParams) {
+    pub fn decay(&mut self) {
         for counter in [
             &mut self.first_deliveries,
             &mut self.invalid_messages,
             &mut self.behaviour_penalty,
         ] {
-            *counter *= p.decay;
-            if *counter < p.decay_to_zero {
+            *counter *= DECAY;
+            if *counter < DECAY_TO_ZERO {
                 *counter = 0.0;
             }
         }
@@ -157,66 +138,61 @@ mod tests {
     #[test]
     fn fresh_peer_scores_zero() {
         let s = PeerScore::default();
-        assert_eq!(s.score(&ScoreParams::default()), 0.0);
+        assert_eq!(s.score(), 0.0);
     }
 
     #[test]
     fn deliveries_raise_score() {
-        let p = ScoreParams::default();
         let mut s = PeerScore::default();
         s.on_first_delivery();
         s.on_first_delivery();
-        assert!(s.score(&p) > 0.0);
+        assert!(s.score() > 0.0);
     }
 
     #[test]
     fn invalid_messages_dominate_quadratically() {
-        let p = ScoreParams::default();
         let mut s = PeerScore::default();
         for _ in 0..50 {
             s.on_first_delivery();
         }
-        let good = s.score(&p);
+        let good = s.score();
         for _ in 0..5 {
             s.on_invalid_message();
         }
-        assert!(s.score(&p) < 0.0, "good was {good}, now {}", s.score(&p));
+        assert!(s.score() < 0.0, "good was {good}, now {}", s.score());
     }
 
     #[test]
     fn p2_is_capped() {
-        let p = ScoreParams::default();
         let mut s = PeerScore::default();
         for _ in 0..10_000 {
             s.on_first_delivery();
         }
         assert!(
-            s.score(&p)
-                <= p.first_message_cap * p.first_message_weight
-                    + p.time_in_mesh_cap * p.time_in_mesh_weight
+            s.score()
+                <= FIRST_MESSAGE_CAP * FIRST_MESSAGE_WEIGHT
+                    + TIME_IN_MESH_CAP * TIME_IN_MESH_WEIGHT
         );
     }
 
     #[test]
     fn decay_forgives_over_time() {
-        let p = ScoreParams::default();
         let mut s = PeerScore::default();
         for _ in 0..3 {
             s.on_invalid_message();
         }
-        let before = s.score(&p);
+        let before = s.score();
         for _ in 0..100 {
-            s.decay(&p);
+            s.decay();
         }
-        assert!(s.score(&p) > before);
+        assert!(s.score() > before);
         assert_eq!(s.invalid_messages, 0.0, "decays to zero");
     }
 
     #[test]
     fn mesh_time_accumulates_capped() {
-        let p = ScoreParams::default();
         let mut s = PeerScore::default();
         s.on_mesh_time(1_000_000.0);
-        assert_eq!(s.score(&p), p.time_in_mesh_cap * p.time_in_mesh_weight);
+        assert_eq!(s.score(), TIME_IN_MESH_CAP * TIME_IN_MESH_WEIGHT);
     }
 }

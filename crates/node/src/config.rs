@@ -31,8 +31,6 @@ pub struct ServiceConfig {
     /// snapshot + publish guard). Bounds how much rate-limit memory a
     /// crash can lose.
     pub checkpoint_secs: u64,
-    /// Content topic this service stores relayed payloads under.
-    pub content_topic: String,
     /// Seed for the service's deterministic RNG (identity + proving).
     pub seed: u64,
 }
@@ -45,7 +43,6 @@ impl ServiceConfig {
             node: NodeConfig::default(),
             segment: SegmentConfig::default(),
             checkpoint: Duration::from_secs(30),
-            content_topic: "/waku-node/1/relayed/proto".to_string(),
             seed: 1,
         }
     }
@@ -58,7 +55,6 @@ pub struct ServiceConfigBuilder {
     node: NodeConfig,
     segment: SegmentConfig,
     checkpoint: Duration,
-    content_topic: String,
     seed: u64,
 }
 
@@ -81,12 +77,6 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Sets the content topic relayed payloads are stored under.
-    pub fn content_topic(mut self, topic: impl Into<String>) -> Self {
-        self.content_topic = topic.into();
-        self
-    }
-
     /// Sets the deterministic RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -97,9 +87,8 @@ impl ServiceConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::InvalidConfig`] when `data_dir` is empty, the
-    /// checkpoint interval is zero or sub-second, or the content topic is
-    /// empty.
+    /// [`ServiceError::InvalidConfig`] when `data_dir` is empty or the
+    /// checkpoint interval is zero or sub-second.
     pub fn build(self) -> Result<ServiceConfig, ServiceError> {
         if self.data_dir.as_os_str().is_empty() {
             return Err(ServiceError::InvalidConfig {
@@ -114,18 +103,11 @@ impl ServiceConfigBuilder {
             });
         }
         let checkpoint_secs = self.checkpoint.as_secs();
-        if self.content_topic.is_empty() {
-            return Err(ServiceError::InvalidConfig {
-                field: "content_topic",
-                reason: "must not be empty",
-            });
-        }
         Ok(ServiceConfig {
             data_dir: self.data_dir,
             node: self.node,
             segment: self.segment,
             checkpoint_secs,
-            content_topic: self.content_topic,
             seed: self.seed,
         })
     }
@@ -149,10 +131,6 @@ mod tests {
                     .build()
             ),
             "checkpoint"
-        );
-        assert_eq!(
-            field(ServiceConfig::builder("/tmp/x").content_topic("").build()),
-            "content_topic"
         );
         let ok = ServiceConfig::builder("/tmp/x").build().unwrap();
         assert_eq!(ok.checkpoint_secs, 30);

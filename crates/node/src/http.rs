@@ -11,11 +11,15 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest request head we will read before answering; a scraper's GET
 /// line plus headers fits comfortably.
 const MAX_REQUEST_BYTES: usize = 4096;
+
+/// Time a connection gets to deliver its whole request head. Also the
+/// timeout of each write of the response.
+const HEAD_DEADLINE: Duration = Duration::from_millis(250);
 
 /// A polled metrics endpoint. Construct with [`MetricsServer::bind`],
 /// call [`MetricsServer::poll`] from the event loop with a closure that
@@ -41,16 +45,18 @@ impl MetricsServer {
 
     /// Serves every connection currently pending, answering each with
     /// the text `render` returns (for `/metrics`) or a 404. `render` runs
-    /// once per accepted connection and never on an idle poll. Returns
-    /// how many requests were answered. Never blocks beyond a short
-    /// per-connection read timeout; per-connection errors are swallowed
-    /// (a half-open scraper must not take the relayer down).
+    /// once per `/metrics` request and never for a 404 or an idle poll.
+    /// Returns how many requests were answered. A connection gets 250 ms
+    /// in total to deliver its request head, however slowly it trickles,
+    /// so one scraper cannot hold the caller's loop; errors per
+    /// connection are swallowed (a half-open scraper must not take the
+    /// relayer down).
     pub fn poll(&self, mut render: impl FnMut() -> String) -> std::io::Result<usize> {
         let mut served = 0;
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if serve_one(stream, &render()).is_ok() {
+                    if serve_one(stream, &mut render).is_ok() {
                         served += 1;
                     }
                 }
@@ -62,24 +68,33 @@ impl MetricsServer {
     }
 }
 
-fn serve_one(mut stream: TcpStream, body: &str) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_millis(250)))?;
-    stream.set_write_timeout(Some(Duration::from_millis(250)))?;
-
-    // Read until the end of the request head (or the cap).
+/// Reads the request head (up to the blank line, [`MAX_REQUEST_BYTES`] or
+/// end of stream) within one [`HEAD_DEADLINE`] for the whole head.
+fn read_head(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
     let mut head = Vec::new();
     let mut buf = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
-            break;
+            return Ok(head);
         }
         head.extend_from_slice(&buf[..n]);
         if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= MAX_REQUEST_BYTES {
-            break;
+            return Ok(head);
         }
     }
+}
+
+fn serve_one(mut stream: TcpStream, render: &mut impl FnMut() -> String) -> std::io::Result<()> {
+    stream.set_nonblocking(false)?;
+    stream.set_write_timeout(Some(HEAD_DEADLINE))?;
+    let head = read_head(&mut stream)?;
 
     let request_line = head
         .split(|&b| b == b'\r' || b == b'\n')
@@ -91,6 +106,7 @@ fn serve_one(mut stream: TcpStream, body: &str) -> std::io::Result<()> {
     let path = parts.next().unwrap_or("");
 
     let response = if method == "GET" && (path == "/metrics" || path == "/") {
+        let body = render();
         format!(
             "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
             body.len(),
@@ -112,22 +128,34 @@ fn serve_one(mut stream: TcpStream, body: &str) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
-    fn request(addr: SocketAddr, server: &MetricsServer, body: &str, path: &str) -> String {
+    /// Sends one GET for `path` and polls until it is answered; returns
+    /// the response and how often the exposition was rendered.
+    fn request(
+        addr: SocketAddr,
+        server: &MetricsServer,
+        body: &str,
+        path: &str,
+    ) -> (String, usize) {
         let mut client = TcpStream::connect(addr).unwrap();
         client
             .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
             .unwrap();
         client.flush().unwrap();
         // Give the kernel a beat to surface the connection, then poll.
+        let mut renders = 0;
         for _ in 0..100 {
-            if server.poll(|| body.to_string()).unwrap() > 0 {
+            let render = || {
+                renders += 1;
+                body.to_string()
+            };
+            if server.poll(render).unwrap() > 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
         let mut response = String::new();
         client.read_to_string(&mut response).unwrap();
-        response
+        (response, renders)
     }
 
     #[test]
@@ -135,13 +163,15 @@ mod tests {
         let server = MetricsServer::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap();
 
-        let ok = request(addr, &server, "waku_up 1\n", "/metrics");
+        let (ok, renders) = request(addr, &server, "waku_up 1\n", "/metrics");
         assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
         assert!(ok.contains("text/plain; version=0.0.4"));
         assert!(ok.ends_with("waku_up 1\n"), "{ok}");
+        assert_eq!(renders, 1);
 
-        let missing = request(addr, &server, "waku_up 1\n", "/nope");
+        let (missing, renders) = request(addr, &server, "waku_up 1\n", "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+        assert_eq!(renders, 0, "a 404 renders no exposition");
 
         // An idle poll serves nothing, does not block, and renders
         // nothing.
@@ -152,5 +182,41 @@ mod tests {
         };
         assert_eq!(server.poll(render).unwrap(), 0);
         assert_eq!(renders, 0, "no connection, no exposition rendered");
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_hold_the_poll() {
+        let server = MetricsServer::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(server.local_addr().unwrap()).unwrap();
+        // One byte of a request head every 50 ms for 3 s: each byte lands
+        // well inside any per-read timeout, and the head never ends.
+        let trickle = std::thread::spawn(move || {
+            let mut sent = 0;
+            for &byte in b"GET /metrics HTTP/1.1\r\nX-Slow: ".iter().cycle().take(60) {
+                if client.write_all(&[byte]).is_err() {
+                    break;
+                }
+                sent += 1;
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            sent
+        });
+        let mut renders = 0;
+        let start = Instant::now();
+        while !trickle.is_finished() && start.elapsed() < Duration::from_secs(2) {
+            let polled = Instant::now();
+            server
+                .poll(|| {
+                    renders += 1;
+                    String::new()
+                })
+                .unwrap();
+            let held = polled.elapsed();
+            assert!(held < Duration::from_secs(1), "poll held for {held:?}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(renders, 0, "an unfinished head is never answered");
+        let sent = trickle.join().unwrap();
+        assert!(sent < 60, "the server hung up only after {sent} bytes");
     }
 }

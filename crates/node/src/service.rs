@@ -44,6 +44,9 @@ use crate::error::ServiceError;
 /// Publish-guard sidecar magic.
 const GUARD_MAGIC: &[u8; 8] = b"WAKUGRD1";
 
+/// Content topic the service stores relayed payloads under.
+const CONTENT_TOPIC: &str = "/waku-node/1/relayed/proto";
+
 /// Typed ids into the service metric catalogue.
 struct ServiceIds {
     heartbeats: CounterId,
@@ -425,7 +428,7 @@ impl RelayerService {
                 let timestamp = d.bundle.epoch * self.config.node.epoch_length_secs;
                 self.store.append(WakuMessage::new(
                     d.bundle.payload.clone(),
-                    self.config.content_topic.clone(),
+                    CONTENT_TOPIC,
                     timestamp,
                 ))?;
                 self.h.stored.inc();

@@ -16,6 +16,9 @@ use crate::metrics::{NodeHandles, NodeMetrics};
 use crate::slasher::Slasher;
 use crate::validation::{MessageValidator, Outcome};
 
+/// Gas price every node transaction bids (gwei).
+const GAS_PRICE_GWEI: u64 = 100;
+
 /// Node configuration.
 ///
 /// `#[non_exhaustive]`: construct via [`NodeConfig::default`] or
@@ -32,10 +35,6 @@ pub struct NodeConfig {
     pub epoch_length_secs: u64,
     /// Maximum epoch gap `Thr` (see [`EpochManager::max_epoch_gap`]).
     pub max_epoch_gap: u64,
-    /// Gas price this node bids (gwei).
-    pub gas_price_gwei: u64,
-    /// Use commit-reveal (true, §III-F recommendation) or plain slashing.
-    pub commit_reveal: bool,
     /// Flush policy of the ingest queue ([`WakuRlnRelayNode::ingest`]).
     /// The default, a batch of 1 with no delay, is pass-through: a
     /// one-slot queue flushes on every push, so each bundle is decided on
@@ -56,8 +55,6 @@ impl Default for NodeConfig {
             tree_depth: 20,
             epoch_length_secs: 1,
             max_epoch_gap: 1,
-            gas_price_gwei: 100,
-            commit_reveal: true,
             batch: BatchConfig {
                 max_batch: 1,
                 max_delay_secs: 0,
@@ -72,8 +69,6 @@ pub struct NodeConfigBuilder {
     tree_depth: usize,
     epoch_length: std::time::Duration,
     max_epoch_gap: u64,
-    gas_price_gwei: u64,
-    commit_reveal: bool,
     batch: BatchConfig,
 }
 
@@ -84,8 +79,6 @@ impl Default for NodeConfigBuilder {
             tree_depth: d.tree_depth,
             epoch_length: std::time::Duration::from_secs(d.epoch_length_secs),
             max_epoch_gap: d.max_epoch_gap,
-            gas_price_gwei: d.gas_price_gwei,
-            commit_reveal: d.commit_reveal,
             batch: d.batch,
         }
     }
@@ -113,18 +106,6 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Sets the gas price this node bids (gwei, ≥ 1).
-    pub fn gas_price_gwei(mut self, gwei: u64) -> Self {
-        self.gas_price_gwei = gwei;
-        self
-    }
-
-    /// Chooses commit-reveal (§III-F recommendation) or plain slashing.
-    pub fn commit_reveal(mut self, enabled: bool) -> Self {
-        self.commit_reveal = enabled;
-        self
-    }
-
     /// Sets the ingest queue's flush policy; a `max_batch` above 1 turns
     /// on micro-batched proof verification.
     pub fn batching(mut self, config: BatchConfig) -> Self {
@@ -138,7 +119,7 @@ impl NodeConfigBuilder {
     ///
     /// [`ConfigError`] naming the offending field when `tree_depth` is
     /// outside 1..=32, `epoch_length` is zero or not a whole number of
-    /// seconds, `max_epoch_gap` is zero, or `gas_price_gwei` is zero.
+    /// seconds, or `max_epoch_gap` is zero.
     pub fn build(self) -> Result<NodeConfig, ConfigError> {
         if self.tree_depth == 0 || self.tree_depth > 32 {
             return Err(ConfigError::new("tree_depth", "must be between 1 and 32"));
@@ -158,15 +139,10 @@ impl NodeConfigBuilder {
         if self.max_epoch_gap == 0 {
             return Err(ConfigError::new("max_epoch_gap", "must be at least 1"));
         }
-        if self.gas_price_gwei == 0 {
-            return Err(ConfigError::new("gas_price_gwei", "must be at least 1"));
-        }
         Ok(NodeConfig {
             tree_depth: self.tree_depth,
             epoch_length_secs: self.epoch_length.as_secs(),
             max_epoch_gap: self.max_epoch_gap,
-            gas_price_gwei: self.gas_price_gwei,
-            commit_reveal: self.commit_reveal,
             batch: self.batch,
         })
     }
@@ -228,7 +204,6 @@ impl From<SnapshotMismatch> for NodeError {
 
 /// A full WAKU-RLN-RELAY peer.
 pub struct WakuRlnRelayNode {
-    config: NodeConfig,
     identity: Identity,
     address: Address,
     group: GroupManager,
@@ -282,10 +257,10 @@ impl WakuRlnRelayNode {
             registry.clone(),
         );
         let queue = BatchingValidator::new(validator, config.batch);
-        let slasher = Slasher::new(address, config.gas_price_gwei, config.commit_reveal);
+        // Always commit-reveal (§III-F): a plain slash can be front-run.
+        let slasher = Slasher::new(address, GAS_PRICE_GWEI, true);
         let m = NodeHandles::bind(&registry);
         WakuRlnRelayNode {
-            config,
             identity,
             address,
             group,
@@ -353,7 +328,7 @@ impl WakuRlnRelayNode {
             TxKind::Register {
                 commitment: self.identity.commitment(),
             },
-            self.config.gas_price_gwei,
+            GAS_PRICE_GWEI,
         );
     }
 
@@ -423,8 +398,8 @@ impl WakuRlnRelayNode {
     /// (Figure 3, right): runs the cheap prechecks now, verifies the
     /// proof at the ingest queue's next flush (per [`NodeConfig::batch`];
     /// the pass-through default flushes on arrival), and returns every
-    /// decision that completed. A spam verdict starts the slashing flow
-    /// (commit or plain reveal per configuration).
+    /// decision that completed. A spam verdict starts the commit-reveal
+    /// slashing flow.
     pub fn ingest(
         &mut self,
         bundle: RlnMessageBundle,
@@ -755,10 +730,6 @@ mod tests {
             "epoch_length"
         );
         assert_eq!(err(NodeConfig::builder().max_epoch_gap(0)), "max_epoch_gap");
-        assert_eq!(
-            err(NodeConfig::builder().gas_price_gwei(0)),
-            "gas_price_gwei"
-        );
         assert_eq!(
             crate::BatchConfig::builder()
                 .max_batch(0)

@@ -349,19 +349,12 @@ impl RlnVerifier {
     ///
     /// Returns `true` iff *every* bundle's proof is valid — a single bad
     /// proof fails the whole batch; callers that need the culprits call
-    /// [`RlnVerifier::isolate_invalid`] *instead* (it starts with this
-    /// same check). An empty batch is vacuously valid.
+    /// [`RlnVerifier::isolate`] *instead* (it starts with this same
+    /// check). An empty batch is vacuously valid.
     pub fn verify_batch(&self, bundles: &[&RlnMessageBundle]) -> bool {
         let proofs: Vec<_> = bundles.iter().map(|b| b.proof).collect();
         let inputs: Vec<_> = bundles.iter().map(|b| b.public_inputs().to_vec()).collect();
         self.pvk.verify_batch(&proofs, &inputs).unwrap_or(false)
-    }
-
-    /// Checks the whole batch and, if it fails, bisects it down to the
-    /// indices of the invalid bundles (ascending; empty = all valid):
-    /// [`RlnVerifier::isolate`] without the work count.
-    pub fn isolate_invalid(&self, bundles: &[&RlnMessageBundle]) -> Vec<usize> {
-        self.isolate(bundles).invalid
     }
 
     /// Checks the whole batch and, if it fails, finds the invalid bundles
@@ -594,14 +587,14 @@ mod tests {
             .collect();
         let refs: Vec<&RlnMessageBundle> = bundles.iter().collect();
         assert!(verifier.verify_batch(&refs));
-        assert!(verifier.isolate_invalid(&refs).is_empty());
+        assert!(verifier.isolate(&refs).invalid.is_empty());
         assert!(verifier.verify_batch(&[]), "empty batch is vacuously valid");
 
         // Corrupt one bundle: the batch fails and bisection pins it.
         bundles[2].epoch += 1;
         let refs: Vec<&RlnMessageBundle> = bundles.iter().collect();
         assert!(!verifier.verify_batch(&refs));
-        assert_eq!(verifier.isolate_invalid(&refs), vec![2]);
+        assert_eq!(verifier.isolate(&refs).invalid, vec![2]);
         for (i, b) in bundles.iter().enumerate() {
             assert_eq!(verifier.verify_bundle(b), i != 2);
         }

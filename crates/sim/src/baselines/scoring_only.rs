@@ -30,9 +30,9 @@ impl SybilCostModel {
 
     /// RLN: each identity requires the membership deposit, and violating
     /// the rate forfeits it.
-    pub fn rln(deposit_wei: u128) -> Self {
+    pub fn rln(deposit: u128) -> Self {
         SybilCostModel {
-            cost_per_identity_wei: deposit_wei,
+            cost_per_identity_wei: deposit,
             messages_per_epoch_per_identity: 1,
         }
     }

@@ -23,6 +23,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use waku_chain::DEPOSIT;
 use waku_gossip::{
     Message, MessageAcceptor, Network, NetworkConfig, PeerId, SimTime, TrafficClass, Validation,
 };
@@ -85,16 +86,14 @@ pub struct ScenarioConfig {
     pub honest_interval_ms: u64,
     /// Mean gap between spam publishes per spammer (ms).
     pub spam_interval_ms: u64,
-    /// Payload size in bytes.
-    pub payload_bytes: usize,
     /// The defense under test.
     pub defense: Defense,
-    /// Transport parameters.
+    /// Transport parameters. Its `peers` and `seed` are ignored:
+    /// [`run_scenario`] overwrites them with the scenario's own
+    /// [`ScenarioConfig::peers`] and [`ScenarioConfig::seed`].
     pub net: NetworkConfig,
     /// Determinism seed.
     pub seed: u64,
-    /// RLN membership deposit (for the attack-cost economics).
-    pub deposit_wei: u128,
     /// How many honest peers publish (`None` = all of them). Network-scale
     /// sweeps (10⁴+ peers) bound the publisher set so the event count
     /// scales with `publishers × peers` instead of `peers²`; every peer
@@ -117,11 +116,9 @@ impl Default for ScenarioConfig {
             duration_ms: 30_000,
             honest_interval_ms: 5_000,
             spam_interval_ms: 500,
-            payload_bytes: 128,
             defense: Defense::None,
             net: NetworkConfig::default(),
             seed: 1,
-            deposit_wei: 1_000_000_000_000_000_000,
             honest_publishers: None,
             publisher_churn_ms: None,
         }
@@ -129,6 +126,8 @@ impl Default for ScenarioConfig {
 }
 
 const TOPIC: u32 = 1;
+/// Payload size of every published message, in bytes.
+const PAYLOAD_BYTES: usize = 128;
 const WARMUP_MS: u64 = 3_000;
 /// Depth of the (empty) membership tree the simulated routers share.
 const GROUP_DEPTH: usize = 20;
@@ -390,7 +389,7 @@ fn schedule_workload(
                     }
                 }
             }
-            let mut filler = vec![0u8; config.payload_bytes];
+            let mut filler = vec![0u8; PAYLOAD_BYTES];
             rng.fill(&mut filler[..]);
             filler[..8].copy_from_slice(&(peer as u64).to_le_bytes());
             filler[8..16].copy_from_slice(&seq.to_le_bytes());
@@ -413,7 +412,7 @@ fn schedule_workload(
                     } else {
                         honest_hashrate
                     };
-                    let iterations = expected_iterations(min_pow, config.payload_bytes + 28, 50);
+                    let iterations = expected_iterations(min_pow, PAYLOAD_BYTES + 28, 50);
                     let delay = (iterations / hashrate).round() as u64;
                     if !is_spammer {
                         send_delays.push(delay);
@@ -522,8 +521,7 @@ fn attack_cost(config: &ScenarioConfig) -> u128 {
             // message-per-epoch (§V open problem: k registrations give k
             // messages per epoch).
             let msgs_per_epoch = (epoch_secs * 1000).div_ceil(config.spam_interval_ms.max(1));
-            SybilCostModel::rln(config.deposit_wei)
-                .cost_for_rate(msgs_per_epoch * config.spammers as u64)
+            SybilCostModel::rln(DEPOSIT).cost_for_rate(msgs_per_epoch * config.spammers as u64)
         }
         _ => SybilCostModel::scoring_only().cost_for_rate(u64::MAX - 1),
     }

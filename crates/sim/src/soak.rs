@@ -20,7 +20,6 @@
 //! `--sim-hours 4` run finishes in however long its proofs take — the
 //! simulated horizon and the wall time are fully decoupled.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -38,49 +37,42 @@ pub struct SoakConfig {
     pub sim_secs: u64,
     /// Rate-limit epoch length `T` in seconds.
     pub epoch_secs: u64,
-    /// Maximum accepted epoch gap `Thr`.
-    pub thr: u64,
-    /// RLN membership tree depth (small depths keep proving fast; the
-    /// workload shape is depth-independent).
-    pub tree_depth: usize,
     /// Honest external publishers, each publishing once per epoch.
     pub publishers: usize,
-    /// Launch a double-signalling spammer every this many epochs
-    /// (0 = no spam). Each wave registers a fresh identity — slashing
-    /// removes the previous one, which also exercises membership churn.
-    pub spam_every_epochs: u64,
     /// Kill the service (drop, no loop shutdown) at the horizon midpoint
-    /// and reopen it from `data_dir`.
+    /// and reopen it from the same state directory.
     pub restart_mid_soak: bool,
-    /// Durable checkpoint interval in simulated seconds.
-    pub checkpoint_secs: u64,
-    /// Store window capacity (messages retained; older ones evicted and
-    /// their segments garbage-collected).
-    pub store_capacity: usize,
-    /// Gauge sampling interval in simulated seconds.
-    pub sample_every_secs: u64,
     /// Determinism seed.
     pub seed: u64,
-    /// Persistent state root; `None` picks a process-unique directory
-    /// under the system temp dir (removed after the run).
-    pub data_dir: Option<PathBuf>,
 }
+
+/// Maximum accepted epoch gap `Thr`.
+const THR: u64 = 2;
+/// RLN membership tree depth (small depths keep proving fast; the
+/// workload shape is depth-independent).
+const TREE_DEPTH: usize = 6;
+/// Launch a double-signalling spammer every this many epochs. Each wave
+/// registers a fresh identity — slashing removes the previous one, which
+/// also exercises membership churn.
+const SPAM_EVERY_EPOCHS: u64 = 10;
+/// Durable checkpoint interval in simulated seconds.
+const CHECKPOINT_SECS: u64 = 60;
+/// Store window capacity (messages retained; older ones evicted and their
+/// segments garbage-collected). Small, so steady state (capacity + GC
+/// sawtooth) is reached well inside the first quarter of the horizon and
+/// the early/late flatness comparison sees warmed gauges.
+const STORE_CAPACITY: usize = 32;
+/// Gauge sampling interval in simulated seconds.
+const SAMPLE_EVERY_SECS: u64 = 120;
 
 impl Default for SoakConfig {
     fn default() -> Self {
         SoakConfig {
             sim_secs: 3600,
             epoch_secs: 10,
-            thr: 2,
-            tree_depth: 6,
             publishers: 3,
-            spam_every_epochs: 30,
             restart_mid_soak: true,
-            checkpoint_secs: 60,
-            store_capacity: 128,
-            sample_every_secs: 300,
             seed: 42,
-            data_dir: None,
         }
     }
 }
@@ -284,23 +276,23 @@ fn service_config(config: &SoakConfig, data_dir: &std::path::Path) -> ServiceCon
     ServiceConfig::builder(data_dir)
         .node(
             NodeConfig::builder()
-                .tree_depth(config.tree_depth)
+                .tree_depth(TREE_DEPTH)
                 .epoch_length(std::time::Duration::from_secs(config.epoch_secs))
-                .max_epoch_gap(config.thr)
+                .max_epoch_gap(THR)
                 .build()
                 .expect("valid soak node config"),
         )
         .segment(
             SegmentConfig::builder()
-                .capacity(config.store_capacity)
+                .capacity(STORE_CAPACITY)
                 // Small segments so rotation + GC cycle many times inside
                 // the horizon: the disk gauge must show the sawtooth
                 // plateau, not one giant never-collected active segment.
-                .records_per_segment((config.store_capacity / 4).max(8))
+                .records_per_segment((STORE_CAPACITY / 4).max(8))
                 .build()
                 .expect("valid soak segment config"),
         )
-        .checkpoint(std::time::Duration::from_secs(config.checkpoint_secs))
+        .checkpoint(std::time::Duration::from_secs(CHECKPOINT_SECS))
         .seed(config.seed)
         .build()
         .expect("valid soak service config")
@@ -309,25 +301,22 @@ fn service_config(config: &SoakConfig, data_dir: &std::path::Path) -> ServiceCon
 /// Drives one soak run (see the module docs). Proof generation is the
 /// only real cost: `publishers × epochs` proofs, plus two per spam wave.
 pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, ServiceError> {
-    let owned_tmp = config.data_dir.is_none();
-    let data_dir = config.data_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("waku-soak-{}-{}", std::process::id(), config.seed))
-    });
-    if owned_tmp {
-        let _ = std::fs::remove_dir_all(&data_dir);
-    }
+    // A process-unique state directory, removed after the run.
+    let data_dir =
+        std::env::temp_dir().join(format!("waku-soak-{}-{}", std::process::id(), config.seed));
+    let _ = std::fs::remove_dir_all(&data_dir);
 
     let mut service = RelayerService::open(service_config(config, &data_dir))?;
 
     // The shared circuit keys: same cache file the service just wrote.
     let mut key_rng = StdRng::seed_from_u64(config.seed ^ 0x6B65_7973);
     let (prover, _) =
-        RlnProver::keygen_or_load(config.tree_depth, &data_dir.join("keys.bin"), &mut key_rng);
+        RlnProver::keygen_or_load(TREE_DEPTH, &data_dir.join("keys.bin"), &mut key_rng);
     let prover = Arc::new(prover);
 
     // Register the honest publishers; one service step mines + syncs.
     let mut peers: Vec<SoakPeer> = (0..config.publishers)
-        .map(|i| SoakPeer::new(config.seed.wrapping_add(1000 + i as u64), config.tree_depth))
+        .map(|i| SoakPeer::new(config.seed.wrapping_add(1000 + i as u64), TREE_DEPTH))
         .collect();
     for (i, peer) in peers.iter().enumerate() {
         peer.register(&mut service, config.seed.wrapping_add(1000 + i as u64));
@@ -356,7 +345,7 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, ServiceError> {
         // Per retained epoch (2·Thr+1, plus one of rollover slack): one
         // share per honest publisher, one own publish, and up to two
         // spam signals.
-        nullifier_bound: (2 * config.thr + 2) * (config.publishers as u64 + 3),
+        nullifier_bound: (2 * THR + 2) * (config.publishers as u64 + 3),
         exposition: String::new(),
     };
 
@@ -389,7 +378,7 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, ServiceError> {
             // identities per wave, so none carry over).
             spammer = None;
             for (i, peer) in peers.iter_mut().enumerate() {
-                *peer = SoakPeer::new(config.seed.wrapping_add(1000 + i as u64), config.tree_depth);
+                *peer = SoakPeer::new(config.seed.wrapping_add(1000 + i as u64), TREE_DEPTH);
                 peer.register(&mut service, config.seed.wrapping_add(1000 + i as u64));
             }
             service.step(now)?;
@@ -397,8 +386,8 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, ServiceError> {
 
         // Launch a spam wave: register a fresh double-signaller; it
         // fires next epoch (after its registration is mined).
-        if config.spam_every_epochs > 0 && e % config.spam_every_epochs == 0 && e > 0 {
-            let wave = SoakPeer::new(config.seed.wrapping_add(5000 + e), config.tree_depth);
+        if e % SPAM_EVERY_EPOCHS == 0 && e > 0 {
+            let wave = SoakPeer::new(config.seed.wrapping_add(5000 + e), TREE_DEPTH);
             wave.register(&mut service, config.seed.wrapping_add(5000 + e));
             spammer = Some((wave, e));
             report.spam_waves += 1;
@@ -467,16 +456,14 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, ServiceError> {
                 disk_bytes: s.disk_bytes,
                 queued: s.queued,
             });
-            next_sample = e * config.epoch_secs + config.sample_every_secs;
+            next_sample = e * config.epoch_secs + SAMPLE_EVERY_SECS;
         }
     }
 
     report.exposition = service.metrics_text();
     let end = base + epochs * config.epoch_secs;
     service.shutdown(end)?;
-    if owned_tmp {
-        let _ = std::fs::remove_dir_all(&data_dir);
-    }
+    let _ = std::fs::remove_dir_all(&data_dir);
     Ok(report)
 }
 
@@ -492,12 +479,6 @@ mod tests {
             sim_secs: 1800,
             epoch_secs: 20, // fewer, longer epochs: same horizon, fewer proofs
             publishers: 2,
-            spam_every_epochs: 10,
-            // Small store window: steady state (capacity + GC sawtooth)
-            // is reached well inside the first quarter of the horizon,
-            // so the early/late flatness comparison sees warmed gauges.
-            store_capacity: 32,
-            sample_every_secs: 120,
             seed: 7,
             ..SoakConfig::default()
         })

@@ -1126,42 +1126,6 @@ impl<'a> Rlc<'a> {
     }
 }
 
-/// Process-wide cache of prepared verifying keys for the free-function
-/// [`verify`] path, so repeated one-shot calls against the same key do not
-/// re-derive `e(α, β)` and the γ/δ line coefficients every time.
-fn cached_pvk(vk: &VerifyingKey) -> Arc<PreparedVerifyingKey> {
-    const CAPACITY: usize = 4;
-    static CACHE: Mutex<Vec<(VerifyingKey, Arc<PreparedVerifyingKey>)>> = Mutex::new(Vec::new());
-    if let Some(hit) = {
-        let cache = CACHE.lock().expect("pvk cache poisoned");
-        cache
-            .iter()
-            .find(|(k, _)| k == vk)
-            .map(|(_, pvk)| Arc::clone(pvk))
-    } {
-        return hit;
-    }
-    // Prepare outside the lock (it does real pairing work); a racing
-    // duplicate insert is harmless — most-recently-used stays resident.
-    let prepared = Arc::new(PreparedVerifyingKey::from(vk.clone()));
-    let mut cache = CACHE.lock().expect("pvk cache poisoned");
-    if !cache.iter().any(|(k, _)| k == vk) {
-        cache.insert(0, (vk.clone(), Arc::clone(&prepared)));
-        cache.truncate(CAPACITY);
-    }
-    prepared
-}
-
-/// One-shot verification through a process-wide [`PreparedVerifyingKey`]
-/// cache (first use of a key pays the preparation, repeats are free).
-///
-/// # Errors
-///
-/// Same as [`PreparedVerifyingKey::verify`].
-pub fn verify(vk: &VerifyingKey, proof: &Proof, public_inputs: &[Fr]) -> Result<bool, SnarkError> {
-    cached_pvk(vk).verify(proof, public_inputs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1200,7 +1164,8 @@ mod tests {
         let cs = cubic_cs(3, 35);
         let pk = setup(&cs, &mut rng);
         let proof = prove(&pk, &cs, &mut rng).unwrap();
-        assert!(verify(&pk.vk, &proof, &[Fr::from_u64(35)]).unwrap());
+        let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+        assert!(pvk.verify(&proof, &[Fr::from_u64(35)]).unwrap());
     }
 
     #[test]
@@ -1209,7 +1174,8 @@ mod tests {
         let cs = cubic_cs(3, 35);
         let pk = setup(&cs, &mut rng);
         let proof = prove(&pk, &cs, &mut rng).unwrap();
-        assert!(!verify(&pk.vk, &proof, &[Fr::from_u64(36)]).unwrap());
+        let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+        assert!(!pvk.verify(&proof, &[Fr::from_u64(36)]).unwrap());
     }
 
     #[test]
@@ -1235,7 +1201,8 @@ mod tests {
             b: proof.b,
             c: proof.a,
         };
-        assert!(!verify(&pk.vk, &tampered, &[Fr::from_u64(35)]).unwrap());
+        let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+        assert!(!pvk.verify(&tampered, &[Fr::from_u64(35)]).unwrap());
     }
 
     #[test]
@@ -1246,8 +1213,9 @@ mod tests {
         let p1 = prove(&pk, &cs, &mut rng).unwrap();
         let p2 = prove(&pk, &cs, &mut rng).unwrap();
         assert_ne!(p1, p2, "zero-knowledge randomization");
-        assert!(verify(&pk.vk, &p1, &[Fr::from_u64(35)]).unwrap());
-        assert!(verify(&pk.vk, &p2, &[Fr::from_u64(35)]).unwrap());
+        let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+        assert!(pvk.verify(&p1, &[Fr::from_u64(35)]).unwrap());
+        assert!(pvk.verify(&p2, &[Fr::from_u64(35)]).unwrap());
     }
 
     #[test]
@@ -1271,7 +1239,8 @@ mod tests {
         let warm = proof_of(&pk, 2, 15, 3).unwrap();
         assert_eq!(pk.last_changed_vars(), Some(4), "the constant 1 stayed");
         assert_eq!(warm, proof_of(&pk.clone(), 2, 15, 3).unwrap());
-        assert!(verify(&pk.vk, &warm, &[Fr::from_u64(15)]).unwrap());
+        let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+        assert!(pvk.verify(&warm, &[Fr::from_u64(15)]).unwrap());
         // Same statement again: nothing to multiply, fresh blinders.
         let again = proof_of(&pk, 2, 15, 4).unwrap();
         assert_eq!(pk.last_changed_vars(), Some(0));
@@ -1311,8 +1280,9 @@ mod tests {
         let cs = cubic_cs(3, 35);
         let pk = setup(&cs, &mut rng);
         let proof = prove(&pk, &cs, &mut rng).unwrap();
+        let pvk = PreparedVerifyingKey::from(pk.vk.clone());
         assert!(matches!(
-            verify(&pk.vk, &proof, &[]),
+            pvk.verify(&proof, &[]),
             Err(SnarkError::InputLengthMismatch)
         ));
     }

@@ -17,7 +17,7 @@
 //!
 //! ```
 //! use waku_snark::r1cs::ConstraintSystem;
-//! use waku_snark::groth16::{setup, prove, verify};
+//! use waku_snark::groth16::{setup, prove, PreparedVerifyingKey};
 //! use waku_arith::{fields::Fr, traits::PrimeField};
 //! use rand::SeedableRng;
 //!
@@ -31,7 +31,8 @@
 //!
 //! let pk = setup(&cs, &mut rng);
 //! let proof = prove(&pk, &cs, &mut rng)?;
-//! assert!(verify(&pk.vk, &proof, &[Fr::from_u64(391)])?);
+//! let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+//! assert!(pvk.verify(&proof, &[Fr::from_u64(391)])?);
 //! # Ok::<(), waku_snark::SnarkError>(())
 //! ```
 
@@ -43,8 +44,7 @@ pub mod serialize;
 pub mod solver;
 
 pub use groth16::{
-    prove, setup, verify, Isolation, IsolationWork, PreparedVerifyingKey, Proof, ProvingKey,
-    VerifyingKey,
+    prove, setup, Isolation, IsolationWork, PreparedVerifyingKey, Proof, ProvingKey, VerifyingKey,
 };
 pub use r1cs::{ConstraintSystem, LinearCombination, Variable};
 pub use solver::WitnessSolver;

@@ -257,7 +257,7 @@ pub fn cs_shape_from_bytes(bytes: &[u8]) -> Option<ConstraintSystem> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::groth16::{prove, setup, verify};
+    use crate::groth16::{prove, setup, PreparedVerifyingKey};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -283,7 +283,8 @@ mod tests {
         assert_eq!(restored.b_g2_query, pk.b_g2_query);
         // A proof from the restored key verifies under the original vk.
         let proof = prove(&restored, &cs, &mut rng).unwrap();
-        assert!(verify(&pk.vk, &proof, &[Fr::from_u64(12)]).unwrap());
+        let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+        assert!(pvk.verify(&proof, &[Fr::from_u64(12)]).unwrap());
         // What that proof left in the key is not part of the format.
         assert!(restored.last_changed_vars().is_some());
         assert_eq!(pk_to_bytes(&restored), bytes);

@@ -17,7 +17,7 @@ use waku_suite::curve::pairing::{final_exponentiation, miller_loop, miller_loop_
 use waku_suite::curve::{Fp2, G1Affine, G1Projective, G2Affine, G2Projective};
 use waku_suite::pool::with_threads;
 use waku_suite::snark::{
-    prove, setup, verify, ConstraintSystem, Isolation, IsolationWork, LinearCombination,
+    prove, setup, ConstraintSystem, Isolation, IsolationWork, LinearCombination,
     PreparedVerifyingKey, Proof, ProvingKey, Variable,
 };
 
@@ -199,7 +199,9 @@ fn forged_b_is_rejected_on_every_verify_entry_point() {
             with_threads(threads, || {
                 // …and every entry point refuses the proof, blaming it alone.
                 assert!(!pvk.verify(&proofs[slot], &inputs[slot]).unwrap());
-                assert!(!verify(&pk.vk, &proofs[slot], &inputs[slot]).unwrap());
+                assert!(!PreparedVerifyingKey::from(pk.vk.clone())
+                    .verify(&proofs[slot], &inputs[slot])
+                    .unwrap());
                 assert!(!pvk.verify_batch(&proofs, &inputs).unwrap());
                 assert_eq!(
                     pvk.verify_batch_isolating(&proofs, &inputs).unwrap(),

@@ -19,7 +19,7 @@ use waku_suite::curve::pairing::{miller_loop_mixed, G2Prepared};
 use waku_suite::curve::{G1Affine, G1Projective, G2Affine, G2Projective};
 use waku_suite::pool::with_threads;
 use waku_suite::snark::gadgets::{quintic, Wire};
-use waku_suite::snark::{prove, setup, verify, ConstraintSystem, PreparedVerifyingKey, Proof};
+use waku_suite::snark::{prove, setup, ConstraintSystem, PreparedVerifyingKey, Proof};
 
 fn random_points(seed: u64, n: usize) -> (Vec<G1Affine>, Vec<Fr>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -115,7 +115,8 @@ fn seeded_prove_is_deterministic_at_any_pool_size() {
     let pooled = proof_at(4);
     assert_eq!(serial, pooled, "pool size changed the proof bytes");
     assert_eq!(serial.to_bytes(), pooled.to_bytes());
-    assert!(verify(&pk.vk, &serial, &[Fr::from_u64(243)]).unwrap());
+    let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+    assert!(pvk.verify(&serial, &[Fr::from_u64(243)]).unwrap());
 }
 
 #[test]
