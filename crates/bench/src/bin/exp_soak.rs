@@ -73,17 +73,17 @@ fn soak(cli: &Cli) -> Result<ExitCode, Fatal> {
     println!("{}", SoakReport::table_header());
     println!("{}", report.table_row());
     println!("\nsamples (t, resident nullifiers, store messages, disk bytes, queued):");
-    for s in &report.samples {
+    for (t, s) in &report.samples {
         println!(
             "  t={:>6}  nullifiers={:>3}  messages={:>4}  disk={:>8}  queued={}",
-            s.t_secs, s.resident_nullifiers, s.store_messages, s.disk_bytes, s.queued
+            t, s.resident_nullifiers, s.messages_stored, s.disk_bytes, s.queued
         );
     }
 
     let flat = report.memory_flat();
     let detection = report.spam_waves == 0 || report.spam_detected >= report.spam_waves;
     let recovered = match &report.restart {
-        Some(r) => r.snapshot_restored && r.recovered_messages > 0,
+        Some(r) => r.recovery.snapshot_restored && r.recovery.recovered_messages > 0,
         None => !config.restart_mid_soak,
     };
     println!(
@@ -98,13 +98,13 @@ fn soak(cli: &Cli) -> Result<ExitCode, Fatal> {
         println!(
             "restart at t={}: recovered {} messages, snapshot {}, guard {:?}, resident {}→{}",
             r.at_secs,
-            r.recovered_messages,
-            if r.snapshot_restored {
+            r.recovery.recovered_messages,
+            if r.recovery.snapshot_restored {
                 "restored"
             } else {
                 "LOST"
             },
-            r.publish_guard,
+            r.recovery.publish_guard,
             r.resident_before,
             r.resident_after,
         );

@@ -135,7 +135,6 @@ pub struct Chain {
     mempool: Vec<PendingTx>,
     blocks: Vec<Block>,
     next_seq: u64,
-    total_gas: u64,
 }
 
 impl Chain {
@@ -153,7 +152,6 @@ impl Chain {
                 receipts: Vec::new(),
             }],
             next_seq: 0,
-            total_gas: 0,
         }
     }
 
@@ -185,11 +183,6 @@ impl Chain {
     /// Timestamp of the latest block.
     pub fn timestamp(&self) -> u64 {
         self.blocks.last().expect("genesis exists").timestamp
-    }
-
-    /// Cumulative gas burned since genesis.
-    pub fn total_gas_used(&self) -> u64 {
-        self.total_gas
     }
 
     /// The public mempool — anyone (including front-runners) can watch it.
@@ -318,7 +311,6 @@ impl Chain {
         let fee = gas_used as Wei * tx.gas_price_gwei as Wei * GWEI;
         let bal = self.balances.entry(tx.from).or_insert(0);
         *bal = bal.saturating_sub(fee);
-        self.total_gas += gas_used;
         Receipt {
             tx: tx.hash,
             block,

@@ -31,7 +31,7 @@ use crate::cache::{SeenSet, TopicCaches};
 use crate::faults::fault_word;
 use crate::instrument::engine_catalogue;
 use crate::message::{Message, MessageId, PeerId, Rpc, SimTime, Topic, TrafficClass, Validation};
-use crate::network::{NetworkConfig, PeerStats, Validator};
+use crate::network::{NetworkConfig, Validator};
 use crate::scoring::{ScoreTable, GRAYLIST_THRESHOLD, PRUNE_THRESHOLD};
 
 // GossipSub mesh parameters: the libp2p defaults.
@@ -164,7 +164,6 @@ pub(crate) struct PeerSlot {
     pub scores: ScoreTable,
     pub validator: Option<Validator>,
     pub drift_ms: i64,
-    pub stats: PeerStats,
     pub next_seq: u64,
     /// Scheduled downtime windows `[crash, restart)` from the fault plan
     /// (set at network construction; empty without faults). While down,
@@ -173,15 +172,12 @@ pub(crate) struct PeerSlot {
     /// First deliveries observed by this peer (merged across peers in
     /// peer-id order for network-wide latency stats).
     pub deliveries: Vec<(MessageId, DeliveryRecord)>,
-    /// Per-topic `(bytes_in, bytes_out)` for topic-bearing RPCs — the
-    /// label dimension the flat metric catalogue can't carry. Merged
-    /// network-wide by `Network::topic_bytes`.
-    pub(crate) topic_bytes: BTreeMap<Topic, (u64, u64)>,
     pub(crate) rng: StdRng,
     pub(crate) event_seq: u64,
-    /// This peer's metrics recorder (engine catalogue: event counts and
-    /// dwell times). Records only deterministic sim-domain values, so
-    /// merged snapshots stay bit-identical across shard counts.
+    /// This peer's metrics recorder (engine catalogue: event counts,
+    /// deliveries, verdicts, bytes and dwell times) — the peer's only
+    /// tally. Records only deterministic sim-domain values, so merged
+    /// snapshots stay bit-identical across shard counts.
     pub(crate) recorder: LocalRecorder,
     /// Reusable buffer for forward-target lists — the accept path runs
     /// allocation-free in steady state.
@@ -199,11 +195,9 @@ impl PeerSlot {
             scores: ScoreTable::default(),
             validator: None,
             drift_ms,
-            stats: PeerStats::default(),
             next_seq: 0,
             downtime: Vec::new(),
             deliveries: Vec::new(),
-            topic_bytes: BTreeMap::new(),
             rng: StdRng::seed_from_u64(peer_stream_seed(seed, peer)),
             event_seq: 0,
             recorder: LocalRecorder::new(Arc::clone(&engine_catalogue().0)),
@@ -265,6 +259,15 @@ impl PeerSlot {
             .max(1)
     }
 
+    /// Counts one transmission of `rpc` (`size` bytes) as sent.
+    fn record_sent(&mut self, rpc: &Rpc, size: u64) {
+        let ids = &engine_catalogue().1;
+        self.recorder.add(ids.bytes_sent, size);
+        if rpc.topic().is_some() {
+            self.recorder.add(ids.topic_bytes_out, size);
+        }
+    }
+
     fn send_rpc(
         &mut self,
         me: PeerId,
@@ -275,12 +278,7 @@ impl PeerSlot {
         out: &mut Vec<QueuedEvent>,
     ) {
         let size = rpc.size() as u64;
-        self.stats.bytes_sent += size;
-        if let Some(topic) = rpc.topic() {
-            self.recorder
-                .add(engine_catalogue().1.topic_bytes_out, size);
-            self.topic_bytes.entry(topic).or_insert((0, 0)).1 += size;
-        }
+        self.record_sent(&rpc, size);
         let latency = self.link_latency(config);
         let plan = &config.faults;
         if !plan.affects_links() {
@@ -310,12 +308,7 @@ impl PeerSlot {
         let delay = latency + plan.link.extra_delay(word);
         if plan.link.duplicates(word) {
             let dup_delay = delay + plan.link.duplicate_lag(word);
-            self.stats.bytes_sent += size;
-            if let Some(topic) = rpc.topic() {
-                self.recorder
-                    .add(engine_catalogue().1.topic_bytes_out, size);
-                self.topic_bytes.entry(topic).or_insert((0, 0)).1 += size;
-            }
+            self.record_sent(&rpc, size);
             self.recorder.observe(engine_catalogue().1.dwell, dup_delay);
             out.push(QueuedEvent {
                 key: self.next_key(me, now + dup_delay),
@@ -351,8 +344,7 @@ impl PeerSlot {
         // dies, scheduled publishes are never sent. Clock-skew steps are
         // exempt (the clock drifts regardless of the process), and the
         // `Restart` instant itself is not "down" (see `is_down`). The
-        // events counter above still ticks: schedulers count every pop,
-        // and `gossip_events_total == events_processed()` must hold under
+        // events counter above still ticks: it counts every pop, under
         // faults too. The drop predicate is pure simulation time, so it is
         // scheduler-invariant.
         if !matches!(event, SimEvent::ClockSkew { .. }) && self.is_down(now) {
@@ -464,11 +456,11 @@ impl PeerSlot {
         config: &NetworkConfig,
         out: &mut Vec<QueuedEvent>,
     ) {
+        let ids = &engine_catalogue().1;
         let size = rpc.size() as u64;
-        self.stats.bytes_received += size;
-        if let Some(topic) = rpc.topic() {
-            self.recorder.add(engine_catalogue().1.topic_bytes_in, size);
-            self.topic_bytes.entry(topic).or_insert((0, 0)).0 += size;
+        self.recorder.add(ids.bytes_received, size);
+        if rpc.topic().is_some() {
+            self.recorder.add(ids.topic_bytes_in, size);
         }
         // Fast path: duplicate publishes (the dominant event class at
         // scale — every message arrives ~mesh-degree times) are absorbed
@@ -541,27 +533,25 @@ impl PeerSlot {
         if self.seen.contains(&message.id) {
             return; // duplicate floods are absorbed by the seen-cache
         }
-        // Validate (the RLN pipeline plugs in here, §III-F). The validator
-        // is temporarily moved out so it can run while stats are updated.
+        // Validate (the RLN pipeline plugs in here, §III-F).
+        let ids = &engine_catalogue().1;
         let local = self.local_time(now);
-        let mut validator = self.validator.take();
-        let verdict = match validator.as_mut() {
+        let verdict = match self.validator.as_mut() {
             Some(v) => {
-                self.stats.validations += 1;
+                self.recorder.inc(ids.validations);
                 v.validate(from, &message, local)
             }
             None => Validation::Accept,
         };
-        self.validator = validator;
         match verdict {
             Validation::Accept => {
                 self.seen.insert(&message.id);
                 self.cache.insert(Arc::clone(&message));
-                match message.class {
-                    TrafficClass::Honest => self.stats.honest_delivered += 1,
-                    TrafficClass::Spam => self.stats.spam_delivered += 1,
-                    TrafficClass::Invalid => self.stats.invalid_delivered += 1,
-                }
+                self.recorder.inc(match message.class {
+                    TrafficClass::Honest => ids.honest_delivered,
+                    TrafficClass::Spam => ids.spam_delivered,
+                    TrafficClass::Invalid => ids.invalid_delivered,
+                });
                 self.scores.entry_or_default(from).on_first_delivery();
                 self.deliveries.push((
                     message.id,
@@ -584,12 +574,12 @@ impl PeerSlot {
             Validation::Reject => {
                 // Not marked seen: the spam signature (nullifier clash) must
                 // keep triggering detection, and scoring punishes repeats.
-                self.stats.rejected += 1;
+                self.recorder.inc(ids.rejected);
                 self.scores.entry_or_default(from).on_invalid_message();
             }
             Validation::Ignore => {
                 self.seen.insert(&message.id);
-                self.stats.ignored += 1;
+                self.recorder.inc(ids.ignored);
             }
         }
     }

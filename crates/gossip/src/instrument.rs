@@ -4,17 +4,23 @@
 //!
 //! * the **per-peer** catalogue ([`engine_catalogue`]) is recorded by each
 //!   [`crate::engine::PeerSlot`]'s own `LocalRecorder` during dispatch —
-//!   deterministic values only (event counts, sim-time dwell), so merged
-//!   snapshots are bit-identical at any shard count;
-//! * the **network-level** catalogue ([`network_catalogue`]) is filled at
-//!   snapshot time from `PeerStats` and the scheduler. The scheduler
-//!   gauges carry the `engine_` prefix because they depend on the shard
-//!   count (shards, and barriers: one per round) — equivalence tests
-//!   filter that prefix before comparing snapshots.
+//!   deterministic values only (event counts, deliveries, verdicts,
+//!   bytes, sim-time dwell), so merged snapshots are bit-identical at any
+//!   shard count. It is the engine's only tally: no per-peer struct
+//!   counts the same facts beside it;
+//! * the **network-level** catalogue ([`network_catalogue`]) holds what
+//!   no single peer counts, filled at snapshot time from the scheduler
+//!   and the fault plan. The scheduler series carry the `engine_` prefix
+//!   because they depend on the shard count (shards, and barriers: one
+//!   per round) — equivalence tests filter that prefix before comparing
+//!   snapshots.
 //!
-//! Recording costs on the hot path: two counter increments per event and
-//! one `leading_zeros` bucket index per scheduled event — noise against
-//! the ~µs dispatch budget (`gossip.ns_per_event` in `BENCHMARK.json`).
+//! Recording costs on the hot path: two counter increments per dispatched
+//! event (the event total and its kind), one byte counter per send and
+//! per receive (two for a topic-bearing RPC), one increment per
+//! validation verdict, and one `leading_zeros` bucket index per scheduled
+//! event — noise against the ~µs dispatch budget (`gossip.ns_per_event`
+//! in `BENCHMARK.json`).
 
 use std::sync::{Arc, OnceLock};
 
@@ -48,6 +54,23 @@ pub(crate) struct EngineIds {
     /// Bytes sent in topic-bearing RPCs (duplicated fault transmissions
     /// count, matching `gossip_bytes_sent_total`).
     pub topic_bytes_out: CounterId,
+    /// Bytes sent, all RPCs (duplicated fault transmissions count).
+    pub bytes_sent: CounterId,
+    /// Bytes received, all RPCs.
+    pub bytes_received: CounterId,
+    /// Validator invocations (cost proxy — each one is a proof check
+    /// under RLN).
+    pub validations: CounterId,
+    /// First deliveries of honest messages.
+    pub honest_delivered: CounterId,
+    /// First deliveries of spam messages.
+    pub spam_delivered: CounterId,
+    /// First deliveries of invalid-proof messages.
+    pub invalid_delivered: CounterId,
+    /// Messages rejected at validation.
+    pub rejected: CounterId,
+    /// Messages ignored at validation (duplicates, epoch gaps).
+    pub ignored: CounterId,
 }
 
 /// The per-peer catalogue, built once per process.
@@ -74,59 +97,9 @@ pub(crate) fn engine_catalogue() -> &'static (Arc<Layout>, EngineIds) {
             ),
             topic_bytes_in: b.counter(
                 "engine_topic_bytes_in",
-                "Bytes received in topic-bearing RPCs (per-topic split via Network::topic_bytes).",
+                "Bytes received in topic-bearing RPCs.",
             ),
-            topic_bytes_out: b.counter(
-                "engine_topic_bytes_out",
-                "Bytes sent in topic-bearing RPCs (per-topic split via Network::topic_bytes).",
-            ),
-        };
-        (b.build(), ids)
-    })
-}
-
-/// Typed ids into the network-level catalogue (snapshot-time fill).
-pub(crate) struct NetworkIds {
-    /// Peer shards the scheduler resolved to (`engine_` prefix: a
-    /// setting, not a result).
-    pub shards: GaugeId,
-    /// Barrier rounds (`engine_` prefix: depends on the shard count).
-    pub barriers: CounterId,
-    /// Bytes sent across all peers.
-    pub bytes_sent: CounterId,
-    /// Bytes received across all peers.
-    pub bytes_received: CounterId,
-    /// Validator invocations.
-    pub validations: CounterId,
-    /// First deliveries of honest messages.
-    pub honest_delivered: CounterId,
-    /// First deliveries of spam messages.
-    pub spam_delivered: CounterId,
-    /// First deliveries of invalid-proof messages.
-    pub invalid_delivered: CounterId,
-    /// Messages rejected at validation.
-    pub rejected: CounterId,
-    /// Messages ignored (duplicates, epoch gaps).
-    pub ignored: CounterId,
-    /// Scheduled partitions that have healed by snapshot time.
-    pub partition_heals: CounterId,
-}
-
-/// The network-level catalogue, built once per process.
-pub(crate) fn network_catalogue() -> &'static (Arc<Layout>, NetworkIds) {
-    static CELL: OnceLock<(Arc<Layout>, NetworkIds)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let mut b = LayoutBuilder::new();
-        let ids = NetworkIds {
-            shards: b.gauge(
-                "engine_shards",
-                "Peer shards the scheduler resolved to (1 = the serial reference).",
-                GaugeFold::Sum,
-            ),
-            barriers: b.counter(
-                "engine_barriers_total",
-                "Scheduler rounds executed, one barrier each (one shard: one per run_until with work).",
-            ),
+            topic_bytes_out: b.counter("engine_topic_bytes_out", "Bytes sent in topic-bearing RPCs."),
             bytes_sent: b.counter("gossip_bytes_sent_total", "Bytes sent, all RPCs."),
             bytes_received: b.counter("gossip_bytes_received_total", "Bytes received, all RPCs."),
             validations: b.counter("gossip_validations_total", "Validator invocations."),
@@ -146,6 +119,37 @@ pub(crate) fn network_catalogue() -> &'static (Arc<Layout>, NetworkIds) {
             ignored: b.counter(
                 "gossip_ignored_total",
                 "Messages ignored (duplicates etc.).",
+            ),
+        };
+        (b.build(), ids)
+    })
+}
+
+/// Typed ids into the network-level catalogue (snapshot-time fill).
+pub(crate) struct NetworkIds {
+    /// Peer shards the scheduler resolved to (`engine_` prefix: a
+    /// setting, not a result).
+    pub shards: GaugeId,
+    /// Barrier rounds (`engine_` prefix: depends on the shard count).
+    pub barriers: CounterId,
+    /// Scheduled partitions that have healed by snapshot time.
+    pub partition_heals: CounterId,
+}
+
+/// The network-level catalogue, built once per process.
+pub(crate) fn network_catalogue() -> &'static (Arc<Layout>, NetworkIds) {
+    static CELL: OnceLock<(Arc<Layout>, NetworkIds)> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let mut b = LayoutBuilder::new();
+        let ids = NetworkIds {
+            shards: b.gauge(
+                "engine_shards",
+                "Peer shards the scheduler resolved to (1 = the serial reference).",
+                GaugeFold::Sum,
+            ),
+            barriers: b.counter(
+                "engine_barriers_total",
+                "Scheduler rounds executed, one barrier each (one shard: one per run_until with work).",
             ),
             partition_heals: b.counter(
                 "partition_heals",

@@ -45,6 +45,6 @@ pub use faults::{CrashSpec, FaultPlan, LinkFaults, PartitionSpec, SkewSpec};
 pub use message::{Message, MessageId, PeerId, Rpc, SimTime, Topic, TrafficClass, Validation};
 pub use network::{
     ConfigError, DeliveryRecord, MessageAcceptor, Network, NetworkConfig, NetworkConfigBuilder,
-    PeerStats, Validator,
+    Validator,
 };
 pub use scoring::PeerScore;

@@ -121,7 +121,7 @@ impl Rpc {
 
     /// The topic this RPC is scoped to, when it carries one (`IWant`
     /// requests ids across topics, so it has none) — drives the
-    /// per-topic bandwidth counters.
+    /// topic-bearing byte counters (`engine_topic_bytes_{in,out}`).
     pub fn topic(&self) -> Option<Topic> {
         match self {
             Rpc::Publish(m) => Some(m.topic),

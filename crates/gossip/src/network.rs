@@ -19,7 +19,7 @@
 //! any shard count (one shard is the serial reference) and any
 //! `WAKU_POOL_THREADS` — determinism is a tested invariant, not luck.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -235,35 +235,12 @@ pub trait MessageAcceptor: Send {
 /// A boxed, installable [`MessageAcceptor`] (see [`Network::set_validator`]).
 pub type Validator = Box<dyn MessageAcceptor>;
 
-/// Per-peer delivery/bandwidth statistics.
-#[derive(Clone, Debug, Default)]
-pub struct PeerStats {
-    /// First deliveries of honest messages.
-    pub honest_delivered: u64,
-    /// First deliveries of spam (rate-violating) messages.
-    pub spam_delivered: u64,
-    /// First deliveries of invalid-proof messages.
-    pub invalid_delivered: u64,
-    /// Messages this peer rejected at validation.
-    pub rejected: u64,
-    /// Messages ignored (duplicates etc.).
-    pub ignored: u64,
-    /// Total bytes received (all RPCs).
-    pub bytes_received: u64,
-    /// Total bytes sent.
-    pub bytes_sent: u64,
-    /// Validator invocations (cost proxy — each one is a proof check under
-    /// RLN).
-    pub validations: u64,
-}
-
 /// The simulated network.
 pub struct Network {
     pub(crate) config: NetworkConfig,
     pub(crate) slots: Vec<PeerSlot>,
     scheduler: Scheduler,
     now: SimTime,
-    events_processed: u64,
 }
 
 impl Network {
@@ -366,7 +343,6 @@ impl Network {
             slots,
             scheduler,
             now: 0,
-            events_processed: 0,
         }
     }
 
@@ -401,12 +377,6 @@ impl Network {
     /// scenario report: it depends on the shard count, results do not.
     pub fn barriers(&self) -> u64 {
         self.scheduler.barriers()
-    }
-
-    /// Total events dispatched so far (the simulated-throughput metric:
-    /// deterministic for a seeded run, divide by wall time for events/sec).
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
     }
 
     /// Subscribes a peer to a topic (it will join the mesh at heartbeats).
@@ -447,29 +417,8 @@ impl Network {
 
     /// Runs the event loop until (at least) the given network time.
     pub fn run_until(&mut self, t: SimTime) {
-        self.events_processed += self.scheduler.run_until(&mut self.slots, &self.config, t);
+        self.scheduler.run_until(&mut self.slots, &self.config, t);
         self.now = self.now.max(t);
-    }
-
-    /// Per-peer statistics.
-    pub fn stats(&self, peer: PeerId) -> &PeerStats {
-        &self.slots[peer].stats
-    }
-
-    /// Aggregated statistics over all peers.
-    pub fn total_stats(&self) -> PeerStats {
-        let mut total = PeerStats::default();
-        for p in &self.slots {
-            total.honest_delivered += p.stats.honest_delivered;
-            total.spam_delivered += p.stats.spam_delivered;
-            total.invalid_delivered += p.stats.invalid_delivered;
-            total.rejected += p.stats.rejected;
-            total.ignored += p.stats.ignored;
-            total.bytes_received += p.stats.bytes_received;
-            total.bytes_sent += p.stats.bytes_sent;
-            total.validations += p.stats.validations;
-        }
-        total
     }
 
     /// First-delivery records for a message, in receiving-peer order.
@@ -517,12 +466,14 @@ impl Network {
     }
 
     /// One merged metrics snapshot for the whole network: the per-peer
-    /// engine recorders (event counts, dwell histogram — deterministic,
-    /// bit-identical at any shard count) folded together, plus the
-    /// network-level counters derived from [`PeerStats`] and the
-    /// scheduler's `engine_`-prefixed cost gauges (which *do* depend on
-    /// the shard count — filter that prefix before comparing snapshots
-    /// across shard counts).
+    /// engine recorders (events, deliveries, verdicts, bytes, dwell
+    /// histogram — deterministic, bit-identical at any shard count)
+    /// folded together, plus what no single peer counts: healed
+    /// partitions and the scheduler's `engine_`-prefixed cost series
+    /// (which *do* depend on the shard count — filter that prefix before
+    /// comparing snapshots across shard counts). `gossip_events_total`
+    /// is the simulated-throughput metric: deterministic for a seeded
+    /// run, divide by wall time for events/sec.
     pub fn metrics_snapshot(&self) -> waku_metrics::Snapshot {
         let engine_layout = &engine_catalogue().0;
         let mut peers = waku_metrics::LocalRecorder::new(std::sync::Arc::clone(engine_layout));
@@ -532,17 +483,8 @@ impl Network {
 
         let (net_layout, ids) = network_catalogue();
         let mut net = waku_metrics::LocalRecorder::new(std::sync::Arc::clone(net_layout));
-        let totals = self.total_stats();
         net.set(ids.shards, self.shards() as u64);
         net.add(ids.barriers, self.barriers());
-        net.add(ids.bytes_sent, totals.bytes_sent);
-        net.add(ids.bytes_received, totals.bytes_received);
-        net.add(ids.validations, totals.validations);
-        net.add(ids.honest_delivered, totals.honest_delivered);
-        net.add(ids.spam_delivered, totals.spam_delivered);
-        net.add(ids.invalid_delivered, totals.invalid_delivered);
-        net.add(ids.rejected, totals.rejected);
-        net.add(ids.ignored, totals.ignored);
         // Snapshot-time fill from the plan + the (shard-count-invariant)
         // clock: which scheduled partitions have healed by now.
         net.add(
@@ -553,21 +495,6 @@ impl Network {
         let mut snapshot = peers.snapshot();
         snapshot.merge(&net.snapshot());
         snapshot
-    }
-
-    /// Network-wide per-topic `(bytes_in, bytes_out)` for topic-bearing
-    /// RPCs — the label dimension `engine_topic_bytes_{in,out}` can't
-    /// carry. Deterministic and shard-count-independent.
-    pub fn topic_bytes(&self) -> BTreeMap<Topic, (u64, u64)> {
-        let mut merged: BTreeMap<Topic, (u64, u64)> = BTreeMap::new();
-        for slot in &self.slots {
-            for (&topic, &(b_in, b_out)) in &slot.topic_bytes {
-                let e = merged.entry(topic).or_insert((0, 0));
-                e.0 += b_in;
-                e.1 += b_out;
-            }
-        }
-        merged
     }
 }
 
@@ -603,6 +530,16 @@ mod tests {
         }
     }
 
+    /// Network-wide value of a per-peer counter.
+    fn total(net: &Network, name: &str) -> u64 {
+        net.metrics_snapshot().scalar(name)
+    }
+
+    /// One peer's value of a per-peer counter.
+    fn of_peer(net: &Network, peer: PeerId, name: &str) -> u64 {
+        net.slots[peer].recorder.snapshot().scalar(name)
+    }
+
     fn small_net(seed: u64) -> Network {
         small_net_with(seed, None)
     }
@@ -625,10 +562,13 @@ mod tests {
         net.run_until(3_000); // let meshes form
         net.publish_at(3_000, 0, TOPIC, b"hello".to_vec(), TrafficClass::Honest);
         net.run_until(20_000);
-        let total = net.total_stats();
         // 29 receivers (origin counts its own copy as publisher, not a
         // delivery).
-        assert_eq!(total.honest_delivered, 29, "full propagation");
+        assert_eq!(
+            total(&net, "gossip_honest_delivered_total"),
+            29,
+            "full propagation"
+        );
     }
 
     #[test]
@@ -638,7 +578,10 @@ mod tests {
         net.publish_at(3_000, 5, TOPIC, b"x".to_vec(), TrafficClass::Honest);
         net.run_until(20_000);
         for p in 0..30 {
-            assert!(net.stats(p).honest_delivered <= 1, "peer {p}");
+            assert!(
+                of_peer(&net, p, "gossip_honest_delivered_total") <= 1,
+                "peer {p}"
+            );
         }
     }
 
@@ -652,12 +595,13 @@ mod tests {
         net.run_until(3_000);
         net.publish_at(3_000, 0, TOPIC, b"bad".to_vec(), TrafficClass::Invalid);
         net.run_until(20_000);
-        let total = net.total_stats();
-        assert_eq!(total.invalid_delivered, 0);
+        let snap = net.metrics_snapshot();
+        assert_eq!(snap.scalar("gossip_invalid_delivered_total"), 0);
         // Only the publisher's direct mesh saw it (≤ d_hi validations),
         // §IV: "limited to their direct connections".
-        assert!(total.validations <= 12, "got {}", total.validations);
-        assert!(total.rejected >= 1);
+        let validations = snap.scalar("gossip_validations_total");
+        assert!(validations <= 12, "got {validations}");
+        assert!(snap.scalar("gossip_rejected_total") >= 1);
     }
 
     #[test]
@@ -691,14 +635,14 @@ mod tests {
         );
         // Graylisting means later floods are dropped *before* validation:
         // far fewer proof checks than messages sent.
-        let total = net.total_stats();
+        let snap = net.metrics_snapshot();
+        let validations = snap.scalar("gossip_validations_total");
         assert!(
-            total.validations < 150,
-            "graylisting caps validation work: {}",
-            total.validations
+            validations < 150,
+            "graylisting caps validation work: {validations}"
         );
         // And nothing propagated.
-        assert_eq!(total.invalid_delivered, 0);
+        assert_eq!(snap.scalar("gossip_invalid_delivered_total"), 0);
     }
 
     #[test]
@@ -742,8 +686,12 @@ mod tests {
             net.run_until(3_000);
             net.publish_at(3_000, 0, TOPIC, b"d".to_vec(), TrafficClass::Honest);
             net.run_until(20_000);
-            let t = net.total_stats();
-            (t.honest_delivered, t.bytes_sent, t.validations)
+            let snap = net.metrics_snapshot();
+            (
+                snap.scalar("gossip_honest_delivered_total"),
+                snap.scalar("gossip_bytes_sent_total"),
+                snap.scalar("gossip_validations_total"),
+            )
         };
         assert_eq!(run(42), run(42));
     }
@@ -757,9 +705,9 @@ mod tests {
         net.run_until(3_000);
         net.publish_at(3_000, 0, TOPIC, b"dup".to_vec(), TrafficClass::Spam);
         net.run_until(20_000);
-        let total = net.total_stats();
-        assert_eq!(total.spam_delivered, 0);
-        assert!(total.ignored >= 1);
+        let snap = net.metrics_snapshot();
+        assert_eq!(snap.scalar("gossip_spam_delivered_total"), 0);
+        assert!(snap.scalar("gossip_ignored_total") >= 1);
         // no scoring penalty for ignored messages
         let neighbors: Vec<PeerId> = net.neighbors(0).to_vec();
         for n in neighbors {
@@ -767,9 +715,9 @@ mod tests {
         }
     }
 
-    /// The metrics snapshot is a faithful view: event counts equal the
-    /// scheduler's own tally, the PeerStats-derived counters match
-    /// `total_stats()`, and the deterministic (non-`engine_`) metrics are
+    /// The metrics snapshot is a faithful view: the dwell histogram
+    /// observed events, topic-bearing traffic is a subset of all
+    /// traffic, and the deterministic (non-`engine_`) metrics are
     /// identical across shard counts.
     #[test]
     fn metrics_snapshot_is_consistent_and_scheduler_independent() {
@@ -779,32 +727,19 @@ mod tests {
             net.publish_at(3_000, 0, TOPIC, b"m".to_vec(), TrafficClass::Honest);
             net.run_until(20_000);
             let snap = net.metrics_snapshot();
-            assert_eq!(snap.scalar("gossip_events_total"), net.events_processed());
-            assert_eq!(
-                snap.scalar("gossip_bytes_sent_total"),
-                net.total_stats().bytes_sent
-            );
-            assert_eq!(
-                snap.scalar("gossip_honest_delivered_total"),
-                net.total_stats().honest_delivered
-            );
             assert!(snap.histogram("gossip_event_dwell_ms").unwrap().count > 0);
             assert_eq!(snap.scalar("engine_shards") as usize, net.shards());
-            // Per-topic bandwidth: the flat counters agree with the
-            // per-topic map, and topic-bearing traffic is a subset of
-            // all traffic (IWant carries no topic).
-            let by_topic = net.topic_bytes();
-            let (map_in, map_out) = by_topic
-                .values()
-                .fold((0, 0), |(i, o), &(b_in, b_out)| (i + b_in, o + b_out));
-            assert_eq!(snap.scalar("engine_topic_bytes_in"), map_in);
-            assert_eq!(snap.scalar("engine_topic_bytes_out"), map_out);
-            assert!(map_out > 0 && map_out <= net.total_stats().bytes_sent);
-            assert!(map_in <= net.total_stats().bytes_received);
-            (snap, net.shards(), by_topic)
+            // Topic-bearing traffic is a subset of all traffic (IWant
+            // carries no topic).
+            let topic_out = snap.scalar("engine_topic_bytes_out");
+            assert!(topic_out > 0 && topic_out <= snap.scalar("gossip_bytes_sent_total"));
+            assert!(
+                snap.scalar("engine_topic_bytes_in") <= snap.scalar("gossip_bytes_received_total")
+            );
+            (snap, net.shards())
         };
-        let (mut serial, serial_shards, serial_topics) = run(1);
-        let (mut sharded, sharded_shards, sharded_topics) = run(5);
+        let (mut serial, serial_shards) = run(1);
+        let (mut sharded, sharded_shards) = run(5);
         assert_eq!((serial_shards, sharded_shards), (1, 5));
         // The topic-bandwidth counters carry the `engine_` prefix (ISSUE
         // naming) but are deterministic — assert their cross-scheduler
@@ -817,7 +752,6 @@ mod tests {
             serial.scalar("engine_topic_bytes_out"),
             sharded.scalar("engine_topic_bytes_out")
         );
-        assert_eq!(serial_topics, sharded_topics);
         // Drop the strategy-dependent gauges; the rest must match exactly.
         serial.retain(|d| !d.name.starts_with("engine_"));
         sharded.retain(|d| !d.name.starts_with("engine_"));
@@ -860,11 +794,10 @@ mod tests {
             }
             net.run_until(25_000);
             let snap = net.metrics_snapshot();
-            let t = net.total_stats();
             (
-                t.honest_delivered,
-                t.bytes_sent,
-                net.events_processed(),
+                snap.scalar("gossip_honest_delivered_total"),
+                snap.scalar("gossip_bytes_sent_total"),
+                snap.scalar("gossip_events_total"),
                 snap.scalar("engine_msgs_dropped_fault"),
             )
         };
@@ -906,7 +839,7 @@ mod tests {
         assert_eq!(snap.scalar("peer_restarts"), 1);
         let (honest, _) = net.deliveries_published_since(15_000);
         assert_eq!(honest, 29, "post-restart publish reaches everyone");
-        let down_window = net.stats(7).honest_delivered;
+        let down_window = of_peer(&net, 7, "gossip_honest_delivered_total");
         assert!(
             down_window >= 1,
             "peer 7 is back in the mesh and receiving: {down_window}"
@@ -935,7 +868,9 @@ mod tests {
         net.run_until(3_000);
         net.publish_at(5_000, 0, TOPIC, b"cut off".to_vec(), TrafficClass::Honest);
         net.run_until(11_000);
-        let reached_far_side = (15..30).map(|p| net.stats(p).honest_delivered).sum::<u64>();
+        let reached_far_side = (15..30)
+            .map(|p| of_peer(&net, p, "gossip_honest_delivered_total"))
+            .sum::<u64>();
         assert_eq!(reached_far_side, 0, "nothing crosses a live partition");
         // After the heal, a fresh publish reaches everyone (the partitioned
         // message itself has left every mcache window by then).
@@ -1003,15 +938,15 @@ mod tests {
                 );
             }
             net.run_until(25_000);
-            let t = net.total_stats();
+            let snap = net.metrics_snapshot();
             let mut lats = net.delivery_latencies();
             lats.sort_unstable();
             (
-                t.honest_delivered,
-                t.bytes_sent,
-                t.bytes_received,
-                t.validations,
-                net.events_processed(),
+                snap.scalar("gossip_honest_delivered_total"),
+                snap.scalar("gossip_bytes_sent_total"),
+                snap.scalar("gossip_bytes_received_total"),
+                snap.scalar("gossip_validations_total"),
+                snap.scalar("gossip_events_total"),
                 lats,
             )
         };

@@ -359,7 +359,6 @@ struct ShardRound<'a> {
     /// Exclusive upper bound on event times this round may dispatch.
     horizon: SimTime,
     outbox: Vec<QueuedEvent>,
-    processed: u64,
 }
 
 impl ShardRound<'_> {
@@ -368,14 +367,12 @@ impl ShardRound<'_> {
         let (queue, slots, outbox) = (&mut *self.queue, &mut *self.slots, &mut self.outbox);
         let (base, horizon) = (self.base, self.horizon);
         let owned = base..base + slots.len();
-        let mut processed = 0u64;
         let mut out = Vec::new();
         while let Some(at) = queue.peek_at() {
             if at >= horizon {
                 break;
             }
             let ev = queue.pop().expect("peeked");
-            processed += 1;
             slots[ev.target - base].dispatch(ev.target, ev.key.at, ev.event, config, &mut out);
             for e in out.drain(..) {
                 if owned.contains(&e.target) {
@@ -385,7 +382,6 @@ impl ShardRound<'_> {
                 }
             }
         }
-        self.processed = processed;
     }
 }
 
@@ -511,15 +507,9 @@ impl Scheduler {
         self.queues[ev.target / self.chunk].push(ev);
     }
 
-    /// Dispatches every event with `at ≤ t`; returns how many ran.
-    pub(crate) fn run_until(
-        &mut self,
-        slots: &mut [PeerSlot],
-        config: &NetworkConfig,
-        t: SimTime,
-    ) -> u64 {
+    /// Dispatches every event with `at ≤ t`.
+    pub(crate) fn run_until(&mut self, slots: &mut [PeerSlot], config: &NetworkConfig, t: SimTime) {
         let chunk = self.chunk;
-        let mut processed = 0u64;
         loop {
             for (head, queue) in self.heads.iter_mut().zip(self.queues.iter_mut()) {
                 *head = queue.peek_at().unwrap_or(FAR).min(FAR);
@@ -545,7 +535,6 @@ impl Scheduler {
                     base: i * chunk,
                     horizon: self.horizons[i],
                     outbox: Vec::new(),
-                    processed: 0,
                 })
                 .collect();
             if let [round] = rounds.as_mut_slice() {
@@ -556,19 +545,12 @@ impl Scheduler {
                 waku_pool::par_for_each_mut(&mut rounds, |_, round| round.run(config));
             }
             self.barriers += 1;
-            let results: Vec<(u64, Vec<QueuedEvent>)> = rounds
-                .into_iter()
-                .map(|r| (r.processed, r.outbox))
-                .collect();
+            let outboxes: Vec<Vec<QueuedEvent>> = rounds.into_iter().map(|r| r.outbox).collect();
             // Round barrier: drain outboxes in fixed shard order.
-            for (count, outbox) in results {
-                processed += count;
-                for ev in outbox {
-                    self.queues[ev.target / chunk].push(ev);
-                }
+            for ev in outboxes.into_iter().flatten() {
+                self.queues[ev.target / chunk].push(ev);
             }
         }
-        processed
     }
 
     /// Shard count (1 = the serial reference) — for diagnostics.
@@ -708,8 +690,12 @@ mod tests {
         for p in 0..peers {
             s.enqueue(qe(p as SimTime * 300, p, 0, p));
         }
-        let ran = s.run_until(&mut slots, &config, 1_000);
+        s.run_until(&mut slots, &config, 1_000);
         assert_eq!(s.barriers(), 1, "one round");
+        let ran: u64 = slots
+            .iter()
+            .map(|slot| slot.recorder.snapshot().scalar("gossip_events_total"))
+            .sum();
         assert_eq!(ran, 5, "four staggered heartbeats + the re-armed one");
         assert!(s.queues[0].peek_at().is_none_or(|at| at > 1_000));
     }

@@ -6,8 +6,10 @@
 //!
 //! * **P1** — time in mesh (positive, capped),
 //! * **P2** — first message deliveries (positive, capped),
-//! * **P4** — invalid messages (negative, squared),
-//! * behavioural penalty (negative, squared) for protocol abuse.
+//! * **P4** — invalid messages (negative, squared).
+//!
+//! The behavioural penalty (P7) is not modelled: the simulated peers
+//! never abuse the protocol, so its term would always be zero.
 //!
 //! Scores decay multiplicatively every heartbeat. Negative-score peers are
 //! pruned from meshes; below the graylist threshold their RPCs are ignored
@@ -25,9 +27,7 @@ const FIRST_MESSAGE_WEIGHT: f64 = 1.0;
 const FIRST_MESSAGE_CAP: f64 = 100.0;
 /// P4 weight (negative); applied to the *square* of the count.
 const INVALID_MESSAGE_WEIGHT: f64 = -10.0;
-/// Behavioural penalty weight (negative, squared).
-const BEHAVIOUR_PENALTY_WEIGHT: f64 = -5.0;
-/// Multiplicative decay applied every heartbeat to P2/P4/behaviour.
+/// Multiplicative decay applied every heartbeat to P2/P4.
 const DECAY: f64 = 0.9;
 /// Counters below this are zeroed after decay.
 const DECAY_TO_ZERO: f64 = 0.01;
@@ -45,8 +45,6 @@ pub struct PeerScore {
     pub first_deliveries: f64,
     /// Invalid-message counter (decaying).
     pub invalid_messages: f64,
-    /// Behaviour penalty counter (decaying).
-    pub behaviour_penalty: f64,
 }
 
 impl PeerScore {
@@ -55,8 +53,7 @@ impl PeerScore {
         let p1 = self.time_in_mesh_secs.min(TIME_IN_MESH_CAP) * TIME_IN_MESH_WEIGHT;
         let p2 = self.first_deliveries.min(FIRST_MESSAGE_CAP) * FIRST_MESSAGE_WEIGHT;
         let p4 = self.invalid_messages * self.invalid_messages * INVALID_MESSAGE_WEIGHT;
-        let pb = self.behaviour_penalty * self.behaviour_penalty * BEHAVIOUR_PENALTY_WEIGHT;
-        p1 + p2 + p4 + pb
+        p1 + p2 + p4
     }
 
     /// Registers a first delivery (P2).
@@ -69,11 +66,6 @@ impl PeerScore {
         self.invalid_messages += 1.0;
     }
 
-    /// Registers a behavioural violation.
-    pub fn on_behaviour_penalty(&mut self) {
-        self.behaviour_penalty += 1.0;
-    }
-
     /// Accumulates mesh time (called at heartbeat while in mesh).
     pub fn on_mesh_time(&mut self, seconds: f64) {
         self.time_in_mesh_secs += seconds;
@@ -81,11 +73,7 @@ impl PeerScore {
 
     /// Applies the per-heartbeat decay.
     pub fn decay(&mut self) {
-        for counter in [
-            &mut self.first_deliveries,
-            &mut self.invalid_messages,
-            &mut self.behaviour_penalty,
-        ] {
+        for counter in [&mut self.first_deliveries, &mut self.invalid_messages] {
             *counter *= DECAY;
             if *counter < DECAY_TO_ZERO {
                 *counter = 0.0;

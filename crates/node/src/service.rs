@@ -166,7 +166,7 @@ pub struct RecoveryReport {
 }
 
 /// A point-in-time view of the running service.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 #[non_exhaustive]
 pub struct ServiceStatus {
     /// Messages resident in the store's live window.
@@ -282,7 +282,7 @@ impl RelayerService {
         h.snapshot_restored.set(u64::from(snapshot_restored));
         h.pool_threads.set(waku_pool::current_num_threads() as u64);
 
-        let service = RelayerService {
+        Ok(RelayerService {
             config,
             chain,
             node,
@@ -291,9 +291,7 @@ impl RelayerService {
             h,
             recovery,
             last_checkpoint_secs: None,
-        };
-        service.refresh_gauges();
-        Ok(service)
+        })
     }
 
     /// What the open found on disk.
@@ -311,7 +309,6 @@ impl RelayerService {
         self.h.ingested.inc();
         let decisions = self.node.ingest(bundle, now_secs, &mut self.chain);
         self.absorb(&decisions)?;
-        self.refresh_gauges();
         Ok(decisions)
     }
 
@@ -327,7 +324,6 @@ impl RelayerService {
         if self.checkpoint_due(now_secs) {
             self.checkpoint(now_secs)?;
         }
-        self.refresh_gauges();
         Ok(decisions)
     }
 
@@ -397,7 +393,14 @@ impl RelayerService {
 
     /// Prometheus exposition: the node's catalogue (validation pipeline,
     /// lifecycle) followed by the service's (store, queue, checkpoints).
+    /// The store and queue gauges mirror [`RelayerService::status`] and
+    /// are set from it here, at render time.
     pub fn metrics_text(&self) -> String {
+        let status = self.status();
+        self.h.store_messages.set(status.messages_stored as u64);
+        self.h.store_segments.set(status.segments as u64);
+        self.h.store_disk_bytes.set(status.disk_bytes);
+        self.h.queue_depth.set(status.queued as u64);
         let mut text = self.node.metrics_text();
         text.push_str(&self.registry.render_prometheus());
         text
@@ -440,13 +443,6 @@ impl RelayerService {
     fn checkpoint_due(&self, now_secs: u64) -> bool {
         now_secs.saturating_sub(self.last_checkpoint_secs.unwrap_or(0))
             >= self.config.checkpoint_secs
-    }
-
-    fn refresh_gauges(&self) {
-        self.h.store_messages.set(self.store.len() as u64);
-        self.h.store_segments.set(self.store.segment_count() as u64);
-        self.h.store_disk_bytes.set(self.store.disk_bytes());
-        self.h.queue_depth.set(self.node.queued_ingest() as u64);
     }
 }
 

@@ -450,18 +450,6 @@ impl StorageBackend for SegmentLog {
         }
     }
 
-    fn truncate(&mut self) -> Result<(), StorageError> {
-        self.writer = None;
-        for seg in self.segments.drain(..) {
-            fs::remove_file(&seg.path)?;
-        }
-        self.live.clear();
-        self.first_live_seq = 0;
-        self.next_seq = 0;
-        self.unflushed = 0;
-        Ok(())
-    }
-
     fn flush(&mut self) -> Result<(), StorageError> {
         self.sync_writer()?;
         // Without this a power loss can drop a whole new segment whose
@@ -671,23 +659,5 @@ mod tests {
                 assert_eq!([&SEGMENT_MAGIC[..], &reencoded].concat(), kept);
             }
         }
-    }
-
-    #[test]
-    fn truncate_clears_disk_and_memory() {
-        let dir = tmpdir("trunc");
-        let cfg = SegmentConfig::default();
-        let mut log = SegmentLog::open(&dir, cfg).unwrap();
-        for i in 0..5 {
-            log.append(msg(i)).unwrap();
-        }
-        log.truncate().unwrap();
-        assert_eq!(log.len(), 0);
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
-        log.append(msg(7)).unwrap();
-        log.flush().unwrap();
-        let log2 = SegmentLog::open(&dir, cfg).unwrap();
-        assert_eq!(log2.len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -111,10 +111,6 @@ pub trait StorageBackend {
     /// `[start, end]` (either bound optional), in insertion order.
     fn scan_range(&self, start: Option<u64>, end: Option<u64>, visit: &mut dyn FnMut(&WakuMessage));
 
-    /// Removes every live message (bounded backends keep their capacity;
-    /// durable backends also discard their on-disk history).
-    fn truncate(&mut self) -> Result<(), StorageError>;
-
     /// Makes all appended messages durable (no-op for pure in-memory
     /// backends).
     fn flush(&mut self) -> Result<(), StorageError>;

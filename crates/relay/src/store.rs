@@ -118,11 +118,6 @@ impl StorageBackend for MessageStore {
         }
     }
 
-    fn truncate(&mut self) -> Result<(), StorageError> {
-        self.messages.clear();
-        Ok(())
-    }
-
     /// No-op: the ring is memory-only; durability is the
     /// [`crate::SegmentLog`]'s job.
     fn flush(&mut self) -> Result<(), StorageError> {

@@ -58,11 +58,6 @@ impl EpochManager {
         unix_secs / self.epoch_length_secs
     }
 
-    /// The epoch containing a millisecond timestamp.
-    pub fn epoch_at_millis(&self, unix_millis: u64) -> u64 {
-        self.epoch_at(unix_millis / 1000)
-    }
-
     /// `Thr = ⌈(NetworkDelay + ClockAsynchrony) / T⌉` (paper §III-F),
     /// inputs in seconds.
     pub fn max_epoch_gap(&self, network_delay_secs: f64, clock_asynchrony_secs: f64) -> u64 {
@@ -120,7 +115,6 @@ mod tests {
         assert_eq!(em.epoch_at(0), 0);
         assert_eq!(em.epoch_at(9), 0);
         assert_eq!(em.epoch_at(10), 1);
-        assert_eq!(em.epoch_at_millis(10_999), 1);
     }
 
     #[test]

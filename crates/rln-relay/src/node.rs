@@ -361,16 +361,14 @@ impl WakuRlnRelayNode {
         now_secs: u64,
         rng: &mut R,
     ) -> Result<RlnMessageBundle, NodeError> {
-        let path = self.group.own_path().ok_or(NodeError::NotRegistered)?;
         let epoch = self.epochs.epoch_at(now_secs);
-        if self.last_published_epoch == Some(epoch) {
+        // An unregistered node reports `NotRegistered` (from the proving
+        // path below) ahead of the guard.
+        if self.is_registered() && self.last_published_epoch == Some(epoch) {
             self.m.rate_limited_locally.inc();
             return Err(NodeError::RateLimitedLocally);
         }
-        let bundle = self
-            .prover
-            .prove_message(&self.identity, &path, payload, epoch, rng)
-            .map_err(NodeError::Proving)?;
+        let bundle = self.publish_unchecked(payload, now_secs, rng)?;
         self.last_published_epoch = Some(epoch);
         self.m.published.inc();
         if let Some(changed) = self.prover.proving_key().last_changed_vars() {
@@ -380,7 +378,8 @@ impl WakuRlnRelayNode {
     }
 
     /// Publishes *without* the local rate-limit guard — what a spammer
-    /// does (test/experiment hook; an honest node never calls this).
+    /// does (test/experiment hook), and the proving step
+    /// [`WakuRlnRelayNode::publish`] runs once its guard has passed.
     pub fn publish_unchecked<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],

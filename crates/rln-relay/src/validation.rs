@@ -344,11 +344,6 @@ impl<V> MessageValidator<V> {
     pub fn nullifiers(&self) -> &NullifierStore {
         &self.nullifiers
     }
-
-    /// Current nullifier-store footprint in bytes (ablation A2).
-    pub fn nullifier_map_bytes(&self) -> usize {
-        self.nullifiers.storage_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -663,7 +658,7 @@ mod tests {
         f.validator.tick(now + 5 * T);
         assert_eq!(f.validator.metrics().nullifier_entries, 0);
         assert!(f.validator.metrics().epochs_pruned >= 1);
-        assert_eq!(f.validator.nullifier_map_bytes() % 8, 0);
+        assert_eq!(f.validator.nullifiers().storage_bytes() % 8, 0);
     }
 
     #[test]

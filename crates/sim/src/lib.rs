@@ -47,5 +47,5 @@ pub use report::{percentile, ScenarioReport};
 pub use scenario::{
     run_scenario, run_scenario_instrumented, Defense, EngineStats, ScenarioConfig, ScenarioRun,
 };
-pub use soak::{run_soak, SoakConfig, SoakReport, SoakRestart, SoakSample};
+pub use soak::{run_soak, SoakConfig, SoakReport, SoakRestart};
 pub use steady_state::SteadyStateConfig;

@@ -154,9 +154,11 @@ pub struct ScenarioRun {
     /// The shard-count-dependent engine costs.
     pub engine: EngineStats,
     /// The full metrics snapshot: the RLN validators' registries (the
-    /// `rln_*` series), the gossip engine's per-peer recorders (event
-    /// counters, fault-plane counters, dwell histogram) and the
-    /// network-level delivery counters, merged order-insensitively.
+    /// `rln_*` series), the gossip engine's per-peer recorders (events,
+    /// deliveries, verdicts, bytes, fault-plane counters, dwell
+    /// histogram) and the network-level scheduler and partition series,
+    /// merged order-insensitively. The report's delivery, validation,
+    /// byte and event counts are read from it.
     /// Metrics that depend on the shard count carry the `engine_` name
     /// prefix; everything else is bit-identical at every shard count
     /// (the equivalence tests assert exactly that).
@@ -217,7 +219,7 @@ fn run_with_detections(config: &ScenarioConfig) -> (ScenarioRun, BTreeSet<[u8; 3
         barriers: net.barriers(),
     };
     let recovered = detections.merged();
-    let report = assemble_report(config, wl, &net, recovered.len());
+    let report = assemble_report(config, wl, &net, &metrics, recovered.len());
     let run = ScenarioRun {
         report,
         engine,
@@ -463,15 +465,17 @@ fn schedule_workload(
     }
 }
 
-/// Builds the [`ScenarioReport`] from the workload scalars and what the
-/// drained network measured.
+/// Builds the [`ScenarioReport`] from the workload scalars, what the
+/// drained network measured, and the run's merged metrics snapshot.
 fn assemble_report(
     config: &ScenarioConfig,
     wl: Workload,
     net: &Network,
+    metrics: &Snapshot,
     spammers_detected: usize,
 ) -> ScenarioReport {
-    let totals = net.total_stats();
+    let honest_delivered = metrics.scalar("gossip_honest_delivered_total");
+    let spam_delivered = metrics.scalar("gossip_spam_delivered_total");
     let (post_honest_delivered, post_spam_delivered) = net.deliveries_published_since(wl.post_from);
     let receivers = (config.peers - 1) as f64;
     let mut honest_latencies = net.delivery_latencies();
@@ -480,21 +484,21 @@ fn assemble_report(
         defense: config.defense.label().to_string(),
         honest_sent: wl.honest_sent,
         spam_sent: wl.spam_sent,
-        honest_delivered: totals.honest_delivered,
-        spam_delivered: totals.spam_delivered,
+        honest_delivered,
+        spam_delivered,
         honest_delivery_ratio: if wl.honest_sent == 0 {
             0.0
         } else {
-            totals.honest_delivered as f64 / (wl.honest_sent as f64 * receivers)
+            honest_delivered as f64 / (wl.honest_sent as f64 * receivers)
         },
         spam_delivery_ratio: if wl.spam_sent == 0 {
             0.0
         } else {
-            totals.spam_delivered as f64 / (wl.spam_sent as f64 * receivers)
+            spam_delivered as f64 / (wl.spam_sent as f64 * receivers)
         },
-        validations: totals.validations,
-        bytes_sent: totals.bytes_sent,
-        events_processed: net.events_processed(),
+        validations: metrics.scalar("gossip_validations_total"),
+        bytes_sent: metrics.scalar("gossip_bytes_sent_total"),
+        events_processed: metrics.scalar("gossip_events_total"),
         spammers_detected,
         honest_latency_p50_ms: percentile(&mut honest_latencies, 50.0),
         honest_latency_p95_ms: percentile(&mut honest_latencies, 95.0),

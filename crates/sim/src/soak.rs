@@ -25,7 +25,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use waku_chain::{Address, TxKind, ETHER};
-use waku_node::{RelayerService, ServiceConfig, ServiceError};
+use waku_node::{RecoveryReport, RelayerService, ServiceConfig, ServiceError, ServiceStatus};
 use waku_relay::SegmentConfig;
 use waku_rln::{Identity, RlnProver};
 use waku_rln_relay::{GroupManager, NodeConfig, Outcome};
@@ -77,32 +77,13 @@ impl Default for SoakConfig {
     }
 }
 
-/// One gauge sample at a simulated instant.
-#[derive(Clone, Copy, Debug)]
-pub struct SoakSample {
-    /// Simulated seconds since the soak started.
-    pub t_secs: u64,
-    /// Shares resident in the windowed nullifier store.
-    pub resident_nullifiers: usize,
-    /// Messages in the store's live window.
-    pub store_messages: usize,
-    /// Bytes on disk across all segments.
-    pub disk_bytes: u64,
-    /// Bundles awaiting a micro-batch flush.
-    pub queued: usize,
-}
-
 /// What the mid-soak kill-and-restart recovered.
 #[derive(Clone, Copy, Debug)]
 pub struct SoakRestart {
     /// Simulated second the service was killed and reopened at.
     pub at_secs: u64,
-    /// Messages recovered from segments at reopen.
-    pub recovered_messages: usize,
-    /// Whether the nullifier snapshot was restored.
-    pub snapshot_restored: bool,
-    /// The restored publish guard.
-    pub publish_guard: Option<u64>,
+    /// What the reopened service found on disk.
+    pub recovery: RecoveryReport,
     /// Resident nullifier shares just before the kill…
     pub resident_before: usize,
     /// …and just after recovery (snapshot carries the window across).
@@ -124,8 +105,9 @@ pub struct SoakReport {
     pub spam_detected: u64,
     /// Spam waves launched.
     pub spam_waves: u64,
-    /// Gauge samples over the horizon.
-    pub samples: Vec<SoakSample>,
+    /// Service status samples over the horizon, each at its simulated
+    /// second since the soak started.
+    pub samples: Vec<(u64, ServiceStatus)>,
     /// The mid-soak restart, when one was performed.
     pub restart: Option<SoakRestart>,
     /// The O(window) ceiling used for the nullifier flatness check.
@@ -138,19 +120,19 @@ impl SoakReport {
     /// Splits the samples into a warmed-up early window (second quarter
     /// of the horizon) and a late window (final quarter) and returns the
     /// per-gauge high-water marks `(early, late)`.
-    fn quarter_high_water(&self, f: impl Fn(&SoakSample) -> u64) -> (u64, u64) {
+    fn quarter_high_water(&self, f: impl Fn(&ServiceStatus) -> u64) -> (u64, u64) {
         let early = self
             .samples
             .iter()
-            .filter(|s| s.t_secs >= self.sim_secs / 4 && s.t_secs < self.sim_secs / 2)
-            .map(&f)
+            .filter(|(t, _)| *t >= self.sim_secs / 4 && *t < self.sim_secs / 2)
+            .map(|(_, s)| f(s))
             .max()
             .unwrap_or(0);
         let late = self
             .samples
             .iter()
-            .filter(|s| s.t_secs >= 3 * self.sim_secs / 4)
-            .map(&f)
+            .filter(|(t, _)| *t >= 3 * self.sim_secs / 4)
+            .map(|(_, s)| f(s))
             .max()
             .unwrap_or(0);
         (early, late)
@@ -163,12 +145,12 @@ impl SoakReport {
     pub fn memory_flat(&self) -> bool {
         let (early_disk, late_disk) = self.quarter_high_water(|s| s.disk_bytes);
         let (early_null, late_null) = self.quarter_high_water(|s| s.resident_nullifiers as u64);
-        let (early_msgs, late_msgs) = self.quarter_high_water(|s| s.store_messages as u64);
+        let (early_msgs, late_msgs) = self.quarter_high_water(|s| s.messages_stored as u64);
         late_disk <= early_disk + 4096
             && late_null <= early_null.max(self.nullifier_bound)
             && late_null <= self.nullifier_bound
             && late_msgs <= early_msgs
-            && self.samples.last().is_none_or(|s| s.queued == 0)
+            && self.samples.last().is_none_or(|(_, s)| s.queued == 0)
     }
 
     /// One markdown row: horizon, gauges' early/late high-water marks,
@@ -188,7 +170,7 @@ impl SoakReport {
             self.spam_detected,
             self.spam_waves,
             match &self.restart {
-                Some(r) if r.snapshot_restored => "recovered",
+                Some(r) if r.recovery.snapshot_restored => "recovered",
                 Some(_) => "LOST",
                 None => "-",
             },
@@ -208,17 +190,21 @@ impl SoakReport {
         let samples: Vec<String> = self
             .samples
             .iter()
-            .map(|s| {
+            .map(|(t, s)| {
                 format!(
                     "{{\"t\": {}, \"nullifiers\": {}, \"messages\": {}, \"disk_bytes\": {}, \"queued\": {}}}",
-                    s.t_secs, s.resident_nullifiers, s.store_messages, s.disk_bytes, s.queued
+                    t, s.resident_nullifiers, s.messages_stored, s.disk_bytes, s.queued
                 )
             })
             .collect();
         let restart = match &self.restart {
             Some(r) => format!(
                 "{{\"at_secs\": {}, \"recovered_messages\": {}, \"snapshot_restored\": {}, \"resident_before\": {}, \"resident_after\": {}}}",
-                r.at_secs, r.recovered_messages, r.snapshot_restored, r.resident_before, r.resident_after
+                r.at_secs,
+                r.recovery.recovered_messages,
+                r.recovery.snapshot_restored,
+                r.resident_before,
+                r.resident_after
             ),
             None => "null".to_string(),
         };
@@ -364,12 +350,9 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, ServiceError> {
             let before = service.status().resident_nullifiers;
             drop(service);
             service = RelayerService::open(service_config(config, &data_dir))?;
-            let rec = service.recovery();
             report.restart = Some(SoakRestart {
                 at_secs: e * config.epoch_secs,
-                recovered_messages: rec.recovered_messages,
-                snapshot_restored: rec.snapshot_restored,
-                publish_guard: rec.publish_guard,
+                recovery: service.recovery(),
                 resident_before: before,
                 resident_after: service.status().resident_nullifiers,
             });
@@ -448,14 +431,9 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, ServiceError> {
         service.step(now)?;
 
         if e * config.epoch_secs >= next_sample {
-            let s = service.status();
-            report.samples.push(SoakSample {
-                t_secs: e * config.epoch_secs,
-                resident_nullifiers: s.resident_nullifiers,
-                store_messages: s.messages_stored,
-                disk_bytes: s.disk_bytes,
-                queued: s.queued,
-            });
+            report
+                .samples
+                .push((e * config.epoch_secs, service.status()));
             next_sample = e * config.epoch_secs + SAMPLE_EVERY_SECS;
         }
     }
@@ -493,8 +471,8 @@ mod tests {
         assert!(report.spam_detected >= report.spam_waves, "{report:?}");
 
         let restart = report.restart.expect("mid-soak restart ran");
-        assert!(restart.snapshot_restored, "{restart:?}");
-        assert!(restart.recovered_messages > 0, "{restart:?}");
+        assert!(restart.recovery.snapshot_restored, "{restart:?}");
+        assert!(restart.recovery.recovered_messages > 0, "{restart:?}");
         assert_eq!(
             restart.resident_before, restart.resident_after,
             "{restart:?}"
@@ -510,12 +488,12 @@ mod tests {
     /// high-water marks grow fails it.
     #[test]
     fn flatness_verdict_rejects_growth() {
-        let flat = |t, n| SoakSample {
-            t_secs: t,
-            resident_nullifiers: n,
-            store_messages: 10,
-            disk_bytes: 1000,
-            queued: 0,
+        let flat = |t, n| {
+            let mut s = ServiceStatus::default();
+            s.resident_nullifiers = n;
+            s.messages_stored = 10;
+            s.disk_bytes = 1000;
+            (t, s)
         };
         let mut report = SoakReport {
             sim_secs: 1000,

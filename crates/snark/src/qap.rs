@@ -9,9 +9,10 @@
 //! `waku-arith`), and the pointwise quotient loop is chunk-parallel. All
 //! of it is bit-identical to the serial schedule at any pool size.
 
+use waku_arith::batch_inv::batch_inverse;
 use waku_arith::fft::Radix2Domain;
 use waku_arith::fields::Fr;
-use waku_arith::traits::Field;
+use waku_arith::traits::{Field, PrimeField};
 
 use crate::r1cs::ConstraintSystem;
 
@@ -52,7 +53,7 @@ pub fn evaluate_at(cs: &ConstraintSystem, tau: Fr) -> QapEvaluations {
     //   Lⱼ(τ) = Z(τ) · ωʲ / (n · (τ − ωʲ))
     let zt = domain.z_at(tau);
     assert!(!zt.is_zero(), "τ collides with the evaluation domain");
-    let n_inv = Fr::from_u64_checked(n as u64).inverse().expect("n nonzero");
+    let n_inv = Fr::from_u64(n as u64).inverse().expect("n nonzero");
     let mut lag = Vec::with_capacity(n);
     let mut omega_j = Fr::one();
     // Batch the inversions of (τ − ωʲ).
@@ -190,31 +191,12 @@ pub fn quotient_poly_checked(cs: &ConstraintSystem) -> Result<Vec<Fr>, usize> {
     Ok(h)
 }
 
-/// Batch inversion (Montgomery's trick); zero entries are left as zero.
-/// Thin re-export of the shared implementation in `waku-arith`, kept for
-/// API stability.
-pub fn batch_inverse(values: &[Fr]) -> Vec<Fr> {
-    waku_arith::batch_inv::batch_inverse(values)
-}
-
-// Small helper so qap.rs does not import PrimeField just for from_u64.
-trait FrExt {
-    fn from_u64_checked(v: u64) -> Fr;
-}
-impl FrExt for Fr {
-    fn from_u64_checked(v: u64) -> Fr {
-        use waku_arith::traits::PrimeField;
-        Fr::from_u64(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::r1cs::LinearCombination;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use waku_arith::traits::PrimeField;
 
     fn sample_cs() -> ConstraintSystem {
         // x * x = y ; y * x = z with z public (x = 3, z = 27)
@@ -253,21 +235,6 @@ mod tests {
             acc = acc * x + c;
         }
         acc
-    }
-
-    #[test]
-    fn batch_inverse_matches_individual() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut vals: Vec<Fr> = (0..20).map(|_| Fr::random(&mut rng)).collect();
-        vals[5] = Fr::zero();
-        let invs = batch_inverse(&vals);
-        for (v, i) in vals.iter().zip(&invs) {
-            if v.is_zero() {
-                assert!(i.is_zero());
-            } else {
-                assert_eq!(v.inverse().unwrap(), *i);
-            }
-        }
     }
 
     #[test]

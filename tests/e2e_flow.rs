@@ -79,12 +79,13 @@ fn honest_bundle_propagates_through_gossip_with_real_proofs() {
     net.publish_at(5_000, 0, TOPIC, bundle.to_bytes(), TrafficClass::Honest);
     net.run_until(30_000);
 
-    let stats = net.total_stats();
+    let stats = net.metrics_snapshot();
     assert_eq!(
-        stats.honest_delivered, 4,
+        stats.scalar("gossip_honest_delivered_total"),
+        4,
         "all four other peers validated the Groth16 proof and relayed"
     );
-    assert_eq!(stats.rejected, 0);
+    assert_eq!(stats.scalar("gossip_rejected_total"), 0);
 }
 
 #[test]
@@ -101,13 +102,20 @@ fn tampered_bundle_is_rejected_at_first_hop() {
     net.publish_at(5_000, 0, TOPIC, tampered.to_bytes(), TrafficClass::Invalid);
     net.run_until(30_000);
 
-    let stats = net.total_stats();
-    assert_eq!(stats.invalid_delivered, 0, "never accepted anywhere");
-    assert!(stats.rejected >= 1, "rejected at the first hop(s)");
+    let stats = net.metrics_snapshot();
+    assert_eq!(
+        stats.scalar("gossip_invalid_delivered_total"),
+        0,
+        "never accepted anywhere"
+    );
     assert!(
-        stats.validations <= 4,
-        "the paper: effect limited to direct connections, got {}",
-        stats.validations
+        stats.scalar("gossip_rejected_total") >= 1,
+        "rejected at the first hop(s)"
+    );
+    let validations = stats.scalar("gossip_validations_total");
+    assert!(
+        validations <= 4,
+        "the paper: effect limited to direct connections, got {validations}"
     );
 }
 
@@ -147,10 +155,14 @@ fn double_signal_is_contained_and_attributed_across_a_real_proof_network() {
     net.run_until(40_000);
 
     let others = PEERS as u64 - 1;
-    let stats = net.total_stats();
-    assert_eq!(stats.honest_delivered, honest_sent * others);
+    let stats = net.metrics_snapshot();
     assert_eq!(
-        stats.spam_delivered, others,
+        stats.scalar("gossip_honest_delivered_total"),
+        honest_sent * others
+    );
+    assert_eq!(
+        stats.scalar("gossip_spam_delivered_total"),
+        others,
         "the first signal is within the rate"
     );
     assert_eq!(

@@ -149,16 +149,11 @@ fn metrics_snapshots_identical_across_schedulers() {
 
     let (reference_report, _, snap) = run(Some(1), 1);
     let reference = strip_engine(snap);
-    // The snapshot is live and agrees with the report on the shared
-    // counters (no double bookkeeping drifting apart).
+    // The snapshot is live, and the report's counts are read from it.
     assert!(!reference.is_empty());
     assert_eq!(
         reference.scalar("gossip_honest_delivered_total"),
         reference_report.honest_delivered
-    );
-    assert_eq!(
-        reference.scalar("gossip_events_total"),
-        reference_report.events_processed
     );
     let dwell = reference
         .histogram("gossip_event_dwell_ms")
