@@ -24,13 +24,13 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use waku_bench::{json_report, prom_sections, run_cli, Cli, Fatal};
+use waku_bench::{e6_at_scale, json_report, prom_sections, run_cli, Cli, Fatal};
 use waku_gossip::{FaultPlan, PartitionSpec};
 use waku_sim::faults::{
     drop_sweep, reconverged, rolling_churn, spam_contained, HONEST_FLOOR_AT_MAX_DROP,
     SPAM_CONTAINMENT_SLACK,
 };
-use waku_sim::{run_scenario, Defense, ScenarioConfig, ScenarioRun};
+use waku_sim::{run_scenario, ScenarioConfig, ScenarioRun};
 
 const USAGE: &str = "exp_fault_sweep [--peers N] [--duration-ms MS] [--json PATH] [--prom PATH]";
 
@@ -94,23 +94,6 @@ impl MatrixPoint {
     }
 }
 
-fn base_config(peers: usize, duration_ms: u64) -> ScenarioConfig {
-    ScenarioConfig {
-        peers,
-        spammers: 5.min(peers / 10).max(1),
-        duration_ms,
-        honest_interval_ms: 5_000,
-        spam_interval_ms: 500,
-        honest_publishers: Some(100.min(peers)),
-        defense: Defense::RlnRelay {
-            epoch_secs: 1,
-            thr: 1,
-        },
-        seed: 2024,
-        ..ScenarioConfig::default()
-    }
-}
-
 fn main() -> ExitCode {
     run_cli(USAGE, sweep)
 }
@@ -126,7 +109,7 @@ fn sweep(cli: &Cli) -> Result<ExitCode, Fatal> {
     // The matrix: the drop curve, one bisection that heals mid-run, and
     // rolling churn whose last rejoin lands mid-run too (so both leave a
     // post-disruption window to measure re-convergence in).
-    let base = base_config(peers, duration_ms);
+    let base = e6_at_scale(peers, duration_ms);
     let warmup_end = 3_000 + duration_ms; // scenario time of run end
     let with_plan = |plan: FaultPlan| {
         let mut config = base.clone();

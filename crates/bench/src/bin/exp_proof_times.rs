@@ -12,14 +12,27 @@
 //! unchanged authentication path (*steady state*, one new epoch per
 //! message) re-multiplies only the share/nullifier wires and rolls the
 //! membership half forward (`waku_snark::groth16` module docs).
+//!
+//! It takes no arguments (`exp_proof_times`).
+
+use std::process::ExitCode;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
-use waku_bench::{fmt_duration, sparse_single_member_path, time_mean};
+use waku_bench::{fmt_duration, run_cli, sparse_single_member_path, time_mean};
 use waku_rln::{Identity, RlnProver};
 
-fn main() {
+const USAGE: &str = "exp_proof_times";
+
+fn main() -> ExitCode {
+    run_cli(USAGE, |_| {
+        proof_times();
+        Ok(ExitCode::SUCCESS)
+    })
+}
+
+fn proof_times() {
     println!("# E1/E2 — proof generation and verification times");
     println!();
     println!("paper reference: prove ≈0.5 s @ depth 32 (iPhone 8), verify ≈30 ms constant");

@@ -25,10 +25,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use waku_bench::{json_report, prom_sections, run_cli, Cli, Fatal};
-use waku_gossip::NetworkConfig;
+use waku_bench::{e6_at_scale, json_report, prom_sections, run_cli, Cli, Fatal};
 use waku_metrics::Snapshot;
-use waku_sim::{run_scenario, Defense, ScenarioConfig};
+use waku_sim::run_scenario;
 
 const USAGE: &str =
     "exp_scale_sweep [--peers N[,N,...]] [--duration-ms MS] [--json PATH] [--prom PATH]";
@@ -36,28 +35,6 @@ const USAGE: &str =
 /// §IV-C: ~2 spam msgs/s against a 1 s epoch caps delivery near 1/2 plus
 /// seeded jitter; anything above this means containment broke at scale.
 const MAX_SPAM_DELIVERY: f64 = 0.6;
-
-fn sweep_config(peers: usize, duration_ms: u64) -> ScenarioConfig {
-    ScenarioConfig {
-        peers,
-        spammers: 5.min(peers / 10).max(1),
-        duration_ms,
-        honest_interval_ms: 5_000,
-        spam_interval_ms: 500,
-        honest_publishers: Some(100.min(peers)),
-        defense: Defense::RlnRelay {
-            epoch_secs: 1,
-            thr: 1,
-        },
-        // Degree valid for tiny sweeps too (degree must be < peers).
-        net: NetworkConfig::builder()
-            .degree(8.min(peers - 1))
-            .build()
-            .expect("valid net config"),
-        seed: 2024,
-        ..ScenarioConfig::default()
-    }
-}
 
 /// One sweep point, as printed and as serialized into the JSON report.
 struct SweepPoint {
@@ -126,7 +103,7 @@ fn sweep(cli: &Cli) -> Result<ExitCode, Fatal> {
     let mut failed = false;
     let mut points: Vec<SweepPoint> = Vec::new();
     for &peers in &peer_counts {
-        let config = sweep_config(peers, duration_ms);
+        let config = e6_at_scale(peers, duration_ms);
         let start = Instant::now();
         let run = run_scenario(&config);
         let wall = start.elapsed();

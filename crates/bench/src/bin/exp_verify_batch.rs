@@ -10,30 +10,28 @@
 //! * what junk proofs in a 64-flush cost the relayer, in single
 //!   verifications, next to the work count `RlnVerifier::isolate` returns;
 //! * cold-start cost at depth 32: fresh keygen vs `keygen_or_load` from
-//!   a warm on-disk cache (the ISSUE's <100 ms target).
+//!   a warm on-disk cache (the <100 ms target).
 //!
-//! `--smoke-cache` instead runs the CI smoke: write the cache, reload
-//! it, prove under the reloaded key, cross-verify against the original
-//! ceremony, and exit nonzero on any drift.
+//! It takes no arguments (`exp_verify_batch`).
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use waku_bench::{fmt_duration, sparse_single_member_path};
-use waku_rln::{keycache, Identity, RlnMessageBundle, RlnProver};
+use waku_bench::{fmt_duration, run_cli, sparse_single_member_path};
+use waku_rln::{Identity, RlnMessageBundle, RlnProver};
 
 const TABLE_DEPTH: usize = 10;
 const COLD_START_DEPTH: usize = 32;
+const USAGE: &str = "exp_verify_batch";
 
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--smoke-cache") {
-        return smoke_cache();
-    }
-    batch_table();
-    cold_start_table();
-    ExitCode::SUCCESS
+    run_cli(USAGE, |_| {
+        batch_table();
+        cold_start_table();
+        Ok(ExitCode::SUCCESS)
+    })
 }
 
 fn batch_table() {
@@ -172,46 +170,6 @@ fn cold_start_table() {
         "warm start must reload the same ceremony"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// CI smoke: cache round-trip must preserve the ceremony end to end.
-fn smoke_cache() -> ExitCode {
-    let depth = 6;
-    let dir = std::env::temp_dir().join(format!("waku-smoke-keycache-{}", std::process::id()));
-    let path = dir.join("rln-smoke.keys");
-    let mut rng = StdRng::seed_from_u64(99);
-
-    let (prover, verifier) = RlnProver::keygen_or_load(depth, &path, &mut rng);
-    if keycache::load_keys(&path, depth).is_none() {
-        eprintln!("smoke-cache: cold start did not write a loadable blob");
-        return ExitCode::from(2);
-    }
-    let (warm_prover, warm_verifier) = RlnProver::keygen_or_load(depth, &path, &mut rng);
-    if warm_prover.proving_key().vk != prover.proving_key().vk {
-        eprintln!("smoke-cache: reloaded verifying key drifted from the original");
-        return ExitCode::from(2);
-    }
-    // Prove under the reloaded key, verify under both ceremonies' views.
-    let identity = Identity::random(&mut rng);
-    let path_in_tree = sparse_single_member_path(depth);
-    let bundle = match warm_prover.prove_message(&identity, &path_in_tree, b"smoke", 7, &mut rng) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("smoke-cache: proving under the reloaded key failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if !verifier.verify_bundle(&bundle) || !warm_verifier.verify_bundle(&bundle) {
-        eprintln!("smoke-cache: proof from reloaded key rejected");
-        return ExitCode::from(2);
-    }
-    if !warm_verifier.verify_batch(&[&bundle]) {
-        eprintln!("smoke-cache: batch entry point rejected a valid proof");
-        return ExitCode::from(2);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    println!("smoke-cache: write → reload → prove → verify OK (depth {depth})");
-    ExitCode::SUCCESS
 }
 
 fn timed(f: impl FnOnce()) -> std::time::Duration {

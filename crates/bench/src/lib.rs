@@ -7,22 +7,23 @@
 //! Performance itself is measured by `perf/` (`waku-perf`) under the
 //! names `BENCHMARK.json` declares, not here.
 
-use std::fmt::Display;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
+use waku_gossip::NetworkConfig;
 use waku_metrics::Snapshot;
+use waku_sim::{Defense, ScenarioConfig};
 
-/// Why a sweep binary exits 1: a command line it cannot run, or a report
-/// it cannot write. (Exit code 2 is a breached gate, returned as an
+/// Why an experiment binary exits 1: a command line it cannot run, or a
+/// report it cannot write. (Exit code 2 is a breached gate, returned as an
 /// `Ok` exit code.)
 #[derive(Debug, PartialEq)]
 pub struct Fatal(pub String);
 
-/// Runs a sweep binary's `body` over its command line, parsed against
-/// `usage` (see [`Cli::parse`]): a [`Fatal`] from either is printed on
-/// stderr and exits 1.
+/// Runs an experiment binary's `body` over its command line, parsed
+/// against `usage` (see [`Cli::parse`]): a [`Fatal`] from either is
+/// printed on stderr and exits 1.
 pub fn run_cli(
     usage: &'static str,
     body: impl FnOnce(&Cli) -> Result<ExitCode, Fatal>,
@@ -36,7 +37,7 @@ pub fn run_cli(
     }
 }
 
-/// A sweep binary's command line, parsed against its usage line.
+/// An experiment binary's command line, parsed against its usage line.
 ///
 /// The usage line is the grammar: `[--name X]` is a flag that takes a
 /// value, `[--name]` a bare switch, and any other `[word ...]` group
@@ -182,6 +183,30 @@ pub fn prom_sections<'a>(sections: impl IntoIterator<Item = (String, &'a Snapsho
         .collect()
 }
 
+/// E6 at network scale: RLN containment at `peers` peers (5 spammers at
+/// most, 100 honest publishers at most), seeded — the scenario the scale
+/// and fault sweeps run. The degree stays below `peers` for tiny sweeps.
+pub fn e6_at_scale(peers: usize, duration_ms: u64) -> ScenarioConfig {
+    ScenarioConfig {
+        peers,
+        spammers: 5.min(peers / 10).max(1),
+        duration_ms,
+        honest_interval_ms: 5_000,
+        spam_interval_ms: 500,
+        honest_publishers: Some(100.min(peers)),
+        defense: Defense::RlnRelay {
+            epoch_secs: 1,
+            thr: 1,
+        },
+        net: NetworkConfig::builder()
+            .degree(8.min(peers - 1))
+            .build()
+            .expect("valid net config"),
+        seed: 2024,
+        ..ScenarioConfig::default()
+    }
+}
+
 /// Times a closure over `n` runs and returns the mean duration.
 pub fn time_mean<F: FnMut()>(n: usize, mut f: F) -> Duration {
     assert!(n > 0);
@@ -214,26 +239,6 @@ pub fn fmt_bytes(b: u64) -> String {
         format!("{:.2} KB", b as f64 / 1e3)
     } else {
         format!("{b} B")
-    }
-}
-
-/// The tail of every `--check` binary: without `--check` on the command
-/// line the cells were only printed; with it, one line per pinned cell and
-/// exit code 2 if any of them moved.
-pub fn check_exit<S: Display>(checks: impl IntoIterator<Item = (S, bool)>) -> ExitCode {
-    if !std::env::args().any(|a| a == "--check") {
-        return ExitCode::SUCCESS;
-    }
-    println!();
-    let mut ok = true;
-    for (what, holds) in checks {
-        println!("check: {what}: {}", if holds { "ok" } else { "FAILED" });
-        ok &= holds;
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
     }
 }
 

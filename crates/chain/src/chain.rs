@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use waku_arith::fields::Fr;
 use waku_hash::keccak256;
 
+use crate::gas::TX_BASE;
 use crate::membership::{ContractError, ContractEvent, ContractKind, MembershipContract};
 use crate::types::{Address, TxHash, Wei, ETHER, GWEI};
 
@@ -240,7 +241,6 @@ impl Chain {
     }
 
     fn execute(&mut self, tx: PendingTx, block: u64) -> Receipt {
-        const TX_BASE: u64 = 21_000;
         let result: Result<(u64, Vec<ContractEvent>), ContractError> = match &tx.kind {
             TxKind::Register { commitment } => {
                 let needed = DEPOSIT;

@@ -1,69 +1,27 @@
-//! Gas metering. The schedule mirrors Ethereum mainnet so the paper's cost
-//! analysis (§IV-A: registration ≈40k gas ≈ $20; batched ≈20k) reproduces.
+//! Gas costs. The schedule mirrors Ethereum mainnet (EIP-2929-era values)
+//! so the paper's cost analysis (§IV-A: registration ≈40k gas ≈ $20;
+//! batched ≈20k) reproduces.
 
 use crate::types::{Wei, GWEI};
 
-/// Gas cost constants (EIP-2929-era mainnet values).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GasSchedule {
-    /// Base cost of any transaction.
-    pub tx_base: u64,
-    /// Writing a storage slot from zero to non-zero.
-    pub sstore_set: u64,
-    /// Updating a non-zero storage slot (including zeroing).
-    pub sstore_update: u64,
-    /// Cold storage read.
-    pub sload: u64,
-    /// Emitting a log entry (plus per-topic cost).
-    pub log: u64,
-    /// Per log topic.
-    pub log_topic: u64,
-    /// Per 32-byte word of hashing.
-    pub keccak_word: u64,
-    /// Per byte of transaction calldata.
-    pub calldata_byte: u64,
-    /// Value transfer to an existing account.
-    pub transfer: u64,
-}
-
-impl Default for GasSchedule {
-    fn default() -> Self {
-        GasSchedule {
-            tx_base: 21_000,
-            sstore_set: 20_000,
-            sstore_update: 5_000,
-            sload: 2_100,
-            log: 375,
-            log_topic: 375,
-            keccak_word: 6,
-            calldata_byte: 16,
-            transfer: 9_000,
-        }
-    }
-}
-
-/// Running gas meter for one contract call.
-#[derive(Clone, Debug, Default)]
-pub struct GasMeter {
-    used: u64,
-}
-
-impl GasMeter {
-    /// Fresh meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds raw gas.
-    pub fn charge(&mut self, gas: u64) {
-        self.used += gas;
-    }
-
-    /// Total gas consumed.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-}
+/// Base cost of any transaction.
+pub(crate) const TX_BASE: u64 = 21_000;
+/// Writing a storage slot from zero to non-zero.
+pub(crate) const SSTORE_SET: u64 = 20_000;
+/// Updating a non-zero storage slot (including zeroing).
+pub(crate) const SSTORE_UPDATE: u64 = 5_000;
+/// Cold storage read.
+pub(crate) const SLOAD: u64 = 2_100;
+/// Emitting a log entry (plus per-topic cost).
+pub(crate) const LOG: u64 = 375;
+/// Per log topic.
+pub(crate) const LOG_TOPIC: u64 = 375;
+/// Per 32-byte word of hashing.
+pub(crate) const KECCAK_WORD: u64 = 6;
+/// Per byte of transaction calldata.
+pub(crate) const CALLDATA_BYTE: u64 = 16;
+/// Value transfer to an existing account.
+pub(crate) const TRANSFER: u64 = 9_000;
 
 /// Converts a gas amount into USD given a gas price and an ETH price —
 /// for reproducing the paper's "more than 20 USD" per registration claim.
@@ -75,14 +33,6 @@ pub fn gas_to_usd(gas: u64, gas_price_gwei: u64, eth_usd: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meter_accumulates() {
-        let mut m = GasMeter::new();
-        m.charge(21_000);
-        m.charge(20_000);
-        assert_eq!(m.used(), 41_000);
-    }
 
     #[test]
     fn paper_usd_figure_reproduces() {

@@ -7,8 +7,8 @@
 //! 1. **Cost** — per-transaction gas with a mainnet-like schedule, so
 //!    §IV-A's "40k gas / >$20 per membership, 20k batched" analysis
 //!    reproduces (see [`gas`]).
-//! 2. **Latency** — transactions are invisible until mined; blocks tick at
-//!    a configurable cadence (registration delay, §IV-A).
+//! 2. **Latency** — transactions are invisible until mined; a block is
+//!    mined every 12 s of chain time (registration delay, §IV-A).
 //! 3. **Events** — peers replay `MemberRegistered` / `MemberRemoved` logs
 //!    to maintain their off-chain identity trees (§III-C, Figure 2).
 //!
@@ -24,7 +24,7 @@ pub mod membership;
 pub mod types;
 
 pub use chain::{Block, Chain, ChainConfig, PendingTx, Receipt, TxKind, DEPOSIT};
-pub use gas::{gas_to_usd, GasSchedule};
+pub use gas::gas_to_usd;
 pub use membership::{
     slash_commitment_hash, ContractError, ContractEvent, ContractKind, MembershipContract,
 };

@@ -20,7 +20,9 @@ use waku_hash::keccak256;
 use waku_merkle::DenseTree;
 use waku_poseidon::poseidon1;
 
-use crate::gas::{GasMeter, GasSchedule};
+use crate::gas::{
+    CALLDATA_BYTE, KECCAK_WORD, LOG, LOG_TOPIC, SLOAD, SSTORE_SET, SSTORE_UPDATE, TRANSFER,
+};
 use crate::types::{Address, Wei};
 
 /// On-chain Poseidon hash cost (gas). Optimized EVM Poseidon implementations
@@ -139,7 +141,6 @@ pub fn slash_commitment_hash(secret: Fr, beneficiary: Address, salt: &[u8; 32]) 
 #[derive(Clone, Debug)]
 pub struct MembershipContract {
     kind: ContractKind,
-    schedule: GasSchedule,
     deposit_required: Wei,
     members: Vec<MemberRecord>,
     index_of: HashMap<[u8; 32], u64>,
@@ -159,7 +160,6 @@ impl MembershipContract {
         };
         MembershipContract {
             kind,
-            schedule: GasSchedule::default(),
             deposit_required,
             members: Vec::new(),
             index_of: HashMap::new(),
@@ -217,13 +217,9 @@ impl MembershipContract {
         self.tree.as_ref().map(|t| t.root())
     }
 
-    fn charge_tree_update(&mut self, meter: &mut GasMeter) {
-        // O(depth) sloads + sstores + hashes for the on-chain design.
-        for _ in 0..self.tree_depth {
-            meter.charge(self.schedule.sload);
-            meter.charge(self.schedule.sstore_update);
-            meter.charge(POSEIDON_GAS);
-        }
+    /// O(depth) sloads + sstores + hashes for the on-chain design.
+    fn tree_update_gas(&self) -> u64 {
+        self.tree_depth as u64 * (SLOAD + SSTORE_UPDATE + POSEIDON_GAS)
     }
 
     /// Registers a commitment. Returns `(leaf index, gas, events)`.
@@ -238,8 +234,7 @@ impl MembershipContract {
         commitment: Fr,
         value: Wei,
     ) -> Result<(u64, u64, Vec<ContractEvent>), ContractError> {
-        let mut meter = GasMeter::new();
-        meter.charge(self.schedule.calldata_byte * 32);
+        let mut gas = CALLDATA_BYTE * 32;
         if value != self.deposit_required {
             return Err(ContractError::WrongDeposit);
         }
@@ -252,16 +247,16 @@ impl MembershipContract {
         }
         let index = self.members.len() as u64;
         // one slot for the commitment (the paper's single-item update)
-        meter.charge(self.schedule.sstore_set);
+        gas += SSTORE_SET;
         // deposit bookkeeping slot
-        meter.charge(self.schedule.sstore_update);
+        gas += SSTORE_UPDATE;
         if let Some(tree) = self.tree.as_mut() {
             tree.set(index, commitment);
         }
         if self.kind == ContractKind::OnChainTree {
-            self.charge_tree_update(&mut meter);
+            gas += self.tree_update_gas();
         }
-        meter.charge(self.schedule.log + 2 * self.schedule.log_topic);
+        gas += LOG + 2 * LOG_TOPIC;
         self.members.push(MemberRecord {
             commitment,
             owner,
@@ -272,7 +267,7 @@ impl MembershipContract {
         self.escrow += value;
         Ok((
             index,
-            meter.used(),
+            gas,
             vec![ContractEvent::MemberRegistered { index, commitment }],
         ))
     }
@@ -316,7 +311,7 @@ impl MembershipContract {
     fn remove_member(
         &mut self,
         index: u64,
-        meter: &mut GasMeter,
+        gas: &mut u64,
     ) -> Result<(MemberRecord, ContractEvent), ContractError> {
         let rec = self
             .members
@@ -327,14 +322,14 @@ impl MembershipContract {
         let record = rec.clone();
         self.index_of.remove(&record.commitment.to_le_bytes());
         // zeroing the single list slot (the paper's O(1) deletion)
-        meter.charge(self.schedule.sstore_update);
+        *gas += SSTORE_UPDATE;
         if let Some(tree) = self.tree.as_mut() {
             tree.remove(index);
         }
         if self.kind == ContractKind::OnChainTree {
-            self.charge_tree_update(meter);
+            *gas += self.tree_update_gas();
         }
-        meter.charge(self.schedule.log + 2 * self.schedule.log_topic);
+        *gas += LOG + 2 * LOG_TOPIC;
         Ok((
             record.clone(),
             ContractEvent::MemberRemoved {
@@ -356,8 +351,7 @@ impl MembershipContract {
         caller: Address,
         index: u64,
     ) -> Result<(Wei, u64, Vec<ContractEvent>), ContractError> {
-        let mut meter = GasMeter::new();
-        meter.charge(self.schedule.sload);
+        let mut gas = SLOAD;
         let rec = self
             .members
             .get(index as usize)
@@ -366,12 +360,12 @@ impl MembershipContract {
         if rec.owner != caller {
             return Err(ContractError::NotOwner);
         }
-        let (record, remove_event) = self.remove_member(index, &mut meter)?;
-        meter.charge(self.schedule.transfer);
+        let (record, remove_event) = self.remove_member(index, &mut gas)?;
+        gas += TRANSFER;
         self.escrow -= record.deposit;
         Ok((
             record.deposit,
-            meter.used(),
+            gas,
             vec![
                 remove_event,
                 ContractEvent::Withdrawn {
@@ -390,12 +384,9 @@ impl MembershipContract {
         hash: [u8; 32],
         block: u64,
     ) -> (u64, Vec<ContractEvent>) {
-        let mut meter = GasMeter::new();
-        meter.charge(self.schedule.calldata_byte * 32);
-        meter.charge(self.schedule.sstore_set);
-        meter.charge(self.schedule.log + self.schedule.log_topic);
+        let gas = CALLDATA_BYTE * 32 + SSTORE_SET + LOG + LOG_TOPIC;
         self.commits.insert(hash, (committer, block));
-        (meter.used(), vec![ContractEvent::SlashCommitted { hash }])
+        (gas, vec![ContractEvent::SlashCommitted { hash }])
     }
 
     /// Phase 2: open the commitment and claim the spammer's stake.
@@ -415,11 +406,8 @@ impl MembershipContract {
         beneficiary: Address,
         block: u64,
     ) -> Result<(Wei, u64, Vec<ContractEvent>), ContractError> {
-        let mut meter = GasMeter::new();
-        meter.charge(self.schedule.calldata_byte * 84);
-        meter.charge(self.schedule.keccak_word * 3);
+        let gas = CALLDATA_BYTE * 84 + KECCAK_WORD * 3 + SLOAD;
         let hash = slash_commitment_hash(secret, beneficiary, salt);
-        meter.charge(self.schedule.sload);
         let (committer, commit_block) = *self
             .commits
             .get(&hash)
@@ -431,7 +419,7 @@ impl MembershipContract {
             return Err(ContractError::CommitTooRecent);
         }
         self.commits.remove(&hash);
-        self.slash_inner(secret, beneficiary, meter)
+        self.slash_inner(secret, beneficiary, gas)
     }
 
     /// Plain (race-prone) slashing: submit the recovered key directly.
@@ -445,31 +433,29 @@ impl MembershipContract {
         secret: Fr,
         beneficiary: Address,
     ) -> Result<(Wei, u64, Vec<ContractEvent>), ContractError> {
-        let mut meter = GasMeter::new();
-        meter.charge(self.schedule.calldata_byte * 52);
-        self.slash_inner(secret, beneficiary, meter)
+        self.slash_inner(secret, beneficiary, CALLDATA_BYTE * 52)
     }
 
     fn slash_inner(
         &mut self,
         secret: Fr,
         beneficiary: Address,
-        mut meter: GasMeter,
+        mut gas: u64,
     ) -> Result<(Wei, u64, Vec<ContractEvent>), ContractError> {
         // pk = H(sk) on-chain
-        meter.charge(POSEIDON_GAS);
+        gas += POSEIDON_GAS;
         let commitment = poseidon1(secret);
-        meter.charge(self.schedule.sload);
+        gas += SLOAD;
         let index = *self
             .index_of
             .get(&commitment.to_le_bytes())
             .ok_or(ContractError::InvalidReveal)?;
-        let (record, remove_event) = self.remove_member(index, &mut meter)?;
-        meter.charge(self.schedule.transfer);
+        let (record, remove_event) = self.remove_member(index, &mut gas)?;
+        gas += TRANSFER;
         self.escrow -= record.deposit;
         Ok((
             record.deposit,
-            meter.used(),
+            gas,
             vec![
                 remove_event,
                 ContractEvent::Slashed {

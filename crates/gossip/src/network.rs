@@ -128,13 +128,13 @@ impl NetworkConfigBuilder {
         NetworkConfigBuilder { config }
     }
 
-    /// Sets the number of peers (≥ 1).
+    /// Sets the number of peers (≥ 2).
     pub fn peers(mut self, peers: usize) -> Self {
         self.config.peers = peers;
         self
     }
 
-    /// Sets the connections per peer (≥ 1).
+    /// Sets the connections per peer (≥ 1, < peers).
     pub fn degree(mut self, degree: usize) -> Self {
         self.config.degree = degree;
         self
@@ -177,19 +177,25 @@ impl NetworkConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`ConfigError`] when `peers` or `degree` is zero, or the latency
-    /// range is inverted (`min > max`).
+    /// [`ConfigError`] when `peers` is below 2, `degree` is zero or not
+    /// below `peers`, or the latency range is inverted (`min > max`).
     pub fn build(self) -> Result<NetworkConfig, ConfigError> {
-        if self.config.peers == 0 {
+        if self.config.peers < 2 {
             return Err(ConfigError {
                 field: "peers",
-                reason: "must be at least 1",
+                reason: "must be at least 2",
             });
         }
         if self.config.degree == 0 {
             return Err(ConfigError {
                 field: "degree",
                 reason: "must be at least 1",
+            });
+        }
+        if self.config.degree >= self.config.peers {
+            return Err(ConfigError {
+                field: "degree",
+                reason: "must be below peers",
             });
         }
         if self.config.latency_min_ms > self.config.latency_max_ms {
@@ -554,6 +560,15 @@ mod tests {
         });
         net.subscribe_all(TOPIC);
         net
+    }
+
+    #[test]
+    fn build_rejects_what_new_would_panic_on() {
+        let field = |builder: NetworkConfigBuilder| builder.build().unwrap_err().field;
+        assert_eq!(field(NetworkConfig::builder().peers(1).degree(1)), "peers");
+        assert_eq!(field(NetworkConfig::builder().peers(8).degree(8)), "degree");
+        assert_eq!(field(NetworkConfig::builder().peers(8).degree(9)), "degree");
+        Network::new(NetworkConfig::builder().peers(2).degree(1).build().unwrap());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod store;
 
 pub use filter::{FilterService, LightPeerId};
 pub use message::WakuMessage;
-pub use relay::{decode_from_relay, encode_for_relay, TopicRegistry, DEFAULT_PUBSUB_TOPIC};
+pub use relay::{TopicRegistry, DEFAULT_PUBSUB_TOPIC};
 pub use segment::{SegmentConfig, SegmentConfigBuilder, SegmentLog};
 pub use storage::{StorageBackend, StorageError};
 pub use store::{Direction, HistoryQuery, HistoryResponse, MessageStore};

@@ -1,13 +1,10 @@
 //! 11/WAKU2-RELAY: the thin pubsub layer over GossipSub (paper §I).
 //!
-//! Maps Waku pubsub-topic strings onto the simulator's compact topic ids
-//! and wraps/unwraps [`WakuMessage`]s for the wire.
+//! Maps Waku pubsub-topic strings onto the simulator's compact topic ids.
 
 use std::collections::HashMap;
 
 use waku_gossip::Topic;
-
-use crate::message::WakuMessage;
 
 /// The default Waku pubsub topic.
 pub const DEFAULT_PUBSUB_TOPIC: &str = "/waku/2/default-waku/proto";
@@ -48,16 +45,6 @@ impl TopicRegistry {
     }
 }
 
-/// Encodes a [`WakuMessage`] for relaying.
-pub fn encode_for_relay(message: &WakuMessage) -> Vec<u8> {
-    message.to_bytes()
-}
-
-/// Decodes relay bytes back into a [`WakuMessage`].
-pub fn decode_from_relay(bytes: &[u8]) -> Option<WakuMessage> {
-    WakuMessage::from_bytes(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,11 +59,5 @@ mod tests {
         assert_eq!(reg.name_of(a), Some(DEFAULT_PUBSUB_TOPIC));
         assert_eq!(reg.id_of("/waku/2/other/proto"), Some(b));
         assert!(reg.id_of("/nope").is_none());
-    }
-
-    #[test]
-    fn relay_encoding_roundtrip() {
-        let m = WakuMessage::new(b"x".to_vec(), "/app/1/c/proto", 9);
-        assert_eq!(decode_from_relay(&encode_for_relay(&m)).unwrap(), m);
     }
 }

@@ -163,8 +163,6 @@ pub struct SegmentLog {
     segments: VecDeque<SegmentMeta>,
     /// Open handle to the active segment (lazily created).
     writer: Option<std::io::BufWriter<fs::File>>,
-    /// Appends since the last [`SegmentLog::flush`].
-    unflushed: usize,
     /// A segment file was created since the last [`SegmentLog::flush`]:
     /// its directory entry is not durable until the directory is synced.
     created_unsynced: bool,
@@ -192,7 +190,6 @@ impl SegmentLog {
             next_seq: 0,
             segments: VecDeque::new(),
             writer: None,
-            unflushed: 0,
             created_unsynced: false,
             recovered: 0,
         };
@@ -403,16 +400,13 @@ fn read_record(r: &mut Reader) -> Option<WakuMessage> {
 impl StorageBackend for SegmentLog {
     fn append(&mut self, message: WakuMessage) -> Result<(), StorageError> {
         let payload = message.to_bytes();
-        let len = u32::try_from(payload.len()).map_err(|_| StorageError::Corrupt {
-            reason: "message exceeds record size limit",
-            path: None,
-        })?;
-        if len > MAX_RECORD_BYTES {
-            return Err(StorageError::Corrupt {
+        let len = u32::try_from(payload.len())
+            .ok()
+            .filter(|&len| len <= MAX_RECORD_BYTES)
+            .ok_or(StorageError::Corrupt {
                 reason: "message exceeds record size limit",
                 path: None,
-            });
-        }
+            })?;
         let crc = crc32(&payload);
         let w = self.writer_for_append()?;
         w.write_all(&len.to_le_bytes())?;
@@ -422,7 +416,6 @@ impl StorageBackend for SegmentLog {
         active.records += 1;
         active.bytes += 8 + u64::from(len);
         self.next_seq += 1;
-        self.unflushed += 1;
 
         self.live.push_back(message);
         if self.live.len() > self.config.capacity {
@@ -459,7 +452,6 @@ impl StorageBackend for SegmentLog {
             fs::File::open(&self.dir)?.sync_all()?;
             self.created_unsynced = false;
         }
-        self.unflushed = 0;
         Ok(())
     }
 }

@@ -16,7 +16,7 @@
 //! `shape` is [`cs_shape_to_bytes`]: the template's sparse-row arrays and
 //! its 748-entry coefficient table as they sit in memory, 8 B a term —
 //! 1.3 MB beside a 2.3 MB key at depth 20, 2.0 beside 3.8 MB at depth 32
-//! (`exp_key_sizes` prints both). Version 1 spelled every term out as
+//! (`exp_paper_tables` prints both). Version 1 spelled every term out as
 //! `tag ‖ index ‖ coefficient` (37 B) and its files were 8.0 and 12.8 MB;
 //! one is a cache miss here, regenerated like any other stale blob.
 //!

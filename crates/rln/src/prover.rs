@@ -543,7 +543,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xCAFE);
         // Cold start: generates and writes the blob.
         let (cold_prover, cold_verifier) = RlnProver::keygen_or_load(4, &path, &mut rng);
-        assert!(path.exists(), "cold start must populate the cache");
+        assert!(
+            crate::keycache::load_keys(&path, 4).is_some(),
+            "cold start must write a blob load_keys can read"
+        );
         // Warm start: must load the same key material from disk.
         let (warm_prover, warm_verifier) = RlnProver::keygen_or_load(4, &path, &mut rng);
         assert_eq!(
@@ -561,6 +564,7 @@ mod tests {
             .unwrap();
         assert!(cold_verifier.verify_bundle(&bundle));
         assert!(warm_verifier.verify_bundle(&bundle));
+        assert!(warm_verifier.verify_batch(&[&bundle]));
         // Wrong-depth request ignores the cache instead of mis-loading.
         let (other, _) = RlnProver::keygen_or_load(3, &path, &mut rng);
         assert_eq!(other.depth(), 3);
