@@ -282,21 +282,6 @@ impl<P: FpParams> Fp<P> {
         t
     }
 
-    /// Raw Montgomery limbs (advanced use: serialization of proving keys).
-    pub fn to_mont_limbs(&self) -> [u64; 4] {
-        self.0
-    }
-
-    /// Rebuilds an element from raw Montgomery limbs.
-    ///
-    /// The caller must guarantee the limbs were produced by
-    /// [`Fp::to_mont_limbs`]; out-of-range limbs yield an invalid element.
-    pub fn from_mont_limbs(limbs: [u64; 4]) -> Self {
-        Fp(limbs, PhantomData)
-    }
-
-    /// Reduces a canonical 256-bit value modulo `p` (at most a few
-    /// conditional subtractions since `p > 2^253`).
     /// `self / 2`: an odd representative first becomes even by adding `p`
     /// (no carry out: both are below `2²⁵⁴`).
     #[inline]
@@ -311,6 +296,8 @@ impl<P: FpParams> Fp<P> {
         Fp(shr1(&t), PhantomData)
     }
 
+    /// Reduces a canonical 256-bit value modulo `p` (at most a few
+    /// conditional subtractions since `p > 2^253`).
     fn reduce_canonical(mut limbs: [u64; 4]) -> [u64; 4] {
         while geq(&limbs, &P::MODULUS) {
             limbs = sub_limbs(&limbs, &P::MODULUS);
@@ -560,36 +547,25 @@ impl<P: FpParams> PrimeField for Fp<P> {
 
     fn from_le_bytes_mod_order(bytes: &[u8]) -> Self {
         assert!(bytes.len() <= 64, "input longer than 64 bytes");
-        let mut lo = [0u8; 32];
-        let mut hi = [0u8; 32];
-        for (i, &b) in bytes.iter().enumerate() {
-            if i < 32 {
-                lo[i] = b;
-            } else {
-                hi[i - 32] = b;
+        let to_mont = |half: &[u8]| {
+            let mut buf = [0u8; 32];
+            buf[..half.len()].copy_from_slice(half);
+            let mut limbs = [0u64; 4];
+            for (limb, chunk) in limbs.iter_mut().zip(buf.as_chunks::<8>().0) {
+                *limb = u64::from_le_bytes(*chunk);
             }
-        }
-        let limbs_of = |bs: &[u8; 32]| {
-            let mut l = [0u64; 4];
-            for i in 0..4 {
-                l[i] = u64::from_le_bytes(bs[i * 8..(i + 1) * 8].try_into().unwrap());
-            }
-            l
+            Fp::<P>(
+                Self::mont_mul(&Self::reduce_canonical(limbs), &Self::R2),
+                PhantomData,
+            )
         };
-        let f_lo = Fp::<P>(
-            Self::mont_mul(&Self::reduce_canonical(limbs_of(&lo)), &Self::R2),
-            PhantomData,
-        );
-        let f_hi = Fp::<P>(
-            Self::mont_mul(&Self::reduce_canonical(limbs_of(&hi)), &Self::R2),
-            PhantomData,
-        );
-        // value = lo + hi·2²⁵⁶; 2²⁵⁶ mod p is exactly the canonical value R.
-        let two_256 = Fp::<P>(
-            Self::mont_mul(&Self::R, &Self::R2), // R in Montgomery form
-            PhantomData,
-        );
-        f_lo + f_hi * two_256
+        let (lo, hi) = bytes.split_at(bytes.len().min(32));
+        if hi.is_empty() {
+            return to_mont(lo);
+        }
+        // value = lo + hi·2²⁵⁶, and 2²⁵⁶ mod p = R, whose Montgomery form
+        // R·R mod p is the constant R².
+        to_mont(lo) + to_mont(hi) * Fp::<P>(Self::R2, PhantomData)
     }
 
     fn to_le_bytes(&self) -> [u8; 32] {
@@ -707,9 +683,8 @@ mod tests {
         // the same maps on them as on canonical values.
         fn edges<P: FpParams>(rng: &mut StdRng) {
             let p = BigUint::from_limbs(&P::MODULUS);
-            let raw =
-                |v: &BigUint| Fp::<P>::from_mont_limbs(v.to_fixed_limbs(4).try_into().unwrap());
-            let big = |f: Fp<P>| BigUint::from_limbs(&f.to_mont_limbs());
+            let raw = |v: &BigUint| Fp::<P>(v.to_fixed_limbs(4).try_into().unwrap(), PhantomData);
+            let big = |f: Fp<P>| BigUint::from_limbs(&f.0);
             let n = |v: u64| BigUint::from(v);
             let check = |got: Fp<P>, want: BigUint, what: &str| {
                 assert_eq!(big(got), want.rem(&p), "{what}");
@@ -768,11 +743,8 @@ mod tests {
                 check(-Fp::<P>::from_u64(k));
                 check(Fp::<P>::from_u64(2).pow(&[16 * k - 1]));
             }
-            check(Fp::<P>::from_mont_limbs([1, 0, 0, 0]));
-            check(Fp::<P>::from_mont_limbs(sub_limbs(
-                &P::MODULUS,
-                &[1, 0, 0, 0],
-            )));
+            check(Fp::<P>([1, 0, 0, 0], PhantomData));
+            check(Fp::<P>(sub_limbs(&P::MODULUS, &[1, 0, 0, 0]), PhantomData));
             for _ in 0..2000 {
                 check(Fp::<P>::random(rng));
             }
@@ -850,6 +822,54 @@ mod tests {
             bytes[i * 8..(i + 1) * 8].copy_from_slice(&limbs[i].to_le_bytes());
         }
         assert!(Fr::from_le_bytes(&bytes).is_none());
+    }
+
+    #[test]
+    fn from_le_bytes_mod_order_against_biguint() {
+        // The 32-byte path `message_hash` takes skips the high half; check
+        // it, and the shorter and wider inputs beside it, against the
+        // bignum reduction. Most random 32-byte values are ≥ p (p < 2²⁵⁴).
+        fn sweep<P: FpParams>(rng: &mut StdRng) {
+            let p = BigUint::from_limbs(&P::MODULUS);
+            let le_bytes = |v: &BigUint| -> Vec<u8> {
+                v.to_fixed_limbs(4)
+                    .iter()
+                    .flat_map(|l| l.to_le_bytes())
+                    .collect()
+            };
+            let mut inputs: Vec<Vec<u8>> = vec![
+                vec![0xFF; 32],
+                le_bytes(&p),
+                le_bytes(&p.add(&BigUint::one())),
+                le_bytes(&p.sub(&BigUint::one())),
+                vec![],
+            ];
+            for len in (0..=64).chain([32; 200]) {
+                let mut bytes = vec![0u8; len];
+                rng.fill_bytes(&mut bytes);
+                inputs.push(bytes);
+            }
+            for bytes in inputs {
+                let limbs: Vec<u64> = bytes
+                    .chunks(8)
+                    .map(|c| {
+                        let mut l = [0u8; 8];
+                        l[..c.len()].copy_from_slice(c);
+                        u64::from_le_bytes(l)
+                    })
+                    .collect();
+                let want = BigUint::from_limbs(&limbs).rem(&p);
+                let got = Fp::<P>::from_le_bytes_mod_order(&bytes);
+                assert_eq!(
+                    BigUint::from_limbs(&got.to_canonical_limbs()),
+                    want,
+                    "{bytes:02x?}"
+                );
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(7);
+        sweep::<crate::fields::FrParams>(&mut rng);
+        sweep::<crate::fields::FqParams>(&mut rng);
     }
 
     #[test]

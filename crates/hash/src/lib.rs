@@ -4,7 +4,9 @@
 //! implemented from scratch and validated against published test vectors:
 //!
 //! * [`sha256()`] — FIPS 180-4 SHA-256. Maps message payloads into the RLN
-//!   share x-coordinate (`x = H(m)`, paper §II-B).
+//!   share x-coordinate (`x = H(m)`, paper §II-B). On x86_64 CPUs with the
+//!   SHA extensions (detected at run time) the block compression runs on
+//!   them, elsewhere on portable code; the digests are identical.
 //! * [`keccak`] — Ethereum-style Keccak-256. Backs addresses, transaction
 //!   hashes, and commit-reveal commitments on the simulated chain, plus the
 //!   Whisper PoW baseline (EIP-627).
