@@ -15,20 +15,20 @@
 //!   and their slots are reclaimed in place — steady-state inserts never
 //!   allocate, and the table never grows past the live window's
 //!   footprint.
-//! * [`TopicCaches`] — the mcache reorganized **per topic**: each topic
-//!   keeps its own ring of heartbeat windows with a contiguous id
-//!   side-array, so heartbeat gossip is a memcpy instead of a scan-and-
-//!   filter over every cached message, and the assembled id list is
-//!   shared as one `Arc<[MessageId]>` across all `d_lazy` IHAVE sends.
+//! * [`MessageCache`] — the mcache as one ring of heartbeat windows,
+//!   each with a contiguous id side-array, so heartbeat gossip is a
+//!   memcpy instead of a scan-and-filter over every cached message, and
+//!   the assembled id list is shared as one `Arc<[MessageId]>` across
+//!   all `d_lazy` IHAVE sends.
 //!
 //! Both structures are strictly per-peer (the engine's share-nothing
 //! rule), and every operation is a pure function of the peer's event
 //! history, so runs stay bit-identical at any shard count.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::message::{Message, MessageId, Topic};
+use crate::message::{Message, MessageId};
 
 /// 64-bit fingerprint of a message id: the leading 8 bytes. Ids are
 /// keccak256 outputs, so the prefix is already uniform — no extra mixing
@@ -209,10 +209,10 @@ impl SeenSet {
     }
 }
 
-/// One heartbeat window of one topic's cache: the messages that arrived
-/// in that window plus a contiguous side-array of their ids (the gossip
-/// hot path only needs ids, and a dense copy beats striding through
-/// `Message` structs).
+/// One heartbeat window of the mcache: the messages that arrived in that
+/// window plus a contiguous side-array of their ids (the gossip hot path
+/// only needs ids, and a dense copy beats striding through `Message`
+/// structs).
 #[derive(Default)]
 struct CacheWindow {
     msgs: Vec<Arc<Message>>,
@@ -226,100 +226,74 @@ impl CacheWindow {
     }
 }
 
-/// Per-topic message cache ring. `windows[0]` is the **open** window
-/// (messages accepted since the last heartbeat); `windows[1..]` are
-/// completed windows, newest first — the gossip / retrieval range.
+/// The per-peer mcache: one ring of heartbeat windows. `windows[0]` is
+/// the **open** window (messages accepted since the last heartbeat);
+/// `windows[1..]` are completed windows, newest first — the gossip /
+/// retrieval range.
 #[derive(Default)]
-struct TopicCache {
+pub struct MessageCache {
     windows: VecDeque<CacheWindow>,
 }
 
-/// The per-peer mcache, organized per topic (see module docs).
-#[derive(Default)]
-pub struct TopicCaches {
-    topics: BTreeMap<Topic, TopicCache>,
-}
-
-impl TopicCaches {
-    /// Creates an empty cache set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Caches a message in its topic's open window.
+impl MessageCache {
+    /// Caches a message in the open window.
     pub fn insert(&mut self, message: Arc<Message>) {
-        let cache = self.topics.entry(message.topic).or_default();
-        if cache.windows.is_empty() {
-            cache.windows.push_front(CacheWindow::default());
+        if self.windows.is_empty() {
+            self.windows.push_front(CacheWindow::default());
         }
-        let window = &mut cache.windows[0];
+        let window = &mut self.windows[0];
         window.ids.push(message.id);
         window.msgs.push(message);
     }
 
-    /// Looks a message up by id across every topic and window (IWANT
-    /// service). Ids are content-derived and unique, so scan order does
-    /// not matter; windows are newest-first, matching the old mcache.
+    /// Looks a message up by id across every window (IWANT service). Ids
+    /// are content-derived and unique, so scan order does not matter;
+    /// windows are newest-first, matching the old mcache.
     pub fn find(&self, id: &MessageId) -> Option<&Arc<Message>> {
-        self.topics.values().find_map(|cache| {
-            cache
-                .windows
-                .iter()
-                .flat_map(|w| w.msgs.iter())
-                .find(|m| m.id == *id)
-        })
+        self.windows
+            .iter()
+            .flat_map(|w| w.msgs.iter())
+            .find(|m| m.id == *id)
     }
 
-    /// Ids to gossip for `topic`: every message in the most recent
-    /// `gossip_windows` **completed** windows (the open window is not
-    /// gossiped — it rotates first, exactly like the original mcache).
-    /// Returns `None` when there is nothing to advertise; the `Arc` is
-    /// shared across all IHAVE sends of one heartbeat.
-    pub fn gossip_ids(&self, topic: Topic, gossip_windows: usize) -> Option<Arc<[MessageId]>> {
-        let cache = self.topics.get(&topic)?;
-        let total: usize = cache
-            .windows
-            .iter()
-            .skip(1)
-            .take(gossip_windows)
-            .map(|w| w.ids.len())
-            .sum();
+    /// Ids to gossip: every message in the most recent `gossip_windows`
+    /// **completed** windows (the open window is not gossiped — it
+    /// rotates first, exactly like the original mcache). Returns `None`
+    /// when there is nothing to advertise; the `Arc` is shared across all
+    /// IHAVE sends of one heartbeat.
+    pub fn gossip_ids(&self, gossip_windows: usize) -> Option<Arc<[MessageId]>> {
+        let gossiped = || self.windows.iter().skip(1).take(gossip_windows);
+        let total: usize = gossiped().map(|w| w.ids.len()).sum();
         if total == 0 {
             return None;
         }
         let mut out = Vec::with_capacity(total);
-        for w in cache.windows.iter().skip(1).take(gossip_windows) {
+        for w in gossiped() {
             out.extend_from_slice(&w.ids);
         }
         Some(out.into())
     }
 
-    /// Heartbeat rotation: every topic's open window is sealed and a new
-    /// one opened; at most `keep` completed windows are retained. The
-    /// oldest window's buffers are recycled into the new open window, so
+    /// Heartbeat rotation: the open window is sealed and a new one
+    /// opened; at most `keep` completed windows are retained. The oldest
+    /// window's buffers are recycled into the new open window, so
     /// steady-state rotation does not allocate.
     pub fn rotate(&mut self, keep: usize) {
-        for cache in self.topics.values_mut() {
-            let fresh = if cache.windows.len() > keep {
-                let mut recycled = cache.windows.pop_back().expect("non-empty");
-                recycled.clear();
-                // Drop any further excess (keep shrank mid-run).
-                cache.windows.truncate(keep);
-                recycled
-            } else {
-                CacheWindow::default()
-            };
-            cache.windows.push_front(fresh);
-        }
+        let fresh = if self.windows.len() > keep {
+            let mut recycled = self.windows.pop_back().expect("non-empty");
+            recycled.clear();
+            // Drop any further excess (keep shrank mid-run).
+            self.windows.truncate(keep);
+            recycled
+        } else {
+            CacheWindow::default()
+        };
+        self.windows.push_front(fresh);
     }
 
-    /// Total cached messages across topics and windows (diagnostics).
+    /// Total cached messages across windows (diagnostics).
     pub fn len(&self) -> usize {
-        self.topics
-            .values()
-            .flat_map(|c| c.windows.iter())
-            .map(|w| w.msgs.len())
-            .sum()
+        self.windows.iter().map(|w| w.msgs.len()).sum()
     }
 
     /// True when nothing is cached.
@@ -427,61 +401,40 @@ mod tests {
         assert!(s.capacity() <= 256, "capacity {} runaway", s.capacity());
     }
 
-    fn msg(topic: Topic, tag: u8) -> Arc<Message> {
-        Arc::new(Message::new(
-            topic,
-            vec![tag],
-            0,
-            tag as u64,
-            TrafficClass::Honest,
-        ))
+    fn msg(tag: u8) -> Arc<Message> {
+        Arc::new(Message::new(vec![tag], 0, tag as u64, TrafficClass::Honest))
     }
 
     #[test]
     fn open_window_is_not_gossiped_until_rotated() {
-        let mut c = TopicCaches::new();
-        let m = msg(1, 1);
+        let mut c = MessageCache::default();
+        let m = msg(1);
         let mid = m.id;
         c.insert(m);
-        assert!(c.gossip_ids(1, 3).is_none(), "open window not advertised");
+        assert!(c.gossip_ids(3).is_none(), "open window not advertised");
         c.rotate(5);
-        let ids = c.gossip_ids(1, 3).expect("advertised after rotation");
+        let ids = c.gossip_ids(3).expect("advertised after rotation");
         assert_eq!(&*ids, &[mid]);
         assert!(c.find(&mid).is_some(), "still retrievable");
     }
 
     #[test]
     fn gossip_range_and_retention_match_mcache_semantics() {
-        let mut c = TopicCaches::new();
+        let mut c = MessageCache::default();
         let mut ids = Vec::new();
         // One message per window, 8 windows.
         for tag in 0..8u8 {
-            let m = msg(1, tag);
+            let m = msg(tag);
             ids.push(m.id);
             c.insert(m);
             c.rotate(5);
         }
         // Gossip = 3 newest completed windows: tags 7, 6, 5 (newest first).
-        let gossip = c.gossip_ids(1, 3).expect("gossip ids");
+        let gossip = c.gossip_ids(3).expect("gossip ids");
         assert_eq!(&*gossip, &[ids[7], ids[6], ids[5]]);
         // Retention = 5 completed windows: tags 3..=7 retrievable, 0..=2 gone.
         for (tag, id) in ids.iter().enumerate() {
             assert_eq!(c.find(id).is_some(), tag >= 3, "tag {tag}");
         }
-    }
-
-    #[test]
-    fn topics_are_cached_independently() {
-        let mut c = TopicCaches::new();
-        let a = msg(1, 1);
-        let b = msg(2, 2);
-        let (ia, ib) = (a.id, b.id);
-        c.insert(a);
-        c.insert(b);
-        c.rotate(5);
-        assert_eq!(&*c.gossip_ids(1, 3).unwrap(), &[ia]);
-        assert_eq!(&*c.gossip_ids(2, 3).unwrap(), &[ib]);
-        assert!(c.gossip_ids(3, 3).is_none());
-        assert!(c.find(&ia).is_some() && c.find(&ib).is_some());
     }
 }

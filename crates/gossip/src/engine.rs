@@ -18,7 +18,7 @@
 //!   per-shard queue does at any shard count, because pop order over
 //!   unique keys is insertion-order independent.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -27,10 +27,10 @@ use rand::{Rng, SeedableRng};
 
 use waku_metrics::LocalRecorder;
 
-use crate::cache::{SeenSet, TopicCaches};
+use crate::cache::{MessageCache, SeenSet};
 use crate::faults::fault_word;
 use crate::instrument::engine_catalogue;
-use crate::message::{Message, MessageId, PeerId, Rpc, SimTime, Topic, TrafficClass, Validation};
+use crate::message::{Message, MessageId, PeerId, Rpc, SimTime, TrafficClass, Validation};
 use crate::network::{NetworkConfig, Validator};
 use crate::scoring::{ScoreTable, GRAYLIST_THRESHOLD, PRUNE_THRESHOLD};
 
@@ -79,7 +79,6 @@ pub(crate) enum SimEvent {
     },
     Heartbeat,
     Publish {
-        topic: Topic,
         data: Vec<u8>,
         class: TrafficClass,
     },
@@ -152,15 +151,16 @@ pub(crate) fn peer_stream_seed(seed: u64, peer: PeerId) -> u64 {
 
 /// One peer: protocol state + private RNG + private event counter.
 /// `Send` end to end (the validator bound included) so shards can migrate
-/// across pool workers between rounds.
+/// across pool workers between rounds. Every peer relays the network's
+/// one pubsub topic from construction, so the mesh and the mcache are
+/// that topic's.
 pub(crate) struct PeerSlot {
     pub neighbors: Vec<PeerId>,
-    pub subscriptions: BTreeSet<Topic>,
-    pub mesh: BTreeMap<Topic, BTreeSet<PeerId>>,
+    pub mesh: BTreeSet<PeerId>,
     /// Generational duplicate-suppression set (rotated each heartbeat).
     pub seen: SeenSet,
-    /// Per-topic mcache rings (rotated each heartbeat).
-    pub cache: TopicCaches,
+    /// The mcache window ring (rotated each heartbeat).
+    pub cache: MessageCache,
     pub scores: ScoreTable,
     pub validator: Option<Validator>,
     pub drift_ms: i64,
@@ -188,10 +188,9 @@ impl PeerSlot {
     pub(crate) fn new(seed: u64, peer: PeerId, drift_ms: i64) -> Self {
         PeerSlot {
             neighbors: Vec::new(),
-            subscriptions: BTreeSet::new(),
-            mesh: BTreeMap::new(),
+            mesh: BTreeSet::new(),
             seen: SeenSet::new(SEEN_WINDOW),
-            cache: TopicCaches::new(),
+            cache: MessageCache::default(),
             scores: ScoreTable::default(),
             validator: None,
             drift_ms,
@@ -259,15 +258,6 @@ impl PeerSlot {
             .max(1)
     }
 
-    /// Counts one transmission of `rpc` (`size` bytes) as sent.
-    fn record_sent(&mut self, rpc: &Rpc, size: u64) {
-        let ids = &engine_catalogue().1;
-        self.recorder.add(ids.bytes_sent, size);
-        if rpc.topic().is_some() {
-            self.recorder.add(ids.topic_bytes_out, size);
-        }
-    }
-
     fn send_rpc(
         &mut self,
         me: PeerId,
@@ -278,7 +268,7 @@ impl PeerSlot {
         out: &mut Vec<QueuedEvent>,
     ) {
         let size = rpc.size() as u64;
-        self.record_sent(&rpc, size);
+        self.recorder.add(engine_catalogue().1.bytes_sent, size);
         let latency = self.link_latency(config);
         let plan = &config.faults;
         if !plan.affects_links() {
@@ -308,7 +298,7 @@ impl PeerSlot {
         let delay = latency + plan.link.extra_delay(word);
         if plan.link.duplicates(word) {
             let dup_delay = delay + plan.link.duplicate_lag(word);
-            self.record_sent(&rpc, size);
+            self.recorder.add(engine_catalogue().1.bytes_sent, size);
             self.recorder.observe(engine_catalogue().1.dwell, dup_delay);
             out.push(QueuedEvent {
                 key: self.next_key(me, now + dup_delay),
@@ -354,9 +344,9 @@ impl PeerSlot {
             return;
         }
         match event {
-            SimEvent::Publish { topic, data, class } => {
+            SimEvent::Publish { data, class } => {
                 self.recorder.inc(ids.publishes);
-                self.handle_local_publish(me, now, topic, data, class, config, out)
+                self.handle_local_publish(me, now, data, class, config, out)
             }
             SimEvent::Heartbeat => {
                 self.recorder.inc(ids.heartbeats);
@@ -386,10 +376,8 @@ impl PeerSlot {
     /// neighbors' gossip windows.
     fn handle_restart(&mut self, me: PeerId, now: SimTime, out: &mut Vec<QueuedEvent>) {
         self.seen = SeenSet::new(SEEN_WINDOW);
-        self.cache = TopicCaches::new();
-        for members in self.mesh.values_mut() {
-            members.clear();
-        }
+        self.cache = MessageCache::default();
+        self.mesh.clear();
         self.scores = ScoreTable::default();
         let local = self.local_time(now);
         if let Some(v) = self.validator.as_mut() {
@@ -399,12 +387,10 @@ impl PeerSlot {
         self.schedule(me, now, 1, me, SimEvent::Heartbeat, out);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn handle_local_publish(
         &mut self,
         me: PeerId,
         now: SimTime,
-        topic: Topic,
         data: Vec<u8>,
         class: TrafficClass,
         config: &NetworkConfig,
@@ -412,33 +398,25 @@ impl PeerSlot {
     ) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut message = Message::new(topic, data, me, seq, class);
+        let mut message = Message::new(data, me, seq, class);
         message.published_at = now;
         let message = Arc::new(message);
         self.seen.insert(&message.id);
         self.cache.insert(Arc::clone(&message));
         let mut targets = std::mem::take(&mut self.targets_scratch);
-        self.mesh_targets(me, topic, None, &mut targets);
+        self.mesh_targets(me, None, &mut targets);
         for &t in &targets {
             self.send_rpc(me, now, t, Rpc::Publish(Arc::clone(&message)), config, out);
         }
         self.targets_scratch = targets;
     }
 
-    /// Mesh peers for forwarding (fallback: random subscribed neighbors
-    /// when the mesh hasn't formed yet). Fills the caller-provided buffer
-    /// (the reusable [`Self::targets_scratch`]) instead of allocating.
-    fn mesh_targets(
-        &mut self,
-        me: PeerId,
-        topic: Topic,
-        exclude: Option<PeerId>,
-        targets: &mut Vec<PeerId>,
-    ) {
+    /// Mesh peers for forwarding (fallback: random neighbors when the
+    /// mesh hasn't formed yet). Fills the caller-provided buffer (the
+    /// reusable [`Self::targets_scratch`]) instead of allocating.
+    fn mesh_targets(&mut self, me: PeerId, exclude: Option<PeerId>, targets: &mut Vec<PeerId>) {
         targets.clear();
-        if let Some(m) = self.mesh.get(&topic) {
-            targets.extend(m.iter().copied());
-        }
+        targets.extend(self.mesh.iter().copied());
         if targets.is_empty() {
             targets.extend_from_slice(&self.neighbors);
             targets.shuffle(&mut self.rng);
@@ -456,19 +434,15 @@ impl PeerSlot {
         config: &NetworkConfig,
         out: &mut Vec<QueuedEvent>,
     ) {
-        let ids = &engine_catalogue().1;
-        let size = rpc.size() as u64;
-        self.recorder.add(ids.bytes_received, size);
-        if rpc.topic().is_some() {
-            self.recorder.add(ids.topic_bytes_in, size);
-        }
+        self.recorder
+            .add(engine_catalogue().1.bytes_received, rpc.size() as u64);
         // Fast path: duplicate publishes (the dominant event class at
         // scale — every message arrives ~mesh-degree times) are absorbed
         // before the score lookup. Behavior is identical: a duplicate is
         // dropped with no state change whether or not the sender is
         // graylisted.
         if let Rpc::Publish(message) = &rpc {
-            if !self.subscriptions.contains(&message.topic) || self.seen.contains(&message.id) {
+            if self.seen.contains(&message.id) {
                 return;
             }
         }
@@ -479,10 +453,7 @@ impl PeerSlot {
         }
         match rpc {
             Rpc::Publish(message) => self.handle_publish(me, now, from, message, config, out),
-            Rpc::IHave(topic, ids) => {
-                if !self.subscriptions.contains(&topic) {
-                    return;
-                }
+            Rpc::IHave(ids) => {
                 let wanted: Vec<MessageId> = ids
                     .iter()
                     .filter(|id| !self.seen.contains(id))
@@ -501,19 +472,15 @@ impl PeerSlot {
                     self.send_rpc(me, now, from, Rpc::Publish(m), config, out);
                 }
             }
-            Rpc::Graft(topic) => {
-                let subscribed = self.subscriptions.contains(&topic);
-                let acceptable = score >= PRUNE_THRESHOLD;
-                if subscribed && acceptable {
-                    self.mesh.entry(topic).or_default().insert(from);
+            Rpc::Graft => {
+                if score >= PRUNE_THRESHOLD {
+                    self.mesh.insert(from);
                 } else {
-                    self.send_rpc(me, now, from, Rpc::Prune(topic), config, out);
+                    self.send_rpc(me, now, from, Rpc::Prune, config, out);
                 }
             }
-            Rpc::Prune(topic) => {
-                if let Some(mesh) = self.mesh.get_mut(&topic) {
-                    mesh.remove(&from);
-                }
+            Rpc::Prune => {
+                self.mesh.remove(&from);
             }
         }
     }
@@ -527,12 +494,8 @@ impl PeerSlot {
         config: &NetworkConfig,
         out: &mut Vec<QueuedEvent>,
     ) {
-        if !self.subscriptions.contains(&message.topic) {
-            return;
-        }
-        if self.seen.contains(&message.id) {
-            return; // duplicate floods are absorbed by the seen-cache
-        }
+        // Duplicates never get here: `handle_rpc` absorbs them against
+        // the seen-cache before the score lookup.
         // Validate (the RLN pipeline plugs in here, §III-F).
         let ids = &engine_catalogue().1;
         let local = self.local_time(now);
@@ -563,7 +526,7 @@ impl PeerSlot {
                     },
                 ));
                 let mut targets = std::mem::take(&mut self.targets_scratch);
-                self.mesh_targets(me, message.topic, Some(from), &mut targets);
+                self.mesh_targets(me, Some(from), &mut targets);
                 for &t in &targets {
                     if t != message.origin {
                         self.send_rpc(me, now, t, Rpc::Publish(message.clone()), config, out);
@@ -600,76 +563,59 @@ impl PeerSlot {
             v.on_heartbeat(local);
         }
 
-        let topics: Vec<Topic> = self.subscriptions.iter().copied().collect();
-        for topic in topics {
-            // 1. prune negative-score mesh members
-            let mesh: Vec<PeerId> = self
-                .mesh
-                .get(&topic)
-                .map(|m| m.iter().copied().collect())
-                .unwrap_or_default();
-            let mut to_prune = Vec::new();
-            for m in &mesh {
-                if self.score_of(*m) < PRUNE_THRESHOLD {
-                    to_prune.push(*m);
-                }
-            }
-            for m in to_prune {
-                self.mesh.get_mut(&topic).expect("mesh exists").remove(&m);
-                self.send_rpc(me, now, m, Rpc::Prune(topic), config, out);
-            }
+        // 1. prune negative-score mesh members
+        let to_prune: Vec<PeerId> = self
+            .mesh
+            .iter()
+            .copied()
+            .filter(|&m| self.score_of(m) < PRUNE_THRESHOLD)
+            .collect();
+        for m in to_prune {
+            self.mesh.remove(&m);
+            self.send_rpc(me, now, m, Rpc::Prune, config, out);
+        }
 
-            // 2. degree maintenance
-            let current: BTreeSet<PeerId> = self.mesh.get(&topic).cloned().unwrap_or_default();
-            if current.len() < D_LO {
-                let mut candidates: Vec<PeerId> = self
-                    .neighbors
-                    .iter()
-                    .copied()
-                    .filter(|n| !current.contains(n) && self.score_of(*n) >= PRUNE_THRESHOLD)
-                    .collect();
-                candidates.shuffle(&mut self.rng);
-                for c in candidates.into_iter().take(D - current.len()) {
-                    self.mesh.entry(topic).or_default().insert(c);
-                    self.send_rpc(me, now, c, Rpc::Graft(topic), config, out);
-                }
-            } else if current.len() > D_HI {
-                let mut members: Vec<PeerId> = current.iter().copied().collect();
-                members.shuffle(&mut self.rng);
-                for m in members.into_iter().take(current.len() - D) {
-                    self.mesh.get_mut(&topic).expect("mesh exists").remove(&m);
-                    self.send_rpc(me, now, m, Rpc::Prune(topic), config, out);
-                }
+        // 2. degree maintenance
+        let degree = self.mesh.len();
+        if degree < D_LO {
+            let mut candidates: Vec<PeerId> = self
+                .neighbors
+                .iter()
+                .copied()
+                .filter(|n| !self.mesh.contains(n) && self.score_of(*n) >= PRUNE_THRESHOLD)
+                .collect();
+            candidates.shuffle(&mut self.rng);
+            for c in candidates.into_iter().take(D - degree) {
+                self.mesh.insert(c);
+                self.send_rpc(me, now, c, Rpc::Graft, config, out);
             }
+        } else if degree > D_HI {
+            let mut members: Vec<PeerId> = self.mesh.iter().copied().collect();
+            members.shuffle(&mut self.rng);
+            for m in members.into_iter().take(degree - D) {
+                self.mesh.remove(&m);
+                self.send_rpc(me, now, m, Rpc::Prune, config, out);
+            }
+        }
 
-            // 3. IHAVE gossip to non-mesh subscribed neighbors: one id
-            // list per topic per heartbeat, refcount-shared across sends.
-            if let Some(gossip_ids) = self.cache.gossip_ids(topic, MCACHE_GOSSIP) {
-                let mesh_now: BTreeSet<PeerId> = self.mesh.get(&topic).cloned().unwrap_or_default();
-                let mut lazy: Vec<PeerId> = self
-                    .neighbors
-                    .iter()
-                    .copied()
-                    .filter(|n| !mesh_now.contains(n))
-                    .collect();
-                lazy.shuffle(&mut self.rng);
-                for l in lazy.into_iter().take(D_LAZY) {
-                    self.send_rpc(
-                        me,
-                        now,
-                        l,
-                        Rpc::IHave(topic, Arc::clone(&gossip_ids)),
-                        config,
-                        out,
-                    );
-                }
+        // 3. IHAVE gossip to non-mesh neighbors: one id list per
+        // heartbeat, refcount-shared across sends.
+        if let Some(gossip_ids) = self.cache.gossip_ids(MCACHE_GOSSIP) {
+            let mut lazy: Vec<PeerId> = self
+                .neighbors
+                .iter()
+                .copied()
+                .filter(|n| !self.mesh.contains(n))
+                .collect();
+            lazy.shuffle(&mut self.rng);
+            for l in lazy.into_iter().take(D_LAZY) {
+                let rpc = Rpc::IHave(Arc::clone(&gossip_ids));
+                self.send_rpc(me, now, l, rpc, config, out);
             }
         }
 
         // 4. mesh-time accrual + decay
-        let mesh_members: Vec<PeerId> =
-            self.mesh.values().flat_map(|m| m.iter().copied()).collect();
-        for m in mesh_members {
+        for &m in &self.mesh {
             self.scores
                 .entry_or_default(m)
                 .on_mesh_time(HEARTBEAT_MS as f64 / 1000.0);

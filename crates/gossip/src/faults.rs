@@ -59,7 +59,7 @@ pub struct LinkFaults {
 
 impl LinkFaults {
     /// True when no link fault can ever fire.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.drop_permille == 0
             && self.duplicate_permille == 0
             && (self.reorder_permille == 0 || self.reorder_delay_ms == 0)
@@ -117,7 +117,7 @@ pub struct PartitionSpec {
 
 impl PartitionSpec {
     /// Is the `a → b` link severed by this partition at time `at`?
-    pub fn severs(&self, a: PeerId, b: PeerId, at: SimTime) -> bool {
+    pub(crate) fn severs(&self, a: PeerId, b: PeerId, at: SimTime) -> bool {
         at >= self.start_ms && at < self.end_ms && (a < self.cut) != (b < self.cut)
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! Recording costs on the hot path: two counter increments per dispatched
 //! event (the event total and its kind), one byte counter per send and
-//! per receive (two for a topic-bearing RPC), one increment per
+//! per receive, one increment per
 //! validation verdict, and one `leading_zeros` bucket index per scheduled
 //! event — noise against the ~µs dispatch budget (`gossip.ns_per_event`
 //! in `BENCHMARK.json`).
@@ -47,13 +47,6 @@ pub(crate) struct EngineIds {
     pub dropped_fault: CounterId,
     /// Restart events dispatched (peer rejoined after a scheduled crash).
     pub restarts: CounterId,
-    /// Bytes received in topic-bearing RPCs (Publish/IHave/Graft/Prune).
-    /// `engine_` prefix by ISSUE naming, but deterministic — asserted
-    /// scheduler-independent explicitly, like `engine_msgs_dropped_fault`.
-    pub topic_bytes_in: CounterId,
-    /// Bytes sent in topic-bearing RPCs (duplicated fault transmissions
-    /// count, matching `gossip_bytes_sent_total`).
-    pub topic_bytes_out: CounterId,
     /// Bytes sent, all RPCs (duplicated fault transmissions count).
     pub bytes_sent: CounterId,
     /// Bytes received, all RPCs.
@@ -95,11 +88,6 @@ pub(crate) fn engine_catalogue() -> &'static (Arc<Layout>, EngineIds) {
                 "peer_restarts",
                 "Peers restarted after a scheduled crash (fault plane).",
             ),
-            topic_bytes_in: b.counter(
-                "engine_topic_bytes_in",
-                "Bytes received in topic-bearing RPCs.",
-            ),
-            topic_bytes_out: b.counter("engine_topic_bytes_out", "Bytes sent in topic-bearing RPCs."),
             bytes_sent: b.counter("gossip_bytes_sent_total", "Bytes sent, all RPCs."),
             bytes_received: b.counter("gossip_bytes_received_total", "Bytes received, all RPCs."),
             validations: b.counter("gossip_validations_total", "Validator invocations."),

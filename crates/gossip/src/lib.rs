@@ -16,7 +16,7 @@
 //!   cross-shard RPCs through outboxes drained at round barriers. At one
 //!   shard it is the serial reference (`NetworkConfig::shards`).
 //! * [`cache`] — compact generational message caches: the open-addressed
-//!   duplicate-suppression set and the per-topic mcache rings behind the
+//!   duplicate-suppression set and the mcache window ring behind the
 //!   10⁴-peer hot path.
 //! * [`faults`] — the deterministic fault-injection plane: seeded link
 //!   drop/duplicate/jitter/reorder, scheduled partitions with healing,
@@ -27,6 +27,9 @@
 //!   that the paper both compares against and composes with.
 //! * [`message`] — message/RPC types and the `Validator` verdicts that the
 //!   RLN validation pipeline plugs into (§III-F).
+//!
+//! Every peer relays one pubsub topic, the one an RLN group guards
+//! (§III-F), so meshes, caches and RPCs carry no topic key.
 //!
 //! Every run is seeded and reproducible — **bit-identical across shard
 //! counts and pool sizes**; experiment binaries in `waku-bench` and the
@@ -42,7 +45,7 @@ pub mod scheduler;
 pub mod scoring;
 
 pub use faults::{CrashSpec, FaultPlan, LinkFaults, PartitionSpec, SkewSpec};
-pub use message::{Message, MessageId, PeerId, Rpc, SimTime, Topic, TrafficClass, Validation};
+pub use message::{Message, MessageId, PeerId, Rpc, SimTime, TrafficClass, Validation};
 pub use network::{
     ConfigError, DeliveryRecord, MessageAcceptor, Network, NetworkConfig, NetworkConfigBuilder,
     Validator,

@@ -10,9 +10,6 @@ pub type PeerId = usize;
 /// Simulated network time in milliseconds.
 pub type SimTime = u64;
 
-/// Topic identifier.
-pub type Topic = u32;
-
 /// A unique message identifier.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MessageId(pub [u8; 32]);
@@ -39,15 +36,14 @@ pub enum TrafficClass {
     Invalid,
 }
 
-/// A pubsub message. The payload is reference-counted: flooding a message
+/// A message on the network's one pubsub topic (one RLN group guards one
+/// topic, §III-F). The payload is reference-counted: flooding a message
 /// to `n` mesh peers clones the header, not the bytes, which is what keeps
 /// 10⁴-peer sweeps affordable.
 #[derive(Clone, Debug)]
 pub struct Message {
     /// Content-derived identifier.
     pub id: MessageId,
-    /// Topic it was published to.
-    pub topic: Topic,
     /// Opaque payload (e.g. a serialized RLN bundle).
     pub data: Arc<[u8]>,
     /// Originating peer.
@@ -63,15 +59,13 @@ pub struct Message {
 
 impl Message {
     /// Builds a message with its content-derived id.
-    pub fn new(topic: Topic, data: Vec<u8>, origin: PeerId, seq: u64, class: TrafficClass) -> Self {
+    pub fn new(data: Vec<u8>, origin: PeerId, seq: u64, class: TrafficClass) -> Self {
         let mut buf = Vec::with_capacity(data.len() + 16);
-        buf.extend_from_slice(&topic.to_le_bytes());
         buf.extend_from_slice(&(origin as u64).to_le_bytes());
         buf.extend_from_slice(&seq.to_le_bytes());
         buf.extend_from_slice(&data);
         Message {
             id: MessageId(keccak256(&buf)),
-            topic,
             data: data.into(),
             origin,
             seq,
@@ -80,7 +74,10 @@ impl Message {
         }
     }
 
-    /// Approximate wire size in bytes.
+    /// Approximate wire size in bytes: id, topic, origin and sequence
+    /// headers plus the payload. A GossipSub RPC names its topic on the
+    /// wire even when the network runs only one, so the 4-byte topic
+    /// field stays in the count.
     pub fn size(&self) -> usize {
         32 + 4 + 8 + 8 + self.data.len()
     }
@@ -99,34 +96,25 @@ pub enum Rpc {
     /// peers). The id list is assembled once per heartbeat and shared
     /// across all `d_lazy` sends — cloning the RPC bumps a refcount
     /// instead of copying 32 bytes per cached message.
-    IHave(Topic, Arc<[MessageId]>),
+    IHave(Arc<[MessageId]>),
     /// Gossip reply: "send me these".
     IWant(Vec<MessageId>),
     /// Mesh join request.
-    Graft(Topic),
+    Graft,
     /// Mesh leave notice.
-    Prune(Topic),
+    Prune,
 }
 
 impl Rpc {
     /// Approximate wire size in bytes (for bandwidth accounting).
+    /// IHAVE, GRAFT and PRUNE carry their topic on the wire; IWANT does
+    /// not.
     pub fn size(&self) -> usize {
         match self {
             Rpc::Publish(m) => m.size(),
-            Rpc::IHave(_, ids) => 8 + ids.len() * 32,
+            Rpc::IHave(ids) => 8 + ids.len() * 32,
             Rpc::IWant(ids) => 4 + ids.len() * 32,
-            Rpc::Graft(_) | Rpc::Prune(_) => 8,
-        }
-    }
-
-    /// The topic this RPC is scoped to, when it carries one (`IWant`
-    /// requests ids across topics, so it has none) — drives the
-    /// topic-bearing byte counters (`engine_topic_bytes_{in,out}`).
-    pub fn topic(&self) -> Option<Topic> {
-        match self {
-            Rpc::Publish(m) => Some(m.topic),
-            Rpc::IHave(topic, _) | Rpc::Graft(topic) | Rpc::Prune(topic) => Some(*topic),
-            Rpc::IWant(_) => None,
+            Rpc::Graft | Rpc::Prune => 8,
         }
     }
 }
@@ -149,26 +137,26 @@ mod tests {
 
     #[test]
     fn id_is_content_derived() {
-        let a = Message::new(1, vec![1, 2, 3], 0, 0, TrafficClass::Honest);
-        let b = Message::new(1, vec![1, 2, 3], 0, 0, TrafficClass::Honest);
-        let c = Message::new(1, vec![1, 2, 4], 0, 0, TrafficClass::Honest);
+        let a = Message::new(vec![1, 2, 3], 0, 0, TrafficClass::Honest);
+        let b = Message::new(vec![1, 2, 3], 0, 0, TrafficClass::Honest);
+        let c = Message::new(vec![1, 2, 4], 0, 0, TrafficClass::Honest);
         assert_eq!(a.id, b.id);
         assert_ne!(a.id, c.id);
     }
 
     #[test]
     fn id_depends_on_origin_and_seq() {
-        let a = Message::new(1, vec![9], 0, 0, TrafficClass::Honest);
-        let b = Message::new(1, vec![9], 1, 0, TrafficClass::Honest);
-        let c = Message::new(1, vec![9], 0, 1, TrafficClass::Honest);
+        let a = Message::new(vec![9], 0, 0, TrafficClass::Honest);
+        let b = Message::new(vec![9], 1, 0, TrafficClass::Honest);
+        let c = Message::new(vec![9], 0, 1, TrafficClass::Honest);
         assert_ne!(a.id, b.id);
         assert_ne!(a.id, c.id);
     }
 
     #[test]
     fn rpc_sizes_scale() {
-        let m = Message::new(1, vec![0; 100], 0, 0, TrafficClass::Honest);
+        let m = Message::new(vec![0; 100], 0, 0, TrafficClass::Honest);
         assert!(Rpc::Publish(Arc::new(m.clone())).size() > 100);
-        assert!(Rpc::IHave(1, vec![m.id; 3].into()).size() > Rpc::Graft(1).size());
+        assert!(Rpc::IHave(vec![m.id; 3].into()).size() > Rpc::Graft.size());
     }
 }

@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use crate::engine::{PeerSlot, QueuedEvent, SimEvent, HEARTBEAT_MS};
 use crate::faults::FaultPlan;
 use crate::instrument::{engine_catalogue, network_catalogue};
-use crate::message::{Message, MessageId, PeerId, SimTime, Topic, TrafficClass, Validation};
+use crate::message::{Message, MessageId, PeerId, SimTime, TrafficClass, Validation};
 use crate::scheduler::Scheduler;
 
 pub use crate::engine::DeliveryRecord;
@@ -385,39 +385,20 @@ impl Network {
         self.scheduler.barriers()
     }
 
-    /// Subscribes a peer to a topic (it will join the mesh at heartbeats).
-    pub fn subscribe(&mut self, peer: PeerId, topic: Topic) {
-        self.slots[peer].subscriptions.insert(topic);
-        self.slots[peer].mesh.entry(topic).or_default();
-    }
-
-    /// Subscribes every peer to a topic.
-    pub fn subscribe_all(&mut self, topic: Topic) {
-        for p in 0..self.slots.len() {
-            self.subscribe(p, topic);
-        }
-    }
-
     /// Installs a peer's message validator: any [`MessageAcceptor`].
     pub fn set_validator(&mut self, peer: PeerId, validator: Validator) {
         self.slots[peer].validator = Some(validator);
     }
 
-    /// Schedules a publish at an absolute network time.
-    pub fn publish_at(
-        &mut self,
-        at: SimTime,
-        peer: PeerId,
-        topic: Topic,
-        data: Vec<u8>,
-        class: TrafficClass,
-    ) {
+    /// Schedules a publish on the network's one pubsub topic at an
+    /// absolute network time.
+    pub fn publish_at(&mut self, at: SimTime, peer: PeerId, data: Vec<u8>, class: TrafficClass) {
         let at = at.max(self.now);
         let key = self.slots[peer].next_key(peer, at);
         self.scheduler.enqueue(QueuedEvent {
             key,
             target: peer,
-            event: SimEvent::Publish { topic, data, class },
+            event: SimEvent::Publish { data, class },
         });
     }
 
@@ -510,8 +491,6 @@ mod tests {
     use crate::engine::D_HI;
     use crate::scoring::GRAYLIST_THRESHOLD;
 
-    const TOPIC: Topic = 1;
-
     /// Gives every message the same verdict.
     struct Always(Validation);
 
@@ -551,15 +530,13 @@ mod tests {
     }
 
     fn small_net_with(seed: u64, shards: Option<usize>) -> Network {
-        let mut net = Network::new(NetworkConfig {
+        Network::new(NetworkConfig {
             peers: 30,
             degree: 6,
             seed,
             shards,
             ..NetworkConfig::default()
-        });
-        net.subscribe_all(TOPIC);
-        net
+        })
     }
 
     #[test]
@@ -575,7 +552,7 @@ mod tests {
     fn message_reaches_everyone() {
         let mut net = small_net(1);
         net.run_until(3_000); // let meshes form
-        net.publish_at(3_000, 0, TOPIC, b"hello".to_vec(), TrafficClass::Honest);
+        net.publish_at(3_000, 0, b"hello".to_vec(), TrafficClass::Honest);
         net.run_until(20_000);
         // 29 receivers (origin counts its own copy as publisher, not a
         // delivery).
@@ -590,7 +567,7 @@ mod tests {
     fn no_duplicate_deliveries() {
         let mut net = small_net(2);
         net.run_until(3_000);
-        net.publish_at(3_000, 5, TOPIC, b"x".to_vec(), TrafficClass::Honest);
+        net.publish_at(3_000, 5, b"x".to_vec(), TrafficClass::Honest);
         net.run_until(20_000);
         for p in 0..30 {
             assert!(
@@ -608,7 +585,7 @@ mod tests {
             net.set_validator(p, Box::new(Always(Validation::Reject)));
         }
         net.run_until(3_000);
-        net.publish_at(3_000, 0, TOPIC, b"bad".to_vec(), TrafficClass::Invalid);
+        net.publish_at(3_000, 0, b"bad".to_vec(), TrafficClass::Invalid);
         net.run_until(20_000);
         let snap = net.metrics_snapshot();
         assert_eq!(snap.scalar("gossip_invalid_delivered_total"), 0);
@@ -631,7 +608,6 @@ mod tests {
             net.publish_at(
                 3_000 + i * 200,
                 0,
-                TOPIC,
                 format!("junk{i}").into_bytes(),
                 TrafficClass::Invalid,
             );
@@ -665,7 +641,7 @@ mod tests {
         let mut net = small_net(5);
         net.run_until(10_000);
         for p in 0..30 {
-            let mesh_size = net.slots[p].mesh.get(&TOPIC).map(|m| m.len()).unwrap_or(0);
+            let mesh_size = net.slots[p].mesh.len();
             assert!(
                 mesh_size >= 1 && mesh_size <= D_HI + net.config.degree,
                 "peer {p} mesh size {mesh_size}"
@@ -677,7 +653,7 @@ mod tests {
     fn latencies_are_recorded() {
         let mut net = small_net(6);
         net.run_until(3_000);
-        net.publish_at(3_000, 0, TOPIC, b"timed".to_vec(), TrafficClass::Honest);
+        net.publish_at(3_000, 0, b"timed".to_vec(), TrafficClass::Honest);
         net.run_until(20_000);
         let lats = net.delivery_latencies();
         assert_eq!(lats.len(), 29);
@@ -699,7 +675,7 @@ mod tests {
         let run = |seed| {
             let mut net = small_net(seed);
             net.run_until(3_000);
-            net.publish_at(3_000, 0, TOPIC, b"d".to_vec(), TrafficClass::Honest);
+            net.publish_at(3_000, 0, b"d".to_vec(), TrafficClass::Honest);
             net.run_until(20_000);
             let snap = net.metrics_snapshot();
             (
@@ -718,7 +694,7 @@ mod tests {
             net.set_validator(p, Box::new(Always(Validation::Ignore)));
         }
         net.run_until(3_000);
-        net.publish_at(3_000, 0, TOPIC, b"dup".to_vec(), TrafficClass::Spam);
+        net.publish_at(3_000, 0, b"dup".to_vec(), TrafficClass::Spam);
         net.run_until(20_000);
         let snap = net.metrics_snapshot();
         assert_eq!(snap.scalar("gossip_spam_delivered_total"), 0);
@@ -731,42 +707,23 @@ mod tests {
     }
 
     /// The metrics snapshot is a faithful view: the dwell histogram
-    /// observed events, topic-bearing traffic is a subset of all
-    /// traffic, and the deterministic (non-`engine_`) metrics are
+    /// observed events and the deterministic (non-`engine_`) metrics are
     /// identical across shard counts.
     #[test]
     fn metrics_snapshot_is_consistent_and_scheduler_independent() {
         let run = |shards: usize| {
             let mut net = small_net_with(11, Some(shards));
             net.run_until(3_000);
-            net.publish_at(3_000, 0, TOPIC, b"m".to_vec(), TrafficClass::Honest);
+            net.publish_at(3_000, 0, b"m".to_vec(), TrafficClass::Honest);
             net.run_until(20_000);
             let snap = net.metrics_snapshot();
             assert!(snap.histogram("gossip_event_dwell_ms").unwrap().count > 0);
             assert_eq!(snap.scalar("engine_shards") as usize, net.shards());
-            // Topic-bearing traffic is a subset of all traffic (IWant
-            // carries no topic).
-            let topic_out = snap.scalar("engine_topic_bytes_out");
-            assert!(topic_out > 0 && topic_out <= snap.scalar("gossip_bytes_sent_total"));
-            assert!(
-                snap.scalar("engine_topic_bytes_in") <= snap.scalar("gossip_bytes_received_total")
-            );
             (snap, net.shards())
         };
         let (mut serial, serial_shards) = run(1);
         let (mut sharded, sharded_shards) = run(5);
         assert_eq!((serial_shards, sharded_shards), (1, 5));
-        // The topic-bandwidth counters carry the `engine_` prefix (ISSUE
-        // naming) but are deterministic — assert their cross-scheduler
-        // equality explicitly before the prefix strip below drops them.
-        assert_eq!(
-            serial.scalar("engine_topic_bytes_in"),
-            sharded.scalar("engine_topic_bytes_in")
-        );
-        assert_eq!(
-            serial.scalar("engine_topic_bytes_out"),
-            sharded.scalar("engine_topic_bytes_out")
-        );
         // Drop the strategy-dependent gauges; the rest must match exactly.
         serial.retain(|d| !d.name.starts_with("engine_"));
         sharded.retain(|d| !d.name.starts_with("engine_"));
@@ -796,13 +753,11 @@ mod tests {
                 },
                 ..NetworkConfig::default()
             });
-            net.subscribe_all(TOPIC);
             net.run_until(3_000);
             for i in 0..8u64 {
                 net.publish_at(
                     3_000 + i * 500,
                     (i as usize) % 30,
-                    TOPIC,
                     format!("f{i}").into_bytes(),
                     TrafficClass::Honest,
                 );
@@ -842,13 +797,12 @@ mod tests {
             },
             ..NetworkConfig::default()
         });
-        net.subscribe_all(TOPIC);
         net.run_until(3_000);
         // Published while peer 7 is down: lost to it (mcache windows at
         // the default heartbeat have expired by the 9 s restart).
-        net.publish_at(5_000, 0, TOPIC, b"during".to_vec(), TrafficClass::Honest);
+        net.publish_at(5_000, 0, b"during".to_vec(), TrafficClass::Honest);
         // Published after the restart: must reach all 29 receivers again.
-        net.publish_at(15_000, 0, TOPIC, b"after".to_vec(), TrafficClass::Honest);
+        net.publish_at(15_000, 0, b"after".to_vec(), TrafficClass::Honest);
         net.run_until(40_000);
         let snap = net.metrics_snapshot();
         assert_eq!(snap.scalar("peer_restarts"), 1);
@@ -879,9 +833,8 @@ mod tests {
             },
             ..NetworkConfig::default()
         });
-        net.subscribe_all(TOPIC);
         net.run_until(3_000);
-        net.publish_at(5_000, 0, TOPIC, b"cut off".to_vec(), TrafficClass::Honest);
+        net.publish_at(5_000, 0, b"cut off".to_vec(), TrafficClass::Honest);
         net.run_until(11_000);
         let reached_far_side = (15..30)
             .map(|p| of_peer(&net, p, "gossip_honest_delivered_total"))
@@ -889,7 +842,7 @@ mod tests {
         assert_eq!(reached_far_side, 0, "nothing crosses a live partition");
         // After the heal, a fresh publish reaches everyone (the partitioned
         // message itself has left every mcache window by then).
-        net.publish_at(20_000, 0, TOPIC, b"healed".to_vec(), TrafficClass::Honest);
+        net.publish_at(20_000, 0, b"healed".to_vec(), TrafficClass::Honest);
         net.run_until(40_000);
         let (honest, _) = net.deliveries_published_since(20_000);
         assert_eq!(honest, 29, "full propagation after healing");
@@ -922,7 +875,6 @@ mod tests {
             },
             ..NetworkConfig::default()
         });
-        net.subscribe_all(TOPIC);
         assert_eq!(net.drift_ms(3), 0);
         net.run_until(6_000);
         assert_eq!(net.drift_ms(3), 2_500, "first step applied");
@@ -947,7 +899,6 @@ mod tests {
                 net.publish_at(
                     3_000 + i * 700,
                     (i as usize) % 30,
-                    TOPIC,
                     format!("m{i}").into_bytes(),
                     TrafficClass::Honest,
                 );

@@ -692,11 +692,16 @@ mod tests {
         }
         s.run_until(&mut slots, &config, 1_000);
         assert_eq!(s.barriers(), 1, "one round");
-        let ran: u64 = slots
+        // Heartbeats only: the grafts they send to ring neighbours are
+        // RPC events, counted apart.
+        let heartbeats: u64 = slots
             .iter()
-            .map(|slot| slot.recorder.snapshot().scalar("gossip_events_total"))
+            .map(|slot| slot.recorder.snapshot().scalar("gossip_heartbeats_total"))
             .sum();
-        assert_eq!(ran, 5, "four staggered heartbeats + the re-armed one");
+        assert_eq!(
+            heartbeats, 5,
+            "four staggered heartbeats + the re-armed one"
+        );
         assert!(s.queues[0].peek_at().is_none_or(|at| at > 1_000));
     }
 

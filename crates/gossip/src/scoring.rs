@@ -2,7 +2,7 @@
 //! paper) — the mechanism the paper compares against and also recommends
 //! as the defense-in-depth against invalid-proof floods (§IV).
 //!
-//! Implemented counters (per neighbor, per topic aggregated):
+//! Implemented counters (per neighbor, on the one topic):
 //!
 //! * **P1** — time in mesh (positive, capped),
 //! * **P2** — first message deliveries (positive, capped),

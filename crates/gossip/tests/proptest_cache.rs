@@ -1,13 +1,13 @@
 //! Property-based coverage for the compact gossip caches: the
 //! generational [`SeenSet`] must behave exactly like a windowed
 //! `HashSet` oracle under arbitrary insert/query/rotate sequences —
-//! including adversarial fingerprint collisions — and [`TopicCaches`]
+//! including adversarial fingerprint collisions — and [`MessageCache`]
 //! must mirror the original mcache's retention/gossip semantics.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use waku_gossip::cache::{SeenSet, TopicCaches};
+use waku_gossip::cache::{MessageCache, SeenSet};
 use waku_gossip::{Message, MessageId, TrafficClass};
 
 /// Ids drawn from a small space to force re-inserts and near-collisions;
@@ -135,12 +135,12 @@ proptest! {
     // `gossip` most recent completed windows are, and only `keep`
     // completed windows stay retrievable.
     #[test]
-    fn topic_cache_gossip_and_retention(
+    fn message_cache_gossip_and_retention(
         keep in 1usize..6,
         gossip in 1usize..4,
         per_window in proptest::collection::vec(0u8..8, 1..10)
     ) {
-        let mut cache = TopicCaches::new();
+        let mut cache = MessageCache::default();
         // windows_log[w] = ids inserted during window w (oldest first).
         let mut windows_log: Vec<Vec<MessageId>> = Vec::new();
         let mut uniq = 0u64;
@@ -148,7 +148,7 @@ proptest! {
             let mut ids = Vec::new();
             for _ in 0..count {
                 uniq += 1;
-                let m = Message::new(1, uniq.to_le_bytes().to_vec(), 0, uniq, TrafficClass::Honest);
+                let m = Message::new(uniq.to_le_bytes().to_vec(), 0, uniq, TrafficClass::Honest);
                 ids.push(m.id);
                 cache.insert(std::sync::Arc::new(m));
             }
@@ -164,7 +164,7 @@ proptest! {
             .take(gossip.min(keep))
             .flat_map(|w| w.iter().copied())
             .collect();
-        match cache.gossip_ids(1, gossip) {
+        match cache.gossip_ids(gossip) {
             Some(got) => prop_assert_eq!(got.to_vec(), expected),
             None => prop_assert!(expected.is_empty()),
         }

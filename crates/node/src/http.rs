@@ -4,8 +4,8 @@
 //! service's event loop — no threads, no async runtime, no HTTP crate.
 //! That is deliberate: the scrape path must not perturb the validation
 //! pipeline it measures, and the offline build environment rules out a
-//! web framework anyway. One poll per loop iteration drains every
-//! pending connection; a scraper sees `HTTP/1.1 200` with
+//! web framework anyway. One poll per loop iteration serves the pending
+//! connections it reaches within one 250 ms budget; a scraper sees `HTTP/1.1 200` with
 //! `text/plain; version=0.0.4` (the Prometheus exposition content type)
 //! for `GET /metrics`, and `404` for anything else.
 
@@ -17,9 +17,9 @@ use std::time::{Duration, Instant};
 /// line plus headers fits comfortably.
 const MAX_REQUEST_BYTES: usize = 4096;
 
-/// Time a connection gets to deliver its whole request head. Also the
-/// timeout of each write of the response.
-const HEAD_DEADLINE: Duration = Duration::from_millis(250);
+/// Time one poll gets to read request heads, summed over every
+/// connection it serves. Also the timeout of each write of a response.
+const POLL_BUDGET: Duration = Duration::from_millis(250);
 
 /// A polled metrics endpoint. Construct with [`MetricsServer::bind`],
 /// call [`MetricsServer::poll`] from the event loop with a closure that
@@ -43,20 +43,22 @@ impl MetricsServer {
         self.listener.local_addr()
     }
 
-    /// Serves every connection currently pending, answering each with
-    /// the text `render` returns (for `/metrics`) or a 404. `render` runs
-    /// once per `/metrics` request and never for a 404 or an idle poll.
-    /// Returns how many requests were answered. A connection gets 250 ms
-    /// in total to deliver its request head, however slowly it trickles,
-    /// so one scraper cannot hold the caller's loop; errors per
-    /// connection are swallowed (a half-open scraper must not take the
-    /// relayer down).
+    /// Serves pending connections, answering each with the text `render`
+    /// returns (for `/metrics`) or a 404. `render` runs once per
+    /// `/metrics` request and never for a 404 or an idle poll. Returns
+    /// how many requests were answered. The whole call gets 250 ms to
+    /// read request heads, however many connections wait and however
+    /// slowly they trickle, so idle scrapers cannot hold the caller's
+    /// loop; connections it does not reach in time stay in the backlog
+    /// for the next poll. Errors per connection are swallowed (a
+    /// half-open scraper must not take the relayer down).
     pub fn poll(&self, mut render: impl FnMut() -> String) -> std::io::Result<usize> {
+        let deadline = Instant::now() + POLL_BUDGET;
         let mut served = 0;
-        loop {
+        while Instant::now() < deadline {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if serve_one(stream, &mut render).is_ok() {
+                    if serve_one(stream, deadline, &mut render).is_ok() {
                         served += 1;
                     }
                 }
@@ -69,9 +71,8 @@ impl MetricsServer {
 }
 
 /// Reads the request head (up to the blank line, [`MAX_REQUEST_BYTES`] or
-/// end of stream) within one [`HEAD_DEADLINE`] for the whole head.
-fn read_head(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let deadline = Instant::now() + HEAD_DEADLINE;
+/// end of stream) before the poll's `deadline`.
+fn read_head(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<Vec<u8>> {
     let mut head = Vec::new();
     let mut buf = [0u8; 512];
     loop {
@@ -91,10 +92,14 @@ fn read_head(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     }
 }
 
-fn serve_one(mut stream: TcpStream, render: &mut impl FnMut() -> String) -> std::io::Result<()> {
+fn serve_one(
+    mut stream: TcpStream,
+    deadline: Instant,
+    render: &mut impl FnMut() -> String,
+) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
-    stream.set_write_timeout(Some(HEAD_DEADLINE))?;
-    let head = read_head(&mut stream)?;
+    stream.set_write_timeout(Some(POLL_BUDGET))?;
+    let head = read_head(&mut stream, deadline)?;
 
     let request_line = head
         .split(|&b| b == b'\r' || b == b'\n')
@@ -218,5 +223,32 @@ mod tests {
         assert_eq!(renders, 0, "an unfinished head is never answered");
         let sent = trickle.join().unwrap();
         assert!(sent < 60, "the server hung up only after {sent} bytes");
+    }
+
+    #[test]
+    fn idle_connections_share_one_budget_per_poll() {
+        let server = MetricsServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let _idle: Vec<TcpStream> = (0..6).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let render = || "waku_up 1\n".to_string();
+
+        let polled = Instant::now();
+        let mut served = server.poll(render).unwrap();
+        let held = polled.elapsed();
+        assert!(held < Duration::from_millis(500), "poll held for {held:?}");
+        for _ in 1..8 {
+            if served > 0 {
+                break;
+            }
+            served = server.poll(render).unwrap();
+        }
+        assert_eq!(served, 1, "the GET behind six idle sockets is answered");
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        assert!(response.ends_with("waku_up 1\n"), "{response}");
     }
 }

@@ -31,26 +31,6 @@ impl FilterService {
         }
     }
 
-    /// Removes specific topics from a peer's filter (all when `topics` is
-    /// empty).
-    pub fn unsubscribe(&mut self, peer: LightPeerId, topics: &[String]) {
-        if topics.is_empty() {
-            self.subscriptions.remove(&peer);
-            return;
-        }
-        if let Some(entry) = self.subscriptions.get_mut(&peer) {
-            entry.retain(|t| !topics.contains(t));
-            if entry.is_empty() {
-                self.subscriptions.remove(&peer);
-            }
-        }
-    }
-
-    /// Number of subscribed peers.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscriptions.len()
-    }
-
     /// Which light peers should receive this message (sorted for
     /// determinism).
     pub fn match_message(&self, message: &WakuMessage) -> Vec<LightPeerId> {
@@ -93,20 +73,6 @@ mod tests {
         assert_eq!(f.match_message(&chat), vec![1, 2]);
         assert_eq!(f.match_message(&news), vec![2]);
         assert!(f.match_message(&other).is_empty());
-    }
-
-    #[test]
-    fn unsubscribe_topics_and_all() {
-        let mut f = FilterService::new();
-        f.subscribe(1, vec!["/a".into(), "/b".into()]);
-        f.unsubscribe(1, &["/a".into()]);
-        assert_eq!(
-            f.match_message(&WakuMessage::new(vec![], "/a", 0)),
-            Vec::<usize>::new()
-        );
-        assert_eq!(f.match_message(&WakuMessage::new(vec![], "/b", 0)), vec![1]);
-        f.unsubscribe(1, &[]);
-        assert_eq!(f.subscriber_count(), 0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # waku-relay
 //!
-//! The Waku protocol family on top of the gossip transport (paper §I):
+//! The Waku protocol family on top of the gossip transport (paper §I).
+//! 11/WAKU2-RELAY itself is `waku-gossip`'s one pubsub topic; this crate
+//! holds the rest:
 //!
-//! * [`relay`] — 11/WAKU2-RELAY: pubsub-topic plumbing over GossipSub,
 //! * [`store`] — 13/WAKU2-STORE: history persistence + paginated queries
 //!   for peers that were offline,
 //! * [`storage`] — the pluggable persistence contract
@@ -19,14 +20,12 @@
 
 pub mod filter;
 pub mod message;
-pub mod relay;
 pub mod segment;
 pub mod storage;
 pub mod store;
 
 pub use filter::{FilterService, LightPeerId};
 pub use message::WakuMessage;
-pub use relay::{TopicRegistry, DEFAULT_PUBSUB_TOPIC};
 pub use segment::{SegmentConfig, SegmentConfigBuilder, SegmentLog};
 pub use storage::{StorageBackend, StorageError};
 pub use store::{Direction, HistoryQuery, HistoryResponse, MessageStore};

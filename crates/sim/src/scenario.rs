@@ -125,7 +125,6 @@ impl Default for ScenarioConfig {
     }
 }
 
-const TOPIC: u32 = 1;
 /// Payload size of every published message, in bytes.
 const PAYLOAD_BYTES: usize = 128;
 const WARMUP_MS: u64 = 3_000;
@@ -197,7 +196,6 @@ fn run_with_detections(config: &ScenarioConfig) -> (ScenarioRun, BTreeSet<[u8; 3
             .build()
             .expect("valid scenario net config"),
     );
-    net.subscribe_all(TOPIC);
 
     let detections = DetectionLog::new(config.peers);
     let registries = install_validators(config, &mut net, &detections);
@@ -448,7 +446,7 @@ fn schedule_workload(
                 honest_sent += 1;
                 post_honest_sent += (publish_at >= post_from) as u64;
             }
-            net.publish_at(publish_at, peer, TOPIC, data, class);
+            net.publish_at(publish_at, peer, data, class);
             t += rng.gen_range(interval / 2..=interval + interval / 2).max(1);
             seq += 1;
         }

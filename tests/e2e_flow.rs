@@ -21,7 +21,6 @@ use waku_suite::sim::{DetectionLog, RlnAcceptor};
 use common::decide;
 
 const DEPTH: usize = 8;
-const TOPIC: u32 = 1;
 const EPOCH_SECS: u64 = 10;
 
 /// A warmed-up gossip network of `nodes.len()` peers, peer `p` routing
@@ -40,7 +39,6 @@ fn build_gossip(
             .build()
             .expect("valid net config"),
     );
-    net.subscribe_all(TOPIC);
     let detections = DetectionLog::new(nodes.len());
     let registries = nodes
         .iter()
@@ -76,7 +74,7 @@ fn honest_bundle_propagates_through_gossip_with_real_proofs() {
     let bundle = publisher
         .publish(b"hello with a real proof", 5, &mut rng)
         .unwrap();
-    net.publish_at(5_000, 0, TOPIC, bundle.to_bytes(), TrafficClass::Honest);
+    net.publish_at(5_000, 0, bundle.to_bytes(), TrafficClass::Honest);
     net.run_until(30_000);
 
     let stats = net.metrics_snapshot();
@@ -99,7 +97,7 @@ fn tampered_bundle_is_rejected_at_first_hop() {
     let mut tampered = bundle.clone();
     tampered.payload = b"swapped payload!".to_vec(); // proof no longer binds
 
-    net.publish_at(5_000, 0, TOPIC, tampered.to_bytes(), TrafficClass::Invalid);
+    net.publish_at(5_000, 0, tampered.to_bytes(), TrafficClass::Invalid);
     net.run_until(30_000);
 
     let stats = net.metrics_snapshot();
@@ -139,7 +137,7 @@ fn double_signal_is_contained_and_attributed_across_a_real_proof_network() {
             let bundle = node
                 .publish(payload.as_bytes(), at_ms / 1000, &mut rng)
                 .unwrap();
-            net.publish_at(at_ms, k, TOPIC, bundle.to_bytes(), TrafficClass::Honest);
+            net.publish_at(at_ms, k, bundle.to_bytes(), TrafficClass::Honest);
             honest_sent += 1;
         }
     }
@@ -150,7 +148,7 @@ fn double_signal_is_contained_and_attributed_across_a_real_proof_network() {
         let bundle = nodes[SPAMMER]
             .publish_unchecked(payload, at_ms / 1000, &mut rng)
             .unwrap();
-        net.publish_at(at_ms, SPAMMER, TOPIC, bundle.to_bytes(), TrafficClass::Spam);
+        net.publish_at(at_ms, SPAMMER, bundle.to_bytes(), TrafficClass::Spam);
     }
     net.run_until(40_000);
 

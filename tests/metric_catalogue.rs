@@ -60,8 +60,8 @@ prints the expected contents.
 * **Shard-dependent** marks the `engine_` prefix, which the equivalence
   tests drop before comparing snapshots across shard counts:
   `engine_shards` and `engine_barriers_total` vary with the shard
-  count, while the fault-plane and topic-byte counters share the prefix
-  though they are deterministic. Every other simulator series is
+  count, while the fault-plane drop counter shares the prefix though it
+  is deterministic. Every other simulator series is
   bit-identical at any shard count.
 
 | Series | Type | Layer | Shard-dependent | Help |

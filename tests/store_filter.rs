@@ -7,10 +7,7 @@ mod common;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use waku_suite::relay::{
-    Direction, FilterService, HistoryQuery, MessageStore, TopicRegistry, WakuMessage,
-    DEFAULT_PUBSUB_TOPIC,
-};
+use waku_suite::relay::{Direction, FilterService, HistoryQuery, MessageStore, WakuMessage};
 use waku_suite::rln_relay::Outcome;
 
 use common::decide;
@@ -75,16 +72,4 @@ fn filter_pushes_only_matching_content_topics() {
             (8, "/alerts".to_string())
         ]
     );
-}
-
-#[test]
-fn topic_registry_maps_waku_topics_to_gossip_ids() {
-    let mut reg = TopicRegistry::new();
-    let default = reg.intern(DEFAULT_PUBSUB_TOPIC);
-    let app = reg.intern("/waku/2/my-app/proto");
-    assert_ne!(default, app);
-    assert_eq!(reg.name_of(default), Some(DEFAULT_PUBSUB_TOPIC));
-    // round-trip a message through its wire encoding
-    let wm = WakuMessage::new(b"x".to_vec(), "/app/1/c/proto", 42);
-    assert_eq!(WakuMessage::from_bytes(&wm.to_bytes()).unwrap(), wm);
 }
