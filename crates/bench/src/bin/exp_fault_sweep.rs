@@ -24,8 +24,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use waku_bench::{e6_at_scale, json_report, prom_sections, run_cli, Cli, Fatal};
+use waku_bench::{e6_at_scale, json_report, prom_sections, run_cli, write_reports};
 use waku_gossip::{FaultPlan, PartitionSpec};
+use waku_node::cli::{Cli, Fatal};
 use waku_sim::faults::{
     drop_sweep, reconverged, rolling_churn, spam_contained, HONEST_FLOOR_AT_MAX_DROP,
     SPAM_CONTAINMENT_SLACK,
@@ -209,7 +210,8 @@ fn sweep(cli: &Cli) -> Result<ExitCode, Fatal> {
     println!("must be graceful: containment within {SPAM_CONTAINMENT_SLACK} of the fault-free");
     println!("baseline, key recovery intact, exit 2 otherwise.");
 
-    cli.write_reports(
+    write_reports(
+        cli,
         || {
             let points: Vec<String> = points.iter().map(MatrixPoint::to_json).collect();
             let fields = [

@@ -23,11 +23,11 @@
 //! at sizes the unit tests never reach.
 
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use waku_bench::{e6_at_scale, json_report, prom_sections, run_cli, Cli, Fatal};
-use waku_metrics::Snapshot;
-use waku_sim::run_scenario;
+use waku_bench::{e6_at_scale, json_report, prom_sections, run_cli, write_reports};
+use waku_node::cli::{Cli, Fatal};
+use waku_sim::{run_scenario, ScenarioRun};
 
 const USAGE: &str =
     "exp_scale_sweep [--peers N[,N,...]] [--duration-ms MS] [--json PATH] [--prom PATH]";
@@ -36,39 +36,58 @@ const USAGE: &str =
 /// seeded jitter; anything above this means containment broke at scale.
 const MAX_SPAM_DELIVERY: f64 = 0.6;
 
-/// One sweep point, as printed and as serialized into the JSON report.
+/// One sweep point, as printed and as serialized into the JSON report:
+/// the run, and the wall clock it took.
 struct SweepPoint {
     peers: usize,
-    shards: usize,
-    events: u64,
-    barriers: u64,
-    wall_secs: f64,
-    events_per_sec: f64,
-    ns_per_event: u128,
-    honest_delivery: f64,
-    spam_delivery: f64,
-    spammers_detected: usize,
-    metrics: Snapshot,
+    run: ScenarioRun,
+    wall: Duration,
 }
 
 impl SweepPoint {
+    fn events_per_sec(&self) -> f64 {
+        self.run.report.events_processed.max(1) as f64 / self.wall.as_secs_f64().max(1e-9)
+    }
+
+    fn ns_per_event(&self) -> u128 {
+        (self.wall.as_nanos() / self.run.report.events_processed.max(1) as u128).max(1)
+    }
+
+    fn table_row(&self) -> String {
+        let r = &self.run.report;
+        format!(
+            "| {} | {} | {} | {} | {:.2} | {:.0} | {} | {:.3} | {:.3} | {} |",
+            self.peers,
+            self.run.engine.shards,
+            r.events_processed,
+            self.run.engine.barriers,
+            self.wall.as_secs_f64(),
+            self.events_per_sec(),
+            self.ns_per_event(),
+            r.honest_delivery_ratio,
+            r.spam_delivery_ratio,
+            r.spammers_detected
+        )
+    }
+
     fn to_json(&self) -> String {
+        let r = &self.run.report;
         format!(
             "    {{\"peers\": {}, \"shards\": {}, \"events\": {}, \"barriers\": {}, \
              \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}, \"ns_per_event\": {}, \
              \"honest_delivery\": {:.4}, \"spam_delivery\": {:.4}, \"spammers_detected\": {}, \
              \"metrics\": {}}}",
             self.peers,
-            self.shards,
-            self.events,
-            self.barriers,
-            self.wall_secs,
-            self.events_per_sec,
-            self.ns_per_event,
-            self.honest_delivery,
-            self.spam_delivery,
-            self.spammers_detected,
-            self.metrics.to_json()
+            self.run.engine.shards,
+            r.events_processed,
+            self.run.engine.barriers,
+            self.wall.as_secs_f64(),
+            self.events_per_sec(),
+            self.ns_per_event(),
+            r.honest_delivery_ratio,
+            r.spam_delivery_ratio,
+            r.spammers_detected,
+            self.run.metrics.to_json()
         )
     }
 }
@@ -106,47 +125,22 @@ fn sweep(cli: &Cli) -> Result<ExitCode, Fatal> {
         let config = e6_at_scale(peers, duration_ms);
         let start = Instant::now();
         let run = run_scenario(&config);
-        let wall = start.elapsed();
-        let report = run.report;
-        let events = report.events_processed.max(1);
         let point = SweepPoint {
             peers,
-            shards: run.engine.shards,
-            events: report.events_processed,
-            barriers: run.engine.barriers,
-            wall_secs: wall.as_secs_f64(),
-            events_per_sec: events as f64 / wall.as_secs_f64().max(1e-9),
-            ns_per_event: (wall.as_nanos() / events as u128).max(1),
-            honest_delivery: report.honest_delivery_ratio,
-            spam_delivery: report.spam_delivery_ratio,
-            spammers_detected: report.spammers_detected,
-            metrics: run.metrics,
+            run,
+            wall: start.elapsed(),
         };
-        println!(
-            "| {} | {} | {} | {} | {:.2} | {:.0} | {} | {:.3} | {:.3} | {} |",
-            point.peers,
-            point.shards,
-            point.events,
-            point.barriers,
-            point.wall_secs,
-            point.events_per_sec,
-            point.ns_per_event,
-            point.honest_delivery,
-            point.spam_delivery,
-            point.spammers_detected
+        println!("{}", point.table_row());
+        let (honest, spam) = (
+            point.run.report.honest_delivery_ratio,
+            point.run.report.spam_delivery_ratio,
         );
-        if point.spam_delivery > MAX_SPAM_DELIVERY {
-            eprintln!(
-                "FAIL: spam delivery {:.3} > {MAX_SPAM_DELIVERY} at {peers} peers",
-                point.spam_delivery
-            );
+        if spam > MAX_SPAM_DELIVERY {
+            eprintln!("FAIL: spam delivery {spam:.3} > {MAX_SPAM_DELIVERY} at {peers} peers");
             failed = true;
         }
-        if point.honest_delivery < 0.8 {
-            eprintln!(
-                "FAIL: honest delivery {:.3} < 0.8 at {peers} peers",
-                point.honest_delivery
-            );
+        if honest < 0.8 {
+            eprintln!("FAIL: honest delivery {honest:.3} < 0.8 at {peers} peers");
             failed = true;
         }
         points.push(point);
@@ -160,7 +154,8 @@ fn sweep(cli: &Cli) -> Result<ExitCode, Fatal> {
     println!("containment ratios must hold at every scale — the sweep exits 2");
     println!("if they don't.");
 
-    cli.write_reports(
+    write_reports(
+        cli,
         || {
             let points: Vec<String> = points.iter().map(SweepPoint::to_json).collect();
             let fields = [
@@ -173,7 +168,7 @@ fn sweep(cli: &Cli) -> Result<ExitCode, Fatal> {
             prom_sections(
                 points
                     .iter()
-                    .map(|p| (format!("sweep point: {} peers", p.peers), &p.metrics)),
+                    .map(|p| (format!("sweep point: {} peers", p.peers), &p.run.metrics)),
             )
         },
     )?;

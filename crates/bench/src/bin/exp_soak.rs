@@ -20,7 +20,8 @@
 
 use std::process::ExitCode;
 
-use waku_bench::{run_cli, Cli, Fatal};
+use waku_bench::{run_cli, write_reports};
+use waku_node::cli::{Cli, Fatal};
 use waku_sim::{run_soak, SoakConfig, SoakReport};
 
 const USAGE: &str = "exp_soak [--sim-hours N] [--epoch-secs N] [--publishers N] \
@@ -110,7 +111,11 @@ fn soak(cli: &Cli) -> Result<ExitCode, Fatal> {
         );
     }
 
-    cli.write_reports(|| report.to_json() + "\n", || report.exposition.clone())?;
+    write_reports(
+        cli,
+        || report.to_json() + "\n",
+        || report.exposition.clone(),
+    )?;
 
     if !(flat && detection && recovered) {
         eprintln!("\nFAIL: soak gate violated");

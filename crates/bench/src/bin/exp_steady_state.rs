@@ -16,7 +16,8 @@
 
 use std::process::ExitCode;
 
-use waku_bench::{json_report, prom_sections, run_cli, Cli, Fatal};
+use waku_bench::{json_report, prom_sections, run_cli, write_reports};
+use waku_node::cli::{Cli, Fatal};
 use waku_sim::{run_scenario, ScenarioRun, SteadyStateConfig};
 
 const USAGE: &str = "exp_steady_state [epochs ...] [--json PATH] [--prom PATH]";
@@ -73,7 +74,8 @@ fn steady_state(cli: &Cli) -> Result<ExitCode, Fatal> {
          validators) grow with it."
     );
 
-    cli.write_reports(
+    write_reports(
+        cli,
         || {
             let items: Vec<String> = runs
                 .iter()

@@ -8,27 +8,22 @@
 //! names `BENCHMARK.json` declares, not here.
 
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use waku_gossip::NetworkConfig;
 use waku_metrics::Snapshot;
+use waku_node::cli::{Cli, Fatal};
 use waku_sim::{Defense, ScenarioConfig};
-
-/// Why an experiment binary exits 1: a command line it cannot run, or a
-/// report it cannot write. (Exit code 2 is a breached gate, returned as an
-/// `Ok` exit code.)
-#[derive(Debug, PartialEq)]
-pub struct Fatal(pub String);
 
 /// Runs an experiment binary's `body` over its command line, parsed
 /// against `usage` (see [`Cli::parse`]): a [`Fatal`] from either is
-/// printed on stderr and exits 1.
+/// printed on stderr and exits 1. (Exit code 2 is a breached gate,
+/// returned as an `Ok` exit code.)
 pub fn run_cli(
     usage: &'static str,
     body: impl FnOnce(&Cli) -> Result<ExitCode, Fatal>,
 ) -> ExitCode {
-    match Cli::parse(usage, std::env::args().skip(1)).and_then(|cli| body(&cli)) {
+    match Cli::from_env(usage).and_then(|cli| body(&cli)) {
         Ok(code) => code,
         Err(Fatal(message)) => {
             eprintln!("{message}");
@@ -37,126 +32,29 @@ pub fn run_cli(
     }
 }
 
-/// An experiment binary's command line, parsed against its usage line.
-///
-/// The usage line is the grammar: `[--name X]` is a flag that takes a
-/// value, `[--name]` a bare switch, and any other `[word ...]` group
-/// admits positional arguments. Every sweep binary takes
-/// `[--json PATH] [--prom PATH]`, written by [`Cli::write_reports`].
-#[derive(Debug, Default)]
-pub struct Cli {
-    usage: &'static str,
-    values: Vec<(String, String)>,
-    switches: Vec<String>,
-    positional: Vec<String>,
+/// Writes the `--json` / `--prom` files every sweep binary's command
+/// line may ask for (`[--json PATH] [--prom PATH]`); each body is
+/// rendered only when its flag was given.
+pub fn write_reports(
+    cli: &Cli,
+    json: impl FnOnce() -> String,
+    prom: impl FnOnce() -> String,
+) -> Result<(), Fatal> {
+    write_report(cli, "--json", "report", json)?;
+    write_report(cli, "--prom", "prometheus exposition", prom)
 }
 
-impl Cli {
-    /// Parses `args` (without the program name). An argument the usage
-    /// line does not name, or a valued flag at the end of the line, is a
-    /// usage error.
-    pub fn parse(
-        usage: &'static str,
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<Cli, Fatal> {
-        let mut cli = Cli {
-            usage,
-            ..Cli::default()
-        };
-        let tokens: Vec<&str> = usage.split_whitespace().collect();
-        let declared = |token: String| tokens.contains(&token.as_str());
-        let takes_positional = tokens
-            .iter()
-            .any(|token| token.starts_with('[') && !token.starts_with("[--"));
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            let flag = arg.starts_with("--");
-            if flag && declared(format!("[{arg}]")) {
-                cli.switches.push(arg);
-            } else if flag && declared(format!("[{arg}")) {
-                match args.next() {
-                    Some(value) => cli.values.push((arg, value)),
-                    None => return Err(cli.error(&format!("{arg} needs a value"))),
-                }
-            } else if !flag && takes_positional {
-                cli.positional.push(arg);
-            } else {
-                return Err(cli.error(&format!("unknown argument {arg:?}")));
-            }
-        }
-        Ok(cli)
+fn write_report(
+    cli: &Cli,
+    flag: &str,
+    what: &str,
+    body: impl FnOnce() -> String,
+) -> Result<(), Fatal> {
+    if let Some(path) = cli.raw(flag) {
+        std::fs::write(path, body()).map_err(|e| Fatal(format!("cannot write {path}: {e}")))?;
+        eprintln!("{what} written to {path}");
     }
-
-    /// A usage error: `problem`, then the usage line.
-    pub fn error(&self, problem: &str) -> Fatal {
-        Fatal(format!("{problem}\nusage: {}", self.usage))
-    }
-
-    /// The raw value of `flag` (the last one, if repeated).
-    pub fn raw(&self, flag: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .rev()
-            .find(|(name, _)| name == flag)
-            .map(|(_, value)| value.as_str())
-    }
-
-    /// The value of `flag`, if given, parsed as a `T` that `accept`
-    /// takes; anything else is a usage error saying the flag `needs`.
-    pub fn value<T: FromStr>(
-        &self,
-        flag: &str,
-        needs: &str,
-        accept: impl Fn(&T) -> bool,
-    ) -> Result<Option<T>, Fatal> {
-        self.raw(flag)
-            .map(|raw| self.parse_as(raw, &accept, format!("{flag} needs {needs}, not {raw:?}")))
-            .transpose()
-    }
-
-    /// Whether the bare switch `flag` was given.
-    pub fn switch(&self, flag: &str) -> bool {
-        self.switches.iter().any(|s| s == flag)
-    }
-
-    /// The positional arguments, each parsed as a `T` that `accept` takes.
-    pub fn positional<T: FromStr>(&self, accept: impl Fn(&T) -> bool) -> Result<Vec<T>, Fatal> {
-        self.positional
-            .iter()
-            .map(|raw| self.parse_as(raw, &accept, format!("unknown argument {raw:?}")))
-            .collect()
-    }
-
-    fn parse_as<T: FromStr>(
-        &self,
-        raw: &str,
-        accept: impl Fn(&T) -> bool,
-        problem: String,
-    ) -> Result<T, Fatal> {
-        raw.parse()
-            .ok()
-            .filter(accept)
-            .ok_or_else(|| self.error(&problem))
-    }
-
-    /// Writes the `--json` / `--prom` files the command line asked for;
-    /// each body is rendered only when its flag was given.
-    pub fn write_reports(
-        &self,
-        json: impl FnOnce() -> String,
-        prom: impl FnOnce() -> String,
-    ) -> Result<(), Fatal> {
-        self.write("--json", "report", json)?;
-        self.write("--prom", "prometheus exposition", prom)
-    }
-
-    fn write(&self, flag: &str, what: &str, body: impl FnOnce() -> String) -> Result<(), Fatal> {
-        if let Some(path) = self.raw(flag) {
-            std::fs::write(path, body()).map_err(|e| Fatal(format!("cannot write {path}: {e}")))?;
-            eprintln!("{what} written to {path}");
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// The `--json` layout every sweep binary writes: `fields` as top-level
@@ -279,60 +177,6 @@ mod tests {
 
     const FAULT_USAGE: &str =
         "exp_fault_sweep [--peers N] [--duration-ms MS] [--json PATH] [--prom PATH]";
-    const SOAK_USAGE: &str = "exp_soak [--sim-hours N] [--no-restart] [--json PATH] [--prom PATH]";
-    const STEADY_USAGE: &str = "exp_steady_state [epochs ...] [--json PATH] [--prom PATH]";
-
-    fn parse(usage: &'static str, args: &[&str]) -> Result<Cli, Fatal> {
-        Cli::parse(usage, args.iter().map(|a| a.to_string()))
-    }
-
-    fn usage_error(problem: &str, usage: &str) -> Fatal {
-        Fatal(format!("{problem}\nusage: {usage}"))
-    }
-
-    #[test]
-    fn unknown_flag_missing_value_and_bad_number_are_usage_errors() {
-        assert_eq!(
-            parse(FAULT_USAGE, &["--peer", "30"]).unwrap_err(),
-            usage_error("unknown argument \"--peer\"", FAULT_USAGE)
-        );
-        assert_eq!(
-            parse(FAULT_USAGE, &["--peers", "30", "--json"]).unwrap_err(),
-            usage_error("--json needs a value", FAULT_USAGE)
-        );
-        let cli = parse(FAULT_USAGE, &["--peers", "3O"]).unwrap();
-        assert_eq!(
-            cli.value::<usize>("--peers", "a count ≥ 20", |&n| n >= 20)
-                .unwrap_err(),
-            usage_error("--peers needs a count ≥ 20, not \"3O\"", FAULT_USAGE)
-        );
-        // In range is the other half of the same check.
-        let cli = parse(FAULT_USAGE, &["--peers", "19"]).unwrap();
-        assert!(cli.value::<usize>("--peers", "", |&n| n >= 20).is_err());
-        // A bare word is positional only where the usage line says so.
-        assert!(parse(FAULT_USAGE, &["50"]).is_err());
-        assert_eq!(
-            parse(STEADY_USAGE, &["50", "x"])
-                .unwrap()
-                .positional::<u64>(|&n| n > 0)
-                .unwrap_err(),
-            usage_error("unknown argument \"x\"", STEADY_USAGE)
-        );
-    }
-
-    #[test]
-    fn values_switches_and_positionals_parse() {
-        let cli = parse(FAULT_USAGE, &["--peers", "30", "--peers", "40"]).unwrap();
-        assert_eq!(cli.value("--peers", "", |_: &usize| true), Ok(Some(40)));
-        assert_eq!(cli.value("--duration-ms", "", |_: &u64| true), Ok(None));
-        let cli = parse(SOAK_USAGE, &["--no-restart", "--sim-hours", "2"]).unwrap();
-        assert!(cli.switch("--no-restart"));
-        assert_eq!(cli.value("--sim-hours", "", |_: &u64| true), Ok(Some(2)));
-        // A switch takes no value: the next word is an argument of its own.
-        assert!(parse(SOAK_USAGE, &["--no-restart", "2"]).is_err());
-        let cli = parse(STEADY_USAGE, &["50", "--json", "x.json", "200"]).unwrap();
-        assert_eq!(cli.positional(|&n: &u64| n > 0), Ok(vec![50, 200]));
-    }
 
     #[test]
     fn json_and_prom_files_keep_the_sweep_layout() {
@@ -347,7 +191,8 @@ mod tests {
         ];
         let cli = Cli::parse(FAULT_USAGE, args).unwrap();
         let empty = Snapshot::default();
-        cli.write_reports(
+        write_reports(
+            &cli,
             || {
                 json_report(
                     &[
@@ -374,19 +219,15 @@ mod tests {
             format!("# sweep point: 100 peers\n{}\n", empty.render_prometheus())
         );
         // Without the flags nothing is rendered or written.
-        parse(FAULT_USAGE, &[])
-            .unwrap()
-            .write_reports(|| unreachable!(), || unreachable!())
-            .unwrap();
+        let cli = Cli::parse(FAULT_USAGE, []).unwrap();
+        write_reports(&cli, || unreachable!(), || unreachable!()).unwrap();
         // An unwritable path is fatal (exit 1), not a panic.
         let cli = Cli::parse(
             FAULT_USAGE,
             ["--json".to_string(), dir.display().to_string()],
-        );
-        assert!(cli
-            .unwrap()
-            .write_reports(String::new, String::new)
-            .is_err());
+        )
+        .unwrap();
+        assert!(write_reports(&cli, String::new, String::new).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

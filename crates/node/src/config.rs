@@ -1,14 +1,13 @@
 //! Service configuration, following the builder discipline of
-//! [`NodeConfig`] — `#[non_exhaustive]` structs, invariants validated
-//! once at `build()`, `Default` preserved for the common case.
+//! [`NodeConfig`] — `#[non_exhaustive]` structs, a builder that holds
+//! the config it builds, invariants validated once at `build()` into the
+//! one [`ConfigError`].
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use waku_relay::SegmentConfig;
-use waku_rln_relay::NodeConfig;
-
-use crate::error::ServiceError;
+use waku_rln_relay::{ConfigError, NodeConfig};
 
 /// Everything the long-running relayer service needs to open: where its
 /// state lives, how its node validates, how its store persists, and how
@@ -38,36 +37,40 @@ pub struct ServiceConfig {
 impl ServiceConfig {
     /// Starts building a config rooted at `data_dir`.
     pub fn builder(data_dir: impl Into<PathBuf>) -> ServiceConfigBuilder {
-        ServiceConfigBuilder {
+        let config = ServiceConfig {
             data_dir: data_dir.into(),
             node: NodeConfig::default(),
             segment: SegmentConfig::default(),
-            checkpoint: Duration::from_secs(30),
+            checkpoint_secs: 30,
             seed: 1,
+        };
+        ServiceConfigBuilder {
+            checkpoint: Duration::from_secs(config.checkpoint_secs),
+            config,
         }
     }
 }
 
-/// Builder for [`ServiceConfig`] — see [`ServiceConfig::builder`].
+/// Builder for [`ServiceConfig`] — see [`ServiceConfig::builder`]. It
+/// holds the config it builds, plus the checkpoint interval as a
+/// [`Duration`] until [`ServiceConfigBuilder::build`] checks it is whole
+/// seconds.
 #[derive(Clone, Debug)]
 pub struct ServiceConfigBuilder {
-    data_dir: PathBuf,
-    node: NodeConfig,
-    segment: SegmentConfig,
+    config: ServiceConfig,
     checkpoint: Duration,
-    seed: u64,
 }
 
 impl ServiceConfigBuilder {
     /// Sets the node (validator) configuration.
     pub fn node(mut self, node: NodeConfig) -> Self {
-        self.node = node;
+        self.config.node = node;
         self
     }
 
     /// Sets the segment-log shape for the message store.
     pub fn segment(mut self, segment: SegmentConfig) -> Self {
-        self.segment = segment;
+        self.config.segment = segment;
         self
     }
 
@@ -79,7 +82,7 @@ impl ServiceConfigBuilder {
 
     /// Sets the deterministic RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
@@ -87,28 +90,21 @@ impl ServiceConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::InvalidConfig`] when `data_dir` is empty or the
+    /// [`ConfigError`] naming the field when `data_dir` is empty or the
     /// checkpoint interval is zero or sub-second.
-    pub fn build(self) -> Result<ServiceConfig, ServiceError> {
-        if self.data_dir.as_os_str().is_empty() {
-            return Err(ServiceError::InvalidConfig {
-                field: "data_dir",
-                reason: "must not be empty",
-            });
+    pub fn build(self) -> Result<ServiceConfig, ConfigError> {
+        if self.config.data_dir.as_os_str().is_empty() {
+            return Err(ConfigError::new("data_dir", "must not be empty"));
         }
         if self.checkpoint.as_secs() == 0 || self.checkpoint.subsec_nanos() != 0 {
-            return Err(ServiceError::InvalidConfig {
-                field: "checkpoint",
-                reason: "must be a whole number of seconds ≥ 1",
-            });
+            return Err(ConfigError::new(
+                "checkpoint",
+                "must be a whole number of seconds ≥ 1",
+            ));
         }
-        let checkpoint_secs = self.checkpoint.as_secs();
         Ok(ServiceConfig {
-            data_dir: self.data_dir,
-            node: self.node,
-            segment: self.segment,
-            checkpoint_secs,
-            seed: self.seed,
+            checkpoint_secs: self.checkpoint.as_secs(),
+            ..self.config
         })
     }
 }
@@ -119,10 +115,7 @@ mod tests {
 
     #[test]
     fn builder_validates_invariants() {
-        let field = |r: Result<ServiceConfig, ServiceError>| match r.unwrap_err() {
-            ServiceError::InvalidConfig { field, .. } => field,
-            other => panic!("expected InvalidConfig, got {other}"),
-        };
+        let field = |r: Result<ServiceConfig, ConfigError>| r.unwrap_err().field;
         assert_eq!(field(ServiceConfig::builder("").build()), "data_dir");
         assert_eq!(
             field(

@@ -17,14 +17,7 @@ use waku_rln_relay::{ConfigError, NodeError};
 #[non_exhaustive]
 #[derive(Debug)]
 pub enum ServiceError {
-    /// A service-level configuration invariant was rejected.
-    InvalidConfig {
-        /// The builder field that was rejected.
-        field: &'static str,
-        /// Why it was rejected.
-        reason: &'static str,
-    },
-    /// A node/batch configuration invariant was rejected.
+    /// A service, node or batch configuration invariant was rejected.
     Config(ConfigError),
     /// The persistent store failed (I/O or corruption).
     Storage(StorageError),
@@ -37,10 +30,7 @@ pub enum ServiceError {
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServiceError::InvalidConfig { field, reason } => {
-                write!(f, "invalid service config: `{field}` {reason}")
-            }
-            ServiceError::Config(e) => write!(f, "node configuration rejected: {e}"),
+            ServiceError::Config(e) => write!(f, "configuration rejected: {e}"),
             ServiceError::Storage(e) => write!(f, "persistent store failed: {e}"),
             ServiceError::Node(e) => write!(f, "node operation failed: {e}"),
             ServiceError::Io(e) => write!(f, "i/o failed: {e}"),
@@ -50,13 +40,12 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ServiceError::Config(e) => Some(e),
-            ServiceError::Storage(e) => Some(e),
-            ServiceError::Node(e) => Some(e),
-            ServiceError::Io(e) => Some(e),
-            _ => None,
-        }
+        Some(match self {
+            ServiceError::Config(e) => e,
+            ServiceError::Storage(e) => e,
+            ServiceError::Node(e) => e,
+            ServiceError::Io(e) => e,
+        })
     }
 }
 

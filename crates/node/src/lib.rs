@@ -18,6 +18,9 @@
 //! * [`ServiceError`] — the single top-level error: every layer's
 //!   `#[non_exhaustive]` error converts in via `From` and is reachable
 //!   through `source()`.
+//! * [`cli::Cli`] — the command-line parser `waku-node` and the
+//!   `waku-bench` experiment binaries share: each parses its arguments
+//!   against its usage line.
 //!
 //! The `waku-node` binary in this crate wires these to a wall clock and
 //! SIGTERM; the `exp_soak` scenario drives the same service with a
@@ -34,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod config;
 pub mod error;
 pub mod http;

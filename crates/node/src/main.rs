@@ -13,14 +13,23 @@
 //! a clean shutdown that flushes the queue and persists every piece of
 //! durable state — restarting from the same `--data-dir` recovers it.
 
+use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use waku_node::cli::{Cli, Fatal};
 use waku_node::{MetricsServer, RelayerService, ServiceConfig, ServiceError};
 use waku_rln_relay::{BatchConfig, NodeConfig};
 
-const USAGE: &str = "\
+/// The grammar [`Cli`] parses the command line against.
+const USAGE: &str = "waku-node [--data-dir PATH] [--depth N] [--epoch-secs N] [--max-gap N] \
+    [--batch N] [--heartbeat-secs N] [--checkpoint-secs N] [--listen ADDR] [--prom-dump PATH] \
+    [--publish-interval-secs N] [--duration-secs N] [--seed N] [-h] [--help]";
+
+/// What `-h` / `--help` prints.
+const HELP: &str = "\
 waku-node: run a WAKU-RLN-RELAY relayer as a long-running service
 
 USAGE:
@@ -75,7 +84,9 @@ mod stop {
     }
 }
 
-struct Cli {
+/// The run a command line asks for.
+#[derive(Debug, PartialEq)]
+struct Settings {
     data_dir: String,
     depth: usize,
     epoch_secs: u64,
@@ -90,66 +101,33 @@ struct Cli {
     seed: u64,
 }
 
-fn parse_cli() -> Result<Cli, String> {
-    let mut cli = Cli {
-        data_dir: "./waku-node-data".to_string(),
-        depth: 10,
-        epoch_secs: 10,
-        max_gap: 2,
-        batch: 1,
-        heartbeat_secs: 1,
-        checkpoint_secs: 30,
-        listen: None,
-        prom_dump: None,
-        publish_interval_secs: 0,
-        duration_secs: 0,
-        seed: 1,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--data-dir" => cli.data_dir = value("--data-dir")?,
-            "--depth" => cli.depth = num(&value("--depth")?, "--depth")? as usize,
-            "--epoch-secs" => cli.epoch_secs = num(&value("--epoch-secs")?, "--epoch-secs")?,
-            "--max-gap" => cli.max_gap = num(&value("--max-gap")?, "--max-gap")?,
-            "--batch" => cli.batch = num(&value("--batch")?, "--batch")? as usize,
-            "--heartbeat-secs" => {
-                cli.heartbeat_secs = num(&value("--heartbeat-secs")?, "--heartbeat-secs")?;
-                if cli.heartbeat_secs == 0 {
-                    return Err("--heartbeat-secs must be at least 1".to_string());
-                }
-            }
-            "--checkpoint-secs" => {
-                cli.checkpoint_secs = num(&value("--checkpoint-secs")?, "--checkpoint-secs")?
-            }
-            "--listen" => cli.listen = Some(value("--listen")?),
-            "--prom-dump" => cli.prom_dump = Some(value("--prom-dump")?),
-            "--publish-interval-secs" => {
-                cli.publish_interval_secs = num(
-                    &value("--publish-interval-secs")?,
-                    "--publish-interval-secs",
-                )?
-            }
-            "--duration-secs" => {
-                cli.duration_secs = num(&value("--duration-secs")?, "--duration-secs")?
-            }
-            "--seed" => cli.seed = num(&value("--seed")?, "--seed")?,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
-        }
+/// The settings `cli` asks for, with the defaults [`HELP`] lists; `None`
+/// when it asks for help.
+fn settings(cli: &Cli) -> Result<Option<Settings>, Fatal> {
+    if cli.switch("-h") || cli.switch("--help") {
+        return Ok(None);
     }
-    Ok(cli)
-}
-
-fn num(s: &str, flag: &str) -> Result<u64, String> {
-    s.parse::<u64>()
-        .map_err(|_| format!("{flag} expects a non-negative integer, got `{s}`"))
+    fn int<T: FromStr>(cli: &Cli, flag: &str, default: T) -> Result<T, Fatal> {
+        let value = cli.value(flag, "a non-negative integer", |_: &T| true)?;
+        Ok(value.unwrap_or(default))
+    }
+    let text = |flag: &str| cli.raw(flag).map(str::to_string);
+    Ok(Some(Settings {
+        data_dir: text("--data-dir").unwrap_or_else(|| "./waku-node-data".to_string()),
+        depth: int(cli, "--depth", 10)?,
+        epoch_secs: int(cli, "--epoch-secs", 10)?,
+        max_gap: int(cli, "--max-gap", 2)?,
+        batch: int(cli, "--batch", 1)?,
+        heartbeat_secs: cli
+            .value("--heartbeat-secs", "an integer ≥ 1", |&n: &u64| n >= 1)?
+            .unwrap_or(1),
+        checkpoint_secs: int(cli, "--checkpoint-secs", 30)?,
+        listen: text("--listen"),
+        prom_dump: text("--prom-dump"),
+        publish_interval_secs: int(cli, "--publish-interval-secs", 0)?,
+        duration_secs: int(cli, "--duration-secs", 0)?,
+        seed: int(cli, "--seed", 1)?,
+    }))
 }
 
 fn now_secs() -> u64 {
@@ -168,7 +146,7 @@ fn report(e: &dyn std::error::Error) {
     }
 }
 
-fn run(cli: Cli) -> Result<(), ServiceError> {
+fn run(cli: Settings) -> Result<(), ServiceError> {
     // `--batch 1` is pass-through: a one-slot queue flushes on every push.
     let node = NodeConfig::builder()
         .tree_depth(cli.depth)
@@ -260,16 +238,97 @@ fn run(cli: Cli) -> Result<(), ServiceError> {
     Ok(())
 }
 
-fn main() {
-    let cli = match parse_cli() {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("waku-node: {msg}");
-            std::process::exit(2);
+/// Exit codes: 0 for a clean run or help, 2 for a usage error, 1 for
+/// an error while running.
+fn main() -> ExitCode {
+    let settings = match Cli::from_env(USAGE).and_then(|cli| settings(&cli)) {
+        Ok(Some(settings)) => settings,
+        Ok(None) => {
+            print!("{HELP}");
+            return ExitCode::SUCCESS;
+        }
+        Err(Fatal(message)) => {
+            eprintln!("waku-node: {message}");
+            return ExitCode::from(2);
         }
     };
-    if let Err(e) = run(cli) {
-        report(&e);
-        std::process::exit(1);
+    match run(settings) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            report(&e);
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<Option<Settings>, Fatal> {
+        Cli::parse(USAGE, args.split_whitespace().map(str::to_string)).and_then(|c| settings(&c))
+    }
+
+    fn defaults() -> Settings {
+        Settings {
+            data_dir: "./waku-node-data".to_string(),
+            depth: 10,
+            epoch_secs: 10,
+            max_gap: 2,
+            batch: 1,
+            heartbeat_secs: 1,
+            checkpoint_secs: 30,
+            listen: None,
+            prom_dump: None,
+            publish_interval_secs: 0,
+            duration_secs: 0,
+            seed: 1,
+        }
+    }
+
+    /// The four command lines of CI's kill-and-restart step: a first run
+    /// and a restart, at depth 6 and at depth 32.
+    #[test]
+    fn ci_restart_command_lines_keep_their_settings() {
+        assert_eq!(parse("").unwrap(), Some(defaults()));
+        for (dir, depth) in [("target/node-ci", 6), ("target/node-ci-32", 32)] {
+            let first = format!(
+                "--data-dir {dir} --depth {depth} --epoch-secs 5 \
+                 --publish-interval-secs 1 --checkpoint-secs 2 \
+                 --duration-secs 6 --prom-dump {dir}.prom"
+            );
+            let restart =
+                format!("--data-dir {dir} --depth {depth} --epoch-secs 5 --duration-secs 2");
+            let run = |epoch_secs, duration_secs| Settings {
+                data_dir: dir.to_string(),
+                depth,
+                epoch_secs,
+                duration_secs,
+                ..defaults()
+            };
+            let first_run = Settings {
+                checkpoint_secs: 2,
+                prom_dump: Some(format!("{dir}.prom")),
+                publish_interval_secs: 1,
+                ..run(5, 6)
+            };
+            assert_eq!(parse(&first).unwrap(), Some(first_run));
+            assert_eq!(parse(&restart).unwrap(), Some(run(5, 2)));
+        }
+    }
+
+    #[test]
+    fn help_and_usage_errors() {
+        assert_eq!(parse("-h").unwrap(), None);
+        assert_eq!(parse("--depth 6 --help").unwrap(), None);
+        for bad in [
+            "--heartbeat-secs 0",
+            "--bogus",
+            "--depth 6 --seed",
+            "--depth six",
+            "stray",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 }

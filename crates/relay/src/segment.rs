@@ -65,10 +65,12 @@ pub struct SegmentConfig {
 }
 
 impl SegmentConfig {
-    /// Starts building a config (defaults: capacity 4096, 1024 records
-    /// per segment).
+    /// Starts building a config from [`SegmentConfig::default`]
+    /// (capacity 4096, 1024 records per segment).
     pub fn builder() -> SegmentConfigBuilder {
-        SegmentConfigBuilder::default()
+        SegmentConfigBuilder {
+            config: SegmentConfig::default(),
+        }
     }
 }
 
@@ -81,33 +83,22 @@ impl Default for SegmentConfig {
     }
 }
 
-/// Builder for [`SegmentConfig`].
+/// Builder for [`SegmentConfig`]; it holds the config it builds.
 #[derive(Clone, Debug)]
 pub struct SegmentConfigBuilder {
-    capacity: usize,
-    records_per_segment: usize,
-}
-
-impl Default for SegmentConfigBuilder {
-    fn default() -> Self {
-        let d = SegmentConfig::default();
-        SegmentConfigBuilder {
-            capacity: d.capacity,
-            records_per_segment: d.records_per_segment,
-        }
-    }
+    config: SegmentConfig,
 }
 
 impl SegmentConfigBuilder {
     /// Sets the live-window capacity (messages).
     pub fn capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
+        self.config.capacity = capacity;
         self
     }
 
     /// Sets the rotation threshold (records per segment file).
     pub fn records_per_segment(mut self, records: usize) -> Self {
-        self.records_per_segment = records;
+        self.config.records_per_segment = records;
         self
     }
 
@@ -118,18 +109,15 @@ impl SegmentConfigBuilder {
     /// [`StorageError::InvalidConfig`] when `capacity` or
     /// `records_per_segment` is zero.
     pub fn build(self) -> Result<SegmentConfig, StorageError> {
-        if self.capacity == 0 {
+        if self.config.capacity == 0 {
             return Err(StorageError::InvalidConfig("capacity must be nonzero"));
         }
-        if self.records_per_segment == 0 {
+        if self.config.records_per_segment == 0 {
             return Err(StorageError::InvalidConfig(
                 "records_per_segment must be nonzero",
             ));
         }
-        Ok(SegmentConfig {
-            capacity: self.capacity,
-            records_per_segment: self.records_per_segment,
-        })
+        Ok(self.config)
     }
 }
 

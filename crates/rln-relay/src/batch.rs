@@ -83,49 +83,41 @@ pub struct BatchConfig {
 }
 
 impl BatchConfig {
-    /// Starts building a flush policy (defaults: batches of 16, one
-    /// second of queueing delay).
+    /// Starts building a flush policy from [`BatchConfig::default`].
     pub fn builder() -> BatchConfigBuilder {
-        BatchConfigBuilder::default()
+        BatchConfigBuilder {
+            config: BatchConfig::default(),
+        }
     }
 }
 
+/// Pass-through: a batch of 1 flushes on every push, so its one-second
+/// deadline never fires; raising `max_batch` keeps that deadline.
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
-            max_batch: 16,
+            max_batch: 1,
             max_delay_secs: 1,
         }
     }
 }
 
-/// Builder for [`BatchConfig`].
+/// Builder for [`BatchConfig`]; it holds the config it builds.
 #[derive(Clone, Debug)]
 pub struct BatchConfigBuilder {
-    max_batch: usize,
-    max_delay_secs: u64,
-}
-
-impl Default for BatchConfigBuilder {
-    fn default() -> Self {
-        let d = BatchConfig::default();
-        BatchConfigBuilder {
-            max_batch: d.max_batch,
-            max_delay_secs: d.max_delay_secs,
-        }
-    }
+    config: BatchConfig,
 }
 
 impl BatchConfigBuilder {
     /// Sets the flush-triggering batch size.
     pub fn max_batch(mut self, n: usize) -> Self {
-        self.max_batch = n;
+        self.config.max_batch = n;
         self
     }
 
     /// Sets the maximum seconds the oldest queued bundle may wait.
     pub fn max_delay_secs(mut self, secs: u64) -> Self {
-        self.max_delay_secs = secs;
+        self.config.max_delay_secs = secs;
         self
     }
 
@@ -135,16 +127,13 @@ impl BatchConfigBuilder {
     ///
     /// [`crate::ConfigError`] when `max_batch` is zero.
     pub fn build(self) -> Result<BatchConfig, crate::errors::ConfigError> {
-        if self.max_batch == 0 {
+        if self.config.max_batch == 0 {
             return Err(crate::errors::ConfigError::new(
                 "max_batch",
                 "must be at least 1",
             ));
         }
-        Ok(BatchConfig {
-            max_batch: self.max_batch,
-            max_delay_secs: self.max_delay_secs,
-        })
+        Ok(self.config)
     }
 }
 
@@ -177,7 +166,8 @@ struct QueuedBundle {
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let (_, verifier) = RlnProver::keygen(20, &mut rng);
 /// let inner = MessageValidator::new(verifier, EpochManager::new(10), 1);
-/// let mut validator = BatchingValidator::new(inner, BatchConfig::default());
+/// let config = BatchConfig::builder().max_batch(16).build().unwrap();
+/// let mut validator = BatchingValidator::new(inner, config);
 /// let group = GroupManager::new(20);
 /// # let bundle: waku_rln::RlnMessageBundle = todo!();
 /// for decision in validator.enqueue(bundle, &group, 1_644_810_116) {

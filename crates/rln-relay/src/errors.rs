@@ -11,9 +11,10 @@
 /// A configuration invariant rejected at builder `build()` time.
 ///
 /// Builders ([`crate::NodeConfig::builder`],
-/// [`crate::BatchConfig::builder`]) validate here instead of panicking
-/// deep inside constructors, so a service can surface a bad flag as an
-/// error message rather than a backtrace.
+/// [`crate::BatchConfig::builder`], and the `waku-node` service's
+/// `ServiceConfig::builder`) validate here instead of panicking deep
+/// inside constructors, so a service can surface a bad flag as an error
+/// message rather than a backtrace.
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConfigError {
@@ -24,7 +25,9 @@ pub struct ConfigError {
 }
 
 impl ConfigError {
-    pub(crate) fn new(field: &'static str, reason: &'static str) -> Self {
+    /// Rejects `field`; `reason` reads after the field name, as in
+    /// "must be at least 1".
+    pub fn new(field: &'static str, reason: &'static str) -> Self {
         ConfigError { field, reason }
     }
 }

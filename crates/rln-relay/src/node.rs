@@ -2,6 +2,8 @@
 //! RLN prover/verifier, the synced group view, the epoch manager, the
 //! validation pipeline, and the slashing client into one peer.
 
+use std::time::Duration;
+
 use rand::Rng;
 use waku_arith::fields::Fr;
 use waku_chain::{Address, Chain, TxKind};
@@ -36,16 +38,19 @@ pub struct NodeConfig {
     /// Maximum epoch gap `Thr` (see [`EpochManager::max_epoch_gap`]).
     pub max_epoch_gap: u64,
     /// Flush policy of the ingest queue ([`WakuRlnRelayNode::ingest`]).
-    /// The default, a batch of 1 with no delay, is pass-through: a
-    /// one-slot queue flushes on every push, so each bundle is decided on
-    /// arrival.
+    /// The default, [`BatchConfig::default`], is pass-through: a one-slot
+    /// queue flushes on every push, so each bundle is decided on arrival.
     pub batch: BatchConfig,
 }
 
 impl NodeConfig {
     /// Starts building a config from the defaults.
     pub fn builder() -> NodeConfigBuilder {
-        NodeConfigBuilder::default()
+        let config = NodeConfig::default();
+        NodeConfigBuilder {
+            epoch_length: Duration::from_secs(config.epoch_length_secs),
+            config,
+        }
     }
 }
 
@@ -55,39 +60,24 @@ impl Default for NodeConfig {
             tree_depth: 20,
             epoch_length_secs: 1,
             max_epoch_gap: 1,
-            batch: BatchConfig {
-                max_batch: 1,
-                max_delay_secs: 0,
-            },
+            batch: BatchConfig::default(),
         }
     }
 }
 
-/// Builder for [`NodeConfig`] — see [`NodeConfig::builder`].
+/// Builder for [`NodeConfig`] — see [`NodeConfig::builder`]. It holds the
+/// config it builds, plus the epoch length as a [`Duration`] until
+/// [`NodeConfigBuilder::build`] checks it is whole seconds.
 #[derive(Clone, Debug)]
 pub struct NodeConfigBuilder {
-    tree_depth: usize,
-    epoch_length: std::time::Duration,
-    max_epoch_gap: u64,
-    batch: BatchConfig,
-}
-
-impl Default for NodeConfigBuilder {
-    fn default() -> Self {
-        let d = NodeConfig::default();
-        NodeConfigBuilder {
-            tree_depth: d.tree_depth,
-            epoch_length: std::time::Duration::from_secs(d.epoch_length_secs),
-            max_epoch_gap: d.max_epoch_gap,
-            batch: d.batch,
-        }
-    }
+    config: NodeConfig,
+    epoch_length: Duration,
 }
 
 impl NodeConfigBuilder {
     /// Sets the identity tree depth (1..=32; must match the circuit keys).
     pub fn tree_depth(mut self, depth: usize) -> Self {
-        self.tree_depth = depth;
+        self.config.tree_depth = depth;
         self
     }
 
@@ -95,21 +85,21 @@ impl NodeConfigBuilder {
     /// (the proof binds `⌊now/T⌋`), so sub-second components are
     /// rejected at [`NodeConfigBuilder::build`] rather than silently
     /// truncated.
-    pub fn epoch_length(mut self, length: std::time::Duration) -> Self {
+    pub fn epoch_length(mut self, length: Duration) -> Self {
         self.epoch_length = length;
         self
     }
 
     /// Sets the maximum epoch gap `Thr` (≥ 1).
     pub fn max_epoch_gap(mut self, gap: u64) -> Self {
-        self.max_epoch_gap = gap;
+        self.config.max_epoch_gap = gap;
         self
     }
 
     /// Sets the ingest queue's flush policy; a `max_batch` above 1 turns
     /// on micro-batched proof verification.
     pub fn batching(mut self, config: BatchConfig) -> Self {
-        self.batch = config;
+        self.config.batch = config;
         self
     }
 
@@ -121,7 +111,8 @@ impl NodeConfigBuilder {
     /// outside 1..=32, `epoch_length` is zero or not a whole number of
     /// seconds, or `max_epoch_gap` is zero.
     pub fn build(self) -> Result<NodeConfig, ConfigError> {
-        if self.tree_depth == 0 || self.tree_depth > 32 {
+        let depth = self.config.tree_depth;
+        if depth == 0 || depth > 32 {
             return Err(ConfigError::new("tree_depth", "must be between 1 and 32"));
         }
         if self.epoch_length.as_secs() == 0 {
@@ -136,14 +127,12 @@ impl NodeConfigBuilder {
                 "must be a whole number of seconds",
             ));
         }
-        if self.max_epoch_gap == 0 {
+        if self.config.max_epoch_gap == 0 {
             return Err(ConfigError::new("max_epoch_gap", "must be at least 1"));
         }
         Ok(NodeConfig {
-            tree_depth: self.tree_depth,
             epoch_length_secs: self.epoch_length.as_secs(),
-            max_epoch_gap: self.max_epoch_gap,
-            batch: self.batch,
+            ..self.config
         })
     }
 }
@@ -745,7 +734,7 @@ mod tests {
         assert_eq!(built.batch, defaults.batch);
         assert_eq!(
             (built.batch.max_batch, built.batch.max_delay_secs),
-            (1, 0),
+            (1, 1),
             "pass-through"
         );
     }

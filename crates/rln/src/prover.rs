@@ -13,7 +13,7 @@ use waku_snark::serialize::read_field;
 use waku_snark::SnarkError;
 use waku_wire::{put_bytes, put_u64, Reader};
 
-use crate::circuit::{build, build_for_setup, RlnPublicInputs, RlnWitness};
+use crate::circuit::{build_for_setup, RlnPublicInputs};
 use crate::identity::Identity;
 use crate::nullifier::{derive, external_nullifier, message_hash};
 
@@ -256,38 +256,15 @@ impl RlnProver {
         epoch: u64,
         rng: &mut R,
     ) -> Result<RlnMessageBundle, SnarkError> {
+        // The cached template has this key's depth; a path of any other
+        // depth has no circuit the key can prove.
+        if path.siblings.len() != self.depth {
+            return Err(SnarkError::KeyMismatch);
+        }
         let x = message_hash(payload);
         let ext = external_nullifier(epoch);
         let (_, phi, y) = derive(identity.secret(), ext, x);
         let root = path.compute_root(identity.commitment());
-        let public = RlnPublicInputs {
-            x,
-            external_nullifier: ext,
-            root,
-            y,
-            nullifier: phi,
-        };
-        if path.siblings.len() != self.depth {
-            // A wrong-depth path cannot rebind the fixed-depth template;
-            // fall back to a fresh build, which reports the mismatch the
-            // same way it did before template caching: the wrong-depth
-            // circuit has a different variable count than the proving
-            // key, so `prove` returns `SnarkError::KeyMismatch`.
-            let witness = RlnWitness {
-                sk: identity.secret(),
-                path: path.clone(),
-            };
-            let cs = build(&witness, &public);
-            let proof = prove(&self.pk, &cs, rng)?;
-            return Ok(RlnMessageBundle {
-                payload: payload.to_vec(),
-                y,
-                nullifier: phi,
-                epoch,
-                root,
-                proof,
-            });
-        }
         // Rebind the cached template: instance values, then the free
         // witnesses in allocation order (sk, then per level bit, sibling).
         let mut cs = self.template.clone();
@@ -494,6 +471,28 @@ mod tests {
             .prove_message(&id, &stale_path, b"msg", 1, &mut rng)
             .unwrap();
         assert_ne!(bundle.root, tree.root(), "bundle is bound to stale root");
+    }
+
+    #[test]
+    fn wrong_depth_path_is_a_key_mismatch() {
+        let (prover, _) = keys();
+        let (id, tree, index) = registered_identity(13);
+        let path = tree.proof(index);
+        let mut shallow = path.clone();
+        shallow.siblings.pop();
+        let mut deep = path;
+        deep.siblings.push(Fr::from_u64(7));
+        let mut rng = StdRng::seed_from_u64(14);
+        for wrong in [shallow, deep] {
+            assert_eq!(
+                prover
+                    .prove_message(&id, &wrong, b"msg", 1, &mut rng)
+                    .unwrap_err(),
+                SnarkError::KeyMismatch,
+                "depth {}",
+                wrong.siblings.len()
+            );
+        }
     }
 
     #[test]

@@ -16,4 +16,4 @@ pub mod pow;
 pub mod scoring_only;
 
 pub use pow::{expected_iterations, mine, validate, Envelope, MiningOutcome};
-pub use scoring_only::{SybilCostModel, SybilRotation};
+pub use scoring_only::SybilCostModel;

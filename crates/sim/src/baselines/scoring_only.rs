@@ -47,40 +47,6 @@ impl SybilCostModel {
     }
 }
 
-/// Tracks how a Sybil attacker defeats scoring by identity rotation:
-/// each "bot" spams until graylisted, then is discarded for a fresh one.
-#[derive(Clone, Debug, Default)]
-pub struct SybilRotation {
-    /// Identities burned so far.
-    pub identities_used: u64,
-    /// Spam messages landed before each burn.
-    pub messages_delivered: u64,
-}
-
-impl SybilRotation {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one bot's run: it delivered `landed` messages before
-    /// detection. Returns the running total.
-    pub fn burn_identity(&mut self, landed: u64) -> u64 {
-        self.identities_used += 1;
-        self.messages_delivered += landed;
-        self.messages_delivered
-    }
-
-    /// Spam throughput per identity — under scoring this stays positive
-    /// forever at zero cost, which is the attack the paper highlights.
-    pub fn messages_per_identity(&self) -> f64 {
-        if self.identities_used == 0 {
-            return 0.0;
-        }
-        self.messages_delivered as f64 / self.identities_used as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,15 +64,5 @@ mod tests {
         assert_eq!(model.cost_for_rate(1), deposit);
         assert_eq!(model.cost_for_rate(10), 10 * deposit);
         assert_eq!(model.cost_for_rate(1000), 1000 * deposit);
-    }
-
-    #[test]
-    fn rotation_bookkeeping() {
-        let mut rot = SybilRotation::new();
-        rot.burn_identity(40);
-        rot.burn_identity(60);
-        assert_eq!(rot.identities_used, 2);
-        assert_eq!(rot.messages_delivered, 100);
-        assert!((rot.messages_per_identity() - 50.0).abs() < f64::EPSILON);
     }
 }
