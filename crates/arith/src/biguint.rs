@@ -276,7 +276,7 @@ impl BigUint {
     }
 
     /// Formats as a decimal string.
-    pub fn to_decimal(&self) -> String {
+    fn to_decimal(&self) -> String {
         if self.is_zero() {
             return "0".to_string();
         }

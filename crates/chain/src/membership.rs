@@ -175,11 +175,6 @@ impl MembershipContract {
         self.kind
     }
 
-    /// Required registration deposit `v` (paper §III-B).
-    pub fn deposit_required(&self) -> Wei {
-        self.deposit_required
-    }
-
     /// Total value held in escrow.
     pub fn escrow(&self) -> Wei {
         self.escrow
@@ -213,7 +208,8 @@ impl MembershipContract {
     }
 
     /// On-chain root (only for [`ContractKind::OnChainTree`]).
-    pub fn on_chain_root(&self) -> Option<Fr> {
+    #[cfg(test)]
+    fn on_chain_root(&self) -> Option<Fr> {
         self.tree.as_ref().map(|t| t.root())
     }
 

@@ -218,7 +218,7 @@ fn run(cli: Settings) -> Result<(), ServiceError> {
             }
 
             if let Some(path) = &cli.prom_dump {
-                std::fs::write(path, service.metrics_text())?;
+                waku_wire::fs::atomic_write(path.as_ref(), service.metrics_text().as_bytes())?;
             }
         }
 

@@ -11,10 +11,14 @@
 //!
 //! ## Persistence layout (`data_dir/`)
 //!
+//! Every file below is read, written and synced through
+//! [`waku_wire::fs`], the one module that touches the filesystem; the
+//! owners decide only what to write and when to sync.
+//!
 //! | path              | contents                                   | discipline |
 //! |-------------------|--------------------------------------------|------------|
 //! | `keys.bin`        | proving-key cache (`waku_rln::keycache`)   | checksummed envelope, `atomic_write` |
-//! | `store/`          | message history ([`SegmentLog`])           | CRC per record, torn-tail truncation |
+//! | `store/`          | message history ([`SegmentLog`])           | CRC per record, torn-tail `truncate`, `Appender` + `sync_dir` on flush |
 //! | `nullifiers.snap` | rate-limit window (`waku_rln::snapshot_io`)| checksummed envelope, `atomic_write` |
 //! | `publish.guard`   | own last-published epoch                   | magic + value + complement, `atomic_write` |
 //!
@@ -226,8 +230,6 @@ impl RelayerService {
     /// checksum or window mismatch — failing safe to an empty window),
     /// publish guard.
     pub fn open(config: ServiceConfig) -> Result<Self, ServiceError> {
-        std::fs::create_dir_all(&config.data_dir)?;
-
         // Two independent RNG streams so the node's identity is the same
         // on a warm start (key cache hit consumes no randomness) as on a
         // cold one.
@@ -464,7 +466,7 @@ fn encode_guard(epoch: u64) -> Vec<u8> {
 /// node then relies on the epoch itself having passed — failing safe
 /// costs at most one skipped publish window).
 fn load_guard(path: &std::path::Path) -> Option<u64> {
-    decode_guard(&std::fs::read(path).ok()?)
+    decode_guard(&waku_wire::fs::read(path).ok()?)
 }
 
 fn decode_guard(bytes: &[u8]) -> Option<u64> {

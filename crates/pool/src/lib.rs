@@ -195,7 +195,8 @@ impl Pool {
     }
 
     /// Number of worker OS threads this pool spawned (`size − 1`).
-    pub fn spawned_workers(&self) -> usize {
+    #[cfg(test)]
+    fn spawned_workers(&self) -> usize {
         self.workers.len()
     }
 }

@@ -9,7 +9,7 @@ use crate::params::PoseidonParams;
 
 /// `x ↦ x⁵` (the α = 5 S-box; 5 is coprime to r − 1 for BN254).
 #[inline]
-pub fn quintic_sbox(x: Fr) -> Fr {
+fn quintic_sbox(x: Fr) -> Fr {
     x.square().square() * x
 }
 

@@ -31,13 +31,16 @@
 //! that file is truncated in place and any later segment files are
 //! deleted. A crash mid-append therefore costs at most the records not
 //! yet flushed — never a wrong message, never an unreadable store.
+//!
+//! Every read, append, truncate, unlink and fsync goes through
+//! [`waku_wire::fs`]; this module decides only what to write and when
+//! to sync.
 
 use std::collections::VecDeque;
-use std::fs;
-use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
 
 use waku_wire::checksum::crc32;
+use waku_wire::fs::{self, Appender};
 use waku_wire::Reader;
 
 use crate::message::WakuMessage;
@@ -150,7 +153,7 @@ pub struct SegmentLog {
     /// (appendable) segment.
     segments: VecDeque<SegmentMeta>,
     /// Open handle to the active segment (lazily created).
-    writer: Option<std::io::BufWriter<fs::File>>,
+    writer: Option<Appender>,
     /// A segment file was created since the last [`SegmentLog::flush`]:
     /// its directory entry is not durable until the directory is synced.
     created_unsynced: bool,
@@ -168,10 +171,8 @@ impl SegmentLog {
     /// [`StorageError::Io`] on filesystem failures. Corrupt tails are
     /// *not* errors — they are truncated to the last consistent prefix.
     pub fn open(dir: impl Into<PathBuf>, config: SegmentConfig) -> Result<Self, StorageError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
         let mut log = SegmentLog {
-            dir,
+            dir: dir.into(),
             config,
             live: VecDeque::new(),
             first_live_seq: 0,
@@ -200,31 +201,27 @@ impl SegmentLog {
         self.segments.iter().map(|s| s.bytes).sum()
     }
 
-    /// Global sequence number of the next appended record.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
         dir.join(format!("seg-{first_seq:020}.log"))
     }
 
-    /// Lists, orders, and replays the on-disk segments; truncates the
-    /// torn tail; deletes everything after the first inconsistency.
+    /// Lists (creating the directory if needed), orders, and replays the
+    /// on-disk segments; truncates the torn tail; deletes everything
+    /// after the first inconsistency. Other files are left alone.
     fn recover(&mut self) -> Result<(), StorageError> {
-        let mut found: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(seq) = name
-                .strip_prefix("seg-")
-                .and_then(|s| s.strip_suffix(".log"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                found.push((seq, entry.path()));
-            }
-        }
+        let mut found: Vec<(u64, PathBuf)> = fs::list_dir(&self.dir)?
+            .into_iter()
+            .filter_map(|path| {
+                let seq = path
+                    .file_name()?
+                    .to_str()?
+                    .strip_prefix("seg-")?
+                    .strip_suffix(".log")?
+                    .parse::<u64>()
+                    .ok()?;
+                Some((seq, path))
+            })
+            .collect();
         found.sort_unstable_by_key(|(seq, _)| *seq);
 
         let mut all: Vec<WakuMessage> = Vec::new();
@@ -234,7 +231,7 @@ impl SegmentLog {
             if stop || expected_seq.is_some_and(|e| e != first_seq) {
                 // A gap in the sequence (or an earlier torn tail) makes
                 // everything from here on unsplicable: drop it.
-                fs::remove_file(&path)?;
+                fs::remove(&path)?;
                 stop = true;
                 continue;
             }
@@ -242,14 +239,12 @@ impl SegmentLog {
             if scan.torn {
                 // Truncate the invalid tail in place; later files (if
                 // any) no longer splice and are deleted above.
-                let f = fs::OpenOptions::new().write(true).open(&path)?;
-                f.set_len(scan.valid_bytes)?;
-                f.sync_all()?;
+                fs::truncate(&path, scan.valid_bytes)?;
                 stop = true;
             }
             if scan.messages.is_empty() && scan.torn {
                 // Nothing valid in the file at all — remove it entirely.
-                fs::remove_file(&path)?;
+                fs::remove(&path)?;
                 continue;
             }
             let records = scan.messages.len();
@@ -278,7 +273,7 @@ impl SegmentLog {
         while self.segments.len() > 1 {
             let head = &self.segments[0];
             if head.first_seq + head.records as u64 <= self.first_live_seq {
-                fs::remove_file(&head.path)?;
+                fs::remove(&head.path)?;
                 self.segments.pop_front();
             } else {
                 break;
@@ -288,7 +283,7 @@ impl SegmentLog {
     }
 
     /// Ensures an active segment with room is open, rotating when full.
-    fn writer_for_append(&mut self) -> Result<&mut std::io::BufWriter<fs::File>, StorageError> {
+    fn writer_for_append(&mut self) -> Result<&mut Appender, StorageError> {
         let needs_new = match self.segments.back() {
             Some(active) => active.records >= self.config.records_per_segment,
             None => true,
@@ -297,12 +292,7 @@ impl SegmentLog {
             self.sync_writer()?;
             self.writer = None;
             let path = Self::segment_path(&self.dir, self.next_seq);
-            let mut file = fs::OpenOptions::new()
-                .create(true)
-                .truncate(true)
-                .write(true)
-                .open(&path)?;
-            file.write_all(SEGMENT_MAGIC)?;
+            let file = Appender::create(&path, SEGMENT_MAGIC)?;
             self.created_unsynced = true;
             self.segments.push_back(SegmentMeta {
                 first_seq: self.next_seq,
@@ -310,21 +300,18 @@ impl SegmentLog {
                 bytes: SEGMENT_MAGIC.len() as u64,
                 path,
             });
-            self.writer = Some(std::io::BufWriter::new(file));
+            self.writer = Some(file);
         } else if self.writer.is_none() {
             // Reopening an existing active segment (fresh `open()`).
             let active = self.segments.back().expect("active segment exists");
-            let mut file = fs::OpenOptions::new().write(true).open(&active.path)?;
-            file.seek(std::io::SeekFrom::End(0))?;
-            self.writer = Some(std::io::BufWriter::new(file));
+            self.writer = Some(Appender::reopen(&active.path)?);
         }
         Ok(self.writer.as_mut().expect("writer just ensured"))
     }
 
     fn sync_writer(&mut self) -> Result<(), StorageError> {
         if let Some(w) = self.writer.as_mut() {
-            w.flush()?;
-            w.get_ref().sync_data()?;
+            w.sync()?;
         }
         Ok(())
     }
@@ -391,15 +378,14 @@ impl StorageBackend for SegmentLog {
         let len = u32::try_from(payload.len())
             .ok()
             .filter(|&len| len <= MAX_RECORD_BYTES)
-            .ok_or(StorageError::Corrupt {
-                reason: "message exceeds record size limit",
-                path: None,
+            .ok_or(StorageError::RecordTooLarge {
+                bytes: payload.len(),
             })?;
         let crc = crc32(&payload);
         let w = self.writer_for_append()?;
-        w.write_all(&len.to_le_bytes())?;
-        w.write_all(&crc.to_le_bytes())?;
-        w.write_all(&payload)?;
+        w.append(&len.to_le_bytes())?;
+        w.append(&crc.to_le_bytes())?;
+        w.append(&payload)?;
         let active = self.segments.back_mut().expect("active segment exists");
         active.records += 1;
         active.bytes += 8 + u64::from(len);
@@ -437,7 +423,7 @@ impl StorageBackend for SegmentLog {
         // records were synced, and recovery then deletes every later
         // segment as a sequence gap.
         if self.created_unsynced {
-            fs::File::open(&self.dir)?.sync_all()?;
+            fs::sync_dir(&self.dir)?;
             self.created_unsynced = false;
         }
         Ok(())
@@ -448,6 +434,7 @@ impl StorageBackend for SegmentLog {
 mod tests {
     use super::*;
     use crate::store::HistoryQuery;
+    use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -588,6 +575,82 @@ mod tests {
         let log = SegmentLog::open(&dir, cfg).unwrap();
         assert_eq!(log.len(), 1, "consistent prefix = first record only");
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn file_lengths(dir: &Path) -> Vec<(PathBuf, u64)> {
+        let mut lengths: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.path(), e.metadata().unwrap().len())
+            })
+            .collect();
+        lengths.sort();
+        lengths
+    }
+
+    #[test]
+    fn oversize_message_is_refused_without_touching_disk() {
+        let dir = tmpdir("oversize");
+        let cfg = SegmentConfig::builder()
+            .capacity(100)
+            .records_per_segment(2)
+            .build()
+            .unwrap();
+        let mut log = SegmentLog::open(&dir, cfg).unwrap();
+        log.append(msg(0)).unwrap();
+        log.append(msg(1)).unwrap();
+        log.flush().unwrap();
+        let before = file_lengths(&dir);
+        // The active segment is full, so a record that fit would open a
+        // new segment file first.
+        let huge = WakuMessage::new(vec![7u8; MAX_RECORD_BYTES as usize], "/a", 102);
+        let err = log.append(huge).unwrap_err();
+        assert!(
+            matches!(err, StorageError::RecordTooLarge { bytes } if bytes > MAX_RECORD_BYTES as usize),
+            "{err}"
+        );
+        log.flush().unwrap();
+        assert_eq!(file_lengths(&dir), before, "no byte and no file written");
+        assert_eq!(log.len(), 2);
+
+        log.append(msg(2)).unwrap();
+        log.flush().unwrap();
+        drop(log);
+        let log = SegmentLog::open(&dir, cfg).unwrap();
+        let r = log.query(&HistoryQuery::default());
+        assert_eq!(r.messages, [msg(0), msg(1), msg(2)]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn foreign_files_in_the_directory_are_left_alone() {
+        let dir = tmpdir("foreign");
+        let cfg = SegmentConfig::builder()
+            .capacity(100)
+            .records_per_segment(2)
+            .build()
+            .unwrap();
+        {
+            let mut log = SegmentLog::open(&dir, cfg).unwrap();
+            for i in 0..5 {
+                log.append(msg(i)).unwrap();
+            }
+            log.flush().unwrap();
+        }
+        let foreign = ["notes.txt", "seg-x.log", "seg-00000000000000000000.log.tmp"];
+        for name in foreign {
+            fs::write(dir.join(name), name.as_bytes()).unwrap();
+        }
+        let log = SegmentLog::open(&dir, cfg).unwrap();
+        assert_eq!(log.recovered_messages(), 5);
+        assert_eq!(log.segment_count(), 3);
+        let r = log.query(&HistoryQuery::default());
+        assert_eq!(r.messages, (0..5).map(msg).collect::<Vec<_>>());
+        for name in foreign {
+            assert_eq!(fs::read(dir.join(name)).unwrap(), name.as_bytes());
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -42,14 +42,11 @@ use crate::store::{Direction, HistoryQuery, HistoryResponse};
 pub enum StorageError {
     /// An underlying I/O operation failed.
     Io(std::io::Error),
-    /// On-disk state failed validation (checksum, framing, or layout).
-    /// Recovery scans downgrade *tail* corruption to silent truncation;
-    /// this variant is corruption the backend cannot safely skip.
-    Corrupt {
-        /// What failed to validate.
-        reason: &'static str,
-        /// Offending file, when known.
-        path: Option<std::path::PathBuf>,
+    /// A message was refused because its encoded record would exceed
+    /// the backend's per-record size limit; nothing was written.
+    RecordTooLarge {
+        /// The encoded message's size.
+        bytes: usize,
     },
     /// A configuration invariant was violated at build time
     /// (zero capacity, zero segment size, …).
@@ -60,10 +57,9 @@ impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StorageError::Io(e) => write!(f, "storage I/O failed: {e}"),
-            StorageError::Corrupt { reason, path } => match path {
-                Some(p) => write!(f, "corrupt storage ({reason}) in {}", p.display()),
-                None => write!(f, "corrupt storage ({reason})"),
-            },
+            StorageError::RecordTooLarge { bytes } => {
+                write!(f, "a {bytes}-byte message exceeds the record size limit")
+            }
             StorageError::InvalidConfig(what) => write!(f, "invalid storage config: {what}"),
         }
     }

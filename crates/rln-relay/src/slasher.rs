@@ -51,7 +51,8 @@ impl Slasher {
     }
 
     /// Number of flows still in progress.
-    pub fn pending_count(&self) -> usize {
+    #[cfg(test)]
+    fn pending_count(&self) -> usize {
         self.pending.len()
     }
 

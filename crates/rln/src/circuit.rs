@@ -59,7 +59,7 @@ pub struct RlnWitness {
 /// Full-round S-box outputs are fresh variables, so the MDS mixing keeps
 /// combinations short; partial-round combinations are simplified after each
 /// mix to stop term growth.
-pub fn poseidon_gadget(cs: &mut ConstraintSystem, inputs: &[Wire]) -> Wire {
+fn poseidon_gadget(cs: &mut ConstraintSystem, inputs: &[Wire]) -> Wire {
     assert!(
         (1..=4).contains(&inputs.len()),
         "poseidon gadget arity must be 1..=4"

@@ -31,7 +31,7 @@ impl Identity {
     }
 
     /// Rebuilds an identity from its secret key.
-    pub fn from_secret(secret: Fr) -> Self {
+    fn from_secret(secret: Fr) -> Self {
         Identity {
             secret,
             commitment: poseidon1(secret),
@@ -61,7 +61,8 @@ impl Identity {
     /// Parses an identity from a 32-byte secret key encoding.
     ///
     /// Returns `None` when the bytes are not a canonical field element.
-    pub fn from_secret_bytes(bytes: &[u8; 32]) -> Option<Self> {
+    #[cfg(test)]
+    fn from_secret_bytes(bytes: &[u8; 32]) -> Option<Self> {
         Fr::from_le_bytes(bytes).map(Self::from_secret)
     }
 }

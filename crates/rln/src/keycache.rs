@@ -101,7 +101,7 @@ pub fn save_keys(
 /// Reads and validates a key blob from `path`. Any I/O or format problem
 /// yields `None` (the caller regenerates).
 pub fn load_keys(path: &Path, expected_depth: usize) -> Option<(ProvingKey, ConstraintSystem)> {
-    decode_keys(&std::fs::read(path).ok()?, expected_depth)
+    decode_keys(&waku_wire::fs::read(path).ok()?, expected_depth)
 }
 
 #[cfg(test)]

@@ -258,7 +258,7 @@ impl NullifierStore {
     }
 
     /// Oldest epoch still retained (`current − Thr`, saturating).
-    pub fn oldest_retained_epoch(&self) -> u64 {
+    fn oldest_retained_epoch(&self) -> u64 {
         self.hi.saturating_sub(self.max_gap)
     }
 

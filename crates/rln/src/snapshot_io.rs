@@ -54,7 +54,7 @@ pub fn save_snapshot(path: &Path, snapshot: &NullifierSnapshot) -> std::io::Resu
 /// Reads and validates a snapshot blob from `path`. Any I/O or format
 /// problem yields `None` (the caller starts with an empty window).
 pub fn load_snapshot(path: &Path) -> Option<NullifierSnapshot> {
-    decode_snapshot(&std::fs::read(path).ok()?)
+    decode_snapshot(&waku_wire::fs::read(path).ok()?)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! per-variable polynomials at the toxic point τ) and the prover (computing
 //! the quotient polynomial `h = (A·B − C)/Z`).
 //!
-//! The prover-side [`quotient_poly`] is a proving hot path and runs on the
+//! The prover-side [`quotient_poly_checked`] is a proving hot path and runs on the
 //! [`waku_pool`] work-stealing pool: the per-constraint ⟨row, z⟩
 //! evaluations are chunked across workers, the three interpolate→coset
 //! pipelines run as concurrent tasks (each using the parallel FFT in
@@ -90,19 +90,17 @@ pub fn evaluate_at(cs: &ConstraintSystem, tau: Fr) -> QapEvaluations {
     }
 }
 
-/// Computes the coefficients of the quotient `h(X) = (A·B − C)(X) / Z(X)`
-/// for the current assignment (degree ≤ n − 2, returned as n − 1 coeffs).
-///
-/// # Panics
-///
-/// Panics if the constraint system has not been finalized.
-pub fn quotient_poly(cs: &ConstraintSystem) -> Vec<Fr> {
+/// [`quotient_poly_checked`] for an assignment the test knows satisfies
+/// every constraint.
+#[cfg(test)]
+fn quotient_poly(cs: &ConstraintSystem) -> Vec<Fr> {
     quotient_poly_checked(cs).unwrap_or_else(|j| panic!("constraint {j} unsatisfied"))
 }
 
-/// As [`quotient_poly`], but verifies constraint satisfaction from the row
-/// evaluations it computes anyway (`⟨A_j,z⟩·⟨B_j,z⟩ = ⟨C_j,z⟩` per row),
-/// returning the first violated constraint index. The prover uses this
+/// Computes the coefficients of the quotient `h(X) = (A·B − C)(X) / Z(X)`
+/// for the current assignment (degree ≤ n − 2, returned as n − 1 coeffs),
+/// verifying constraint satisfaction from the row evaluations it computes
+/// anyway (`⟨A_j,z⟩·⟨B_j,z⟩ = ⟨C_j,z⟩` per row). The prover uses this
 /// instead of a separate `check_satisfied` pass, which would evaluate
 /// every linear combination a second time.
 ///

@@ -329,7 +329,8 @@ impl ConstraintSystem {
     }
 
     /// Evaluates a linear combination against the current assignment.
-    pub fn eval_lc(&self, lc: &LinearCombination) -> Fr {
+    #[cfg(test)]
+    fn eval_lc(&self, lc: &LinearCombination) -> Fr {
         lc.0.iter()
             .map(|(v, c)| self.value(*v) * *c)
             .fold(Fr::zero(), |a, b| a + b)
@@ -354,7 +355,8 @@ impl ConstraintSystem {
     }
 
     /// Flat variable index (instance first, then witness).
-    pub fn flat_index(&self, var: Variable) -> usize {
+    #[cfg(test)]
+    fn flat_index(&self, var: Variable) -> usize {
         match var {
             Variable::Instance(i) => i,
             Variable::Witness(i) => self.instance.len() + i,

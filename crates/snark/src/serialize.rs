@@ -78,7 +78,7 @@ fn read_g1_vec(r: &mut Reader) -> Option<Vec<G1Affine>> {
 }
 
 /// Serializes a verifying key.
-pub fn vk_to_bytes(vk: &VerifyingKey) -> Vec<u8> {
+fn vk_to_bytes(vk: &VerifyingKey) -> Vec<u8> {
     let mut out = Vec::with_capacity(vk.size_in_bytes() + 8);
     put_g1(&mut out, &vk.alpha_g1);
     put_g2(&mut out, &vk.beta_g2);

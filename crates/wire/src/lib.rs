@@ -1,7 +1,7 @@
 //! The one wire/persistence layer under every codec and on-disk file in
 //! the workspace: a bounds-checked [`Reader`] with matching `put_*`
 //! writers, one [`CodecError`], the two [`checksum`]s, the checksummed
-//! blob [`envelope`], and [`fs::atomic_write`].
+//! blob [`envelope`], and the one filesystem surface [`fs`].
 //!
 //! Junk bytes cost an attacker nothing, so every decoder a relayer
 //! exposes must be total and cheap: any input either decodes or returns a

@@ -6,9 +6,20 @@
 # a test-only fn, const, struct or statement — is skipped from its
 # attribute to its closing brace or terminating `;`, and only that item;
 # the lines after it count again. Prints the total.
+#
+# `scripts/loc.sh --lines FILE...` prints the counted lines of those files
+# instead, each as `file:line:text` (CI greps them for calls that belong
+# in one module only).
 set -eu
 cd "$(dirname "$0")/.."
-awk '
+lines=0
+if [ "${1:-}" = --lines ]; then
+    lines=1
+    shift
+else
+    set -- $(find crates src -name '*.rs' ! -path '*/tests/*' ! -path '*/benches/*' | sort)
+fi
+awk -v lines="$lines" '
     # Strips what could hold an unbalanced bracket: comments, string and
     # char literals.
     function code(line) {
@@ -34,5 +45,6 @@ awk '
         next
     }
     /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+    lines { print FILENAME ":" FNR ":" $0; next }
     { total++ }
-    END { print total }' $(find crates src -name '*.rs' ! -path '*/tests/*' ! -path '*/benches/*' | sort)
+    END { if (!lines) print total }' "$@"
