@@ -8,6 +8,26 @@
 //!
 //! Requirement: the modulus must be odd and below `2²⁵⁴` (both BN254 fields
 //! are), which keeps all intermediate sums inside 256 bits.
+//!
+//! The product and the square each have two bodies. On an x86_64 CPU with
+//! BMI2 and ADX (Intel since Broadwell, AMD since Zen; checked per call
+//! with `is_x86_feature_detected!`, which reads std's cached feature word)
+//! they run an inline-assembly kernel: the same four CIOS rounds on
+//! `mulx`, which multiplies without touching the flags, and on `adcx` /
+//! `adox`, which carry through CF and OF alone, so the low and the high
+//! halves of each row accumulate on two independent carry chains. The
+//! kernel keeps `a` in registers, reads one limb of `b` per round, and
+//! takes the modulus limbs and `-p⁻¹ mod 2⁶⁴` as immediates; the square
+//! is the same rounds with each limb taken from a register. Every other
+//! CPU runs the portable `u128` bodies, which are also the kernel's test
+//! oracle. Both give the same limbs.
+//!
+//! The `< 2²⁵⁴` bound is what makes the kernel correct as well as the
+//! portable body. It puts both top limbs below `2⁶²`, so each round's
+//! high word stays below `2⁶²` and the round's two carries and its high
+//! word add into the top limb without a carry out: neither body needs a
+//! fifth accumulator limb. Each round's result stays below `2p`, so one
+//! conditional subtraction at the end makes it canonical.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -189,6 +209,40 @@ impl<P: FpParams> Fp<P> {
     /// The one element.
     pub const ONE: Self = Fp(Self::R, PhantomData);
 
+    /// `a·b·R⁻¹ mod p`: the BMI2/ADX kernel where the CPU has it, the
+    /// portable CIOS body everywhere else. Both give the same limbs.
+    ///
+    /// Both bodies are inlined, the portable one on a cold path. An
+    /// out-of-line fallback, even one never called, is an opaque call in
+    /// every loop around a product: it kept the `x` of an `x *= y` chain
+    /// in memory, where each product stalled on reloading it.
+    #[inline(always)]
+    fn mont_mul(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if has_bmi2_adx() {
+                // SAFETY: BMI2 and ADX were just detected on this CPU.
+                return unsafe { Self::mont_mul_adx(a, b) };
+            }
+            std::hint::cold_path();
+        }
+        Self::mont_mul_portable(a, b)
+    }
+
+    /// `a²·R⁻¹ mod p`, dispatched like [`Self::mont_mul`].
+    #[inline(always)]
+    fn mont_sqr(a: &[u64; 4]) -> [u64; 4] {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if has_bmi2_adx() {
+                // SAFETY: BMI2 and ADX were just detected on this CPU.
+                return unsafe { Self::mont_sqr_adx(a) };
+            }
+            std::hint::cold_path();
+        }
+        Self::mont_sqr_portable(a)
+    }
+
     /// CIOS Montgomery multiplication: returns `a·b·R⁻¹ mod p`.
     ///
     /// Uses the "no-carry" CIOS variant (the gnark optimization): because
@@ -199,8 +253,8 @@ impl<P: FpParams> Fp<P> {
     /// conditional subtraction stays a branch, unlike `add` / `sub`'s
     /// (see the note above their impls): it is rarely taken.
     #[allow(clippy::needless_range_loop)]
-    #[inline]
-    fn mont_mul(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    #[inline(always)]
+    fn mont_mul_portable(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
         let p = P::MODULUS;
         let mut t = [0u64; 4];
         for i in 0..4 {
@@ -230,8 +284,8 @@ impl<P: FpParams> Fp<P> {
     /// Dedicated Montgomery squaring: the off-diagonal products of `a²`
     /// are computed once and doubled (10 limb products instead of 16),
     /// followed by an 8-limb Montgomery reduction.
-    #[inline]
-    fn mont_sqr(a: &[u64; 4]) -> [u64; 4] {
+    #[inline(always)]
+    fn mont_sqr_portable(a: &[u64; 4]) -> [u64; 4] {
         let p = P::MODULUS;
         // Off-diagonal triangle a[i]·a[j], i < j.
         let mut r = [0u64; 8];
@@ -303,6 +357,211 @@ impl<P: FpParams> Fp<P> {
             limbs = sub_limbs(&limbs, &P::MODULUS);
         }
         limbs
+    }
+}
+
+// ---------------------------------------------------------------------------
+// BMI2/ADX kernel
+// ---------------------------------------------------------------------------
+
+/// Whether this CPU runs `mulx` (BMI2) and `adcx` / `adox` (ADX). Both
+/// reads hit std's cached feature word.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn has_bmi2_adx() -> bool {
+    std::is_x86_feature_detected!("bmi2") && std::is_x86_feature_detected!("adx")
+}
+
+/// The multiply half of one CIOS round: `(c, t) = t + a · rdx`, where `rdx`
+/// holds the round's limb of `b`. `adox` carries the low halves, `adcx`
+/// the high halves, so the two chains run side by side.
+#[cfg(target_arch = "x86_64")]
+macro_rules! cios_mul_round {
+    () => {
+        concat!(
+            "xor eax, eax\n",
+            "mulx {c}, rax, {a0}\n",
+            "adox {t0}, rax\n",
+            "adcx {t1}, {c}\n",
+            "mulx {c}, rax, {a1}\n",
+            "adox {t1}, rax\n",
+            "adcx {t2}, {c}\n",
+            "mulx {c}, rax, {a2}\n",
+            "adox {t2}, rax\n",
+            "adcx {t3}, {c}\n",
+            "mulx {c}, rax, {a3}\n",
+            "adox {t3}, rax\n",
+            "mov eax, 0\n",
+            "adcx {c}, rax\n",
+            "adox {c}, rax\n",
+        )
+    };
+}
+
+/// The first round's multiply half, onto `t = 0`: `(c, t) = a · rdx`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! cios_mul_first {
+    () => {
+        concat!(
+            "xor eax, eax\n",
+            "mulx {t1}, {t0}, {a0}\n",
+            "mulx {t2}, rax, {a1}\n",
+            "adox {t1}, rax\n",
+            "mulx {t3}, rax, {a2}\n",
+            "adox {t2}, rax\n",
+            "mulx {c}, rax, {a3}\n",
+            "adox {t3}, rax\n",
+            "mov eax, 0\n",
+            "adox {c}, rax\n",
+        )
+    };
+}
+
+/// The reduce half of one CIOS round: `m = t0 · INV`, then
+/// `t = (t + m·p) / 2⁶⁴ + c·2¹⁹²`. `adcx` carries the high halves of
+/// `m·p` and `adox` the low ones; the two carries and `c` land in the top
+/// limb without overflow because `p < 2²⁵⁴` (the no-carry argument of the
+/// portable body). The modulus limbs and `INV` are immediates.
+#[cfg(target_arch = "x86_64")]
+macro_rules! cios_reduce {
+    () => {
+        concat!(
+            "mov rdx, {inv}\n",
+            "imul rdx, {t0}\n",
+            "xor eax, eax\n",
+            "mov rax, {p0}\n",
+            "mulx {h}, rax, rax\n",
+            "adcx rax, {t0}\n",
+            "mov {t0}, {h}\n",
+            "mov rax, {p1}\n",
+            "adcx {t0}, {t1}\n",
+            "mulx {t1}, rax, rax\n",
+            "adox {t0}, rax\n",
+            "mov rax, {p2}\n",
+            "adcx {t1}, {t2}\n",
+            "mulx {t2}, rax, rax\n",
+            "adox {t1}, rax\n",
+            "mov rax, {p3}\n",
+            "adcx {t2}, {t3}\n",
+            "mulx {t3}, rax, rax\n",
+            "adox {t2}, rax\n",
+            "mov eax, 0\n",
+            "adcx {t3}, rax\n",
+            "adox {t3}, {c}\n",
+        )
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<P: FpParams> Fp<P> {
+    /// [`Self::mont_mul_portable`] on `mulx` / `adcx` / `adox`: the same
+    /// CIOS rounds, the same limbs out. `a` stays in registers for all
+    /// four rounds and `b` is read one limb per round, so a chain
+    /// `x = x · y` never stores `x` to memory between products.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have BMI2 and ADX.
+    #[inline(always)]
+    unsafe fn mont_mul_adx(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+        let (t0, t1, t2, t3): (u64, u64, u64, u64);
+        // SAFETY: the caller checked BMI2 and ADX; the block reads the
+        // four limbs behind `b` and touches no other memory or stack.
+        unsafe {
+            std::arch::asm!(
+                "mov rdx, qword ptr [{b}]",
+                cios_mul_first!(),
+                cios_reduce!(),
+                "mov rdx, qword ptr [{b} + 8]",
+                cios_mul_round!(),
+                cios_reduce!(),
+                "mov rdx, qword ptr [{b} + 16]",
+                cios_mul_round!(),
+                cios_reduce!(),
+                "mov rdx, qword ptr [{b} + 24]",
+                cios_mul_round!(),
+                cios_reduce!(),
+                a0 = in(reg) a[0],
+                a1 = in(reg) a[1],
+                a2 = in(reg) a[2],
+                a3 = in(reg) a[3],
+                b = in(reg) b.as_ptr(),
+                t0 = out(reg) t0,
+                t1 = out(reg) t1,
+                t2 = out(reg) t2,
+                t3 = out(reg) t3,
+                c = out(reg) _,
+                h = out(reg) _,
+                out("rax") _,
+                out("rdx") _,
+                inv = const Self::INV,
+                p0 = const P::MODULUS[0],
+                p1 = const P::MODULUS[1],
+                p2 = const P::MODULUS[2],
+                p3 = const P::MODULUS[3],
+                options(pure, readonly, nostack),
+            );
+        }
+        Self::subtract_p_once([t0, t1, t2, t3])
+    }
+
+    /// `a · a` on the kernel of [`Self::mont_mul_adx`], each round's
+    /// limb taken from a register instead of memory.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have BMI2 and ADX.
+    #[inline(always)]
+    unsafe fn mont_sqr_adx(a: &[u64; 4]) -> [u64; 4] {
+        let (t0, t1, t2, t3): (u64, u64, u64, u64);
+        // SAFETY: the caller checked BMI2 and ADX; the block touches no
+        // memory or stack.
+        unsafe {
+            std::arch::asm!(
+                "mov rdx, {a0}",
+                cios_mul_first!(),
+                cios_reduce!(),
+                "mov rdx, {a1}",
+                cios_mul_round!(),
+                cios_reduce!(),
+                "mov rdx, {a2}",
+                cios_mul_round!(),
+                cios_reduce!(),
+                "mov rdx, {a3}",
+                cios_mul_round!(),
+                cios_reduce!(),
+                a0 = in(reg) a[0],
+                a1 = in(reg) a[1],
+                a2 = in(reg) a[2],
+                a3 = in(reg) a[3],
+                t0 = out(reg) t0,
+                t1 = out(reg) t1,
+                t2 = out(reg) t2,
+                t3 = out(reg) t3,
+                c = out(reg) _,
+                h = out(reg) _,
+                out("rax") _,
+                out("rdx") _,
+                inv = const Self::INV,
+                p0 = const P::MODULUS[0],
+                p1 = const P::MODULUS[1],
+                p2 = const P::MODULUS[2],
+                p3 = const P::MODULUS[3],
+                options(pure, nomem, nostack),
+            );
+        }
+        Self::subtract_p_once([t0, t1, t2, t3])
+    }
+
+    /// The kernels' final step, as in the portable bodies: a CIOS result
+    /// is below `2p`, so one conditional subtraction makes it canonical.
+    #[inline(always)]
+    fn subtract_p_once(t: [u64; 4]) -> [u64; 4] {
+        if geq(&t, &P::MODULUS) {
+            sub_limbs(&t, &P::MODULUS)
+        } else {
+            t
+        }
     }
 }
 
@@ -648,16 +907,136 @@ mod tests {
 
     #[test]
     fn mul_matches_biguint_reference() {
+        fn check<P: FpParams>(rng: &mut StdRng) {
+            let p = BigUint::from_limbs(&P::MODULUS);
+            for _ in 0..50 {
+                let a = Fp::<P>::random(rng);
+                let b = Fp::<P>::random(rng);
+                let ab = a * b;
+                let big = BigUint::from_limbs(&a.to_canonical_limbs())
+                    .mul(&BigUint::from_limbs(&b.to_canonical_limbs()))
+                    .rem(&p);
+                assert_eq!(BigUint::from_limbs(&ab.to_canonical_limbs()), big);
+            }
+        }
         let mut rng = StdRng::seed_from_u64(42);
-        let p = Fr::modulus_biguint();
-        for _ in 0..50 {
-            let a = Fr::random(&mut rng);
-            let b = Fr::random(&mut rng);
-            let ab = a * b;
-            let big = BigUint::from_limbs(&a.to_canonical_limbs())
-                .mul(&BigUint::from_limbs(&b.to_canonical_limbs()))
-                .rem(&p);
-            assert_eq!(BigUint::from_limbs(&ab.to_canonical_limbs()), big);
+        check::<crate::fields::FrParams>(&mut rng);
+        check::<crate::fields::FqParams>(&mut rng);
+    }
+
+    /// The BMI2/ADX kernels against the portable bodies they stand in
+    /// for. On a CPU without BMI2 or ADX there is no kernel to check.
+    #[cfg(target_arch = "x86_64")]
+    mod adx_kernel {
+        use super::*;
+        use crate::fields::{FqParams, FrParams};
+        use proptest::prelude::*;
+
+        fn skipped() -> bool {
+            let skip = !has_bmi2_adx();
+            if skip {
+                eprintln!("note: this CPU lacks BMI2 or ADX, the field kernel is not tested");
+            }
+            skip
+        }
+
+        /// Asserts both kernels give the portable bodies' limbs on `a`, `b`.
+        fn same<P: FpParams>(a: &[u64; 4], b: &[u64; 4]) {
+            // SAFETY: callers return early unless BMI2 and ADX are present.
+            let (mul, sqr) = unsafe { (Fp::<P>::mont_mul_adx(a, b), Fp::<P>::mont_sqr_adx(a)) };
+            assert_eq!(mul, Fp::<P>::mont_mul_portable(a, b), "{a:x?} · {b:x?}");
+            assert_eq!(sqr, Fp::<P>::mont_sqr_portable(a), "{a:x?}²");
+        }
+
+        /// Random limbs below `p`: the top limb cut to 62 bits, then at
+        /// most one subtraction.
+        fn canonical<P: FpParams>(mut limbs: [u64; 4]) -> [u64; 4] {
+            limbs[3] >>= 2;
+            Fp::<P>::reduce_canonical(limbs)
+        }
+
+        proptest! {
+            #[test]
+            fn kernels_match_portable_bodies(
+                a in proptest::array::uniform4(any::<u64>()),
+                b in proptest::array::uniform4(any::<u64>()),
+            ) {
+                if skipped() {
+                    return Ok(());
+                }
+                same::<FqParams>(&canonical::<FqParams>(a), &canonical::<FqParams>(b));
+                same::<FrParams>(&canonical::<FrParams>(a), &canonical::<FrParams>(b));
+            }
+        }
+
+        #[test]
+        fn kernels_match_portable_bodies_at_the_edges() {
+            fn edges<P: FpParams>(rng: &mut StdRng) {
+                let p = BigUint::from_limbs(&P::MODULUS);
+                let limbs = |v: &BigUint| -> [u64; 4] { v.to_fixed_limbs(4).try_into().unwrap() };
+                let n = BigUint::from;
+                let named = [
+                    [0; 4],
+                    [1, 0, 0, 0],
+                    Fp::<P>::R,
+                    limbs(&p.sub(&n(1))),
+                    limbs(&p.sub(&n(2))),
+                ];
+                for a in &named {
+                    for b in &named {
+                        same::<P>(a, b);
+                    }
+                }
+                // Results next to p, where the final compare runs past
+                // the top limb: `a = c·R/b` makes the product exactly
+                // `c`, so a small `c` meets the subtraction as `p + c`
+                // and a `c` just below p meets it as itself.
+                let near_p = [
+                    n(0),
+                    n(1),
+                    n(2),
+                    BigUint::one().shl(64),
+                    BigUint::one().shl(128),
+                    p.sub(&n(1)),
+                    p.sub(&n(2)),
+                    p.sub(&BigUint::one().shl(64)),
+                    p.sub(&BigUint::one().shl(128)),
+                ];
+                for c in &near_p {
+                    for _ in 0..16 {
+                        let b = Fp::<P>::random(rng);
+                        let b_inv = b.inverse().expect("nonzero").0;
+                        let a = Fp::<P>::mont_mul_portable(&limbs(c), &b_inv);
+                        same::<P>(&a, &b.0);
+                    }
+                }
+                // A CIOS result is `a·b·R⁻¹ mod p` or that plus `p`; it
+                // is the latter, the final subtraction's case, exactly
+                // when `c·R < a·b` for the reduced `c`.
+                let wide = |a: &[u64; 4], b: &[u64; 4]| {
+                    let c = BigUint::from_limbs(&Fp::<P>::mont_mul_portable(a, b));
+                    c.shl(256) < BigUint::from_limbs(a).mul(&BigUint::from_limbs(b))
+                };
+                let (mut products, mut squares) = (0, 0);
+                while products < 64 || squares < 64 {
+                    let a = Fp::<P>::random(rng).0;
+                    let b = Fp::<P>::random(rng).0;
+                    if wide(&a, &b) {
+                        same::<P>(&a, &b);
+                        products += 1;
+                    }
+                    if wide(&a, &a) {
+                        same::<P>(&a, &a);
+                        squares += 1;
+                    }
+                }
+            }
+            if skipped() {
+                return;
+            }
+            let mut rng = StdRng::seed_from_u64(17);
+            edges::<FqParams>(&mut rng);
+            edges::<FrParams>(&mut rng);
         }
     }
 
