@@ -28,6 +28,22 @@
 //! word add into the top limb without a carry out: neither body needs a
 //! fifth accumulator limb. Each round's result stays below `2p`, so one
 //! conditional subtraction at the end makes it canonical.
+//!
+//! Beside the scalar element sits an eight-lane vector, [`FpLanes`], for
+//! code that has eight independent operations to do at once (the MSM's
+//! bucket additions). It has two bodies behind one [`LaneBody`] trait.
+//! On an x86_64 CPU with AVX-512 IFMA, each lane is five 52-bit limbs,
+//! one limb per 512-bit register, and a product is 25 `vpmadd52luq` /
+//! `vpmadd52huq` pairs for `a·b` and 25 more, plus five multipliers, for
+//! the reduction: a Montgomery product with `R = 2²⁶⁰` whose double-width
+//! product is scaled by 16 first, so every lane returns exactly the limbs
+//! `mont_mul` returns (see `Ifma`). Every other CPU runs [`Portable`]:
+//! eight scalar operations, which are also the IFMA body's test oracle.
+//! [`with_lanes`] picks the body once per call, and the caller's generic
+//! code compiles inside the one function that enables the CPU features.
+//! Converting between four 64-bit and five 52-bit limbs costs about as
+//! much as a product, so lane code gathers its operands once, keeps them
+//! in lanes through all its products, and scatters the results once.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -566,6 +582,481 @@ impl<P: FpParams> Fp<P> {
 }
 
 // ---------------------------------------------------------------------------
+// eight-lane vectors
+// ---------------------------------------------------------------------------
+
+/// How eight field elements are held and operated on side by side. Two
+/// bodies: [`Portable`], eight scalar elements and eight scalar
+/// operations, on every CPU; and `Ifma`, AVX-512 IFMA on x86_64, which
+/// [`with_lanes`] picks when the CPU has it. Both give the same limbs in
+/// every lane, the limbs the scalar operations give.
+///
+/// A body value stands for the CPU support its operations need: the IFMA
+/// body cannot be built outside this module, and [`with_lanes`] builds it
+/// only after detecting IFMA.
+pub trait LaneBody: Copy {
+    /// Eight elements of `Fp<P>` in this body's layout.
+    type Vec<P: FpParams>: Copy;
+    /// Loads the eight elements behind `v`.
+    fn gather<P: FpParams>(self, v: [&Fp<P>; 8]) -> Self::Vec<P>;
+    /// The eight elements, lane `i` at index `i`.
+    fn scatter<P: FpParams>(self, v: Self::Vec<P>) -> [Fp<P>; 8];
+    /// Lane-wise `a + b`.
+    fn add<P: FpParams>(self, a: Self::Vec<P>, b: Self::Vec<P>) -> Self::Vec<P>;
+    /// Lane-wise `a − b`.
+    fn sub<P: FpParams>(self, a: Self::Vec<P>, b: Self::Vec<P>) -> Self::Vec<P>;
+    /// Lane-wise `a · b`.
+    fn mul<P: FpParams>(self, a: Self::Vec<P>, b: Self::Vec<P>) -> Self::Vec<P>;
+    /// Lane-wise `a²`.
+    fn sqr<P: FpParams>(self, a: Self::Vec<P>) -> Self::Vec<P>;
+}
+
+/// Work that runs on eight-lane vectors, generic over the body, for
+/// [`with_lanes`] to run on the body this CPU supports.
+///
+/// Mark `run` `#[inline(always)]`, and every function it passes lane
+/// vectors to: the IFMA instantiation then compiles inside the one
+/// function that enables the CPU features, where each lane operation
+/// inlines. A lane operation left out of line is a call per product.
+pub trait LaneTask {
+    /// What the work returns.
+    type Output;
+    /// Does the work on `body`.
+    fn run<B: LaneBody>(self, body: B) -> Self::Output;
+}
+
+/// Runs `task` on the IFMA body when this CPU has AVX-512 IFMA (checked
+/// through std's feature cache, once per call), else on [`Portable`].
+pub fn with_lanes<T: LaneTask>(task: T) -> T::Output {
+    #[cfg(target_arch = "x86_64")]
+    if has_ifma() {
+        // SAFETY: AVX-512F and IFMA were just detected on this CPU.
+        return unsafe { run_on_ifma(task) };
+    }
+    task.run(Portable)
+}
+
+/// Eight elements of `Fp<P>` on lane body `B`, with the field's operators
+/// applied lane by lane.
+pub struct FpLanes<P: FpParams, B: LaneBody> {
+    v: B::Vec<P>,
+    body: B,
+}
+
+impl<P: FpParams, B: LaneBody> Copy for FpLanes<P, B> {}
+impl<P: FpParams, B: LaneBody> Clone for FpLanes<P, B> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P: FpParams, B: LaneBody> FpLanes<P, B> {
+    /// Loads the eight elements behind `v`, lane `i` from `v[i]`.
+    #[inline(always)]
+    pub fn gather(body: B, v: [&Fp<P>; 8]) -> Self {
+        FpLanes {
+            v: body.gather(v),
+            body,
+        }
+    }
+
+    /// `x` in every lane.
+    #[inline(always)]
+    pub fn splat(body: B, x: &Fp<P>) -> Self {
+        Self::gather(body, [x; 8])
+    }
+
+    /// The eight elements, lane `i` at index `i`.
+    #[inline(always)]
+    pub fn scatter(self) -> [Fp<P>; 8] {
+        self.body.scatter(self.v)
+    }
+
+    /// Lane-wise square.
+    #[inline(always)]
+    pub fn square(self) -> Self {
+        FpLanes {
+            v: self.body.sqr(self.v),
+            body: self.body,
+        }
+    }
+}
+
+impl<P: FpParams, B: LaneBody> std::ops::Add for FpLanes<P, B> {
+    type Output = Self;
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        FpLanes {
+            v: self.body.add(self.v, rhs.v),
+            body: self.body,
+        }
+    }
+}
+
+impl<P: FpParams, B: LaneBody> std::ops::Sub for FpLanes<P, B> {
+    type Output = Self;
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        FpLanes {
+            v: self.body.sub(self.v, rhs.v),
+            body: self.body,
+        }
+    }
+}
+
+impl<P: FpParams, B: LaneBody> std::ops::Mul for FpLanes<P, B> {
+    type Output = Self;
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        FpLanes {
+            v: self.body.mul(self.v, rhs.v),
+            body: self.body,
+        }
+    }
+}
+
+impl<P: FpParams, B: LaneBody> std::ops::Neg for FpLanes<P, B> {
+    type Output = Self;
+    #[inline(always)]
+    fn neg(self) -> Self {
+        FpLanes::splat(self.body, &Fp::ZERO) - self
+    }
+}
+
+/// The portable lane body: eight scalar elements, each operation eight
+/// scalar `Fp` operations. It is the fallback on every CPU without IFMA
+/// and the IFMA body's test oracle.
+#[derive(Clone, Copy, Debug)]
+pub struct Portable;
+
+impl LaneBody for Portable {
+    type Vec<P: FpParams> = [Fp<P>; 8];
+
+    #[inline(always)]
+    fn gather<P: FpParams>(self, v: [&Fp<P>; 8]) -> [Fp<P>; 8] {
+        v.map(|x| *x)
+    }
+
+    #[inline(always)]
+    fn scatter<P: FpParams>(self, v: [Fp<P>; 8]) -> [Fp<P>; 8] {
+        v
+    }
+
+    #[inline(always)]
+    fn add<P: FpParams>(self, a: [Fp<P>; 8], b: [Fp<P>; 8]) -> [Fp<P>; 8] {
+        std::array::from_fn(|i| a[i] + b[i])
+    }
+
+    #[inline(always)]
+    fn sub<P: FpParams>(self, a: [Fp<P>; 8], b: [Fp<P>; 8]) -> [Fp<P>; 8] {
+        std::array::from_fn(|i| a[i] - b[i])
+    }
+
+    #[inline(always)]
+    fn mul<P: FpParams>(self, a: [Fp<P>; 8], b: [Fp<P>; 8]) -> [Fp<P>; 8] {
+        std::array::from_fn(|i| a[i] * b[i])
+    }
+
+    #[inline(always)]
+    fn sqr<P: FpParams>(self, a: [Fp<P>; 8]) -> [Fp<P>; 8] {
+        a.map(|x| x.square())
+    }
+}
+
+/// The low 52 bits: one IFMA limb.
+const MASK52: u64 = (1 << 52) - 1;
+
+/// A 256-bit value as five 52-bit limbs, little-endian: the IFMA body's
+/// layout of one lane.
+const fn to_limbs52(l: &[u64; 4]) -> [u64; 5] {
+    [
+        l[0] & MASK52,
+        (l[0] >> 52 | l[1] << 12) & MASK52,
+        (l[1] >> 40 | l[2] << 24) & MASK52,
+        (l[2] >> 28 | l[3] << 36) & MASK52,
+        l[3] >> 16,
+    ]
+}
+
+impl<P: FpParams> Fp<P> {
+    /// The modulus in five 52-bit limbs.
+    const MODULUS52: [u64; 5] = to_limbs52(&P::MODULUS);
+    /// `-p⁻¹ mod 2⁵²`.
+    const INV52: u64 = Self::INV & MASK52;
+}
+
+/// Whether this CPU runs AVX-512F and the IFMA products
+/// (`vpmadd52luq` / `vpmadd52huq`).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn has_ifma() -> bool {
+    std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512ifma")
+}
+
+/// The one function compiled with AVX-512F and IFMA: `task`'s IFMA
+/// instantiation inlines into it, and the intrinsics with it.
+///
+/// # Safety
+///
+/// The CPU must have AVX-512F and IFMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512ifma")]
+unsafe fn run_on_ifma<T: LaneTask>(task: T) -> T::Output {
+    task.run(Ifma(()))
+}
+
+/// The AVX-512 IFMA lane body: five 52-bit limbs per element, limb `k`
+/// of lane `i` in 64-bit slot `i` of register `k`.
+///
+/// Its product is Montgomery's with `R = 2²⁶⁰`, five rounds of 52 bits,
+/// with the double-width product scaled by 16 before the reduction:
+/// `16·a·b·2⁻²⁶⁰ = a·b·2⁻²⁵⁶`, the value the scalar `mont_mul` returns.
+/// The reduction multiplier of the `2²⁶⁰` form is 16 times the scalar
+/// one, so the value before the final subtraction is the scalar kernel's
+/// too: below `(16p² + 2²⁶⁰·p)/2²⁶⁰ < 2p`, because `16p < 2²⁵⁸`. One
+/// conditional subtraction makes it canonical, and each lane holds
+/// exactly the limbs `mont_mul` returns. Every limb is below `2⁵²` on the
+/// way in and out; the 64-bit accumulators in between stay below `2⁶¹`.
+///
+/// Built only by [`with_lanes`] after detection, and by this module's
+/// tests after the same check.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug)]
+pub struct Ifma(());
+
+#[cfg(target_arch = "x86_64")]
+impl LaneBody for Ifma {
+    type Vec<P: FpParams> = [std::arch::x86_64::__m512i; 5];
+
+    #[inline(always)]
+    fn gather<P: FpParams>(self, v: [&Fp<P>; 8]) -> Self::Vec<P> {
+        // SAFETY: an `Ifma` exists only where AVX-512F and IFMA do.
+        unsafe { ifma::gather(v) }
+    }
+
+    #[inline(always)]
+    fn scatter<P: FpParams>(self, v: Self::Vec<P>) -> [Fp<P>; 8] {
+        // SAFETY: an `Ifma` exists only where AVX-512F and IFMA do.
+        unsafe { ifma::scatter(v) }
+    }
+
+    #[inline(always)]
+    fn add<P: FpParams>(self, a: Self::Vec<P>, b: Self::Vec<P>) -> Self::Vec<P> {
+        // SAFETY: an `Ifma` exists only where AVX-512F and IFMA do.
+        unsafe { ifma::add::<P>(a, b) }
+    }
+
+    #[inline(always)]
+    fn sub<P: FpParams>(self, a: Self::Vec<P>, b: Self::Vec<P>) -> Self::Vec<P> {
+        // SAFETY: an `Ifma` exists only where AVX-512F and IFMA do.
+        unsafe { ifma::sub::<P>(a, b) }
+    }
+
+    #[inline(always)]
+    fn mul<P: FpParams>(self, a: Self::Vec<P>, b: Self::Vec<P>) -> Self::Vec<P> {
+        // SAFETY: an `Ifma` exists only where AVX-512F and IFMA do.
+        unsafe { ifma::mul::<P>(a, b) }
+    }
+
+    #[inline(always)]
+    fn sqr<P: FpParams>(self, a: Self::Vec<P>) -> Self::Vec<P> {
+        // SAFETY: an `Ifma` exists only where AVX-512F and IFMA do.
+        unsafe { ifma::sqr::<P>(a) }
+    }
+}
+
+/// The IFMA body's operations, on five registers of eight 64-bit slots.
+///
+/// # Safety
+///
+/// Every function here must run on a CPU with AVX-512F and IFMA. They
+/// are `#[inline(always)]` without `#[target_feature]`, so they compile
+/// to these instructions only where they inline into
+/// [`run_on_ifma`]; anywhere else each intrinsic is a call.
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use super::{Fp, FpParams, MASK52};
+    use std::arch::x86_64::*;
+    use std::marker::PhantomData;
+
+    type V = __m512i;
+
+    #[inline(always)]
+    unsafe fn splat(x: u64) -> V {
+        // SAFETY (this and every block below): the caller guarantees
+        // AVX-512F and IFMA (see the module's Safety section).
+        unsafe { _mm512_set1_epi64(x as i64) }
+    }
+
+    /// The carries of unreduced limbs moved up, so every limb but the top
+    /// one is below `2⁵²`. Limbs may be negative (two's complement): the
+    /// arithmetic shift borrows them.
+    #[inline(always)]
+    unsafe fn normalize(mut t: [V; 5]) -> [V; 5] {
+        unsafe {
+            let mask = splat(MASK52);
+            for k in 0..4 {
+                t[k + 1] = _mm512_add_epi64(t[k + 1], _mm512_srai_epi64::<52>(t[k]));
+                t[k] = _mm512_and_si512(t[k], mask);
+            }
+        }
+        t
+    }
+
+    /// Canonical `t` for normalized `t < 2p`: `t − p` where that does not
+    /// borrow, else `t`.
+    #[inline(always)]
+    unsafe fn subtract_p_once<P: FpParams>(t: [V; 5]) -> [V; 5] {
+        unsafe {
+            let p = Fp::<P>::MODULUS52;
+            let d = normalize(std::array::from_fn(|k| _mm512_sub_epi64(t[k], splat(p[k]))));
+            let borrowed = _mm512_cmplt_epi64_mask(d[4], _mm512_setzero_si512());
+            std::array::from_fn(|k| _mm512_mask_blend_epi64(borrowed, d[k], t[k]))
+        }
+    }
+
+    /// Scales the ten unnormalized limbs `z` of `a·b` by 16, the factor
+    /// that turns the `2²⁶⁰` reduction into `mont_mul`'s `2²⁵⁶`, and
+    /// Montgomery-reduces them: five rounds, each adding `m·p` with `m`
+    /// chosen to clear the low limb and carrying that limb into the next,
+    /// then the top five limbs normalized and made canonical.
+    #[inline(always)]
+    unsafe fn redc16<P: FpParams>(z: [V; 10]) -> [V; 5] {
+        unsafe {
+            let mut z = z.map(|x| _mm512_slli_epi64::<4>(x));
+            let zero = _mm512_setzero_si512();
+            let inv = splat(Fp::<P>::INV52);
+            let p = Fp::<P>::MODULUS52.map(|l| splat(l));
+            for i in 0..5 {
+                let m = _mm512_madd52lo_epu64(zero, z[i], inv);
+                for j in 0..5 {
+                    z[i + j] = _mm512_madd52lo_epu64(z[i + j], m, p[j]);
+                    z[i + j + 1] = _mm512_madd52hi_epu64(z[i + j + 1], m, p[j]);
+                }
+                z[i + 1] = _mm512_add_epi64(z[i + 1], _mm512_srli_epi64::<52>(z[i]));
+            }
+            subtract_p_once::<P>(normalize([z[5], z[6], z[7], z[8], z[9]]))
+        }
+    }
+
+    /// Loads eight elements and transposes them to one register per limb.
+    #[inline(always)]
+    pub(super) unsafe fn gather<P: FpParams>(v: [&Fp<P>; 8]) -> [V; 5] {
+        unsafe {
+            let load = |i: usize| _mm256_loadu_si256(v[i].0.as_ptr().cast());
+            let pair =
+                |i: usize| _mm512_inserti64x4::<1>(_mm512_castsi256_si512(load(i)), load(i + 1));
+            // Four registers of two elements each, `[e0 | e1]`, …
+            let (z01, z23, z45, z67) = (pair(0), pair(2), pair(4), pair(6));
+            // … to limbs 0 and 1 of four elements, and limbs 2 and 3, …
+            let even = _mm512_setr_epi64(0, 4, 8, 12, 1, 5, 9, 13);
+            let odd = _mm512_setr_epi64(2, 6, 10, 14, 3, 7, 11, 15);
+            let lo03 = _mm512_permutex2var_epi64(z01, even, z23);
+            let hi03 = _mm512_permutex2var_epi64(z01, odd, z23);
+            let lo47 = _mm512_permutex2var_epi64(z45, even, z67);
+            let hi47 = _mm512_permutex2var_epi64(z45, odd, z67);
+            // … to one register per 64-bit limb, eight elements each, …
+            let l0 = _mm512_shuffle_i64x2::<0x44>(lo03, lo47);
+            let l1 = _mm512_shuffle_i64x2::<0xEE>(lo03, lo47);
+            let l2 = _mm512_shuffle_i64x2::<0x44>(hi03, hi47);
+            let l3 = _mm512_shuffle_i64x2::<0xEE>(hi03, hi47);
+            // … to five 52-bit limbs, as `to_limbs52`.
+            let mask = splat(MASK52);
+            let join = |lo, hi| _mm512_and_si512(_mm512_or_si512(lo, hi), mask);
+            [
+                _mm512_and_si512(l0, mask),
+                join(_mm512_srli_epi64::<52>(l0), _mm512_slli_epi64::<12>(l1)),
+                join(_mm512_srli_epi64::<40>(l1), _mm512_slli_epi64::<24>(l2)),
+                join(_mm512_srli_epi64::<28>(l2), _mm512_slli_epi64::<36>(l3)),
+                _mm512_srli_epi64::<16>(l3),
+            ]
+        }
+    }
+
+    /// [`gather`] undone, step by step in reverse order.
+    #[inline(always)]
+    pub(super) unsafe fn scatter<P: FpParams>(t: [V; 5]) -> [Fp<P>; 8] {
+        unsafe {
+            let or = |a, b| _mm512_or_si512(a, b);
+            let l0 = or(t[0], _mm512_slli_epi64::<52>(t[1]));
+            let l1 = or(_mm512_srli_epi64::<12>(t[1]), _mm512_slli_epi64::<40>(t[2]));
+            let l2 = or(_mm512_srli_epi64::<24>(t[2]), _mm512_slli_epi64::<28>(t[3]));
+            let l3 = or(_mm512_srli_epi64::<36>(t[3]), _mm512_slli_epi64::<16>(t[4]));
+            let lo03 = _mm512_shuffle_i64x2::<0x44>(l0, l1);
+            let lo47 = _mm512_shuffle_i64x2::<0xEE>(l0, l1);
+            let hi03 = _mm512_shuffle_i64x2::<0x44>(l2, l3);
+            let hi47 = _mm512_shuffle_i64x2::<0xEE>(l2, l3);
+            let even = _mm512_setr_epi64(0, 4, 8, 12, 1, 5, 9, 13);
+            let odd = _mm512_setr_epi64(2, 6, 10, 14, 3, 7, 11, 15);
+            let mut out = [[0u64; 4]; 8];
+            // Two elements per store: 64 of the array's 256 bytes.
+            let dst = out.as_mut_ptr().cast::<V>();
+            _mm512_storeu_si512(dst, _mm512_permutex2var_epi64(lo03, even, hi03));
+            _mm512_storeu_si512(dst.add(1), _mm512_permutex2var_epi64(lo03, odd, hi03));
+            _mm512_storeu_si512(dst.add(2), _mm512_permutex2var_epi64(lo47, even, hi47));
+            _mm512_storeu_si512(dst.add(3), _mm512_permutex2var_epi64(lo47, odd, hi47));
+            out.map(|limbs| Fp(limbs, PhantomData))
+        }
+    }
+
+    #[inline(always)]
+    pub(super) unsafe fn add<P: FpParams>(a: [V; 5], b: [V; 5]) -> [V; 5] {
+        unsafe {
+            let sum = std::array::from_fn(|k| _mm512_add_epi64(a[k], b[k]));
+            subtract_p_once::<P>(normalize(sum))
+        }
+    }
+
+    #[inline(always)]
+    pub(super) unsafe fn sub<P: FpParams>(a: [V; 5], b: [V; 5]) -> [V; 5] {
+        unsafe {
+            let d = normalize(std::array::from_fn(|k| _mm512_sub_epi64(a[k], b[k])));
+            // A negative difference gets p back.
+            let negative = _mm512_srai_epi64::<63>(d[4]);
+            let p = Fp::<P>::MODULUS52;
+            normalize(std::array::from_fn(|k| {
+                _mm512_add_epi64(d[k], _mm512_and_si512(splat(p[k]), negative))
+            }))
+        }
+    }
+
+    #[inline(always)]
+    pub(super) unsafe fn mul<P: FpParams>(a: [V; 5], b: [V; 5]) -> [V; 5] {
+        unsafe {
+            let mut z = [_mm512_setzero_si512(); 10];
+            for i in 0..5 {
+                for j in 0..5 {
+                    z[i + j] = _mm512_madd52lo_epu64(z[i + j], a[j], b[i]);
+                    z[i + j + 1] = _mm512_madd52hi_epu64(z[i + j + 1], a[j], b[i]);
+                }
+            }
+            redc16::<P>(z)
+        }
+    }
+
+    #[inline(always)]
+    pub(super) unsafe fn sqr<P: FpParams>(a: [V; 5]) -> [V; 5] {
+        unsafe {
+            let mut z = [_mm512_setzero_si512(); 10];
+            // The products above the diagonal once, doubled, …
+            for i in 0..5 {
+                for j in (i + 1)..5 {
+                    z[i + j] = _mm512_madd52lo_epu64(z[i + j], a[i], a[j]);
+                    z[i + j + 1] = _mm512_madd52hi_epu64(z[i + j + 1], a[i], a[j]);
+                }
+            }
+            let mut z = z.map(|x| _mm512_add_epi64(x, x));
+            // … then the squares on the diagonal.
+            for i in 0..5 {
+                z[2 * i] = _mm512_madd52lo_epu64(z[2 * i], a[i], a[i]);
+                z[2 * i + 1] = _mm512_madd52hi_epu64(z[2 * i + 1], a[i], a[i]);
+            }
+            redc16::<P>(z)
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // operators
 // ---------------------------------------------------------------------------
 
@@ -1037,6 +1528,173 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(17);
             edges::<FqParams>(&mut rng);
             edges::<FrParams>(&mut rng);
+        }
+    }
+
+    /// Both lane bodies against eight scalar operations, lane by lane.
+    /// The portable body runs on every CPU; the IFMA one where the CPU
+    /// has it.
+    mod lanes {
+        use super::*;
+        use crate::fields::{FqParams, FrParams};
+        use proptest::prelude::*;
+
+        /// Asserts that `body` gives the scalar results in every lane:
+        /// the product, the square, the sum and the difference, and the
+        /// elements back through a gather and a scatter.
+        fn same_on<B: LaneBody, P: FpParams>(body: B, a: &[Fp<P>; 8], b: &[Fp<P>; 8]) {
+            let (x, y) = (
+                FpLanes::gather(body, a.each_ref()),
+                FpLanes::gather(body, b.each_ref()),
+            );
+            let each = |f: &dyn Fn(Fp<P>, Fp<P>) -> Fp<P>| -> [Fp<P>; 8] {
+                std::array::from_fn(|i| f(a[i], b[i]))
+            };
+            assert_eq!(x.scatter(), *a, "gather then scatter");
+            assert_eq!((x * y).scatter(), each(&|a, b| a * b), "{a:?} · {b:?}");
+            assert_eq!(x.square().scatter(), each(&|a, _| a.square()), "{a:?}²");
+            assert_eq!((x + y).scatter(), each(&|a, b| a + b), "{a:?} + {b:?}");
+            assert_eq!((x - y).scatter(), each(&|a, b| a - b), "{a:?} − {b:?}");
+        }
+
+        /// [`same_on`] on the portable body, and on the IFMA body where
+        /// this CPU has it.
+        fn same<P: FpParams>(a: &[Fp<P>; 8], b: &[Fp<P>; 8]) {
+            same_on(Portable, a, b);
+            #[cfg(target_arch = "x86_64")]
+            if has_ifma() {
+                same_on(Ifma(()), a, b);
+            }
+        }
+
+        /// Runs [`same`] over `pairs`, eight at a time, the last eight
+        /// filled up with the first pair.
+        fn same_pairwise<P: FpParams>(pairs: &[([u64; 4], [u64; 4])]) {
+            for chunk in pairs.chunks(8) {
+                let at = |i: usize| chunk.get(i).unwrap_or(&pairs[0]);
+                let a = std::array::from_fn(|i| Fp::<P>(at(i).0, PhantomData));
+                let b = std::array::from_fn(|i| Fp::<P>(at(i).1, PhantomData));
+                same::<P>(&a, &b);
+            }
+        }
+
+        fn note_if_no_ifma() {
+            #[cfg(target_arch = "x86_64")]
+            let absent = !has_ifma();
+            #[cfg(not(target_arch = "x86_64"))]
+            let absent = true;
+            if absent {
+                eprintln!(
+                    "note: this CPU lacks AVX-512 IFMA, only the portable lane body is tested"
+                );
+            }
+        }
+
+        /// Random limbs below `p`: the top limb cut to 62 bits, then at
+        /// most one subtraction.
+        fn canonical<P: FpParams>(mut limbs: [u64; 4]) -> [u64; 4] {
+            limbs[3] >>= 2;
+            Fp::<P>::reduce_canonical(limbs)
+        }
+
+        proptest! {
+            #[test]
+            fn lane_bodies_match_scalar_operations(
+                a in proptest::array::uniform8(proptest::array::uniform4(any::<u64>())),
+                b in proptest::array::uniform8(proptest::array::uniform4(any::<u64>())),
+            ) {
+                note_if_no_ifma();
+                fn check<P: FpParams>(a: &[[u64; 4]; 8], b: &[[u64; 4]; 8]) {
+                    let lift = |v: &[[u64; 4]; 8]| v.map(|l| Fp::<P>(canonical::<P>(l), PhantomData));
+                    same::<P>(&lift(a), &lift(b));
+                }
+                check::<FqParams>(&a, &b);
+                check::<FrParams>(&a, &b);
+            }
+        }
+
+        #[test]
+        fn lane_bodies_match_scalar_operations_at_the_edges() {
+            fn edges<P: FpParams>(rng: &mut StdRng) {
+                let p = BigUint::from_limbs(&P::MODULUS);
+                let limbs = |v: &BigUint| -> [u64; 4] { v.to_fixed_limbs(4).try_into().unwrap() };
+                let n = BigUint::from;
+                let named = [
+                    [0; 4],
+                    [1, 0, 0, 0],
+                    Fp::<P>::R,
+                    limbs(&p.sub(&n(1))),
+                    limbs(&p.sub(&n(2))),
+                ];
+                let pairs: Vec<_> = named
+                    .iter()
+                    .flat_map(|a| named.iter().map(move |b| (*a, *b)))
+                    .collect();
+                same_pairwise::<P>(&pairs);
+                // Products next to p: `a = c·R/b` makes the product
+                // exactly `c`.
+                let near_p = [
+                    n(0),
+                    n(1),
+                    n(2),
+                    BigUint::one().shl(52),
+                    BigUint::one().shl(104),
+                    BigUint::one().shl(208),
+                    p.sub(&n(1)),
+                    p.sub(&n(2)),
+                    p.sub(&BigUint::one().shl(52)),
+                    p.sub(&BigUint::one().shl(208)),
+                ];
+                let mut pairs = Vec::new();
+                for c in &near_p {
+                    for _ in 0..8 {
+                        let b = Fp::<P>::random(rng);
+                        let b_inv = b.inverse().expect("nonzero").0;
+                        pairs.push((Fp::<P>::mont_mul_portable(&limbs(c), &b_inv), b.0));
+                    }
+                }
+                same_pairwise::<P>(&pairs);
+                // The value before the final subtraction is `c + p`, not
+                // `c`, exactly when `c·R < a·b` (for the lanes as for the
+                // scalar kernel: the reduction multiplier of `2²⁶⁰` is 16
+                // times the scalar one).
+                let wide = |a: &[u64; 4], b: &[u64; 4]| {
+                    let c = BigUint::from_limbs(&Fp::<P>::mont_mul_portable(a, b));
+                    c.shl(256) < BigUint::from_limbs(a).mul(&BigUint::from_limbs(b))
+                };
+                let (mut products, mut squares) = (Vec::new(), Vec::new());
+                while products.len() < 64 || squares.len() < 64 {
+                    let a = Fp::<P>::random(rng).0;
+                    let b = Fp::<P>::random(rng).0;
+                    if wide(&a, &b) {
+                        products.push((a, b));
+                    }
+                    if wide(&a, &a) {
+                        squares.push((a, a));
+                    }
+                }
+                same_pairwise::<P>(&products);
+                same_pairwise::<P>(&squares);
+            }
+            note_if_no_ifma();
+            let mut rng = StdRng::seed_from_u64(23);
+            edges::<FqParams>(&mut rng);
+            edges::<FrParams>(&mut rng);
+        }
+
+        #[test]
+        fn with_lanes_runs_a_task_on_the_detected_body() {
+            struct Square<'a>(&'a [Fq; 8]);
+            impl LaneTask for Square<'_> {
+                type Output = [Fq; 8];
+                #[inline(always)]
+                fn run<B: LaneBody>(self, body: B) -> [Fq; 8] {
+                    FpLanes::gather(body, self.0.each_ref()).square().scatter()
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(29);
+            let a: [Fq; 8] = std::array::from_fn(|_| Fq::random(&mut rng));
+            assert_eq!(with_lanes(Square(&a)), a.map(|x| x.square()));
         }
     }
 

@@ -8,7 +8,10 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use waku_arith::fields::Fq;
+use waku_arith::fp::LaneBody;
 use waku_arith::traits::Field;
+
+use crate::point::{FqLanes, LaneField};
 
 /// An element `c0 + c1·u` of Fp2.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
@@ -152,11 +155,12 @@ impl fmt::Display for Fp2 {
     }
 }
 
-impl crate::point::BatchInvert for Fp2 {
-    /// `d⁻¹ = d̄ / N(d)` with the norm in Fq: one Fq batch inversion plus
+impl Fp2 {
+    /// Inverts every element of `values` in place, zeros staying zero:
+    /// `d⁻¹ = d̄ / N(d)` with the norm in Fq, one Fq batch inversion plus
     /// four Fq multiplications per element, instead of nine for the
     /// generic Montgomery chain over Fp2 products.
-    fn batch_invert(values: &mut [Self]) {
+    pub(crate) fn batch_invert(values: &mut [Self]) {
         let mut norms: Vec<Fq> = values.iter().map(|v| v.norm()).collect();
         waku_arith::batch_inv::batch_inverse_in_place(&mut norms);
         for (v, n_inv) in values.iter_mut().zip(norms) {
@@ -164,6 +168,93 @@ impl crate::point::BatchInvert for Fp2 {
             // coordinate solutions here since −1 is a quadratic
             // nonresidue of Fq), so the zero n_inv keeps v at zero.
             *v = v.conjugate().scale(n_inv);
+        }
+    }
+}
+
+/// Eight Fp2 elements on lane body `B`: their `c0`s and their `c1`s as
+/// two Fq lane vectors.
+#[derive(Clone, Copy)]
+pub struct Fp2Lanes<B: LaneBody> {
+    c0: FqLanes<B>,
+    c1: FqLanes<B>,
+}
+
+impl<B: LaneBody> Add for Fp2Lanes<B> {
+    type Output = Self;
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        Fp2Lanes {
+            c0: self.c0 + rhs.c0,
+            c1: self.c1 + rhs.c1,
+        }
+    }
+}
+
+impl<B: LaneBody> Sub for Fp2Lanes<B> {
+    type Output = Self;
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        Fp2Lanes {
+            c0: self.c0 - rhs.c0,
+            c1: self.c1 - rhs.c1,
+        }
+    }
+}
+
+impl<B: LaneBody> Mul for Fp2Lanes<B> {
+    type Output = Self;
+    /// Karatsuba, as [`Fp2`]'s product.
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        let v0 = self.c0 * rhs.c0;
+        let v1 = self.c1 * rhs.c1;
+        let s = (self.c0 + self.c1) * (rhs.c0 + rhs.c1);
+        Fp2Lanes {
+            c0: v0 - v1,
+            c1: s - v0 - v1,
+        }
+    }
+}
+
+impl LaneField for Fp2 {
+    type Lanes<B: LaneBody> = Fp2Lanes<B>;
+
+    #[inline(always)]
+    fn gather<B: LaneBody>(body: B, v: [&Fp2; 8]) -> Fp2Lanes<B> {
+        Fp2Lanes {
+            c0: FqLanes::gather(body, v.map(|x| &x.c0)),
+            c1: FqLanes::gather(body, v.map(|x| &x.c1)),
+        }
+    }
+
+    #[inline(always)]
+    fn scatter<B: LaneBody>(v: Fp2Lanes<B>) -> [Fp2; 8] {
+        let (c0, c1) = (v.c0.scatter(), v.c1.scatter());
+        std::array::from_fn(|i| Fp2::new(c0[i], c1[i]))
+    }
+
+    /// As [`Fp2`]'s square: `(c0 − c1)(c0 + c1) + 2·c0·c1·u`.
+    #[inline(always)]
+    fn square_lanes<B: LaneBody>(v: Fp2Lanes<B>) -> Fp2Lanes<B> {
+        let c = v.c0 * v.c1;
+        Fp2Lanes {
+            c0: (v.c0 - v.c1) * (v.c0 + v.c1),
+            c1: c + c,
+        }
+    }
+
+    #[inline(always)]
+    fn norm<B: LaneBody>(v: Fp2Lanes<B>) -> FqLanes<B> {
+        v.c0.square() + v.c1.square()
+    }
+
+    /// `v̄ · N(v)⁻¹`, as `Fp2::batch_invert` computes it.
+    #[inline(always)]
+    fn inverse_from_norm<B: LaneBody>(v: Fp2Lanes<B>, norm_inv: FqLanes<B>) -> Fp2Lanes<B> {
+        Fp2Lanes {
+            c0: v.c0 * norm_inv,
+            c1: -(v.c1 * norm_inv),
         }
     }
 }

@@ -10,44 +10,75 @@
 //!   by Montgomery batch inversion (≈3M each), instead of the ≈11M
 //!   projective `add_mixed` formulas. Pairs are reduced tree-style so every
 //!   round shares one inversion across *all* buckets of a window.
+//! * **Eight additions at a time** — each round runs its pairs on
+//!   `waku_arith`'s eight-lane field vectors, one pair per lane: a batch's
+//!   coordinates are gathered into lanes once, the denominators, the
+//!   batch inversion's product chains, λ, λ², x₃ and y₃ are computed
+//!   there, and the results are scattered back. On a CPU with AVX-512
+//!   IFMA that makes the bucket additions about twice as fast; elsewhere
+//!   the lanes are eight scalar operations. A pair that is not a plain
+//!   addition (∞, a doubling, a cancellation) keeps its lane busy with a
+//!   harmless denominator and takes the scalar formulas. G2 runs Fp2 as
+//!   two Fq lane vectors. Every result is the same group element, bucket
+//!   by bucket, as the scalar formulas give.
 //! * **Work-stealing windows** — the independent Pippenger windows are
 //!   scheduled on the [`waku_pool`] work-stealing pool, so concurrency is
 //!   capped at the pool size instead of spawning one OS thread per window
 //!   (previously ~37 raw threads for a 7-bit-window MSM).
 
-use waku_arith::fields::Fr;
+use waku_arith::batch_inv::batch_inverse_in_place;
+use waku_arith::fields::{Fq, Fr};
+use waku_arith::fp::{with_lanes, LaneBody, LaneTask};
 use waku_arith::traits::{Field, PrimeField};
 
-use crate::point::{Affine, BatchInvert, CurveParams, Projective};
+use crate::point::{Affine, CurveParams, FqLanes, LaneField, Projective};
 
 /// Picks the Pippenger window size (in bits) for `n` terms.
 ///
-/// Tuned for the signed-digit batch-affine cost model: a bucket add costs
-/// ~6 base-field muls and a bucket in the running sum ~27, with `2^(c−1)`
-/// buckets per window, so the optimum `c` minimizes
-/// `⌈256/c⌉·(6n + 27·2^(c−1))`; the break-evens below are where
-/// consecutive `c` values cross.
+/// Tuned for the signed-digit batch-affine cost model: with `2^(c−1)`
+/// buckets per window, the optimum `c` minimizes
+/// `⌈256/c⌉·(A·n + S·2^(c−1))`, where `A` is a bucket addition and `S` a
+/// bucket's share of the running sum (one mixed and one full projective
+/// addition); the break-evens below are where consecutive `c` values
+/// cross. A bucket addition is ~6 base-field products and a running-sum
+/// bucket ~27, but on the IFMA lanes the six run eight pairs at a time,
+/// so `A` fell by about half while `S` did not move, which pushes the
+/// break-evens up.
 ///
-/// Re-timed on the BMI2/ADX field kernel at the prover's four sizes: G1,
-/// random scalars, one pool thread, 21 interleaved runs per `c`, median
-/// (interquartile range) in ms on a 2-vCPU Xeon VM:
+/// Re-timed on the lanes at the prover's sizes: random scalars, one pool
+/// thread, 21–41 interleaved runs per `c`, median (interquartile range)
+/// in ms on a 2-vCPU Sapphire Rapids VM (this host's timings drift by up
+/// to ±30 % between runs, so only the columns of one row compare):
 ///
-/// | n | role | `c − 1` | `c` | `c + 1` |
-/// |---|---|---|---|---|
-/// | 455 | delta MSM | 10.81 (0.48) | **10.35** (0.42) | 11.11 (0.57) |
-/// | 3 200 | depth-10 query | 46.72 (2.16) | **43.03** (1.65) | 43.56 (1.87) |
-/// | 5 603 | depth-20 query | 71.41 (2.73) | **68.86** (2.73) | 69.53 (3.05) |
-/// | 8 191 | `H` | 102.52 (1.54) | **96.76** (1.72) | 94.68 (1.27) |
+/// | n | group | role | `c = 5` | `c = 6` | `c = 7` | `c = 8` | `c = 9` |
+/// |---|---|---|---|---|---|---|---|
+/// | 32 | G1 | RLC sums | 2.16 (0.50) | **2.09** (0.51) | 2.54 (0.56) | | |
+/// | 64 | G1 | RLC sums | 2.44 (0.12) | **2.44** (0.09) | 2.61 (0.10) | | |
+/// | 128 | G1 | | 3.36 (1.14) | **3.22** (1.09) | 3.74 (1.28) | | |
+/// | 200 | G1 | | 5.04 (1.17) | **4.74** (1.13) | 4.73 (1.35) | | |
+/// | 455 | G2 | delta MSM | | **11.06** (0.69) | 12.14 (0.39) | 15.31 (0.61) | |
+/// | 455 | G1 | delta MSMs | | **7.39** (0.36) | 7.30 (0.36) | | |
+/// | 700 | G1 | | | **6.75** (0.25) | 6.72 (0.27) | | |
+/// | 3 200 | G1 | depth-10 query | | | 27.05 (0.51) | **25.89** (0.54) | |
+/// | 5 603 | G1 | depth-20 query | | | | 29.26 (3.89) | **31.13** (3.34) |
+/// | 8 191 | G1 | `H` | | | | 47.28 (3.38) | **47.37** (7.48) |
 ///
-/// Bold is the `c` this table picks. Only at `H` does a neighbour win,
-/// by 2.1 ms, and two repeat runs there (25 rounds each) put `c = 9` and
-/// `c = 10` within each other's spread, so no break-even moved.
+/// Bold is the `c` this table picks. On the scalar field kernel `c = 7`
+/// beat `c = 6` at 455 by 0.46 ms (IQR 0.42); on the lanes the two tie
+/// for G1 up to 700, and `c = 6` is ≈ 9 % faster for G2, whose running
+/// sum costs three times G1's. Below 256 terms the per-round batch
+/// inversion dominates, and fewer windows mean fewer rounds: `c = 6` read
+/// at or below `c = 5` in all nine comparisons of two sweeps over 32 –
+/// 200 terms (by 0–9 %, each inside the spread). So 32–799 terms now
+/// take 6-bit windows (was 5 below 256 and 7 above). The other
+/// neighbours stayed within each other's spread, so no other break-even
+/// moved.
 fn window_size(n: usize) -> usize {
     match n {
         0..=1 => 1,
         2..=31 => 3,
-        32..=255 => 5,
-        256..=1479 => 7,
+        32..=799 => 6,
+        800..=1479 => 7,
         1480..=4729 => 8,
         4730..=8399 => 9,
         8400..=24099 => 10,
@@ -97,6 +128,7 @@ fn recode_signed(limbs: &[u64; 4], c: usize, out: &mut [i16]) {
 /// How a pair of bucket points combines; classification is a pure function
 /// of the two (immutable) inputs so the two passes of
 /// [`batch_add_round`] agree without storing per-pair state.
+#[derive(Clone, Copy)]
 enum PairKind {
     /// Distinct x-coordinates: `λ = (y₂−y₁)/(x₂−x₁)`.
     Add,
@@ -119,72 +151,207 @@ fn classify<C: CurveParams>(p: &Affine<C>, q: &Affine<C>) -> PairKind {
     }
 }
 
+/// Eight coordinates of `C` on lane body `B`.
+type BaseLanes<C, B> = <<C as CurveParams>::Base as LaneField>::Lanes<B>;
+
+/// Lanes per batch: the lane bodies' width.
+const LANES: usize = 8;
+
+/// One batch of up to eight pairs, lane `i` from pair `i`: both points'
+/// coordinates, and the pairs' kinds.
+///
+/// A lane whose pair is not an `Add` loads `p.x = 0` and `q.x = δ`, so
+/// `q.x − p.x` is still the denominator to invert: `δ = 2y` for a
+/// doubling, and `δ = 1` where nothing is inverted (a trivial pair, or a
+/// lane past the round's last pair). Such a lane's λ, x₃ and y₃ are
+/// ignored; its result comes from the scalar formulas.
+struct Batch<C: CurveParams, B: LaneBody> {
+    kinds: [PairKind; LANES],
+    px: BaseLanes<C, B>,
+    qx: BaseLanes<C, B>,
+    /// `(p.y, q.y)`, loaded by the second pass only.
+    ys: Option<(BaseLanes<C, B>, BaseLanes<C, B>)>,
+}
+
+impl<C: CurveParams, B: LaneBody> Batch<C, B> {
+    /// Loads the pairs `(points[src], points[src + 1])` of `pairs`, the
+    /// y-coordinates too when `with_y`.
+    #[inline(always)]
+    fn load(body: B, points: &[Affine<C>], pairs: &[(u32, u32)], with_y: bool) -> Self {
+        let mut kinds = [PairKind::Trivial; LANES];
+        let mut delta = [C::Base::one(); LANES];
+        for (i, &(src, _)) in pairs.iter().enumerate() {
+            let (p, q) = (&points[src as usize], &points[src as usize + 1]);
+            kinds[i] = classify(p, q);
+            if let PairKind::Double = kinds[i] {
+                delta[i] = p.y.double();
+            }
+        }
+        let zero = C::Base::zero();
+        let coord = |second: usize, y: bool, fill: [&C::Base; LANES]| {
+            gather_coord::<C, B>(body, points, pairs, &kinds, second, y, fill)
+        };
+        Batch {
+            kinds,
+            px: coord(0, false, [&zero; LANES]),
+            qx: coord(1, false, delta.each_ref()),
+            ys: with_y.then(|| {
+                (
+                    coord(0, true, [&zero; LANES]),
+                    coord(1, true, [&zero; LANES]),
+                )
+            }),
+        }
+    }
+
+    /// The denominators `q.x − p.x`, none zero.
+    #[inline(always)]
+    fn denominators(&self) -> BaseLanes<C, B> {
+        self.qx - self.px
+    }
+}
+
+/// Gathers one coordinate (`x`, or `y` when `y`) of each `Add` pair's
+/// first point (`second = 0`) or second (`1`), and `fill[i]` in every
+/// other lane.
+#[inline(always)]
+fn gather_coord<'a, C: CurveParams, B: LaneBody>(
+    body: B,
+    points: &'a [Affine<C>],
+    pairs: &[(u32, u32)],
+    kinds: &[PairKind; LANES],
+    second: usize,
+    y: bool,
+    mut fill: [&'a C::Base; LANES],
+) -> BaseLanes<C, B> {
+    for (i, &(src, _)) in pairs.iter().enumerate() {
+        if let PairKind::Add = kinds[i] {
+            let a = &points[src as usize + second];
+            fill[i] = if y { &a.y } else { &a.x };
+        }
+    }
+    C::Base::gather(body, fill)
+}
+
+/// `2p` for `p` with `y ≠ 0`, given `(2y)⁻¹`.
+fn double_with<C: CurveParams>(p: &Affine<C>, inv: C::Base) -> Affine<C> {
+    let xx = p.x.square();
+    let lambda = (xx.double() + xx) * inv;
+    let x3 = lambda.square() - p.x.double();
+    let y3 = lambda * (p.x - x3) - p.y;
+    Affine::new_unchecked(x3, y3)
+}
+
+/// `p + q` for a pair that needs no inversion: one is ∞, or they cancel.
+fn trivial_sum<C: CurveParams>(p: &Affine<C>, q: &Affine<C>) -> Affine<C> {
+    if p.infinity {
+        *q
+    } else if q.infinity {
+        *p
+    } else {
+        Affine::identity()
+    }
+}
+
+/// The tree reduction of one window's buckets, run on lane body `B`.
+struct ReduceBuckets<'a, C: CurveParams> {
+    points: &'a mut [Affine<C>],
+    starts: &'a [u32],
+    lens: &'a mut [u32],
+}
+
+impl<C: CurveParams> LaneTask for ReduceBuckets<'_, C> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<B: LaneBody>(self, body: B) {
+        let mut pairs = Vec::new();
+        let mut suffix = Vec::new();
+        while self.lens.iter().any(|&l| l > 1) {
+            batch_add_round(
+                body,
+                self.points,
+                self.starts,
+                self.lens,
+                &mut pairs,
+                &mut suffix,
+            );
+        }
+    }
+}
+
 /// One tree-reduction round over all buckets of a window: adds the pairs
 /// `(points[s+2k], points[s+2k+1])` of every bucket with a single batch
 /// inversion and compacts the results to the bucket starts.
 ///
+/// The pairs run eight at a time, one per lane. The first pass, last
+/// batch first, keeps each batch's product of the later batches'
+/// denominators (their norms, for Fp2) — eight interleaved
+/// prefix-product chains of Montgomery's trick. The eight chain totals
+/// are inverted together, and the second pass, first batch first, peels
+/// each batch's inverses off and finishes its additions on the lanes.
+///
 /// Within a bucket, pair `k`'s result lands at offset `k` and its sources
-/// sit at offsets `2k` and `2k+1`, so processing pairs in ascending order
-/// never overwrites a yet-unread source.
-fn batch_add_round<C: CurveParams>(
+/// sit at offsets `2k` and `2k+1`, so the second pass, which reads each
+/// batch before it writes it, never overwrites a yet-unread source.
+#[inline(always)]
+fn batch_add_round<C: CurveParams, B: LaneBody>(
+    body: B,
     points: &mut [Affine<C>],
     starts: &[u32],
     lens: &mut [u32],
-    denoms: &mut Vec<C::Base>,
+    pairs: &mut Vec<(u32, u32)>,
+    suffix: &mut Vec<FqLanes<B>>,
 ) {
-    // Pass 1: collect the λ denominators (1 as placeholder for trivial
-    // pairs, which keeps pair order aligned with the inverted vector).
-    denoms.clear();
+    // Each pair's first source and its destination, bucket by bucket.
+    pairs.clear();
     for (&s, &len) in starts.iter().zip(lens.iter()) {
-        let s = s as usize;
-        for k in 0..(len as usize) / 2 {
-            let p = &points[s + 2 * k];
-            let q = &points[s + 2 * k + 1];
-            denoms.push(match classify(p, q) {
-                PairKind::Add => q.x - p.x,
-                PairKind::Double => p.y.double(),
-                PairKind::Trivial => C::Base::one(),
-            });
-        }
+        pairs.extend((0..len / 2).map(|k| (s + 2 * k, s + k)));
     }
-    C::Base::batch_invert(denoms);
 
-    // Pass 2: apply the affine addition formulas and compact.
-    let mut pair_idx = 0usize;
-    for (&s, len) in starts.iter().zip(lens.iter_mut()) {
-        let s = s as usize;
-        let l = *len as usize;
-        for k in 0..l / 2 {
-            let p = points[s + 2 * k];
-            let q = points[s + 2 * k + 1];
-            let inv = denoms[pair_idx];
-            pair_idx += 1;
-            points[s + k] = match classify(&p, &q) {
-                PairKind::Add => {
-                    let lambda = (q.y - p.y) * inv;
-                    let x3 = lambda.square() - p.x - q.x;
-                    let y3 = lambda * (p.x - x3) - p.y;
-                    Affine::new_unchecked(x3, y3)
-                }
+    // Pass 1, last batch first.
+    suffix.clear();
+    let mut acc = FqLanes::splat(body, &Fq::one());
+    for batch in pairs.chunks(LANES).rev() {
+        let d = Batch::<C, B>::load(body, points, batch, false).denominators();
+        suffix.push(acc);
+        acc = acc * C::Base::norm(d);
+    }
+    let mut totals = acc.scatter();
+    batch_inverse_in_place(&mut totals);
+    let mut acc_inv = FqLanes::gather(body, totals.each_ref());
+
+    // Pass 2, first batch first: `acc_inv` is the inverse of this and
+    // every later batch's product, `suffix` holds the later batches'.
+    for batch in pairs.chunks(LANES) {
+        let later = suffix.pop().expect("one suffix product per batch");
+        let lanes = Batch::<C, B>::load(body, points, batch, true);
+        let (py, qy) = lanes.ys.expect("loaded with y");
+        let d = lanes.denominators();
+        let norm = C::Base::norm(d);
+        let d_inv = C::Base::inverse_from_norm(d, acc_inv * later);
+        acc_inv = acc_inv * norm;
+        let lambda = (qy - py) * d_inv;
+        let x3 = C::Base::square_lanes(lambda) - lanes.px - lanes.qx;
+        let y3 = lambda * (lanes.px - x3) - py;
+        let (x3, y3) = (C::Base::scatter(x3), C::Base::scatter(y3));
+        let mut doubling_invs = None;
+        for (i, &(src, dst)) in batch.iter().enumerate() {
+            let src = src as usize;
+            points[dst as usize] = match lanes.kinds[i] {
+                PairKind::Add => Affine::new_unchecked(x3[i], y3[i]),
                 PairKind::Double => {
-                    let xx = p.x.square();
-                    let lambda = (xx.double() + xx) * inv;
-                    let x3 = lambda.square() - p.x.double();
-                    let y3 = lambda * (p.x - x3) - p.y;
-                    Affine::new_unchecked(x3, y3)
+                    let invs = doubling_invs.get_or_insert_with(|| C::Base::scatter(d_inv));
+                    double_with(&points[src], invs[i])
                 }
-                PairKind::Trivial => {
-                    if p.infinity {
-                        q
-                    } else if q.infinity {
-                        p
-                    } else {
-                        Affine::identity()
-                    }
-                }
+                PairKind::Trivial => trivial_sum(&points[src], &points[src + 1]),
             };
         }
-        // Odd leftover survives into the next round, after the results.
+    }
+
+    // Odd leftovers survive into the next round, after the results.
+    for (&s, len) in starts.iter().zip(lens.iter_mut()) {
+        let (s, l) = (s as usize, *len as usize);
         if l % 2 == 1 {
             points[s + l / 2] = points[s + l - 1];
         }
@@ -253,10 +420,11 @@ fn window_sum<C: CurveParams>(
 
     // Tree-reduce every bucket to a single point.
     let mut lens = counts;
-    let mut denoms: Vec<C::Base> = Vec::new();
-    while lens.iter().any(|&l| l > 1) {
-        batch_add_round(&mut points, &starts, &mut lens, &mut denoms);
-    }
+    with_lanes(ReduceBuckets {
+        points: &mut points,
+        starts: &starts,
+        lens: &mut lens,
+    });
 
     // Running-sum trick: Σ d·bucket_d with only 2·(#buckets) additions.
     let mut running = Projective::<C>::identity();
@@ -465,7 +633,6 @@ impl<C: CurveParams> WindowTable<C> {
 mod tests {
     use super::*;
     use crate::g1::{G1Affine, G1Projective};
-    use crate::g2::G2Affine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use waku_arith::traits::Field;
@@ -475,13 +642,6 @@ mod tests {
         let bases: Vec<G1Affine> = (0..n).map(|_| g.mul(Fr::random(rng)).to_affine()).collect();
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(rng)).collect();
         (bases, scalars)
-    }
-
-    #[test]
-    fn pippenger_matches_naive_small() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let (bases, scalars) = random_g1(&mut rng, 10);
-        assert_eq!(msm(&bases, &scalars), naive_msm(&bases, &scalars));
     }
 
     #[test]
@@ -510,13 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn pippenger_matches_naive_large() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let (bases, scalars) = random_g1(&mut rng, 300);
-        assert_eq!(msm(&bases, &scalars), naive_msm(&bases, &scalars));
-    }
-
-    #[test]
     fn msm_with_zero_scalars() {
         let mut rng = StdRng::seed_from_u64(3);
         let (bases, mut scalars) = random_g1(&mut rng, 64);
@@ -540,6 +693,150 @@ mod tests {
         assert_eq!(msm(&bases, &scalars), naive_msm(&bases, &scalars));
     }
 
+    /// `n` random points of `C`'s subgroup and `n` random scalars.
+    fn random_terms<C: CurveParams>(rng: &mut StdRng, n: usize) -> (Vec<Affine<C>>, Vec<Fr>) {
+        let table = WindowTable::new(Projective::<C>::generator(), 8);
+        let multiples: Vec<Fr> = (0..n).map(|_| Fr::random(rng)).collect();
+        let bases = Projective::batch_to_affine(&table.mul_batch(&multiples));
+        (bases, (0..n).map(|_| Fr::random(rng)).collect())
+    }
+
+    /// Pippenger (also below the ladder's cut-off, through `msm_limbs`)
+    /// against the naive sum, at pool sizes 1 and 2.
+    fn pippenger_matches_naive_at<C: CurveParams>(rng: &mut StdRng, sizes: &[usize]) {
+        for &n in sizes {
+            let (bases, scalars) = random_terms::<C>(rng, n);
+            let naive = naive_msm(&bases, &scalars);
+            let limbs: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical_limbs()).collect();
+            for threads in [1, 2] {
+                let (fast, pippenger) = waku_pool::with_threads(threads, || {
+                    (
+                        msm(&bases, &scalars),
+                        msm_limbs(&[(&bases[..], limbs.clone())], 256),
+                    )
+                });
+                assert_eq!(fast, naive, "{} n = {n}, {threads} threads", C::NAME);
+                assert_eq!(pippenger, naive, "{} n = {n}, {threads} threads", C::NAME);
+            }
+        }
+    }
+
+    #[test]
+    fn pippenger_matches_naive_across_lane_tails_g1() {
+        // 7, 8 and 9 pairs fill less than, exactly and more than one batch
+        // of eight lanes in the first round; 455 and 8 191 are the
+        // prover's delta and `H` sizes.
+        let mut rng = StdRng::seed_from_u64(13);
+        pippenger_matches_naive_at::<crate::g1::G1Params>(&mut rng, &[7, 8, 9, 33, 455, 8191]);
+    }
+
+    #[test]
+    fn pippenger_matches_naive_across_lane_tails_g2() {
+        let mut rng = StdRng::seed_from_u64(14);
+        pippenger_matches_naive_at::<crate::g2::G2Params>(&mut rng, &[7, 8, 9, 33, 455, 8191]);
+    }
+
+    /// Buckets whose first batch of eight pairs mixes every kind: an add,
+    /// a doubling, a cancellation, ∞ first, ∞ second, ∞ twice, then adds;
+    /// a second bucket ends the round with a partial batch.
+    fn exceptional_buckets<C: CurveParams>(
+        rng: &mut StdRng,
+    ) -> (Vec<Affine<C>>, Vec<u32>, Vec<u32>) {
+        let (r, _) = random_terms::<C>(rng, 24);
+        let inf = Affine::<C>::identity();
+        let mut first = vec![
+            r[0],
+            r[1], // add
+            r[2],
+            r[2], // doubling
+            r[3],
+            r[3].neg(), // cancellation
+            inf,
+            r[4], // ∞ first
+            r[5],
+            inf, // ∞ second
+            inf,
+            inf, // ∞ twice
+            r[6],
+            r[7], // add
+            r[8],
+            r[8], // doubling
+        ];
+        first.extend_from_slice(&r[9..20]);
+        let second = [r[20], r[21], r[21], r[22].neg(), r[22]];
+        let starts = vec![0, first.len() as u32];
+        let lens = vec![first.len() as u32, second.len() as u32];
+        first.extend_from_slice(&second);
+        (first, starts, lens)
+    }
+
+    /// Reduces `buckets` on `body` and checks each bucket against the
+    /// projective sum of its points.
+    fn reduce_on<C: CurveParams, B: LaneBody>(body: B, rng: &mut StdRng) {
+        let (mut points, starts, mut lens) = exceptional_buckets::<C>(rng);
+        let want: Vec<Projective<C>> = starts
+            .iter()
+            .zip(&lens)
+            .map(|(&s, &l)| {
+                let bucket = &points[s as usize..(s + l) as usize];
+                bucket
+                    .iter()
+                    .fold(Projective::identity(), |acc, p| acc.add_mixed(p))
+            })
+            .collect();
+        ReduceBuckets {
+            points: &mut points,
+            starts: &starts,
+            lens: &mut lens,
+        }
+        .run(body);
+        for ((&s, &l), want) in starts.iter().zip(&lens).zip(want) {
+            assert_eq!(l, 1);
+            assert_eq!(points[s as usize].to_projective(), want, "{}", C::NAME);
+        }
+    }
+
+    #[test]
+    fn exceptional_pairs_in_one_batch_take_the_scalar_formulas() {
+        let mut rng = StdRng::seed_from_u64(15);
+        // Both bodies: the portable one directly, and the one this CPU
+        // runs (IFMA where it has it).
+        struct Detected<C>(u64, std::marker::PhantomData<C>);
+        impl<C: CurveParams> LaneTask for Detected<C> {
+            type Output = ();
+            #[inline(always)]
+            fn run<B: LaneBody>(self, body: B) {
+                reduce_on::<C, B>(body, &mut StdRng::seed_from_u64(self.0));
+            }
+        }
+        for seed in 0..4 {
+            reduce_on::<crate::g1::G1Params, _>(waku_arith::fp::Portable, &mut rng);
+            reduce_on::<crate::g2::G2Params, _>(waku_arith::fp::Portable, &mut rng);
+            with_lanes(Detected::<crate::g1::G1Params>(seed, Default::default()));
+            with_lanes(Detected::<crate::g2::G2Params>(seed, Default::default()));
+        }
+    }
+
+    #[test]
+    fn one_bucket_of_doublings_and_cancellations() {
+        // Equal scalars put every base in the same bucket of every
+        // window, so the first round's first batch is bases 0..16 in
+        // order: repeated bases double, opposite ones cancel.
+        fn check<C: CurveParams>(rng: &mut StdRng) {
+            let (r, s) = random_terms::<C>(rng, 40);
+            let mut bases = vec![r[0], r[0], r[1], r[1].neg(), r[2], r[3], r[4], r[4]];
+            bases.extend_from_slice(&r[5..]);
+            let scalars = vec![s[0]; bases.len()];
+            for threads in [1, 2] {
+                let got = waku_pool::with_threads(threads, || msm(&bases, &scalars));
+                assert_eq!(got, naive_msm(&bases, &scalars), "{}", C::NAME);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(16);
+        check::<crate::g1::G1Params>(&mut rng);
+        check::<crate::g2::G2Params>(&mut rng);
+    }
+
     #[test]
     fn msm_matches_at_any_pool_size() {
         let mut rng = StdRng::seed_from_u64(10);
@@ -558,31 +855,29 @@ mod tests {
 
     #[test]
     fn msm_chunked_matches_concatenation() {
+        fn check<C: CurveParams>(rng: &mut StdRng) {
+            let (b1, s1) = random_terms::<C>(rng, 150);
+            let (b2, s2) = random_terms::<C>(rng, 70);
+            let (b3, s3) = random_terms::<C>(rng, 5);
+            let concat_bases: Vec<Affine<C>> = [&b1[..], &b2[..], &b3[..]].concat();
+            let concat_scalars: Vec<Fr> = [&s1[..], &s2[..], &s3[..]].concat();
+            for threads in [1, 2] {
+                waku_pool::with_threads(threads, || {
+                    let fused =
+                        msm_chunked(&[(&b1[..], &s1[..]), (&b2[..], &s2[..]), (&b3[..], &s3[..])]);
+                    assert_eq!(fused, msm(&concat_bases, &concat_scalars));
+                    // Small total goes through the interleaved ladder.
+                    let small = msm_chunked(&[(&b3[..], &s3[..]), (&b3[..2], &s3[..2])]);
+                    assert_eq!(
+                        small,
+                        naive_msm(&b3, &s3).add(&naive_msm(&b3[..2], &s3[..2]))
+                    );
+                });
+            }
+        }
         let mut rng = StdRng::seed_from_u64(11);
-        let (b1, s1) = random_g1(&mut rng, 150);
-        let (b2, s2) = random_g1(&mut rng, 70);
-        let (b3, s3) = random_g1(&mut rng, 5);
-        let fused = msm_chunked(&[(&b1[..], &s1[..]), (&b2[..], &s2[..]), (&b3[..], &s3[..])]);
-        let concat_bases: Vec<G1Affine> = [&b1[..], &b2[..], &b3[..]].concat();
-        let concat_scalars: Vec<Fr> = [&s1[..], &s2[..], &s3[..]].concat();
-        assert_eq!(fused, msm(&concat_bases, &concat_scalars));
-        // Small total goes through the interleaved ladder.
-        let small = msm_chunked(&[(&b3[..], &s3[..]), (&b3[..2], &s3[..2])]);
-        assert_eq!(
-            small,
-            naive_msm(&b3, &s3).add(&naive_msm(&b3[..2], &s3[..2]))
-        );
-    }
-
-    #[test]
-    fn msm_g2() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let g = crate::g2::G2Projective::generator();
-        let bases: Vec<G2Affine> = (0..40)
-            .map(|_| g.mul(Fr::random(&mut rng)).to_affine())
-            .collect();
-        let scalars: Vec<Fr> = (0..40).map(|_| Fr::random(&mut rng)).collect();
-        assert_eq!(msm(&bases, &scalars), naive_msm(&bases, &scalars));
+        check::<crate::g1::G1Params>(&mut rng);
+        check::<crate::g2::G2Params>(&mut rng);
     }
 
     #[test]

@@ -138,7 +138,7 @@ use crate::fp12::Fp12;
 use crate::fp2::Fp2;
 use crate::g1::G1Affine;
 use crate::g2::{G2Affine, G2Params};
-use crate::point::{BatchInvert, CurveParams};
+use crate::point::CurveParams;
 
 /// The BN curve parameter `x`.
 pub const BN_X: u64 = 4965661367192848881;

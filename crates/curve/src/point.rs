@@ -7,25 +7,65 @@
 use std::fmt;
 use std::hash::Hash;
 use std::marker::PhantomData;
+use std::ops;
 
-use waku_arith::fields::Fr;
+use waku_arith::fields::{Fq, FqParams, Fr};
+use waku_arith::fp::{FpLanes, LaneBody};
 use waku_arith::traits::{Field, PrimeField};
 
-/// Batch inversion strategy for a coordinate field, used by the
-/// batch-affine MSM buckets. The default is Montgomery's trick directly in
-/// the field; extension fields can override it to push the inversions down
-/// to the base field (see the `Fp2` impl).
-pub trait BatchInvert: Field {
-    /// Inverts every element of `values` in place; zeros stay zero.
-    fn batch_invert(values: &mut [Self])
-    where
-        Self: Sized,
-    {
-        waku_arith::batch_inv::batch_inverse_in_place(values);
-    }
+/// Eight Fq elements on lane body `B`.
+pub type FqLanes<B> = FpLanes<FqParams, B>;
+
+/// A coordinate field whose elements the batch-affine MSM adds eight at a
+/// time: Fq as one Fq lane vector, Fp2 as two. Every implementation's
+/// methods are `#[inline(always)]` (see [`waku_arith::fp::LaneTask`]).
+pub trait LaneField: Field {
+    /// Eight elements on lane body `B`.
+    type Lanes<B: LaneBody>: Copy
+        + ops::Add<Output = Self::Lanes<B>>
+        + ops::Sub<Output = Self::Lanes<B>>
+        + ops::Mul<Output = Self::Lanes<B>>;
+    /// Loads the eight elements behind `v`, lane `i` from `v[i]`.
+    fn gather<B: LaneBody>(body: B, v: [&Self; 8]) -> Self::Lanes<B>;
+    /// The eight elements, lane `i` at index `i`.
+    fn scatter<B: LaneBody>(v: Self::Lanes<B>) -> [Self; 8];
+    /// Lane-wise square.
+    fn square_lanes<B: LaneBody>(v: Self::Lanes<B>) -> Self::Lanes<B>;
+    /// The Fq element whose inverse gives `v`'s: `v` itself in Fq, the
+    /// norm `v·v̄` in Fp2. Zero only where `v` is.
+    fn norm<B: LaneBody>(v: Self::Lanes<B>) -> FqLanes<B>;
+    /// `v⁻¹`, given the inverse of [`Self::norm`]'s lanes.
+    fn inverse_from_norm<B: LaneBody>(v: Self::Lanes<B>, norm_inv: FqLanes<B>) -> Self::Lanes<B>;
 }
 
-impl BatchInvert for waku_arith::fields::Fq {}
+impl LaneField for Fq {
+    type Lanes<B: LaneBody> = FqLanes<B>;
+
+    #[inline(always)]
+    fn gather<B: LaneBody>(body: B, v: [&Fq; 8]) -> FqLanes<B> {
+        FpLanes::gather(body, v)
+    }
+
+    #[inline(always)]
+    fn scatter<B: LaneBody>(v: FqLanes<B>) -> [Fq; 8] {
+        v.scatter()
+    }
+
+    #[inline(always)]
+    fn square_lanes<B: LaneBody>(v: FqLanes<B>) -> FqLanes<B> {
+        v.square()
+    }
+
+    #[inline(always)]
+    fn norm<B: LaneBody>(v: FqLanes<B>) -> FqLanes<B> {
+        v
+    }
+
+    #[inline(always)]
+    fn inverse_from_norm<B: LaneBody>(_: FqLanes<B>, norm_inv: FqLanes<B>) -> FqLanes<B> {
+        norm_inv
+    }
+}
 
 /// Static description of one curve (coefficient `b` and a generator of the
 /// prime-order subgroup).
@@ -33,7 +73,7 @@ pub trait CurveParams:
     Copy + Clone + Eq + PartialEq + Hash + fmt::Debug + Default + Send + Sync + 'static
 {
     /// Field the coordinates live in.
-    type Base: BatchInvert;
+    type Base: LaneField;
     /// Short name used in `Debug` output.
     const NAME: &'static str;
     /// The constant `b` of `y² = x³ + b`.
