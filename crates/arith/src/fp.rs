@@ -29,16 +29,19 @@
 //! fifth accumulator limb. Each round's result stays below `2p`, so one
 //! conditional subtraction at the end makes it canonical.
 //!
-//! Beside the scalar element sits an eight-lane vector, [`FpLanes`], for
-//! code that has eight independent operations to do at once (the MSM's
-//! bucket additions). It has two bodies behind one [`LaneBody`] trait.
-//! On an x86_64 CPU with AVX-512 IFMA, each lane is five 52-bit limbs,
-//! one limb per 512-bit register, and a product is 25 `vpmadd52luq` /
-//! `vpmadd52huq` pairs for `a·b` and 25 more, plus five multipliers, for
-//! the reduction: a Montgomery product with `R = 2²⁶⁰` whose double-width
-//! product is scaled by 16 first, so every lane returns exactly the limbs
-//! `mont_mul` returns (see `Ifma`). Every other CPU runs [`Portable`]:
-//! eight scalar operations, which are also the IFMA body's test oracle.
+//! Beside the scalar element sits a lane vector, [`FpLanes`], for code
+//! that has many independent operations to do at once (the MSM's bucket
+//! additions). It has two bodies behind one [`LaneBody`] trait, and the
+//! body sets the width. On an x86_64 CPU with AVX-512 IFMA a vector is
+//! eight lanes of five 52-bit limbs, one limb per 512-bit register, and
+//! a product is 25 `vpmadd52luq` / `vpmadd52huq` pairs for `a·b` and 25
+//! more, plus five multipliers, for the reduction: a Montgomery product
+//! with `R = 2²⁶⁰` whose double-width product is scaled by 16 first, so
+//! every lane returns exactly the limbs `mont_mul` returns (see `Ifma`).
+//! Every other CPU runs [`Portable`]: one lane holding a scalar element,
+//! with the scalar operations, so generic lane code compiles to plain
+//! scalar code there; eight of its vectors are also the IFMA body's test
+//! oracle.
 //! [`with_lanes`] picks the body once per call, and the caller's generic
 //! code compiles inside the one function that enables the CPU features.
 //! Converting between four 64-bit and five 52-bit limbs costs about as
@@ -582,25 +585,32 @@ impl<P: FpParams> Fp<P> {
 }
 
 // ---------------------------------------------------------------------------
-// eight-lane vectors
+// lane vectors
 // ---------------------------------------------------------------------------
 
-/// How eight field elements are held and operated on side by side. Two
-/// bodies: [`Portable`], eight scalar elements and eight scalar
-/// operations, on every CPU; and `Ifma`, AVX-512 IFMA on x86_64, which
-/// [`with_lanes`] picks when the CPU has it. Both give the same limbs in
-/// every lane, the limbs the scalar operations give.
+/// How [`Self::WIDTH`] field elements are held and operated on side by
+/// side. Two bodies: [`Portable`], one lane on every CPU, a scalar
+/// element and the scalar operations; and `Ifma`, eight lanes of AVX-512
+/// IFMA on x86_64, which [`with_lanes`] picks when the CPU has it. Both
+/// give the same limbs in every lane, the limbs the scalar operations
+/// give.
 ///
 /// A body value stands for the CPU support its operations need: the IFMA
 /// body cannot be built outside this module, and [`with_lanes`] builds it
 /// only after detecting IFMA.
 pub trait LaneBody: Copy {
-    /// Eight elements of `Fp<P>` in this body's layout.
+    /// Lanes per vector: 1 on [`Portable`], 8 on IFMA.
+    const WIDTH: usize;
+    /// One `T` per lane, lane `i` at index `i`: `[T; WIDTH]`.
+    type Array<T: Copy>: Copy + AsRef<[T]> + AsMut<[T]>;
+    /// `WIDTH` elements of `Fp<P>` in this body's layout.
     type Vec<P: FpParams>: Copy;
-    /// Loads the eight elements behind `v`.
-    fn gather<P: FpParams>(self, v: [&Fp<P>; 8]) -> Self::Vec<P>;
-    /// The eight elements, lane `i` at index `i`.
-    fn scatter<P: FpParams>(self, v: Self::Vec<P>) -> [Fp<P>; 8];
+    /// The array of `f(0), …, f(WIDTH − 1)`.
+    fn array<T: Copy>(f: impl FnMut(usize) -> T) -> Self::Array<T>;
+    /// Loads the elements behind `v`.
+    fn gather<P: FpParams>(self, v: Self::Array<&Fp<P>>) -> Self::Vec<P>;
+    /// The elements, lane `i` at index `i`.
+    fn scatter<P: FpParams>(self, v: Self::Vec<P>) -> Self::Array<Fp<P>>;
     /// Lane-wise `a + b`.
     fn add<P: FpParams>(self, a: Self::Vec<P>, b: Self::Vec<P>) -> Self::Vec<P>;
     /// Lane-wise `a − b`.
@@ -611,7 +621,7 @@ pub trait LaneBody: Copy {
     fn sqr<P: FpParams>(self, a: Self::Vec<P>) -> Self::Vec<P>;
 }
 
-/// Work that runs on eight-lane vectors, generic over the body, for
+/// Work that runs on lane vectors, generic over the body, for
 /// [`with_lanes`] to run on the body this CPU supports.
 ///
 /// Mark `run` `#[inline(always)]`, and every function it passes lane
@@ -636,8 +646,8 @@ pub fn with_lanes<T: LaneTask>(task: T) -> T::Output {
     task.run(Portable)
 }
 
-/// Eight elements of `Fp<P>` on lane body `B`, with the field's operators
-/// applied lane by lane.
+/// `B::WIDTH` elements of `Fp<P>` on lane body `B`, with the field's
+/// operators applied lane by lane.
 pub struct FpLanes<P: FpParams, B: LaneBody> {
     v: B::Vec<P>,
     body: B,
@@ -651,24 +661,31 @@ impl<P: FpParams, B: LaneBody> Clone for FpLanes<P, B> {
 }
 
 impl<P: FpParams, B: LaneBody> FpLanes<P, B> {
-    /// Loads the eight elements behind `v`, lane `i` from `v[i]`.
+    /// Loads the elements behind `v`, lane `i` from `v[i]`.
     #[inline(always)]
-    pub fn gather(body: B, v: [&Fp<P>; 8]) -> Self {
+    pub fn gather(body: B, v: B::Array<&Fp<P>>) -> Self {
         FpLanes {
             v: body.gather(v),
             body,
         }
     }
 
+    /// Loads `v`, lane `i` from `v[i]`: [`Self::scatter`] undone.
+    #[inline(always)]
+    pub fn load(body: B, v: &B::Array<Fp<P>>) -> Self {
+        let v = v.as_ref();
+        Self::gather(body, B::array(|i| &v[i]))
+    }
+
     /// `x` in every lane.
     #[inline(always)]
     pub fn splat(body: B, x: &Fp<P>) -> Self {
-        Self::gather(body, [x; 8])
+        Self::gather(body, B::array(|_| x))
     }
 
-    /// The eight elements, lane `i` at index `i`.
+    /// The elements, lane `i` at index `i`.
     #[inline(always)]
-    pub fn scatter(self) -> [Fp<P>; 8] {
+    pub fn scatter(self) -> B::Array<Fp<P>> {
         self.body.scatter(self.v)
     }
 
@@ -723,43 +740,51 @@ impl<P: FpParams, B: LaneBody> std::ops::Neg for FpLanes<P, B> {
     }
 }
 
-/// The portable lane body: eight scalar elements, each operation eight
-/// scalar `Fp` operations. It is the fallback on every CPU without IFMA
-/// and the IFMA body's test oracle.
+/// The portable lane body: one lane, a scalar element, and the scalar
+/// `Fp` operations, so generic lane code compiles to plain scalar code.
+/// It is the body on every CPU without IFMA, and eight of its vectors
+/// are the IFMA body's test oracle.
 #[derive(Clone, Copy, Debug)]
 pub struct Portable;
 
 impl LaneBody for Portable {
-    type Vec<P: FpParams> = [Fp<P>; 8];
+    const WIDTH: usize = 1;
+    type Array<T: Copy> = [T; 1];
+    type Vec<P: FpParams> = Fp<P>;
 
     #[inline(always)]
-    fn gather<P: FpParams>(self, v: [&Fp<P>; 8]) -> [Fp<P>; 8] {
-        v.map(|x| *x)
+    fn array<T: Copy>(mut f: impl FnMut(usize) -> T) -> [T; 1] {
+        [f(0)]
     }
 
     #[inline(always)]
-    fn scatter<P: FpParams>(self, v: [Fp<P>; 8]) -> [Fp<P>; 8] {
-        v
+    fn gather<P: FpParams>(self, [v]: [&Fp<P>; 1]) -> Fp<P> {
+        *v
     }
 
     #[inline(always)]
-    fn add<P: FpParams>(self, a: [Fp<P>; 8], b: [Fp<P>; 8]) -> [Fp<P>; 8] {
-        std::array::from_fn(|i| a[i] + b[i])
+    fn scatter<P: FpParams>(self, v: Fp<P>) -> [Fp<P>; 1] {
+        [v]
     }
 
     #[inline(always)]
-    fn sub<P: FpParams>(self, a: [Fp<P>; 8], b: [Fp<P>; 8]) -> [Fp<P>; 8] {
-        std::array::from_fn(|i| a[i] - b[i])
+    fn add<P: FpParams>(self, a: Fp<P>, b: Fp<P>) -> Fp<P> {
+        a + b
     }
 
     #[inline(always)]
-    fn mul<P: FpParams>(self, a: [Fp<P>; 8], b: [Fp<P>; 8]) -> [Fp<P>; 8] {
-        std::array::from_fn(|i| a[i] * b[i])
+    fn sub<P: FpParams>(self, a: Fp<P>, b: Fp<P>) -> Fp<P> {
+        a - b
     }
 
     #[inline(always)]
-    fn sqr<P: FpParams>(self, a: [Fp<P>; 8]) -> [Fp<P>; 8] {
-        a.map(|x| x.square())
+    fn mul<P: FpParams>(self, a: Fp<P>, b: Fp<P>) -> Fp<P> {
+        a * b
+    }
+
+    #[inline(always)]
+    fn sqr<P: FpParams>(self, a: Fp<P>) -> Fp<P> {
+        a.square()
     }
 }
 
@@ -826,7 +851,14 @@ pub struct Ifma(());
 
 #[cfg(target_arch = "x86_64")]
 impl LaneBody for Ifma {
+    const WIDTH: usize = 8;
+    type Array<T: Copy> = [T; 8];
     type Vec<P: FpParams> = [std::arch::x86_64::__m512i; 5];
+
+    #[inline(always)]
+    fn array<T: Copy>(f: impl FnMut(usize) -> T) -> [T; 8] {
+        std::array::from_fn(f)
+    }
 
     #[inline(always)]
     fn gather<P: FpParams>(self, v: [&Fp<P>; 8]) -> Self::Vec<P> {
@@ -1531,30 +1563,34 @@ mod tests {
         }
     }
 
-    /// Both lane bodies against eight scalar operations, lane by lane.
-    /// The portable body runs on every CPU; the IFMA one where the CPU
-    /// has it.
+    /// Both lane bodies against scalar operations, lane by lane. The
+    /// portable body runs on every CPU; the IFMA one where the CPU has it.
     mod lanes {
         use super::*;
         use crate::fields::{FqParams, FrParams};
         use proptest::prelude::*;
 
-        /// Asserts that `body` gives the scalar results in every lane:
-        /// the product, the square, the sum and the difference, and the
-        /// elements back through a gather and a scatter.
+        /// Asserts that `body` gives the scalar results in every lane,
+        /// `B::WIDTH` of the eight pairs at a time: the product, the
+        /// square, the sum and the difference, and the elements back
+        /// through a gather and a scatter.
         fn same_on<B: LaneBody, P: FpParams>(body: B, a: &[Fp<P>; 8], b: &[Fp<P>; 8]) {
-            let (x, y) = (
-                FpLanes::gather(body, a.each_ref()),
-                FpLanes::gather(body, b.each_ref()),
-            );
-            let each = |f: &dyn Fn(Fp<P>, Fp<P>) -> Fp<P>| -> [Fp<P>; 8] {
-                std::array::from_fn(|i| f(a[i], b[i]))
-            };
-            assert_eq!(x.scatter(), *a, "gather then scatter");
-            assert_eq!((x * y).scatter(), each(&|a, b| a * b), "{a:?} · {b:?}");
-            assert_eq!(x.square().scatter(), each(&|a, _| a.square()), "{a:?}²");
-            assert_eq!((x + y).scatter(), each(&|a, b| a + b), "{a:?} + {b:?}");
-            assert_eq!((x - y).scatter(), each(&|a, b| a - b), "{a:?} − {b:?}");
+            for at in (0..8).step_by(B::WIDTH) {
+                let (a, b) = (&a[at..at + B::WIDTH], &b[at..at + B::WIDTH]);
+                let (x, y) = (
+                    FpLanes::gather(body, B::array(|i| &a[i])),
+                    FpLanes::gather(body, B::array(|i| &b[i])),
+                );
+                let each = |f: &dyn Fn(Fp<P>, Fp<P>) -> Fp<P>| -> Vec<Fp<P>> {
+                    a.iter().zip(b).map(|(a, b)| f(*a, *b)).collect()
+                };
+                let got = |v: FpLanes<P, B>| v.scatter().as_ref().to_vec();
+                assert_eq!(got(x), a, "gather then scatter");
+                assert_eq!(got(x * y), each(&|a, b| a * b), "{a:?} · {b:?}");
+                assert_eq!(got(x.square()), each(&|a, _| a.square()), "{a:?}²");
+                assert_eq!(got(x + y), each(&|a, b| a + b), "{a:?} + {b:?}");
+                assert_eq!(got(x - y), each(&|a, b| a - b), "{a:?} − {b:?}");
+            }
         }
 
         /// [`same_on`] on the portable body, and on the IFMA body where
@@ -1686,15 +1722,20 @@ mod tests {
         fn with_lanes_runs_a_task_on_the_detected_body() {
             struct Square<'a>(&'a [Fq; 8]);
             impl LaneTask for Square<'_> {
-                type Output = [Fq; 8];
+                type Output = Vec<Fq>;
                 #[inline(always)]
-                fn run<B: LaneBody>(self, body: B) -> [Fq; 8] {
-                    FpLanes::gather(body, self.0.each_ref()).square().scatter()
+                fn run<B: LaneBody>(self, body: B) -> Vec<Fq> {
+                    let lanes = self.0.chunks(B::WIDTH).flat_map(|a| {
+                        let x = FpLanes::gather(body, B::array(|i| &a[i]));
+                        x.square().scatter().as_ref().to_vec()
+                    });
+                    lanes.collect()
                 }
             }
             let mut rng = StdRng::seed_from_u64(29);
             let a: [Fq; 8] = std::array::from_fn(|_| Fq::random(&mut rng));
             assert_eq!(with_lanes(Square(&a)), a.map(|x| x.square()));
+            assert_eq!(Square(&a).run(Portable), a.map(|x| x.square()));
         }
     }
 

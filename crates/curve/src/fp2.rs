@@ -172,8 +172,8 @@ impl Fp2 {
     }
 }
 
-/// Eight Fp2 elements on lane body `B`: their `c0`s and their `c1`s as
-/// two Fq lane vectors.
+/// `B::WIDTH` Fp2 elements on lane body `B`: their `c0`s and their `c1`s
+/// as two Fq lane vectors.
 #[derive(Clone, Copy)]
 pub struct Fp2Lanes<B: LaneBody> {
     c0: FqLanes<B>,
@@ -221,17 +221,18 @@ impl LaneField for Fp2 {
     type Lanes<B: LaneBody> = Fp2Lanes<B>;
 
     #[inline(always)]
-    fn gather<B: LaneBody>(body: B, v: [&Fp2; 8]) -> Fp2Lanes<B> {
+    fn gather<B: LaneBody>(body: B, v: B::Array<&Fp2>) -> Fp2Lanes<B> {
+        let v = v.as_ref();
         Fp2Lanes {
-            c0: FqLanes::gather(body, v.map(|x| &x.c0)),
-            c1: FqLanes::gather(body, v.map(|x| &x.c1)),
+            c0: FqLanes::gather(body, B::array(|i| &v[i].c0)),
+            c1: FqLanes::gather(body, B::array(|i| &v[i].c1)),
         }
     }
 
     #[inline(always)]
-    fn scatter<B: LaneBody>(v: Fp2Lanes<B>) -> [Fp2; 8] {
+    fn scatter<B: LaneBody>(v: Fp2Lanes<B>) -> B::Array<Fp2> {
         let (c0, c1) = (v.c0.scatter(), v.c1.scatter());
-        std::array::from_fn(|i| Fp2::new(c0[i], c1[i]))
+        B::array(|i| Fp2::new(c0.as_ref()[i], c1.as_ref()[i]))
     }
 
     /// As [`Fp2`]'s square: `(c0 − c1)(c0 + c1) + 2·c0·c1·u`.

@@ -11,12 +11,13 @@
 //!   projective `add_mixed` formulas. Pairs are reduced tree-style so every
 //!   round shares one inversion across *all* buckets of a window.
 //! * **Eight additions at a time** — each round runs its pairs on
-//!   `waku_arith`'s eight-lane field vectors, one pair per lane: a batch's
+//!   `waku_arith`'s lane vectors, one pair per lane: a batch's
 //!   coordinates are gathered into lanes once, the denominators, the
 //!   batch inversion's product chains, λ, λ², x₃ and y₃ are computed
 //!   there, and the results are scattered back. On a CPU with AVX-512
-//!   IFMA that makes the bucket additions about twice as fast; elsewhere
-//!   the lanes are eight scalar operations. A pair that is not a plain
+//!   IFMA a vector is eight lanes, which makes the bucket additions about
+//!   twice as fast; elsewhere it is one lane, a scalar element, and the
+//!   same round is plain scalar code. A pair that is not a plain
 //!   addition (∞, a doubling, a cancellation) keeps its lane busy with a
 //!   harmless denominator and takes the scalar formulas. G2 runs Fp2 as
 //!   two Fq lane vectors. Every result is the same group element, bucket
@@ -45,39 +46,38 @@ use crate::point::{Affine, CurveParams, FqLanes, LaneField, Projective};
 /// so `A` fell by about half while `S` did not move, which pushes the
 /// break-evens up.
 ///
-/// Re-timed on the lanes at the prover's sizes: random scalars, one pool
-/// thread, 21–41 interleaved runs per `c`, median (interquartile range)
-/// in ms on a 2-vCPU Sapphire Rapids VM (this host's timings drift by up
-/// to ±30 % between runs, so only the columns of one row compare):
+/// Re-timed on the IFMA lanes: random scalars, one pool thread, 25–60
+/// interleaved runs per `c`, median (interquartile range) in ms on a
+/// 2-vCPU Sapphire Rapids VM (this host's timings drift by up to ±30 %
+/// between runs, so only the columns of one row compare):
 ///
-/// | n | group | role | `c = 5` | `c = 6` | `c = 7` | `c = 8` | `c = 9` |
-/// |---|---|---|---|---|---|---|---|
-/// | 32 | G1 | RLC sums | 2.16 (0.50) | **2.09** (0.51) | 2.54 (0.56) | | |
-/// | 64 | G1 | RLC sums | 2.44 (0.12) | **2.44** (0.09) | 2.61 (0.10) | | |
-/// | 128 | G1 | | 3.36 (1.14) | **3.22** (1.09) | 3.74 (1.28) | | |
-/// | 200 | G1 | | 5.04 (1.17) | **4.74** (1.13) | 4.73 (1.35) | | |
-/// | 455 | G2 | delta MSM | | **11.06** (0.69) | 12.14 (0.39) | 15.31 (0.61) | |
-/// | 455 | G1 | delta MSMs | | **7.39** (0.36) | 7.30 (0.36) | | |
-/// | 700 | G1 | | | **6.75** (0.25) | 6.72 (0.27) | | |
-/// | 3 200 | G1 | depth-10 query | | | 27.05 (0.51) | **25.89** (0.54) | |
-/// | 5 603 | G1 | depth-20 query | | | | 29.26 (3.89) | **31.13** (3.34) |
-/// | 8 191 | G1 | `H` | | | | 47.28 (3.38) | **47.37** (7.48) |
+/// | n | group | role | `c = 5` | `c = 6` | `c = 7` | `c = 8` | `c = 9` | `c = 10` |
+/// |---|---|---|---|---|---|---|---|---|
+/// | 32 | G1 | RLC sums | **1.97** (0.31) | 1.94 (0.35) | | | | |
+/// | 64 | G1 | RLC sums | **3.24** (0.27) | 3.29 (0.15) | | | | |
+/// | 128 | G1 | | **3.13** (0.14) | 3.05 (0.17) | | | | |
+/// | 200 | G1 | | **4.05** (0.79) | 3.82 (1.13) | | | | |
+/// | 300 | G1 | | | **6.08** (0.26) | 6.59 (0.23) | | | |
+/// | 455 | G1 | delta MSMs | | **6.91** (0.35) | 7.05 (0.36) | | | |
+/// | 455 | G2 | delta MSM | | **11.89** (3.64) | 14.07 (4.27) | | | |
+/// | 700 | G1 | | | **8.49** (0.40) | 8.69 (0.38) | | | |
+/// | 1 000 | G1 | | | 10.78 (2.44) | **10.28** (1.84) | | | |
+/// | 3 200 | G1 | depth-10 query | | | 17.29 (4.45) | **18.22** (4.64) | 20.38 (5.87) | |
+/// | 5 603 | G1 | depth-20 query | | | | 22.92 (6.67) | **24.29** (8.11) | 27.86 (6.36) |
+/// | 8 191 | G1 | `H` | | | | 31.98 (4.82) | **32.71** (4.13) | 33.12 (4.36) |
 ///
-/// Bold is the `c` this table picks. On the scalar field kernel `c = 7`
-/// beat `c = 6` at 455 by 0.46 ms (IQR 0.42); on the lanes the two tie
-/// for G1 up to 700, and `c = 6` is ≈ 9 % faster for G2, whose running
-/// sum costs three times G1's. Below 256 terms the per-round batch
-/// inversion dominates, and fewer windows mean fewer rounds: `c = 6` read
-/// at or below `c = 5` in all nine comparisons of two sweeps over 32 –
-/// 200 terms (by 0–9 %, each inside the spread). So 32–799 terms now
-/// take 6-bit windows (was 5 below 256 and 7 above). The other
-/// neighbours stayed within each other's spread, so no other break-even
-/// moved.
+/// Bold is the `c` this table picks. At 300 terms `c = 6` beat `c = 7`
+/// by more than the spread (0.51 ms, IQR 0.26), and for G2 at 455, whose
+/// running sum costs three times G1's, it won 39 of 40 runs; so 256–799
+/// terms take 6-bit windows (was 7). Every other neighbour stayed within
+/// the other's spread, so no other break-even moved: below 256 terms
+/// `c = 5` stays.
 fn window_size(n: usize) -> usize {
     match n {
         0..=1 => 1,
         2..=31 => 3,
-        32..=799 => 6,
+        32..=255 => 5,
+        256..=799 => 6,
         800..=1479 => 7,
         1480..=4729 => 8,
         4730..=8399 => 9,
@@ -151,14 +151,11 @@ fn classify<C: CurveParams>(p: &Affine<C>, q: &Affine<C>) -> PairKind {
     }
 }
 
-/// Eight coordinates of `C` on lane body `B`.
+/// `B::WIDTH` coordinates of `C` on lane body `B`.
 type BaseLanes<C, B> = <<C as CurveParams>::Base as LaneField>::Lanes<B>;
 
-/// Lanes per batch: the lane bodies' width.
-const LANES: usize = 8;
-
-/// One batch of up to eight pairs, lane `i` from pair `i`: both points'
-/// coordinates, and the pairs' kinds.
+/// One batch of up to `B::WIDTH` pairs, lane `i` from pair `i`: the
+/// pairs' kinds and both points' x-coordinates.
 ///
 /// A lane whose pair is not an `Add` loads `p.x = 0` and `q.x = δ`, so
 /// `q.x − p.x` is still the denominator to invert: `δ = 2y` for a
@@ -166,41 +163,29 @@ const LANES: usize = 8;
 /// lane past the round's last pair). Such a lane's λ, x₃ and y₃ are
 /// ignored; its result comes from the scalar formulas.
 struct Batch<C: CurveParams, B: LaneBody> {
-    kinds: [PairKind; LANES],
+    kinds: B::Array<PairKind>,
     px: BaseLanes<C, B>,
     qx: BaseLanes<C, B>,
-    /// `(p.y, q.y)`, loaded by the second pass only.
-    ys: Option<(BaseLanes<C, B>, BaseLanes<C, B>)>,
 }
 
 impl<C: CurveParams, B: LaneBody> Batch<C, B> {
-    /// Loads the pairs `(points[src], points[src + 1])` of `pairs`, the
-    /// y-coordinates too when `with_y`.
+    /// Loads the pairs `(points[src], points[src + 1])` of `pairs`.
     #[inline(always)]
-    fn load(body: B, points: &[Affine<C>], pairs: &[(u32, u32)], with_y: bool) -> Self {
-        let mut kinds = [PairKind::Trivial; LANES];
-        let mut delta = [C::Base::one(); LANES];
-        for (i, &(src, _)) in pairs.iter().enumerate() {
-            let (p, q) = (&points[src as usize], &points[src as usize + 1]);
-            kinds[i] = classify(p, q);
-            if let PairKind::Double = kinds[i] {
-                delta[i] = p.y.double();
-            }
-        }
+    fn load(body: B, points: &[Affine<C>], pairs: &[(u32, u32)]) -> Self {
+        let kinds = B::array(|i| match pairs.get(i) {
+            Some(&(src, _)) => classify(&points[src as usize], &points[src as usize + 1]),
+            None => PairKind::Trivial,
+        });
+        let delta = B::array(|i| match kinds.as_ref()[i] {
+            PairKind::Double => points[pairs[i].0 as usize].y.double(),
+            _ => C::Base::one(),
+        });
         let zero = C::Base::zero();
-        let coord = |second: usize, y: bool, fill: [&C::Base; LANES]| {
-            gather_coord::<C, B>(body, points, pairs, &kinds, second, y, fill)
-        };
+        let delta = delta.as_ref();
         Batch {
             kinds,
-            px: coord(0, false, [&zero; LANES]),
-            qx: coord(1, false, delta.each_ref()),
-            ys: with_y.then(|| {
-                (
-                    coord(0, true, [&zero; LANES]),
-                    coord(1, true, [&zero; LANES]),
-                )
-            }),
+            px: gather_coord(body, points, pairs, &kinds, 0, |a| &a.x, |_| &zero),
+            qx: gather_coord(body, points, pairs, &kinds, 1, |a| &a.x, |i| &delta[i]),
         }
     }
 
@@ -211,26 +196,26 @@ impl<C: CurveParams, B: LaneBody> Batch<C, B> {
     }
 }
 
-/// Gathers one coordinate (`x`, or `y` when `y`) of each `Add` pair's
-/// first point (`second = 0`) or second (`1`), and `fill[i]` in every
-/// other lane.
+/// Gathers `coord` of each `Add` pair's first point (`second = 0`) or
+/// second (`1`), and `fill(i)` in every other lane `i`.
 #[inline(always)]
 fn gather_coord<'a, C: CurveParams, B: LaneBody>(
     body: B,
     points: &'a [Affine<C>],
     pairs: &[(u32, u32)],
-    kinds: &[PairKind; LANES],
+    kinds: &B::Array<PairKind>,
     second: usize,
-    y: bool,
-    mut fill: [&'a C::Base; LANES],
+    coord: impl Fn(&'a Affine<C>) -> &'a C::Base,
+    fill: impl Fn(usize) -> &'a C::Base,
 ) -> BaseLanes<C, B> {
-    for (i, &(src, _)) in pairs.iter().enumerate() {
-        if let PairKind::Add = kinds[i] {
-            let a = &points[src as usize + second];
-            fill[i] = if y { &a.y } else { &a.x };
-        }
-    }
-    C::Base::gather(body, fill)
+    let kinds = kinds.as_ref();
+    C::Base::gather(
+        body,
+        B::array(|i| match kinds[i] {
+            PairKind::Add => coord(&points[pairs[i].0 as usize + second]),
+            _ => fill(i),
+        }),
+    )
 }
 
 /// `2p` for `p` with `y ≠ 0`, given `(2y)⁻¹`.
@@ -263,74 +248,95 @@ struct ReduceBuckets<'a, C: CurveParams> {
 impl<C: CurveParams> LaneTask for ReduceBuckets<'_, C> {
     type Output = ();
 
+    /// Adds pairs round by round until every bucket holds one point.
     #[inline(always)]
     fn run<B: LaneBody>(self, body: B) {
-        let mut pairs = Vec::new();
-        let mut suffix = Vec::new();
-        while self.lens.iter().any(|&l| l > 1) {
-            batch_add_round(
-                body,
-                self.points,
-                self.starts,
-                self.lens,
-                &mut pairs,
-                &mut suffix,
-            );
+        let (mut pairs, mut suffix) = (Vec::new(), Vec::new());
+        loop {
+            // Each pair's first source and its destination, bucket by
+            // bucket.
+            pairs.clear();
+            for (&s, &len) in self.starts.iter().zip(self.lens.iter()) {
+                pairs.extend((0..len / 2).map(|k| (s + 2 * k, s + k)));
+            }
+            if pairs.is_empty() {
+                return;
+            }
+            batch_add_round(body, self.points, &pairs, &mut suffix);
+            // Odd leftovers survive into the next round, after the results.
+            for (&s, len) in self.starts.iter().zip(self.lens.iter_mut()) {
+                let (s, l) = (s as usize, *len as usize);
+                if l % 2 == 1 {
+                    self.points[s + l / 2] = self.points[s + l - 1];
+                }
+                *len = (l / 2 + l % 2) as u32;
+            }
         }
     }
 }
 
-/// One tree-reduction round over all buckets of a window: adds the pairs
-/// `(points[s+2k], points[s+2k+1])` of every bucket with a single batch
-/// inversion and compacts the results to the bucket starts.
+/// A batch's entry in [`batch_add_round`]'s suffix: the product of the
+/// later batches' norms (after pass 2, this batch's norm inverses), and
+/// this batch's norms.
+type Suffix<B> = (<B as LaneBody>::Array<Fq>, <B as LaneBody>::Array<Fq>);
+
+/// One tree-reduction round over all buckets of a window: adds each pair
+/// `(src, dst)` of `pairs`, `points[dst] = points[src] + points[src + 1]`,
+/// with a single batch inversion.
 ///
-/// The pairs run eight at a time, one per lane. The first pass, last
-/// batch first, keeps each batch's product of the later batches'
-/// denominators (their norms, for Fp2) — eight interleaved
-/// prefix-product chains of Montgomery's trick. The eight chain totals
-/// are inverted together, and the second pass, first batch first, peels
-/// each batch's inverses off and finishes its additions on the lanes.
+/// The pairs run `B::WIDTH` at a time, one per lane. The first pass,
+/// last batch first, keeps each batch's denominators (their norms, for
+/// Fp2) and the product of the later batches': `B::WIDTH` interleaved
+/// prefix-product chains of Montgomery's trick, one on the portable body.
+/// The chain totals are inverted together, the second pass, first batch
+/// first, peels each batch's inverses off the chains, and the third
+/// finishes the additions on the lanes.
 ///
 /// Within a bucket, pair `k`'s result lands at offset `k` and its sources
-/// sit at offsets `2k` and `2k+1`, so the second pass, which reads each
+/// sit at offsets `2k` and `2k+1`, so the third pass, which reads each
 /// batch before it writes it, never overwrites a yet-unread source.
 #[inline(always)]
 fn batch_add_round<C: CurveParams, B: LaneBody>(
     body: B,
     points: &mut [Affine<C>],
-    starts: &[u32],
-    lens: &mut [u32],
-    pairs: &mut Vec<(u32, u32)>,
-    suffix: &mut Vec<FqLanes<B>>,
+    pairs: &[(u32, u32)],
+    suffix: &mut Vec<Suffix<B>>,
 ) {
-    // Each pair's first source and its destination, bucket by bucket.
-    pairs.clear();
-    for (&s, &len) in starts.iter().zip(lens.iter()) {
-        pairs.extend((0..len / 2).map(|k| (s + 2 * k, s + k)));
-    }
-
-    // Pass 1, last batch first.
+    // Pass 1, last batch first: each batch's norms, and the product of
+    // the later batches'. `suffix` holds them as scalar elements: a
+    // vector of the IFMA body's 64-byte-aligned registers cost ≈ 1–2 MB
+    // more peak memory per thread (the allocator kept the over-aligned
+    // blocks), and the transposes cost no measurable time.
     suffix.clear();
     let mut acc = FqLanes::splat(body, &Fq::one());
-    for batch in pairs.chunks(LANES).rev() {
-        let d = Batch::<C, B>::load(body, points, batch, false).denominators();
-        suffix.push(acc);
-        acc = acc * C::Base::norm(d);
+    for batch in pairs.chunks(B::WIDTH).rev() {
+        let norm = C::Base::norm(Batch::<C, B>::load(body, points, batch).denominators());
+        suffix.push((acc.scatter(), norm.scatter()));
+        acc = acc * norm;
     }
     let mut totals = acc.scatter();
-    batch_inverse_in_place(&mut totals);
-    let mut acc_inv = FqLanes::gather(body, totals.each_ref());
+    batch_inverse_in_place(totals.as_mut());
+    let mut acc_inv = FqLanes::load(body, &totals);
 
     // Pass 2, first batch first: `acc_inv` is the inverse of this and
-    // every later batch's product, `suffix` holds the later batches'.
-    for batch in pairs.chunks(LANES) {
-        let later = suffix.pop().expect("one suffix product per batch");
-        let lanes = Batch::<C, B>::load(body, points, batch, true);
-        let (py, qy) = lanes.ys.expect("loaded with y");
-        let d = lanes.denominators();
-        let norm = C::Base::norm(d);
-        let d_inv = C::Base::inverse_from_norm(d, acc_inv * later);
-        acc_inv = acc_inv * norm;
+    // every later batch's product, so `acc_inv · later` inverts this
+    // batch's norms; they replace `later`. A loop of its own keeps the
+    // chain of products off the additions' critical path.
+    for (later, norm) in suffix.iter_mut().rev() {
+        let norm_inv = acc_inv * FqLanes::load(body, later);
+        acc_inv = acc_inv * FqLanes::load(body, norm);
+        *later = norm_inv.scatter();
+    }
+
+    // Pass 3, first batch first: the additions.
+    let zero = C::Base::zero();
+    for (batch, (norm_inv, _)) in pairs.chunks(B::WIDTH).zip(suffix.iter().rev()) {
+        let lanes = Batch::<C, B>::load(body, points, batch);
+        let kinds = &lanes.kinds;
+        let y = |second| gather_coord(body, points, batch, kinds, second, |a| &a.y, |_| &zero);
+        let (py, qy) = (y(0), y(1));
+        let norm_inv = FqLanes::load(body, norm_inv);
+        let d_inv = C::Base::inverse_from_norm(lanes.denominators(), norm_inv);
         let lambda = (qy - py) * d_inv;
         let x3 = C::Base::square_lanes(lambda) - lanes.px - lanes.qx;
         let y3 = lambda * (lanes.px - x3) - py;
@@ -338,24 +344,15 @@ fn batch_add_round<C: CurveParams, B: LaneBody>(
         let mut doubling_invs = None;
         for (i, &(src, dst)) in batch.iter().enumerate() {
             let src = src as usize;
-            points[dst as usize] = match lanes.kinds[i] {
-                PairKind::Add => Affine::new_unchecked(x3[i], y3[i]),
+            points[dst as usize] = match kinds.as_ref()[i] {
+                PairKind::Add => Affine::new_unchecked(x3.as_ref()[i], y3.as_ref()[i]),
                 PairKind::Double => {
                     let invs = doubling_invs.get_or_insert_with(|| C::Base::scatter(d_inv));
-                    double_with(&points[src], invs[i])
+                    double_with(&points[src], invs.as_ref()[i])
                 }
                 PairKind::Trivial => trivial_sum(&points[src], &points[src + 1]),
             };
         }
-    }
-
-    // Odd leftovers survive into the next round, after the results.
-    for (&s, len) in starts.iter().zip(lens.iter_mut()) {
-        let (s, l) = (s as usize, *len as usize);
-        if l % 2 == 1 {
-            points[s + l / 2] = points[s + l - 1];
-        }
-        *len = (l / 2 + l % 2) as u32;
     }
 }
 
@@ -633,6 +630,7 @@ impl<C: CurveParams> WindowTable<C> {
 mod tests {
     use super::*;
     use crate::g1::{G1Affine, G1Projective};
+    use crate::g2::G2Affine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use waku_arith::traits::Field;
@@ -642,6 +640,13 @@ mod tests {
         let bases: Vec<G1Affine> = (0..n).map(|_| g.mul(Fr::random(rng)).to_affine()).collect();
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(rng)).collect();
         (bases, scalars)
+    }
+
+    #[test]
+    fn pippenger_matches_naive_small() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let (bases, scalars) = random_g1(&mut rng, 10);
+        assert_eq!(msm(&bases, &scalars), naive_msm(&bases, &scalars));
     }
 
     #[test]
@@ -667,6 +672,13 @@ mod tests {
         let scalars = [scalars[0], scalars[1], scalars[0], scalars[1], -scalars[2]];
         assert_eq!(msm(&bases, &scalars), naive_msm(&bases, &scalars));
         assert!(msm(&bases, &[Fr::zero(); 5]).is_identity());
+    }
+
+    #[test]
+    fn pippenger_matches_naive_large() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let (bases, scalars) = random_g1(&mut rng, 300);
+        assert_eq!(msm(&bases, &scalars), naive_msm(&bases, &scalars));
     }
 
     #[test]
@@ -878,6 +890,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         check::<crate::g1::G1Params>(&mut rng);
         check::<crate::g2::G2Params>(&mut rng);
+    }
+
+    #[test]
+    fn msm_g2() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let g = crate::g2::G2Projective::generator();
+        let bases: Vec<G2Affine> = (0..40)
+            .map(|_| g.mul(Fr::random(&mut rng)).to_affine())
+            .collect();
+        let scalars: Vec<Fr> = (0..40).map(|_| Fr::random(&mut rng)).collect();
+        assert_eq!(msm(&bases, &scalars), naive_msm(&bases, &scalars));
     }
 
     #[test]

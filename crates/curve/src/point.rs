@@ -13,22 +13,23 @@ use waku_arith::fields::{Fq, FqParams, Fr};
 use waku_arith::fp::{FpLanes, LaneBody};
 use waku_arith::traits::{Field, PrimeField};
 
-/// Eight Fq elements on lane body `B`.
+/// `B::WIDTH` Fq elements on lane body `B`.
 pub type FqLanes<B> = FpLanes<FqParams, B>;
 
-/// A coordinate field whose elements the batch-affine MSM adds eight at a
-/// time: Fq as one Fq lane vector, Fp2 as two. Every implementation's
-/// methods are `#[inline(always)]` (see [`waku_arith::fp::LaneTask`]).
+/// A coordinate field whose elements the batch-affine MSM adds a lane
+/// vector at a time: Fq as one Fq lane vector, Fp2 as two. Every
+/// implementation's methods are `#[inline(always)]` (see
+/// [`waku_arith::fp::LaneTask`]).
 pub trait LaneField: Field {
-    /// Eight elements on lane body `B`.
+    /// `B::WIDTH` elements on lane body `B`.
     type Lanes<B: LaneBody>: Copy
         + ops::Add<Output = Self::Lanes<B>>
         + ops::Sub<Output = Self::Lanes<B>>
         + ops::Mul<Output = Self::Lanes<B>>;
-    /// Loads the eight elements behind `v`, lane `i` from `v[i]`.
-    fn gather<B: LaneBody>(body: B, v: [&Self; 8]) -> Self::Lanes<B>;
-    /// The eight elements, lane `i` at index `i`.
-    fn scatter<B: LaneBody>(v: Self::Lanes<B>) -> [Self; 8];
+    /// Loads the elements behind `v`, lane `i` from `v[i]`.
+    fn gather<B: LaneBody>(body: B, v: B::Array<&Self>) -> Self::Lanes<B>;
+    /// The elements, lane `i` at index `i`.
+    fn scatter<B: LaneBody>(v: Self::Lanes<B>) -> B::Array<Self>;
     /// Lane-wise square.
     fn square_lanes<B: LaneBody>(v: Self::Lanes<B>) -> Self::Lanes<B>;
     /// The Fq element whose inverse gives `v`'s: `v` itself in Fq, the
@@ -42,12 +43,12 @@ impl LaneField for Fq {
     type Lanes<B: LaneBody> = FqLanes<B>;
 
     #[inline(always)]
-    fn gather<B: LaneBody>(body: B, v: [&Fq; 8]) -> FqLanes<B> {
+    fn gather<B: LaneBody>(body: B, v: B::Array<&Fq>) -> FqLanes<B> {
         FpLanes::gather(body, v)
     }
 
     #[inline(always)]
-    fn scatter<B: LaneBody>(v: FqLanes<B>) -> [Fq; 8] {
+    fn scatter<B: LaneBody>(v: FqLanes<B>) -> B::Array<Fq> {
         v.scatter()
     }
 
