@@ -598,7 +598,7 @@ impl<P: FpParams> Fp<P> {
 /// A body value stands for the CPU support its operations need: the IFMA
 /// body cannot be built outside this module, and [`with_lanes`] builds it
 /// only after detecting IFMA.
-pub trait LaneBody: Copy {
+pub trait LaneBody: Copy + Send + Sync {
     /// Lanes per vector: 1 on [`Portable`], 8 on IFMA.
     const WIDTH: usize;
     /// One `T` per lane, lane `i` at index `i`: `[T; WIDTH]`.
@@ -619,6 +619,10 @@ pub trait LaneBody: Copy {
     fn mul<P: FpParams>(self, a: Self::Vec<P>, b: Self::Vec<P>) -> Self::Vec<P>;
     /// Lane-wise `a²`.
     fn sqr<P: FpParams>(self, a: Self::Vec<P>) -> Self::Vec<P>;
+    /// Runs `task` on this body, inside the function compiled with the
+    /// CPU features the body needs: how code that already holds a body
+    /// (a pool task split off a lane task, say) keeps running on it.
+    fn run<T: LaneTask>(self, task: T) -> T::Output;
 }
 
 /// Work that runs on lane vectors, generic over the body, for
@@ -640,10 +644,10 @@ pub trait LaneTask {
 pub fn with_lanes<T: LaneTask>(task: T) -> T::Output {
     #[cfg(target_arch = "x86_64")]
     if has_ifma() {
-        // SAFETY: AVX-512F and IFMA were just detected on this CPU.
-        return unsafe { run_on_ifma(task) };
+        // AVX-512F and IFMA were just detected on this CPU.
+        return Ifma(()).run(task);
     }
-    task.run(Portable)
+    Portable.run(task)
 }
 
 /// `B::WIDTH` elements of `Fp<P>` on lane body `B`, with the field's
@@ -740,6 +744,57 @@ impl<P: FpParams, B: LaneBody> std::ops::Neg for FpLanes<P, B> {
     }
 }
 
+/// A field whose elements generic lane code holds a vector at a time:
+/// every `Fp<P>` as one [`FpLanes`] (the FFT's butterflies, the MSM's
+/// Fq coordinates), and Fp2 in `waku-curve` as two. Every
+/// implementation's methods are `#[inline(always)]` (see [`LaneTask`]).
+pub trait LaneField: Field {
+    /// `B::WIDTH` elements on lane body `B`.
+    type Lanes<B: LaneBody>: Copy
+        + std::ops::Add<Output = Self::Lanes<B>>
+        + std::ops::Sub<Output = Self::Lanes<B>>
+        + std::ops::Mul<Output = Self::Lanes<B>>;
+    /// Loads the elements behind `v`, lane `i` from `v[i]`.
+    fn gather<B: LaneBody>(body: B, v: B::Array<&Self>) -> Self::Lanes<B>;
+    /// The elements, lane `i` at index `i`.
+    fn scatter<B: LaneBody>(v: Self::Lanes<B>) -> B::Array<Self>;
+    /// Lane-wise square.
+    fn square_lanes<B: LaneBody>(v: Self::Lanes<B>) -> Self::Lanes<B>;
+
+    /// Loads `v[..B::WIDTH]`, lane `i` from `v[i]`.
+    #[inline(always)]
+    fn load_slice<B: LaneBody>(body: B, v: &[Self]) -> Self::Lanes<B> {
+        Self::gather(body, B::array(|i| &v[i]))
+    }
+
+    /// Stores the lanes to `out[..B::WIDTH]`, lane `i` to `out[i]`.
+    #[inline(always)]
+    fn store_slice<B: LaneBody>(v: Self::Lanes<B>, out: &mut [Self]) {
+        for (o, x) in out.iter_mut().zip(Self::scatter(v).as_ref()) {
+            *o = *x;
+        }
+    }
+}
+
+impl<P: FpParams> LaneField for Fp<P> {
+    type Lanes<B: LaneBody> = FpLanes<P, B>;
+
+    #[inline(always)]
+    fn gather<B: LaneBody>(body: B, v: B::Array<&Self>) -> FpLanes<P, B> {
+        FpLanes::gather(body, v)
+    }
+
+    #[inline(always)]
+    fn scatter<B: LaneBody>(v: FpLanes<P, B>) -> B::Array<Self> {
+        v.scatter()
+    }
+
+    #[inline(always)]
+    fn square_lanes<B: LaneBody>(v: FpLanes<P, B>) -> FpLanes<P, B> {
+        v.square()
+    }
+}
+
 /// The portable lane body: one lane, a scalar element, and the scalar
 /// `Fp` operations, so generic lane code compiles to plain scalar code.
 /// It is the body on every CPU without IFMA, and eight of its vectors
@@ -785,6 +840,15 @@ impl LaneBody for Portable {
     #[inline(always)]
     fn sqr<P: FpParams>(self, a: Fp<P>) -> Fp<P> {
         a.square()
+    }
+
+    /// Out of line, as the IFMA body's `run_on_ifma` is: a task inlined
+    /// into a caller that also holds a pool-split path (the FFT's stage
+    /// loop) compiled to scalar loops ≈ 15 % slower than the same loops
+    /// in a function of their own.
+    #[inline(never)]
+    fn run<T: LaneTask>(self, task: T) -> T::Output {
+        task.run(self)
     }
 }
 
@@ -894,6 +958,12 @@ impl LaneBody for Ifma {
     fn sqr<P: FpParams>(self, a: Self::Vec<P>) -> Self::Vec<P> {
         // SAFETY: an `Ifma` exists only where AVX-512F and IFMA do.
         unsafe { ifma::sqr::<P>(a) }
+    }
+
+    #[inline(always)]
+    fn run<T: LaneTask>(self, task: T) -> T::Output {
+        // SAFETY: an `Ifma` exists only where AVX-512F and IFMA do.
+        unsafe { run_on_ifma(task) }
     }
 }
 

@@ -8,10 +8,10 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use waku_arith::fields::Fq;
-use waku_arith::fp::LaneBody;
+use waku_arith::fp::{LaneBody, LaneField};
 use waku_arith::traits::Field;
 
-use crate::point::{FqLanes, LaneField};
+use crate::point::{FqLanes, LaneCoord};
 
 /// An element `c0 + c1·u` of Fp2.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
@@ -244,7 +244,9 @@ impl LaneField for Fp2 {
             c1: c + c,
         }
     }
+}
 
+impl LaneCoord for Fp2 {
     #[inline(always)]
     fn norm<B: LaneBody>(v: Fp2Lanes<B>) -> FqLanes<B> {
         v.c0.square() + v.c1.square()

@@ -29,10 +29,10 @@
 
 use waku_arith::batch_inv::batch_inverse_in_place;
 use waku_arith::fields::{Fq, Fr};
-use waku_arith::fp::{with_lanes, LaneBody, LaneTask};
+use waku_arith::fp::{with_lanes, LaneBody, LaneField, LaneTask};
 use waku_arith::traits::{Field, PrimeField};
 
-use crate::point::{Affine, CurveParams, FqLanes, LaneField, Projective};
+use crate::point::{Affine, CurveParams, FqLanes, LaneCoord, Projective};
 
 /// Picks the Pippenger window size (in bits) for `n` terms.
 ///

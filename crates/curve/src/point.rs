@@ -7,31 +7,19 @@
 use std::fmt;
 use std::hash::Hash;
 use std::marker::PhantomData;
-use std::ops;
 
 use waku_arith::fields::{Fq, FqParams, Fr};
-use waku_arith::fp::{FpLanes, LaneBody};
+use waku_arith::fp::{FpLanes, LaneBody, LaneField};
 use waku_arith::traits::{Field, PrimeField};
 
 /// `B::WIDTH` Fq elements on lane body `B`.
 pub type FqLanes<B> = FpLanes<FqParams, B>;
 
-/// A coordinate field whose elements the batch-affine MSM adds a lane
-/// vector at a time: Fq as one Fq lane vector, Fp2 as two. Every
-/// implementation's methods are `#[inline(always)]` (see
+/// A coordinate field whose elements the batch-affine MSM adds and
+/// inverts a lane vector at a time: Fq as one Fq lane vector, Fp2 as
+/// two. Every implementation's methods are `#[inline(always)]` (see
 /// [`waku_arith::fp::LaneTask`]).
-pub trait LaneField: Field {
-    /// `B::WIDTH` elements on lane body `B`.
-    type Lanes<B: LaneBody>: Copy
-        + ops::Add<Output = Self::Lanes<B>>
-        + ops::Sub<Output = Self::Lanes<B>>
-        + ops::Mul<Output = Self::Lanes<B>>;
-    /// Loads the elements behind `v`, lane `i` from `v[i]`.
-    fn gather<B: LaneBody>(body: B, v: B::Array<&Self>) -> Self::Lanes<B>;
-    /// The elements, lane `i` at index `i`.
-    fn scatter<B: LaneBody>(v: Self::Lanes<B>) -> B::Array<Self>;
-    /// Lane-wise square.
-    fn square_lanes<B: LaneBody>(v: Self::Lanes<B>) -> Self::Lanes<B>;
+pub trait LaneCoord: LaneField {
     /// The Fq element whose inverse gives `v`'s: `v` itself in Fq, the
     /// norm `v·v̄` in Fp2. Zero only where `v` is.
     fn norm<B: LaneBody>(v: Self::Lanes<B>) -> FqLanes<B>;
@@ -39,24 +27,7 @@ pub trait LaneField: Field {
     fn inverse_from_norm<B: LaneBody>(v: Self::Lanes<B>, norm_inv: FqLanes<B>) -> Self::Lanes<B>;
 }
 
-impl LaneField for Fq {
-    type Lanes<B: LaneBody> = FqLanes<B>;
-
-    #[inline(always)]
-    fn gather<B: LaneBody>(body: B, v: B::Array<&Fq>) -> FqLanes<B> {
-        FpLanes::gather(body, v)
-    }
-
-    #[inline(always)]
-    fn scatter<B: LaneBody>(v: FqLanes<B>) -> B::Array<Fq> {
-        v.scatter()
-    }
-
-    #[inline(always)]
-    fn square_lanes<B: LaneBody>(v: FqLanes<B>) -> FqLanes<B> {
-        v.square()
-    }
-
+impl LaneCoord for Fq {
     #[inline(always)]
     fn norm<B: LaneBody>(v: FqLanes<B>) -> FqLanes<B> {
         v
@@ -74,7 +45,7 @@ pub trait CurveParams:
     Copy + Clone + Eq + PartialEq + Hash + fmt::Debug + Default + Send + Sync + 'static
 {
     /// Field the coordinates live in.
-    type Base: LaneField;
+    type Base: LaneCoord;
     /// Short name used in `Debug` output.
     const NAME: &'static str;
     /// The constant `b` of `y² = x³ + b`.

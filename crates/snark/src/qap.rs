@@ -12,6 +12,7 @@
 use waku_arith::batch_inv::batch_inverse;
 use waku_arith::fft::Radix2Domain;
 use waku_arith::fields::Fr;
+use waku_arith::fp::{with_lanes, LaneBody, LaneField, LaneTask};
 use waku_arith::traits::{Field, PrimeField};
 
 use crate::r1cs::ConstraintSystem;
@@ -73,9 +74,9 @@ pub fn evaluate_at(cs: &ConstraintSystem, tau: Fr) -> QapEvaluations {
     let mut b = vec![Fr::zero(); num_vars];
     let mut c = vec![Fr::zero(); num_vars];
     let shape = cs.shape();
-    for (matrix, out) in [(&shape.a, &mut a), (&shape.b, &mut b), (&shape.c, &mut c)] {
-        for (j, lj) in lag.iter().enumerate().take(m) {
-            for &(col, id) in matrix.row(j) {
+    for (ids, out) in [(&shape.a, &mut a), (&shape.b, &mut b), (&shape.c, &mut c)] {
+        for (&combo, lj) in ids.iter().zip(&lag) {
+            for &(col, id) in shape.combo(combo) {
                 out[col as usize] += shape.coeffs[id as usize] * *lj;
             }
         }
@@ -117,29 +118,27 @@ pub fn quotient_poly_checked(cs: &ConstraintSystem) -> Result<Vec<Fr>, usize> {
     let domain = Radix2Domain::<Fr>::new(m).expect("domain fits Fr 2-adicity");
     let n = domain.size();
 
-    // Row evaluations ⟨A_j, z⟩ etc. are the sparse rows evaluated against
-    // the assignment, chunked across the pool.
-    let mut a_evals = vec![Fr::zero(); n];
-    let mut b_evals = vec![Fr::zero(); n];
-    let mut c_evals = vec![Fr::zero(); n];
+    // Row evaluations ⟨A_j, z⟩ etc.: every distinct combination evaluated
+    // once against the assignment, chunked across the pool, then looked
+    // up by each row's id.
     let shape = cs.shape();
-    let chunk = waku_pool::chunk_size_for(m, 64);
-    waku_pool::scope(|s| {
-        for (i, ((ea, eb), ec)) in a_evals[..m]
-            .chunks_mut(chunk)
-            .zip(b_evals[..m].chunks_mut(chunk))
-            .zip(c_evals[..m].chunks_mut(chunk))
-            .enumerate()
-        {
-            s.spawn(move || {
-                for (j, ((a, b), c)) in (i * chunk..).zip(ea.iter_mut().zip(eb).zip(ec)) {
-                    *a = cs.eval_row(shape.a.row(j));
-                    *b = cs.eval_row(shape.b.row(j));
-                    *c = cs.eval_row(shape.c.row(j));
-                }
-            });
+    let mut values = vec![Fr::zero(); cs.num_combinations()];
+    let chunk = waku_pool::chunk_size_for(values.len(), 64);
+    waku_pool::par_for_each_chunk_mut(&mut values, chunk, |offset, values| {
+        for (id, v) in (offset as u32..).zip(values) {
+            *v = cs.eval_combo(id);
         }
     });
+    let row_evals = |ids: &[u32]| {
+        let mut evals: Vec<Fr> = ids.iter().map(|&id| values[id as usize]).collect();
+        evals.resize(n, Fr::zero());
+        evals
+    };
+    let (a_evals, b_evals, c_evals) = (
+        row_evals(&shape.a),
+        row_evals(&shape.b),
+        row_evals(&shape.c),
+    );
 
     // Satisfaction check, fused: constraint j holds iff its row evals do.
     if let Some(j) = (0..m).find(|&j| a_evals[j] * b_evals[j] != c_evals[j]) {
@@ -170,16 +169,12 @@ pub fn quotient_poly_checked(cs: &ConstraintSystem) -> Result<Vec<Fr>, usize> {
     let mut h_coset = a_coset;
     let chunk = waku_pool::chunk_size_for(n, 1024);
     waku_pool::scope(|s| {
-        for ((ha, eb), ec) in h_coset
+        for ((h, b), c) in h_coset
             .chunks_mut(chunk)
             .zip(b_coset.chunks(chunk))
             .zip(c_coset.chunks(chunk))
         {
-            s.spawn(move || {
-                for ((h, b), c) in ha.iter_mut().zip(eb).zip(ec) {
-                    *h = (*h * *b - *c) * z_inv;
-                }
-            });
+            s.spawn(move || with_lanes(Pointwise { h, b, c, z_inv }));
         }
     });
     let mut h = domain.coset_ifft(&h_coset);
@@ -187,6 +182,42 @@ pub fn quotient_poly_checked(cs: &ConstraintSystem) -> Result<Vec<Fr>, usize> {
     let top = h.pop().expect("nonempty");
     debug_assert!(top.is_zero(), "quotient has unexpected degree");
     Ok(h)
+}
+
+/// `h ← (h·b − c)·z_inv` element by element, a lane vector at a time.
+struct Pointwise<'a> {
+    h: &'a mut [Fr],
+    b: &'a [Fr],
+    c: &'a [Fr],
+    z_inv: Fr,
+}
+
+impl LaneTask for Pointwise<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<B: LaneBody>(self, body: B) {
+        let z_inv = Fr::gather(body, B::array(|_| &self.z_inv));
+        let mut h = self.h.chunks_exact_mut(B::WIDTH);
+        let mut b = self.b.chunks_exact(B::WIDTH);
+        let mut c = self.c.chunks_exact(B::WIDTH);
+        for ((h, b), c) in h.by_ref().zip(b.by_ref()).zip(c.by_ref()) {
+            let (a, b, c) = (
+                Fr::load_slice(body, h),
+                Fr::load_slice(body, b),
+                Fr::load_slice(body, c),
+            );
+            Fr::store_slice((a * b - c) * z_inv, h);
+        }
+        let tails = h
+            .into_remainder()
+            .iter_mut()
+            .zip(b.remainder())
+            .zip(c.remainder());
+        for ((h, b), c) in tails {
+            *h = (*h * *b - *c) * self.z_inv;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -233,6 +264,16 @@ mod tests {
             acc = acc * x + c;
         }
         acc
+    }
+
+    #[test]
+    fn wrong_shared_combination_is_reported_at_the_same_row() {
+        let mut cs = crate::r1cs::shared_combination_cs();
+        assert!(quotient_poly_checked(&cs).is_ok());
+        // v moves s, which rows 1 and 2 both read.
+        cs.set_witness_value(1, Fr::from_u64(6));
+        assert_eq!(cs.check_satisfied(), Err(1));
+        assert_eq!(quotient_poly_checked(&cs), Err(1));
     }
 
     #[test]

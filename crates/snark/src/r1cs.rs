@@ -6,17 +6,24 @@
 //!
 //! [`LinearCombination`] is the gadgets' transient value type: what a
 //! wire carries until it is handed to [`ConstraintSystem::enforce`]. The
-//! system itself stores no combinations. `enforce` appends each of the
-//! three straight into its matrix, held as compressed sparse rows — a
-//! `u32` row-end array and `(u32 flat column, u32 coefficient id)`
-//! terms — over one deduplicated coefficient table. The RLN circuit is 23
-//! Poseidon instances of one structure, so its 158 126 terms at depth 20
-//! carry 748 distinct coefficients: 1.3 MB of rows and table where a
-//! `Vec<(Variable, Fr)>` per combination took 8.6 MB. Everything
-//! downstream — the QAP reduction, the witness solver, the satisfaction
-//! check, the shape codec in [`crate::serialize`] — reads those rows.
+//! system itself stores no combinations as such. Each row of the three
+//! matrices is a `u32` id into one table of distinct combinations, held
+//! as compressed sparse rows — a `u32` row-end array and `(u32 flat
+//! column, u32 coefficient id)` terms — over one deduplicated coefficient
+//! table. The RLN circuit is 23 Poseidon instances of one structure, and
+//! each S-box multiplies by its input combination three times, so at
+//! depth 20 its 16 755 rows (158 126 terms) are 7 451 distinct
+//! combinations over 748 distinct coefficients: 737 KB held with the
+//! assignment, where one sparse row per matrix row held 1.54 MB and a
+//! `Vec<(Variable, Fr)>` per combination 8.6 MB. Everything downstream —
+//! the QAP reduction, the witness solver, the satisfaction check —
+//! evaluates each distinct combination once per assignment. The shape
+//! codec in [`crate::serialize`] still writes every row in full, and
+//! rebuilds the table when it reads a shape.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use waku_arith::fields::Fr;
@@ -132,12 +139,13 @@ impl From<Fr> for LinearCombination {
     }
 }
 
-/// One R1CS matrix as compressed sparse rows: row `j`'s terms are
-/// `terms[row_end[j − 1]..row_end[j]]` (from 0 for the first row), each a
+/// Sparse rows in compressed form: row `k`'s terms are
+/// `terms[row_end[k − 1]..row_end[k]]` (from 0 for the first row), each a
 /// `(flat column, coefficient id)` pair — the column indexes
 /// `z = (1, instance…, witness…)`, the id indexes [`Shape::coeffs`]. 8 B a
 /// term, against 48 B for a `(Variable, Fr)` in a heap `Vec` per
-/// combination.
+/// combination. [`Shape::combos`] holds the distinct combinations this
+/// way; the shape codec reads and writes each matrix this way.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct SparseMatrix {
     pub(crate) row_end: Vec<u32>,
@@ -145,13 +153,18 @@ pub(crate) struct SparseMatrix {
 }
 
 impl SparseMatrix {
-    /// The terms of row `j`.
-    pub(crate) fn row(&self, j: usize) -> &[(u32, u32)] {
-        let start = j.checked_sub(1).map_or(0, |i| self.row_end[i]);
-        &self.terms[start as usize..self.row_end[j] as usize]
+    /// The terms of row `k`.
+    pub(crate) fn row(&self, k: usize) -> &[(u32, u32)] {
+        let start = k.checked_sub(1).map_or(0, |i| self.row_end[i]);
+        &self.terms[start as usize..self.row_end[k] as usize]
     }
 
-    fn push_row(&mut self, terms: impl Iterator<Item = (u32, u32)>) {
+    /// Number of rows.
+    fn len(&self) -> usize {
+        self.row_end.len()
+    }
+
+    fn push_row(&mut self, terms: impl IntoIterator<Item = (u32, u32)>) {
         self.terms.extend(terms);
         self.row_end
             .push(u32::try_from(self.terms.len()).expect("fewer than 2³² terms"));
@@ -160,15 +173,143 @@ impl SparseMatrix {
     fn heap_bytes(&self) -> usize {
         self.row_end.capacity() * 4 + self.terms.capacity() * 8
     }
+
+    fn shrink_to_fit(&mut self) {
+        self.row_end.shrink_to_fit();
+        self.terms.shrink_to_fit();
+    }
 }
 
-/// The three matrices plus the one table their coefficient ids index.
+/// The three matrices as combination ids, the one table of distinct
+/// combinations they index, and the one table of coefficients the
+/// combinations' terms index. Constraint `j` is
+/// `⟨combos[a[j]], z⟩ · ⟨combos[b[j]], z⟩ = ⟨combos[c[j]], z⟩`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Shape {
-    pub(crate) a: SparseMatrix,
-    pub(crate) b: SparseMatrix,
-    pub(crate) c: SparseMatrix,
+    pub(crate) a: Vec<u32>,
+    pub(crate) b: Vec<u32>,
+    pub(crate) c: Vec<u32>,
+    /// Each distinct combination once, numbered in order of first use
+    /// (constraint by constraint, A before B before C).
+    pub(crate) combos: SparseMatrix,
     pub(crate) coeffs: Vec<Fr>,
+}
+
+impl Shape {
+    /// The terms of combination `id`.
+    pub(crate) fn combo(&self, id: u32) -> &[(u32, u32)] {
+        self.combos.row(id as usize)
+    }
+
+    /// Appends one constraint's three combinations, each as the id of its
+    /// entry in [`Self::combos`] (a new entry the first time it appears).
+    /// `index` covers every entry; it is rebuilt from the table when it
+    /// holds fewer.
+    pub(crate) fn push_constraint(&mut self, index: &mut ComboIndex, rows: [&[(u32, u32)]; 3]) {
+        if index.len() < self.combos.len() {
+            index.rebuild(&self.combos);
+        }
+        // `x · x` rows (every squaring) skip B's lookup.
+        let a = index.find_or_add(&mut self.combos, rows[0]);
+        let b = if rows[1] == rows[0] {
+            a
+        } else {
+            index.find_or_add(&mut self.combos, rows[1])
+        };
+        let c = index.find_or_add(&mut self.combos, rows[2]);
+        self.a.push(a);
+        self.b.push(b);
+        self.c.push(c);
+    }
+}
+
+/// The terms of each entry of a combination table → its id, keyed by a
+/// hash of the terms. An entry whose hash is taken by a different
+/// combination moves on to the next free key, so a lookup compares terms
+/// until it finds them or a free key, and no entry holds a copy of its
+/// terms: 16 B an entry.
+///
+/// The hash is a multiply-rotate over the packed terms, seeded from the
+/// process's random hash keys and mixed once at the end; the map uses the
+/// key as its own hash. SipHash over the terms cost more than the rest of
+/// a shape decode together (≈ 2 ms for the depth-20 template). A
+/// collision costs a comparison, never a wrong id.
+#[derive(Clone, Debug)]
+pub(crate) struct ComboIndex {
+    map: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
+    seed: u64,
+}
+
+impl Default for ComboIndex {
+    fn default() -> Self {
+        ComboIndex {
+            map: HashMap::default(),
+            seed: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+/// The hasher of a map whose keys are already hashes.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+impl ComboIndex {
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// The id of `terms` in `table`, or the free key it belongs at.
+    fn find(&self, table: &SparseMatrix, terms: &[(u32, u32)]) -> Result<u32, u64> {
+        const MIX: u64 = 0x517c_c1b7_2722_0a95;
+        let h = terms.iter().fold(self.seed, |h, &(col, coeff)| {
+            (h.rotate_left(5) ^ (u64::from(col) << 32 | u64::from(coeff))).wrapping_mul(MIX)
+        });
+        let mut key = h ^ h >> 32;
+        loop {
+            match self.map.get(&key) {
+                Some(&id) if table.row(id as usize) == terms => return Ok(id),
+                Some(_) => key = key.wrapping_add(1),
+                None => return Err(key),
+            }
+        }
+    }
+
+    /// The id of `terms` in `table`, appended to it if absent.
+    fn find_or_add(&mut self, table: &mut SparseMatrix, terms: &[(u32, u32)]) -> u32 {
+        self.find(table, terms).unwrap_or_else(|key| {
+            let id = u32::try_from(table.len()).expect("fewer than 2³² combinations");
+            table.push_row(terms.iter().copied());
+            self.map.insert(key, id);
+            id
+        })
+    }
+
+    /// Indexes every entry of `table` afresh.
+    fn rebuild(&mut self, table: &SparseMatrix) {
+        self.map.clear();
+        for id in 0..table.len() {
+            let key = self
+                .find(table, table.row(id))
+                .expect_err("table entries are distinct");
+            self.map.insert(key, id as u32);
+        }
+    }
 }
 
 /// A rank-1 constraint system carrying both shape and assignment.
@@ -182,10 +323,12 @@ pub struct ConstraintSystem {
     /// Shared so cloning a finalized template (the per-proof rebind path
     /// in `waku-rln`) is O(assignment) instead of a copy of every row.
     shape: Arc<Shape>,
-    /// Coefficient value → id in `shape.coeffs`. Construction-time only:
-    /// `finalize` drops it, and `enforce` rebuilds it from the table when
-    /// it is missing (a deserialized shape that is still being extended).
+    /// Coefficient value → id in `shape.coeffs`, and a combination's
+    /// terms → id in `shape.combos`. Construction-time only: `finalize`
+    /// drops them, and `enforce` rebuilds them from the tables when they
+    /// are missing (a deserialized shape that is still being extended).
     interner: HashMap<Fr, u32>,
+    combo_index: ComboIndex,
     finalized: bool,
 }
 
@@ -208,14 +351,20 @@ impl ConstraintSystem {
         // Columns are flat (instance first), so witness columns that an
         // earlier `enforce` wrote move up by one. Circuits allocate their
         // inputs first; this is the slow path for the ones that do not.
+        // The shift keeps distinct combinations distinct; only the index
+        // of their terms goes stale.
         let first_witness = self.instance.len() as u32;
-        if self.num_terms() > 0 {
+        if !self.shape.combos.terms.is_empty() {
             let shape = Arc::make_mut(&mut self.shape);
-            for m in [&mut shape.a, &mut shape.b, &mut shape.c] {
-                for (col, _) in m.terms.iter_mut().filter(|t| t.0 >= first_witness) {
-                    *col += 1;
-                }
+            for (col, _) in shape
+                .combos
+                .terms
+                .iter_mut()
+                .filter(|t| t.0 >= first_witness)
+            {
+                *col += 1;
             }
+            self.combo_index = ComboIndex::default();
         }
         self.instance.push(value);
         Variable::Instance(self.instance.len() - 1)
@@ -227,33 +376,38 @@ impl ConstraintSystem {
         Variable::Witness(self.witness.len() - 1)
     }
 
-    /// Adds the constraint `a · b = c`: each combination is appended to
-    /// its matrix as one sparse row, terms in the order given.
+    /// Adds the constraint `a · b = c`: each combination, terms in the
+    /// order given, becomes the id of its entry in the table of distinct
+    /// combinations.
     pub fn enforce(
         &mut self,
         a: impl Into<LinearCombination>,
         b: impl Into<LinearCombination>,
         c: impl Into<LinearCombination>,
     ) {
-        let rows: [LinearCombination; 3] = [a.into(), b.into(), c.into()];
+        let lcs: [LinearCombination; 3] = [a.into(), b.into(), c.into()];
         let num_instance = self.instance.len();
-        let Shape { a, b, c, coeffs } = Arc::make_mut(&mut self.shape);
-        if self.interner.len() < coeffs.len() {
-            self.interner = (0u32..).zip(&*coeffs).map(|(k, c)| (*c, k)).collect();
+        let shape = Arc::make_mut(&mut self.shape);
+        let (coeffs, interner) = (&mut shape.coeffs, &mut self.interner);
+        if interner.len() < coeffs.len() {
+            *interner = (0u32..).zip(&*coeffs).map(|(k, c)| (*c, k)).collect();
         }
-        for (matrix, lc) in [a, b, c].into_iter().zip(rows) {
-            matrix.push_row(lc.0.into_iter().map(|(var, coeff)| {
-                let col = match var {
-                    Variable::Instance(i) => i,
-                    Variable::Witness(i) => num_instance + i,
-                };
-                let id = *self.interner.entry(coeff).or_insert_with(|| {
-                    coeffs.push(coeff);
-                    (coeffs.len() - 1) as u32
-                });
-                (u32::try_from(col).expect("fewer than 2³² variables"), id)
-            }));
-        }
+        let rows = lcs.map(|lc| {
+            lc.0.into_iter()
+                .map(|(var, coeff)| {
+                    let col = match var {
+                        Variable::Instance(i) => i,
+                        Variable::Witness(i) => num_instance + i,
+                    };
+                    let id = *interner.entry(coeff).or_insert_with(|| {
+                        coeffs.push(coeff);
+                        (coeffs.len() - 1) as u32
+                    });
+                    (u32::try_from(col).expect("fewer than 2³² variables"), id)
+                })
+                .collect::<Vec<_>>()
+        });
+        shape.push_constraint(&mut self.combo_index, rows.each_ref().map(Vec::as_slice));
     }
 
     /// Number of instance variables (including the constant 1).
@@ -268,12 +422,23 @@ impl ConstraintSystem {
 
     /// Number of constraints currently in the system.
     pub fn num_constraints(&self) -> usize {
-        self.shape.a.row_end.len()
+        self.shape.a.len()
     }
 
-    /// Number of terms over all three matrices.
+    /// Number of terms over all three matrices, each row counted in full
+    /// (as the shape codec writes it).
     pub fn num_terms(&self) -> usize {
-        self.shape.a.terms.len() + self.shape.b.terms.len() + self.shape.c.terms.len()
+        let shape = &*self.shape;
+        [&shape.a, &shape.b, &shape.c]
+            .into_iter()
+            .flatten()
+            .map(|&id| shape.combo(id).len())
+            .sum()
+    }
+
+    /// Number of distinct combinations the three matrices' rows refer to.
+    pub fn num_combinations(&self) -> usize {
+        self.shape.combos.len()
     }
 
     /// Number of distinct coefficient values the terms refer to.
@@ -282,14 +447,14 @@ impl ConstraintSystem {
     }
 
     /// Heap bytes this system holds: the assignment, the three matrices
-    /// (4 B a row end, 8 B a term) and the coefficient table (32 B an
-    /// entry). Clones of one template share everything but the assignment.
+    /// (4 B a combination id per row), the combination table (4 B a row
+    /// end, 8 B a term) and the coefficient table (32 B an entry). Clones
+    /// of one template share everything but the assignment.
     pub fn resident_bytes(&self) -> usize {
         let shape = &*self.shape;
         (self.instance.capacity() + self.witness.capacity() + shape.coeffs.capacity()) * 32
-            + shape.a.heap_bytes()
-            + shape.b.heap_bytes()
-            + shape.c.heap_bytes()
+            + (shape.a.capacity() + shape.b.capacity() + shape.c.capacity()) * 4
+            + shape.combos.heap_bytes()
     }
 
     /// The matrices (for the QAP reduction, the solver and the codec).
@@ -334,6 +499,18 @@ impl ConstraintSystem {
         lc.0.iter()
             .map(|(v, c)| self.value(*v) * *c)
             .fold(Fr::zero(), |a, b| a + b)
+    }
+
+    /// `⟨combination id, z⟩`.
+    pub(crate) fn eval_combo(&self, id: u32) -> Fr {
+        self.eval_row(self.shape.combo(id))
+    }
+
+    /// Every distinct combination evaluated once, by id.
+    fn combo_values(&self) -> Vec<Fr> {
+        (0..self.num_combinations() as u32)
+            .map(|id| self.eval_combo(id))
+            .collect()
     }
 
     /// `⟨row, z⟩` for one sparse row of this system's matrices.
@@ -387,14 +564,15 @@ impl ConstraintSystem {
             );
         }
         let shape = Arc::make_mut(&mut self.shape);
-        for m in [&mut shape.a, &mut shape.b, &mut shape.c] {
-            m.row_end.shrink_to_fit();
-            m.terms.shrink_to_fit();
+        for ids in [&mut shape.a, &mut shape.b, &mut shape.c] {
+            ids.shrink_to_fit();
         }
+        shape.combos.shrink_to_fit();
         shape.coeffs.shrink_to_fit();
         self.instance.shrink_to_fit();
         self.witness.shrink_to_fit();
         self.interner = HashMap::new();
+        self.combo_index = ComboIndex::default();
         self.finalized = true;
     }
 
@@ -421,27 +599,63 @@ impl ConstraintSystem {
             witness: vec![Fr::zero(); num_witness],
             shape: Arc::new(shape),
             interner: HashMap::new(),
+            combo_index: ComboIndex::default(),
             finalized,
         }
     }
 
-    /// Checks every constraint against the current assignment.
+    /// Checks every constraint against the current assignment, each
+    /// distinct combination evaluated once.
     ///
     /// # Errors
     ///
     /// Returns the index of the first violated constraint.
     pub fn check_satisfied(&self) -> Result<(), usize> {
         let Shape { a, b, c, .. } = &*self.shape;
+        let v = self.combo_values();
+        let at = |ids: &[u32], j: usize| v[ids[j] as usize];
         (0..self.num_constraints())
-            .find(|&j| self.eval_row(a.row(j)) * self.eval_row(b.row(j)) != self.eval_row(c.row(j)))
+            .find(|&j| at(a, j) * at(b, j) != at(c, j))
             .map_or(Ok(()), Err)
     }
+}
+
+/// `y = x·x`, `w₁ = s·x` and `w₂ = y·s` with `s = x + 3v` (x = 3,
+/// v = 5): `s` is A of row 1 and B of row 2, and `1·y` is C of row 0 and
+/// A of row 2.
+#[cfg(test)]
+pub(crate) fn shared_combination_cs() -> ConstraintSystem {
+    use waku_arith::traits::PrimeField;
+    let mut cs = ConstraintSystem::new();
+    let x = cs.alloc_witness(Fr::from_u64(3));
+    let v = cs.alloc_witness(Fr::from_u64(5));
+    let y = cs.alloc_witness(Fr::from_u64(9));
+    cs.enforce(x, x, y);
+    let s = LinearCombination::from_var(x).add_term(v, Fr::from_u64(3));
+    let w1 = cs.alloc_witness(Fr::from_u64(54));
+    cs.enforce(s.clone(), x, w1);
+    let w2 = cs.alloc_witness(Fr::from_u64(162));
+    cs.enforce(y, s, w2);
+    cs.finalize();
+    cs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use waku_arith::traits::PrimeField;
+
+    #[test]
+    fn shared_combinations_are_one_table_entry() {
+        let cs = shared_combination_cs();
+        assert!(cs.check_satisfied().is_ok());
+        let shape = cs.shape();
+        assert_eq!(shape.a[1], shape.b[2], "s");
+        assert_eq!(shape.c[0], shape.a[2], "1·y");
+        // x, y, s, w₁, w₂, the finalize row's ONE and the empty one.
+        assert_eq!(cs.num_combinations(), 7);
+        assert_eq!(cs.num_terms(), 12);
+    }
 
     #[test]
     fn simple_multiplication_satisfied() {
@@ -521,8 +735,9 @@ mod tests {
         cs.enforce(a, b, LinearCombination::from_const(Fr::from_u64(12)));
         let c = cs.alloc_input(Fr::from_u64(12));
         cs.enforce(a, b, c);
-        assert_eq!(cs.shape().a.row(0), cs.shape().a.row(1));
-        assert_eq!(cs.shape().a.row(0)[0].0 as usize, cs.flat_index(a));
+        let shape = cs.shape();
+        assert_eq!(shape.a[0], shape.a[1], "one combination, two rows");
+        assert_eq!(shape.combo(shape.a[0])[0].0 as usize, cs.flat_index(a));
         cs.finalize();
         assert!(cs.check_satisfied().is_ok());
     }
@@ -541,9 +756,11 @@ mod tests {
         assert!(Arc::ptr_eq(&cs.shape, &copy.shape));
         assert!(copy.interner.is_empty(), "finalize drops the interner");
         assert_eq!(cs.resident_bytes(), held);
-        // Two variables and two coefficients (1 and 9), two row ends per
-        // matrix, four terms (x, x, 9 and the finalize row's ONE).
-        assert_eq!(held, 4 * 32 + 6 * 4 + 4 * 8);
+        // Two variables and two coefficients (1 and 9), two combination
+        // ids per matrix, and four distinct combinations — x (A and B of
+        // the first row), 9, the finalize row's ONE and the empty one —
+        // with three terms between them.
+        assert_eq!(held, 4 * 32 + 6 * 4 + 4 * 4 + 3 * 8);
     }
 }
 
@@ -694,8 +911,8 @@ mod equivalence {
             }
             let shape = cs.shape();
             for (j, lcs) in source.iter().enumerate() {
-                for (matrix, lc) in [&shape.a, &shape.b, &shape.c].into_iter().zip(lcs) {
-                    let row = matrix.row(j);
+                for (ids, lc) in [&shape.a, &shape.b, &shape.c].into_iter().zip(lcs) {
+                    let row = shape.combo(ids[j]);
                     let terms: Vec<(usize, Fr)> =
                         row.iter().map(|&(col, id)| (col as usize, shape.coeffs[id as usize])).collect();
                     let expected: Vec<(usize, Fr)> =
@@ -707,8 +924,13 @@ mod equivalence {
             let mut distinct = shape.coeffs.clone();
             distinct.sort_unstable_by_key(|c| c.to_le_bytes());
             distinct.dedup();
-            // The table holds each value once.
+            // The table holds each value once, and each combination.
             prop_assert_eq!(distinct.len(), shape.coeffs.len());
+            let mut combos: Vec<&[(u32, u32)]> =
+                (0..cs.num_combinations() as u32).map(|id| shape.combo(id)).collect();
+            combos.sort_unstable();
+            combos.dedup();
+            prop_assert_eq!(combos.len(), cs.num_combinations());
 
             // Same free/derived classification, same solved assignment.
             let solver = WitnessSolver::analyze(&cs);

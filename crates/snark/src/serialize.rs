@@ -17,7 +17,7 @@ use waku_curve::g2::G2Affine;
 use waku_wire::{put_len, put_u32, Reader};
 
 use crate::groth16::{ProvingKey, VerifyingKey};
-use crate::r1cs::{ConstraintSystem, Shape, SparseMatrix};
+use crate::r1cs::{ComboIndex, ConstraintSystem, Shape};
 
 fn put_g1(out: &mut Vec<u8>, p: &G1Affine) {
     if p.is_identity() {
@@ -153,22 +153,33 @@ fn read_pk(r: &mut Reader) -> Option<ProvingKey> {
     })
 }
 
-fn put_matrix(out: &mut Vec<u8>, m: &SparseMatrix) {
-    for end in &m.row_end {
-        put_u32(out, *end);
+/// Writes the matrix whose rows are the combinations `ids` as sparse rows.
+fn put_matrix(out: &mut Vec<u8>, shape: &Shape, ids: &[u32]) {
+    let mut end = 0u32;
+    for &id in ids {
+        end = u32::try_from(shape.combo(id).len())
+            .ok()
+            .and_then(|len| end.checked_add(len))
+            .expect("fewer than 2³² terms in a matrix");
+        put_u32(out, end);
     }
-    for (col, id) in &m.terms {
-        put_u32(out, *col);
-        put_u32(out, *id);
+    for &id in ids {
+        for &(col, coeff) in shape.combo(id) {
+            put_u32(out, col);
+            put_u32(out, coeff);
+        }
     }
 }
 
-fn read_matrix(
-    r: &mut Reader,
-    rows: usize,
-    num_vars: usize,
-    num_coeffs: usize,
-) -> Option<SparseMatrix> {
+/// One matrix as written: its row ends, checked to be non-decreasing,
+/// and its terms' bytes, read row by row as [`Shape::push_constraint`]
+/// needs them.
+struct RawMatrix<'a> {
+    row_end: Vec<u32>,
+    terms: &'a [u8],
+}
+
+fn read_matrix<'a>(r: &mut Reader<'a>, rows: usize) -> Option<RawMatrix<'a>> {
     let mut row_end = Vec::with_capacity(rows);
     for _ in 0..rows {
         let end = r.u32().ok()?;
@@ -181,20 +192,40 @@ fn read_matrix(
     let n = r
         .fits(row_end.last().copied().unwrap_or(0).into(), 8)
         .ok()?;
-    let mut terms = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (col, id) = (r.u32().ok()?, r.u32().ok()?);
-        if col as usize >= num_vars || id as usize >= num_coeffs {
-            return None;
+    Some(RawMatrix {
+        row_end,
+        terms: r.take(n * 8).ok()?,
+    })
+}
+
+impl RawMatrix<'_> {
+    /// Row `j`'s terms into `out`; `None` for a column or coefficient id
+    /// out of range.
+    fn row(
+        &self,
+        j: usize,
+        num_vars: usize,
+        num_coeffs: usize,
+        out: &mut Vec<(u32, u32)>,
+    ) -> Option<()> {
+        let start = j.checked_sub(1).map_or(0, |i| self.row_end[i]) as usize;
+        out.clear();
+        for term in self.terms[start * 8..self.row_end[j] as usize * 8].chunks_exact(8) {
+            let word = |k: usize| u32::from_le_bytes(term[k..k + 4].try_into().expect("4 bytes"));
+            let (col, id) = (word(0), word(4));
+            if col as usize >= num_vars || id as usize >= num_coeffs {
+                return None;
+            }
+            out.push((col, id));
         }
-        terms.push((col, id));
+        Some(())
     }
-    Some(SparseMatrix { row_end, terms })
 }
 
 /// Serializes a constraint system's *shape* (variable counts and the
 /// three sparse matrices — not the assignment, which provers rebind per
-/// proof). The matrices are written as the arrays they are held in:
+/// proof). Each matrix is written row by row, every row's terms in full,
+/// although the system holds each distinct combination once:
 ///
 /// ```text
 /// num_instance:u32 ‖ num_witness:u32 ‖ finalized:u8
@@ -214,14 +245,16 @@ pub fn cs_shape_to_bytes(cs: &ConstraintSystem) -> Vec<u8> {
         out.extend_from_slice(&coeff.to_le_bytes());
     }
     put_len(&mut out, cs.num_constraints());
-    for m in [&shape.a, &shape.b, &shape.c] {
-        put_matrix(&mut out, m);
+    for ids in [&shape.a, &shape.b, &shape.c] {
+        put_matrix(&mut out, shape, ids);
     }
     out
 }
 
 /// Deserializes a constraint-system shape; the assignment comes back
-/// zeroed (constant one aside) for the caller to rebind.
+/// zeroed (constant one aside) for the caller to rebind. The table of
+/// distinct combinations is rebuilt from the rows, constraint by
+/// constraint, so it numbers them as the system that wrote them did.
 ///
 /// Returns `None` on truncation, trailing bytes, a declared count the
 /// remaining bytes cannot back, a non-canonical coefficient, decreasing
@@ -243,13 +276,29 @@ pub fn cs_shape_from_bytes(bytes: &[u8]) -> Option<ConstraintSystem> {
         .collect::<Option<Vec<_>>>()?;
     // Smallest constraint: one row end in each matrix.
     let rows = r.count(12).ok()?;
-    let mut matrix = || read_matrix(&mut r, rows, num_vars, coeffs.len());
-    let (a, b, c) = (matrix()?, matrix()?, matrix()?);
+    let matrices = [
+        read_matrix(&mut r, rows)?,
+        read_matrix(&mut r, rows)?,
+        read_matrix(&mut r, rows)?,
+    ];
     r.finish().ok()?;
+    let num_coeffs = coeffs.len();
+    let mut shape = Shape {
+        coeffs,
+        ..Shape::default()
+    };
+    let mut index = ComboIndex::default();
+    let mut terms: [Vec<(u32, u32)>; 3] = Default::default();
+    for j in 0..rows {
+        for (m, out) in matrices.iter().zip(&mut terms) {
+            m.row(j, num_vars, num_coeffs, out)?;
+        }
+        shape.push_constraint(&mut index, terms.each_ref().map(Vec::as_slice));
+    }
     Some(ConstraintSystem::from_shape(
         num_instance,
         num_witness,
-        Shape { a, b, c, coeffs },
+        shape,
         finalized,
     ))
 }
@@ -299,6 +348,20 @@ mod tests {
         assert_eq!(restored.num_instance(), cs.num_instance());
         assert_eq!(restored.num_witness(), cs.num_witness());
         assert_eq!(restored.is_finalized(), cs.is_finalized());
+        assert_eq!(restored.shape(), cs.shape());
+        assert_eq!(cs_shape_to_bytes(&restored), bytes);
+    }
+
+    #[test]
+    fn shape_bytes_with_shared_combinations_are_unchanged() {
+        // Every row written in full, as before the system held each
+        // distinct combination once: the same 225 bytes.
+        const EXPECTED: &str = "010000000500000001020000000100000000000000000000000000000000000000000000000000000000000000030000000000000000000000000000000000000000000000000000000000000004000000010000000300000004000000050000000100000000000000010000000000000002000000010000000300000000000000000000000000000001000000020000000400000004000000010000000000000001000000000000000100000000000000020000000100000001000000020000000300000003000000030000000000000004000000000000000500000000000000";
+        let cs = crate::r1cs::shared_combination_cs();
+        let bytes = cs_shape_to_bytes(&cs);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, EXPECTED);
+        let restored = cs_shape_from_bytes(&bytes).expect("roundtrip");
         assert_eq!(restored.shape(), cs.shape());
         assert_eq!(cs_shape_to_bytes(&restored), bytes);
     }

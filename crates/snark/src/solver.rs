@@ -12,6 +12,12 @@
 //! when `C` is exactly `1·w`, `w` has no earlier definition, and `A`/`B`
 //! only reference instance variables or witnesses defined before it — the
 //! shape every `mul`-style gadget produces. Everything else is free.
+//!
+//! The plan evaluates each distinct combination once: a combination is
+//! evaluated when the first derived witness that multiplies by it is
+//! solved, every variable in it is final by then, and every later witness
+//! that uses it reads the same value. The RLN circuit's Poseidon S-boxes
+//! use each input combination three times.
 
 use waku_arith::fields::Fr;
 use waku_arith::traits::Field;
@@ -23,8 +29,21 @@ use crate::r1cs::ConstraintSystem;
 pub struct WitnessSolver {
     /// Witness indices the caller must supply, in allocation order.
     free: Vec<usize>,
-    /// `(constraint index, witness index)` pairs in solve order.
-    derived: Vec<(u32, u32)>,
+    /// Combination ids in the order the solve evaluates them; a value's
+    /// position here is its slot.
+    evals: Vec<u32>,
+    /// The derived witnesses in solve order.
+    derived: Vec<Step>,
+}
+
+/// One derived witness: evaluate `evals[..evals_end]` (those not yet
+/// evaluated), then `witness = slot a · slot b`.
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    evals_end: u32,
+    a: u32,
+    b: u32,
+    witness: u32,
 }
 
 impl WitnessSolver {
@@ -34,7 +53,9 @@ impl WitnessSolver {
         let num_instance = cs.num_instance();
         let mut defined = vec![false; cs.num_witness()];
         let mut free = Vec::new();
-        let mut derived = Vec::new();
+        let (mut evals, mut derived) = (Vec::new(), Vec::new());
+        // Combination id → its slot in `evals`, once it has one.
+        let mut slot = vec![None; cs.num_combinations()];
         let shape = cs.shape();
         // Columns are flat; the witness ones start after the instance.
         let witness_of = |col: u32| (col as usize).checked_sub(num_instance);
@@ -51,7 +72,12 @@ impl WitnessSolver {
         };
 
         for j in 0..cs.num_constraints() {
-            let (a, b, c) = (shape.a.row(j), shape.b.row(j), shape.c.row(j));
+            let ids = (shape.a[j], shape.b[j]);
+            let (a, b, c) = (
+                shape.combo(ids.0),
+                shape.combo(ids.1),
+                shape.combo(shape.c[j]),
+            );
             // Defining shape: C = 1·w for a yet-undefined witness w.
             let defines = match *c {
                 [(col, id)] if shape.coeffs[id as usize] == Fr::one() => {
@@ -63,7 +89,19 @@ impl WitnessSolver {
             mark_used(b, &mut defined, &mut free);
             if let Some(k) = defines {
                 defined[k] = true;
-                derived.push((j as u32, k as u32));
+                let mut slot_of = |id: u32| {
+                    *slot[id as usize].get_or_insert_with(|| {
+                        evals.push(id);
+                        evals.len() as u32 - 1
+                    })
+                };
+                let (a, b) = (slot_of(ids.0), slot_of(ids.1));
+                derived.push(Step {
+                    evals_end: evals.len() as u32,
+                    a,
+                    b,
+                    witness: k as u32,
+                });
             } else {
                 mark_used(c, &mut defined, &mut free);
             }
@@ -78,7 +116,11 @@ impl WitnessSolver {
         // Callers supply free values in allocation order, which is the
         // canonical order of the circuit's true inputs.
         free.sort_unstable();
-        WitnessSolver { free, derived }
+        WitnessSolver {
+            free,
+            evals,
+            derived,
+        }
     }
 
     /// Witness indices the caller must supply, ascending.
@@ -92,7 +134,8 @@ impl WitnessSolver {
     }
 
     /// Installs `free_values` (matching [`Self::free_indices`] order) and
-    /// recomputes every derived witness from its defining constraint.
+    /// recomputes every derived witness from its defining constraint,
+    /// evaluating each combination the plan reads once.
     ///
     /// # Panics
     ///
@@ -107,10 +150,13 @@ impl WitnessSolver {
         for (&k, &v) in self.free.iter().zip(free_values.iter()) {
             cs.set_witness_value(k, v);
         }
-        for &(j, k) in &self.derived {
-            let shape = cs.shape();
-            let v = cs.eval_row(shape.a.row(j as usize)) * cs.eval_row(shape.b.row(j as usize));
-            cs.set_witness_value(k as usize, v);
+        let mut values = Vec::with_capacity(self.evals.len());
+        for step in &self.derived {
+            for &id in &self.evals[values.len()..step.evals_end as usize] {
+                values.push(cs.eval_combo(id));
+            }
+            let v = values[step.a as usize] * values[step.b as usize];
+            cs.set_witness_value(step.witness as usize, v);
         }
     }
 }
@@ -151,6 +197,23 @@ mod tests {
             solver.free_indices().len() + solver.num_derived(),
             cs.num_witness()
         );
+    }
+
+    #[test]
+    fn solve_through_a_shared_combination_reproduces_the_assignment() {
+        let reference = crate::r1cs::shared_combination_cs();
+        let solver = WitnessSolver::analyze(&reference);
+        assert_eq!(solver.free_indices(), &[0, 1]);
+        assert_eq!(solver.num_derived(), 3);
+        // x, s (read by rows 1 and 2) and y: one evaluation each.
+        assert_eq!(solver.evals.len(), 3);
+        let mut template = reference.clone();
+        let mut rng = StdRng::seed_from_u64(2);
+        for k in 0..template.num_witness() {
+            template.set_witness_value(k, Fr::random(&mut rng));
+        }
+        solver.solve(&mut template, &[Fr::from_u64(3), Fr::from_u64(5)]);
+        assert_eq!(template.full_assignment(), reference.full_assignment());
     }
 
     #[test]
