@@ -13,12 +13,15 @@
 //!            ‖ |pk|:u32 ‖ pk ‖ fnv1a64(all previous bytes)
 //! ```
 //!
-//! `shape` is [`cs_shape_to_bytes`]: the template's sparse-row arrays and
-//! its 748-entry coefficient table as they sit in memory, 8 B a term —
-//! 1.3 MB beside a 2.3 MB key at depth 20, 2.0 beside 3.8 MB at depth 32
-//! (`exp_paper_tables` prints both). Version 1 spelled every term out as
-//! `tag ‖ index ‖ coefficient` (37 B) and its files were 8.0 and 12.8 MB;
-//! one is a cache miss here, regenerated like any other stale blob.
+//! `shape` is [`cs_shape_to_bytes`]: the template's 748-entry coefficient
+//! table and its three matrices written row by row, every row in full at
+//! 8 B a term — 1.4 MB beside a 2.3 MB key at depth 20, 2.1 beside 3.8 MB
+//! at depth 32 (`exp_paper_tables` prints both). That is larger than the
+//! template held in memory (737 KB at depth 20), which keeps each distinct
+//! combination once; decoding rebuilds that table. Version 1 spelled
+//! every term out as `tag ‖ index ‖ coefficient` (37 B) and its files
+//! were 8.0 and 12.8 MB; one is a cache miss here, regenerated like any
+//! other stale blob.
 //!
 //! The framing (magic, version, trailing FNV-1a checksum) is the shared
 //! [`waku_wire::envelope`]; the checksum catches torn writes and bit rot,

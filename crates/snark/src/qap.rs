@@ -119,16 +119,9 @@ pub fn quotient_poly_checked(cs: &ConstraintSystem) -> Result<Vec<Fr>, usize> {
     let n = domain.size();
 
     // Row evaluations ⟨A_j, z⟩ etc.: every distinct combination evaluated
-    // once against the assignment, chunked across the pool, then looked
-    // up by each row's id.
+    // once against the assignment, then looked up by each row's id.
     let shape = cs.shape();
-    let mut values = vec![Fr::zero(); cs.num_combinations()];
-    let chunk = waku_pool::chunk_size_for(values.len(), 64);
-    waku_pool::par_for_each_chunk_mut(&mut values, chunk, |offset, values| {
-        for (id, v) in (offset as u32..).zip(values) {
-            *v = cs.eval_combo(id);
-        }
-    });
+    let values = cs.combo_values();
     let row_evals = |ids: &[u32]| {
         let mut evals: Vec<Fr> = ids.iter().map(|&id| values[id as usize]).collect();
         evals.resize(n, Fr::zero());

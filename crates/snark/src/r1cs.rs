@@ -506,11 +506,17 @@ impl ConstraintSystem {
         self.eval_row(self.shape.combo(id))
     }
 
-    /// Every distinct combination evaluated once, by id.
-    fn combo_values(&self) -> Vec<Fr> {
-        (0..self.num_combinations() as u32)
-            .map(|id| self.eval_combo(id))
-            .collect()
+    /// Every distinct combination evaluated once, by id, chunked across
+    /// the pool.
+    pub(crate) fn combo_values(&self) -> Vec<Fr> {
+        let mut values = vec![Fr::zero(); self.num_combinations()];
+        let chunk = waku_pool::chunk_size_for(values.len(), 64);
+        waku_pool::par_for_each_chunk_mut(&mut values, chunk, |offset, values| {
+            for (id, v) in (offset as u32..).zip(values) {
+                *v = self.eval_combo(id);
+            }
+        });
+        values
     }
 
     /// `⟨row, z⟩` for one sparse row of this system's matrices.
