@@ -292,6 +292,12 @@ impl<F: PrimeField + LaneField> Radix2Domain<F> {
                 Self::fft_in_place(body, values, self.inverse_twiddles());
                 Self::scale(body, values, self.size_inv, Some(self.coset_gen_inv));
             }
+            // `ifft` then `coset_fft`, their `1/n` and `gⁱ` passes in one.
+            Transform::EvalsToCoset => {
+                Self::fft_in_place(body, values, self.inverse_twiddles());
+                Self::scale(body, values, self.size_inv, Some(self.coset_gen));
+                Self::fft_in_place(body, values, self.forward_twiddles());
+            }
         }
     }
 
@@ -346,6 +352,26 @@ impl<F: PrimeField + LaneField> Radix2Domain<F> {
         self.transformed(Transform::CosetIfft, evals)
     }
 
+    /// Moves a polynomial's evaluations over the domain to its evaluations
+    /// over the coset `g·H`, in place: `coset_fft(ifft(values))`, with one
+    /// scaling pass where those two make two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != self.size()`.
+    pub fn evals_to_coset(&self, values: &mut [F]) {
+        assert_eq!(
+            values.len(),
+            self.size,
+            "evaluation count must match domain"
+        );
+        with_lanes(OnDomain {
+            domain: self,
+            kind: Transform::EvalsToCoset,
+            values,
+        });
+    }
+
     /// The vanishing polynomial `Z(X) = X^n − 1` evaluated anywhere on the
     /// coset `g·H` (constant there: `g^n − 1`).
     pub fn z_on_coset(&self) -> F {
@@ -358,13 +384,14 @@ impl<F: PrimeField + LaneField> Radix2Domain<F> {
     }
 }
 
-/// The four transforms a domain runs.
+/// The five transforms a domain runs.
 #[derive(Clone, Copy, Debug)]
 enum Transform {
     Fft,
     Ifft,
     CosetFft,
     CosetIfft,
+    EvalsToCoset,
 }
 
 /// One transform over `values`, on lane body `B`.
@@ -595,6 +622,10 @@ mod tests {
             }
             assert_eq!(domain.ifft(&evals), coeffs, "n = {n}");
             assert_eq!(domain.coset_ifft(&coset_evals), coeffs, "n = {n}");
+            // `ifft(evals)` is `coeffs`, so this is `coset_fft(ifft(evals))`.
+            let mut moved = evals;
+            domain.evals_to_coset(&mut moved);
+            assert_eq!(moved, coset_evals, "evals_to_coset, n = {n}");
         }
     }
 
@@ -612,6 +643,7 @@ mod tests {
                 Transform::Ifft,
                 Transform::CosetFft,
                 Transform::CosetIfft,
+                Transform::EvalsToCoset,
             ] {
                 let portable = |threads| {
                     waku_pool::with_threads(threads, || {
@@ -621,6 +653,9 @@ mod tests {
                     })
                 };
                 let reference = portable(1);
+                if let Transform::EvalsToCoset = kind {
+                    assert_eq!(reference, domain.coset_fft(&domain.ifft(&input)), "n = {n}");
+                }
                 for threads in [1, 2] {
                     let detected =
                         waku_pool::with_threads(threads, || domain.transformed(kind, &input));

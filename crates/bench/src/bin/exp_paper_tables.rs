@@ -60,18 +60,6 @@ fn analytic_key_bytes(template: &ConstraintSystem) -> usize {
     vk + 2 * 64 + (instance + witness) * (64 + 64 + 128) + (domain - 1) * 64 + witness * 64
 }
 
-/// What [`ConstraintSystem::resident_bytes`] would count for the template
-/// if every row held its own terms, computed from its sizes: 32 B a
-/// variable of the assignment and a distinct coefficient, 4 B a row end
-/// and 8 B a term in each matrix. `keys.bin` writes the rows that way;
-/// the held template shares combinations between rows and is smaller.
-fn sparse_row_bytes(template: &ConstraintSystem) -> usize {
-    let vars = template.num_instance() + template.num_witness();
-    32 * (vars + template.num_coefficients())
-        + 3 * 4 * template.num_constraints()
-        + 8 * template.num_terms()
-}
-
 /// E3: key and artifact sizes. Paper (§IV): 32 B secret/public keys;
 /// prover key ≈3.89 MB at group size 2³²; (implicitly) Groth16 proofs
 /// are constant 128–256 B. Beside the key a prover holds the circuit
@@ -155,8 +143,8 @@ fn key_sizes(checks: &mut Checks) {
                 template_bytes <= 10 * terms + 32 * coeffs,
             ),
             (
-                format!("depth {depth}: keys.bin ≤ key + template as sparse rows + 64 B"),
-                file_bytes <= key_bytes + sparse_row_bytes(&template) + 64,
+                format!("depth {depth}: keys.bin ≤ key + template + 64 B"),
+                file_bytes <= key_bytes + template_bytes + 64,
             ),
         ]);
         if depth == 32 {

@@ -9,19 +9,17 @@
 //! [`WitnessSolver`] re-analysis:
 //!
 //! ```text
-//! "WAKURLNK" ‖ version:u32 ‖ depth:u32 ‖ |shape|:u32 ‖ shape
-//!            ‖ |pk|:u32 ‖ pk ‖ fnv1a64(all previous bytes)
+//! "WAKURLNK" ‖ version:u32 ‖ depth:u32 ‖ shape ‖ pk ‖ fnv1a64(all previous bytes)
 //! ```
 //!
-//! `shape` is [`cs_shape_to_bytes`]: the template's 748-entry coefficient
-//! table and its three matrices written row by row, every row in full at
-//! 8 B a term — 1.4 MB beside a 2.3 MB key at depth 20, 2.1 beside 3.8 MB
-//! at depth 32 (`exp_paper_tables` prints both). That is larger than the
-//! template held in memory (737 KB at depth 20), which keeps each distinct
-//! combination once; decoding rebuilds that table. Version 1 spelled
-//! every term out as `tag ‖ index ‖ coefficient` (37 B) and its files
-//! were 8.0 and 12.8 MB; one is a cache miss here, regenerated like any
-//! other stale blob.
+//! `shape` is [`put_cs_shape`]: the template's tables as the prover holds
+//! them — 748 distinct coefficients, each distinct combination once, and
+//! one combination id per row of each matrix. Both parts are written
+//! straight into the sealed buffer and read back through the envelope's
+//! one cursor, each of them self-delimiting. The file is ≈ 2.9 MB at depth
+//! 20 (2.3 MB of key, 558 KB of shape) and ≈ 4.6 MB at depth 32 (3.8 MB
+//! and 839 KB); `exp_paper_tables` prints both. A file of an earlier
+//! version is a cache miss, regenerated like any other stale blob.
 //!
 //! The framing (magic, version, trailing FNV-1a checksum) is the shared
 //! [`waku_wire::envelope`]; the checksum catches torn writes and bit rot,
@@ -35,16 +33,16 @@
 //! Only the ceremony output is written. What the prover carries inside a
 //! [`ProvingKey`] between proofs (the last proved assignment — `sk` and
 //! its hash intermediates — and its query sums) is not part of
-//! [`pk_to_bytes`], so a key file holds no identity material and a loaded
+//! [`put_pk`], so a key file holds no identity material and a loaded
 //! key always starts cold.
 use std::path::Path;
 
 use waku_snark::groth16::ProvingKey;
-use waku_snark::serialize::{cs_shape_from_bytes, cs_shape_to_bytes, pk_from_bytes, pk_to_bytes};
+use waku_snark::serialize::{put_cs_shape, put_pk, read_cs_shape, read_pk};
 use waku_snark::ConstraintSystem;
 #[cfg(doc)]
 use waku_snark::WitnessSolver;
-use waku_wire::{envelope, put_bytes, put_u32};
+use waku_wire::{envelope, put_u32};
 
 /// Blob magic: identifies an RLN key-cache file.
 const MAGIC: &[u8; 8] = b"WAKURLNK";
@@ -52,17 +50,18 @@ const MAGIC: &[u8; 8] = b"WAKURLNK";
 /// Bumped whenever the serialized layout (or the circuit itself, which
 /// the shape encodes) changes incompatibly; stale versions are ignored
 /// and regenerated rather than migrated.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Serializes `(pk, template)` into a versioned, checksummed blob.
 pub fn encode_keys(depth: usize, pk: &ProvingKey, template: &ConstraintSystem) -> Vec<u8> {
-    let shape = cs_shape_to_bytes(template);
-    let pk_bytes = pk_to_bytes(pk);
     envelope::seal(MAGIC, VERSION, |out| {
-        out.reserve(4 + 4 + shape.len() + 4 + pk_bytes.len() + 8);
+        // The key and the held template bound the body and its checksum
+        // (`exp_paper_tables` checks the file against the same sum), so
+        // the buffer is allocated once.
+        out.reserve(pk.size_in_bytes() + template.resident_bytes() + 64);
         put_u32(out, u32::try_from(depth).expect("depth fits u32"));
-        put_bytes(out, &shape);
-        put_bytes(out, &pk_bytes);
+        put_cs_shape(out, template);
+        put_pk(out, pk);
     })
 }
 
@@ -76,11 +75,9 @@ pub fn decode_keys(bytes: &[u8], expected_depth: usize) -> Option<(ProvingKey, C
     if body.u32().ok()? as usize != expected_depth {
         return None;
     }
-    let shape = body.bytes().ok()?;
-    let pk_bytes = body.bytes().ok()?;
+    let template = read_cs_shape(&mut body)?;
+    let pk = read_pk(&mut body)?;
     body.finish().ok()?;
-    let template = cs_shape_from_bytes(shape)?;
-    let pk = pk_from_bytes(pk_bytes)?;
     // The embedded shape must be the circuit the key was generated for.
     let expected_vars = template.num_instance() + template.num_witness();
     if pk.a_query.len() != expected_vars {
@@ -127,7 +124,10 @@ mod tests {
         assert_eq!(pk.b_g2_query, prover.proving_key().b_g2_query);
         assert_eq!(pk.h_query, prover.proving_key().h_query);
         assert_eq!(pk.l_query, prover.proving_key().l_query);
-        assert_eq!(cs_shape_to_bytes(&cs), cs_shape_to_bytes(&template));
+        assert_eq!(
+            waku_snark::serialize::cs_shape_to_bytes(&cs),
+            waku_snark::serialize::cs_shape_to_bytes(&template)
+        );
 
         assert!(decode_keys(&blob, 4).is_none(), "depth mismatch");
         assert!(
@@ -142,28 +142,39 @@ mod tests {
         assert!(decode_keys(&wrong_magic, 3).is_none());
     }
 
-    /// An intact envelope-version-1 file (from before the shape became
-    /// sparse rows) is a cache miss: it is regenerated in place, never
-    /// parsed as the new layout and never migrated.
+    /// An intact file of an earlier envelope version — 1 (every term
+    /// spelled out) or 2 (every row's terms in full) — is a cache miss: the
+    /// version is checked before a byte of the body is parsed, so the
+    /// file is regenerated in place once, never read as the current
+    /// layout and never migrated.
     #[test]
-    fn version_1_file_is_a_miss_and_gets_overwritten() {
-        let path =
-            std::env::temp_dir().join(format!("waku-rln-keycache-v1-{}.bin", std::process::id()));
+    fn stale_versions_are_a_miss_and_get_overwritten_once() {
         let mut rng = StdRng::seed_from_u64(42);
         let (prover, _) = RlnProver::keygen(3, &mut rng);
         let current = encode_keys(3, prover.proving_key(), &crate::circuit::build_for_setup(3));
-        // The same body under a valid version-1 header and checksum.
-        let stale = envelope::seal(MAGIC, 1, |out| {
-            out.extend_from_slice(&current[MAGIC.len() + 4..current.len() - 8])
-        });
-        assert!(decode_keys(&stale, 3).is_none());
-        std::fs::write(&path, &stale).unwrap();
-        assert!(load_keys(&path, 3).is_none());
+        for version in [1, 2] {
+            let path = std::env::temp_dir().join(format!(
+                "waku-rln-keycache-v{version}-{}.bin",
+                std::process::id()
+            ));
+            // The same body under a valid header and checksum of that version.
+            let stale = envelope::seal(MAGIC, version, |out| {
+                out.extend_from_slice(&current[MAGIC.len() + 4..current.len() - 8])
+            });
+            assert!(decode_keys(&stale, 3).is_none(), "version {version}");
+            std::fs::write(&path, &stale).unwrap();
+            assert!(load_keys(&path, 3).is_none());
 
-        let (regenerated, _) = RlnProver::keygen_or_load(3, &path, &mut rng);
-        assert_ne!(regenerated.proving_key().vk, prover.proving_key().vk);
-        let (pk, _) = load_keys(&path, 3).expect("overwritten with the current version");
-        assert_eq!(pk.vk, regenerated.proving_key().vk);
-        let _ = std::fs::remove_file(&path);
+            let (regenerated, _) = RlnProver::keygen_or_load(3, &path, &mut rng);
+            assert_ne!(regenerated.proving_key().vk, prover.proving_key().vk);
+            let written = std::fs::read(&path).unwrap();
+            let (pk, _) = decode_keys(&written, 3).expect("overwritten with the current version");
+            assert_eq!(pk.vk, regenerated.proving_key().vk);
+            // Once: the next open loads that file and leaves it as it is.
+            let (reloaded, _) = RlnProver::keygen_or_load(3, &path, &mut rng);
+            assert_eq!(reloaded.proving_key().vk, regenerated.proving_key().vk);
+            assert_eq!(std::fs::read(&path).unwrap(), written);
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! The prover-side [`quotient_poly_checked`] is a proving hot path and runs on the
 //! [`waku_pool`] work-stealing pool: the per-constraint ⟨row, z⟩
-//! evaluations are chunked across workers, the three interpolate→coset
-//! pipelines run as concurrent tasks (each using the parallel FFT in
+//! evaluations are chunked across workers, the three evaluations→coset
+//! transforms run as concurrent tasks (each using the parallel FFT in
 //! `waku-arith`), and the pointwise quotient loop is chunk-parallel. All
 //! of it is bit-identical to the serial schedule at any pool size.
 
@@ -127,29 +127,29 @@ pub fn quotient_poly_checked(cs: &ConstraintSystem) -> Result<Vec<Fr>, usize> {
         evals.resize(n, Fr::zero());
         evals
     };
-    let (a_evals, b_evals, c_evals) = (
+    let (mut a, mut b, mut c) = (
         row_evals(&shape.a),
         row_evals(&shape.b),
         row_evals(&shape.c),
     );
 
     // Satisfaction check, fused: constraint j holds iff its row evals do.
-    if let Some(j) = (0..m).find(|&j| a_evals[j] * b_evals[j] != c_evals[j]) {
+    if let Some(j) = (0..m).find(|&j| a[j] * b[j] != c[j]) {
         return Err(j);
     }
 
-    // Interpolate and move to the coset — the three polynomial pipelines
+    // Move each to the coset in place — the three polynomial pipelines
     // are independent, so they run as concurrent pool tasks (and each FFT
     // additionally splits its butterfly stages across the same pool). The
     // twiddle tables are forced first so the tasks share them instead of
     // racing on the lazy initialization.
     domain.prepare_twiddles();
-    let (a_coset, (b_coset, c_coset)) = waku_pool::join(
-        || domain.coset_fft(&domain.ifft(&a_evals)),
+    waku_pool::join(
+        || domain.evals_to_coset(&mut a),
         || {
             waku_pool::join(
-                || domain.coset_fft(&domain.ifft(&b_evals)),
-                || domain.coset_fft(&domain.ifft(&c_evals)),
+                || domain.evals_to_coset(&mut b),
+                || domain.evals_to_coset(&mut c),
             )
         },
     );
@@ -159,13 +159,13 @@ pub fn quotient_poly_checked(cs: &ConstraintSystem) -> Result<Vec<Fr>, usize> {
         .z_on_coset()
         .inverse()
         .expect("Z nonzero away from the domain");
-    let mut h_coset = a_coset;
+    let mut h_coset = a;
     let chunk = waku_pool::chunk_size_for(n, 1024);
     waku_pool::scope(|s| {
         for ((h, b), c) in h_coset
             .chunks_mut(chunk)
-            .zip(b_coset.chunks(chunk))
-            .zip(c_coset.chunks(chunk))
+            .zip(b.chunks(chunk))
+            .zip(c.chunks(chunk))
         {
             s.spawn(move || with_lanes(Pointwise { h, b, c, z_inv }));
         }

@@ -17,9 +17,8 @@
 //! assignment, where one sparse row per matrix row held 1.54 MB and a
 //! `Vec<(Variable, Fr)>` per combination 8.6 MB. Everything downstream —
 //! the QAP reduction, the witness solver, the satisfaction check —
-//! evaluates each distinct combination once per assignment. The shape
-//! codec in [`crate::serialize`] still writes every row in full, and
-//! rebuilds the table when it reads a shape.
+//! evaluates each distinct combination once per assignment, and the shape
+//! codec in [`crate::serialize`] writes and reads these tables as held.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -145,7 +144,7 @@ impl From<Fr> for LinearCombination {
 /// `z = (1, instance…, witness…)`, the id indexes [`Shape::coeffs`]. 8 B a
 /// term, against 48 B for a `(Variable, Fr)` in a heap `Vec` per
 /// combination. [`Shape::combos`] holds the distinct combinations this
-/// way; the shape codec reads and writes each matrix this way.
+/// way, and the shape codec writes them so.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct SparseMatrix {
     pub(crate) row_end: Vec<u32>,
@@ -204,8 +203,8 @@ impl Shape {
     /// Appends one constraint's three combinations, each as the id of its
     /// entry in [`Self::combos`] (a new entry the first time it appears).
     /// `index` covers every entry; it is rebuilt from the table when it
-    /// holds fewer.
-    pub(crate) fn push_constraint(&mut self, index: &mut ComboIndex, rows: [&[(u32, u32)]; 3]) {
+    /// holds fewer (a late `alloc_input` shifted the table's columns).
+    fn push_constraint(&mut self, index: &mut ComboIndex, rows: [&[(u32, u32)]; 3]) {
         if index.len() < self.combos.len() {
             index.rebuild(&self.combos);
         }
@@ -231,11 +230,11 @@ impl Shape {
 ///
 /// The hash is a multiply-rotate over the packed terms, seeded from the
 /// process's random hash keys and mixed once at the end; the map uses the
-/// key as its own hash. SipHash over the terms cost more than the rest of
-/// a shape decode together (≈ 2 ms for the depth-20 template). A
-/// collision costs a comparison, never a wrong id.
+/// key as its own hash: SipHash over the terms cost ≈ 2 ms over the
+/// depth-20 template's rows. A collision costs a comparison, never a
+/// wrong id.
 #[derive(Clone, Debug)]
-pub(crate) struct ComboIndex {
+struct ComboIndex {
     map: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
     seed: u64,
 }
@@ -325,8 +324,7 @@ pub struct ConstraintSystem {
     shape: Arc<Shape>,
     /// Coefficient value → id in `shape.coeffs`, and a combination's
     /// terms → id in `shape.combos`. Construction-time only: `finalize`
-    /// drops them, and `enforce` rebuilds them from the tables when they
-    /// are missing (a deserialized shape that is still being extended).
+    /// drops them, and a finalized system takes no constraints.
     interner: HashMap<Fr, u32>,
     combo_index: ComboIndex,
     finalized: bool,
@@ -379,19 +377,21 @@ impl ConstraintSystem {
     /// Adds the constraint `a · b = c`: each combination, terms in the
     /// order given, becomes the id of its entry in the table of distinct
     /// combinations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after [`ConstraintSystem::finalize`].
     pub fn enforce(
         &mut self,
         a: impl Into<LinearCombination>,
         b: impl Into<LinearCombination>,
         c: impl Into<LinearCombination>,
     ) {
+        assert!(!self.finalized, "cannot enforce after finalize");
         let lcs: [LinearCombination; 3] = [a.into(), b.into(), c.into()];
         let num_instance = self.instance.len();
         let shape = Arc::make_mut(&mut self.shape);
         let (coeffs, interner) = (&mut shape.coeffs, &mut self.interner);
-        if interner.len() < coeffs.len() {
-            *interner = (0u32..).zip(&*coeffs).map(|(k, c)| (*c, k)).collect();
-        }
         let rows = lcs.map(|lc| {
             lc.0.into_iter()
                 .map(|(var, coeff)| {
@@ -426,7 +426,7 @@ impl ConstraintSystem {
     }
 
     /// Number of terms over all three matrices, each row counted in full
-    /// (as the shape codec writes it).
+    /// although rows that share a combination hold its terms once.
     pub fn num_terms(&self) -> usize {
         let shape = &*self.shape;
         [&shape.a, &shape.b, &shape.c]
@@ -587,16 +587,11 @@ impl ConstraintSystem {
         self.finalized
     }
 
-    /// Rebuilds a system from a deserialized *shape* (see
+    /// Rebuilds a finalized system from a deserialized *shape* (see
     /// [`crate::serialize`], which has validated every index in it): the
     /// assignment is zeroed except for the constant-one instance variable,
     /// exactly like a template whose values have not been bound yet.
-    pub(crate) fn from_shape(
-        num_instance: usize,
-        num_witness: usize,
-        shape: Shape,
-        finalized: bool,
-    ) -> Self {
+    pub(crate) fn from_shape(num_instance: usize, num_witness: usize, shape: Shape) -> Self {
         assert!(num_instance >= 1, "instance 0 is the constant one");
         let mut instance = vec![Fr::zero(); num_instance];
         instance[0] = Fr::one();
@@ -606,7 +601,7 @@ impl ConstraintSystem {
             shape: Arc::new(shape),
             interner: HashMap::new(),
             combo_index: ComboIndex::default(),
-            finalized,
+            finalized: true,
         }
     }
 
@@ -719,6 +714,15 @@ mod tests {
         cs.finalize();
         assert_eq!(cs.num_constraints(), before + 2);
         assert!(cs.check_satisfied().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot enforce after finalize")]
+    fn enforce_after_finalize_panics() {
+        let mut cs = ConstraintSystem::new();
+        let x = cs.alloc_witness(Fr::from_u64(3));
+        cs.finalize();
+        cs.enforce(x, x, Fr::from_u64(9));
     }
 
     #[test]

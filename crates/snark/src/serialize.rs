@@ -2,12 +2,20 @@
 //! shapes — the payload format under `waku-rln`'s on-disk keygen cache.
 //!
 //! Everything is little-endian and length-prefixed; a shape is the
-//! constraint system's sparse-row arrays and coefficient table, written
-//! as held ([`cs_shape_to_bytes`]); group points are
+//! constraint system's coefficient table, combination table and three
+//! combination-id arrays, written as held ([`put_cs_shape`]) and read
+//! back into those tables without re-interning a row; group points are
 //! uncompressed affine coordinates with `(0, 0)` (not on either curve, as
 //! `b ≠ 0`) denoting the point at infinity. Deserialization re-checks
-//! canonicity of every field element and curve membership of every point,
-//! so a corrupted blob yields `None` rather than an invalid key.
+//! canonicity of every field element, curve membership of every point and
+//! the range of every index, so a corrupted blob yields `None` rather than
+//! an invalid key or shape.
+//!
+//! Each format has a writer onto a caller's buffer (`put_*`) and a reader
+//! from a caller's cursor (`read_*`), so a file holding several of them
+//! is written into one buffer and read through one cursor; the
+//! `*_to_bytes` / `*_from_bytes` pairs are the same codecs over a buffer
+//! of their own.
 
 use waku_arith::fields::Fr;
 use waku_arith::traits::PrimeField;
@@ -17,7 +25,7 @@ use waku_curve::g2::G2Affine;
 use waku_wire::{put_len, put_u32, Reader};
 
 use crate::groth16::{ProvingKey, VerifyingKey};
-use crate::r1cs::{ComboIndex, ConstraintSystem, Shape};
+use crate::r1cs::{ConstraintSystem, Shape, SparseMatrix};
 
 fn put_g1(out: &mut Vec<u8>, p: &G1Affine) {
     if p.is_identity() {
@@ -77,15 +85,12 @@ fn read_g1_vec(r: &mut Reader) -> Option<Vec<G1Affine>> {
     (0..r.count(64).ok()?).map(|_| read_g1(r)).collect()
 }
 
-/// Serializes a verifying key.
-fn vk_to_bytes(vk: &VerifyingKey) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vk.size_in_bytes() + 8);
-    put_g1(&mut out, &vk.alpha_g1);
-    put_g2(&mut out, &vk.beta_g2);
-    put_g2(&mut out, &vk.gamma_g2);
-    put_g2(&mut out, &vk.delta_g2);
-    put_g1_vec(&mut out, &vk.ic);
-    out
+fn put_vk(out: &mut Vec<u8>, vk: &VerifyingKey) {
+    put_g1(out, &vk.alpha_g1);
+    put_g2(out, &vk.beta_g2);
+    put_g2(out, &vk.gamma_g2);
+    put_g2(out, &vk.delta_g2);
+    put_g1_vec(out, &vk.ic);
 }
 
 fn read_vk(r: &mut Reader) -> Option<VerifyingKey> {
@@ -101,20 +106,25 @@ fn read_vk(r: &mut Reader) -> Option<VerifyingKey> {
 /// Serializes a proving key (embedded verifying key included) — the key
 /// material only: the witness-derived state `prove` carries between proofs
 /// is not part of the format, so the bytes are the same before and after
-/// any number of proofs and [`pk_from_bytes`] always yields a cold key.
+/// any number of proofs and [`read_pk`] always yields a cold key.
+pub fn put_pk(out: &mut Vec<u8>, pk: &ProvingKey) {
+    put_vk(out, &pk.vk);
+    put_g1(out, &pk.beta_g1);
+    put_g1(out, &pk.delta_g1);
+    put_g1_vec(out, &pk.a_query);
+    put_g1_vec(out, &pk.b_g1_query);
+    put_len(out, pk.b_g2_query.len());
+    for p in &pk.b_g2_query {
+        put_g2(out, p);
+    }
+    put_g1_vec(out, &pk.h_query);
+    put_g1_vec(out, &pk.l_query);
+}
+
+/// [`put_pk`] into a buffer of its own.
 pub fn pk_to_bytes(pk: &ProvingKey) -> Vec<u8> {
     let mut out = Vec::with_capacity(pk.size_in_bytes() + 32);
-    out.extend_from_slice(&vk_to_bytes(&pk.vk));
-    put_g1(&mut out, &pk.beta_g1);
-    put_g1(&mut out, &pk.delta_g1);
-    put_g1_vec(&mut out, &pk.a_query);
-    put_g1_vec(&mut out, &pk.b_g1_query);
-    put_len(&mut out, pk.b_g2_query.len());
-    for p in &pk.b_g2_query {
-        put_g2(&mut out, p);
-    }
-    put_g1_vec(&mut out, &pk.h_query);
-    put_g1_vec(&mut out, &pk.l_query);
+    put_pk(&mut out, pk);
     out
 }
 
@@ -129,7 +139,9 @@ pub fn pk_from_bytes(bytes: &[u8]) -> Option<ProvingKey> {
     Some(pk)
 }
 
-fn read_pk(r: &mut Reader) -> Option<ProvingKey> {
+/// Reads a key written by [`put_pk`], validating every point; `None` on
+/// truncation, a non-canonical field element or an off-curve point.
+pub fn read_pk(r: &mut Reader) -> Option<ProvingKey> {
     let vk = read_vk(r)?;
     let beta_g1 = read_g1(r)?;
     let delta_g1 = read_g1(r)?;
@@ -153,114 +165,78 @@ fn read_pk(r: &mut Reader) -> Option<ProvingKey> {
     })
 }
 
-/// Writes the matrix whose rows are the combinations `ids` as sparse rows.
-fn put_matrix(out: &mut Vec<u8>, shape: &Shape, ids: &[u32]) {
-    let mut end = 0u32;
-    for &id in ids {
-        end = u32::try_from(shape.combo(id).len())
-            .ok()
-            .and_then(|len| end.checked_add(len))
-            .expect("fewer than 2³² terms in a matrix");
-        put_u32(out, end);
-    }
-    for &id in ids {
-        for &(col, coeff) in shape.combo(id) {
-            put_u32(out, col);
-            put_u32(out, coeff);
-        }
-    }
-}
-
-/// One matrix as written: its row ends, checked to be non-decreasing,
-/// and its terms' bytes, read row by row as [`Shape::push_constraint`]
-/// needs them.
-struct RawMatrix<'a> {
-    row_end: Vec<u32>,
-    terms: &'a [u8],
-}
-
-fn read_matrix<'a>(r: &mut Reader<'a>, rows: usize) -> Option<RawMatrix<'a>> {
-    let mut row_end = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let end = r.u32().ok()?;
-        if row_end.last().is_some_and(|prev| end < *prev) {
-            return None;
-        }
-        row_end.push(end);
-    }
-    // The last row end is the term count.
-    let n = r
-        .fits(row_end.last().copied().unwrap_or(0).into(), 8)
-        .ok()?;
-    Some(RawMatrix {
-        row_end,
-        terms: r.take(n * 8).ok()?,
-    })
-}
-
-impl RawMatrix<'_> {
-    /// Row `j`'s terms into `out`; `None` for a column or coefficient id
-    /// out of range.
-    fn row(
-        &self,
-        j: usize,
-        num_vars: usize,
-        num_coeffs: usize,
-        out: &mut Vec<(u32, u32)>,
-    ) -> Option<()> {
-        let start = j.checked_sub(1).map_or(0, |i| self.row_end[i]) as usize;
-        out.clear();
-        for term in self.terms[start * 8..self.row_end[j] as usize * 8].chunks_exact(8) {
-            let word = |k: usize| u32::from_le_bytes(term[k..k + 4].try_into().expect("4 bytes"));
-            let (col, id) = (word(0), word(4));
-            if col as usize >= num_vars || id as usize >= num_coeffs {
-                return None;
-            }
-            out.push((col, id));
-        }
-        Some(())
-    }
-}
-
-/// Serializes a constraint system's *shape* (variable counts and the
-/// three sparse matrices — not the assignment, which provers rebind per
-/// proof). Each matrix is written row by row, every row's terms in full,
-/// although the system holds each distinct combination once:
+/// Serializes a finalized constraint system's *shape* — its variable
+/// counts and the tables [`Shape`] holds, not the assignment, which
+/// provers rebind per proof. Each distinct combination is written once,
+/// and each row as the id of its combination:
 ///
 /// ```text
-/// num_instance:u32 ‖ num_witness:u32 ‖ finalized:u8
-///   ‖ |table|:u32 ‖ table (32 B each) ‖ rows:u32
-///   ‖ for A, B, C: row_end (rows × u32) ‖ terms (col:u32 ‖ id:u32 each)
+/// num_instance:u32 ‖ num_witness:u32
+///   ‖ |coeffs|:u32 ‖ coeffs (32 B each)
+///   ‖ |combos|:u32 ‖ row_end (u32 each) ‖ |terms|:u32 ‖ terms (col:u32 ‖ coeff id:u32 each)
+///   ‖ rows:u32 ‖ A ‖ B ‖ C (rows × combination id:u32 each)
 /// ```
-pub fn cs_shape_to_bytes(cs: &ConstraintSystem) -> Vec<u8> {
+///
+/// # Panics
+///
+/// Panics if `cs` is not finalized.
+pub fn put_cs_shape(out: &mut Vec<u8>, cs: &ConstraintSystem) {
+    assert!(cs.is_finalized(), "only a finalized shape is written");
     let shape = cs.shape();
-    let mut out = Vec::with_capacity(
-        17 + shape.coeffs.len() * 32 + cs.num_constraints() * 12 + cs.num_terms() * 8,
-    );
-    put_len(&mut out, cs.num_instance());
-    put_len(&mut out, cs.num_witness());
-    out.push(cs.is_finalized() as u8);
-    put_len(&mut out, shape.coeffs.len());
+    put_len(out, cs.num_instance());
+    put_len(out, cs.num_witness());
+    put_len(out, shape.coeffs.len());
     for coeff in &shape.coeffs {
         out.extend_from_slice(&coeff.to_le_bytes());
     }
-    put_len(&mut out, cs.num_constraints());
-    for ids in [&shape.a, &shape.b, &shape.c] {
-        put_matrix(&mut out, shape, ids);
+    put_len(out, shape.combos.row_end.len());
+    for &end in &shape.combos.row_end {
+        put_u32(out, end);
     }
+    put_len(out, shape.combos.terms.len());
+    for &(col, coeff) in &shape.combos.terms {
+        put_u32(out, col);
+        put_u32(out, coeff);
+    }
+    put_len(out, cs.num_constraints());
+    for &id in [&shape.a, &shape.b, &shape.c].into_iter().flatten() {
+        put_u32(out, id);
+    }
+}
+
+/// [`put_cs_shape`] into a buffer of its own.
+pub fn cs_shape_to_bytes(cs: &ConstraintSystem) -> Vec<u8> {
+    // The held tables bound their encoding: the counts take less than
+    // the assignment the encoding leaves out.
+    let mut out = Vec::with_capacity(cs.resident_bytes());
+    put_cs_shape(&mut out, cs);
     out
 }
 
-/// Deserializes a constraint-system shape; the assignment comes back
-/// zeroed (constant one aside) for the caller to rebind. The table of
-/// distinct combinations is rebuilt from the rows, constraint by
-/// constraint, so it numbers them as the system that wrote them did.
+/// The little-endian word in `bytes`, 4 long.
+fn word(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+}
+
+/// `n` words, `None` unless each is below `bound`.
+fn read_words(r: &mut Reader, n: usize, bound: usize) -> Option<Vec<u32>> {
+    r.take(n.checked_mul(4)?)
+        .ok()?
+        .chunks_exact(4)
+        .map(|w| Some(word(w)).filter(|&v| (v as usize) < bound))
+        .collect()
+}
+
+/// Reads a shape written by [`put_cs_shape`] into a finalized system;
+/// the assignment comes back zeroed (constant one aside) for the caller
+/// to rebind. The tables are range-checked and kept as read: a table
+/// whose entries repeat is still a valid shape.
 ///
-/// Returns `None` on truncation, trailing bytes, a declared count the
-/// remaining bytes cannot back, a non-canonical coefficient, decreasing
-/// row ends, or a term whose column or coefficient id is out of range.
-pub fn cs_shape_from_bytes(bytes: &[u8]) -> Option<ConstraintSystem> {
-    let mut r = Reader::new(bytes);
+/// Returns `None` on truncation, a declared count the remaining bytes
+/// cannot back, no constant-one variable, a non-canonical coefficient,
+/// combination row ends that decrease or do not end at the term count,
+/// or a column, coefficient id or combination id out of range.
+pub fn read_cs_shape(r: &mut Reader) -> Option<ConstraintSystem> {
     let num_instance = r.u32().ok()? as usize;
     let num_witness = r.u32().ok()? as usize;
     if num_instance == 0 {
@@ -270,37 +246,49 @@ pub fn cs_shape_from_bytes(bytes: &[u8]) -> Option<ConstraintSystem> {
     // the counts are length prefixes too: a shape may not declare more
     // variables than it has bytes left to mention them in.
     let num_vars = r.fits(num_instance as u64 + num_witness as u64, 1).ok()?;
-    let finalized = r.bool().ok()?;
     let coeffs = (0..r.count(32).ok()?)
-        .map(|_| read_field::<Fr>(&mut r))
+        .map(|_| read_field::<Fr>(r))
         .collect::<Option<Vec<_>>>()?;
-    // Smallest constraint: one row end in each matrix.
-    let rows = r.count(12).ok()?;
-    let matrices = [
-        read_matrix(&mut r, rows)?,
-        read_matrix(&mut r, rows)?,
-        read_matrix(&mut r, rows)?,
-    ];
-    r.finish().ok()?;
-    let num_coeffs = coeffs.len();
-    let mut shape = Shape {
-        coeffs,
-        ..Shape::default()
-    };
-    let mut index = ComboIndex::default();
-    let mut terms: [Vec<(u32, u32)>; 3] = Default::default();
-    for j in 0..rows {
-        for (m, out) in matrices.iter().zip(&mut terms) {
-            m.row(j, num_vars, num_coeffs, out)?;
-        }
-        shape.push_constraint(&mut index, terms.each_ref().map(Vec::as_slice));
+    // Row ends are checked against the term count once it is read.
+    let num_combos = r.count(4).ok()?;
+    let row_end = read_words(r, num_combos, usize::MAX)?;
+    let num_terms = r.count(8).ok()?;
+    if row_end.windows(2).any(|w| w[1] < w[0])
+        || row_end.last().map_or(0, |&end| end as usize) != num_terms
+    {
+        return None;
     }
+    let terms = r
+        .take(num_terms * 8)
+        .ok()?
+        .chunks_exact(8)
+        .map(|t| {
+            let (col, coeff) = (word(&t[..4]), word(&t[4..]));
+            ((col as usize) < num_vars && (coeff as usize) < coeffs.len()).then_some((col, coeff))
+        })
+        .collect::<Option<Vec<_>>>()?;
+    // Smallest constraint: one combination id in each matrix.
+    let rows = r.count(12).ok()?;
+    let shape = Shape {
+        a: read_words(r, rows, num_combos)?,
+        b: read_words(r, rows, num_combos)?,
+        c: read_words(r, rows, num_combos)?,
+        combos: SparseMatrix { row_end, terms },
+        coeffs,
+    };
     Some(ConstraintSystem::from_shape(
         num_instance,
         num_witness,
         shape,
-        finalized,
     ))
+}
+
+/// [`read_cs_shape`] over exactly `bytes`: trailing bytes are `None` too.
+pub fn cs_shape_from_bytes(bytes: &[u8]) -> Option<ConstraintSystem> {
+    let mut r = Reader::new(bytes);
+    let cs = read_cs_shape(&mut r)?;
+    r.finish().ok()?;
+    Some(cs)
 }
 
 #[cfg(test)]
@@ -352,11 +340,38 @@ mod tests {
         assert_eq!(cs_shape_to_bytes(&restored), bytes);
     }
 
+    /// Layout 3 of `y = x·x`, `w₁ = s·x`, `w₂ = y·s` (`s = x + 3v`),
+    /// spelled out from the layout: `s` is A of row 1 and B of row 2, and
+    /// `1·y` C of row 0 and A of row 2, and each is written once.
     #[test]
-    fn shape_bytes_with_shared_combinations_are_unchanged() {
-        // Every row written in full, as before the system held each
-        // distinct combination once: the same 225 bytes.
-        const EXPECTED: &str = "010000000500000001020000000100000000000000000000000000000000000000000000000000000000000000030000000000000000000000000000000000000000000000000000000000000004000000010000000300000004000000050000000100000000000000010000000000000002000000010000000300000000000000000000000000000001000000020000000400000004000000010000000000000001000000000000000100000000000000020000000100000001000000020000000300000003000000030000000000000004000000000000000500000000000000";
+    fn shape_bytes_write_each_shared_combination_once() {
+        const EXPECTED: &str = concat!(
+            // num_instance = 1 (the constant one), num_witness = 5
+            "0100000005000000",
+            // two coefficients: 1 and 3
+            "02000000",
+            "0100000000000000000000000000000000000000000000000000000000000000",
+            "0300000000000000000000000000000000000000000000000000000000000000",
+            // seven combinations — x, 1·y, s (two terms), w₁, w₂, ONE and
+            // the empty one — as their row ends
+            "07000000",
+            "01000000020000000400000005000000060000000700000007000000",
+            // their seven terms, (column, coefficient id), where ONE is
+            // column 0, x 1, v 2, y 3, w₁ 4 and w₂ 5
+            "07000000",
+            "0100000000000000",                 // x
+            "0300000000000000",                 // 1·y
+            "01000000000000000200000001000000", // s = x + 3v
+            "0400000000000000",                 // w₁
+            "0500000000000000",                 // w₂
+            "0000000000000000",                 // ONE
+            // four rows (row 3 is finalize's ONE · 0 = 0), then A, B and C
+            // as combination ids
+            "04000000",
+            "00000000020000000100000005000000",
+            "00000000000000000200000006000000",
+            "01000000030000000400000006000000",
+        );
         let cs = crate::r1cs::shared_combination_cs();
         let bytes = cs_shape_to_bytes(&cs);
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
@@ -386,19 +401,19 @@ mod tests {
     }
 
     /// Every way a hostile shape blob can lie is `None` before anything
-    /// is sized from it. The toy shape is 125 bytes:
+    /// is sized from it. The toy shape is 144 bytes:
     ///
     /// ```text
-    ///   0 num_instance=2   4 num_witness=2   8 finalized=1
-    ///   9 |table|=1       13 table[0]=1     45 rows=3
-    ///  49 A: row_end 1,2,3   61 terms (2,0) (0,0) (1,0)
-    ///  85 B: row_end 1,1,1   97 terms (3,0)
-    /// 105 C: row_end 1,1,1  117 terms (1,0)
+    ///   0 num_instance=2   4 num_witness=2
+    ///   8 |coeffs|=1      12 coeffs[0]=1
+    ///  44 |combos|=5      48 row_end 1,2,3,4,4
+    ///  68 |terms|=4       72 terms (2,0) (3,0) (1,0) (0,0)
+    /// 104 rows=3         108 A 0,3,2   120 B 1,4,4   132 C 2,4,4
     /// ```
     #[test]
     fn hostile_shape_bytes_rejected() {
         let shape = cs_shape_to_bytes(&toy_cs());
-        assert_eq!(shape.len(), 125);
+        assert_eq!(shape.len(), 144);
         assert!(cs_shape_from_bytes(&shape).is_some());
         let with_u32 = |at: usize, v: u32| {
             let mut bad = shape.clone();
@@ -407,27 +422,41 @@ mod tests {
         };
         assert!(cs_shape_from_bytes(&shape[..shape.len() - 1]).is_none());
         // Column ≥ variable count (there are four variables).
-        assert!(with_u32(61, 4).is_none());
-        assert!(with_u32(117, u32::MAX).is_none());
+        assert!(with_u32(72, 4).is_none());
+        assert!(with_u32(96, u32::MAX).is_none());
         // Coefficient id ≥ table length.
-        assert!(with_u32(65, 1).is_none());
-        // Row ends that decrease, or that lie past the bytes left.
-        assert!(with_u32(53, 0).is_none());
-        assert!(with_u32(57, u32::MAX).is_none());
-        assert!(with_u32(113, 2).is_none());
+        assert!(with_u32(76, 1).is_none());
+        // Combination id ≥ table length, in each matrix.
+        assert!(with_u32(108, 5).is_none());
+        assert!(with_u32(124, 5).is_none());
+        assert!(with_u32(140, u32::MAX).is_none());
+        // Row ends that decrease, that lie past the term count, or whose
+        // last is not the term count.
+        assert!(with_u32(52, 0).is_none());
+        assert!(with_u32(56, 5).is_none());
+        assert!(with_u32(64, 3).is_none());
+        assert!(with_u32(64, 5).is_none());
         // No constant-one variable.
         assert!(with_u32(0, 0).is_none());
         // Declared counts the bytes cannot back — variables (they size the
-        // assignment vectors), table entries, rows — are refused before
-        // anything is allocated.
-        assert!(with_u32(0, u32::MAX).is_none());
-        assert!(with_u32(4, u32::MAX).is_none());
-        assert!(with_u32(9, u32::MAX).is_none());
-        assert!(with_u32(45, u32::MAX).is_none());
+        // assignment vectors), table entries, row ends, terms, rows — are
+        // refused before anything is allocated.
+        for at in [0, 4, 8, 44, 68, 104] {
+            assert!(with_u32(at, u32::MAX).is_none(), "count at {at}");
+        }
         // A table entry ≥ the field modulus.
         let mut bad = shape.clone();
-        bad[13..45].fill(0xFF);
+        bad[12..44].fill(0xFF);
         assert!(cs_shape_from_bytes(&bad).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "finalized")]
+    fn unfinalized_shape_is_not_written() {
+        let mut cs = ConstraintSystem::new();
+        let x = cs.alloc_witness(Fr::from_u64(3));
+        cs.enforce(x, x, Fr::from_u64(9));
+        let _ = cs_shape_to_bytes(&cs);
     }
 
     #[test]

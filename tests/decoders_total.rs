@@ -8,10 +8,13 @@
 //!
 //! * **golden bytes** — the encoder still produces exactly the bytes it
 //!   produced before every codec moved onto `waku-wire` (literals and
-//!   fingerprints captured at the parent commit — except the two rows
-//!   whose format PR 23 changed on purpose, the constraint-system shape
-//!   and the `keys.bin` that embeds it), and the decoder reads them back
-//!   to the same bytes;
+//!   fingerprints captured at the parent commit — except the three rows
+//!   whose format has changed on purpose since: the toy constraint-system
+//!   shape's hex, the RLN template shape's fingerprint and the fingerprint
+//!   of the `keys.bin` that embeds it, re-pinned when the shape became
+//!   sparse rows and again at shape layout 3, which writes each distinct
+//!   combination once), and the decoder reads them back to the same
+//!   bytes;
 //! * **totality** — under every truncation, single-byte flip and
 //!   maxed-out 4/8-byte window the decoder never panics and never
 //!   over-reads, and returns either `None`/`Err` or a value that
@@ -140,14 +143,23 @@ fn rows() -> Vec<Row> {
         Row {
             name: "snark::serialize constraint-system shape",
             sample: cs_shape_to_bytes(&cs),
-            // Shape layout 2 (counts, coefficient table, then each matrix's
-            // row ends and (column, coefficient id) terms), spelled out
-            // from the layout rather than captured from the encoder.
+            // Shape layout 3 (counts, the coefficient table, the table of
+            // distinct combinations, then each matrix's combination ids),
+            // spelled out from the layout rather than captured from the
+            // encoder. Row 2 (finalize's `out · 0 = 0`) reuses row 0's C.
             golden: Golden::Hex(concat!(
-                "02000000020000000101000000010000000000000000000000000000000000000000000000000000",
-                "00000000000300000001000000020000000300000002000000000000000000000000000000010000",
-                "00000000000100000001000000010000000300000000000000010000000100000001000000010000",
-                "0000000000",
+                "02000000",
+                "02000000",
+                "01000000",
+                "0100000000000000000000000000000000000000000000000000000000000000",
+                "05000000",
+                "0100000002000000030000000400000004000000",
+                "04000000",
+                "0200000000000000030000000000000001000000000000000000000000000000",
+                "03000000",
+                "000000000300000002000000",
+                "010000000400000004000000",
+                "020000000400000004000000",
             )),
             decode: |b| Some(cs_shape_to_bytes(&cs_shape_from_bytes(b)?)),
         },
@@ -157,20 +169,21 @@ fn rows() -> Vec<Row> {
         Row {
             name: "snark::serialize RLN template shape",
             sample: cs_shape_to_bytes(&template),
+            // Layout 3: this fingerprint is this commit's.
             golden: Golden::Fingerprint {
-                len: 362297,
-                fnv1a64: 0xb534_cb1d_28fe_b352,
+                len: 159560,
+                fnv1a64: 0x7de8_390a_c766_167e,
             },
             decode: |b| Some(cs_shape_to_bytes(&cs_shape_from_bytes(b)?)),
         },
         Row {
             name: "rln::keycache blob (keys.bin)",
             sample: encode_keys(KEY_DEPTH, prover.proving_key(), &template),
-            // Envelope version 2 (the embedded shape is layout 2): this
-            // fingerprint is this commit's; version 1 was 2 089 444 bytes.
+            // Envelope version 3 (shape layout 3, then the key, neither
+            // length-prefixed): this fingerprint is this commit's.
             golden: Golden::Fingerprint {
-                len: 948657,
-                fnv1a64: 0xd5f6_2272_2489_68f2,
+                len: 745912,
+                fnv1a64: 0xfdd7_f2b2_5bd0_4f04,
             },
             decode: |b| {
                 let (pk, template) = decode_keys(b, KEY_DEPTH)?;
