@@ -67,9 +67,11 @@ pub const PAR_FFT_MIN: usize = 1 << 12;
 /// use waku_arith::{fft::Radix2Domain, fields::Fr, traits::PrimeField};
 /// let domain = Radix2Domain::<Fr>::new(5).unwrap(); // size ≥ 5 → 8
 /// assert_eq!(domain.size(), 8);
-/// let mut poly = vec![Fr::from_u64(3), Fr::from_u64(1)]; // 3 + x
-/// let evals = domain.fft(&poly);
-/// let back = domain.ifft(&evals);
+/// let poly = vec![Fr::from_u64(3), Fr::from_u64(1)]; // 3 + x
+/// let mut evals = domain.fft(&poly);
+/// assert_eq!(evals[1], Fr::from_u64(3) + domain.group_gen()); // 3 + ω
+/// domain.evals_to_coset(&mut evals); // the same polynomial over g·H
+/// let back = domain.coset_ifft(&evals);
 /// assert_eq!(&back[..2], &poly[..]);
 /// ```
 #[derive(Clone, Debug)]
@@ -278,10 +280,12 @@ impl<F: PrimeField + LaneField> Radix2Domain<F> {
     fn transform<B: LaneBody>(&self, body: B, kind: Transform, values: &mut [F]) {
         match kind {
             Transform::Fft => Self::fft_in_place(body, values, self.forward_twiddles()),
+            #[cfg(test)]
             Transform::Ifft => {
                 Self::fft_in_place(body, values, self.inverse_twiddles());
                 Self::scale(body, values, self.size_inv, None);
             }
+            #[cfg(test)]
             Transform::CosetFft => {
                 Self::scale(body, values, F::one(), Some(self.coset_gen));
                 Self::fft_in_place(body, values, self.forward_twiddles());
@@ -330,6 +334,7 @@ impl<F: PrimeField + LaneField> Radix2Domain<F> {
     /// # Panics
     ///
     /// Panics if `evals.len() != self.size()`.
+    #[cfg(test)]
     pub fn ifft(&self, evals: &[F]) -> Vec<F> {
         assert_eq!(evals.len(), self.size, "evaluation count must match domain");
         self.transformed(Transform::Ifft, evals)
@@ -337,12 +342,14 @@ impl<F: PrimeField + LaneField> Radix2Domain<F> {
 
     /// Evaluates over the coset `g·H` (g the field's multiplicative
     /// generator), which avoids the zeros of the vanishing polynomial.
+    #[cfg(test)]
     pub fn coset_fft(&self, coeffs: &[F]) -> Vec<F> {
         assert!(coeffs.len() <= self.size, "polynomial larger than domain");
         self.transformed(Transform::CosetFft, coeffs)
     }
 
-    /// Inverse of [`Radix2Domain::coset_fft`].
+    /// Interpolates evaluations over the coset `g·H` (g the field's
+    /// multiplicative generator) back to coefficients.
     ///
     /// # Panics
     ///
@@ -353,8 +360,8 @@ impl<F: PrimeField + LaneField> Radix2Domain<F> {
     }
 
     /// Moves a polynomial's evaluations over the domain to its evaluations
-    /// over the coset `g·H`, in place: `coset_fft(ifft(values))`, with one
-    /// scaling pass where those two make two.
+    /// over the coset `g·H`, in place: an inverse transform, one `n⁻¹·gⁱ`
+    /// scaling pass and a forward transform.
     ///
     /// # Panics
     ///
@@ -388,7 +395,9 @@ impl<F: PrimeField + LaneField> Radix2Domain<F> {
 #[derive(Clone, Copy, Debug)]
 enum Transform {
     Fft,
+    #[cfg(test)]
     Ifft,
+    #[cfg(test)]
     CosetFft,
     CosetIfft,
     EvalsToCoset,

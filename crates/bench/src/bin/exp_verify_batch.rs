@@ -10,7 +10,8 @@
 //! * what junk proofs in a 64-flush cost the relayer, in single
 //!   verifications, next to the work count `RlnVerifier::isolate` returns;
 //! * cold-start cost at depth 32: fresh keygen vs `keygen_or_load` from
-//!   a warm on-disk cache (the <100 ms target).
+//!   a warm on-disk cache (the <100 ms target), the median of
+//!   `WARM_LOADS` loads.
 //!
 //! It takes no arguments (`exp_verify_batch`).
 
@@ -24,6 +25,9 @@ use waku_rln::{Identity, RlnMessageBundle, RlnProver};
 
 const TABLE_DEPTH: usize = 10;
 const COLD_START_DEPTH: usize = 32;
+/// Cache loads the warm row takes the median of: one load swings by a
+/// factor of two from run to run.
+const WARM_LOADS: usize = 7;
 const USAGE: &str = "exp_verify_batch";
 
 fn main() -> ExitCode {
@@ -143,9 +147,19 @@ fn cold_start_table() {
     let cold = t0.elapsed();
     let blob_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
-    let t1 = Instant::now();
-    let (warm_prover, _) = RlnProver::keygen_or_load(COLD_START_DEPTH, &path, &mut rng);
-    let warm = t1.elapsed();
+    let mut loads = Vec::new();
+    for _ in 0..WARM_LOADS {
+        let t1 = Instant::now();
+        let (warm_prover, _) = RlnProver::keygen_or_load(COLD_START_DEPTH, &path, &mut rng);
+        loads.push(t1.elapsed());
+        assert_eq!(
+            warm_prover.proving_key().vk,
+            prover.proving_key().vk,
+            "warm start must reload the same ceremony"
+        );
+    }
+    loads.sort_unstable();
+    let warm = loads[WARM_LOADS / 2];
 
     println!("| start | time | source |");
     println!("|---|---|---|");
@@ -154,7 +168,7 @@ fn cold_start_table() {
         fmt_duration(cold)
     );
     println!(
-        "| warm (cache hit) | {} | {} blob |",
+        "| warm (cache hit, median of {WARM_LOADS}) | {} | {} blob |",
         fmt_duration(warm),
         waku_bench::fmt_bytes(blob_bytes)
     );
@@ -163,11 +177,6 @@ fn cold_start_table() {
         "(warm start parses + point-validates the key and re-analyzes the witness \
          solver; speedup {:.1}×)",
         cold.as_secs_f64() / warm.as_secs_f64()
-    );
-    assert_eq!(
-        warm_prover.proving_key().vk,
-        prover.proving_key().vk,
-        "warm start must reload the same ceremony"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,10 +2,10 @@
 //!
 //! Experiment binaries (`cargo run --release -p waku-bench --bin exp_*`)
 //! that regenerate every row of the paper's evaluation (§IV). The
-//! experiment ↔ binary mapping is in README.md ("Experiments");
-//! measured-vs-paper numbers are recorded under README.md "Performance".
-//! Performance itself is measured by `perf/` (`waku-perf`) under the
-//! names `BENCHMARK.json` declares, not here.
+//! experiment ↔ binary mapping is in README.md ("Experiments"); the
+//! deterministic measured-vs-paper figures are [`figures`], rendered into
+//! `docs/FIGURES.md`. Performance itself is measured by `perf/`
+//! (`waku-perf`) under the names `BENCHMARK.json` declares, not here.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -14,6 +14,8 @@ use waku_gossip::NetworkConfig;
 use waku_metrics::Snapshot;
 use waku_node::cli::{Cli, Fatal};
 use waku_sim::{Defense, ScenarioConfig};
+
+pub mod figures;
 
 /// Runs an experiment binary's `body` over its command line, parsed
 /// against `usage` (see [`Cli::parse`]): a [`Fatal`] from either is

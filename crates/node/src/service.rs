@@ -244,7 +244,7 @@ impl RelayerService {
         let cached = RlnProver::load_cached(depth, &keys_path);
         let cold_keygen = cached.is_none();
         let (prover, verifier) =
-            cached.unwrap_or_else(|| RlnProver::keygen_or_load(depth, &keys_path, &mut key_rng));
+            cached.unwrap_or_else(|| RlnProver::keygen_and_save(depth, &keys_path, &mut key_rng));
 
         let mut chain = Chain::new(ChainConfig {
             tree_depth: config.node.tree_depth,

@@ -13,13 +13,13 @@
 //! ```
 //!
 //! `shape` is [`put_cs_shape`]: the template's tables as the prover holds
-//! them — 748 distinct coefficients, each distinct combination once, and
-//! one combination id per row of each matrix. Both parts are written
+//! them — each distinct coefficient and each distinct combination once,
+//! and one combination id per row of each matrix. Both parts are written
 //! straight into the sealed buffer and read back through the envelope's
-//! one cursor, each of them self-delimiting. The file is ≈ 2.9 MB at depth
-//! 20 (2.3 MB of key, 558 KB of shape) and ≈ 4.6 MB at depth 32 (3.8 MB
-//! and 839 KB); `exp_paper_tables` prints both. A file of an earlier
-//! version is a cache miss, regenerated like any other stale blob.
+//! one cursor, each of them self-delimiting. `docs/FIGURES.md` E3 gives
+//! the file's size per depth beside the key's and the template's. A file
+//! of an earlier version is a cache miss, regenerated like any other
+//! stale blob.
 //!
 //! The framing (magic, version, trailing FNV-1a checksum) is the shared
 //! [`waku_wire::envelope`]; the checksum catches torn writes and bit rot,

@@ -195,11 +195,21 @@ impl RlnProver {
         cache_path: &std::path::Path,
         rng: &mut R,
     ) -> (RlnProver, RlnVerifier) {
-        Self::load_cached(depth, cache_path).unwrap_or_else(|| {
-            let pair = Self::keygen(depth, rng);
-            let _ = crate::keycache::save_keys(cache_path, depth, &pair.0.pk, &pair.0.template);
-            pair
-        })
+        Self::load_cached(depth, cache_path)
+            .unwrap_or_else(|| Self::keygen_and_save(depth, cache_path, rng))
+    }
+
+    /// The miss half of [`RlnProver::keygen_or_load`]: fresh keys from
+    /// `rng`, written to `cache_path` best-effort, without reading it
+    /// first.
+    pub fn keygen_and_save<R: Rng + ?Sized>(
+        depth: usize,
+        cache_path: &std::path::Path,
+        rng: &mut R,
+    ) -> (RlnProver, RlnVerifier) {
+        let pair = Self::keygen(depth, rng);
+        let _ = crate::keycache::save_keys(cache_path, depth, &pair.0.pk, &pair.0.template);
+        pair
     }
 
     /// The load half of [`RlnProver::keygen_or_load`]: the keys cached at

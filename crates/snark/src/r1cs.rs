@@ -11,11 +11,10 @@
 //! as compressed sparse rows — a `u32` row-end array and `(u32 flat
 //! column, u32 coefficient id)` terms — over one deduplicated coefficient
 //! table. The RLN circuit is 23 Poseidon instances of one structure, and
-//! each S-box multiplies by its input combination three times, so at
-//! depth 20 its 16 755 rows (158 126 terms) are 7 451 distinct
-//! combinations over 748 distinct coefficients: 737 KB held with the
-//! assignment, where one sparse row per matrix row held 1.54 MB and a
-//! `Vec<(Variable, Fr)>` per combination 8.6 MB. Everything downstream —
+//! each S-box multiplies by its input combination three times, so the
+//! distinct combinations number well under half the rows
+//! (`docs/FIGURES.md` E3 gives the counts and the bytes held, per
+//! depth). Everything downstream —
 //! the QAP reduction, the witness solver, the satisfaction check —
 //! evaluates each distinct combination once per assignment, and the shape
 //! codec in [`crate::serialize`] writes and reads these tables as held.
