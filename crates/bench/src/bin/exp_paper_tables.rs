@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use waku_arith::fields::Fr;
 use waku_arith::traits::Field;
 use waku_bench::figures::{self, Checks, HEADER};
-use waku_bench::{fmt_duration, run_cli, time_mean};
+use waku_bench::{fmt_duration, median_of, run_cli, time_mean};
 use waku_merkle::{DenseTree, FrontierTree, PartialViewTree, TreeUpdate};
 
 const USAGE: &str = "exp_paper_tables [--check]";
@@ -30,11 +30,20 @@ const USAGE: &str = "exp_paper_tables [--check]";
 /// The committed render the `--check` run compares with.
 const FIGURES_MD: &str = include_str!("../../../../docs/FIGURES.md");
 
+/// Runs each Merkle timing cell takes the median of: one run of the
+/// depth-20 rebuild read 29.8–44.5 ms over four processes.
+const RUNS: usize = 7;
+/// Calls one run of a per-call cell averages over.
+const CALLS: usize = 40;
+
 /// Merkle-tree operation overhead — the measurement the paper lists as
 /// future work ("Evaluating Merkle tree computation overhead", §IV-A).
-/// Wall-clock, so printed and never asserted.
+/// Wall-clock, so printed and never asserted; every cell is the median
+/// of [`RUNS`] runs.
 fn merkle_ops() {
     println!("# Merkle tree computation overhead (paper future work, §IV-A)");
+    println!();
+    println!("Each cell is the median of {RUNS} runs; a per-call cell's run is the mean of {CALLS} calls.");
     println!();
     println!("| depth | dense insert | dense proof | frontier append | partial-view update | full rebuild (1k leaves) |");
     println!("|---|---|---|---|---|---|");
@@ -46,41 +55,51 @@ fn merkle_ops() {
         for i in 0..256u64 {
             dense.set(i, Fr::random(&mut rng));
         }
-        let insert = time_mean(200, || {
-            dense.set(128, Fr::random(&mut rng));
+        let insert = median_of(RUNS, || {
+            time_mean(CALLS, || {
+                dense.set(128, Fr::random(&mut rng));
+            })
         });
-        let proof = time_mean(200, || {
-            let _ = dense.proof(57);
+        let proof = median_of(RUNS, || {
+            time_mean(CALLS, || {
+                let _ = dense.proof(57);
+            })
         });
 
         let mut frontier = FrontierTree::new(depth);
-        let append = time_mean(200, || {
-            if frontier.len() >= 1 << 9 {
-                frontier = FrontierTree::new(depth);
-            }
-            frontier.append(Fr::random(&mut rng)).unwrap();
+        let append = median_of(RUNS, || {
+            time_mean(CALLS, || {
+                if frontier.len() >= 1 << 9 {
+                    frontier = FrontierTree::new(depth);
+                }
+                frontier.append(Fr::random(&mut rng)).unwrap();
+            })
         });
 
         let mut view = PartialViewTree::new(5, dense.leaf(5), dense.proof(5));
-        let update = time_mean(200, || {
-            let j = rng.gen_range(6..256u64);
-            let leaf = Fr::random(&mut rng);
-            dense.set(j, leaf);
-            view.apply_update(&TreeUpdate {
-                index: j,
-                new_leaf: leaf,
-                path: dense.proof(j),
+        let update = median_of(RUNS, || {
+            time_mean(CALLS, || {
+                let j = rng.gen_range(6..256u64);
+                let leaf = Fr::random(&mut rng);
+                dense.set(j, leaf);
+                view.apply_update(&TreeUpdate {
+                    index: j,
+                    new_leaf: leaf,
+                    path: dense.proof(j),
+                })
+                .unwrap();
             })
-            .unwrap();
         });
 
-        let rebuild_start = Instant::now();
-        let mut rebuilt = DenseTree::new(depth);
-        let leaves: Vec<Fr> = (0..1000.min(rebuilt.capacity()))
+        let leaves: Vec<Fr> = (0..1000.min(1u64 << depth))
             .map(|_| Fr::random(&mut rng))
             .collect();
-        rebuilt.set_batch(0, &leaves);
-        let rebuild = rebuild_start.elapsed();
+        let rebuild = median_of(RUNS, || {
+            let started = Instant::now();
+            let mut rebuilt = DenseTree::new(depth);
+            rebuilt.set_batch(0, &leaves);
+            started.elapsed()
+        });
 
         println!(
             "| {depth} | {} | {} | {} | {} | {} |",

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use waku_bench::{fmt_duration, run_cli, sparse_single_member_path};
+use waku_bench::{fmt_duration, median_of, run_cli, sparse_single_member_path};
 use waku_rln::{Identity, RlnMessageBundle, RlnProver};
 
 const TABLE_DEPTH: usize = 10;
@@ -56,12 +56,11 @@ fn batch_table() {
 
     // The median of one pass over 64 distinct proofs: repeating one proof
     // trains the branch predictor on its digits and reads fast.
-    let mut singles: Vec<_> = bundles
-        .iter()
-        .map(|b| timed(|| assert!(verifier.verify_bundle(b))))
-        .collect();
-    singles.sort_unstable();
-    let single = singles[singles.len() / 2];
+    let mut each = bundles.iter();
+    let single = median_of(bundles.len(), || {
+        let b = each.next().expect("one run a bundle");
+        timed(|| assert!(verifier.verify_bundle(b)))
+    });
     println!("| batch size | total | per proof | speedup vs single |");
     println!("|---|---|---|---|");
     println!(
@@ -147,19 +146,17 @@ fn cold_start_table() {
     let cold = t0.elapsed();
     let blob_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
-    let mut loads = Vec::new();
-    for _ in 0..WARM_LOADS {
+    let warm = median_of(WARM_LOADS, || {
         let t1 = Instant::now();
         let (warm_prover, _) = RlnProver::keygen_or_load(COLD_START_DEPTH, &path, &mut rng);
-        loads.push(t1.elapsed());
+        let load = t1.elapsed();
         assert_eq!(
             warm_prover.proving_key().vk,
             prover.proving_key().vk,
             "warm start must reload the same ceremony"
         );
-    }
-    loads.sort_unstable();
-    let warm = loads[WARM_LOADS / 2];
+        load
+    });
 
     println!("| start | time | source |");
     println!("|---|---|---|");

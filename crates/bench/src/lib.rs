@@ -117,6 +117,14 @@ pub fn time_mean<F: FnMut()>(n: usize, mut f: F) -> Duration {
     start.elapsed() / n as u32
 }
 
+/// The median of `runs` durations, each measured by one call of `f`.
+pub fn median_of<F: FnMut() -> Duration>(runs: usize, mut f: F) -> Duration {
+    assert!(runs > 0);
+    let mut times: Vec<Duration> = (0..runs).map(|_| f()).collect();
+    times.sort_unstable();
+    times[runs / 2]
+}
+
 /// Formats a duration in adaptive units.
 pub fn fmt_duration(d: Duration) -> String {
     if d.as_secs() >= 1 {

@@ -1,20 +1,12 @@
-//! Compact, generational message caches for the gossip hot path.
+//! The per-peer message caches of the gossip hot path.
 //!
-//! At 10⁴ peers the engine's profile is dominated by duplicate
-//! suppression: every peer receives every message `~d` times, and each
-//! copy used to pay a SipHash over a 32-byte [`MessageId`] plus a probe
-//! into an ever-growing `HashSet`, while every heartbeat re-scanned the
-//! whole mcache to collect gossip ids. This module replaces both with
-//! cache-line-friendly, allocation-free-in-steady-state structures:
-//!
-//! * [`SeenSet`] — an open-addressed **generational** table: a cache-
-//!   line-aligned id array probed by a 64-bit fingerprint of the
-//!   (keccak-derived, uniformly distributed) message id, paired with a
-//!   dense `u32` generation array. The set rotates once per heartbeat;
-//!   entries expire lazily after a configurable window of generations
-//!   and their slots are reclaimed in place — steady-state inserts never
-//!   allocate, and the table never grows past the live window's
-//!   footprint.
+//! * [`SeenSet`] — duplicate suppression: a `HashMap` from message id to
+//!   the generation it was inserted at, under `waku_hash::PrefixState`
+//!   (ids are keccak outputs, so their first 8 bytes already hash well).
+//!   The set rotates once per heartbeat; an entry reads as absent once it
+//!   is a window of generations old, and expired entries are swept out
+//!   before the map would grow, so the table stays the size of the live
+//!   window.
 //! * [`MessageCache`] — the mcache as one ring of heartbeat windows,
 //!   each with a contiguous id side-array, so heartbeat gossip is a
 //!   memcpy instead of a scan-and-filter over every cached message, and
@@ -22,31 +14,21 @@
 //!   all `d_lazy` IHAVE sends.
 //!
 //! Both structures are strictly per-peer (the engine's share-nothing
-//! rule), and every operation is a pure function of the peer's event
+//! rule), and every answer is a pure function of the peer's event
 //! history, so runs stay bit-identical at any shard count.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+
+use waku_hash::PrefixState;
 
 use crate::message::{Message, MessageId};
 
-/// 64-bit fingerprint of a message id: the leading 8 bytes. Ids are
-/// keccak256 outputs, so the prefix is already uniform — no extra mixing
-/// is needed for distribution, only for slot indexing (see [`slot_of`]).
-#[inline]
-fn fingerprint(id: &MessageId) -> u64 {
-    u64::from_le_bytes(id.0[..8].try_into().expect("8-byte prefix"))
-}
-
-/// Fibonacci-hash the fingerprint into a table of `1 << log2_cap` slots.
-#[inline]
-fn slot_of(fp: u64, shift: u32) -> usize {
-    (fp.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
-}
-
-const EMPTY_GEN: u32 = 0;
-/// Initial table capacity (power of two).
-const MIN_CAP: usize = 64;
+/// Rotations between two sweeps that run whatever the map's load: every
+/// entry is gone within this many rotations of expiring, so its age never
+/// reaches 2¹⁶ and the `u16` generation arithmetic never reads it as live
+/// again (for windows up to this value).
+const SWEEP_EVERY: u16 = 1 << 15;
 
 /// Generational duplicate-suppression set (the per-peer `seen` cache).
 ///
@@ -56,120 +38,63 @@ const MIN_CAP: usize = 64;
 /// window`), then expires. The engine rotates once per heartbeat with a
 /// window comfortably larger than the mcache lifetime, so no message can
 /// outlive its own gossipability and sneak back in as "new".
-///
-/// Layout: two parallel open-addressed arrays — a 32-byte-aligned id
-/// array (each id sits inside one cache line, so a successful probe
-/// touches exactly one line of bulk data) and a dense `u32` generation
-/// array (4 KB at steady-state capacity — effectively free). At 10⁴
-/// peers every IHAVE scan probes ~90 ids against a cold table; one line
-/// per probe instead of slot-plus-arena halves the memory traffic of
-/// the engine's single hottest loop. Expiry is lazy: rotation just bumps
-/// the generation counter, and stale slots are reclaimed by probe-path
-/// reuse or the occasional rebuild.
 pub struct SeenSet {
-    /// Slot → id (meaningful only where `gens[slot]` is live).
-    ids: Vec<MessageId>,
-    /// Slot → insertion generation (0 = never used).
-    gens: Vec<u32>,
-    /// `64 - log2(capacity)` — the Fibonacci-hash shift.
-    shift: u32,
-    /// Occupied slots (live + expired-but-unreclaimed).
-    occupied: usize,
-    /// Current generation (starts at 1; 0 marks empty slots).
-    gen: u32,
+    /// Id → the generation it was last inserted at.
+    map: HashMap<MessageId, u16, PrefixState>,
+    /// Current generation.
+    gen: u16,
     /// Generations an entry stays visible.
-    window: u32,
+    window: u16,
 }
 
 impl SeenSet {
-    /// Creates a set whose entries survive `window` rotations (≥ 1).
+    /// Creates a set whose entries survive `window` rotations (clamped to
+    /// 1..=2¹⁵).
     pub fn new(window: u32) -> Self {
         SeenSet {
-            ids: vec![MessageId([0; 32]); MIN_CAP],
-            gens: vec![EMPTY_GEN; MIN_CAP],
-            shift: 64 - MIN_CAP.trailing_zeros(),
-            occupied: 0,
-            gen: 1,
-            window: window.max(1),
+            map: HashMap::default(),
+            gen: 0,
+            window: window.clamp(1, u32::from(SWEEP_EVERY)) as u16,
         }
     }
 
     #[inline]
-    fn is_live(&self, slot_gen: u32) -> bool {
-        slot_gen != EMPTY_GEN && self.gen.wrapping_sub(slot_gen) < self.window
+    fn is_live(&self, inserted: u16) -> bool {
+        self.gen.wrapping_sub(inserted) < self.window
     }
 
     /// Is `id` currently remembered?
     #[inline]
     pub fn contains(&self, id: &MessageId) -> bool {
-        let mask = self.gens.len() - 1;
-        let mut i = slot_of(fingerprint(id), self.shift);
-        loop {
-            let idx = i & mask;
-            let slot_gen = self.gens[idx];
-            if slot_gen == EMPTY_GEN {
-                return false;
-            }
-            // Full-id comparison — colliding fingerprints are never
-            // conflated; the first-8-byte mismatch rejects fast.
-            if self.ids[idx] == *id && self.is_live(slot_gen) {
-                return true;
-            }
-            i += 1;
-        }
+        self.map.get(id).is_some_and(|&g| self.is_live(g))
     }
 
     /// Inserts `id` at the current generation. Returns `true` if it was
     /// not already live. (Expired duplicates re-insert as fresh entries.)
     pub fn insert(&mut self, id: &MessageId) -> bool {
-        if (self.occupied + 1) * 4 > self.gens.len() * 3 {
-            self.rebuild();
+        if self.contains(id) {
+            return false;
         }
-        let mask = self.gens.len() - 1;
-        let mut i = slot_of(fingerprint(id), self.shift);
-        // First expired slot on the probe path — reusable without
-        // breaking any live entry's probe chain (chains only terminate at
-        // truly empty slots).
-        let mut reuse: Option<usize> = None;
-        let target = loop {
-            let idx = i & mask;
-            let slot_gen = self.gens[idx];
-            if slot_gen == EMPTY_GEN {
-                break reuse.unwrap_or(idx);
-            }
-            if self.is_live(slot_gen) {
-                if self.ids[idx] == *id {
-                    return false;
-                }
-            } else if reuse.is_none() {
-                reuse = Some(idx);
-            }
-            i += 1;
-        };
-        if self.gens[target] == EMPTY_GEN {
-            self.occupied += 1;
+        if self.map.len() == self.map.capacity() {
+            self.sweep();
         }
-        self.ids[target] = *id;
-        self.gens[target] = self.gen;
+        self.map.insert(*id, self.gen);
         true
     }
 
     /// Advances one generation: entries inserted `window` rotations ago
-    /// expire (lazily — no per-entry work, no allocation).
+    /// expire (lazily — no per-entry work but the sweep every
+    /// 2¹⁵ rotations).
     pub fn rotate(&mut self) {
         self.gen = self.gen.wrapping_add(1);
-        if self.gen == EMPTY_GEN {
-            // u32 wrap (≈ 4 billion heartbeats): restart cleanly rather
-            // than let generation 0 alias the empty marker.
-            self.gens.iter_mut().for_each(|g| *g = EMPTY_GEN);
-            self.occupied = 0;
-            self.gen = 1;
+        if self.gen.is_multiple_of(SWEEP_EVERY) {
+            self.sweep();
         }
     }
 
     /// Number of live entries (O(capacity) — diagnostics and tests).
     pub fn len(&self) -> usize {
-        self.gens.iter().filter(|&&g| self.is_live(g)).count()
+        self.map.values().filter(|&&g| self.is_live(g)).count()
     }
 
     /// True when no entry is live.
@@ -177,35 +102,17 @@ impl SeenSet {
         self.len() == 0
     }
 
-    /// Current table capacity in slots (diagnostics and tests).
+    /// Entries the table holds before it next sweeps (diagnostics and
+    /// tests).
     pub fn capacity(&self) -> usize {
-        self.gens.len()
+        self.map.capacity()
     }
 
-    /// Rehashes live entries into a table sized for ≤ 50% load, dropping
-    /// expired slots.
-    fn rebuild(&mut self) {
-        let live: Vec<(MessageId, u32)> = self
-            .gens
-            .iter()
-            .zip(&self.ids)
-            .filter(|(&g, _)| self.is_live(g))
-            .map(|(&g, id)| (*id, g))
-            .collect();
-        let cap = (live.len() * 2 + 1).next_power_of_two().max(MIN_CAP);
-        self.ids = vec![MessageId([0; 32]); cap];
-        self.gens = vec![EMPTY_GEN; cap];
-        self.shift = 64 - cap.trailing_zeros();
-        self.occupied = live.len();
-        let mask = cap - 1;
-        for (id, g) in live {
-            let mut i = slot_of(fingerprint(&id), self.shift);
-            while self.gens[i & mask] != EMPTY_GEN {
-                i += 1;
-            }
-            self.ids[i & mask] = id;
-            self.gens[i & mask] = g;
-        }
+    /// Drops every expired entry; runs when the map is full, before it
+    /// would grow, and every `SWEEP_EVERY` rotations.
+    fn sweep(&mut self) {
+        self.map
+            .retain(|_, &mut g| self.gen.wrapping_sub(g) < self.window);
     }
 }
 
@@ -311,7 +218,7 @@ mod tests {
         MessageId([byte; 32])
     }
 
-    /// Two ids with identical 64-bit fingerprints but different tails.
+    /// Two ids with the same first 8 bytes but different tails.
     fn colliding_pair() -> (MessageId, MessageId) {
         let mut a = [7u8; 32];
         let mut b = [7u8; 32];
@@ -346,11 +253,13 @@ mod tests {
     }
 
     #[test]
-    fn colliding_fingerprints_stay_distinct() {
+    fn colliding_prefixes_stay_distinct() {
+        use std::hash::BuildHasher;
         let (a, b) = colliding_pair();
+        let state = PrefixState::default();
         assert_eq!(
-            super::fingerprint(&a),
-            super::fingerprint(&b),
+            state.hash_one(a),
+            state.hash_one(b),
             "test ids must actually collide"
         );
         let mut s = SeenSet::new(4);
@@ -375,7 +284,7 @@ mod tests {
         for i in &ids {
             assert!(s.insert(i));
         }
-        assert!(s.capacity() >= 512, "table grew");
+        assert!(s.capacity() >= ids.len(), "table grew");
         for i in &ids {
             assert!(s.contains(i));
         }
@@ -383,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn expired_slots_are_reused_without_breaking_chains() {
+    fn expired_entries_are_swept_before_the_table_grows() {
         let mut s = SeenSet::new(1); // every rotation expires everything
         for round in 0..50u8 {
             for k in 0..40u8 {
@@ -396,9 +305,23 @@ mod tests {
             }
             s.rotate();
         }
-        // With window 1 and ≤ 40 live entries, the table must not have
-        // ballooned: rebuilds reclaim expired slots.
-        assert!(s.capacity() <= 256, "capacity {} runaway", s.capacity());
+        // With window 1 at most 40 entries are live, a full table sweeps
+        // before it grows, and std's map grows only while over half its
+        // room is live: the table never outgrows room for 2 × 40.
+        let bound = HashMap::<MessageId, u16>::with_capacity(2 * 40).capacity();
+        assert!(s.capacity() <= bound, "capacity {} runaway", s.capacity());
+        assert_eq!(s.len(), 0);
+    }
+
+    #[test]
+    fn an_expired_entry_never_reads_live_again_across_the_wrap() {
+        let mut s = SeenSet::new(3);
+        s.insert(&id(5));
+        // 2¹⁶ rotations bring the u16 generation back to the insert's.
+        for step in 1..=1u32 << 16 {
+            s.rotate();
+            assert_eq!(s.contains(&id(5)), step < 3, "step {step}");
+        }
     }
 
     fn msg(tag: u8) -> Arc<Message> {

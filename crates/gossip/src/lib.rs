@@ -15,7 +15,7 @@
 //!   adaptive per-shard Chandy–Misra lookahead horizons, exchanging
 //!   cross-shard RPCs through outboxes drained at round barriers. At one
 //!   shard it is the serial reference (`NetworkConfig::shards`).
-//! * [`cache`] — compact generational message caches: the open-addressed
+//! * [`cache`] — the per-peer message caches: the generational
 //!   duplicate-suppression set and the mcache window ring behind the
 //!   10⁴-peer hot path.
 //! * [`faults`] — the deterministic fault-injection plane: seeded link

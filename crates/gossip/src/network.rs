@@ -418,13 +418,14 @@ impl Network {
             .collect()
     }
 
-    /// All observed first-delivery latencies (ms), for Thr estimation
-    /// (§III-F: `NetworkDelay`). Deterministic order: peers ascending,
-    /// each peer's deliveries in arrival order.
-    pub fn delivery_latencies(&self) -> Vec<u64> {
+    /// First-delivery latencies (ms) of honest messages, for Thr
+    /// estimation (§III-F: `NetworkDelay`). Deterministic order: peers
+    /// ascending, each peer's deliveries in arrival order.
+    pub fn honest_delivery_latencies(&self) -> Vec<u64> {
         self.slots
             .iter()
             .flat_map(|s| s.deliveries.iter())
+            .filter(|(_, d)| d.class == TrafficClass::Honest)
             .map(|(_, d)| d.at - d.published_at)
             .collect()
     }
@@ -655,9 +656,24 @@ mod tests {
         net.run_until(3_000);
         net.publish_at(3_000, 0, b"timed".to_vec(), TrafficClass::Honest);
         net.run_until(20_000);
-        let lats = net.delivery_latencies();
+        let lats = net.honest_delivery_latencies();
         assert_eq!(lats.len(), 29);
         assert!(lats.iter().all(|&l| l >= net.config.latency_min_ms));
+    }
+
+    #[test]
+    fn honest_latencies_leave_spam_deliveries_out() {
+        let mut net = small_net(6);
+        net.run_until(3_000);
+        net.publish_at(3_000, 0, b"honest".to_vec(), TrafficClass::Honest);
+        net.publish_at(3_100, 1, b"spam".to_vec(), TrafficClass::Spam);
+        net.run_until(20_000);
+        let snap = net.metrics_snapshot();
+        assert!(snap.scalar("gossip_spam_delivered_total") > 0);
+        assert_eq!(
+            net.honest_delivery_latencies().len() as u64,
+            snap.scalar("gossip_honest_delivered_total")
+        );
     }
 
     #[test]
@@ -905,7 +921,7 @@ mod tests {
             }
             net.run_until(25_000);
             let snap = net.metrics_snapshot();
-            let mut lats = net.delivery_latencies();
+            let mut lats = net.honest_delivery_latencies();
             lats.sort_unstable();
             (
                 snap.scalar("gossip_honest_delivered_total"),

@@ -10,12 +10,17 @@
 //! * [`keccak`] — Ethereum-style Keccak-256. Backs addresses, transaction
 //!   hashes, and commit-reveal commitments on the simulated chain, plus the
 //!   Whisper PoW baseline (EIP-627).
+//! * [`PrefixState`] — the `BuildHasher` of every map keyed by bytes that
+//!   are already uniform (message ids, nullifiers, pre-mixed keys), and
+//!   [`ProbeIndex`], positions in a caller's table keyed by such a hash.
 //!
 //! Field-friendly hashing (Poseidon) lives in `waku-poseidon`; this crate is
 //! for byte-level hashing only.
 
 pub mod keccak;
+pub mod prefix;
 pub mod sha256;
 
 pub use keccak::{keccak256, Keccak256};
+pub use prefix::{PrefixState, ProbeIndex};
 pub use sha256::{sha256, Sha256};

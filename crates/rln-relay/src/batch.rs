@@ -342,7 +342,6 @@ impl BatchingValidator {
 mod tests {
     use super::*;
     use crate::epoch::EpochManager;
-    use crate::metrics::ValidationMetrics;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::OnceLock;
@@ -492,8 +491,8 @@ mod tests {
 
             // All counter/gauge metrics agree with the sequential pipeline.
             assert_eq!(
-                ValidationMetrics::from(batched.inner().registry()),
-                ValidationMetrics::from(seq.registry()),
+                batched.inner().metrics(),
+                seq.metrics(),
                 "batch {max_batch}"
             );
             // The batched path recorded its own series too: 10 bundles, 2

@@ -4,9 +4,10 @@
 //! The plain-old-data structs ([`ValidationMetrics`], [`NodeMetrics`])
 //! keep their public field API, but they are no longer the storage:
 //! recording goes through registry handles bound once at construction
-//! (see the crate-private `catalogue()`), and the structs are *snapshots* built on demand
-//! via `From<&Registry>`. One registry per node feeds both views plus the
-//! Prometheus exposition, so the node's observability is a single pipe.
+//! (see the crate-private `catalogue()`), and the structs are *snapshots*
+//! the same handles read back on demand. One registry per node feeds both
+//! views plus the Prometheus exposition, so the node's observability is a
+//! single pipe.
 
 use std::sync::{Arc, OnceLock};
 
@@ -199,6 +200,22 @@ impl ValidationHandles {
             proof_verify_batch: registry.histogram(ids.proof_verify_batch),
         }
     }
+
+    /// The validation view, read from these handles.
+    pub(crate) fn snapshot(&self) -> ValidationMetrics {
+        ValidationMetrics {
+            total: self.total.get(),
+            relayed: self.relayed.get(),
+            epoch_dropped: self.epoch_dropped.get(),
+            root_dropped: self.root_dropped.get(),
+            proof_rejected: self.proof_rejected.get(),
+            duplicates: self.duplicates.get(),
+            spam_detected: self.spam_detected.get(),
+            out_of_window: self.out_of_window.get(),
+            nullifier_entries: self.nullifier_entries.get(),
+            epochs_pruned: self.epochs_pruned.get(),
+        }
+    }
 }
 
 /// Hot-path handles for the node lifecycle, bound once.
@@ -232,6 +249,17 @@ impl NodeHandles {
         self.rewards_gwei
             .add(u64::try_from(wei / GWEI).unwrap_or(u64::MAX));
     }
+
+    /// The node view, read from these handles.
+    pub(crate) fn snapshot(&self) -> NodeMetrics {
+        NodeMetrics {
+            published: self.published.get(),
+            rate_limited_locally: self.rate_limited_locally.get(),
+            slash_commits: self.slash_commits.get(),
+            slash_reveals: self.slash_reveals.get(),
+            rewards_wei: Wei::from(self.rewards_gwei.get()) * GWEI,
+        }
+    }
 }
 
 /// Validation pipeline counters (one per §III-F decision branch).
@@ -264,25 +292,6 @@ pub struct ValidationMetrics {
     pub epochs_pruned: u64,
 }
 
-impl From<&Registry> for ValidationMetrics {
-    /// Snapshot view: reads the validation metrics out of the registry.
-    fn from(registry: &Registry) -> Self {
-        let snap = registry.snapshot();
-        ValidationMetrics {
-            total: snap.scalar("rln_validation_total"),
-            relayed: snap.scalar("rln_validation_relayed_total"),
-            epoch_dropped: snap.scalar("rln_validation_epoch_dropped_total"),
-            root_dropped: snap.scalar("rln_validation_root_dropped_total"),
-            proof_rejected: snap.scalar("rln_validation_proof_rejected_total"),
-            duplicates: snap.scalar("rln_validation_duplicates_total"),
-            spam_detected: snap.scalar("rln_validation_spam_detected_total"),
-            out_of_window: snap.scalar("rln_out_of_window_total"),
-            nullifier_entries: snap.scalar("rln_nullifier_entries"),
-            epochs_pruned: snap.scalar("rln_epochs_pruned"),
-        }
-    }
-}
-
 /// Node-level counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeMetrics {
@@ -297,20 +306,6 @@ pub struct NodeMetrics {
     /// Rewards collected (wei; counted in whole gwei, so exact for any
     /// payout that is a gwei multiple).
     pub rewards_wei: Wei,
-}
-
-impl From<&Registry> for NodeMetrics {
-    /// Snapshot view: reads the node metrics out of the registry.
-    fn from(registry: &Registry) -> Self {
-        let snap = registry.snapshot();
-        NodeMetrics {
-            published: snap.scalar("node_published_total"),
-            rate_limited_locally: snap.scalar("node_rate_limited_locally_total"),
-            slash_commits: snap.scalar("node_slash_commits_total"),
-            slash_reveals: snap.scalar("node_slash_reveals_total"),
-            rewards_wei: snap.scalar("node_rewards_gwei_total") as Wei * GWEI,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -332,9 +327,9 @@ mod tests {
         for _ in 0..20 {
             n.record_reward(ETHER);
         }
-        let vm = ValidationMetrics::from(&registry);
+        let vm = v.snapshot();
         assert_eq!((vm.total, vm.relayed, vm.nullifier_entries), (5, 3, 7));
-        let nm = NodeMetrics::from(&registry);
+        let nm = n.snapshot();
         assert_eq!(nm.published, 1);
         assert_eq!(nm.rewards_wei, 20 * ETHER);
         // Both views sit over one exposition pipe.

@@ -283,9 +283,9 @@ impl WakuRlnRelayNode {
         &self.group
     }
 
-    /// Node metrics (a snapshot view over the node's registry).
+    /// Node metrics (a snapshot read from the node's handles).
     pub fn metrics(&self) -> NodeMetrics {
-        NodeMetrics::from(&self.registry)
+        self.m.snapshot()
     }
 
     /// Validator metrics (same registry, validation-pipeline view).

@@ -170,9 +170,10 @@ impl<V> MessageValidator<V> {
         self.max_gap
     }
 
-    /// Validation metrics so far (a snapshot view over the registry).
+    /// Validation metrics so far (a snapshot read from the validator's
+    /// handles).
     pub fn metrics(&self) -> ValidationMetrics {
-        ValidationMetrics::from(&self.registry)
+        self.m.snapshot()
     }
 
     /// The registry this validator records into.
@@ -658,7 +659,6 @@ mod tests {
         f.validator.tick(now + 5 * T);
         assert_eq!(f.validator.metrics().nullifier_entries, 0);
         assert!(f.validator.metrics().epochs_pruned >= 1);
-        assert_eq!(f.validator.nullifiers().storage_bytes() % 8, 0);
     }
 
     #[test]

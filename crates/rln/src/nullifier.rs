@@ -12,13 +12,14 @@
 //! Lifecycle: a routing peer only needs nullifier state for epochs that
 //! can still pass the §III-F epoch-gap check (`|current − epoch| ≤ Thr`),
 //! so [`NullifierStore`] keeps exactly that window — a ring of per-epoch
-//! open-addressed arenas, recycled in O(1) as the clock advances past
-//! them — and the resident footprint is O(window), independent of how
-//! long the node has been running.
+//! slots, each an arrival-ordered share list with a nullifier index,
+//! cleared in place as the clock advances past them — and the resident
+//! footprint is O(window), independent of how long the node has been
+//! running.
 
 use waku_arith::fields::Fr;
 use waku_arith::traits::PrimeField;
-use waku_hash::sha256;
+use waku_hash::{sha256, ProbeIndex};
 use waku_poseidon::{poseidon1, poseidon2};
 use waku_shamir::recover_from_two;
 use waku_snark::serialize::read_field;
@@ -56,115 +57,57 @@ pub fn derive(sk: Fr, external: Fr, x: Fr) -> (Fr, Fr, Fr) {
     (a1, phi, y)
 }
 
-/// Generation value marking a never-written arena slot.
-const EMPTY_GEN: u32 = 0;
-/// Initial per-arena slot-table capacity (power of two).
-const MIN_SLOTS: usize = 16;
 /// Upper bound on the epoch window a store will allocate a ring for.
 const MAX_WINDOW_EPOCHS: u64 = 1 << 20;
 
-/// 64-bit fingerprint of a nullifier: its leading 8 bytes. Internal
-/// nullifiers are Poseidon outputs, so the prefix is already uniformly
-/// distributed; Fibonacci hashing (see [`EpochArena::slot_of`]) spreads
-/// it over the slot table.
-#[inline]
-fn fingerprint(nullifier: &[u8; 32]) -> u64 {
-    u64::from_le_bytes(nullifier[..8].try_into().expect("8-byte prefix"))
-}
-
-/// One epoch's worth of nullifier state: an open-addressed index over a
-/// dense entry arena. Recycling for a new epoch is O(1) — the generation
-/// stamp is bumped (instantly invalidating every slot) and the entry
-/// arena is truncated in place, so its buffers are reused and
-/// steady-state operation never allocates.
+/// One epoch's nullifier state: the `(nullifier, first-seen share)`
+/// pairs in arrival order, and a [`ProbeIndex`] over them keyed by the
+/// nullifier's first 4 bytes (internal nullifiers are Poseidon outputs,
+/// so those are already uniform). Recycling for a new epoch clears both
+/// and keeps their buffers.
 #[derive(Clone, Debug)]
-struct EpochArena {
-    /// The epoch this arena currently holds (`u64::MAX` = vacant).
+struct EpochSlot {
+    /// The epoch this slot currently holds (`u64::MAX` = vacant).
     epoch: u64,
-    /// Liveness stamp: a slot is live iff its stored generation matches.
-    gen: u32,
-    /// Slot table: `(generation, entry index)`.
-    slots: Vec<(u32, u32)>,
-    /// Dense entry storage: `(nullifier, first-seen share)`.
+    /// `(nullifier, first-seen share)` in arrival order.
     entries: Vec<([u8; 32], (Fr, Fr))>,
-    /// `64 − log2(slots.len())` — the Fibonacci-hash shift.
-    shift: u32,
+    /// Nullifier → its position in `entries`.
+    index: ProbeIndex,
 }
 
-impl EpochArena {
+impl EpochSlot {
     fn new() -> Self {
-        EpochArena {
+        EpochSlot {
             epoch: u64::MAX,
-            gen: 1,
-            slots: vec![(EMPTY_GEN, 0); MIN_SLOTS],
             entries: Vec::new(),
-            shift: 64 - MIN_SLOTS.trailing_zeros(),
+            index: ProbeIndex::default(),
         }
     }
 
-    #[inline]
-    fn slot_of(&self, fp: u64) -> usize {
-        (fp.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// Re-labels the arena for `epoch`, expiring every resident entry in
-    /// O(1): no slot scan, no per-entry work, no allocation.
+    /// Re-labels the slot for `epoch`, dropping every resident entry.
     fn recycle(&mut self, epoch: u64) {
         self.epoch = epoch;
         self.entries.clear();
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == EMPTY_GEN {
-            // u32 generation wrap (≈4 billion recycles): clear the slot
-            // stamps once rather than let generation 0 alias "empty".
-            self.slots.iter_mut().for_each(|s| s.0 = EMPTY_GEN);
-            self.gen = 1;
-        }
+        self.index.clear();
     }
 
     /// Returns the share already recorded for `nullifier`, or records
     /// `share` and returns `None`.
     fn lookup_or_insert(&mut self, nullifier: [u8; 32], share: (Fr, Fr)) -> Option<(Fr, Fr)> {
-        if (self.entries.len() + 1) * 4 > self.slots.len() * 3 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.slot_of(fingerprint(&nullifier));
-        loop {
-            let (slot_gen, idx) = self.slots[i & mask];
-            if slot_gen != self.gen {
-                // Empty or stale-generation slot: the probe chain ends
-                // here for the current epoch — claim it.
-                self.slots[i & mask] = (self.gen, u32::try_from(self.entries.len()).expect("fits"));
+        let hash = u32::from_le_bytes(nullifier[..4].try_into().expect("4-byte prefix"));
+        let entries = &self.entries;
+        match self
+            .index
+            .find(hash, |at| entries[at as usize].0 == nullifier)
+        {
+            Ok(at) => Some(self.entries[at as usize].1),
+            Err(key) => {
+                let at = u32::try_from(self.entries.len()).expect("under 2³² shares an epoch");
+                self.index.insert(key, at);
                 self.entries.push((nullifier, share));
-                return None;
+                None
             }
-            let (stored, first_share) = &self.entries[idx as usize];
-            if *stored == nullifier {
-                return Some(*first_share);
-            }
-            i += 1;
         }
-    }
-
-    /// Rehashes into a doubled slot table. Entries are untouched — only
-    /// the index is rebuilt.
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(MIN_SLOTS);
-        self.slots = vec![(EMPTY_GEN, 0); cap];
-        self.shift = 64 - cap.trailing_zeros();
-        let mask = cap - 1;
-        for (idx, (nullifier, _)) in self.entries.iter().enumerate() {
-            let fp = fingerprint(nullifier);
-            let mut i = (fp.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
-            while self.slots[i & mask].0 == self.gen {
-                i += 1;
-            }
-            self.slots[i & mask] = (self.gen, idx as u32);
-        }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.slots.len() * 8 + self.entries.capacity() * 96
     }
 }
 
@@ -175,10 +118,10 @@ impl EpochArena {
 /// `[current − Thr, current + Thr]` — exactly the epochs that can still
 /// pass the upstream epoch-gap check, per the observation that
 /// double-signal detection needs no state beyond the accepted gap. The
-/// window is a ring of per-epoch arenas indexed by `epoch mod ring_len`;
-/// advancing the clock past an epoch recycles its arena in O(1) (a
-/// generation bump plus an in-place truncation), so the resident
-/// footprint is O(window × signals-per-epoch) regardless of uptime.
+/// window is a ring of per-epoch slots indexed by `epoch mod ring_len`;
+/// advancing the clock past an epoch clears its slot in place, so the
+/// resident footprint is O(window × signals-per-epoch) regardless of
+/// uptime.
 ///
 /// # Example
 ///
@@ -213,8 +156,8 @@ pub struct NullifierStore {
     max_gap: u64,
     /// Highest current epoch observed via [`NullifierStore::advance_to`].
     hi: u64,
-    /// Per-epoch arenas, indexed by `epoch % ring.len()`.
-    ring: Vec<EpochArena>,
+    /// Per-epoch slots, indexed by `epoch % ring.len()`.
+    ring: Vec<EpochSlot>,
     /// Lifetime count of expired epochs whose state was recycled.
     epochs_pruned: u64,
 }
@@ -237,7 +180,7 @@ impl NullifierStore {
         NullifierStore {
             max_gap,
             hi: 0,
-            ring: (0..window).map(|_| EpochArena::new()).collect(),
+            ring: (0..window).map(|_| EpochSlot::new()).collect(),
             epochs_pruned: 0,
         }
     }
@@ -263,9 +206,9 @@ impl NullifierStore {
     }
 
     /// Advances the store's clock to `current_epoch`, recycling every
-    /// arena that fell out of the window. Cost is O(epochs expired),
-    /// capped at O(window) for arbitrarily large jumps; each recycle is
-    /// O(1). Moving backwards (a stale clock sample) is a no-op — the
+    /// slot that fell out of the window. Cost is O(epochs expired),
+    /// capped at O(window) for arbitrarily large jumps; a recycle clears
+    /// one slot's own entries. Moving backwards (a stale clock sample) is a no-op — the
     /// window only ever slides forward.
     pub fn advance_to(&mut self, current_epoch: u64) {
         if current_epoch <= self.hi {
@@ -276,18 +219,18 @@ impl NullifierStore {
         let new_lo = self.oldest_retained_epoch();
         let ring_len = self.ring.len() as u64;
         if new_lo.saturating_sub(old_lo) >= ring_len {
-            // Jumped past the whole ring: every occupied arena expires.
-            for arena in &mut self.ring {
-                if !arena.entries.is_empty() && arena.epoch < new_lo {
-                    arena.recycle(u64::MAX);
+            // Jumped past the whole ring: every occupied slot expires.
+            for slot in &mut self.ring {
+                if !slot.entries.is_empty() && slot.epoch < new_lo {
+                    slot.recycle(u64::MAX);
                     self.epochs_pruned += 1;
                 }
             }
         } else {
             for e in old_lo..new_lo {
-                let arena = &mut self.ring[(e % ring_len) as usize];
-                if !arena.entries.is_empty() && arena.epoch < new_lo {
-                    arena.recycle(u64::MAX);
+                let slot = &mut self.ring[(e % ring_len) as usize];
+                if !slot.entries.is_empty() && slot.epoch < new_lo {
+                    slot.recycle(u64::MAX);
                     self.epochs_pruned += 1;
                 }
             }
@@ -305,13 +248,13 @@ impl NullifierStore {
             return RateCheck::OutOfWindow;
         }
         let ring_len = self.ring.len() as u64;
-        let arena = &mut self.ring[(epoch % ring_len) as usize];
-        if arena.epoch != epoch {
+        let slot = &mut self.ring[(epoch % ring_len) as usize];
+        if slot.epoch != epoch {
             // The slot holds an expired epoch (or is vacant): two in-window
             // epochs can never share a slot, so recycling is always safe.
-            arena.recycle(epoch);
+            slot.recycle(epoch);
         }
-        match arena.lookup_or_insert(nullifier, share) {
+        match slot.lookup_or_insert(nullifier, share) {
             None => RateCheck::Fresh,
             Some(prev) if prev == share => RateCheck::Duplicate,
             Some(prev) => match recover_from_two(prev, share) {
@@ -349,16 +292,10 @@ impl NullifierStore {
         self.ring.iter().filter(|a| !a.entries.is_empty()).count()
     }
 
-    /// Lifetime count of expired epochs whose arenas were recycled with
+    /// Lifetime count of expired epochs whose slots were recycled with
     /// state still in them (the `epochs_pruned` metric).
     pub fn epochs_pruned(&self) -> u64 {
         self.epochs_pruned
-    }
-
-    /// Approximate resident bytes: 96 B per share (nullifier + x + y)
-    /// plus the ring's slot tables.
-    pub fn storage_bytes(&self) -> usize {
-        self.ring.iter().map(|a| a.storage_bytes()).sum()
     }
 
     /// Captures the store's durable state: the window parameters, the
@@ -416,10 +353,10 @@ impl NullifierStore {
         store.epochs_pruned = snapshot.epochs_pruned;
         let ring_len = store.ring.len() as u64;
         for (epoch, entries) in &snapshot.epochs {
-            let arena = &mut store.ring[(epoch % ring_len) as usize];
-            arena.recycle(*epoch);
+            let slot = &mut store.ring[(epoch % ring_len) as usize];
+            slot.recycle(*epoch);
             for (nullifier, share) in entries {
-                arena.lookup_or_insert(*nullifier, *share);
+                slot.lookup_or_insert(*nullifier, *share);
             }
         }
         store
@@ -745,18 +682,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn store_storage_accounting() {
-        let mut rng = StdRng::seed_from_u64(18);
-        let sk = Fr::random(&mut rng);
-        let mut store = NullifierStore::new(1);
-        let empty_bytes = store.storage_bytes();
-        let (phi, s) = share_for(sk, 0, b"m");
-        store.check_shares(0, phi, s);
-        assert!(store.storage_bytes() > empty_bytes);
-        assert!(!store.is_empty());
     }
 
     #[test]

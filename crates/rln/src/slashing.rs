@@ -50,8 +50,8 @@ impl SpamEvidence {
 /// This is the *unbounded* reference structure: it remembers every epoch
 /// it has ever seen unless [`NullifierMap::prune`] is called, and pruning
 /// scans every retained epoch. Production paths use the epoch-windowed
-/// [`crate::NullifierStore`] instead, whose expiry is O(1) arena
-/// recycling; the map is compiled for tests only, as the behavioral
+/// [`crate::NullifierStore`] instead, whose expiry clears one epoch's
+/// slot in place; the map is compiled for tests only, as the behavioral
 /// oracle the store is checked against.
 #[cfg(test)]
 #[derive(Clone, Debug, Default)]

@@ -476,7 +476,7 @@ fn assemble_report(
     let spam_delivered = metrics.scalar("gossip_spam_delivered_total");
     let (post_honest_delivered, post_spam_delivered) = net.deliveries_published_since(wl.post_from);
     let receivers = (config.peers - 1) as f64;
-    let mut honest_latencies = net.delivery_latencies();
+    let mut honest_latencies = net.honest_delivery_latencies();
     let mut send_delays = wl.send_delays;
     ScenarioReport {
         defense: config.defense.label().to_string(),

@@ -19,13 +19,12 @@
 //! evaluates each distinct combination once per assignment, and the shape
 //! codec in [`crate::serialize`] writes and reads these tables as held.
 
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use waku_arith::fields::Fr;
 use waku_arith::traits::Field;
+use waku_hash::ProbeIndex;
 
 /// A variable handle. `Variable::ONE` is the constant-one instance variable.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -221,71 +220,27 @@ impl Shape {
     }
 }
 
-/// The terms of each entry of a combination table → its id, keyed by a
-/// hash of the terms. An entry whose hash is taken by a different
-/// combination moves on to the next free key, so a lookup compares terms
-/// until it finds them or a free key, and no entry holds a copy of its
-/// terms: 16 B an entry.
-///
-/// The hash is a multiply-rotate over the packed terms, seeded from the
-/// process's random hash keys and mixed once at the end; the map uses the
-/// key as its own hash: SipHash over the terms cost ≈ 2 ms over the
-/// depth-20 template's rows. A collision costs a comparison, never a
-/// wrong id.
-#[derive(Clone, Debug)]
-struct ComboIndex {
-    map: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
-    seed: u64,
-}
-
-impl Default for ComboIndex {
-    fn default() -> Self {
-        ComboIndex {
-            map: HashMap::default(),
-            seed: RandomState::new().hash_one(0u64),
-        }
-    }
-}
-
-/// The hasher of a map whose keys are already hashes.
-#[derive(Default)]
-struct Prehashed(u64);
-
-impl Hasher for Prehashed {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key;
-    }
-}
+/// The terms of each entry of a combination table → its id: a
+/// [`ProbeIndex`] over the table, keyed by a hash of the terms. The hash
+/// is a multiply-rotate over the packed terms, mixed once at the end:
+/// SipHash over the terms cost ≈ 2 ms over the depth-20 template's rows.
+/// A collision costs a comparison, never a wrong id.
+#[derive(Clone, Debug, Default)]
+struct ComboIndex(ProbeIndex);
 
 impl ComboIndex {
     fn len(&self) -> usize {
-        self.map.len()
+        self.0.len()
     }
 
     /// The id of `terms` in `table`, or the free key it belongs at.
-    fn find(&self, table: &SparseMatrix, terms: &[(u32, u32)]) -> Result<u32, u64> {
+    fn find(&self, table: &SparseMatrix, terms: &[(u32, u32)]) -> Result<u32, u32> {
         const MIX: u64 = 0x517c_c1b7_2722_0a95;
-        let h = terms.iter().fold(self.seed, |h, &(col, coeff)| {
+        let h = terms.iter().fold(0, |h: u64, &(col, coeff)| {
             (h.rotate_left(5) ^ (u64::from(col) << 32 | u64::from(coeff))).wrapping_mul(MIX)
         });
-        let mut key = h ^ h >> 32;
-        loop {
-            match self.map.get(&key) {
-                Some(&id) if table.row(id as usize) == terms => return Ok(id),
-                Some(_) => key = key.wrapping_add(1),
-                None => return Err(key),
-            }
-        }
+        self.0
+            .find((h ^ h >> 32) as u32, |id| table.row(id as usize) == terms)
     }
 
     /// The id of `terms` in `table`, appended to it if absent.
@@ -293,19 +248,19 @@ impl ComboIndex {
         self.find(table, terms).unwrap_or_else(|key| {
             let id = u32::try_from(table.len()).expect("fewer than 2³² combinations");
             table.push_row(terms.iter().copied());
-            self.map.insert(key, id);
+            self.0.insert(key, id);
             id
         })
     }
 
     /// Indexes every entry of `table` afresh.
     fn rebuild(&mut self, table: &SparseMatrix) {
-        self.map.clear();
+        self.0.clear();
         for id in 0..table.len() {
             let key = self
                 .find(table, table.row(id))
                 .expect_err("table entries are distinct");
-            self.map.insert(key, id as u32);
+            self.0.insert(key, id as u32);
         }
     }
 }

@@ -166,7 +166,7 @@ pub fn read_pk(r: &mut Reader) -> Option<ProvingKey> {
 }
 
 /// Serializes a finalized constraint system's *shape* — its variable
-/// counts and the tables [`Shape`] holds, not the assignment, which
+/// counts and the tables `r1cs::Shape` holds, not the assignment, which
 /// provers rebind per proof. Each distinct combination is written once,
 /// and each row as the id of its combination:
 ///
