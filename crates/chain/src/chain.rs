@@ -1,6 +1,8 @@
 //! A minimal simulated Ethereum: accounts, a gas-price-ordered mempool,
-//! blocks mined on a fixed 12 s cadence, receipts, and the membership
-//! contract deployed at genesis.
+//! a block height that advances on a fixed 12 s cadence, the receipts of
+//! every mined transaction, one log of the contract events tagged with
+//! their block, and the membership contract deployed at height 0. No
+//! block is stored: mining an empty mempool only bumps the height.
 //!
 //! Fidelity targets (what the paper's protocol actually observes, §III-B,
 //! §IV-A):
@@ -99,7 +101,8 @@ pub struct PendingTx {
     pub seq: u64,
 }
 
-/// Execution result of one mined transaction.
+/// Execution result of one mined transaction. Its events are in the
+/// chain's event log ([`Chain::events_in_range`]).
 #[derive(Clone, Debug)]
 pub struct Receipt {
     /// Transaction hash.
@@ -112,19 +115,6 @@ pub struct Receipt {
     pub gas_used: u64,
     /// Revert reason on failure.
     pub error: Option<ContractError>,
-    /// Events emitted (empty on failure).
-    pub events: Vec<ContractEvent>,
-}
-
-/// A mined block.
-#[derive(Clone, Debug)]
-pub struct Block {
-    /// Height (genesis = 0, empty).
-    pub number: u64,
-    /// Unix-style timestamp (starts at 0, advances 12 s per block).
-    pub timestamp: u64,
-    /// Receipts in execution order.
-    pub receipts: Vec<Receipt>,
 }
 
 /// The simulated chain.
@@ -134,12 +124,17 @@ pub struct Chain {
     balances: HashMap<Address, Wei>,
     contract: MembershipContract,
     mempool: Vec<PendingTx>,
-    blocks: Vec<Block>,
+    height: u64,
+    /// Every mined transaction's receipt, in execution order.
+    receipts: Vec<Receipt>,
+    /// Every emitted event with its block, in execution order (so sorted
+    /// by block).
+    events: Vec<(u64, ContractEvent)>,
     next_seq: u64,
 }
 
 impl Chain {
-    /// Creates a chain with the membership contract deployed at genesis.
+    /// Creates a chain at height 0 with the membership contract deployed.
     pub fn new(config: ChainConfig) -> Self {
         let contract = MembershipContract::new(config.contract, DEPOSIT, config.tree_depth);
         Chain {
@@ -147,11 +142,9 @@ impl Chain {
             balances: HashMap::new(),
             contract,
             mempool: Vec::new(),
-            blocks: vec![Block {
-                number: 0,
-                timestamp: 0,
-                receipts: Vec::new(),
-            }],
+            height: 0,
+            receipts: Vec::new(),
+            events: Vec::new(),
             next_seq: 0,
         }
     }
@@ -178,12 +171,12 @@ impl Chain {
 
     /// Current block height.
     pub fn height(&self) -> u64 {
-        self.blocks.last().expect("genesis exists").number
+        self.height
     }
 
-    /// Timestamp of the latest block.
+    /// Timestamp of the latest block (0 at height 0, then 12 s a block).
     pub fn timestamp(&self) -> u64 {
-        self.blocks.last().expect("genesis exists").timestamp
+        self.height * BLOCK_TIME_SECS
     }
 
     /// The public mempool — anyone (including front-runners) can watch it.
@@ -212,25 +205,18 @@ impl Chain {
 
     /// Mines one block: drains the mempool in gas-price order (descending,
     /// FIFO tie-break) and executes every transaction.
-    pub fn mine_block(&mut self) -> &Block {
+    pub fn mine_block(&mut self) {
         let mut txs = std::mem::take(&mut self.mempool);
         txs.sort_by(|a, b| {
             b.gas_price_gwei
                 .cmp(&a.gas_price_gwei)
                 .then(a.seq.cmp(&b.seq))
         });
-        let number = self.height() + 1;
-        let timestamp = self.timestamp() + BLOCK_TIME_SECS;
-        let mut receipts = Vec::with_capacity(txs.len());
+        self.height += 1;
         for tx in txs {
-            receipts.push(self.execute(tx, number));
+            let receipt = self.execute(tx, self.height);
+            self.receipts.push(receipt);
         }
-        self.blocks.push(Block {
-            number,
-            timestamp,
-            receipts,
-        });
-        self.blocks.last().expect("just pushed")
     }
 
     /// Mines `n` blocks.
@@ -303,9 +289,12 @@ impl Chain {
                 }),
         };
 
-        let (success, gas_used, error, events) = match result {
-            Ok((gas, ev)) => (true, TX_BASE + gas, None, ev),
-            Err(e) => (false, TX_BASE, Some(e), Vec::new()),
+        let (success, gas_used, error) = match result {
+            Ok((gas, ev)) => {
+                self.events.extend(ev.into_iter().map(|e| (block, e)));
+                (true, TX_BASE + gas, None)
+            }
+            Err(e) => (false, TX_BASE, Some(e)),
         };
         // Gas fee: deducted if affordable (simulation keeps balances sane).
         let fee = gas_used as Wei * tx.gas_price_gwei as Wei * GWEI;
@@ -317,36 +306,24 @@ impl Chain {
             success,
             gas_used,
             error,
-            events,
         }
     }
 
     /// Receipt lookup by transaction hash.
     pub fn receipt(&self, hash: TxHash) -> Option<&Receipt> {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.receipts.iter())
-            .find(|r| r.tx == hash)
+        self.receipts.iter().find(|r| r.tx == hash)
     }
 
     /// All contract events in blocks `from_block..=to_block` (inclusive),
     /// in execution order — what peers replay to sync their trees
-    /// (paper §III-C).
+    /// (paper §III-C). Empty when `from_block > to_block`.
     pub fn events_in_range(&self, from_block: u64, to_block: u64) -> Vec<(u64, ContractEvent)> {
-        self.blocks
+        let start = self.events.partition_point(|(b, _)| *b < from_block);
+        self.events[start..]
             .iter()
-            .filter(|b| b.number >= from_block && b.number <= to_block)
-            .flat_map(|b| {
-                b.receipts
-                    .iter()
-                    .flat_map(move |r| r.events.iter().map(move |e| (b.number, e.clone())))
-            })
+            .take_while(|(b, _)| *b <= to_block)
+            .cloned()
             .collect()
-    }
-
-    /// The block at a height.
-    pub fn block(&self, number: u64) -> Option<&Block> {
-        self.blocks.get(number as usize)
     }
 }
 
@@ -602,6 +579,113 @@ mod tests {
             events[0].1,
             ContractEvent::MemberRegistered { index: 0, .. }
         ));
+    }
+
+    /// A seeded history of single and batched registrations, commit-reveal
+    /// slashes, withdrawals and reverting transactions, with runs of empty
+    /// blocks: every range read is the concatenation of its single-block
+    /// reads, and every receipt names the block it was mined in.
+    #[test]
+    fn range_reads_are_concatenated_single_block_reads() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let (mut chain, user) = funded_chain();
+        let mut rng = StdRng::seed_from_u64(48);
+        let mut next_sk = 1u64;
+        let mut commits: Vec<(Fr, [u8; 32])> = Vec::new();
+        let mut mined_at: Vec<(TxHash, u64)> = Vec::new();
+        for _ in 0..60 {
+            let mut txs: Vec<TxHash> = commits
+                .drain(..)
+                .map(|(secret, salt)| {
+                    let reveal = TxKind::SlashReveal {
+                        secret,
+                        salt,
+                        beneficiary: user,
+                    };
+                    chain.submit(user, reveal, 100)
+                })
+                .collect();
+            for _ in 0..rng.gen_range(0..4u64) {
+                let kind = match rng.gen_range(0..5u64) {
+                    0 => {
+                        next_sk += 1;
+                        TxKind::Register {
+                            commitment: poseidon1(Fr::from_u64(next_sk - 1)),
+                        }
+                    }
+                    1 => {
+                        let n = rng.gen_range(1..4u64);
+                        next_sk += n;
+                        TxKind::RegisterBatch {
+                            commitments: (next_sk - n..next_sk)
+                                .map(|sk| poseidon1(Fr::from_u64(sk)))
+                                .collect(),
+                        }
+                    }
+                    // Some target sk 0 (never registered) or an already
+                    // removed member and revert.
+                    2 => {
+                        let secret = Fr::from_u64(rng.gen_range(0..next_sk));
+                        let salt = [rng.gen_range(0..=255u8); 32];
+                        commits.push((secret, salt));
+                        TxKind::SlashCommit {
+                            hash: slash_commitment_hash(secret, user, &salt),
+                        }
+                    }
+                    3 => TxKind::Withdraw {
+                        index: rng.gen_range(0..next_sk),
+                    },
+                    _ => TxKind::SlashReveal {
+                        secret: Fr::from_u64(1),
+                        salt: [0; 32],
+                        beneficiary: user,
+                    },
+                };
+                txs.push(chain.submit(user, kind, rng.gen_range(1..200u64)));
+            }
+            chain.mine_block();
+            mined_at.extend(txs.into_iter().map(|tx| (tx, chain.height())));
+            chain.mine_blocks(rng.gen_range(0..4u64));
+        }
+
+        for (tx, block) in &mined_at {
+            assert_eq!(chain.receipt(*tx).expect("mined").block, *block);
+        }
+        assert!(mined_at
+            .iter()
+            .any(|(tx, _)| !chain.receipt(*tx).unwrap().success));
+
+        let top = chain.height() + 1;
+        let singles: Vec<Vec<(u64, ContractEvent)>> =
+            (0..=top).map(|h| chain.events_in_range(h, h)).collect();
+        // Every successful transaction emits an event; a reverted one none.
+        for (h, events) in singles.iter().enumerate() {
+            assert!(events.iter().all(|(block, _)| *block == h as u64));
+            let succeeded = mined_at
+                .iter()
+                .any(|(tx, block)| *block == h as u64 && chain.receipt(*tx).unwrap().success);
+            assert_eq!(events.is_empty(), !succeeded, "block {h}");
+        }
+        assert!(singles.iter().any(Vec::is_empty));
+        // All five event kinds occur.
+        let kinds: std::collections::HashSet<_> = singles
+            .iter()
+            .flatten()
+            .map(|(_, e)| std::mem::discriminant(e))
+            .collect();
+        assert_eq!(kinds.len(), 5);
+        for a in 0..=top {
+            for b in 0..=top {
+                let expected = if a <= b {
+                    singles[a as usize..=b as usize].concat()
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(chain.events_in_range(a, b), expected, "{a}..={b}");
+            }
+        }
     }
 
     #[test]

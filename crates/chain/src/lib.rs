@@ -23,7 +23,7 @@ pub mod gas;
 pub mod membership;
 pub mod types;
 
-pub use chain::{Block, Chain, ChainConfig, PendingTx, Receipt, TxKind, DEPOSIT};
+pub use chain::{Chain, ChainConfig, PendingTx, Receipt, TxKind, DEPOSIT};
 pub use gas::gas_to_usd;
 pub use membership::{
     slash_commitment_hash, ContractError, ContractEvent, ContractKind, MembershipContract,

@@ -21,12 +21,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use waku_node::cli::{Cli, Fatal};
 use waku_node::{MetricsServer, RelayerService, ServiceConfig, ServiceError};
-use waku_rln_relay::{BatchConfig, NodeConfig};
+use waku_rln_relay::NodeConfig;
 
 /// The grammar [`Cli`] parses the command line against.
-const USAGE: &str = "waku-node [--data-dir PATH] [--depth N] [--epoch-secs N] [--max-gap N] \
-    [--batch N] [--heartbeat-secs N] [--checkpoint-secs N] [--listen ADDR] [--prom-dump PATH] \
+const USAGE: &str = "waku-node [--data-dir PATH] [--depth N] [--epoch-secs N] \
+    [--heartbeat-secs N] [--checkpoint-secs N] [--listen ADDR] [--prom-dump PATH] \
     [--publish-interval-secs N] [--duration-secs N] [--seed N] [-h] [--help]";
+
+/// The maximum accepted epoch gap `Thr`. A nullifier snapshot restores
+/// only under the `Thr` it was taken at, so a data directory keeps it.
+const MAX_EPOCH_GAP: u64 = 2;
 
 /// What `-h` / `--help` prints.
 const HELP: &str = "\
@@ -39,8 +43,6 @@ OPTIONS:
     --data-dir <PATH>             persistent state root [default: ./waku-node-data]
     --depth <N>                   RLN membership tree depth [default: 10]
     --epoch-secs <N>              rate-limit epoch length [default: 10]
-    --max-gap <N>                 max accepted epoch gap Thr [default: 2]
-    --batch <N>                   micro-batch size (1 = sequential) [default: 1]
     --heartbeat-secs <N>          heartbeat interval [default: 1]
     --checkpoint-secs <N>         durable checkpoint interval [default: 30]
     --listen <ADDR>               serve /metrics on this address (e.g. 127.0.0.1:9090)
@@ -90,8 +92,6 @@ struct Settings {
     data_dir: String,
     depth: usize,
     epoch_secs: u64,
-    max_gap: u64,
-    batch: usize,
     heartbeat_secs: u64,
     checkpoint_secs: u64,
     listen: Option<String>,
@@ -116,8 +116,6 @@ fn settings(cli: &Cli) -> Result<Option<Settings>, Fatal> {
         data_dir: text("--data-dir").unwrap_or_else(|| "./waku-node-data".to_string()),
         depth: int(cli, "--depth", 10)?,
         epoch_secs: int(cli, "--epoch-secs", 10)?,
-        max_gap: int(cli, "--max-gap", 2)?,
-        batch: int(cli, "--batch", 1)?,
         heartbeat_secs: cli
             .value("--heartbeat-secs", "an integer ≥ 1", |&n: &u64| n >= 1)?
             .unwrap_or(1),
@@ -147,12 +145,12 @@ fn report(e: &dyn std::error::Error) {
 }
 
 fn run(cli: Settings) -> Result<(), ServiceError> {
-    // `--batch 1` is pass-through: a one-slot queue flushes on every push.
+    // The default ingest queue is pass-through, and nothing in this loop
+    // ingests: the binary has no network ingest yet.
     let node = NodeConfig::builder()
         .tree_depth(cli.depth)
         .epoch_length(Duration::from_secs(cli.epoch_secs))
-        .max_epoch_gap(cli.max_gap)
-        .batching(BatchConfig::builder().max_batch(cli.batch).build()?)
+        .max_epoch_gap(MAX_EPOCH_GAP)
         .build()?;
     let config = ServiceConfig::builder(&cli.data_dir)
         .node(node)
@@ -274,8 +272,6 @@ mod tests {
             data_dir: "./waku-node-data".to_string(),
             depth: 10,
             epoch_secs: 10,
-            max_gap: 2,
-            batch: 1,
             heartbeat_secs: 1,
             checkpoint_secs: 30,
             listen: None,
@@ -323,6 +319,7 @@ mod tests {
         assert_eq!(parse("--depth 6 --help").unwrap(), None);
         for bad in [
             "--heartbeat-secs 0",
+            "--batch 1",
             "--bogus",
             "--depth 6 --seed",
             "--depth six",

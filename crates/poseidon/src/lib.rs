@@ -31,14 +31,12 @@
 pub mod grain;
 pub mod params;
 pub mod permutation;
-pub mod sponge;
 
 use waku_arith::fields::Fr;
 use waku_arith::traits::Field;
 
 pub use params::{params_for, PoseidonParams};
 pub use permutation::permute;
-pub use sponge::{sponge_hash, PoseidonSponge};
 
 /// Fixed-arity Poseidon hash of 1..=4 inputs (width `t = n + 1`, the
 /// zero-initialized capacity slot is output).

@@ -7,32 +7,25 @@ use waku_arith::traits::PrimeField;
 use waku_chain::{slash_commitment_hash, Address, Chain, ContractEvent, TxKind, Wei};
 use waku_hash::keccak256;
 
-/// State of one in-flight slashing flow.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Phase {
-    /// Commit submitted at the given chain height; reveal after it mines.
-    Committed {
-        /// The recovered key to reveal.
-        secret: Fr,
-        /// Commitment salt.
-        salt: [u8; 32],
-        /// Height when the commit was submitted.
-        submitted_at: u64,
-    },
-    /// Reveal submitted; waiting for the reward event.
-    Revealed {
-        /// The recovered key.
-        secret: Fr,
-    },
+/// A slashing commitment submitted at `submitted_at`; its reveal goes out
+/// once the commit has mined.
+#[derive(Clone, Debug)]
+struct Commit {
+    /// The recovered key to reveal.
+    secret: Fr,
+    /// Commitment salt.
+    salt: [u8; 32],
+    /// Height when the commit was submitted.
+    submitted_at: u64,
 }
 
-/// Tracks pending slashing flows for one peer.
+/// Tracks one peer's unrevealed slashing commits and collects its rewards.
 #[derive(Clone, Debug)]
 pub struct Slasher {
     address: Address,
     gas_price_gwei: u64,
     commit_reveal: bool,
-    pending: Vec<Phase>,
+    pending: Vec<Commit>,
     reveals_submitted: u64,
     last_reward_scan: u64,
 }
@@ -50,7 +43,7 @@ impl Slasher {
         }
     }
 
-    /// Number of flows still in progress.
+    /// Number of commits not yet revealed.
     #[cfg(test)]
     fn pending_count(&self) -> usize {
         self.pending.len()
@@ -75,7 +68,7 @@ impl Slasher {
                 TxKind::SlashCommit { hash },
                 self.gas_price_gwei,
             );
-            self.pending.push(Phase::Committed {
+            self.pending.push(Commit {
                 secret,
                 salt,
                 submitted_at: chain.height(),
@@ -90,62 +83,45 @@ impl Slasher {
                 self.gas_price_gwei,
             );
             self.reveals_submitted += 1;
-            self.pending.push(Phase::Revealed { secret });
         }
     }
 
-    /// Advances pending flows: submits reveals for matured commits and
-    /// collects rewards from `Slashed` events. Returns the wei rewarded to
-    /// this peer since the last call.
+    /// Submits reveals for matured commits and collects rewards from
+    /// `Slashed` events. Returns the wei rewarded to this peer since the
+    /// last call. A reveal that loses the race to another slasher reverts
+    /// and earns nothing; nothing waits on it.
     pub fn advance(&mut self, chain: &mut Chain) -> Wei {
         let height = chain.height();
-        // Promote matured commits to reveals.
-        let mut next = Vec::with_capacity(self.pending.len());
-        for phase in self.pending.drain(..) {
-            match phase {
-                Phase::Committed {
-                    secret,
-                    salt,
-                    submitted_at,
-                } if height > submitted_at => {
-                    chain.submit(
-                        self.address,
-                        TxKind::SlashReveal {
-                            secret,
-                            salt,
-                            beneficiary: self.address,
-                        },
-                        self.gas_price_gwei,
-                    );
-                    self.reveals_submitted += 1;
-                    next.push(Phase::Revealed { secret });
-                }
-                other => next.push(other),
+        self.pending.retain(|commit| {
+            if height <= commit.submitted_at {
+                return true;
             }
-        }
-        self.pending = next;
+            chain.submit(
+                self.address,
+                TxKind::SlashReveal {
+                    secret: commit.secret,
+                    salt: commit.salt,
+                    beneficiary: self.address,
+                },
+                self.gas_price_gwei,
+            );
+            self.reveals_submitted += 1;
+            false
+        });
 
-        // Collect rewards and retire completed flows.
-        let mut rewarded: Wei = 0;
         let events = chain.events_in_range(self.last_reward_scan + 1, height);
         self.last_reward_scan = height;
-        for (_, event) in events {
-            if let ContractEvent::Slashed {
-                beneficiary,
-                reward,
-                ..
-            } = event
-            {
-                if beneficiary == self.address {
-                    rewarded += reward;
-                }
-            }
-        }
-        if rewarded > 0 {
-            self.pending
-                .retain(|p| !matches!(p, Phase::Revealed { .. }));
-        }
-        rewarded
+        events
+            .into_iter()
+            .map(|(_, event)| match event {
+                ContractEvent::Slashed {
+                    beneficiary,
+                    reward,
+                    ..
+                } if beneficiary == self.address => reward,
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Returns and resets the count of reveals submitted (metrics hook).
@@ -196,6 +172,31 @@ mod tests {
         assert_eq!(slasher.pending_count(), 0);
         assert_eq!(slasher.take_reveal_count(), 1);
         assert_eq!(slasher.take_reveal_count(), 0);
+    }
+
+    #[test]
+    fn losing_a_reveal_race_leaves_nothing_pending() {
+        let (mut chain, secret) = chain_with_member(44);
+        let (a, b) = (Address::from_seed(b"first"), Address::from_seed(b"second"));
+        let mut slashers = [Slasher::new(a, 100, true), Slasher::new(b, 100, true)];
+        for (slasher, who) in slashers.iter_mut().zip([a, b]) {
+            chain.fund(who, ETHER);
+            slasher.start(secret, &mut chain);
+        }
+        chain.mine_block(); // both commits land
+        for slasher in &mut slashers {
+            assert_eq!(slasher.advance(&mut chain), 0);
+        }
+        let reveals: Vec<_> = chain.mempool().iter().map(|tx| tx.hash).collect();
+        chain.mine_block(); // equal gas price: the first reveal wins
+        let [winner, loser] = &mut slashers;
+        assert_eq!(winner.advance(&mut chain), ETHER);
+        assert_eq!(loser.advance(&mut chain), 0);
+        assert!(chain.receipt(reveals[0]).unwrap().success);
+        let lost = chain.receipt(reveals[1]).unwrap();
+        assert!(!lost.success, "the loser's reveal reverts");
+        assert_eq!(winner.pending_count(), 0);
+        assert_eq!(loser.pending_count(), 0);
     }
 
     #[test]
