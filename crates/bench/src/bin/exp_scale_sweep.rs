@@ -149,7 +149,7 @@ fn sweep(cli: &Cli) -> Result<ExitCode, Fatal> {
     println!();
     println!("reading the table: events/s and ns/event are simulated-event");
     println!("throughput (BENCHMARK.json tracks it as gossip.ns_per_event);");
-    println!("barriers counts the scheduler's rounds (what the adaptive");
+    println!("barriers counts the scheduler's rounds (what the shards'");
     println!("lookahead minimizes; one shard runs one per run_until);");
     println!("containment ratios must hold at every scale — the sweep exits 2");
     println!("if they don't.");

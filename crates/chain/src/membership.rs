@@ -12,7 +12,7 @@
 //! Slashing supports both the race-prone *plain* path (submit `sk`
 //! directly) and the *commit-reveal* scheme the paper recommends (§III-F).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use waku_arith::fields::Fr;
 use waku_arith::traits::{Field, PrimeField};
@@ -273,8 +273,10 @@ impl MembershipContract {
     ///
     /// # Errors
     ///
-    /// Same as [`MembershipContract::register`]; the whole batch reverts on
-    /// the first failure.
+    /// Same as [`MembershipContract::register`], for the first commitment
+    /// that would fail (a duplicate within the batch is
+    /// `AlreadyRegistered`). Every commitment is checked before the first
+    /// write, so a failing batch changes nothing.
     pub fn register_batch(
         &mut self,
         owner: Address,
@@ -284,22 +286,26 @@ impl MembershipContract {
         if value != self.deposit_required * commitments.len() as Wei {
             return Err(ContractError::WrongDeposit);
         }
-        let snapshot = self.clone();
+        let mut batch = HashSet::with_capacity(commitments.len());
+        for (i, c) in commitments.iter().enumerate() {
+            let key = c.to_le_bytes();
+            if self.index_of.contains_key(&key) || !batch.insert(key) {
+                return Err(ContractError::AlreadyRegistered);
+            }
+            if (self.members.len() + i) as u64 >= 1u64 << self.tree_depth {
+                return Err(ContractError::TreeFull);
+            }
+        }
         let mut total_gas = 0;
         let mut indices = Vec::with_capacity(commitments.len());
         let mut events = Vec::with_capacity(commitments.len());
         for c in commitments {
-            match self.register(owner, *c, self.deposit_required) {
-                Ok((i, gas, ev)) => {
-                    indices.push(i);
-                    total_gas += gas;
-                    events.extend(ev);
-                }
-                Err(e) => {
-                    *self = snapshot;
-                    return Err(e);
-                }
-            }
+            let (i, gas, ev) = self
+                .register(owner, *c, self.deposit_required)
+                .expect("every commitment checked above");
+            indices.push(i);
+            total_gas += gas;
+            events.extend(ev);
         }
         Ok((indices, total_gas, events))
     }
@@ -414,8 +420,10 @@ impl MembershipContract {
         if block <= commit_block {
             return Err(ContractError::CommitTooRecent);
         }
+        // A reveal that reverts keeps its commit, as an EVM revert would.
+        let slashed = self.slash_inner(secret, beneficiary, gas)?;
         self.commits.remove(&hash);
-        self.slash_inner(secret, beneficiary, gas)
+        Ok(slashed)
     }
 
     /// Plain (race-prone) slashing: submit the recovered key directly.
@@ -636,6 +644,48 @@ mod tests {
             c.slash_reveal(thief, sk, &salt, thief, 6).unwrap_err(),
             ContractError::CommitNotFound
         );
+    }
+
+    /// A reveal that matches no member reverts and keeps its commit: the
+    /// member registers and the same opening then slashes.
+    #[test]
+    fn failed_reveal_keeps_its_commit() {
+        let mut c = contract(ContractKind::FlatList);
+        let sk = Fr::from_u64(99);
+        let slasher = Address::from_seed(b"slasher");
+        let salt = [4u8; 32];
+        c.slash_commit(slasher, slash_commitment_hash(sk, slasher, &salt), 3);
+        assert_eq!(
+            c.slash_reveal(slasher, sk, &salt, slasher, 4).unwrap_err(),
+            ContractError::InvalidReveal
+        );
+        c.register(Address::zero(), poseidon1(sk), ETHER).unwrap();
+        let (reward, _, events) = c.slash_reveal(slasher, sk, &salt, slasher, 5).unwrap();
+        assert_eq!(reward, ETHER);
+        assert!(matches!(events[1], ContractEvent::Slashed { .. }));
+    }
+
+    #[test]
+    fn batch_checks_duplicates_and_capacity_before_writing() {
+        let mut c = MembershipContract::new(ContractKind::OnChainTree, ETHER, 2);
+        let root = c.on_chain_root();
+        let dup = [Fr::from_u64(1), Fr::from_u64(2), Fr::from_u64(1)];
+        assert_eq!(
+            c.register_batch(Address::zero(), &dup, 3 * ETHER)
+                .unwrap_err(),
+            ContractError::AlreadyRegistered
+        );
+        let five: Vec<Fr> = (1..=5).map(Fr::from_u64).collect();
+        assert_eq!(
+            c.register_batch(Address::zero(), &five, 5 * ETHER)
+                .unwrap_err(),
+            ContractError::TreeFull
+        );
+        assert_eq!((c.len(), c.escrow(), c.on_chain_root()), (0, 0, root));
+        let (indices, _, _) = c
+            .register_batch(Address::zero(), &five[..4], 4 * ETHER)
+            .unwrap();
+        assert_eq!(indices, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!   protocol state, a private RNG stream, and a private event-sequence
 //!   counter, so no mutable state is shared across peers.
 //! * [`scheduler`] — the one event scheduler: an event-sharded engine
-//!   that runs each round as a fork-join on `waku-pool`, bounded by
-//!   adaptive per-shard Chandy–Misra lookahead horizons, exchanging
-//!   cross-shard RPCs through outboxes drained at round barriers. At one
-//!   shard it is the serial reference (`NetworkConfig::shards`).
+//!   over per-shard calendar queues that runs each round as a fork-join
+//!   on `waku-pool`, bounded by per-shard Chandy–Misra horizons on the
+//!   link-latency floor, exchanging cross-shard RPCs through outboxes
+//!   drained at round barriers. At one shard it is the serial reference
+//!   (`NetworkConfig::shards`).
 //! * [`cache`] — the per-peer message caches: the generational
 //!   duplicate-suppression set and the mcache window ring behind the
 //!   10⁴-peer hot path.

@@ -299,9 +299,7 @@ impl Network {
             slot.neighbors.sort_unstable();
         }
 
-        // Built after the topology: the adaptive lookahead derives its
-        // shard-pair latency matrix from the peers' neighbor lists.
-        let mut scheduler = Scheduler::new(&config, &slots);
+        let mut scheduler = Scheduler::new(&config, slots.len());
 
         // Stagger heartbeats so the whole network doesn't thunder at once.
         for (p, slot) in slots.iter_mut().enumerate() {
@@ -379,7 +377,7 @@ impl Network {
 
     /// Barrier rounds the scheduler has executed so far (at one shard,
     /// one per `run_until` that found work) — the cost metric the
-    /// adaptive lookahead minimizes. Deliberately *not* part of any
+    /// lookahead minimizes. Deliberately *not* part of any
     /// scenario report: it depends on the shard count, results do not.
     pub fn barriers(&self) -> u64 {
         self.scheduler.barriers()

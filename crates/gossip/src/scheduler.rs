@@ -1,14 +1,14 @@
 //! The event scheduler: an event-sharded, pool-parallel engine with
-//! adaptive per-shard lookahead. At one shard it is the serial reference.
+//! per-shard lookahead. At one shard it is the serial reference.
 //!
 //! ## One shard is the serial engine
 //!
-//! With one shard there is no other shard to hear from (`cyc = FAR`), so
-//! the horizon is `t + 1`: one round drains every event with `at ≤ t`
-//! from a single `EventQueue` in `(at, origin, seq)` order, on the
-//! calling thread. That is the reference the equivalence tests compare
-//! every other shard count against (`NetworkConfig::shards = Some(1)`);
-//! partitioning, horizons and outbox draining only run at N > 1 shards.
+//! With one shard there is no other shard to hear from, so the horizon is
+//! `t + 1`: one round drains every event with `at ≤ t` from a single
+//! `EventQueue` in `(at, origin, seq)` order, on the calling thread. That
+//! is the reference the equivalence tests compare every other shard count
+//! against (`NetworkConfig::shards = Some(1)`); partitioning, horizons
+//! and outbox draining only run at N > 1 shards.
 //!
 //! ## Why every shard count agrees bit-for-bit
 //!
@@ -22,131 +22,88 @@
 //! ## The lookahead invariant (Chandy–Misra null-message bound)
 //!
 //! Every *cross-peer* event is an RPC along a topology edge whose link
-//! latency is sampled ≥ `w = max(1, latency_min_ms)`. Lift the peer
-//! topology to the shard level: `w(j,i) = w` when any peer in shard `j`
-//! neighbors a peer in shard `i`, else ∞, and let `dist(j,i)` be the
-//! all-pairs shortest path over that graph (Floyd–Warshall, computed once
-//! at construction). If `T_j` is shard `j`'s earliest pending event time
-//! at a barrier, then no event shard `j` will *ever* process (now or in
-//! any future round) fires before `T_j`, so nothing can arrive at shard
-//! `i` before
+//! latency is sampled ≥ `w = max(1, latency_min_ms)`. If `T_j` is shard
+//! `j`'s earliest pending event time at a barrier, then no event shard
+//! `j` will *ever* process fires before `T_j`, so nothing from shard `j`
+//! reaches another shard before `T_j + w`, and nothing shard `i` sends
+//! comes back to it before `T_i + 2w`. Shard `i` therefore dispatches
+//! every queued event strictly below
 //!
 //! ```text
-//! horizon_i = min( min_{j≠i} T_j + dist(j,i),   // other shards' events
-//!                  T_i + cyc(i) )               // echoes of i's own events
+//! horizon_i = min( min_{j≠i} T_j + w,   // other shards' events
+//!                  T_i + 2w,            // echoes of i's own events
+//!                  t + 1 )              // the end of run_until(t)
 //! ```
 //!
-//! where `cyc(i) = min_{j≠i} dist(i,j) + w(j,i)` is the shortest
-//! round-trip through another shard. Shard `i` may therefore dispatch
-//! every queued event strictly below `horizon_i` in one round without a
-//! barrier — quiet neighborhoods let busy shards advance many quanta at
-//! once, and distant shards contribute multi-hop slack. A fixed quantum
-//! `horizon_i = min_j T_j + w` is the degenerate case of this bound
-//! (every `dist ≥ w`, `cyc ≥ 2w`), so these horizons never barrier more
-//! often than one would. Cross-shard events buffered in per-shard
-//! outboxes are drained at the barrier in fixed shard order; heap pop
-//! order over unique keys is insertion-order independent, so the drain
-//! order cannot leak into results.
+//! in one round without a barrier: a busy shard whose neighbours are
+//! quiet advances up to two quanta at once. Cross-shard events buffered in
+//! per-shard outboxes are drained at the barrier in fixed shard order;
+//! pop order over unique keys is insertion-order independent, so the
+//! drain order cannot leak into results.
 //!
 //! Progress is guaranteed: the shard holding the globally earliest event
-//! always has `horizon > T_min` (all weights ≥ 1), so every round
-//! dispatches at least one event.
+//! always has `horizon > T_min` (`w ≥ 1`), so every round dispatches at
+//! least one event.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{hash_map, BinaryHeap, HashMap};
+
+use waku_hash::PrefixState;
 
 use crate::engine::{EventKey, PeerSlot, QueuedEvent, SimEvent};
 use crate::message::SimTime;
 use crate::network::NetworkConfig;
 
-/// Heap node of an [`EventQueue`]: the 32-byte ordering prefix of a
-/// [`QueuedEvent`] plus a slab index for the (much larger) payload.
-/// Binary-heap sifts move only these nodes; the `SimEvent` payload is
-/// written once on push and read once on pop. Keys are globally unique,
-/// so `idx` (derived order) never actually breaks a tie.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct HeapNode {
-    key: EventKey,
-    target: u32,
-    idx: u32,
-}
-
-/// One wheel-bucket entry: everything but the fire time (implicit — all
-/// entries of a bucket share it) and the payload (in the slab).
+/// One pending event: everything but the fire time (its bucket's) and
+/// the payload (in the slab).
 #[derive(Copy, Clone)]
-struct WheelEntry {
+struct Entry {
     origin: u32,
     target: u32,
     seq: u64,
     idx: u32,
 }
 
-/// Wheel span in 1 ms buckets (power of two). Covers the default
-/// heartbeat re-arm (+1000 ms) and every link latency; anything farther
-/// out (pre-scheduled publishes, exotic configs) overflows into a
-/// conventional heap and is promoted as the window advances — the wheel
-/// size is a performance knob, never a correctness bound.
-const WHEEL: usize = 2048;
-
-/// A priority queue of simulator events: a millisecond-granular time
-/// wheel with a compact-node overflow heap and a free-listed payload
-/// slab.
+/// A priority queue of simulator events: a calendar of millisecond
+/// buckets with a free-listed payload slab.
 ///
-/// Pop order is identical to a min-heap of whole `QueuedEvent`s — events
-/// ascend by `at` (wheel buckets are visited in time order), and a
-/// bucket's entries are sorted by `(origin, seq)` before draining, which
-/// completes the unique `(at, origin, seq)` key order. The wheel kills
-/// the `O(log n)` sift traffic that dominates 10⁴-peer runs: a push is a
-/// `Vec::push` into the bucket, a pop is a `Vec::pop` off the sorted
-/// active bucket, and bucket buffers are recycled in place, so the
-/// steady-state hot path neither compares nor allocates.
+/// Pop order is identical to a min-heap of whole `QueuedEvent`s: bucket
+/// times leave a heap in ascending order, and a bucket's entries are
+/// sorted by `(origin, seq)` before draining, which completes the unique
+/// `(at, origin, seq)` key order. The heap holds one node per pending
+/// millisecond, not one per event, so a push into an existing bucket is a
+/// hash probe and a `Vec::push`. Drained bucket buffers go to a spare
+/// list and are reused, so the steady-state hot path does not allocate.
 ///
-/// Invariant: every wheel entry's time lies in `[cursor, cursor + WHEEL)`
-/// — bucket index `at % WHEEL` is unambiguous. `cursor` only advances to
-/// the next actual event time; overflow events are promoted whenever they
-/// enter the window, and a (rare) externally injected event behind the
-/// cursor triggers a full window rebuild rather than silent aliasing.
+/// Every engine delay is ≥ 1 ms, so nothing is pushed into the
+/// millisecond being drained (asserted in debug builds).
 #[derive(Default)]
 pub(crate) struct EventQueue {
-    /// `WHEEL` buckets of same-time entries.
-    wheel: Vec<Vec<WheelEntry>>,
-    /// Non-empty-bucket bitmap (`WHEEL / 64` words) for cursor scans.
-    bitmap: Vec<u64>,
-    /// Window start; all bucket entries fire in `[cursor, cursor+WHEEL)`.
-    cursor: SimTime,
-    /// Entries currently in wheel buckets (excluding the active bucket).
-    wheel_len: usize,
+    /// One bucket per pending millisecond, the active one excluded.
+    buckets: HashMap<SimTime, Vec<Entry>, PrefixState>,
+    /// The keys of `buckets`, earliest on top.
+    times: BinaryHeap<Reverse<SimTime>>,
     /// The bucket being drained, sorted descending by `(origin, seq)`.
-    active: Vec<WheelEntry>,
+    active: Vec<Entry>,
     active_at: SimTime,
-    active_bucket: usize,
-    /// Events outside the wheel window, promoted as the cursor advances.
-    overflow: BinaryHeap<Reverse<HeapNode>>,
+    /// Empty bucket buffers kept for reuse.
+    spare: Vec<Vec<Entry>>,
     slab: Vec<Option<SimEvent>>,
     free: Vec<u32>,
 }
 
 impl EventQueue {
     pub(crate) fn new() -> Self {
-        EventQueue {
-            wheel: (0..WHEEL).map(|_| Vec::new()).collect(),
-            bitmap: vec![0; WHEEL / 64],
-            ..EventQueue::default()
-        }
-    }
-
-    #[inline]
-    fn bucket_insert(&mut self, at: SimTime, entry: WheelEntry) {
-        let b = (at as usize) & (WHEEL - 1);
-        if self.wheel[b].is_empty() {
-            self.bitmap[b / 64] |= 1u64 << (b % 64);
-        }
-        self.wheel[b].push(entry);
-        self.wheel_len += 1;
+        EventQueue::default()
     }
 
     pub(crate) fn push(&mut self, ev: QueuedEvent) {
         let at = ev.key.at;
+        debug_assert!(
+            self.active.is_empty() || at > self.active_at,
+            "event at {at} pushed into or behind the draining millisecond {}",
+            self.active_at
+        );
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.slab[idx as usize] = Some(ev.event);
@@ -158,170 +115,49 @@ impl EventQueue {
                 idx
             }
         };
-        let entry = WheelEntry {
+        let entry = Entry {
             origin: u32::try_from(ev.key.origin).expect("peer ids fit u32"),
             target: u32::try_from(ev.target).expect("peer ids fit u32"),
             seq: ev.key.seq,
             idx,
         };
-        if self.wheel_len == 0 && self.active.is_empty() {
-            // Empty wheel: restart the window at the earliest pending
-            // time (never ahead of the overflow minimum — the cursor must
-            // stay a lower bound on every queued event).
-            let floor = self
-                .overflow
-                .peek()
-                .map(|Reverse(n)| n.key.at)
-                .unwrap_or(at)
-                .min(at);
-            self.cursor = floor;
+        match self.buckets.entry(at) {
+            hash_map::Entry::Occupied(bucket) => bucket.into_mut().push(entry),
+            hash_map::Entry::Vacant(slot) => {
+                let mut bucket = self.spare.pop().unwrap_or_default();
+                bucket.push(entry);
+                slot.insert(bucket);
+                self.times.push(Reverse(at));
+            }
         }
-        if at >= self.cursor && at - self.cursor < WHEEL as SimTime {
-            self.bucket_insert(at, entry);
-        } else if at >= self.cursor {
-            self.overflow.push(Reverse(HeapNode {
-                key: ev.key,
-                target: entry.target,
-                idx,
-            }));
+    }
+
+    /// Fire time of the earliest queued event.
+    pub(crate) fn peek_at(&self) -> Option<SimTime> {
+        if self.active.is_empty() {
+            self.times.peek().map(|&Reverse(at)| at)
         } else {
-            // An externally injected event behind the window start (e.g.
-            // `publish_at(now)` after the cursor skipped ahead through an
-            // idle gap). Rare: rebuild the window at the new floor.
-            self.rebuild_window(at);
-            self.bucket_insert(at, entry);
+            Some(self.active_at)
         }
-    }
-
-    /// Moves every wheel entry into the overflow heap and restarts the
-    /// window at `floor`. Only externally injected out-of-window events
-    /// take this path.
-    fn rebuild_window(&mut self, floor: SimTime) {
-        debug_assert!(self.active.is_empty(), "no injection mid-dispatch");
-        for b in 0..WHEEL {
-            if self.wheel[b].is_empty() {
-                continue;
-            }
-            let start = (self.cursor as usize) & (WHEEL - 1);
-            let at = self.cursor + (((b + WHEEL - start) & (WHEEL - 1)) as SimTime);
-            let entries = std::mem::take(&mut self.wheel[b]);
-            self.wheel_len -= entries.len();
-            for e in entries {
-                self.overflow.push(Reverse(HeapNode {
-                    key: EventKey {
-                        at,
-                        origin: e.origin as usize,
-                        seq: e.seq,
-                    },
-                    target: e.target,
-                    idx: e.idx,
-                }));
-            }
-        }
-        self.bitmap.iter_mut().for_each(|w| *w = 0);
-        self.cursor = floor;
-    }
-
-    /// First non-empty bucket time at or after the cursor (None if the
-    /// wheel is empty). Scans the bitmap word-wise, wrapping once.
-    fn scan_next(&self) -> Option<SimTime> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let start = (self.cursor as usize) & (WHEEL - 1);
-        let words = self.bitmap.len();
-        let mut word_idx = start / 64;
-        // Mask off bits before the cursor in its word.
-        let mut word = self.bitmap[word_idx] & (!0u64 << (start % 64));
-        for step in 0..=words {
-            if word != 0 {
-                let b = word_idx * 64 + word.trailing_zeros() as usize;
-                let offset = ((b + WHEEL - start) & (WHEEL - 1)) as SimTime;
-                return Some(self.cursor + offset);
-            }
-            if step == words {
-                break;
-            }
-            word_idx = (word_idx + 1) % words;
-            word = self.bitmap[word_idx];
-            if word_idx == start / 64 {
-                // Wrapped to the start word: only bits before the cursor
-                // remain to check (times near the window's far end).
-                word &= !(!0u64 << (start % 64));
-            }
-        }
-        None
-    }
-
-    /// Promotes overflow events that now fit the window.
-    fn promote(&mut self) {
-        while let Some(Reverse(node)) = self.overflow.peek() {
-            if node.key.at - self.cursor >= WHEEL as SimTime {
-                break;
-            }
-            let Reverse(node) = self.overflow.pop().expect("peeked");
-            self.bucket_insert(
-                node.key.at,
-                WheelEntry {
-                    origin: u32::try_from(node.key.origin).expect("peer ids fit u32"),
-                    target: node.target,
-                    seq: node.key.seq,
-                    idx: node.idx,
-                },
-            );
-        }
-    }
-
-    /// Fire time of the earliest queued event. Advances the window cursor
-    /// (and promotes overflow events) as a side effect — cheap when the
-    /// active bucket is non-empty, a bitmap scan otherwise.
-    pub(crate) fn peek_at(&mut self) -> Option<SimTime> {
-        if !self.active.is_empty() {
-            return Some(self.active_at);
-        }
-        let wheel_next = self.scan_next();
-        let over_next = self.overflow.peek().map(|Reverse(n)| n.key.at);
-        let next = match (wheel_next, over_next) {
-            (None, None) => return None,
-            (Some(w), None) => w,
-            (None, Some(o)) => o,
-            (Some(w), Some(o)) => w.min(o),
-        };
-        // Jump is always forward (every pending event is ≥ cursor), and
-        // every wheel entry stays inside the new window: entries are
-        // ≥ next and < old cursor + WHEEL ≤ next + WHEEL.
-        self.cursor = next;
-        if over_next.is_some_and(|o| o - next < WHEEL as SimTime) {
-            self.promote();
-        }
-        Some(next)
     }
 
     pub(crate) fn pop(&mut self) -> Option<QueuedEvent> {
-        let at = self.peek_at()?;
         if self.active.is_empty() {
-            let b = (at as usize) & (WHEEL - 1);
-            self.active = std::mem::take(&mut self.wheel[b]);
-            self.bitmap[b / 64] &= !(1u64 << (b % 64));
-            self.wheel_len -= self.active.len();
-            self.active_at = at;
-            self.active_bucket = b;
+            let Reverse(at) = self.times.pop()?;
+            let mut bucket = self.buckets.remove(&at).expect("one bucket per time");
             // Unique (origin, seq) per bucket: descending sort, pop from
             // the back → ascending key order.
-            self.active
-                .sort_unstable_by_key(|e| Reverse((e.origin, e.seq)));
+            bucket.sort_unstable_by_key(|e| Reverse((e.origin, e.seq)));
+            let drained = std::mem::replace(&mut self.active, bucket);
+            self.spare.push(drained);
+            self.active_at = at;
         }
         let e = self.active.pop().expect("active non-empty");
-        if self.active.is_empty() {
-            // Recycle the drained buffer (keeps its capacity) into its
-            // bucket slot — steady-state pops never allocate.
-            self.wheel[self.active_bucket] = std::mem::take(&mut self.active);
-        }
         let event = self.slab[e.idx as usize].take().expect("slab occupied");
         self.free.push(e.idx);
         Some(QueuedEvent {
             key: EventKey {
-                at,
+                at: self.active_at,
                 origin: e.origin as usize,
                 seq: e.seq,
             },
@@ -331,9 +167,8 @@ impl EventQueue {
     }
 }
 
-/// Sentinel for "no pending event" / "no path between shards". Kept far
-/// from `SimTime::MAX` so saturating adds of latencies never wrap into
-/// plausible times.
+/// Sentinel for "no pending event". Kept far from `SimTime::MAX` so
+/// adding latencies to it never wraps into plausible times.
 const FAR: SimTime = SimTime::MAX / 4;
 
 /// The shard count a network of `peers` runs with: `requested` clamped to
@@ -348,7 +183,7 @@ fn shard_count(requested: Option<usize>, peers: usize) -> usize {
     shards.clamp(1, peers.max(1))
 }
 
-/// One shard's work for one round: drain the shard-local heap up to the
+/// One shard's work for one round: drain the shard-local queue up to the
 /// shard's horizon, keeping self/intra-shard events local and buffering
 /// cross-shard events in the outbox.
 struct ShardRound<'a> {
@@ -385,75 +220,17 @@ impl ShardRound<'_> {
     }
 }
 
-/// Builds the shard-level shortest-path latency matrix (row-major
-/// `dist[j * shards + i]` = minimum delay for an event leaving shard `j`
-/// to arrive in shard `i`) plus the per-shard minimum round-trip
-/// `cyc[i] = min_{j≠i} dist(i,j) + w(j,i)`.
-///
-/// Edge weight `w = max(1, latency_min_ms)` is the engine-wide floor the
-/// link-latency sampler clamps to; shards without any connecting peer
-/// edge get ∞ (multi-hop paths are filled in by Floyd–Warshall).
-fn shard_latency_matrix(
-    slots: &[PeerSlot],
-    chunk: usize,
-    shards: usize,
-    min_link: SimTime,
-) -> (Vec<SimTime>, Vec<SimTime>) {
-    let mut dist = vec![FAR; shards * shards];
-    let mut direct = vec![FAR; shards * shards];
-    for s in 0..shards {
-        dist[s * shards + s] = 0;
-    }
-    for (p, slot) in slots.iter().enumerate() {
-        let sp = p / chunk;
-        for &q in &slot.neighbors {
-            let sq = q / chunk;
-            if sp != sq {
-                dist[sp * shards + sq] = min_link;
-                direct[sp * shards + sq] = min_link;
-            }
-        }
-    }
-    for k in 0..shards {
-        for j in 0..shards {
-            let djk = dist[j * shards + k];
-            if djk >= FAR {
-                continue;
-            }
-            for i in 0..shards {
-                let via = djk.saturating_add(dist[k * shards + i]);
-                if via < dist[j * shards + i] {
-                    dist[j * shards + i] = via;
-                }
-            }
-        }
-    }
-    let cyc = (0..shards)
-        .map(|i| {
-            (0..shards)
-                .filter(|&j| j != i)
-                .map(|j| dist[i * shards + j].saturating_add(direct[j * shards + i]))
-                .min()
-                .unwrap_or(FAR)
-                .min(FAR)
-        })
-        .collect();
-    (dist, cyc)
-}
-
 /// Event-sharded engine: peers are partitioned into contiguous shards,
 /// each with its own event queue; every round runs as one fork-join on
 /// `waku-pool` (on the calling thread when one shard has work), bounded
-/// per shard by the adaptive lookahead horizon (see module docs for the
+/// per shard by the lookahead horizon (see module docs for the
 /// correctness argument).
 pub(crate) struct Scheduler {
     queues: Vec<EventQueue>,
     /// Peers per shard (the last shard may be smaller).
     chunk: usize,
-    /// Shard-pair shortest-path delays (row-major `[from * shards + to]`).
-    dist: Vec<SimTime>,
-    /// Minimum round-trip delay through another shard, per shard.
-    cyc: Vec<SimTime>,
+    /// The link-latency floor `w = max(1, latency_min_ms)`.
+    floor: SimTime,
     /// Rounds executed (the barriers-per-run metric).
     barriers: u64,
     /// Scratch: earliest pending event per shard.
@@ -463,42 +240,33 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// Runs `shard_count(config.shards, slots.len())` shards. `slots`
-    /// must already have their neighbor lists assigned — the adaptive
-    /// horizons are derived from the cross-shard topology.
-    pub(crate) fn new(config: &NetworkConfig, slots: &[PeerSlot]) -> Self {
-        let peers = slots.len();
+    /// Runs `shard_count(config.shards, peers)` shards.
+    pub(crate) fn new(config: &NetworkConfig, peers: usize) -> Self {
         let shards = shard_count(config.shards, peers);
         let chunk = peers.div_ceil(shards).max(1);
         let num_queues = peers.div_ceil(chunk).max(1);
-        let quantum = config.latency_min_ms.max(1);
-        let (dist, cyc) = shard_latency_matrix(slots, chunk, num_queues, quantum);
         Scheduler {
             queues: (0..num_queues).map(|_| EventQueue::new()).collect(),
             chunk,
-            dist,
-            cyc,
+            floor: config.latency_min_ms.max(1),
             barriers: 0,
             heads: vec![FAR; num_queues],
             horizons: vec![0; num_queues],
         }
     }
 
-    /// Computes each shard's dispatch horizon from `self.heads`: the
-    /// per-shard-pair Chandy–Misra bound from the cross-shard link-latency
-    /// matrix. Events at exactly `t` must still run, so horizons cap at
-    /// `t + 1`.
+    /// Computes each shard's dispatch horizon from `self.heads` (module
+    /// docs). Events at exactly `t` must still run, so horizons cap at
+    /// `t + 1`; a lone shard hears from nobody and runs to the cap.
     fn compute_horizons(&mut self, t: SimTime) {
-        let s = self.queues.len();
+        let w = self.floor;
         let cap = t.saturating_add(1);
-        for i in 0..s {
-            let mut h = self.heads[i].saturating_add(self.cyc[i]);
-            for (j, &head) in self.heads.iter().enumerate() {
-                if j != i {
-                    h = h.min(head.saturating_add(self.dist[j * s + i]));
-                }
-            }
-            self.horizons[i] = h.min(cap);
+        for (i, &own) in self.heads.iter().enumerate() {
+            let others = self.heads.iter().enumerate().filter(|&(j, _)| j != i);
+            self.horizons[i] = match others.map(|(_, &head)| head).min() {
+                Some(other) => (other + w).min(own + 2 * w).min(cap),
+                None => cap,
+            };
         }
     }
 
@@ -511,7 +279,7 @@ impl Scheduler {
     pub(crate) fn run_until(&mut self, slots: &mut [PeerSlot], config: &NetworkConfig, t: SimTime) {
         let chunk = self.chunk;
         loop {
-            for (head, queue) in self.heads.iter_mut().zip(self.queues.iter_mut()) {
+            for (head, queue) in self.heads.iter_mut().zip(&self.queues) {
                 *head = queue.peek_at().unwrap_or(FAR).min(FAR);
             }
             let Some(&start) = self.heads.iter().min() else {
@@ -568,6 +336,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::engine::PeerSlot;
+    use crate::message::TrafficClass;
 
     fn qe(at: SimTime, origin: usize, seq: u64, target: usize) -> QueuedEvent {
         QueuedEvent {
@@ -577,13 +346,13 @@ mod tests {
         }
     }
 
-    /// The wheel pops in exactly the total key order a min-heap would,
-    /// for any interleaving of near (wheel) and far (overflow) times.
+    /// The calendar pops in exactly the total key order a min-heap would,
+    /// for any interleaving of near and far times.
     #[test]
     fn event_queue_pops_in_key_order() {
         let mut q = EventQueue::new();
-        // A scrambled mix: same-time bursts, far-future overflow events,
-        // pushes interleaved with pops.
+        // A scrambled mix: same-time bursts, far-future events, pushes
+        // interleaved with pops.
         let mut times: Vec<SimTime> = vec![5, 3, 3, 3, 9_000, 5, 40_000, 7, 3, 9_000, 2_100];
         for (i, &at) in times.iter().enumerate() {
             q.push(qe(at, i % 4, i as u64, i));
@@ -610,15 +379,15 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
-    /// Events injected behind an advanced cursor (late `publish_at`)
-    /// trigger the window rebuild and still pop in order.
+    /// A late `publish_at`: events pushed behind the earliest pending
+    /// time, after a pop has drained an earlier millisecond, still pop
+    /// in time order.
     #[test]
     fn event_queue_accepts_events_behind_the_cursor() {
         let mut q = EventQueue::new();
         q.push(qe(10, 0, 0, 0));
-        q.push(qe(5_000, 0, 1, 0)); // beyond the wheel span → overflow
+        q.push(qe(5_000, 0, 1, 0));
         assert_eq!(q.pop().unwrap().key.at, 10);
-        // Cursor has advanced to 5 000 via peek; inject at 100.
         assert_eq!(q.peek_at(), Some(5_000));
         q.push(qe(100, 1, 0, 1));
         q.push(qe(60, 2, 0, 2));
@@ -679,7 +448,7 @@ mod tests {
         let peers = 6;
         let mut slots = ring_slots(peers);
         let config = with_shards(1, 20);
-        let mut s = Scheduler::new(&config, &slots);
+        let mut s = Scheduler::new(&config, slots.len());
         assert_eq!(s.shards(), 1);
         for head in [0, 17, 999, 1_000] {
             s.heads = vec![head];
@@ -708,8 +477,7 @@ mod tests {
     #[test]
     fn sharded_partition_covers_all_peers() {
         for (peers, shards) in [(10, 3), (100, 7), (4, 4), (512, 2)] {
-            let slots = ring_slots(peers);
-            let s = Scheduler::new(&with_shards(shards, 20), &slots);
+            let s = Scheduler::new(&with_shards(shards, 20), peers);
             // Every peer maps to a valid queue.
             for p in 0..peers {
                 assert!(
@@ -720,44 +488,74 @@ mod tests {
         }
     }
 
-    #[test]
-    fn latency_matrix_uses_multi_hop_paths() {
-        // 9 peers in a ring, 3 shards of 3: shard 0 and 2 touch (ring
-        // wrap), every pair is adjacent → dist = w; a line topology
-        // instead isolates shards 0 and 2 by one hop through shard 1.
-        let peers = 9;
-        let mut slots = ring_slots(peers);
-        // Break the ring into a line: 0 and 8 are no longer neighbors.
-        slots[0].neighbors = vec![1];
-        slots[8].neighbors = vec![7];
-        let s = Scheduler::new(&with_shards(3, 20), &slots);
-        let n = s.queues.len();
-        assert_eq!(n, 3);
-        assert_eq!(s.dist[1], 20, "adjacent shards: one hop"); // 0 → 1
-        assert_eq!(s.dist[2], 40, "line ends: two hops"); // 0 → 2
-        assert!(s.cyc[0] >= 40, "round trips cost at least two hops");
-    }
-
+    /// Shard 0 busy at 100, shards 1 and 2 quiet until 1 000, `w` = 20:
+    /// shard 0 runs to its own echo `T_0 + 2w`, past one floor, and the
+    /// quiet shards to what shard 0 could send them, `T_0 + w`.
     #[test]
     fn horizons_extend_past_the_latency_floor_when_quiet() {
-        let peers = 9;
-        let slots = ring_slots(peers);
-        let mut s = Scheduler::new(&with_shards(3, 20), &slots);
-        // Shard 0 busy at t=100; shards 1 and 2 idle until t=1000.
+        let mut s = Scheduler::new(&with_shards(3, 20), 9);
         s.heads = vec![100, 1_000, 1_000];
         s.compute_horizons(5_000);
-        // One latency floor past the start would be 120; shard 0 runs to
-        // min(1000+20, 1000+20, 100+cyc) — bounded by its own echo.
-        assert!(
-            s.horizons[0] > 120,
-            "horizon {} should exceed one latency floor",
-            s.horizons[0]
+        assert_eq!(s.horizons, vec![140, 120, 120]);
+        // Two busy shards bound each other by one floor; the cap holds.
+        s.heads = vec![100, 105, 1_000];
+        s.compute_horizons(5_000);
+        assert_eq!(s.horizons, vec![125, 120, 120]);
+        s.compute_horizons(110);
+        assert_eq!(s.horizons, vec![111, 111, 111]);
+    }
+
+    /// A 9-peer line (the ring broken between 0 and 8) on 3 shards of 3:
+    /// shards 0 and 2 share no edge, so the one-floor bound is looser
+    /// than the shortest cross-shard path. Every peer publishes every
+    /// 50 ms for a second; each ends with the counters and first
+    /// deliveries it has on one shard.
+    #[test]
+    fn a_line_on_three_shards_dispatches_what_one_shard_does() {
+        let run = |shards: usize| {
+            let mut slots = ring_slots(9);
+            slots[0].neighbors = vec![1];
+            slots[8].neighbors = vec![7];
+            let config = with_shards(shards, 20);
+            let mut s = Scheduler::new(&config, slots.len());
+            assert_eq!(s.shards(), shards);
+            let mut inject = |slots: &mut [PeerSlot], p: usize, at: SimTime, event| {
+                let key = slots[p].next_key(p, at);
+                s.enqueue(QueuedEvent {
+                    key,
+                    target: p,
+                    event,
+                });
+            };
+            for p in 0..9 {
+                inject(&mut slots, p, p as SimTime * 37, SimEvent::Heartbeat);
+                for k in 0..20 {
+                    let at = 1_500 + k * 50 + p as SimTime * 7;
+                    let data = vec![p as u8, k as u8];
+                    let class = TrafficClass::Honest;
+                    inject(&mut slots, p, at, SimEvent::Publish { data, class });
+                }
+            }
+            s.run_until(&mut slots, &config, 5_000);
+            slots
+                .iter()
+                .map(|slot| {
+                    let deliveries: Vec<_> = slot
+                        .deliveries
+                        .iter()
+                        .map(|(id, d)| (*id, d.at, d.published_at))
+                        .collect();
+                    (slot.recorder.snapshot(), deliveries)
+                })
+                .collect::<Vec<_>>()
+        };
+        let serial = run(1);
+        let delivered: usize = serial.iter().map(|(_, deliveries)| deliveries.len()).sum();
+        assert_eq!(
+            delivered,
+            180 * 8,
+            "every message reaches the 8 other peers"
         );
-        assert!(
-            s.horizons[0] <= 100 + s.cyc[0],
-            "bounded by the self round-trip"
-        );
-        // The idle shards may not advance past what shard 0 could send.
-        assert_eq!(s.horizons[1], 100 + s.dist[1]);
+        assert_eq!(run(3), serial);
     }
 }

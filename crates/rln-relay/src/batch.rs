@@ -574,6 +574,31 @@ mod tests {
         assert_eq!(v.queued(), 1, "trigger bundle is queued for the next batch");
     }
 
+    /// `tick` slides the window before its deadline flush, so a bundle
+    /// queued at epoch `e` and flushed at `e + Thr + 1` is rate-checked
+    /// out of window: dropped, counted, neither relayed nor slashed.
+    #[test]
+    fn deadline_flush_after_the_window_slid_is_out_of_window() {
+        let f = fixture(64, 1);
+        let now = 1000u64; // T = 1 s: epoch 1000
+        let mut v = BatchingValidator::new(
+            MessageValidator::new(keys().1.clone(), EpochManager::new(1), 1),
+            BatchConfig {
+                max_batch: 64,
+                max_delay_secs: 1,
+            },
+        );
+        assert!(v
+            .enqueue(prove(&f, 0, b"queued", now, 6), &f.group, now)
+            .is_empty());
+        let flushed = v.tick(now + 2);
+        assert_eq!(flushed.len(), 1);
+        assert_eq!(flushed[0].outcome, Outcome::EpochOutOfRange(2));
+        let snap = v.inner().registry().snapshot();
+        assert_eq!(snap.scalar("rln_out_of_window_total"), 1);
+        assert_eq!(snap.scalar("rln_validation_relayed_total"), 0);
+    }
+
     #[test]
     fn invalid_proofs_are_isolated_not_collateral() {
         let f = fixture(63, 6);

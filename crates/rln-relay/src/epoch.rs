@@ -81,8 +81,9 @@ impl EpochManager {
     ///   away near an epoch boundary; those messages bounce with
     ///   [`crate::validation::Outcome::EpochOutOfRange`], counted on
     ///   `rln_validation_epoch_dropped_total` whichever way the clock
-    ///   is off (`rln_out_of_window_total` does not move: the gap check
-    ///   and the store window share one monotone epoch).
+    ///   is off (on a pass-through validator `rln_out_of_window_total`
+    ///   does not move: the gap check and the store window share one
+    ///   monotone epoch).
     /// * `offset ≥ (Thr + 1) · T` — the *minimum* gap `⌊x / T⌋` already
     ///   exceeds `Thr`: every message bounces, not just boundary ones.
     ///

@@ -268,14 +268,16 @@ impl<V> MessageValidator<V> {
             }
             RateCheck::OutOfWindow => {
                 // The gap check (1) and the store window enforce the same
-                // `Thr` bound against the same monotone epoch, so this arm
-                // never fires in the current pipeline — but it is a real
-                // verdict, not a bug: a store restored from a snapshot
-                // taken under a faster clock, or any future caller that
-                // samples the clock before the store, lands here. Count it
-                // on its own counter (skew beyond tolerance looks exactly
-                // like this; see `EpochManager::max_tolerated_skew_secs`)
-                // and drop the message without relaying or slashing.
+                // `Thr` bound against the same monotone epoch, so a
+                // pass-through validator never lands here. A batched one
+                // does: `BatchingValidator::tick` slides the window before
+                // its deadline flush, so a bundle queued at epoch `e` and
+                // rate-checked at `e + Thr + 1` is out of window. So is a
+                // store restored from a snapshot taken under a faster
+                // clock. Count it on its own counter (skew beyond
+                // tolerance looks exactly like this; see
+                // `EpochManager::max_tolerated_skew_secs`) and drop the
+                // message without relaying or slashing.
                 self.m.out_of_window.inc();
                 Outcome::EpochOutOfRange(gap)
             }

@@ -240,9 +240,10 @@ impl NullifierStore {
     /// Checks a share against the window and records it if fresh — the
     /// §III-F rate check on raw parts. Epochs outside
     /// `[current − Thr, current + Thr]` return
-    /// [`RateCheck::OutOfWindow`] without storing anything; the upstream
+    /// [`RateCheck::OutOfWindow`] without storing anything. The upstream
     /// epoch-gap check drops those messages before they reach the store,
-    /// so seeing the variant here means the caller skipped that check.
+    /// so seeing the variant here means the caller skipped that check or
+    /// the window slid while the message waited (a batch queue).
     pub fn check_shares(&mut self, epoch: u64, nullifier: [u8; 32], share: (Fr, Fr)) -> RateCheck {
         if epoch < self.oldest_retained_epoch() || epoch > self.hi.saturating_add(self.max_gap) {
             return RateCheck::OutOfWindow;

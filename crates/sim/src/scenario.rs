@@ -140,7 +140,7 @@ const GROUP_DEPTH: usize = 20;
 pub struct EngineStats {
     /// Peer shards the engine resolved to (1 = the serial reference).
     pub shards: usize,
-    /// Scheduler rounds executed, one barrier each (the cost the adaptive
+    /// Scheduler rounds executed, one barrier each (the cost the
     /// lookahead minimizes; at one shard, one per `run_until` with work).
     pub barriers: u64,
 }

@@ -93,8 +93,10 @@ fn rln_reports_identical_across_schedulers_shards_and_pool_sizes() {
 
 /// The Chandy–Misra horizons must keep cutting barriers: the removed
 /// fixed-quantum mode needed 1077 rounds for this seeded config, the
-/// adaptive horizons 1074 — pinned so a regression in the horizon
-/// computation shows up as a count, while the report stays `==` serial.
+/// horizons on the one link floor (`T_j + w`, own echo `T_i + 2w`) 1074,
+/// as did the removed shard-graph horizons — pinned so a regression in
+/// the horizon computation shows up as a count, while the report stays
+/// `==` serial.
 #[test]
 fn adaptive_lookahead_cuts_barriers_without_changing_results() {
     let run = with_threads(2, || run_scenario(&config(RLN, Some(8))));
