@@ -6,10 +6,12 @@ use std::sync::OnceLock;
 
 use waku_arith::biguint::BigUint;
 use waku_arith::fields::Fq;
+use waku_arith::fp::LaneBody;
 use waku_arith::traits::{Field, PrimeField};
 
-use crate::fp2::Fp2;
-use crate::fp6::Fp6;
+use crate::fp2::{Fp2, Fp2Lanes};
+use crate::fp6::{Fp6, Fp6Lanes};
+use crate::point::FqLanes;
 
 /// An element `c0 + c1·w` of Fp12.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
@@ -193,6 +195,61 @@ impl Fp12 {
     }
 }
 
+/// `B::WIDTH` Fp12 elements on lane body `B`, with [`Fp12`]'s formulas:
+/// the Miller loop's accumulators, one per lane.
+#[derive(Clone, Copy)]
+pub(crate) struct Fp12Lanes<B: LaneBody> {
+    c0: Fp6Lanes<B>,
+    c1: Fp6Lanes<B>,
+}
+
+impl<B: LaneBody> Fp12Lanes<B> {
+    /// Loads the elements behind `v`, lane `i` from `v[i]`.
+    #[inline(always)]
+    pub(crate) fn gather(body: B, v: B::Array<&Fp12>) -> Self {
+        let v = v.as_ref();
+        Fp12Lanes {
+            c0: Fp6Lanes::gather(body, B::array(|i| &v[i].c0)),
+            c1: Fp6Lanes::gather(body, B::array(|i| &v[i].c1)),
+        }
+    }
+
+    /// The elements, lane `i` at index `i`.
+    #[inline(always)]
+    pub(crate) fn scatter(self) -> B::Array<Fp12> {
+        let (c0, c1) = (self.c0.scatter(), self.c1.scatter());
+        B::array(|i| Fp12::new(c0.as_ref()[i], c1.as_ref()[i]))
+    }
+
+    /// Lane-wise square, as [`Fp12`]'s.
+    #[inline(always)]
+    pub(crate) fn square(self) -> Self {
+        let ab = self.c0 * self.c1;
+        let a = self.c0 + self.c1;
+        let b = self.c0 + self.c1.mul_by_v();
+        Fp12Lanes {
+            c0: a * b - ab - ab.mul_by_v(),
+            c1: ab.double(),
+        }
+    }
+
+    /// Lane-wise [`Fp12::mul_by_line`].
+    #[inline(always)]
+    pub(crate) fn mul_by_line(self, c: FqLanes<B>, a: Fp2Lanes<B>, b: Fp2Lanes<B>) -> Self {
+        let v0 = self.c0.scale_base(c);
+        let v1 = self.c1.mul_by_01(a, b);
+        let ac = Fp2Lanes {
+            c0: a.c0 + c,
+            c1: a.c1,
+        };
+        let s = (self.c0 + self.c1).mul_by_01(ac, b);
+        Fp12Lanes {
+            c0: v0 + v1.mul_by_v(),
+            c1: s - v0 - v1,
+        }
+    }
+}
+
 impl Add for Fp12 {
     type Output = Self;
     fn add(self, rhs: Self) -> Self {
@@ -319,6 +376,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
+    use waku_arith::fp::{with_lanes, LaneField, LaneTask, Portable};
 
     #[test]
     fn w_squared_is_v() {
@@ -445,6 +503,70 @@ mod tests {
                 Fp6::new(a, b, Fp2::zero()),
             );
             assert_eq!(f.mul_by_line(c, a, b), f * dense);
+        }
+    }
+
+    /// The lane tower against the scalar one, lane by lane, `B::WIDTH` of
+    /// eight random operand sets at a time: with `OP` 0 Fp6's `mul_by_01`,
+    /// `mul_by_v` and product and a gather and a scatter, with 1 Fp12's
+    /// square, with 2 its `mul_by_line`. One Fp12 lane operation per
+    /// instantiation: together in one function they take LLVM minutes.
+    fn tower_same_on<B: LaneBody, const OP: u8>(body: B, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let f: Vec<Fp12> = (0..8).map(|_| Fp12::random(&mut rng)).collect();
+        let g: Vec<Fp12> = (0..8).map(|_| Fp12::random(&mut rng)).collect();
+        let c: Vec<Fq> = (0..8).map(|_| Fq::random(&mut rng)).collect();
+        let a: Vec<Fp2> = (0..8).map(|_| Fp2::random(&mut rng)).collect();
+        let b: Vec<Fp2> = (0..8).map(|_| Fp2::random(&mut rng)).collect();
+        for at in (0..8).step_by(B::WIDTH) {
+            let lanes = at..at + B::WIDTH;
+            let fl = Fp12Lanes::gather(body, B::array(|i| &f[at + i]));
+            let (x, y) = (fl.c0, Fp6Lanes::gather(body, B::array(|i| &g[at + i].c1)));
+            let al = Fp2::gather(body, B::array(|i| &a[at + i]));
+            let bl = Fp2::gather(body, B::array(|i| &b[at + i]));
+            let cl = FqLanes::gather(body, B::array(|i| &c[at + i]));
+            let six = |v: Fp6Lanes<B>| v.scatter().as_ref().to_vec();
+            let twelve = |v: Fp12Lanes<B>| v.scatter().as_ref().to_vec();
+            let each6 = |op: &dyn Fn(usize) -> Fp6| lanes.clone().map(op).collect::<Vec<_>>();
+            let each12 = |op: &dyn Fn(usize) -> Fp12| lanes.clone().map(op).collect::<Vec<_>>();
+            match OP {
+                0 => {
+                    assert_eq!(twelve(fl), each12(&|i| f[i]), "gather then scatter");
+                    assert_eq!(
+                        six(x.mul_by_01(al, bl)),
+                        each6(&|i| f[i].c0.mul_by_01(a[i], b[i]))
+                    );
+                    assert_eq!(six(x.mul_by_v()), each6(&|i| f[i].c0.mul_by_v()));
+                    assert_eq!(six(x * y), each6(&|i| f[i].c0 * g[i].c1));
+                }
+                1 => assert_eq!(twelve(fl.square()), each12(&|i| f[i].square())),
+                _ => assert_eq!(
+                    twelve(fl.mul_by_line(cl, al, bl)),
+                    each12(&|i| f[i].mul_by_line(c[i], a[i], b[i]))
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn lane_tower_matches_scalar_operations() {
+        // Both bodies: the portable one directly, and the one this CPU
+        // runs (IFMA where it has it).
+        struct Detected<const OP: u8>(u64);
+        impl<const OP: u8> LaneTask for Detected<OP> {
+            type Output = ();
+            #[inline(always)]
+            fn run<B: LaneBody>(self, body: B) {
+                tower_same_on::<B, OP>(body, self.0);
+            }
+        }
+        for seed in 0..4 {
+            tower_same_on::<_, 0>(Portable, seed);
+            tower_same_on::<_, 1>(Portable, seed);
+            tower_same_on::<_, 2>(Portable, seed);
+            with_lanes(Detected::<0>(seed));
+            with_lanes(Detected::<1>(seed));
+            with_lanes(Detected::<2>(seed));
         }
     }
 

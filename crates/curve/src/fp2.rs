@@ -155,29 +155,45 @@ impl fmt::Display for Fp2 {
     }
 }
 
-impl Fp2 {
-    /// Inverts every element of `values` in place, zeros staying zero:
-    /// `d⁻¹ = d̄ / N(d)` with the norm in Fq, one Fq batch inversion plus
-    /// four Fq multiplications per element, instead of nine for the
-    /// generic Montgomery chain over Fp2 products.
-    pub(crate) fn batch_invert(values: &mut [Self]) {
-        let mut norms: Vec<Fq> = values.iter().map(|v| v.norm()).collect();
-        waku_arith::batch_inv::batch_inverse_in_place(&mut norms);
-        for (v, n_inv) in values.iter_mut().zip(norms) {
-            // A zero norm means v = 0 (c0² + c1² = 0 has no nonzero curve
-            // coordinate solutions here since −1 is a quadratic
-            // nonresidue of Fq), so the zero n_inv keeps v at zero.
-            *v = v.conjugate().scale(n_inv);
-        }
-    }
-}
-
 /// `B::WIDTH` Fp2 elements on lane body `B`: their `c0`s and their `c1`s
 /// as two Fq lane vectors.
 #[derive(Clone, Copy)]
 pub struct Fp2Lanes<B: LaneBody> {
-    c0: FqLanes<B>,
-    c1: FqLanes<B>,
+    pub(crate) c0: FqLanes<B>,
+    pub(crate) c1: FqLanes<B>,
+}
+
+impl<B: LaneBody> Fp2Lanes<B> {
+    /// Lane-wise square, as [`Fp2`]'s.
+    #[inline(always)]
+    pub(crate) fn square(self) -> Self {
+        Fp2::square_lanes(self)
+    }
+
+    /// `2·self`.
+    #[inline(always)]
+    pub(crate) fn double(self) -> Self {
+        self + self
+    }
+
+    /// Both coefficients times `s`, as [`Fp2::scale`].
+    #[inline(always)]
+    pub(crate) fn scale(self, s: FqLanes<B>) -> Self {
+        Fp2Lanes {
+            c0: self.c0 * s,
+            c1: self.c1 * s,
+        }
+    }
+
+    /// As [`Fp2::mul_by_nonresidue`].
+    #[inline(always)]
+    pub(crate) fn mul_by_nonresidue(self) -> Self {
+        let t = self.double().double().double() + self;
+        Fp2Lanes {
+            c0: t.c0 - self.c1,
+            c1: t.c1 + self.c0,
+        }
+    }
 }
 
 impl<B: LaneBody> Add for Fp2Lanes<B> {
@@ -198,6 +214,17 @@ impl<B: LaneBody> Sub for Fp2Lanes<B> {
         Fp2Lanes {
             c0: self.c0 - rhs.c0,
             c1: self.c1 - rhs.c1,
+        }
+    }
+}
+
+impl<B: LaneBody> Neg for Fp2Lanes<B> {
+    type Output = Self;
+    #[inline(always)]
+    fn neg(self) -> Self {
+        Fp2Lanes {
+            c0: -self.c0,
+            c1: -self.c1,
         }
     }
 }
@@ -252,7 +279,7 @@ impl LaneCoord for Fp2 {
         v.c0.square() + v.c1.square()
     }
 
-    /// `v̄ · N(v)⁻¹`, as `Fp2::batch_invert` computes it.
+    /// `v̄ · N(v)⁻¹`, as [`Fp2`]'s `inverse` computes it.
     #[inline(always)]
     fn inverse_from_norm<B: LaneBody>(v: Fp2Lanes<B>, norm_inv: FqLanes<B>) -> Fp2Lanes<B> {
         Fp2Lanes {

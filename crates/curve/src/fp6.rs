@@ -6,9 +6,11 @@ use std::sync::OnceLock;
 
 use waku_arith::biguint::BigUint;
 use waku_arith::fields::Fq;
+use waku_arith::fp::{LaneBody, LaneField};
 use waku_arith::traits::{Field, PrimeField};
 
-use crate::fp2::Fp2;
+use crate::fp2::{Fp2, Fp2Lanes};
+use crate::point::FqLanes;
 
 /// An element `c0 + c1·v + c2·v²` of Fp6.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
@@ -172,6 +174,135 @@ impl SubAssign for Fp6 {
 impl MulAssign for Fp6 {
     fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
+    }
+}
+
+/// `B::WIDTH` Fp6 elements on lane body `B`, coefficient by coefficient,
+/// with [`Fp6`]'s formulas: the Miller loop's per-lane accumulators are
+/// built from them.
+#[derive(Clone, Copy)]
+pub(crate) struct Fp6Lanes<B: LaneBody> {
+    pub(crate) c0: Fp2Lanes<B>,
+    pub(crate) c1: Fp2Lanes<B>,
+    pub(crate) c2: Fp2Lanes<B>,
+}
+
+impl<B: LaneBody> Fp6Lanes<B> {
+    /// Loads the elements behind `v`, lane `i` from `v[i]`.
+    #[inline(always)]
+    pub(crate) fn gather(body: B, v: B::Array<&Fp6>) -> Self {
+        let v = v.as_ref();
+        Fp6Lanes {
+            c0: Fp2::gather(body, B::array(|i| &v[i].c0)),
+            c1: Fp2::gather(body, B::array(|i| &v[i].c1)),
+            c2: Fp2::gather(body, B::array(|i| &v[i].c2)),
+        }
+    }
+
+    /// The elements, lane `i` at index `i`.
+    #[inline(always)]
+    pub(crate) fn scatter(self) -> B::Array<Fp6> {
+        let (c0, c1, c2) = (
+            Fp2::scatter(self.c0),
+            Fp2::scatter(self.c1),
+            Fp2::scatter(self.c2),
+        );
+        B::array(|i| Fp6::new(c0.as_ref()[i], c1.as_ref()[i], c2.as_ref()[i]))
+    }
+
+    /// `2·self`.
+    #[inline(always)]
+    pub(crate) fn double(self) -> Self {
+        self + self
+    }
+
+    /// As [`Fp6::mul_by_v`].
+    #[inline(always)]
+    pub(crate) fn mul_by_v(self) -> Self {
+        Fp6Lanes {
+            c0: self.c2.mul_by_nonresidue(),
+            c1: self.c0,
+            c2: self.c1,
+        }
+    }
+
+    /// As [`Fp6::scale_base`].
+    #[inline(always)]
+    pub(crate) fn scale_base(self, s: FqLanes<B>) -> Self {
+        Fp6Lanes {
+            c0: self.c0.scale(s),
+            c1: self.c1.scale(s),
+            c2: self.c2.scale(s),
+        }
+    }
+
+    /// As [`Fp6::mul_by_01`].
+    #[inline(always)]
+    pub(crate) fn mul_by_01(self, a: Fp2Lanes<B>, b: Fp2Lanes<B>) -> Self {
+        let [v0, v1, c2b, s, c2a] = products(
+            [self.c0, self.c1, self.c2, self.c0 + self.c1, self.c2],
+            [a, b, b, a + b, a],
+        );
+        Fp6Lanes {
+            c0: v0 + c2b.mul_by_nonresidue(),
+            c1: s - v0 - v1,
+            c2: v1 + c2a,
+        }
+    }
+}
+
+/// `a[k]·b[k]` for every `k`, in a loop LLVM keeps rolled: unrolled, the
+/// tower's lane products made functions LLVM took minutes to compile.
+#[inline(always)]
+fn products<B: LaneBody, const N: usize>(
+    a: [Fp2Lanes<B>; N],
+    b: [Fp2Lanes<B>; N],
+) -> [Fp2Lanes<B>; N] {
+    let mut out = a;
+    for k in 0..N {
+        out[k] = a[k] * b[k];
+    }
+    out
+}
+
+impl<B: LaneBody> Add for Fp6Lanes<B> {
+    type Output = Self;
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        Fp6Lanes {
+            c0: self.c0 + rhs.c0,
+            c1: self.c1 + rhs.c1,
+            c2: self.c2 + rhs.c2,
+        }
+    }
+}
+
+impl<B: LaneBody> Sub for Fp6Lanes<B> {
+    type Output = Self;
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        Fp6Lanes {
+            c0: self.c0 - rhs.c0,
+            c1: self.c1 - rhs.c1,
+            c2: self.c2 - rhs.c2,
+        }
+    }
+}
+
+impl<B: LaneBody> Mul for Fp6Lanes<B> {
+    type Output = Self;
+    /// As [`Fp6`]'s product.
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        let (a, b) = (self, rhs);
+        let [v0, v1, v2, s12, s01, s02] = products(
+            [a.c0, a.c1, a.c2, a.c1 + a.c2, a.c0 + a.c1, a.c0 + a.c2],
+            [b.c0, b.c1, b.c2, b.c1 + b.c2, b.c0 + b.c1, b.c0 + b.c2],
+        );
+        let c0 = (s12 - v1 - v2).mul_by_nonresidue() + v0;
+        let c1 = s01 - v0 - v1 + v2.mul_by_nonresidue();
+        let c2 = s02 - v0 - v2 + v1;
+        Fp6Lanes { c0, c1, c2 }
     }
 }
 

@@ -17,7 +17,7 @@
 //! of the optimal ate formula become the GLS endomorphism `ψ` in twist
 //! coordinates (see [`crate::endo`]): `Q₁ = ψ(Q)`, `Q₂ = −ψ²(Q)`.
 //!
-//! Three levers sit on top:
+//! Four levers sit on top:
 //!
 //! * [`G2Prepared`] — for a *fixed* G2 point the sequence of line
 //!   coefficients `(λ', λ'·x' − y')` depends only on the point, so a
@@ -34,16 +34,39 @@
 //!   D-twist) and pays no inversion per step. Each such line is the affine
 //!   line times an Fp2 scale — `−2YZ` for a tangent, `λ = X − qx·Z` for a
 //!   chord, `Z` for a vertical, 1 for the neutral factor — so the chunk's
-//!   `f` is the affine chunk's times `S`, the product of the scales under
+//!   `f` is the affine (lane) chunk's times `S`, the product of the scales under
 //!   the same squaring chain (`S ← S²` wherever `f ← f²`, then `S ← S·s`
 //!   per line). The chunk tracks `S` and returns `f·S⁻¹`: one inversion,
-//!   and **the same `Fp12` element** the affine chunk returns, off the
+//!   and **the same `Fp12` element** the lane chunk returns, off the
 //!   subgroup too, since the exceptional cases follow the group law the
 //!   way the affine steps do. The tangent's `w³` coefficient uses the curve
 //!   equation, so the chunk takes this path only when every dynamic `Q` is
 //!   on the twist — which every `waku-snark` entry point has checked before
 //!   the loop — and runs affine steps otherwise, as it does when it
 //!   records lines.
+//! * **Lanes.** Every other chunk runs on `waku_arith::fp::FpLanes`
+//!   (`with_lanes`: eight lanes on AVX-512 IFMA, one on the portable
+//!   body), `WIDTH` dynamic pairs at a time, one pair per lane: `T`, the
+//!   slopes and the line coefficients on Fp2 lanes, and one `Fp12`
+//!   accumulator per lane that every vector of the chunk multiplies its
+//!   line into and that is squared once per tangent phase. The slope
+//!   denominators' norms run on `WIDTH` interleaved prefix-product chains,
+//!   whose totals take one scalar inversion per phase (the three passes
+//!   of the MSM's batch-affine round). The prepared pairs' recorded lines
+//!   ride the same lanes, gathered a vector at a time; a chunk of fewer
+//!   than three replays and no dynamic pair keeps one scalar accumulator.
+//!   A live lane leaves the plain chord or tangent only on a zero
+//!   denominator (`T.x = Q.x`: a doubling or a vertical; the twist has no
+//!   2-torsion), which zeroes its chain's total: that pair is *evicted* to
+//!   the scalar `add_step` / `double_step`, its lines into a scalar
+//!   side accumulator squared on the same chain, and its lane contributes
+//!   the factor 1, as padding lanes do. The lane accumulators and the side
+//!   one are multiplied together once at the end, so the chunk returns
+//!   **the same `Fp12` element** as one scalar accumulator would, and on
+//!   the portable body it *is* that loop. Each Fp12 lane operation
+//!   (square, line product) is a lane task of its own, `SquareLanes` and
+//!   `MulLines`: in one function with the steps, LLVM took minutes to
+//!   compile it.
 //!
 //! # Pooling
 //!
@@ -52,13 +75,14 @@
 //! of it, as the *same* `Fp12` element. [`miller_loop_mixed`] cuts its
 //! pairs — dynamic first, then prepared — into at most
 //! [`waku_pool::current_num_threads`] contiguous chunks of near-equal cost
-//! (a replayed pair counts two thirds of a dynamic one), runs the
+//! (a replayed pair counts three quarters of a dynamic one), runs the
 //! lock-step loop per chunk as a pool task and multiplies the partial
 //! accumulators. A single verification puts its own pair on one core and
 //! the γ/δ replays on the other; a loop that is mostly replays spreads
 //! them like dynamic pairs. Each extra chunk pays one more squaring chain
-//! (64 `Fp12` squarings ≈ the line work of one pair), which is why the
-//! chunk count follows the pool size and nothing else; a pool of one runs
+//! and one more inversion per phase — on the IFMA lanes 64 lane squarings
+//! of eight accumulators, about the line work of eight pairs — which is
+//! why the chunk count follows the pool size and nothing else; a pool of one runs
 //! exactly one loop. [`miller_loop_traced`] is the same loop for a caller
 //! that needs more than the product: which dynamic G2 points failed the
 //! membership test below, the lines of every dynamic pair for later
@@ -130,15 +154,17 @@
 //! The BN parameter is `x = 4965661367192848881`; the Miller loop runs over
 //! `6x + 2 = 29793968203157093288`.
 
+use waku_arith::batch_inv::batch_inverse_in_place;
 use waku_arith::fields::Fq;
+use waku_arith::fp::{with_lanes, LaneBody, LaneField, LaneTask};
 use waku_arith::traits::Field;
 
 use crate::endo::psi;
-use crate::fp12::Fp12;
-use crate::fp2::Fp2;
+use crate::fp12::{Fp12, Fp12Lanes};
+use crate::fp2::{Fp2, Fp2Lanes};
 use crate::g1::G1Affine;
 use crate::g2::{G2Affine, G2Params};
-use crate::point::CurveParams;
+use crate::point::{CurveParams, FqLanes, LaneCoord};
 
 /// The BN curve parameter `x`.
 pub const BN_X: u64 = 4965661367192848881;
@@ -264,6 +290,22 @@ fn add_step(t: &mut G2Affine, q: &G2Affine, inv: &Fp2) -> LineCoeff {
     let y3 = lambda * (t.x - x3) - t.y;
     *t = G2Affine::new_unchecked(x3, y3);
     coeff
+}
+
+/// The slope denominator of `phase` at `t`, chord addends `qs`.
+fn denom(t: &G2Affine, qs: &[G2Affine; 3], phase: Phase) -> Fp2 {
+    match phase {
+        Phase::Tangent => double_denom(t),
+        Phase::Chord(k) => add_denom(t, &qs[k]),
+    }
+}
+
+/// The step of `phase` at `t` given its inverted [`denom`].
+fn step(t: &mut G2Affine, qs: &[G2Affine; 3], phase: Phase, inv: &Fp2) -> LineCoeff {
+    match phase {
+        Phase::Tangent => double_step(t, inv),
+        Phase::Chord(k) => add_step(t, &qs[k], inv),
+    }
 }
 
 /// `f` times a recorded line evaluated at the embedded G1 point
@@ -452,19 +494,11 @@ impl G2Prepared {
         let mut t = *q;
         let targets = addends(q);
         let coeffs = schedule()
-            .map(|phase| match phase {
-                Phase::Tangent => {
-                    let inv = double_denom(&t)
-                        .inverse()
-                        .expect("no 2-torsion on the twist");
-                    double_step(&mut t, &inv)
-                }
-                Phase::Chord(i) => {
-                    let inv = add_denom(&t, &targets[i])
-                        .inverse()
-                        .expect("placeholder is 1");
-                    add_step(&mut t, &targets[i], &inv)
-                }
+            .map(|phase| {
+                let inv = denom(&t, &targets, phase)
+                    .inverse()
+                    .expect("no 2-torsion on the twist, and a placeholder is 1");
+                step(&mut t, &targets, phase, &inv)
             })
             .collect();
         G2Prepared {
@@ -485,7 +519,8 @@ impl From<&G2Affine> for G2Prepared {
 type PreparedPair<'a> = (Fq, Fq, &'a G2Prepared);
 
 /// A dynamic pair's loop state: its position in the caller's slice, the
-/// embedded G1 coordinates, the original G2 point, the running accumulator
+/// embedded G1 coordinates, the original G2 point, the running accumulator,
+/// whether it left the lanes for the scalar steps (module docs, "Lanes")
 /// and — when the caller asked for them — the lines computed so far.
 struct DynPair {
     index: usize,
@@ -493,6 +528,7 @@ struct DynPair {
     py: Fq,
     q: G2Affine,
     t: G2Affine,
+    evicted: bool,
     lines: Option<Vec<LineCoeff>>,
 }
 
@@ -517,11 +553,11 @@ pub struct LoopTrace {
 ///
 /// The pairs are split into at most [`waku_pool::current_num_threads`]
 /// contiguous chunks, one pool task each (see the module docs); within a
-/// chunk all pairs advance in lock-step under one `f`-squaring chain, so
-/// each doubling/addition phase needs a single Fp2 batch inversion — the
-/// marginal pairing cost of one more pair is roughly its line arithmetic
-/// (a chunk of a few pairs steps projectively and inverts once, module
-/// docs).
+/// chunk all pairs advance in lock-step under one `f`-squaring chain, a
+/// lane vector at a time, so each doubling/addition phase needs a single
+/// scalar inversion — the marginal pairing cost of one more pair is
+/// roughly its share of a lane vector's line arithmetic (a chunk of a few
+/// pairs steps projectively and inverts once, module docs).
 /// The value does not depend on the pool size. Pairs with an identity
 /// element on either side are skipped (contribute the neutral factor 1).
 ///
@@ -541,19 +577,42 @@ pub fn miller_loop_mixed(
 }
 
 /// Cost of a dynamic pair relative to [`REPLAY_COST`] when the loop
-/// balances its chunks: a replayed pair does the line products only,
-/// about two thirds of a dynamic pair's work.
-const DYNAMIC_COST: usize = 3;
+/// balances its chunks: a replayed pair does the line products only.
+/// Measured on the IFMA lanes, one thread, as the time 32 more pairs add
+/// to a 32-pair chunk: a dynamic pair 1.15–1.48× a replayed one over
+/// three runs (2-vCPU VM, best of 9).
+const DYNAMIC_COST: usize = 4;
 /// See [`DYNAMIC_COST`].
-const REPLAY_COST: usize = 2;
+const REPLAY_COST: usize = 3;
+
 /// A chunk with fewer dynamic pairs than this that records no lines runs
-/// [`Homogeneous`] steps instead of batch-inverting affine slopes: the
-/// batch inversion costs the same for one pair as for 32, the projective
-/// steps' extra products grow with the pairs. Measured projective ÷
-/// affine time of one chunk beside 2 replays (2-vCPU VM, best of 9):
-/// 1 pair 0.61×, 2 0.71×, 4 0.88×, 6 0.99×, 8 1.04×, 12 1.12×, 32 1.21×;
-/// a lone pair with no replays, a single verification's, 0.41×.
-const PROJECTIVE_BELOW: usize = 7;
+/// [`Homogeneous`] steps instead of the lane chunk's affine ones, on a
+/// body `width` lanes wide: the per-phase inversion, and on the lanes the
+/// wider accumulator's squaring, cost the same for one pair as for 32,
+/// the projective steps' extra products grow with the pairs. Measured
+/// projective ÷ lane-chunk time of one chunk beside 2 replays (2-vCPU VM,
+/// one thread, best of 9; two runs where they differ):
+///
+/// | pairs | 1 | 2 | 3 | 4 | 5 | 6 | 8 | 12 | 16 | 20 | 24 | 32 |
+/// |---|---|---|---|---|---|---|---|---|---|---|---|---|
+/// | IFMA | 0.42 | 0.63 | 0.76–0.86 | 0.78–1.12 | 1.13 | 1.33–1.52 | 1.64–1.80 | 1.93–2.05 | | | | 2.95–3.74 |
+/// | portable | 0.50 | 0.58 | 0.63 | 0.69 | 0.74 | 0.75 | 0.85 | 0.86 | 0.93 | 1.00 | 0.98 | 1.04–1.08 |
+///
+/// A lone pair with no replays, a single verification's: 0.29–0.33× on
+/// IFMA, 0.39× portable.
+const fn projective_below(width: usize) -> usize {
+    if width == 1 {
+        20
+    } else {
+        5
+    }
+}
+
+/// A chunk of replays alone runs them on the lanes from this many on,
+/// with fewer on one scalar accumulator: replay-only scalar ÷ lane time
+/// on IFMA (as above) 0.49× for 1, 0.76–0.79× for 2, 1.19–1.54× for 3,
+/// 1.50–1.77× for 4.
+const LANE_REPLAYS_FROM: usize = 3;
 
 /// [`miller_loop_mixed`] that also says *which* dynamic G2 points failed
 /// the membership test, can hand back the lines it computed for each
@@ -572,6 +631,21 @@ pub fn miller_loop_traced(
     record: bool,
     fan_out: usize,
 ) -> LoopTrace {
+    traced_loop(dynamic, prepared, record, fan_out, miller_loop_chunk)
+}
+
+/// The loop over one chunk's pairs: its product and the positions of the
+/// dynamic pairs whose G2 point failed the membership test.
+type ChunkLoop = fn(&mut Chunk) -> (Fp12, Vec<usize>);
+
+/// [`miller_loop_traced`] with each chunk run by `chunk_loop`.
+fn traced_loop(
+    dynamic: &[(G1Affine, G2Affine)],
+    prepared: &[(G1Affine, &G2Prepared)],
+    record: bool,
+    fan_out: usize,
+    chunk_loop: ChunkLoop,
+) -> LoopTrace {
     let mut dyns: Vec<DynPair> = dynamic
         .iter()
         .enumerate()
@@ -582,6 +656,7 @@ pub fn miller_loop_traced(
             py: p.y,
             q: *q,
             t: *q,
+            evicted: false,
             lines: record.then(|| Vec::with_capacity(LINES_PER_POINT)),
         })
         .collect();
@@ -624,10 +699,10 @@ pub fn miller_loop_traced(
         let mut work = tasks.iter_mut().zip(partials.iter_mut());
         let first = work.next();
         for (chunk, slot) in work {
-            s.spawn(move || *slot = miller_loop_chunk(chunk));
+            s.spawn(move || *slot = chunk_loop(chunk));
         }
         if let Some((chunk, slot)) = first {
-            *slot = miller_loop_chunk(chunk);
+            *slot = chunk_loop(chunk);
         }
     });
     let mut product = Fp12::one();
@@ -675,12 +750,14 @@ fn miller_loop_chunk(chunk: &mut Chunk) -> (Fp12, Vec<usize>) {
     // The projective tangent uses the curve equation, so every Q must be
     // on the twist: every snark entry point has checked that already, the
     // repeat costs ≈ 3 Fp2 operations per pair.
-    if (1..PROJECTIVE_BELOW).contains(&dyns.len())
+    if (1..projective_below(with_lanes(LaneWidth))).contains(&dyns.len())
         && dyns.iter().all(|d| d.lines.is_none() && d.q.is_on_curve())
     {
         projective_chunk(dyns, preps)
+    } else if dyns.is_empty() && preps.len() < LANE_REPLAYS_FROM {
+        (replay_chunk(preps), Vec::new())
     } else {
-        affine_chunk(dyns, preps)
+        with_lanes(LaneChunk { dyns, preps })
     }
 }
 
@@ -691,43 +768,363 @@ fn replay(f: Fp12, preps: &[PreparedPair], cursor: usize) -> Fp12 {
     })
 }
 
-/// Affine steps: one batch inversion of every dynamic pair's slope
-/// denominator per phase; records lines when asked.
-fn affine_chunk(dyns: &mut [DynPair], preps: &[PreparedPair]) -> (Fp12, Vec<usize>) {
-    let targets: Vec<[G2Affine; 3]> = dyns.iter().map(|d| addends(&d.q)).collect();
+/// A chunk of too few replays to pay for a lane accumulator's squarings:
+/// one scalar accumulator.
+fn replay_chunk(preps: &[PreparedPair]) -> Fp12 {
     let mut f = Fp12::one();
-    let mut denoms: Vec<Fp2> = Vec::with_capacity(dyns.len());
     for (cursor, phase) in schedule().enumerate() {
         if let Phase::Tangent = phase {
             f = f.square();
         }
-        denoms.clear();
-        denoms.extend(dyns.iter().zip(&targets).map(|(d, qs)| match phase {
-            Phase::Tangent => double_denom(&d.t),
-            Phase::Chord(i) => add_denom(&d.t, &qs[i]),
-        }));
-        Fp2::batch_invert(&mut denoms);
-        for ((d, qs), inv) in dyns.iter_mut().zip(&targets).zip(&denoms) {
-            let coeff = match phase {
-                Phase::Tangent => double_step(&mut d.t, inv),
-                Phase::Chord(i) => add_step(&mut d.t, &qs[i], inv),
+        f = replay(f, preps, cursor);
+    }
+    f
+}
+
+/// The width of the lane body [`with_lanes`] picks on this CPU.
+struct LaneWidth;
+
+impl LaneTask for LaneWidth {
+    type Output = usize;
+
+    #[inline(always)]
+    fn run<B: LaneBody>(self, _: B) -> usize {
+        B::WIDTH
+    }
+}
+
+/// A chunk's pairs for [`with_lanes`] to run a [`LaneLoop`] over.
+struct LaneChunk<'c, 'a> {
+    dyns: &'c mut [DynPair],
+    preps: &'c [PreparedPair<'a>],
+}
+
+impl LaneTask for LaneChunk<'_, '_> {
+    type Output = (Fp12, Vec<usize>);
+
+    #[inline(always)]
+    fn run<B: LaneBody>(self, body: B) -> Self::Output {
+        let mut chunk = LaneLoop::new(body, self.dyns, self.preps);
+        for (cursor, phase) in schedule().enumerate() {
+            chunk.step(cursor, phase);
+        }
+        chunk.finish()
+    }
+}
+
+/// A vector's entry in [`LaneLoop`]'s chain buffer: the product of the
+/// earlier vectors' denominator norms (after the backward pass, this
+/// vector's norm inverses), and this vector's norms. Scalar elements, as
+/// in [`crate::msm`]'s batch-affine round.
+type Chain<B> = (<B as LaneBody>::Array<Fq>, <B as LaneBody>::Array<Fq>);
+
+/// One lane's line at one step, `c + a·w + b·w³` (the factor
+/// [`Fp12::mul_by_line`] takes): [`LaneLoop`] keeps a step's lines as
+/// these, a vector at a time.
+type Line = (Fq, Fp2, Fp2);
+
+/// Appends one vector's lines to `lines`.
+#[inline(always)]
+fn push_lines<B: LaneBody>(lines: &mut Vec<Line>, c: FqLanes<B>, a: Fp2Lanes<B>, b: Fp2Lanes<B>) {
+    let (c, a, b) = (c.scatter(), Fp2::scatter(a), Fp2::scatter(b));
+    lines.extend((0..B::WIDTH).map(|i| (c.as_ref()[i], a.as_ref()[i], b.as_ref()[i])));
+}
+
+/// Squares the lanes' accumulators `f`, one per lane. A lane task of its
+/// own, as [`MulLines`] is, so that each runs in a function of its own:
+/// an Fp12 lane operation is ≈ 10 000 instructions, and LLVM's time on a
+/// function grows faster than its length (the square, the line product
+/// and the steps in one function took minutes to compile).
+struct SquareLanes<'a>(&'a mut [Fp12]);
+
+impl LaneTask for SquareLanes<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<B: LaneBody>(self, body: B) {
+        let f = Fp12Lanes::gather(body, B::array(|i| &self.0[i]));
+        self.0.copy_from_slice(f.square().scatter().as_ref());
+    }
+}
+
+/// Multiplies every vector of `lines` into the lanes' accumulators.
+struct MulLines<'a> {
+    acc: &'a mut [Fp12],
+    lines: &'a [Line],
+}
+
+impl LaneTask for MulLines<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<B: LaneBody>(self, body: B) {
+        let mut f = Fp12Lanes::gather(body, B::array(|i| &self.acc[i]));
+        for v in self.lines.chunks(B::WIDTH) {
+            f = f.mul_by_line(
+                Fq::gather(body, B::array(|i| &v[i].0)),
+                Fp2::gather(body, B::array(|i| &v[i].1)),
+                Fp2::gather(body, B::array(|i| &v[i].2)),
+            );
+        }
+        self.acc.copy_from_slice(f.scatter().as_ref());
+    }
+}
+
+/// Which lanes of a vector hold a pair that is still on the lanes: not
+/// past the chunk's last pair, not evicted.
+#[inline(always)]
+fn live_lanes<B: LaneBody>(pairs: &[DynPair]) -> B::Array<bool> {
+    B::array(|i| pairs.get(i).is_some_and(|d| !d.evicted))
+}
+
+/// `coord(i)` in each `live` lane `i`, `fill` in the others.
+#[inline(always)]
+fn gather_live<'a, B: LaneBody, F: LaneField>(
+    body: B,
+    live: &B::Array<bool>,
+    coord: impl Fn(usize) -> &'a F,
+    fill: &'a F,
+) -> F::Lanes<B> {
+    let live = live.as_ref();
+    F::gather(body, B::array(|i| if live[i] { coord(i) } else { fill }))
+}
+
+/// The lock-step loop on lane body `B` (module docs, "Lanes"): the
+/// dynamic pairs, then the prepared ones, `B::WIDTH` at a time, one pair
+/// per lane, every vector's lines multiplied into one accumulator per
+/// lane; one scalar inversion per phase. A dead lane — past the last
+/// pair, evicted, or a replayed line that is not a plain one — holds
+/// `T = (0, 0)`, `P = (0, 1)` and the denominator norm 1, so its slope is
+/// 0 and its line the factor 1.
+struct LaneLoop<'c, 'a, B: LaneBody> {
+    body: B,
+    dyns: &'c mut [DynPair],
+    preps: &'c [PreparedPair<'a>],
+    /// Each dynamic pair's chord addends.
+    targets: Vec<[G2Affine; 3]>,
+    /// One accumulator per lane, held as scalar elements between the
+    /// squarings and the line products (see [`SquareLanes`]).
+    acc: B::Array<Fp12>,
+    /// The evicted pairs' lines and the replays' vertical ones, squared on
+    /// the same chain; it joins at 1 with its first line.
+    side: Option<Fp12>,
+    /// Positions in `dyns` of the evicted pairs.
+    evicted: Vec<usize>,
+    // Buffers reused by every phase.
+    chains: Vec<Chain<B>>,
+    invs: Vec<Fq>,
+    lines: Vec<Line>,
+}
+
+impl<'c, 'a, B: LaneBody> LaneLoop<'c, 'a, B> {
+    #[inline(always)]
+    fn new(body: B, dyns: &'c mut [DynPair], preps: &'c [PreparedPair<'a>]) -> Self {
+        LaneLoop {
+            body,
+            targets: dyns.iter().map(|d| addends(&d.q)).collect(),
+            chains: Vec::with_capacity(dyns.len().div_ceil(B::WIDTH)),
+            dyns,
+            preps,
+            acc: B::array(|_| Fp12::one()),
+            side: None,
+            evicted: Vec::new(),
+            invs: Vec::new(),
+            lines: Vec::new(),
+        }
+    }
+
+    /// One phase of the schedule, at position `cursor`.
+    #[inline(always)]
+    fn step(&mut self, cursor: usize, phase: Phase) {
+        if let Phase::Tangent = phase {
+            self.body.run(SquareLanes(self.acc.as_mut()));
+            self.side = self.side.map(|f| f.square());
+        }
+        self.lines.clear();
+        if !self.dyns.is_empty() {
+            self.invert_denominators(phase);
+            self.dynamic_steps(phase);
+        }
+        self.replayed_lines(cursor);
+        self.body.run(MulLines {
+            acc: self.acc.as_mut(),
+            lines: &self.lines,
+        });
+    }
+
+    /// Every dynamic pair's slope denominator inverted, in three passes:
+    /// the norms on `B::WIDTH` prefix-product chains, one scalar inversion
+    /// of the chain totals and the evicted pairs' norms, and a backward
+    /// pass that leaves each vector's norm inverses in `chains`. A zero
+    /// norm — `T.x = Q.x` on a chord — zeroes its chain's total; its pair
+    /// is evicted and the first pass runs again.
+    #[inline(always)]
+    fn invert_denominators(&mut self, phase: Phase) {
+        let (body, zero, one, zero2) = (self.body, Fq::zero(), Fq::one(), Fp2::zero());
+        let totals = loop {
+            self.chains.clear();
+            let mut chain = FqLanes::splat(body, &one);
+            for (pairs, qs) in self
+                .dyns
+                .chunks(B::WIDTH)
+                .zip(self.targets.chunks(B::WIDTH))
+            {
+                let live = live_lanes::<B>(pairs);
+                let d = match phase {
+                    Phase::Tangent => {
+                        gather_live::<B, Fp2>(body, &live, |i| &pairs[i].t.y, &zero2).double()
+                    }
+                    Phase::Chord(k) => {
+                        gather_live::<B, Fp2>(body, &live, |i| &qs[i][k].x, &zero2)
+                            - gather_live::<B, Fp2>(body, &live, |i| &pairs[i].t.x, &zero2)
+                    }
+                };
+                let mut norm = <Fp2 as LaneCoord>::norm(d);
+                if live.as_ref().contains(&false) {
+                    norm = norm + gather_live::<B, Fq>(body, &live, |_| &zero, &one);
+                }
+                self.chains.push((chain.scatter(), norm.scatter()));
+                chain = chain * norm;
+            }
+            let totals = chain.scatter();
+            if !totals.as_ref().contains(&zero) {
+                break totals;
+            }
+            let norms = self.chains.iter().flat_map(|(_, norms)| norms.as_ref());
+            for (e, _) in norms.enumerate().filter(|(_, n)| n.is_zero()) {
+                self.dyns[e].evicted = true;
+                self.evicted.push(e);
+            }
+        };
+        self.invs.clear();
+        self.invs.extend_from_slice(totals.as_ref());
+        let (dyns, targets) = (&self.dyns, &self.targets);
+        let norms = self
+            .evicted
+            .iter()
+            .map(|&e| denom(&dyns[e].t, &targets[e], phase).norm());
+        self.invs.extend(norms);
+        batch_inverse_in_place(&mut self.invs);
+        // Last vector first: `chain_inv` inverts this and every earlier
+        // vector's norms, so `chain_inv · earlier` inverts this vector's;
+        // they replace `earlier`.
+        let mut chain_inv = Fq::load_slice(body, &self.invs);
+        for (earlier, norm) in self.chains.iter_mut().rev() {
+            let norm_inv = chain_inv * FqLanes::load(body, earlier);
+            chain_inv = chain_inv * FqLanes::load(body, norm);
+            *earlier = norm_inv.scatter();
+        }
+    }
+
+    /// The dynamic pairs' steps: each vector's on the lanes, its line into
+    /// `lines`; the evicted pairs' scalar ones, their lines into the side.
+    #[inline(always)]
+    fn dynamic_steps(&mut self, phase: Phase) {
+        let (body, zero, one, zero2) = (self.body, Fq::zero(), Fq::one(), Fp2::zero());
+        let vectors = self
+            .dyns
+            .chunks_mut(B::WIDTH)
+            .zip(self.targets.chunks(B::WIDTH));
+        for ((pairs, qs), (norm_inv, _)) in vectors.zip(&self.chains) {
+            let live = live_lanes::<B>(pairs);
+            let norm_inv = FqLanes::load(body, norm_inv);
+            let tx = gather_live::<B, Fp2>(body, &live, |i| &pairs[i].t.x, &zero2);
+            let ty = gather_live::<B, Fp2>(body, &live, |i| &pairs[i].t.y, &zero2);
+            let (lambda, x3) = match phase {
+                Phase::Tangent => {
+                    let d_inv = <Fp2 as LaneCoord>::inverse_from_norm(ty.double(), norm_inv);
+                    let xx = tx.square();
+                    let lambda = (xx.double() + xx) * d_inv;
+                    (lambda, lambda.square() - tx.double())
+                }
+                Phase::Chord(k) => {
+                    let qx = gather_live::<B, Fp2>(body, &live, |i| &qs[i][k].x, &zero2);
+                    let qy = gather_live::<B, Fp2>(body, &live, |i| &qs[i][k].y, &zero2);
+                    let d_inv = <Fp2 as LaneCoord>::inverse_from_norm(qx - tx, norm_inv);
+                    let lambda = (qy - ty) * d_inv;
+                    (lambda, lambda.square() - tx - qx)
+                }
             };
-            f = mul_by_line_at(&f, &coeff, d.px, d.py);
+            let intercept = lambda * tx - ty;
+            let y3 = lambda * (tx - x3) - ty;
+            let px = gather_live::<B, Fq>(body, &live, |i| &pairs[i].px, &zero);
+            let py = gather_live::<B, Fq>(body, &live, |i| &pairs[i].py, &one);
+            push_lines(&mut self.lines, py, -lambda.scale(px), intercept);
+            let (x3, y3) = (Fp2::scatter(x3), Fp2::scatter(y3));
+            let record = pairs[0].lines.is_some();
+            let coeffs = record.then(|| (Fp2::scatter(lambda), Fp2::scatter(intercept)));
+            for (i, d) in pairs.iter_mut().enumerate() {
+                if !live.as_ref()[i] {
+                    continue;
+                }
+                d.t = G2Affine::new_unchecked(x3.as_ref()[i], y3.as_ref()[i]);
+                if let (Some(lines), Some((lambdas, intercepts))) = (&mut d.lines, &coeffs) {
+                    lines.push(LineCoeff::Line {
+                        lambda: lambdas.as_ref()[i],
+                        intercept: intercepts.as_ref()[i],
+                    });
+                }
+            }
+        }
+        for (j, &e) in self.evicted.iter().enumerate() {
+            let (d, qs) = (&mut self.dyns[e], &self.targets[e]);
+            let inv = denom(&d.t, qs, phase)
+                .conjugate()
+                .scale(self.invs[B::WIDTH + j]);
+            let coeff = step(&mut d.t, qs, phase, &inv);
             if let Some(lines) = &mut d.lines {
                 lines.push(coeff);
             }
+            let f = self.side.unwrap_or(Fp12::one());
+            self.side = Some(mul_by_line_at(&f, &coeff, d.px, d.py));
         }
-        f = replay(f, preps, cursor);
     }
-    // G2 membership (module docs): T now holds [6x+2]Q + ψ(Q) − ψ²(Q),
-    // which is −ψ³(Q) = ψ(Q₂) exactly when Q has order r.
-    let outside_g2 = dyns
-        .iter()
-        .zip(&targets)
-        .filter(|(d, qs)| d.t != psi(&qs[2]))
-        .map(|(d, _)| d.index)
-        .collect();
-    (f, outside_g2)
+
+    /// The prepared pairs' lines at `cursor`: plain ones on the lanes,
+    /// vertical ones into the side (a `One` is the factor 1).
+    #[inline(always)]
+    fn replayed_lines(&mut self, cursor: usize) {
+        let (body, zero, one, zero2) = (self.body, Fq::zero(), Fq::one(), Fp2::zero());
+        for group in self.preps.chunks(B::WIDTH) {
+            let plain = B::array(|i| match group.get(i).map(|(_, _, p)| &p.coeffs[cursor]) {
+                Some(LineCoeff::Line { lambda, intercept }) => Some((lambda, intercept)),
+                _ => None,
+            });
+            let plain = plain.as_ref();
+            let live = B::array(|i| plain[i].is_some());
+            let lambda = Fp2::gather(body, B::array(|i| plain[i].map_or(&zero2, |(l, _)| l)));
+            let intercept = Fp2::gather(body, B::array(|i| plain[i].map_or(&zero2, |(_, b)| b)));
+            let px = gather_live::<B, Fq>(body, &live, |i| &group[i].0, &zero);
+            let py = gather_live::<B, Fq>(body, &live, |i| &group[i].1, &one);
+            push_lines(&mut self.lines, py, -lambda.scale(px), intercept);
+            for (px, py, prep) in group {
+                if let coeff @ LineCoeff::Vertical { .. } = &prep.coeffs[cursor] {
+                    let f = self.side.unwrap_or(Fp12::one());
+                    self.side = Some(mul_by_line_at(&f, coeff, *px, *py));
+                }
+            }
+        }
+    }
+
+    /// The chunk's product, and the positions of the dynamic pairs whose
+    /// G2 point failed the membership test.
+    #[inline(always)]
+    fn finish(self) -> (Fp12, Vec<usize>) {
+        let mut product = self.side.unwrap_or(Fp12::one());
+        for lane in self.acc.as_ref() {
+            product *= *lane;
+        }
+        // G2 membership (module docs): T now holds [6x+2]Q + ψ(Q) − ψ²(Q),
+        // which is −ψ³(Q) = ψ(Q₂) exactly when Q has order r.
+        let outside_g2 = self
+            .dyns
+            .iter()
+            .zip(&self.targets)
+            .filter(|(d, qs)| d.t != psi(&qs[2]))
+            .map(|(d, _)| d.index)
+            .collect();
+        (product, outside_g2)
+    }
 }
 
 /// [`Homogeneous`] steps, no inversion until the end. Every line is the
@@ -756,7 +1153,7 @@ fn projective_chunk(dyns: &[DynPair], preps: &[PreparedPair]) -> (Fp12, Vec<usiz
         }
         f = replay(f, preps, cursor);
     }
-    // The affine chunk's membership comparison, X = x·Z and Y = y·Z.
+    // The lane chunk's membership comparison, X = x·Z and Y = y·Z.
     let outside_g2 = dyns
         .iter()
         .zip(&ts)
@@ -861,6 +1258,7 @@ mod tests {
     use rand::SeedableRng;
     use waku_arith::biguint::BigUint;
     use waku_arith::fields::Fr;
+    use waku_arith::fp::Portable;
     use waku_arith::traits::PrimeField;
 
     /// The hard-part exponent `(p⁴ − p² + 1) / r` as limbs — the oracle
@@ -1433,6 +1831,146 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The lane chunk on the portable body, whatever the chunk's size.
+    fn on_portable(chunk: &mut Chunk) -> (Fp12, Vec<usize>) {
+        LaneChunk {
+            dyns: &mut *chunk.dyns,
+            preps: chunk.preps,
+        }
+        .run(Portable)
+    }
+
+    /// The lane chunk on the body this CPU runs (IFMA where it has it).
+    fn on_detected(chunk: &mut Chunk) -> (Fp12, Vec<usize>) {
+        with_lanes(LaneChunk {
+            dyns: &mut *chunk.dyns,
+            preps: chunk.preps,
+        })
+    }
+
+    #[test]
+    fn lane_chunk_matches_the_portable_body() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let fresh = random_pairs(&mut rng, 17);
+        let fresh_lines: Vec<G2Prepared> = fresh.iter().map(|(_, q)| G2Prepared::new(q)).collect();
+        let fixed = random_pairs(&mut rng, 9);
+        let prepared: Vec<G2Prepared> = fixed.iter().map(|(_, q)| G2Prepared::new(q)).collect();
+        let outside = random_twist_point(&mut rng);
+        for n in 0..=17 {
+            // Every third count puts a point outside G2 in the last lane.
+            let mut pairs = fresh[..n].to_vec();
+            let bad: Vec<usize> = (n % 3 == 0 && n > 0).then(|| n - 1).into_iter().collect();
+            for &i in &bad {
+                pairs[i].1 = outside;
+            }
+            for n_prep in [0, 2, 9] {
+                let replays: Vec<(G1Affine, &G2Prepared)> = fixed[..n_prep]
+                    .iter()
+                    .zip(&prepared)
+                    .map(|((p, _), l)| (*p, l))
+                    .collect();
+                let all: Vec<(G1Affine, G2Affine)> =
+                    pairs.iter().chain(&fixed[..n_prep]).copied().collect();
+                let reference = miller_loop_dense_reference(&all);
+                for (record, fan_out) in [(false, 1), (false, 2), (true, 1), (true, 2)] {
+                    let at = format!("{n} + {n_prep} pairs, record {record}, fan-out {fan_out}");
+                    let want = traced_loop(&pairs, &replays, record, fan_out, on_portable);
+                    let got = traced_loop(&pairs, &replays, record, fan_out, on_detected);
+                    assert_eq!(want.product, reference, "{at}");
+                    assert_eq!(got.product, want.product, "{at}");
+                    assert_eq!(want.outside_g2, bad, "{at}");
+                    assert_eq!(got.outside_g2, bad, "{at}");
+                    assert_eq!(got.lines.len(), want.lines.len(), "{at}");
+                    for (i, (got, want)) in got.lines.iter().zip(&want.lines).enumerate() {
+                        assert_eq!(got.coeffs, want.coeffs, "{at}, pair {i}");
+                        if !bad.contains(&i) {
+                            assert_eq!(want.coeffs, fresh_lines[i].coeffs, "{at}, pair {i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One vector of eight pairs whose chord at the first step meets
+    /// `T = Q` (lanes 0 and 7) and `T = −Q` (lane 3): two steps of the
+    /// lane chunk, a chord and a tangent, against the scalar steps.
+    fn evictions_on<B: LaneBody>(body: B) {
+        let mut rng = StdRng::seed_from_u64(29);
+        let pairs = random_pairs(&mut rng, 8);
+        let others = random_pairs(&mut rng, 8);
+        let mut dyns: Vec<DynPair> = pairs
+            .iter()
+            .enumerate()
+            .map(|(index, (p, q))| DynPair {
+                index,
+                px: p.x,
+                py: p.y,
+                q: *q,
+                t: others[index].1,
+                evicted: false,
+                lines: Some(Vec::new()),
+            })
+            .collect();
+        let crafted = [(0, false), (3, true), (7, false)];
+        for &(i, opposite) in &crafted {
+            let q = dyns[i].q;
+            dyns[i].t = if opposite { q.neg() } else { q };
+        }
+        // The scalar steps: T's and every line, expanded.
+        let mut want_t: Vec<G2Affine> = dyns.iter().map(|d| d.t).collect();
+        let mut want_lines = vec![Vec::new(); 8];
+        let mut want = Fp12::one();
+        for phase in [Phase::Chord(0), Phase::Tangent] {
+            if let Phase::Tangent = phase {
+                want = want.square();
+            }
+            for (i, d) in dyns.iter().enumerate() {
+                let t = &mut want_t[i];
+                let coeff = match phase {
+                    Phase::Tangent => {
+                        let inv = double_denom(t).inverse().unwrap_or(Fp2::zero());
+                        double_step(t, &inv)
+                    }
+                    Phase::Chord(k) => {
+                        let q = addends(&d.q)[k];
+                        add_step(t, &q, &add_denom(t, &q).inverse().unwrap())
+                    }
+                };
+                want *= eval_line(&coeff, d.px, d.py);
+                want_lines[i].push(coeff);
+            }
+        }
+        let mut chunk = LaneLoop::new(body, &mut dyns, &[]);
+        chunk.step(1, Phase::Chord(0));
+        assert_eq!(chunk.evicted, [0, 3, 7]);
+        chunk.step(2, Phase::Tangent);
+        let (product, _) = chunk.finish();
+        assert_eq!(product, want);
+        for (i, d) in dyns.iter().enumerate() {
+            assert_eq!(d.evicted, crafted.iter().any(|&(c, _)| c == i), "lane {i}");
+            assert_eq!(d.t, want_t[i], "lane {i}");
+            assert_eq!(d.lines.as_ref().unwrap(), &want_lines[i], "lane {i}");
+        }
+        assert!(want_t[3].is_identity(), "T = −Q cancels");
+        assert!(matches!(want_lines[3][0], LineCoeff::Vertical { .. }));
+        assert!(matches!(want_lines[3][1], LineCoeff::One));
+    }
+
+    #[test]
+    fn exceptional_chords_leave_the_lanes_for_the_scalar_steps() {
+        struct Detected;
+        impl LaneTask for Detected {
+            type Output = ();
+            #[inline(always)]
+            fn run<B: LaneBody>(self, body: B) {
+                evictions_on(body);
+            }
+        }
+        evictions_on(Portable);
+        with_lanes(Detected);
     }
 
     /// Square root in Fp2 for `p ≡ 3 (mod 4)` (Adj–Rodríguez-Henríquez,

@@ -218,26 +218,34 @@ fn forged_b_among_64_is_blamed_alone_and_buys_no_bisection() {
     let (pk, mut proofs, mut inputs) = some_proofs(64, &mut rng);
     let pvk = PreparedVerifyingKey::from(pk.vk.clone());
     let small = small_order_point(&mut rng);
-    proofs[41].b = proofs[41].b.to_projective().add_mixed(&small).to_affine();
-    for threads in [1, 2, 4] {
-        with_threads(threads, || {
-            // The root loop's own comparison names slot 41; the repeat of
-            // the full check without it (63 pairs, lines recorded in case
-            // it fails) passes, and that is all the forgery costs.
-            assert_eq!(
-                pvk.isolate(&proofs, &inputs).unwrap(),
-                Isolation {
-                    invalid: vec![41],
-                    work: IsolationWork {
-                        checks: 1,
-                        dynamic_pairs: 63,
-                        replayed_pairs: 0,
+    let forge = |b: G2Affine| b.to_projective().add_mixed(&small).to_affine();
+    // Slot 41, and the first and last lane of an eight-lane vector, the
+    // first lane of the next one and the last proof of the batch.
+    for slot in [41, 0, 7, 8, 63] {
+        let mut forged = proofs.clone();
+        forged[slot].b = forge(forged[slot].b);
+        for threads in [1, 2, 4] {
+            with_threads(threads, || {
+                // The root loop's own comparison names the slot; the repeat
+                // of the full check without it (63 pairs, lines recorded
+                // in case it fails) passes, and that is all the forgery
+                // costs.
+                assert_eq!(
+                    pvk.isolate(&forged, &inputs).unwrap(),
+                    Isolation {
+                        invalid: vec![slot],
+                        work: IsolationWork {
+                            checks: 1,
+                            dynamic_pairs: 63,
+                            replayed_pairs: 0,
+                        },
                     },
-                },
-                "pool = {threads}"
-            );
-        });
+                    "slot {slot}, pool = {threads}"
+                );
+            });
+        }
     }
+    proofs[41].b = forge(proofs[41].b);
     // Beside an ordinary invalid proof the forgery still costs its one
     // repeat; the bisection for the other runs on replayed lines only.
     inputs[5][0] += Fr::one();
