@@ -82,8 +82,9 @@ fn batch_table() {
     println!();
     println!(
         "(single-proof check: 3 Miller loops + 1 final exponentiation; a batch of N \
-         costs N+2 Miller loops — amortizing the final exponentiation and the fixed \
-         γ/δ line replays — plus two small MSMs per proof)"
+         costs N+3 Miller loops — amortizing the final exponentiation and the fixed \
+         γ/δ/β line replays — plus a half-width scaling per proof and one 2N-term \
+         MSM at 65 bits)"
     );
     println!();
 

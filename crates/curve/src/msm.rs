@@ -53,8 +53,9 @@ use crate::point::{Affine, CurveParams, FqLanes, LaneCoord, Projective};
 ///
 /// | n | group | role | `c = 5` | `c = 6` | `c = 7` | `c = 8` | `c = 9` | `c = 10` |
 /// |---|---|---|---|---|---|---|---|---|
-/// | 32 | G1 | RLC sums | **1.97** (0.31) | 1.94 (0.35) | | | | |
-/// | 64 | G1 | RLC sums | **3.24** (0.27) | 3.29 (0.15) | | | | |
+/// | 32 | G1 | | **1.97** (0.31) | 1.94 (0.35) | | | | |
+/// | 64 | G1 | | **3.24** (0.27) | 3.29 (0.15) | | | | |
+/// | 128 × 65 bits | G1 | RLC `C` sum | **1.15** (0.05) | 1.12 (0.05) | 1.33 (0.08) | | | |
 /// | 128 | G1 | | **3.13** (0.14) | 3.05 (0.17) | | | | |
 /// | 200 | G1 | | **4.05** (0.79) | 3.82 (1.13) | | | | |
 /// | 300 | G1 | | | **6.08** (0.26) | 6.59 (0.23) | | | |
@@ -66,12 +67,15 @@ use crate::point::{Affine, CurveParams, FqLanes, LaneCoord, Projective};
 /// | 5 603 | G1 | depth-20 query | | | | 22.92 (6.67) | **24.29** (8.11) | 27.86 (6.36) |
 /// | 8 191 | G1 | `H` | | | | 31.98 (4.82) | **32.71** (4.13) | 33.12 (4.36) |
 ///
-/// Bold is the `c` this table picks. At 300 terms `c = 6` beat `c = 7`
-/// by more than the spread (0.51 ms, IQR 0.26), and for G2 at 455, whose
-/// running sum costs three times G1's, it won 39 of 40 runs; so 256–799
-/// terms take 6-bit windows (was 7). Every other neighbour stayed within
-/// the other's spread, so no other break-even moved: below 256 terms
-/// `c = 5` stays.
+/// Rows are 256-bit scalars unless they say otherwise. Bold is the `c`
+/// this table picks. At 300 terms `c = 6` beat `c = 7` by more than the
+/// spread (0.51 ms, IQR 0.26), and for G2 at 455, whose running sum costs
+/// three times G1's, it won 39 of 40 runs; so 256–799 terms take 6-bit
+/// windows (was 7). Every other neighbour stayed within the other's
+/// spread, so no other break-even moved: below 256 terms `c = 5` stays.
+/// That includes the batch verifier's `C` sum, 128 GLV halves of 64 bits
+/// ([`msm_limbs`] at width 65, 101 interleaved runs): `c = 6` won 77 of
+/// them, by 0.03 ms, inside both spreads (`c = 4` took 1.48 ms).
 fn window_size(n: usize) -> usize {
     match n {
         0..=1 => 1,
@@ -449,22 +453,12 @@ pub fn msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr]) -> Projective<C>
 ///
 /// One larger MSM beats several small ones (the bucket phase is paid per
 /// window per point, so fewer, wider windows win). [`msm`] is the one-part
-/// case.
+/// case; both are [`msm_limbs`] at the full 256-bit width.
 ///
 /// # Panics
 ///
 /// Panics if any part's base and scalar lengths differ.
 pub fn msm_chunked<C: CurveParams>(parts: &[(&[Affine<C>], &[Fr])]) -> Projective<C> {
-    for (bases, scalars) in parts {
-        assert_eq!(bases.len(), scalars.len(), "mismatched msm input lengths");
-    }
-    let n: usize = parts.iter().map(|(b, _)| b.len()).sum();
-    if n == 0 {
-        return Projective::identity();
-    }
-    if n < 32 {
-        return interleaved_ladder(parts);
-    }
     let with_limbs: Vec<LimbedPart<C>> = parts
         .iter()
         .map(|(bases, scalars)| {
@@ -477,16 +471,32 @@ pub fn msm_chunked<C: CurveParams>(parts: &[(&[Affine<C>], &[Fr])]) -> Projectiv
 
 /// A base slice paired with its scalars in canonical limb form — the
 /// pre-chewed input [`msm_limbs`] consumes.
-pub(crate) type LimbedPart<'a, C> = (&'a [Affine<C>], Vec<[u64; 4]>);
+pub type LimbedPart<'a, C> = (&'a [Affine<C>], Vec<[u64; 4]>);
 
-/// Pippenger over pre-limbed scalars whose values fit in `bits - 1` bits
-/// (the extra bit absorbs the signed-recoding carry). `msm_chunked` calls
-/// this with 256.
-pub(crate) fn msm_limbs<C: CurveParams>(parts: &[LimbedPart<'_, C>], bits: usize) -> Projective<C> {
-    let n: usize = parts.iter().map(|(b, _)| b.len()).sum();
-    if n == 0 {
-        return Projective::identity();
+/// `Σ Σ scalarᵢⱼ · baseᵢⱼ` over pre-limbed scalars whose values fit in
+/// `bits − 1` bits (the extra bit absorbs the signed-recoding carry): the
+/// one entry that takes the scalars' width. Below 32 terms it runs the
+/// shared-doubling ladder, `bits` doublings long, and Pippenger with
+/// `⌈bits/c⌉` windows from there on. [`msm_chunked`] calls it with 256.
+///
+/// # Panics
+///
+/// Panics if any part's base and scalar lengths differ.
+pub fn msm_limbs<C: CurveParams>(parts: &[LimbedPart<'_, C>], bits: usize) -> Projective<C> {
+    for (bases, limbs) in parts {
+        assert_eq!(bases.len(), limbs.len(), "mismatched msm input lengths");
     }
+    match parts.iter().map(|(b, _)| b.len()).sum::<usize>() {
+        0 => Projective::identity(),
+        1..=31 => interleaved_ladder(parts, bits),
+        _ => pippenger(parts, bits),
+    }
+}
+
+/// Pippenger over pre-limbed scalars of `bits − 1` bits, at least one
+/// term.
+fn pippenger<C: CurveParams>(parts: &[LimbedPart<'_, C>], bits: usize) -> Projective<C> {
+    let n: usize = parts.iter().map(|(b, _)| b.len()).sum();
     let c = window_size(n);
     let num_windows = bits.div_ceil(c);
     // Signed digits are recoded once (they carry between windows, so the
@@ -520,20 +530,17 @@ pub(crate) fn msm_limbs<C: CurveParams>(parts: &[LimbedPart<'_, C>], bits: usize
 }
 
 /// `Σ scalarᵢ · baseᵢ` for a handful of terms, below Pippenger's
-/// break-even: one double-and-add ladder whose doubling chain all terms
-/// share, a mixed addition per set scalar bit.
-fn interleaved_ladder<C: CurveParams>(parts: &[(&[Affine<C>], &[Fr])]) -> Projective<C> {
-    let terms: Vec<(&Affine<C>, [u64; 4])> = parts
-        .iter()
-        .flat_map(|(bases, scalars)| bases.iter().zip(scalars.iter()))
-        .map(|(base, scalar)| (base, scalar.to_canonical_limbs()))
-        .collect();
+/// break-even: one double-and-add ladder whose `bits`-step doubling chain
+/// all terms share, a mixed addition per set scalar bit.
+fn interleaved_ladder<C: CurveParams>(parts: &[LimbedPart<'_, C>], bits: usize) -> Projective<C> {
     let mut acc = Projective::identity();
-    for bit in (0..256).rev() {
+    for bit in (0..bits.min(256)).rev() {
         acc = acc.double();
-        for (base, limbs) in &terms {
-            if (limbs[bit / 64] >> (bit % 64)) & 1 == 1 {
-                acc = acc.add_mixed(base);
+        for (bases, limbs) in parts {
+            for (base, limbs) in bases.iter().zip(limbs) {
+                if (limbs[bit / 64] >> (bit % 64)) & 1 == 1 {
+                    acc = acc.add_mixed(base);
+                }
             }
         }
     }
@@ -632,7 +639,7 @@ mod tests {
     use crate::g1::{G1Affine, G1Projective};
     use crate::g2::G2Affine;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use waku_arith::traits::Field;
 
     fn random_g1(rng: &mut StdRng, n: usize) -> (Vec<G1Affine>, Vec<Fr>) {
@@ -713,7 +720,7 @@ mod tests {
         (bases, (0..n).map(|_| Fr::random(rng)).collect())
     }
 
-    /// Pippenger (also below the ladder's cut-off, through `msm_limbs`)
+    /// Pippenger (also below the ladder's cut-off, called directly)
     /// against the naive sum, at pool sizes 1 and 2.
     fn pippenger_matches_naive_at<C: CurveParams>(rng: &mut StdRng, sizes: &[usize]) {
         for &n in sizes {
@@ -724,7 +731,7 @@ mod tests {
                 let (fast, pippenger) = waku_pool::with_threads(threads, || {
                     (
                         msm(&bases, &scalars),
-                        msm_limbs(&[(&bases[..], limbs.clone())], 256),
+                        pippenger(&[(&bases[..], limbs.clone())], 256),
                     )
                 });
                 assert_eq!(fast, naive, "{} n = {n}, {threads} threads", C::NAME);
@@ -890,6 +897,33 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         check::<crate::g1::G1Params>(&mut rng);
         check::<crate::g2::G2Params>(&mut rng);
+    }
+
+    #[test]
+    fn short_scalars_take_their_width_on_both_sides_of_the_cutover() {
+        // 64-bit scalars at width 65, the batch verifier's GLV halves: the
+        // ladder below 32 terms runs 65 doublings, Pippenger above it
+        // ⌈65/c⌉ windows. Edge halves: 0, 1 and 2⁶⁴ − 1 (whose top
+        // window carries into the 65th bit).
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in [1usize, 30, 31, 32, 33, 128] {
+            let (bases, _) = random_g1(&mut rng, n);
+            let mut halves: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            halves[0] = u64::MAX;
+            if n > 2 {
+                halves[1] = 0;
+                halves[2] = 1;
+            }
+            let scalars: Vec<Fr> = halves.iter().map(|&h| Fr::from_u64(h)).collect();
+            let limbs: Vec<[u64; 4]> = halves.iter().map(|&h| [h, 0, 0, 0]).collect();
+            let naive = naive_msm(&bases, &scalars);
+            for threads in [1, 2] {
+                let got = waku_pool::with_threads(threads, || {
+                    msm_limbs(&[(&bases[..], limbs.clone())], 65)
+                });
+                assert_eq!(got, naive, "n = {n}, {threads} threads");
+            }
+        }
     }
 
     #[test]

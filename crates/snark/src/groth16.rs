@@ -40,10 +40,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rand::Rng;
 use waku_arith::fields::Fr;
 use waku_arith::traits::{Field, PrimeField};
+use waku_curve::endo::{glv_mul_batch, phi, GlvScalar};
 use waku_curve::fp12::Fp12;
 use waku_curve::g1::{G1Affine, G1Params, G1Projective};
 use waku_curve::g2::{G2Affine, G2Projective};
-use waku_curve::msm::{msm, WindowTable};
+use waku_curve::msm::{msm, msm_limbs, WindowTable};
 use waku_curve::pairing::{
     final_exponentiation, miller_loop_mixed, miller_loop_traced, G2Prepared,
 };
@@ -482,20 +483,26 @@ pub fn prove<R: Rng + ?Sized>(
     })
 }
 
-/// Window width of the fixed-base tables behind the `IC` sum: 64 rows of
-/// 15 affine points per `IC` point (≈ 70 KB). A full-width coefficient
-/// then costs at most 64 mixed additions and no doublings.
-const IC_WINDOW_BITS: usize = 4;
+/// Window width of the fixed-base tables behind the `IC` sum and the
+/// batch check's `(Σ rᵢ)·α`: 64 rows of 15 affine points per point
+/// (≈ 70 KB). A full-width coefficient then costs at most 64 mixed
+/// additions and no doublings.
+const TABLE_WINDOW_BITS: usize = 4;
 
-/// A verifying key with the `e(α, β)` pairing, the Miller-loop line
-/// coefficients of the fixed G2 elements (γ, δ) and fixed-base tables of
-/// the `IC` points precomputed.
+/// The width [`msm_limbs`] runs the batch check's `C` sum at: the GLV
+/// halves' 64 bits and one for the signed recoding's carry.
+const GLV_MSM_BITS: usize = 65;
+
+/// A verifying key with its fixed pairing work precomputed: `e(α, β)`
+/// for single checks, the Miller-loop line coefficients of γ, δ and β,
+/// and fixed-base tables of the `IC` points and of α.
 ///
 /// Single verification then costs table lookups for the `IC` sum, one
 /// dynamic Miller pair plus two prepared-line replays and a final
 /// exponentiation; batches of proofs share the replays, the squaring
 /// chain, and the final exponentiation through
-/// [`PreparedVerifyingKey::verify_batch`].
+/// [`PreparedVerifyingKey::verify_batch`], and replay `((Σ rᵢ)·α, β)` in
+/// place of a power of `e(α, β)`.
 #[derive(Clone, Debug)]
 pub struct PreparedVerifyingKey {
     /// The underlying verifying key.
@@ -503,8 +510,13 @@ pub struct PreparedVerifyingKey {
     alpha_beta: Fp12,
     gamma_prepared: G2Prepared,
     delta_prepared: G2Prepared,
+    /// β's lines; `None` for a β outside G2, a key that rejects every
+    /// proof.
+    beta_prepared: Option<G2Prepared>,
     /// One table per `vk.ic` point, shared by clones.
     ic_tables: Arc<[WindowTable<G1Params>]>,
+    /// α's table, shared by clones.
+    alpha_table: Arc<WindowTable<G1Params>>,
 }
 
 impl From<VerifyingKey> for PreparedVerifyingKey {
@@ -516,17 +528,18 @@ impl From<VerifyingKey> for PreparedVerifyingKey {
                 .unwrap_or(Fp12::zero());
         let gamma_prepared = G2Prepared::new(&vk.gamma_g2);
         let delta_prepared = G2Prepared::new(&vk.delta_g2);
-        let ic_tables = vk
-            .ic
-            .iter()
-            .map(|p| WindowTable::new(p.to_projective(), IC_WINDOW_BITS))
-            .collect();
+        let beta_prepared = (alpha_beta != Fp12::zero()).then(|| G2Prepared::new(&vk.beta_g2));
+        let table = |p: &G1Affine| WindowTable::new(p.to_projective(), TABLE_WINDOW_BITS);
+        let ic_tables = vk.ic.iter().map(table).collect();
+        let alpha_table = Arc::new(table(&vk.alpha_g1));
         PreparedVerifyingKey {
             vk,
             alpha_beta,
             gamma_prepared,
             delta_prepared,
+            beta_prepared,
             ic_tables,
+            alpha_table,
         }
     }
 }
@@ -640,20 +653,25 @@ impl PreparedVerifyingKey {
     }
 
     /// Verifies `proofs[i]` against `inputs[i]` for all `i` at once via a
-    /// random linear combination: with transcript-derived 128-bit scalars
-    /// `rᵢ`, the N pairing equations collapse into
+    /// random linear combination: with transcript-derived scalars
+    /// `rᵢ = aᵢ + λ_φ·bᵢ (mod r)` (64-bit halves, [`GlvScalar`]), the N
+    /// pairing equations collapse into
     ///
     /// ```text
-    /// FE( ∏ᵢ ml(−rᵢA_i, B_i) · ml(Σᵢ rᵢIC_i, γ) · ml(Σᵢ rᵢC_i, δ) )
-    ///   · e(α,β)^(Σᵢ rᵢ)  ==  1,
+    /// FE( ∏ᵢ ml(−rᵢA_i, B_i) · ml(Σᵢ rᵢIC_i, γ) · ml(Σᵢ rᵢC_i, δ)
+    ///       · ml((Σᵢ rᵢ)·α, β) )  ==  1,
     /// ```
     ///
     /// one mixed Miller loop (the dynamic pairs share every squaring and a
-    /// per-step batch inversion, γ/δ replay prepared lines) and one final
-    /// exponentiation. The `rᵢ` are drawn by Fiat–Shamir from a hash over
-    /// the verifying key, every proof, and every public input, so an
-    /// adversary cannot craft proofs whose errors cancel: any invalid
-    /// member fails the whole batch except with probability ≈2⁻¹²⁸.
+    /// per-step batch inversion, γ, δ and β replay prepared lines) and one
+    /// final exponentiation; `ml((Σᵢ rᵢ)·α, β)` stands in for
+    /// `e(α,β)^(Σᵢ rᵢ)`. G1's endomorphism `φ = [λ_φ]` halves the scalars'
+    /// width: `rᵢ·Aᵢ = aᵢ·Aᵢ + bᵢ·φ(Aᵢ)` on one 65-step chain, and
+    /// `Σᵢ rᵢ·Cᵢ` is one MSM over `(Cᵢ, aᵢ)` and `(φ(Cᵢ), bᵢ)` at 65 bits.
+    /// The `rᵢ` are drawn by Fiat–Shamir from a hash over the verifying
+    /// key, every proof, and every public input, so an adversary cannot
+    /// craft proofs whose errors cancel: any invalid member fails the
+    /// whole batch except with probability ≈2⁻¹²⁸.
     ///
     /// Returns `Ok(true)` for the empty batch. Use
     /// [`PreparedVerifyingKey::verify_batch_isolating`] to find *which*
@@ -707,8 +725,8 @@ impl PreparedVerifyingKey {
     /// under them, so every sub-range `S` has a value in GT,
     ///
     /// ```text
-    /// T_S = FE( ∏_{i∈S} ml(−rᵢAᵢ,Bᵢ) · ml(Σ_S rᵢICᵢ, γ) · ml(Σ_S rᵢCᵢ, δ) )
-    ///         · e(α,β)^(Σ_S rᵢ)   =   ∏_{i∈S} eᵢ^{rᵢ},
+    /// T_S = FE( ∏_{i∈S} ml(−rᵢAᵢ,Bᵢ) · ml(Σ_S rᵢICᵢ, γ) · ml(Σ_S rᵢCᵢ, δ)
+    ///             · ml((Σ_S rᵢ)·α, β) )   =   ∏_{i∈S} eᵢ^{rᵢ},
     /// ```
     ///
     /// where `eᵢ` is proof `i`'s exact pairing-equation value (`eᵢ = 1` iff
@@ -744,12 +762,17 @@ impl PreparedVerifyingKey {
     ///
     /// **Soundness of one set of scalars.** The `rᵢ` are Fiat–Shamir over
     /// the *whole* batch, so they are fixed only after every proof in
-    /// every sub-range is. For a fixed range with an invalid member,
-    /// `∏ eᵢ^{rᵢ} = 1` is one linear relation on the exponents and holds
-    /// for at most a 2⁻¹²⁸ share of the scalars; the tree has fewer than
-    /// `2N` ranges, so the chance that *any* range hides an invalid member
-    /// is below `2N·2⁻¹²⁸` — and a hidden member is a missed rejection,
-    /// never a wrong blame.
+    /// every sub-range is. Each is `aᵢ + λ_φ·bᵢ` for 128 transcript bits
+    /// `(aᵢ, bᵢ)`, and that map is injective on `[0, 2⁶⁴)²`: the kernel
+    /// lattice's shortest vector exceeds 2⁶⁵ (`waku_curve`'s
+    /// `endo::tests::glv_lattice_has_no_short_vector` Gauss-reduces its
+    /// basis), so the `rᵢ` still take 2¹²⁸ distinct values, all nonzero
+    /// once `(0, 0)` is remapped. For a fixed range with an invalid
+    /// member, `∏ eᵢ^{rᵢ} = 1` is one linear relation on the exponents and
+    /// holds for at most a 2⁻¹²⁸ share of the scalars; the tree has fewer
+    /// than `2N` ranges, so the chance that *any* range hides an invalid
+    /// member is below `2N·2⁻¹²⁸` — and a hidden member is a missed
+    /// rejection, never a wrong blame.
     ///
     /// **Cost** for `k` invalid members among `N`: after the root, at most
     /// `k·(⌈log₂N⌉ + 1)` checks — left halves and exact ones, each one
@@ -794,10 +817,11 @@ impl PreparedVerifyingKey {
 
     /// Fiat–Shamir RLC scalars: a running SHA-256 transcript over a domain
     /// tag, the verifying key, and every (proof, inputs) pair, squeezed
-    /// into one 128-bit scalar per proof (zero remapped to 1).
-    fn batch_scalars(&self, proofs: &[Proof], inputs: &[Vec<Fr>]) -> Vec<(u128, Fr)> {
+    /// into 128 bits per proof, the two 64-bit halves of one
+    /// [`GlvScalar`] (`(0, 0)` remapped to `(1, 0)`).
+    fn batch_scalars(&self, proofs: &[Proof], inputs: &[Vec<Fr>]) -> Vec<GlvScalar> {
         let mut h = waku_hash::Sha256::new();
-        h.update(b"waku-groth16-batch-v1");
+        h.update(b"waku-groth16-batch-v2");
         h.update(&self.vk.alpha_g1.x.to_le_bytes());
         h.update(&self.vk.alpha_g1.y.to_le_bytes());
         for g2 in [&self.vk.beta_g2, &self.vk.gamma_g2, &self.vk.delta_g2] {
@@ -823,12 +847,12 @@ impl PreparedVerifyingKey {
                 h.update(&seed);
                 h.update(&i.to_le_bytes());
                 let digest = h.finalize();
-                let lo = u64::from_le_bytes(digest[0..8].try_into().unwrap());
-                let hi = u64::from_le_bytes(digest[8..16].try_into().unwrap());
-                let r = ((hi as u128) << 64 | lo as u128).max(1);
-                let fr = Fr::from_canonical_limbs([r as u64, (r >> 64) as u64, 0, 0])
-                    .expect("128-bit value < r");
-                (r, fr)
+                let a = u64::from_le_bytes(digest[0..8].try_into().unwrap());
+                let b = u64::from_le_bytes(digest[8..16].try_into().unwrap());
+                GlvScalar {
+                    a: if (a, b) == (0, 0) { 1 } else { a },
+                    b,
+                }
             })
             .collect()
     }
@@ -840,7 +864,9 @@ struct Term<'a> {
     index: usize,
     proof: &'a Proof,
     inputs: &'a [Fr],
+    /// The batch scalar, as an element of Fr and as its GLV halves.
     r: Fr,
+    k: GlvScalar,
     /// `−r·A`.
     neg_ra: G1Affine,
     /// `B`'s Miller-loop lines, set by the first loop that visits the
@@ -893,14 +919,10 @@ impl<'a> Rlc<'a> {
         inputs: &'a [Vec<Fr>],
         live: &[usize],
     ) -> Self {
-        let rs = pvk.batch_scalars(proofs, inputs);
-        // Half-width double-and-add per proof, fanned out on the pool (the
-        // per-proof Miller pair dominates; this keeps the RLC scaling off
-        // the critical path).
-        let scaled = waku_pool::par_map(live, |&i| {
-            let r = rs[i].0;
-            proofs[i].a.mul_limbs(&[r as u64, (r >> 64) as u64]).neg()
-        });
+        let ks = pvk.batch_scalars(proofs, inputs);
+        let (neg_a, live_ks): (Vec<G1Affine>, Vec<GlvScalar>) =
+            live.iter().map(|&i| (proofs[i].a.neg(), ks[i])).unzip();
+        let scaled = glv_mul_batch(&neg_a, &live_ks);
         let terms = live
             .iter()
             .zip(Projective::batch_to_affine(&scaled))
@@ -908,7 +930,8 @@ impl<'a> Rlc<'a> {
                 index,
                 proof: &proofs[index],
                 inputs: &inputs[index],
-                r: rs[index].1,
+                r: ks[index].to_fr(),
+                k: ks[index],
                 neg_ra,
                 lines: OnceLock::new(),
             })
@@ -923,7 +946,8 @@ impl<'a> Rlc<'a> {
     }
 
     /// `T_S` for the terms in `range` on at most `fan_out` pool tasks: the
-    /// G1 aggregation, the Miller loops and one final exponentiation.
+    /// G1 aggregation, the Miller loops and one final exponentiation. A key
+    /// whose β is outside G2 gets zero, which no range passes.
     ///
     /// With a pool share of two or more the range's halves run as two
     /// loops side by side — the split the pool would make anyway — and
@@ -939,10 +963,21 @@ impl<'a> Rlc<'a> {
         fan_out: usize,
     ) -> Checked {
         let pvk = self.pvk;
+        let Some(beta_prepared) = &pvk.beta_prepared else {
+            return Checked {
+                value: Fp12::zero(),
+                outside_g2: Vec::new(),
+                left_pairs: None,
+                work: IsolationWork {
+                    checks: 1,
+                    ..IsolationWork::default()
+                },
+            };
+        };
         let terms = &self.terms[range.clone()];
         // Σᵢ rᵢ·ICᵢ folded per *base*: (Σrᵢ)·IC₀ + Σⱼ (Σᵢ rᵢxᵢⱼ)·ICⱼ₊₁ —
         // one table-driven sum over the key's IC points instead of N
-        // point adds.
+        // point adds — and (Σrᵢ)·α from α's table.
         let mut ic_coeffs = vec![Fr::zero(); pvk.vk.ic.len()];
         for term in terms {
             ic_coeffs[0] += term.r;
@@ -950,16 +985,28 @@ impl<'a> Rlc<'a> {
                 *c += term.r * *xj;
             }
         }
-        // Σᵢ rᵢ·Cᵢ runs as a (pooled, when large) MSM alongside the IC fold.
-        let (ic_agg, c_agg) = waku_pool::join(
-            || pvk.ic_sum(&ic_coeffs).to_affine(),
+        // Σᵢ rᵢ·Cᵢ = Σᵢ aᵢ·Cᵢ + bᵢ·φ(Cᵢ) runs as a (pooled, when large)
+        // MSM at the halves' width alongside the table lookups.
+        let (ic_alpha, c_agg) = waku_pool::join(
             || {
-                let (c_points, rs): (Vec<G1Affine>, Vec<Fr>) =
-                    terms.iter().map(|t| (t.proof.c, t.r)).unzip();
-                msm(&c_points, &rs).to_affine()
+                let ic_sum = pvk.ic_sum(&ic_coeffs);
+                Projective::batch_to_affine(&[ic_sum, pvk.alpha_table.mul(ic_coeffs[0])])
+            },
+            || {
+                let c: Vec<G1Affine> = terms.iter().map(|t| t.proof.c).collect();
+                let phi_c: Vec<G1Affine> = c.iter().map(phi).collect();
+                let halves = |half: fn(&GlvScalar) -> u64| -> Vec<[u64; 4]> {
+                    terms.iter().map(|t| [half(&t.k), 0, 0, 0]).collect()
+                };
+                let parts = [(&c[..], halves(|k| k.a)), (&phi_c[..], halves(|k| k.b))];
+                msm_limbs(&parts, GLV_MSM_BITS).to_affine()
             },
         );
-        let fixed = [(ic_agg, &pvk.gamma_prepared), (c_agg, &pvk.delta_prepared)];
+        let fixed = [
+            (ic_alpha[0], &pvk.gamma_prepared),
+            (c_agg, &pvk.delta_prepared),
+            (ic_alpha[1], beta_prepared),
+        ];
 
         let mut left_pairs = None;
         let loops = match pairs {
@@ -987,11 +1034,7 @@ impl<'a> Rlc<'a> {
             work += part.work;
         }
         let value = if outside_g2.is_empty() {
-            // e(α,β) is a pairing value, so the cyclotomic ladder applies.
-            let ab_r = pvk
-                .alpha_beta
-                .cyclotomic_pow(&ic_coeffs[0].to_canonical_limbs());
-            final_exponentiation(&product).map_or(Fp12::zero(), |fe| fe * ab_r)
+            final_exponentiation(&product).unwrap_or(Fp12::zero())
         } else {
             Fp12::zero()
         };
@@ -1316,8 +1359,8 @@ mod tests {
     fn ic_tables_sum_what_the_msm_sums() {
         // Six IC points, the RLN key's shape, and coefficients at the
         // tables' edges: every digit zero, every digit maximal, the
-        // verifier's leading 1, a batch check's Σrᵢ (≈ 135 bits) and a
-        // zero public input between nonzero ones.
+        // verifier's leading 1, a short (135-bit) leading coefficient and
+        // a zero public input between nonzero ones.
         let mut rng = StdRng::seed_from_u64(17);
         let g1 = G1Projective::generator();
         let g2 = G2Projective::generator();
@@ -1523,6 +1566,40 @@ mod tests {
             for (pooled, serial) in at_pool(threads).iter().zip(&serial) {
                 assert_eq!(pooled.checks, serial.checks, "pool = {threads}");
                 assert!(pooled.dynamic_pairs <= serial.dynamic_pairs);
+            }
+        }
+    }
+
+    #[test]
+    fn batches_around_the_ladder_pippenger_cutover_blame_exactly_their_offender() {
+        // The `C` sum has 2n GLV terms, so 15 and 16 proofs sit on either
+        // side of the MSM's 32-term cutover, and isolation's sub-ranges
+        // run the short ladder. One offender at the first, middle or last
+        // position, through its input or through the proof itself.
+        let mut rng = StdRng::seed_from_u64(19);
+        let cs = cubic_cs(3, 35);
+        let pk = setup(&cs, &mut rng);
+        let pvk = PreparedVerifyingKey::from(pk.vk.clone());
+        let all: Vec<Proof> = (0..64)
+            .map(|_| prove(&pk, &cs, &mut rng).unwrap())
+            .collect();
+        for n in [2, 15, 16, 17, 31, 32, 33, 64] {
+            let proofs = &all[..n];
+            let inputs = vec![vec![Fr::from_u64(35)]; n];
+            assert!(pvk.verify_batch(proofs, &inputs).unwrap(), "n = {n}");
+            for bad in [0, n / 2, n - 1] {
+                let (mut proofs, mut inputs) = (proofs.to_vec(), inputs.clone());
+                if bad == n / 2 {
+                    (proofs[bad].a, proofs[bad].c) = (proofs[bad].c, proofs[bad].a);
+                } else {
+                    inputs[bad] = vec![Fr::from_u64(36)];
+                }
+                assert!(
+                    !pvk.verify_batch(&proofs, &inputs).unwrap(),
+                    "n = {n}, bad = {bad}"
+                );
+                let isolation = pvk.isolate(&proofs, &inputs).unwrap();
+                assert_eq!(isolation.invalid, vec![bad], "n = {n}");
             }
         }
     }
