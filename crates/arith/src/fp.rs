@@ -692,10 +692,11 @@ impl<P: FpParams, B: LaneBody> FpLanes<P, B> {
     pub fn scatter(self) -> B::Array<Fp<P>> {
         self.body.scatter(self.v)
     }
+}
 
-    /// Lane-wise square.
+impl<P: FpParams, B: LaneBody> Ring for FpLanes<P, B> {
     #[inline(always)]
-    pub fn square(self) -> Self {
+    fn square(self) -> Self {
         FpLanes {
             v: self.body.sqr(self.v),
             body: self.body,
@@ -744,22 +745,64 @@ impl<P: FpParams, B: LaneBody> std::ops::Neg for FpLanes<P, B> {
     }
 }
 
+/// A ring's operations on values: the operators and [`Self::square`] /
+/// [`Self::double`]. Scalar elements have them and so do lane vectors,
+/// so a formula written over `Ring` runs on either: `waku-curve` writes
+/// its Fp2 / Fp6 / Fp12 tower once, over Fq and over Fq's lane vectors.
+/// Every implementation's methods are `#[inline(always)]` (see
+/// [`LaneTask`]).
+pub trait Ring:
+    Copy
+    + std::ops::Add<Output = Self>
+    + std::ops::Sub<Output = Self>
+    + std::ops::Mul<Output = Self>
+    + std::ops::Neg<Output = Self>
+{
+    /// `self · self`.
+    fn square(self) -> Self;
+
+    /// `self + self`.
+    #[inline(always)]
+    fn double(self) -> Self {
+        self + self
+    }
+
+    /// `f()`: how code built over this ring runs its larger routines (the
+    /// tower's products and squares), each an `#[inline(always)]` closure.
+    /// Lane vectors inline them, as every lane operation must be (see
+    /// [`LaneTask`]); a scalar element calls each as a function of its
+    /// own, so that scalar code holds one copy of a routine however many
+    /// places use it.
+    #[inline(always)]
+    fn call<R>(f: impl Fn() -> R) -> R {
+        f()
+    }
+}
+
+impl<P: FpParams> Ring for Fp<P> {
+    #[inline(always)]
+    fn square(self) -> Self {
+        Field::square(&self)
+    }
+
+    #[inline(never)]
+    fn call<R>(f: impl Fn() -> R) -> R {
+        f()
+    }
+}
+
 /// A field whose elements generic lane code holds a vector at a time:
 /// every `Fp<P>` as one [`FpLanes`] (the FFT's butterflies, the MSM's
-/// Fq coordinates), and Fp2 in `waku-curve` as two. Every
-/// implementation's methods are `#[inline(always)]` (see [`LaneTask`]).
+/// Fq coordinates), and `waku-curve`'s tower as its Fq coefficients'
+/// vectors. Every implementation's methods are `#[inline(always)]` (see
+/// [`LaneTask`]).
 pub trait LaneField: Field {
     /// `B::WIDTH` elements on lane body `B`.
-    type Lanes<B: LaneBody>: Copy
-        + std::ops::Add<Output = Self::Lanes<B>>
-        + std::ops::Sub<Output = Self::Lanes<B>>
-        + std::ops::Mul<Output = Self::Lanes<B>>;
+    type Lanes<B: LaneBody>: Ring;
     /// Loads the elements behind `v`, lane `i` from `v[i]`.
     fn gather<B: LaneBody>(body: B, v: B::Array<&Self>) -> Self::Lanes<B>;
     /// The elements, lane `i` at index `i`.
     fn scatter<B: LaneBody>(v: Self::Lanes<B>) -> B::Array<Self>;
-    /// Lane-wise square.
-    fn square_lanes<B: LaneBody>(v: Self::Lanes<B>) -> Self::Lanes<B>;
 
     /// Loads `v[..B::WIDTH]`, lane `i` from `v[i]`.
     #[inline(always)]
@@ -787,11 +830,6 @@ impl<P: FpParams> LaneField for Fp<P> {
     #[inline(always)]
     fn scatter<B: LaneBody>(v: FpLanes<P, B>) -> B::Array<Self> {
         v.scatter()
-    }
-
-    #[inline(always)]
-    fn square_lanes<B: LaneBody>(v: FpLanes<P, B>) -> FpLanes<P, B> {
-        v.square()
     }
 }
 

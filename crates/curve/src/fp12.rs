@@ -1,4 +1,5 @@
-//! Quadratic extension `Fp12 = Fp6[w]/(w² − v)` — the pairing target field.
+//! Quadratic extension `Fp12 = Fp6[w]/(w² − v)` — the pairing target
+//! field — over any [`Ring`] in Fq's place (see [`crate::fp2`]).
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -6,21 +7,24 @@ use std::sync::OnceLock;
 
 use waku_arith::biguint::BigUint;
 use waku_arith::fields::Fq;
-use waku_arith::fp::LaneBody;
+use waku_arith::fp::{LaneBody, LaneField, Ring};
 use waku_arith::traits::{Field, PrimeField};
 
-use crate::fp2::{Fp2, Fp2Lanes};
-use crate::fp6::{Fp6, Fp6Lanes};
+use crate::fp2::{Fp2, Fp2Over};
+use crate::fp6::{Fp6, Fp6Over};
 use crate::point::FqLanes;
 
-/// An element `c0 + c1·w` of Fp12.
+/// An element `c0 + c1·w` of Fp12, its coefficients in Fp6 over `F`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Fp12 {
+pub struct Fp12Over<F> {
     /// Constant coefficient.
-    pub c0: Fp6,
+    pub c0: Fp6Over<F>,
     /// Coefficient of `w`.
-    pub c1: Fp6,
+    pub c1: Fp6Over<F>,
 }
+
+/// Fp12 over Fq.
+pub type Fp12 = Fp12Over<Fq>;
 
 /// Frobenius constants `γᵢ = ξ^((pⁱ−1)/6)` for i = 0..=3, derived at first
 /// use.
@@ -66,18 +70,36 @@ fn naf(exp: &[u64]) -> Vec<i8> {
         .collect()
 }
 
-impl Fp12 {
+impl<F> Fp12Over<F> {
     /// Builds an element from its Fp6 coefficients.
-    pub const fn new(c0: Fp6, c1: Fp6) -> Self {
-        Fp12 { c0, c1 }
+    pub const fn new(c0: Fp6Over<F>, c1: Fp6Over<F>) -> Self {
+        Fp12Over { c0, c1 }
     }
+}
 
+impl<F: Ring> Fp12Over<F> {
+    /// Product with the sparse element `c + (a + b·v)·w`, `c` in `F` — the
+    /// shape of a Miller-loop line evaluated at a G1 point. Karatsuba over
+    /// `w` with one `F` scaling and two 5-product sparse Fp6
+    /// multiplications: 36 `F` products against 54 for the dense `*`.
+    #[inline(always)]
+    pub fn mul_by_line(&self, c: F, a: Fp2Over<F>, b: Fp2Over<F>) -> Self {
+        F::call(
+            #[inline(always)]
+            || {
+                let v0 = self.c0.scale_base(c);
+                let v1 = self.c1.mul_by_01(a, b);
+                let s = (self.c0 + self.c1).mul_by_01(Fp2Over::new(a.c0 + c, a.c1), b);
+                Fp12Over::new(v0 + v1.mul_by_v(), s - v0 - v1)
+            },
+        )
+    }
+}
+
+impl Fp12 {
     /// Embeds an Fp6 element.
     pub fn from_fp6(c0: Fp6) -> Self {
-        Fp12 {
-            c0,
-            c1: Fp6::zero(),
-        }
+        Fp12::new(c0, Fp6::zero())
     }
 
     /// Embeds an Fq element.
@@ -88,10 +110,7 @@ impl Fp12 {
     /// Conjugation `c0 − c1·w`; equals the `p⁶`-power Frobenius, and for
     /// elements in the cyclotomic subgroup equals inversion.
     pub fn conjugate(&self) -> Self {
-        Fp12 {
-            c0: self.c0,
-            c1: -self.c1,
-        }
+        Fp12::new(self.c0, -self.c1)
     }
 
     /// Frobenius endomorphism `x ↦ x^(p^power)` for `power ≤ 3`.
@@ -102,10 +121,10 @@ impl Fp12 {
     pub fn frobenius_map(&self, power: usize) -> Self {
         assert!(power <= 3, "frobenius power out of precomputed range");
         let g = frobenius_coeffs()[power];
-        Fp12 {
-            c0: self.c0.frobenius_map(power),
-            c1: self.c1.frobenius_map(power).scale(g),
-        }
+        Fp12::new(
+            self.c0.frobenius_map(power),
+            self.c1.frobenius_map(power).scale(g),
+        )
     }
 
     /// Granger–Scott squaring for elements of the cyclotomic subgroup
@@ -139,18 +158,18 @@ impl Fp12 {
         let (t0, t1) = fp4_square(z0, z1);
         let (t2, t3) = fp4_square(z2, z3);
         let (t4, t5) = fp4_square(z4, z5);
-        Fp12 {
-            c0: Fp6::new(
+        Fp12::new(
+            Fp6::new(
                 three_t_minus_2z(t0, z0),
                 three_t_minus_2z(t2, z4),
                 three_t_minus_2z(t4, z3),
             ),
-            c1: Fp6::new(
+            Fp6::new(
                 three_t_plus_2z(t5.mul_by_nonresidue(), z2),
                 three_t_plus_2z(t1, z1),
                 three_t_plus_2z(t3, z5),
             ),
-        }
+        )
     }
 
     /// `self^exp` for `self` in the cyclotomic subgroup (see
@@ -179,132 +198,79 @@ impl Fp12 {
         }
         res
     }
-
-    /// Product with the sparse element `c + (a + b·v)·w`, `c ∈ Fq` — the
-    /// shape of a Miller-loop line evaluated at a G1 point. Karatsuba over
-    /// `w` with one Fq scaling and two 5-product sparse Fp6
-    /// multiplications: 36 Fq products against 54 for the dense `*`.
-    pub fn mul_by_line(&self, c: Fq, a: Fp2, b: Fp2) -> Self {
-        let v0 = self.c0.scale_base(c);
-        let v1 = self.c1.mul_by_01(a, b);
-        let s = (self.c0 + self.c1).mul_by_01(Fp2::new(a.c0 + c, a.c1), b);
-        Fp12 {
-            c0: v0 + v1.mul_by_v(),
-            c1: s - v0 - v1,
-        }
-    }
 }
 
-/// `B::WIDTH` Fp12 elements on lane body `B`, with [`Fp12`]'s formulas:
-/// the Miller loop's accumulators, one per lane.
-#[derive(Clone, Copy)]
-pub(crate) struct Fp12Lanes<B: LaneBody> {
-    c0: Fp6Lanes<B>,
-    c1: Fp6Lanes<B>,
-}
-
-impl<B: LaneBody> Fp12Lanes<B> {
-    /// Loads the elements behind `v`, lane `i` from `v[i]`.
-    #[inline(always)]
-    pub(crate) fn gather(body: B, v: B::Array<&Fp12>) -> Self {
-        let v = v.as_ref();
-        Fp12Lanes {
-            c0: Fp6Lanes::gather(body, B::array(|i| &v[i].c0)),
-            c1: Fp6Lanes::gather(body, B::array(|i| &v[i].c1)),
-        }
-    }
-
-    /// The elements, lane `i` at index `i`.
-    #[inline(always)]
-    pub(crate) fn scatter(self) -> B::Array<Fp12> {
-        let (c0, c1) = (self.c0.scatter(), self.c1.scatter());
-        B::array(|i| Fp12::new(c0.as_ref()[i], c1.as_ref()[i]))
-    }
-
-    /// Lane-wise square, as [`Fp12`]'s.
-    #[inline(always)]
-    pub(crate) fn square(self) -> Self {
-        let ab = self.c0 * self.c1;
-        let a = self.c0 + self.c1;
-        let b = self.c0 + self.c1.mul_by_v();
-        Fp12Lanes {
-            c0: a * b - ab - ab.mul_by_v(),
-            c1: ab.double(),
-        }
-    }
-
-    /// Lane-wise [`Fp12::mul_by_line`].
-    #[inline(always)]
-    pub(crate) fn mul_by_line(self, c: FqLanes<B>, a: Fp2Lanes<B>, b: Fp2Lanes<B>) -> Self {
-        let v0 = self.c0.scale_base(c);
-        let v1 = self.c1.mul_by_01(a, b);
-        let ac = Fp2Lanes {
-            c0: a.c0 + c,
-            c1: a.c1,
-        };
-        let s = (self.c0 + self.c1).mul_by_01(ac, b);
-        Fp12Lanes {
-            c0: v0 + v1.mul_by_v(),
-            c1: s - v0 - v1,
-        }
-    }
-}
-
-impl Add for Fp12 {
+impl<F: Ring> Add for Fp12Over<F> {
     type Output = Self;
+    #[inline(always)]
     fn add(self, rhs: Self) -> Self {
-        Fp12 {
-            c0: self.c0 + rhs.c0,
-            c1: self.c1 + rhs.c1,
-        }
+        Fp12Over::new(self.c0 + rhs.c0, self.c1 + rhs.c1)
     }
 }
 
-impl Sub for Fp12 {
+impl<F: Ring> Sub for Fp12Over<F> {
     type Output = Self;
+    #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
-        Fp12 {
-            c0: self.c0 - rhs.c0,
-            c1: self.c1 - rhs.c1,
-        }
+        Fp12Over::new(self.c0 - rhs.c0, self.c1 - rhs.c1)
     }
 }
 
-impl Mul for Fp12 {
+impl<F: Ring> Mul for Fp12Over<F> {
     type Output = Self;
+    /// Karatsuba with `w² = v`.
+    #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
-        // Karatsuba with w² = v.
-        let v0 = self.c0 * rhs.c0;
-        let v1 = self.c1 * rhs.c1;
-        let s = (self.c0 + self.c1) * (rhs.c0 + rhs.c1);
-        Fp12 {
-            c0: v0 + v1.mul_by_v(),
-            c1: s - v0 - v1,
-        }
+        F::call(
+            #[inline(always)]
+            || {
+                let v0 = self.c0 * rhs.c0;
+                let v1 = self.c1 * rhs.c1;
+                let s = (self.c0 + self.c1) * (rhs.c0 + rhs.c1);
+                Fp12Over::new(v0 + v1.mul_by_v(), s - v0 - v1)
+            },
+        )
     }
 }
 
-impl Neg for Fp12 {
+impl<F: Ring> Neg for Fp12Over<F> {
     type Output = Self;
+    #[inline(always)]
     fn neg(self) -> Self {
-        Fp12 {
-            c0: -self.c0,
-            c1: -self.c1,
-        }
+        Fp12Over::new(-self.c0, -self.c1)
     }
 }
 
-impl AddAssign for Fp12 {
+impl<F: Ring> Ring for Fp12Over<F> {
+    /// Complex squaring: `(c0 + c1 w)² = (c0² + c1²·v) + 2c0c1·w`.
+    #[inline(always)]
+    fn square(self) -> Self {
+        F::call(
+            #[inline(always)]
+            || {
+                let ab = self.c0 * self.c1;
+                let a = self.c0 + self.c1;
+                let b = self.c0 + self.c1.mul_by_v();
+                Fp12Over::new(a * b - ab - ab.mul_by_v(), ab.double())
+            },
+        )
+    }
+}
+
+impl<F: Ring> AddAssign for Fp12Over<F> {
+    #[inline(always)]
     fn add_assign(&mut self, rhs: Self) {
         *self = *self + rhs;
     }
 }
-impl SubAssign for Fp12 {
+impl<F: Ring> SubAssign for Fp12Over<F> {
+    #[inline(always)]
     fn sub_assign(&mut self, rhs: Self) {
         *self = *self - rhs;
     }
 }
-impl MulAssign for Fp12 {
+impl<F: Ring> MulAssign for Fp12Over<F> {
+    #[inline(always)]
     fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
     }
@@ -322,19 +288,32 @@ impl fmt::Display for Fp12 {
     }
 }
 
+impl LaneField for Fp12 {
+    type Lanes<B: LaneBody> = Fp12Over<FqLanes<B>>;
+
+    #[inline(always)]
+    fn gather<B: LaneBody>(body: B, v: B::Array<&Fp12>) -> Self::Lanes<B> {
+        let v = v.as_ref();
+        Fp12Over::new(
+            Fp6::gather(body, B::array(|i| &v[i].c0)),
+            Fp6::gather(body, B::array(|i| &v[i].c1)),
+        )
+    }
+
+    #[inline(always)]
+    fn scatter<B: LaneBody>(v: Self::Lanes<B>) -> B::Array<Fp12> {
+        let (c0, c1) = (Fp6::scatter(v.c0), Fp6::scatter(v.c1));
+        B::array(|i| Fp12::new(c0.as_ref()[i], c1.as_ref()[i]))
+    }
+}
+
 impl Field for Fp12 {
     fn zero() -> Self {
-        Fp12 {
-            c0: Fp6::zero(),
-            c1: Fp6::zero(),
-        }
+        Fp12::from_fp6(Fp6::zero())
     }
 
     fn one() -> Self {
-        Fp12 {
-            c0: Fp6::one(),
-            c1: Fp6::zero(),
-        }
+        Fp12::from_fp6(Fp6::one())
     }
 
     fn is_zero(&self) -> bool {
@@ -342,32 +321,18 @@ impl Field for Fp12 {
     }
 
     fn square(&self) -> Self {
-        // Complex squaring: (c0 + c1 w)² = (c0² + c1²·v) + 2c0c1·w.
-        let ab = self.c0 * self.c1;
-        let a = self.c0 + self.c1;
-        let b = self.c0 + self.c1.mul_by_v();
-        let t = a * b - ab - ab.mul_by_v();
-        Fp12 {
-            c0: t,
-            c1: ab.double(),
-        }
+        Ring::square(*self)
     }
 
     fn inverse(&self) -> Option<Self> {
         // 1/(c0 + c1 w) = (c0 − c1 w)/(c0² − c1²·v)
         let t = self.c0.square() - self.c1.square().mul_by_v();
         let t_inv = t.inverse()?;
-        Some(Fp12 {
-            c0: self.c0 * t_inv,
-            c1: -(self.c1 * t_inv),
-        })
+        Some(Fp12::new(self.c0 * t_inv, -(self.c1 * t_inv)))
     }
 
     fn random<R: rand::Rng + ?Sized>(rng: &mut R) -> Self {
-        Fp12 {
-            c0: Fp6::random(rng),
-            c1: Fp6::random(rng),
-        }
+        Fp12::new(Fp6::random(rng), Fp6::random(rng))
     }
 }
 
@@ -443,14 +408,14 @@ mod tests {
             &[u64::MAX, u64::MAX, 0x7F],
             &[0x0123_4567_89AB_CDEF, 0xFEDC_BA98_7654_3210, 0x7F],
             &[0xAAAA_AAAA_AAAA_AAAA, 0, u64::MAX],
-            // A batch check's Σrᵢ: 64 scalars of 128 bits, 135 bits.
+            // A 135-bit exponent: a partial top limb above two full ones.
             &[0x9E37_79B9_7F4A_7C15, 0xF39C_C060_5CED_C834, 0x4B],
         ];
         for exp in exps {
             assert_eq!(g.cyclotomic_pow(exp), g.pow(exp), "exp = {exp:?}");
         }
-        // Zero is outside the subgroup but keeps the ladder's value (its
-        // conjugate is zero too): a verifying key with no e(α, β) stores it.
+        // Zero is outside the subgroup but keeps the ladder's value: its
+        // conjugate is zero too, so every product stays zero.
         assert_eq!(Fp12::zero().cyclotomic_pow(&[u64::MAX]), Fp12::zero());
     }
 
@@ -506,67 +471,90 @@ mod tests {
         }
     }
 
-    /// The lane tower against the scalar one, lane by lane, `B::WIDTH` of
-    /// eight random operand sets at a time: with `OP` 0 Fp6's `mul_by_01`,
-    /// `mul_by_v` and product and a gather and a scatter, with 1 Fp12's
-    /// square, with 2 its `mul_by_line`. One Fp12 lane operation per
-    /// instantiation: together in one function they take LLVM minutes.
-    fn tower_same_on<B: LaneBody, const OP: u8>(body: B, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let f: Vec<Fp12> = (0..8).map(|_| Fp12::random(&mut rng)).collect();
-        let g: Vec<Fp12> = (0..8).map(|_| Fp12::random(&mut rng)).collect();
-        let c: Vec<Fq> = (0..8).map(|_| Fq::random(&mut rng)).collect();
-        let a: Vec<Fp2> = (0..8).map(|_| Fp2::random(&mut rng)).collect();
-        let b: Vec<Fp2> = (0..8).map(|_| Fp2::random(&mut rng)).collect();
-        for at in (0..8).step_by(B::WIDTH) {
-            let lanes = at..at + B::WIDTH;
-            let fl = Fp12Lanes::gather(body, B::array(|i| &f[at + i]));
-            let (x, y) = (fl.c0, Fp6Lanes::gather(body, B::array(|i| &g[at + i].c1)));
-            let al = Fp2::gather(body, B::array(|i| &a[at + i]));
-            let bl = Fp2::gather(body, B::array(|i| &b[at + i]));
-            let cl = FqLanes::gather(body, B::array(|i| &c[at + i]));
-            let six = |v: Fp6Lanes<B>| v.scatter().as_ref().to_vec();
-            let twelve = |v: Fp12Lanes<B>| v.scatter().as_ref().to_vec();
-            let each6 = |op: &dyn Fn(usize) -> Fp6| lanes.clone().map(op).collect::<Vec<_>>();
-            let each12 = |op: &dyn Fn(usize) -> Fp12| lanes.clone().map(op).collect::<Vec<_>>();
-            match OP {
-                0 => {
-                    assert_eq!(twelve(fl), each12(&|i| f[i]), "gather then scatter");
-                    assert_eq!(
-                        six(x.mul_by_01(al, bl)),
-                        each6(&|i| f[i].c0.mul_by_01(a[i], b[i]))
-                    );
-                    assert_eq!(six(x.mul_by_v()), each6(&|i| f[i].c0.mul_by_v()));
-                    assert_eq!(six(x * y), each6(&|i| f[i].c0 * g[i].c1));
+    /// Asserts that lane `i` of `v` holds `want(at + i)`, for every lane.
+    #[track_caller]
+    #[inline(always)]
+    fn same<T: LaneField, B: LaneBody>(v: T::Lanes<B>, at: usize, want: impl Fn(usize) -> T) {
+        for (i, x) in T::scatter(v).as_ref().iter().enumerate() {
+            assert_eq!(*x, want(at + i), "lane {i} of {at}..");
+        }
+    }
+
+    /// The generic tower's lane instance against its scalar one, lane by
+    /// lane, `B::WIDTH` of eight random operand sets at a time, one group
+    /// of routines per `OP`: 0 Fp2's and a gather and a scatter, 1 Fp6's
+    /// products, 2 its square and scalings, 3 Fp12's square, 4 its
+    /// `mul_by_line`, 5 its product. Each group compiles in a function of
+    /// its own on each body: together in one function they take LLVM
+    /// minutes.
+    #[derive(Clone, Copy)]
+    struct Tower<const OP: u8>(u64);
+
+    impl<const OP: u8> LaneTask for Tower<OP> {
+        type Output = ();
+
+        #[inline(always)]
+        fn run<B: LaneBody>(self, body: B) {
+            let mut rng = StdRng::seed_from_u64(self.0);
+            let f: Vec<Fp12> = (0..8).map(|_| Fp12::random(&mut rng)).collect();
+            let g: Vec<Fp12> = (0..8).map(|_| Fp12::random(&mut rng)).collect();
+            let c: Vec<Fq> = (0..8).map(|_| Fq::random(&mut rng)).collect();
+            let a: Vec<Fp2> = (0..8).map(|_| Fp2::random(&mut rng)).collect();
+            let b: Vec<Fp2> = (0..8).map(|_| Fp2::random(&mut rng)).collect();
+            for at in (0..8).step_by(B::WIDTH) {
+                let fl = Fp12::gather(body, B::array(|i| &f[at + i]));
+                let gl = Fp12::gather(body, B::array(|i| &g[at + i]));
+                let (x, y) = (fl.c0, gl.c1);
+                let al = Fp2::gather(body, B::array(|i| &a[at + i]));
+                let bl = Fp2::gather(body, B::array(|i| &b[at + i]));
+                let cl = Fq::gather(body, B::array(|i| &c[at + i]));
+                match OP {
+                    0 => {
+                        same(fl, at, |i| f[i]);
+                        same(al * bl, at, |i| a[i] * b[i]);
+                        same(al.square(), at, |i| a[i].square());
+                        same(al.mul_by_nonresidue(), at, |i| a[i].mul_by_nonresidue());
+                        same(al.scale(cl), at, |i| a[i].scale(c[i]));
+                        same(al.norm(), at, |i| a[i].norm());
+                        same(al.inverse_from_norm(cl), at, |i| {
+                            a[i].inverse_from_norm(c[i])
+                        });
+                    }
+                    1 => {
+                        same(x * y, at, |i| f[i].c0 * g[i].c1);
+                        same(x.mul_by_01(al, bl), at, |i| f[i].c0.mul_by_01(a[i], b[i]));
+                        same(x.mul_by_v(), at, |i| f[i].c0.mul_by_v());
+                    }
+                    2 => {
+                        same(x.square(), at, |i| f[i].c0.square());
+                        same(x.scale(al), at, |i| f[i].c0.scale(a[i]));
+                        same(x.scale_base(cl), at, |i| f[i].c0.scale_base(c[i]));
+                    }
+                    3 => same(fl.square(), at, |i| f[i].square()),
+                    4 => same(fl.mul_by_line(cl, al, bl), at, |i| {
+                        f[i].mul_by_line(c[i], a[i], b[i])
+                    }),
+                    _ => same(fl * gl, at, |i| f[i] * g[i]),
                 }
-                1 => assert_eq!(twelve(fl.square()), each12(&|i| f[i].square())),
-                _ => assert_eq!(
-                    twelve(fl.mul_by_line(cl, al, bl)),
-                    each12(&|i| f[i].mul_by_line(c[i], a[i], b[i]))
-                ),
             }
         }
     }
 
     #[test]
     fn lane_tower_matches_scalar_operations() {
-        // Both bodies: the portable one directly, and the one this CPU
-        // runs (IFMA where it has it).
-        struct Detected<const OP: u8>(u64);
-        impl<const OP: u8> LaneTask for Detected<OP> {
-            type Output = ();
-            #[inline(always)]
-            fn run<B: LaneBody>(self, body: B) {
-                tower_same_on::<B, OP>(body, self.0);
-            }
+        // Both bodies: the portable one, and the one this CPU runs (IFMA
+        // where it has it).
+        fn on_both<T: LaneTask + Copy>(task: T) {
+            Portable.run(task);
+            with_lanes(task);
         }
         for seed in 0..4 {
-            tower_same_on::<_, 0>(Portable, seed);
-            tower_same_on::<_, 1>(Portable, seed);
-            tower_same_on::<_, 2>(Portable, seed);
-            with_lanes(Detected::<0>(seed));
-            with_lanes(Detected::<1>(seed));
-            with_lanes(Detected::<2>(seed));
+            on_both(Tower::<0>(seed));
+            on_both(Tower::<1>(seed));
+            on_both(Tower::<2>(seed));
+            on_both(Tower::<3>(seed));
+            on_both(Tower::<4>(seed));
+            on_both(Tower::<5>(seed));
         }
     }
 

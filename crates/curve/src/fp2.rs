@@ -3,51 +3,89 @@
 //! BN254's base field has `q ≡ 3 (mod 4)`, so `−1` is a non-residue and the
 //! tower starts with `u² = −1`. The sextic twist uses the non-residue
 //! `ξ = 9 + u` (exposed as [`Fp2::mul_by_nonresidue`]).
+//!
+//! The tower is written once, over any [`Ring`] `F` in Fq's place:
+//! [`Fp2`], [`Fp6`](crate::fp6::Fp6) and [`Fp12`](crate::fp12::Fp12) are
+//! its instances over Fq, and `Fp2Over<FqLanes<B>>` (likewise Fp6, Fp12)
+//! holds `B::WIDTH` elements on lane body `B`, one per lane, for the
+//! Miller loop's and the MSM's lane code. Every routine is
+//! `#[inline(always)]` (see [`waku_arith::fp::LaneTask`]), and the
+//! products and squares run through [`Ring::call`]: the lanes inline them,
+//! scalar code calls one copy of each. What only scalar code needs —
+//! inversion, Frobenius, the cyclotomic operations, the constants and the
+//! [`Field`] impls — sits on the Fq instance alone.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use waku_arith::fields::Fq;
-use waku_arith::fp::{LaneBody, LaneField};
-use waku_arith::traits::Field;
+use waku_arith::fp::{LaneBody, LaneField, Ring};
+use waku_arith::traits::{Field, PrimeField};
 
 use crate::point::{FqLanes, LaneCoord};
 
-/// An element `c0 + c1·u` of Fp2.
+/// An element `c0 + c1·u` of Fp2, its coefficients in `F`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Fp2 {
+pub struct Fp2Over<F> {
     /// Constant coefficient.
-    pub c0: Fq,
+    pub c0: F,
     /// Coefficient of `u`.
-    pub c1: Fq,
+    pub c1: F,
+}
+
+/// Fp2 over Fq.
+pub type Fp2 = Fp2Over<Fq>;
+
+impl<F> Fp2Over<F> {
+    /// Builds an element from its two coefficients.
+    pub const fn new(c0: F, c1: F) -> Self {
+        Fp2Over { c0, c1 }
+    }
+}
+
+impl<F: Ring> Fp2Over<F> {
+    /// Complex conjugation `c0 − c1·u`; equals the `p`-power Frobenius.
+    #[inline(always)]
+    pub fn conjugate(&self) -> Self {
+        Fp2Over::new(self.c0, -self.c1)
+    }
+
+    /// Multiplies by the cubic/sextic tower non-residue `ξ = 9 + u`:
+    /// `(9·c0 − c1) + (9·c1 + c0)·u`.
+    #[inline(always)]
+    pub fn mul_by_nonresidue(&self) -> Self {
+        let t = self.double().double().double() + *self; // 9·self
+        Fp2Over::new(t.c0 - self.c1, t.c1 + self.c0)
+    }
+
+    /// Norm `c0² + c1²` (an element of `F`).
+    #[inline(always)]
+    pub fn norm(&self) -> F {
+        self.c0.square() + self.c1.square()
+    }
+
+    /// `self⁻¹ = self̄ · N(self)⁻¹`, given `N(self)⁻¹`.
+    #[inline(always)]
+    pub fn inverse_from_norm(&self, norm_inv: F) -> Self {
+        self.conjugate().scale(norm_inv)
+    }
+
+    /// Multiplies both coefficients by a scalar of `F`.
+    #[inline(always)]
+    pub fn scale(&self, s: F) -> Self {
+        Fp2Over::new(self.c0 * s, self.c1 * s)
+    }
 }
 
 impl Fp2 {
-    /// Builds an element from its two Fq coefficients.
-    pub const fn new(c0: Fq, c1: Fq) -> Self {
-        Fp2 { c0, c1 }
-    }
-
     /// Embeds an Fq element.
     pub fn from_base(c0: Fq) -> Self {
-        Fp2 { c0, c1: Fq::zero() }
+        Fp2::new(c0, Fq::zero())
     }
 
     /// The twist non-residue `ξ = 9 + u`.
     pub fn xi() -> Self {
-        use waku_arith::traits::PrimeField;
-        Fp2 {
-            c0: Fq::from_u64(9),
-            c1: Fq::one(),
-        }
-    }
-
-    /// Complex conjugation `c0 − c1·u`; equals the `p`-power Frobenius.
-    pub fn conjugate(&self) -> Self {
-        Fp2 {
-            c0: self.c0,
-            c1: -self.c1,
-        }
+        Fp2::new(Fq::from_u64(9), Fq::one())
     }
 
     /// Frobenius endomorphism `x ↦ x^(p^power)`.
@@ -58,86 +96,77 @@ impl Fp2 {
             self.conjugate()
         }
     }
-
-    /// Multiplies by the cubic/sextic tower non-residue `ξ = 9 + u`:
-    /// `(9·c0 − c1) + (9·c1 + c0)·u`.
-    pub fn mul_by_nonresidue(&self) -> Self {
-        let t = self.double().double().double() + *self; // 9·self
-        Fp2 {
-            c0: t.c0 - self.c1,
-            c1: t.c1 + self.c0,
-        }
-    }
-
-    /// Norm `c0² + c1²` (an Fq element).
-    pub fn norm(&self) -> Fq {
-        self.c0.square() + self.c1.square()
-    }
-
-    /// Multiplies both coefficients by an Fq scalar.
-    pub fn scale(&self, s: Fq) -> Self {
-        Fp2 {
-            c0: self.c0 * s,
-            c1: self.c1 * s,
-        }
-    }
 }
 
-impl Add for Fp2 {
+impl<F: Ring> Add for Fp2Over<F> {
     type Output = Self;
+    #[inline(always)]
     fn add(self, rhs: Self) -> Self {
-        Fp2 {
-            c0: self.c0 + rhs.c0,
-            c1: self.c1 + rhs.c1,
-        }
+        Fp2Over::new(self.c0 + rhs.c0, self.c1 + rhs.c1)
     }
 }
 
-impl Sub for Fp2 {
+impl<F: Ring> Sub for Fp2Over<F> {
     type Output = Self;
+    #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
-        Fp2 {
-            c0: self.c0 - rhs.c0,
-            c1: self.c1 - rhs.c1,
-        }
+        Fp2Over::new(self.c0 - rhs.c0, self.c1 - rhs.c1)
     }
 }
 
-impl Mul for Fp2 {
+impl<F: Ring> Mul for Fp2Over<F> {
     type Output = Self;
+    #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
         // Karatsuba: (a0 + a1 u)(b0 + b1 u) with u² = −1.
-        let v0 = self.c0 * rhs.c0;
-        let v1 = self.c1 * rhs.c1;
-        let s = (self.c0 + self.c1) * (rhs.c0 + rhs.c1);
-        Fp2 {
-            c0: v0 - v1,
-            c1: s - v0 - v1,
-        }
+        F::call(
+            #[inline(always)]
+            || {
+                let v0 = self.c0 * rhs.c0;
+                let v1 = self.c1 * rhs.c1;
+                let s = (self.c0 + self.c1) * (rhs.c0 + rhs.c1);
+                Fp2Over::new(v0 - v1, s - v0 - v1)
+            },
+        )
     }
 }
 
-impl Neg for Fp2 {
+impl<F: Ring> Neg for Fp2Over<F> {
     type Output = Self;
+    #[inline(always)]
     fn neg(self) -> Self {
-        Fp2 {
-            c0: -self.c0,
-            c1: -self.c1,
-        }
+        Fp2Over::new(-self.c0, -self.c1)
     }
 }
 
-impl AddAssign for Fp2 {
+impl<F: Ring> Ring for Fp2Over<F> {
+    #[inline(always)]
+    fn square(self) -> Self {
+        // (a0 + a1 u)² = (a0 − a1)(a0 + a1) + 2·a0·a1·u
+        F::call(
+            #[inline(always)]
+            || {
+                let c = self.c0 * self.c1;
+                Fp2Over::new((self.c0 - self.c1) * (self.c0 + self.c1), c.double())
+            },
+        )
+    }
+}
+
+impl<F: Ring> AddAssign for Fp2Over<F> {
+    #[inline(always)]
     fn add_assign(&mut self, rhs: Self) {
         *self = *self + rhs;
     }
 }
-impl SubAssign for Fp2 {
+impl<F: Ring> SubAssign for Fp2Over<F> {
+    #[inline(always)]
     fn sub_assign(&mut self, rhs: Self) {
         *self = *self - rhs;
     }
 }
-impl MulAssign for Fp2 {
+impl<F: Ring> MulAssign for Fp2Over<F> {
+    #[inline(always)]
     fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
     }
@@ -155,153 +184,44 @@ impl fmt::Display for Fp2 {
     }
 }
 
-/// `B::WIDTH` Fp2 elements on lane body `B`: their `c0`s and their `c1`s
-/// as two Fq lane vectors.
-#[derive(Clone, Copy)]
-pub struct Fp2Lanes<B: LaneBody> {
-    pub(crate) c0: FqLanes<B>,
-    pub(crate) c1: FqLanes<B>,
-}
-
-impl<B: LaneBody> Fp2Lanes<B> {
-    /// Lane-wise square, as [`Fp2`]'s.
-    #[inline(always)]
-    pub(crate) fn square(self) -> Self {
-        Fp2::square_lanes(self)
-    }
-
-    /// `2·self`.
-    #[inline(always)]
-    pub(crate) fn double(self) -> Self {
-        self + self
-    }
-
-    /// Both coefficients times `s`, as [`Fp2::scale`].
-    #[inline(always)]
-    pub(crate) fn scale(self, s: FqLanes<B>) -> Self {
-        Fp2Lanes {
-            c0: self.c0 * s,
-            c1: self.c1 * s,
-        }
-    }
-
-    /// As [`Fp2::mul_by_nonresidue`].
-    #[inline(always)]
-    pub(crate) fn mul_by_nonresidue(self) -> Self {
-        let t = self.double().double().double() + self;
-        Fp2Lanes {
-            c0: t.c0 - self.c1,
-            c1: t.c1 + self.c0,
-        }
-    }
-}
-
-impl<B: LaneBody> Add for Fp2Lanes<B> {
-    type Output = Self;
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        Fp2Lanes {
-            c0: self.c0 + rhs.c0,
-            c1: self.c1 + rhs.c1,
-        }
-    }
-}
-
-impl<B: LaneBody> Sub for Fp2Lanes<B> {
-    type Output = Self;
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        Fp2Lanes {
-            c0: self.c0 - rhs.c0,
-            c1: self.c1 - rhs.c1,
-        }
-    }
-}
-
-impl<B: LaneBody> Neg for Fp2Lanes<B> {
-    type Output = Self;
-    #[inline(always)]
-    fn neg(self) -> Self {
-        Fp2Lanes {
-            c0: -self.c0,
-            c1: -self.c1,
-        }
-    }
-}
-
-impl<B: LaneBody> Mul for Fp2Lanes<B> {
-    type Output = Self;
-    /// Karatsuba, as [`Fp2`]'s product.
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        let v0 = self.c0 * rhs.c0;
-        let v1 = self.c1 * rhs.c1;
-        let s = (self.c0 + self.c1) * (rhs.c0 + rhs.c1);
-        Fp2Lanes {
-            c0: v0 - v1,
-            c1: s - v0 - v1,
-        }
-    }
-}
-
 impl LaneField for Fp2 {
-    type Lanes<B: LaneBody> = Fp2Lanes<B>;
+    type Lanes<B: LaneBody> = Fp2Over<FqLanes<B>>;
 
     #[inline(always)]
-    fn gather<B: LaneBody>(body: B, v: B::Array<&Fp2>) -> Fp2Lanes<B> {
+    fn gather<B: LaneBody>(body: B, v: B::Array<&Fp2>) -> Self::Lanes<B> {
         let v = v.as_ref();
-        Fp2Lanes {
-            c0: FqLanes::gather(body, B::array(|i| &v[i].c0)),
-            c1: FqLanes::gather(body, B::array(|i| &v[i].c1)),
-        }
+        Fp2Over::new(
+            Fq::gather(body, B::array(|i| &v[i].c0)),
+            Fq::gather(body, B::array(|i| &v[i].c1)),
+        )
     }
 
     #[inline(always)]
-    fn scatter<B: LaneBody>(v: Fp2Lanes<B>) -> B::Array<Fp2> {
-        let (c0, c1) = (v.c0.scatter(), v.c1.scatter());
+    fn scatter<B: LaneBody>(v: Self::Lanes<B>) -> B::Array<Fp2> {
+        let (c0, c1) = (Fq::scatter(v.c0), Fq::scatter(v.c1));
         B::array(|i| Fp2::new(c0.as_ref()[i], c1.as_ref()[i]))
-    }
-
-    /// As [`Fp2`]'s square: `(c0 − c1)(c0 + c1) + 2·c0·c1·u`.
-    #[inline(always)]
-    fn square_lanes<B: LaneBody>(v: Fp2Lanes<B>) -> Fp2Lanes<B> {
-        let c = v.c0 * v.c1;
-        Fp2Lanes {
-            c0: (v.c0 - v.c1) * (v.c0 + v.c1),
-            c1: c + c,
-        }
     }
 }
 
 impl LaneCoord for Fp2 {
     #[inline(always)]
-    fn norm<B: LaneBody>(v: Fp2Lanes<B>) -> FqLanes<B> {
-        v.c0.square() + v.c1.square()
+    fn norm<B: LaneBody>(v: Self::Lanes<B>) -> FqLanes<B> {
+        v.norm()
     }
 
-    /// `v̄ · N(v)⁻¹`, as [`Fp2`]'s `inverse` computes it.
     #[inline(always)]
-    fn inverse_from_norm<B: LaneBody>(v: Fp2Lanes<B>, norm_inv: FqLanes<B>) -> Fp2Lanes<B> {
-        Fp2Lanes {
-            c0: v.c0 * norm_inv,
-            c1: -(v.c1 * norm_inv),
-        }
+    fn inverse_from_norm<B: LaneBody>(v: Self::Lanes<B>, norm_inv: FqLanes<B>) -> Self::Lanes<B> {
+        v.inverse_from_norm(norm_inv)
     }
 }
 
 impl Field for Fp2 {
     fn zero() -> Self {
-        Fp2 {
-            c0: Fq::zero(),
-            c1: Fq::zero(),
-        }
+        Fp2::new(Fq::zero(), Fq::zero())
     }
 
     fn one() -> Self {
-        Fp2 {
-            c0: Fq::one(),
-            c1: Fq::zero(),
-        }
+        Fp2::new(Fq::one(), Fq::zero())
     }
 
     fn is_zero(&self) -> bool {
@@ -309,30 +229,16 @@ impl Field for Fp2 {
     }
 
     fn square(&self) -> Self {
-        // (a0 + a1 u)² = (a0−a1)(a0+a1) + 2·a0·a1·u
-        let a = self.c0 - self.c1;
-        let b = self.c0 + self.c1;
-        let c = self.c0 * self.c1;
-        Fp2 {
-            c0: a * b,
-            c1: c.double(),
-        }
+        Ring::square(*self)
     }
 
     fn inverse(&self) -> Option<Self> {
         // 1/(a0 + a1 u) = (a0 − a1 u)/(a0² + a1²)
-        let norm_inv = self.norm().inverse()?;
-        Some(Fp2 {
-            c0: self.c0 * norm_inv,
-            c1: -(self.c1 * norm_inv),
-        })
+        Some(self.inverse_from_norm(self.norm().inverse()?))
     }
 
     fn random<R: rand::Rng + ?Sized>(rng: &mut R) -> Self {
-        Fp2 {
-            c0: Fq::random(rng),
-            c1: Fq::random(rng),
-        }
+        Fp2::new(Fq::random(rng), Fq::random(rng))
     }
 }
 

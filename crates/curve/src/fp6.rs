@@ -1,4 +1,5 @@
-//! Cubic extension `Fp6 = Fp2[v]/(v³ − ξ)` with `ξ = 9 + u`.
+//! Cubic extension `Fp6 = Fp2[v]/(v³ − ξ)` with `ξ = 9 + u`, over any
+//! [`Ring`] in Fq's place (see [`crate::fp2`]).
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -6,22 +7,25 @@ use std::sync::OnceLock;
 
 use waku_arith::biguint::BigUint;
 use waku_arith::fields::Fq;
-use waku_arith::fp::{LaneBody, LaneField};
+use waku_arith::fp::{LaneBody, LaneField, Ring};
 use waku_arith::traits::{Field, PrimeField};
 
-use crate::fp2::{Fp2, Fp2Lanes};
+use crate::fp2::{Fp2, Fp2Over};
 use crate::point::FqLanes;
 
-/// An element `c0 + c1·v + c2·v²` of Fp6.
+/// An element `c0 + c1·v + c2·v²` of Fp6, its coefficients in Fp2 over `F`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Fp6 {
+pub struct Fp6Over<F> {
     /// Constant coefficient.
-    pub c0: Fp2,
+    pub c0: Fp2Over<F>,
     /// Coefficient of `v`.
-    pub c1: Fp2,
+    pub c1: Fp2Over<F>,
     /// Coefficient of `v²`.
-    pub c2: Fp2,
+    pub c2: Fp2Over<F>,
 }
+
+/// Fp6 over Fq.
+pub type Fp6 = Fp6Over<Fq>;
 
 /// Frobenius constants `γ1ᵢ = ξ^((pⁱ−1)/3)` and `γ2ᵢ = γ1ᵢ²` for i = 0..=3,
 /// derived at first use from the modulus (no magic tables).
@@ -42,28 +46,66 @@ fn frobenius_coeffs() -> &'static [(Fp2, Fp2); 4] {
     })
 }
 
-impl Fp6 {
+impl<F> Fp6Over<F> {
     /// Builds an element from its Fp2 coefficients.
-    pub const fn new(c0: Fp2, c1: Fp2, c2: Fp2) -> Self {
-        Fp6 { c0, c1, c2 }
+    pub const fn new(c0: Fp2Over<F>, c1: Fp2Over<F>, c2: Fp2Over<F>) -> Self {
+        Fp6Over { c0, c1, c2 }
+    }
+}
+
+impl<F: Ring> Fp6Over<F> {
+    /// Multiplication by `v`: `(c0 + c1·v + c2·v²)·v = c2·ξ + c0·v + c1·v²`.
+    #[inline(always)]
+    pub fn mul_by_v(&self) -> Self {
+        Fp6Over::new(self.c2.mul_by_nonresidue(), self.c0, self.c1)
     }
 
+    /// Multiplies every coefficient by an Fp2 scalar.
+    #[inline(always)]
+    pub fn scale(&self, s: Fp2Over<F>) -> Self {
+        Fp6Over::new(self.c0 * s, self.c1 * s, self.c2 * s)
+    }
+
+    /// Multiplies every coefficient by a scalar of `F` (6 `F` products).
+    #[inline(always)]
+    pub fn scale_base(&self, s: F) -> Self {
+        Fp6Over::new(self.c0.scale(s), self.c1.scale(s), self.c2.scale(s))
+    }
+
+    /// Product with the sparse element `a + b·v` (no `v²` term): five Fp2
+    /// products instead of the six of a full multiplication —
+    /// `(c0·a + ξ·c2·b) + (c0·b + c1·a)·v + (c1·b + c2·a)·v²`, the middle
+    /// coefficient by Karatsuba.
+    #[inline(always)]
+    pub fn mul_by_01(&self, a: Fp2Over<F>, b: Fp2Over<F>) -> Self {
+        F::call(
+            #[inline(always)]
+            || {
+                let [v0, v1, c2b, s, c2a] = products(
+                    [self.c0, self.c1, self.c2, self.c0 + self.c1, self.c2],
+                    [a, b, b, a + b, a],
+                );
+                Fp6Over::new(v0 + c2b.mul_by_nonresidue(), s - v0 - v1, v1 + c2a)
+            },
+        )
+    }
+}
+
+/// `a[k]·b[k]` for every `k`, in a loop LLVM keeps rolled: unrolled, the
+/// tower's lane products made functions LLVM took minutes to compile.
+#[inline(always)]
+fn products<F: Ring, const N: usize>(a: [Fp2Over<F>; N], b: [Fp2Over<F>; N]) -> [Fp2Over<F>; N] {
+    let mut out = a;
+    for k in 0..N {
+        out[k] = a[k] * b[k];
+    }
+    out
+}
+
+impl Fp6 {
     /// Embeds an Fp2 element.
     pub fn from_fp2(c0: Fp2) -> Self {
-        Fp6 {
-            c0,
-            c1: Fp2::zero(),
-            c2: Fp2::zero(),
-        }
-    }
-
-    /// Multiplication by `v`: `(c0 + c1·v + c2·v²)·v = c2·ξ + c0·v + c1·v²`.
-    pub fn mul_by_v(&self) -> Self {
-        Fp6 {
-            c0: self.c2.mul_by_nonresidue(),
-            c1: self.c0,
-            c2: self.c1,
-        }
+        Fp6::new(c0, Fp2::zero(), Fp2::zero())
     }
 
     /// Frobenius endomorphism `x ↦ x^(p^power)` for `power ≤ 3`.
@@ -74,235 +116,98 @@ impl Fp6 {
     pub fn frobenius_map(&self, power: usize) -> Self {
         assert!(power <= 3, "frobenius power out of precomputed range");
         let (g1, g2) = frobenius_coeffs()[power];
-        Fp6 {
-            c0: self.c0.frobenius_map(power),
-            c1: self.c1.frobenius_map(power) * g1,
-            c2: self.c2.frobenius_map(power) * g2,
-        }
-    }
-
-    /// Multiplies every coefficient by an Fp2 scalar.
-    pub fn scale(&self, s: Fp2) -> Self {
-        Fp6 {
-            c0: self.c0 * s,
-            c1: self.c1 * s,
-            c2: self.c2 * s,
-        }
-    }
-
-    /// Multiplies every coefficient by an Fq scalar (6 Fq products).
-    pub fn scale_base(&self, s: Fq) -> Self {
-        Fp6 {
-            c0: self.c0.scale(s),
-            c1: self.c1.scale(s),
-            c2: self.c2.scale(s),
-        }
-    }
-
-    /// Product with the sparse element `a + b·v` (no `v²` term): five Fp2
-    /// products instead of the six of a full multiplication —
-    /// `(c0·a + ξ·c2·b) + (c0·b + c1·a)·v + (c1·b + c2·a)·v²`, the middle
-    /// coefficient by Karatsuba.
-    pub fn mul_by_01(&self, a: Fp2, b: Fp2) -> Self {
-        let v0 = self.c0 * a;
-        let v1 = self.c1 * b;
-        Fp6 {
-            c0: v0 + (self.c2 * b).mul_by_nonresidue(),
-            c1: (self.c0 + self.c1) * (a + b) - v0 - v1,
-            c2: v1 + self.c2 * a,
-        }
+        Fp6::new(
+            self.c0.frobenius_map(power),
+            self.c1.frobenius_map(power) * g1,
+            self.c2.frobenius_map(power) * g2,
+        )
     }
 }
 
-impl Add for Fp6 {
+impl<F: Ring> Add for Fp6Over<F> {
     type Output = Self;
+    #[inline(always)]
     fn add(self, rhs: Self) -> Self {
-        Fp6 {
-            c0: self.c0 + rhs.c0,
-            c1: self.c1 + rhs.c1,
-            c2: self.c2 + rhs.c2,
-        }
+        Fp6Over::new(self.c0 + rhs.c0, self.c1 + rhs.c1, self.c2 + rhs.c2)
     }
 }
 
-impl Sub for Fp6 {
+impl<F: Ring> Sub for Fp6Over<F> {
     type Output = Self;
+    #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
-        Fp6 {
-            c0: self.c0 - rhs.c0,
-            c1: self.c1 - rhs.c1,
-            c2: self.c2 - rhs.c2,
-        }
+        Fp6Over::new(self.c0 - rhs.c0, self.c1 - rhs.c1, self.c2 - rhs.c2)
     }
 }
 
-impl Mul for Fp6 {
+impl<F: Ring> Mul for Fp6Over<F> {
     type Output = Self;
+    /// Toom-like interpolation (standard Fp6 Karatsuba).
+    #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
-        // Toom-like interpolation (standard Fp6 Karatsuba).
-        let v0 = self.c0 * rhs.c0;
-        let v1 = self.c1 * rhs.c1;
-        let v2 = self.c2 * rhs.c2;
-        let c0 = ((self.c1 + self.c2) * (rhs.c1 + rhs.c2) - v1 - v2).mul_by_nonresidue() + v0;
-        let c1 = (self.c0 + self.c1) * (rhs.c0 + rhs.c1) - v0 - v1 + v2.mul_by_nonresidue();
-        let c2 = (self.c0 + self.c2) * (rhs.c0 + rhs.c2) - v0 - v2 + v1;
-        Fp6 { c0, c1, c2 }
+        let (a, b) = (self, rhs);
+        F::call(
+            #[inline(always)]
+            || {
+                let [v0, v1, v2, s12, s01, s02] = products(
+                    [a.c0, a.c1, a.c2, a.c1 + a.c2, a.c0 + a.c1, a.c0 + a.c2],
+                    [b.c0, b.c1, b.c2, b.c1 + b.c2, b.c0 + b.c1, b.c0 + b.c2],
+                );
+                let c0 = (s12 - v1 - v2).mul_by_nonresidue() + v0;
+                let c1 = s01 - v0 - v1 + v2.mul_by_nonresidue();
+                let c2 = s02 - v0 - v2 + v1;
+                Fp6Over::new(c0, c1, c2)
+            },
+        )
     }
 }
 
-impl Neg for Fp6 {
+impl<F: Ring> Neg for Fp6Over<F> {
     type Output = Self;
+    #[inline(always)]
     fn neg(self) -> Self {
-        Fp6 {
-            c0: -self.c0,
-            c1: -self.c1,
-            c2: -self.c2,
-        }
+        Fp6Over::new(-self.c0, -self.c1, -self.c2)
     }
 }
 
-impl AddAssign for Fp6 {
+impl<F: Ring> Ring for Fp6Over<F> {
+    /// CH-SQR2 squaring.
+    #[inline(always)]
+    fn square(self) -> Self {
+        F::call(
+            #[inline(always)]
+            || {
+                let s0 = self.c0.square();
+                let s1 = (self.c0 * self.c1).double();
+                let s2 = (self.c0 - self.c1 + self.c2).square();
+                let s3 = (self.c1 * self.c2).double();
+                let s4 = self.c2.square();
+                Fp6Over::new(
+                    s0 + s3.mul_by_nonresidue(),
+                    s1 + s4.mul_by_nonresidue(),
+                    s1 + s2 + s3 - s0 - s4,
+                )
+            },
+        )
+    }
+}
+
+impl<F: Ring> AddAssign for Fp6Over<F> {
+    #[inline(always)]
     fn add_assign(&mut self, rhs: Self) {
         *self = *self + rhs;
     }
 }
-impl SubAssign for Fp6 {
+impl<F: Ring> SubAssign for Fp6Over<F> {
+    #[inline(always)]
     fn sub_assign(&mut self, rhs: Self) {
         *self = *self - rhs;
     }
 }
-impl MulAssign for Fp6 {
+impl<F: Ring> MulAssign for Fp6Over<F> {
+    #[inline(always)]
     fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
-    }
-}
-
-/// `B::WIDTH` Fp6 elements on lane body `B`, coefficient by coefficient,
-/// with [`Fp6`]'s formulas: the Miller loop's per-lane accumulators are
-/// built from them.
-#[derive(Clone, Copy)]
-pub(crate) struct Fp6Lanes<B: LaneBody> {
-    pub(crate) c0: Fp2Lanes<B>,
-    pub(crate) c1: Fp2Lanes<B>,
-    pub(crate) c2: Fp2Lanes<B>,
-}
-
-impl<B: LaneBody> Fp6Lanes<B> {
-    /// Loads the elements behind `v`, lane `i` from `v[i]`.
-    #[inline(always)]
-    pub(crate) fn gather(body: B, v: B::Array<&Fp6>) -> Self {
-        let v = v.as_ref();
-        Fp6Lanes {
-            c0: Fp2::gather(body, B::array(|i| &v[i].c0)),
-            c1: Fp2::gather(body, B::array(|i| &v[i].c1)),
-            c2: Fp2::gather(body, B::array(|i| &v[i].c2)),
-        }
-    }
-
-    /// The elements, lane `i` at index `i`.
-    #[inline(always)]
-    pub(crate) fn scatter(self) -> B::Array<Fp6> {
-        let (c0, c1, c2) = (
-            Fp2::scatter(self.c0),
-            Fp2::scatter(self.c1),
-            Fp2::scatter(self.c2),
-        );
-        B::array(|i| Fp6::new(c0.as_ref()[i], c1.as_ref()[i], c2.as_ref()[i]))
-    }
-
-    /// `2·self`.
-    #[inline(always)]
-    pub(crate) fn double(self) -> Self {
-        self + self
-    }
-
-    /// As [`Fp6::mul_by_v`].
-    #[inline(always)]
-    pub(crate) fn mul_by_v(self) -> Self {
-        Fp6Lanes {
-            c0: self.c2.mul_by_nonresidue(),
-            c1: self.c0,
-            c2: self.c1,
-        }
-    }
-
-    /// As [`Fp6::scale_base`].
-    #[inline(always)]
-    pub(crate) fn scale_base(self, s: FqLanes<B>) -> Self {
-        Fp6Lanes {
-            c0: self.c0.scale(s),
-            c1: self.c1.scale(s),
-            c2: self.c2.scale(s),
-        }
-    }
-
-    /// As [`Fp6::mul_by_01`].
-    #[inline(always)]
-    pub(crate) fn mul_by_01(self, a: Fp2Lanes<B>, b: Fp2Lanes<B>) -> Self {
-        let [v0, v1, c2b, s, c2a] = products(
-            [self.c0, self.c1, self.c2, self.c0 + self.c1, self.c2],
-            [a, b, b, a + b, a],
-        );
-        Fp6Lanes {
-            c0: v0 + c2b.mul_by_nonresidue(),
-            c1: s - v0 - v1,
-            c2: v1 + c2a,
-        }
-    }
-}
-
-/// `a[k]·b[k]` for every `k`, in a loop LLVM keeps rolled: unrolled, the
-/// tower's lane products made functions LLVM took minutes to compile.
-#[inline(always)]
-fn products<B: LaneBody, const N: usize>(
-    a: [Fp2Lanes<B>; N],
-    b: [Fp2Lanes<B>; N],
-) -> [Fp2Lanes<B>; N] {
-    let mut out = a;
-    for k in 0..N {
-        out[k] = a[k] * b[k];
-    }
-    out
-}
-
-impl<B: LaneBody> Add for Fp6Lanes<B> {
-    type Output = Self;
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        Fp6Lanes {
-            c0: self.c0 + rhs.c0,
-            c1: self.c1 + rhs.c1,
-            c2: self.c2 + rhs.c2,
-        }
-    }
-}
-
-impl<B: LaneBody> Sub for Fp6Lanes<B> {
-    type Output = Self;
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        Fp6Lanes {
-            c0: self.c0 - rhs.c0,
-            c1: self.c1 - rhs.c1,
-            c2: self.c2 - rhs.c2,
-        }
-    }
-}
-
-impl<B: LaneBody> Mul for Fp6Lanes<B> {
-    type Output = Self;
-    /// As [`Fp6`]'s product.
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        let (a, b) = (self, rhs);
-        let [v0, v1, v2, s12, s01, s02] = products(
-            [a.c0, a.c1, a.c2, a.c1 + a.c2, a.c0 + a.c1, a.c0 + a.c2],
-            [b.c0, b.c1, b.c2, b.c1 + b.c2, b.c0 + b.c1, b.c0 + b.c2],
-        );
-        let c0 = (s12 - v1 - v2).mul_by_nonresidue() + v0;
-        let c1 = s01 - v0 - v1 + v2.mul_by_nonresidue();
-        let c2 = s02 - v0 - v2 + v1;
-        Fp6Lanes { c0, c1, c2 }
     }
 }
 
@@ -318,21 +223,33 @@ impl fmt::Display for Fp6 {
     }
 }
 
+impl LaneField for Fp6 {
+    type Lanes<B: LaneBody> = Fp6Over<FqLanes<B>>;
+
+    #[inline(always)]
+    fn gather<B: LaneBody>(body: B, v: B::Array<&Fp6>) -> Self::Lanes<B> {
+        let v = v.as_ref();
+        Fp6Over::new(
+            Fp2::gather(body, B::array(|i| &v[i].c0)),
+            Fp2::gather(body, B::array(|i| &v[i].c1)),
+            Fp2::gather(body, B::array(|i| &v[i].c2)),
+        )
+    }
+
+    #[inline(always)]
+    fn scatter<B: LaneBody>(v: Self::Lanes<B>) -> B::Array<Fp6> {
+        let (c0, c1, c2) = (Fp2::scatter(v.c0), Fp2::scatter(v.c1), Fp2::scatter(v.c2));
+        B::array(|i| Fp6::new(c0.as_ref()[i], c1.as_ref()[i], c2.as_ref()[i]))
+    }
+}
+
 impl Field for Fp6 {
     fn zero() -> Self {
-        Fp6 {
-            c0: Fp2::zero(),
-            c1: Fp2::zero(),
-            c2: Fp2::zero(),
-        }
+        Fp6::from_fp2(Fp2::zero())
     }
 
     fn one() -> Self {
-        Fp6 {
-            c0: Fp2::one(),
-            c1: Fp2::zero(),
-            c2: Fp2::zero(),
-        }
+        Fp6::from_fp2(Fp2::one())
     }
 
     fn is_zero(&self) -> bool {
@@ -340,19 +257,7 @@ impl Field for Fp6 {
     }
 
     fn square(&self) -> Self {
-        // CH-SQR2 squaring.
-        let s0 = self.c0.square();
-        let ab = self.c0 * self.c1;
-        let s1 = ab.double();
-        let s2 = (self.c0 - self.c1 + self.c2).square();
-        let bc = self.c1 * self.c2;
-        let s3 = bc.double();
-        let s4 = self.c2.square();
-        Fp6 {
-            c0: s0 + s3.mul_by_nonresidue(),
-            c1: s1 + s4.mul_by_nonresidue(),
-            c2: s1 + s2 + s3 - s0 - s4,
-        }
+        Ring::square(*self)
     }
 
     fn inverse(&self) -> Option<Self> {
@@ -362,19 +267,11 @@ impl Field for Fp6 {
         let c = self.c1.square() - self.c0 * self.c2;
         let t = (self.c2 * b + self.c1 * c).mul_by_nonresidue() + self.c0 * a;
         let t_inv = t.inverse()?;
-        Some(Fp6 {
-            c0: a * t_inv,
-            c1: b * t_inv,
-            c2: c * t_inv,
-        })
+        Some(Fp6::new(a * t_inv, b * t_inv, c * t_inv))
     }
 
     fn random<R: rand::Rng + ?Sized>(rng: &mut R) -> Self {
-        Fp6 {
-            c0: Fp2::random(rng),
-            c1: Fp2::random(rng),
-            c2: Fp2::random(rng),
-        }
+        Fp6::new(Fp2::random(rng), Fp2::random(rng), Fp2::random(rng))
     }
 }
 

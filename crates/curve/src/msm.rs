@@ -29,7 +29,7 @@
 
 use waku_arith::batch_inv::batch_inverse_in_place;
 use waku_arith::fields::{Fq, Fr};
-use waku_arith::fp::{with_lanes, LaneBody, LaneField, LaneTask};
+use waku_arith::fp::{with_lanes, LaneBody, LaneField, LaneTask, Ring};
 use waku_arith::traits::{Field, PrimeField};
 
 use crate::point::{Affine, CurveParams, FqLanes, LaneCoord, Projective};
@@ -342,7 +342,7 @@ fn batch_add_round<C: CurveParams, B: LaneBody>(
         let norm_inv = FqLanes::load(body, norm_inv);
         let d_inv = C::Base::inverse_from_norm(lanes.denominators(), norm_inv);
         let lambda = (qy - py) * d_inv;
-        let x3 = C::Base::square_lanes(lambda) - lanes.px - lanes.qx;
+        let x3 = lambda.square() - lanes.px - lanes.qx;
         let y3 = lambda * (lanes.px - x3) - py;
         let (x3, y3) = (C::Base::scatter(x3), C::Base::scatter(y3));
         let mut doubling_invs = None;

@@ -49,7 +49,10 @@
 //!   body), `WIDTH` dynamic pairs at a time, one pair per lane: `T`, the
 //!   slopes and the line coefficients on Fp2 lanes, and one `Fp12`
 //!   accumulator per lane that every vector of the chunk multiplies its
-//!   line into and that is squared once per tangent phase. The slope
+//!   line into and that is squared once per tangent phase. The lanes are
+//!   the tower itself over `FqLanes` (`Fp2Over<FqLanes<B>>`, likewise
+//!   Fp12; see [`crate::fp2`]): the square and [`Fp12::mul_by_line`] the
+//!   scalar steps run are the ones the lanes run. The slope
 //!   denominators' norms run on `WIDTH` interleaved prefix-product chains,
 //!   whose totals take one scalar inversion per phase (the three passes
 //!   of the MSM's batch-affine round). The prepared pairs' recorded lines
@@ -156,15 +159,15 @@
 
 use waku_arith::batch_inv::batch_inverse_in_place;
 use waku_arith::fields::Fq;
-use waku_arith::fp::{with_lanes, LaneBody, LaneField, LaneTask};
+use waku_arith::fp::{with_lanes, LaneBody, LaneField, LaneTask, Ring};
 use waku_arith::traits::Field;
 
 use crate::endo::psi;
-use crate::fp12::{Fp12, Fp12Lanes};
-use crate::fp2::{Fp2, Fp2Lanes};
+use crate::fp12::Fp12;
+use crate::fp2::{Fp2, Fp2Over};
 use crate::g1::G1Affine;
 use crate::g2::{G2Affine, G2Params};
-use crate::point::{CurveParams, FqLanes, LaneCoord};
+use crate::point::{CurveParams, FqLanes};
 
 /// The BN curve parameter `x`.
 pub const BN_X: u64 = 4965661367192848881;
@@ -825,7 +828,12 @@ type Line = (Fq, Fp2, Fp2);
 
 /// Appends one vector's lines to `lines`.
 #[inline(always)]
-fn push_lines<B: LaneBody>(lines: &mut Vec<Line>, c: FqLanes<B>, a: Fp2Lanes<B>, b: Fp2Lanes<B>) {
+fn push_lines<B: LaneBody>(
+    lines: &mut Vec<Line>,
+    c: FqLanes<B>,
+    a: Fp2Over<FqLanes<B>>,
+    b: Fp2Over<FqLanes<B>>,
+) {
     let (c, a, b) = (c.scatter(), Fp2::scatter(a), Fp2::scatter(b));
     lines.extend((0..B::WIDTH).map(|i| (c.as_ref()[i], a.as_ref()[i], b.as_ref()[i])));
 }
@@ -842,8 +850,8 @@ impl LaneTask for SquareLanes<'_> {
 
     #[inline(always)]
     fn run<B: LaneBody>(self, body: B) {
-        let f = Fp12Lanes::gather(body, B::array(|i| &self.0[i]));
-        self.0.copy_from_slice(f.square().scatter().as_ref());
+        let f = Fp12::gather(body, B::array(|i| &self.0[i]));
+        self.0.copy_from_slice(Fp12::scatter(f.square()).as_ref());
     }
 }
 
@@ -858,7 +866,7 @@ impl LaneTask for MulLines<'_> {
 
     #[inline(always)]
     fn run<B: LaneBody>(self, body: B) {
-        let mut f = Fp12Lanes::gather(body, B::array(|i| &self.acc[i]));
+        let mut f = Fp12::gather(body, B::array(|i| &self.acc[i]));
         for v in self.lines.chunks(B::WIDTH) {
             f = f.mul_by_line(
                 Fq::gather(body, B::array(|i| &v[i].0)),
@@ -866,7 +874,7 @@ impl LaneTask for MulLines<'_> {
                 Fp2::gather(body, B::array(|i| &v[i].2)),
             );
         }
-        self.acc.copy_from_slice(f.scatter().as_ref());
+        self.acc.copy_from_slice(Fp12::scatter(f).as_ref());
     }
 }
 
@@ -979,7 +987,7 @@ impl<'c, 'a, B: LaneBody> LaneLoop<'c, 'a, B> {
                             - gather_live::<B, Fp2>(body, &live, |i| &pairs[i].t.x, &zero2)
                     }
                 };
-                let mut norm = <Fp2 as LaneCoord>::norm(d);
+                let mut norm = d.norm();
                 if live.as_ref().contains(&false) {
                     norm = norm + gather_live::<B, Fq>(body, &live, |_| &zero, &one);
                 }
@@ -1032,7 +1040,7 @@ impl<'c, 'a, B: LaneBody> LaneLoop<'c, 'a, B> {
             let ty = gather_live::<B, Fp2>(body, &live, |i| &pairs[i].t.y, &zero2);
             let (lambda, x3) = match phase {
                 Phase::Tangent => {
-                    let d_inv = <Fp2 as LaneCoord>::inverse_from_norm(ty.double(), norm_inv);
+                    let d_inv = ty.double().inverse_from_norm(norm_inv);
                     let xx = tx.square();
                     let lambda = (xx.double() + xx) * d_inv;
                     (lambda, lambda.square() - tx.double())
@@ -1040,7 +1048,7 @@ impl<'c, 'a, B: LaneBody> LaneLoop<'c, 'a, B> {
                 Phase::Chord(k) => {
                     let qx = gather_live::<B, Fp2>(body, &live, |i| &qs[i][k].x, &zero2);
                     let qy = gather_live::<B, Fp2>(body, &live, |i| &qs[i][k].y, &zero2);
-                    let d_inv = <Fp2 as LaneCoord>::inverse_from_norm(qx - tx, norm_inv);
+                    let d_inv = (qx - tx).inverse_from_norm(norm_inv);
                     let lambda = (qy - ty) * d_inv;
                     (lambda, lambda.square() - tx - qx)
                 }
@@ -1068,9 +1076,7 @@ impl<'c, 'a, B: LaneBody> LaneLoop<'c, 'a, B> {
         }
         for (j, &e) in self.evicted.iter().enumerate() {
             let (d, qs) = (&mut self.dyns[e], &self.targets[e]);
-            let inv = denom(&d.t, qs, phase)
-                .conjugate()
-                .scale(self.invs[B::WIDTH + j]);
+            let inv = denom(&d.t, qs, phase).inverse_from_norm(self.invs[B::WIDTH + j]);
             let coeff = step(&mut d.t, qs, phase, &inv);
             if let Some(lines) = &mut d.lines {
                 lines.push(coeff);

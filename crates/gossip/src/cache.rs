@@ -109,10 +109,26 @@ impl SeenSet {
     }
 
     /// Drops every expired entry; runs when the map is full, before it
-    /// would grow, and every `SWEEP_EVERY` rotations.
+    /// would grow, and every `SWEEP_EVERY` rotations. A sweep that
+    /// expires nothing leaves the map as it is. One that leaves at most ¾
+    /// of the map's room live rebuilds it at the same room from the live
+    /// entries: `retain` would leave its erased slots as tombstones, and
+    /// std's map rehashes in place only while at most 7/16 of its buckets
+    /// are live, so the next insert would double a table that has room.
     fn sweep(&mut self) {
-        self.map
-            .retain(|_, &mut g| self.gen.wrapping_sub(g) < self.window);
+        let live = self.len();
+        if live == self.map.len() {
+            return;
+        }
+        let is_live = |g: u16| self.gen.wrapping_sub(g) < self.window;
+        let room = self.map.capacity();
+        if 4 * live <= 3 * room {
+            let mut map = HashMap::with_capacity_and_hasher(room, *self.map.hasher());
+            map.extend(self.map.iter().filter(|(_, &g)| is_live(g)));
+            self.map = map;
+        } else {
+            self.map.retain(|_, &mut g| is_live(g));
+        }
     }
 }
 
@@ -311,6 +327,27 @@ mod tests {
         let bound = HashMap::<MessageId, u16>::with_capacity(2 * 40).capacity();
         assert!(s.capacity() <= bound, "capacity {} runaway", s.capacity());
         assert_eq!(s.len(), 0);
+    }
+
+    #[test]
+    fn churn_under_a_thousand_live_ids_keeps_the_table_at_its_size() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+        let mut s = SeenSet::new(10);
+        let mut peak = 0;
+        for _ in 0..200 {
+            for _ in 0..100 {
+                assert!(s.insert(&MessageId(rng.gen())));
+                peak = peak.max(s.capacity());
+            }
+            s.rotate();
+        }
+        // At most 10 × 100 ids are live. Swept with `retain`, the table's
+        // tombstones doubled it to room for 3 584 entries.
+        let bound = HashMap::<MessageId, u16>::with_capacity(1000).capacity();
+        assert!(peak <= bound, "peak capacity {peak} above {bound}");
+        // The last rotation expired the oldest hundred.
+        assert_eq!(s.len(), 900);
     }
 
     #[test]
